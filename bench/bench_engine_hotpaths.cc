@@ -16,15 +16,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <set>
-#include <span>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/chain/blockchain.h"
 #include "src/chain/mempool.h"
 #include "src/chain/pow.h"
-#include "src/chain/tx_conflict.h"
 #include "src/chain/wallet.h"
 #include "src/common/worker_pool.h"
 #include "src/core/environment.h"
@@ -233,73 +230,6 @@ MempoolDrainRun RunMempoolDrain(int users) {
   return run;
 }
 
-// ---- section 2b': prune-overload delta ------------------------------------
-//
-// The canonical-head subscription prunes included ids one block at a
-// time. The std::set overload forces every call site to build an ordered
-// set first; the span overload takes the flat id list as-is. Both runs
-// prune the same pool in the same block-sized chunks and must reach the
-// same post-state; the wall-clock delta is the cost of the set builds
-// plus the ordered lookups inside Prune.
-
-struct PruneDeltaRun {
-  size_t pool_txs = 0;
-  int chunk = 0;
-  int repeats = 0;
-  bool identical = false;  ///< Both overloads emptied the pool every repeat.
-  double set_wall_ms = 0;
-  double span_wall_ms = 0;
-  double speedup = 0;  ///< set / span.
-};
-
-PruneDeltaRun RunPruneDelta(size_t pool_txs, int chunk, int repeats) {
-  // The mempool indexes by id only, so synthetic distinct transactions
-  // suffice — no chain state or signatures are involved in what is
-  // measured here.
-  const crypto::KeyPair payee = crypto::KeyPair::FromSeed(88'888);
-  std::vector<chain::Transaction> batch;
-  batch.reserve(pool_txs);
-  std::vector<crypto::Hash256> ids;
-  ids.reserve(pool_txs);
-  for (size_t i = 0; i < pool_txs; ++i) {
-    chain::Transaction tx;
-    tx.chain_id = 1;
-    tx.nonce = i + 1;
-    tx.outputs.push_back(chain::TxOutput{i + 1, payee.public_key()});
-    ids.push_back(tx.Id());
-    batch.push_back(std::move(tx));
-  }
-
-  PruneDeltaRun run;
-  run.pool_txs = pool_txs;
-  run.chunk = chunk;
-  run.repeats = repeats;
-  run.identical = true;
-  for (int r = 0; r < repeats; ++r) {
-    chain::Mempool set_pool;
-    chain::Mempool span_pool;
-    (void)set_pool.SubmitBatch(std::span<const chain::Transaction>(batch), 0);
-    (void)span_pool.SubmitBatch(std::span<const chain::Transaction>(batch), 0);
-    for (size_t at = 0; at < ids.size(); at += static_cast<size_t>(chunk)) {
-      const size_t end = std::min(at + static_cast<size_t>(chunk), ids.size());
-      const Clock::time_point t_set = Clock::now();
-      set_pool.Prune(
-          std::set<crypto::Hash256>(ids.begin() + static_cast<ptrdiff_t>(at),
-                                    ids.begin() + static_cast<ptrdiff_t>(end)));
-      run.set_wall_ms += ElapsedMs(t_set);
-      const Clock::time_point t_span = Clock::now();
-      span_pool.Prune(std::span<const crypto::Hash256>(ids.data() + at,
-                                                       end - at));
-      run.span_wall_ms += ElapsedMs(t_span);
-    }
-    run.identical = run.identical && set_pool.size() == 0 &&
-                    span_pool.size() == 0;
-  }
-  run.speedup =
-      run.span_wall_ms > 0 ? run.set_wall_ms / run.span_wall_ms : 0;
-  return run;
-}
-
 // ---- section 2c: parallel fork validation ---------------------------------
 //
 // F forks of depth D (funded transfers in every block) are mined off one
@@ -426,152 +356,24 @@ ForkValidationRun RunForkValidation(int forks, int depth, int txs_per_block,
   return run;
 }
 
-// ---- section 2d: intra-block parallel execution ---------------------------
-//
-// One wide block of pairwise-independent funded transfers (a single
-// conflict-free wave — the best case for ApplyBlockBodyParallel) is
-// applied repeatedly to the same base state: once through the serial
-// oracle, then through the parallel executor at each thread count. The
-// receipts digest and post-state liquid value are deterministic witnesses;
-// any divergence across paths or thread counts fails the run. Wall-clock
-// speedup over the serial loop is the PR 7 headline number.
-
-struct BlockExecThreadRun {
-  int threads = 0;
-  double wall_ms = 0;
-  double txs_per_sec = 0;
-  double speedup = 0;  ///< serial_wall_ms / wall_ms.
-};
-
-struct BlockExecRun {
-  int body_txs = 0;
-  int repeats = 0;
-  size_t waves = 0;            ///< Deterministic: conflict-graph depth.
-  std::string receipts_digest; ///< Deterministic witness over all receipts.
-  chain::Amount post_liquid = 0;  ///< Deterministic post-state witness.
-  bool thread_invariant = true;
-  double serial_wall_ms = 0;
-  double serial_txs_per_sec = 0;
-  std::vector<BlockExecThreadRun> per_thread;
-};
-
-BlockExecRun RunBlockExecution(int body_txs, int repeats,
-                               const std::vector<int>& thread_counts) {
-  chain::ChainParams params = chain::TestChainParams();
-  params.difficulty_bits = 4;
-  params.max_block_txs = static_cast<size_t>(body_txs);
-
-  // One funded key per transaction: every transfer consumes its own
-  // allocation, so the body is one wide conflict-free wave.
-  std::vector<crypto::KeyPair> keys;
-  std::vector<chain::TxOutput> allocations;
-  for (int i = 0; i < body_txs; ++i) {
-    keys.push_back(crypto::KeyPair::FromSeed(12'000 + static_cast<uint64_t>(i)));
-    allocations.push_back(chain::TxOutput{10'000, keys.back().public_key()});
-  }
-  chain::Blockchain source(params, allocations);
-  Rng rng(31337);
-  std::vector<chain::Transaction> txs;
-  for (int i = 0; i < body_txs; ++i) {
-    chain::Wallet wallet(keys[static_cast<size_t>(i)], source.id());
-    auto tx = wallet.BuildTransfer(
-        source.StateAtHead(),
-        keys[static_cast<size_t>((i + 1) % body_txs)].public_key(),
-        /*amount=*/100, /*fee=*/1, static_cast<uint64_t>(i));
-    if (tx.ok()) txs.push_back(*tx);
-  }
-  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(11'999);
-  auto block = source.AssembleBlock(source.head()->hash, txs,
-                                    miner.public_key(), /*now=*/100, &rng);
-  BlockExecRun run;
-  run.repeats = repeats;
-  if (!block.ok()) {
-    std::fprintf(stderr, "block execution: assembly failed\n");
-    run.thread_invariant = false;
-    return run;
-  }
-  run.body_txs = static_cast<int>(block->txs.size()) - 1;
-  run.waves = chain::BuildExecutionWaves(block->txs).size();
-  const chain::LedgerState& base = source.head()->state;
-
-  const auto digest_of = [](const std::vector<chain::Receipt>& receipts) {
-    Bytes all;
-    for (const chain::Receipt& receipt : receipts) {
-      const Bytes encoded = receipt.Encode();
-      all.insert(all.end(), encoded.begin(), encoded.end());
-    }
-    return crypto::Hash256::Of(all).ToHex();
-  };
-
-  {  // Serial oracle baseline.
-    const Clock::time_point t0 = Clock::now();
-    for (int rep = 0; rep < repeats; ++rep) {
-      chain::LedgerState state = base;
-      auto receipts = chain::ApplyBlockBody(&state, *block, params);
-      if (!receipts.ok()) {
-        run.thread_invariant = false;
-        return run;
-      }
-      if (rep == 0) {
-        run.receipts_digest = digest_of(*receipts);
-        run.post_liquid = state.LiquidValue();
-      }
-    }
-    run.serial_wall_ms = ElapsedMs(t0);
-  }
-  const double total_txs =
-      static_cast<double>(run.body_txs) * static_cast<double>(repeats);
-  run.serial_txs_per_sec =
-      run.serial_wall_ms > 0 ? total_txs / (run.serial_wall_ms / 1000.0) : 0;
-
-  for (int threads : thread_counts) {
-    common::WorkerPool pool(threads);
-    BlockExecThreadRun per;
-    per.threads = pool.threads();
-    const Clock::time_point t0 = Clock::now();
-    for (int rep = 0; rep < repeats; ++rep) {
-      chain::LedgerState state = base;
-      auto receipts = chain::ApplyBlockBodyParallel(&state, *block, params,
-                                                    &pool);
-      if (!receipts.ok() || digest_of(*receipts) != run.receipts_digest ||
-          state.LiquidValue() != run.post_liquid) {
-        run.thread_invariant = false;
-      }
-    }
-    per.wall_ms = ElapsedMs(t0);
-    per.txs_per_sec = per.wall_ms > 0 ? total_txs / (per.wall_ms / 1000.0) : 0;
-    per.speedup = per.wall_ms > 0 ? run.serial_wall_ms / per.wall_ms : 0;
-    run.per_thread.push_back(per);
-  }
-  return run;
-}
-
-// ---- section 2e: deep-chain catch-up --------------------------------------
+// ---- section 2d: deep-chain catch-up --------------------------------------
 //
 // A purely linear chain (the worst case for SubmitBlocks' cross-fork
-// parallelism: every round is one block wide) with wide transfer bodies.
-// Width-1 rounds hand the batch pool down into intra-block execution, so
-// catch-up replay now scales with threads even without forks. Head hash
-// and acceptance are the deterministic self-check.
-
-struct CatchupThreadRun {
-  int threads = 0;
-  double wall_ms = 0;
-  double blocks_per_sec = 0;
-  double speedup = 0;  ///< threads=1 wall / this wall.
-};
+// parallelism: every round is one block wide) with wide transfer bodies,
+// replayed into a fresh chain in one batch. Each block executes serially;
+// acceptance and the head hash are the deterministic self-check.
 
 struct CatchupRun {
   int depth = 0;
   int txs_per_block = 0;
   size_t blocks = 0;
   std::string head_hash;
-  bool thread_invariant = true;
-  std::vector<CatchupThreadRun> per_thread;  ///< First entry is threads=1.
+  bool replay_matches = false;
+  double wall_ms = 0;
+  double blocks_per_sec = 0;
 };
 
-CatchupRun RunDeepCatchup(int depth, int txs_per_block,
-                          const std::vector<int>& thread_counts) {
+CatchupRun RunDeepCatchup(int depth, int txs_per_block, int threads) {
   chain::ChainParams params = chain::TestChainParams();
   params.difficulty_bits = 4;
   params.max_block_txs = static_cast<size_t>(txs_per_block);
@@ -615,25 +417,15 @@ CatchupRun RunDeepCatchup(int depth, int txs_per_block,
   run.blocks = batch.size();
   run.head_hash = source.head()->hash.ToHex();
 
-  for (int threads : thread_counts) {
-    chain::Blockchain replica(params, allocations);
-    CatchupThreadRun per;
-    per.threads = threads;
-    const Clock::time_point t0 = Clock::now();
-    auto result = replica.SubmitBlocks(batch, now, threads);
-    per.wall_ms = ElapsedMs(t0);
-    if (result.accepted != batch.size() ||
-        replica.head()->hash.ToHex() != run.head_hash) {
-      run.thread_invariant = false;
-    }
-    per.blocks_per_sec = per.wall_ms > 0 ? static_cast<double>(run.blocks) /
-                                               (per.wall_ms / 1000.0)
-                                         : 0;
-    const double base_wall =
-        run.per_thread.empty() ? per.wall_ms : run.per_thread.front().wall_ms;
-    per.speedup = per.wall_ms > 0 ? base_wall / per.wall_ms : 0;
-    run.per_thread.push_back(per);
-  }
+  chain::Blockchain replica(params, allocations);
+  const Clock::time_point t0 = Clock::now();
+  auto result = replica.SubmitBlocks(batch, now, threads);
+  run.wall_ms = ElapsedMs(t0);
+  run.replay_matches = result.accepted == batch.size() &&
+                       replica.head()->hash.ToHex() == run.head_hash;
+  run.blocks_per_sec = run.wall_ms > 0 ? static_cast<double>(run.blocks) /
+                                             (run.wall_ms / 1000.0)
+                                       : 0;
   return run;
 }
 
@@ -680,19 +472,13 @@ int main(int argc, char** argv) {
   const int txs_per_block = 4;
   const uint64_t sim_height = context.smoke ? 150 : 1200;
   const int drain_users = context.smoke ? 500 : 3000;
-  const size_t prune_pool_txs = context.smoke ? 1'000 : 10'000;
-  const int prune_chunk = 32;
-  const int prune_repeats = context.smoke ? 3 : 10;
   const int fork_count = context.smoke ? 4 : 8;
   const int fork_depth = context.smoke ? 12 : 60;
   const int fork_threads = common::WorkerPool::ResolveThreads(context.threads);
   const uint32_t pow_bits = context.smoke ? 12 : 16;
   const uint64_t pow_headers = context.smoke ? 4 : 16;
-  const int exec_body_txs = context.smoke ? 48 : 192;
-  const int exec_repeats = context.smoke ? 30 : 150;
   const int catchup_depth = context.smoke ? 15 : 100;
   const int catchup_txs = 24;
-  const std::vector<int> exec_threads = {1, 2, 4, 8};
 
   benchutil::PrintHeader(
       "Engine hot paths — blocks/sec vs chain length, mining-sim rate,\n"
@@ -733,18 +519,6 @@ int main(int argc, char** argv) {
               drain.submitted, static_cast<unsigned long long>(drain.height),
               drain.pool_left, drain.wall_ms, drain.txs_per_sec);
 
-  PruneDeltaRun prune = RunPruneDelta(prune_pool_txs, prune_chunk,
-                                      prune_repeats);
-  std::printf("prune delta: %zu txs in %d-id chunks x%d — set %.1f ms, "
-              "span %.1f ms (%.2fx), post-states %s\n",
-              prune.pool_txs, prune.chunk, prune.repeats, prune.set_wall_ms,
-              prune.span_wall_ms, prune.speedup,
-              prune.identical ? "identical" : "DIVERGED");
-  if (!prune.identical) {
-    std::fprintf(stderr, "prune delta: overloads left different pools\n");
-    return 1;
-  }
-
   ForkValidationRun fork = RunForkValidation(fork_count, fork_depth,
                                              txs_per_block, fork_threads);
   std::printf("fork validation: %zu blocks (%d forks x %d deep) — serial "
@@ -760,35 +534,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  BlockExecRun exec = RunBlockExecution(exec_body_txs, exec_repeats,
-                                        exec_threads);
-  std::printf("\nblock execution: %d-tx block x%d (%zu wave%s) — serial "
-              "%.1f ms (%.0f txs/s)\n",
-              exec.body_txs, exec.repeats, exec.waves,
-              exec.waves == 1 ? "" : "s", exec.serial_wall_ms,
-              exec.serial_txs_per_sec);
-  for (const BlockExecThreadRun& per : exec.per_thread) {
-    std::printf("block execution[%d threads]: %.1f ms — %.0f txs/s "
-                "(%.2fx)\n",
-                per.threads, per.wall_ms, per.txs_per_sec, per.speedup);
-  }
-  if (!exec.thread_invariant) {
-    std::fprintf(stderr,
-                 "block execution: parallel path diverged from serial\n");
-    return 1;
-  }
-
-  CatchupRun catchup = RunDeepCatchup(catchup_depth, catchup_txs,
-                                      exec_threads);
-  for (const CatchupThreadRun& per : catchup.per_thread) {
-    std::printf("deep catchup[%d threads]: %zu blocks x %d txs — %.1f ms "
-                "(%.0f blocks/s, %.2fx)\n",
-                per.threads, catchup.blocks, catchup.txs_per_block,
-                per.wall_ms, per.blocks_per_sec, per.speedup);
-  }
-  if (!catchup.thread_invariant) {
-    std::fprintf(stderr,
-                 "deep catchup: replay diverged across thread counts\n");
+  CatchupRun catchup =
+      RunDeepCatchup(catchup_depth, catchup_txs, fork_threads);
+  std::printf("deep catchup: %zu blocks x %d txs — %.1f ms (%.0f blocks/s), "
+              "head %s\n",
+              catchup.blocks, catchup.txs_per_block, catchup.wall_ms,
+              catchup.blocks_per_sec,
+              catchup.replay_matches ? "identical" : "DIVERGED");
+  if (!catchup.replay_matches) {
+    std::fprintf(stderr, "deep catchup: replay diverged from the source\n");
     return 1;
   }
 
@@ -854,11 +608,6 @@ int main(int argc, char** argv) {
   drain_json.Set("height", drain.height);
   drain_json.Set("pool_left", drain.pool_left);
   drain_json.Set("head_hash", drain.head_hash);
-  // Prune-overload equivalence is deterministic; the timing delta is
-  // machine-dependent and lives under wall.prune_delta.
-  drain_json.Set("prune_pool_txs", prune.pool_txs);
-  drain_json.Set("prune_chunk", prune.chunk);
-  drain_json.Set("prune_identical", prune.identical);
   results.Set("mempool_drain", std::move(drain_json));
   runner::Json fork_json = runner::Json::Object();
   fork_json.Set("forks", fork.forks);
@@ -868,20 +617,11 @@ int main(int argc, char** argv) {
   fork_json.Set("head_hash", fork.head_hash);
   fork_json.Set("thread_invariant", fork.thread_invariant);
   results.Set("fork_validation", std::move(fork_json));
-  runner::Json exec_json = runner::Json::Object();
-  exec_json.Set("body_txs", exec.body_txs);
-  exec_json.Set("repeats", exec.repeats);
-  exec_json.Set("waves", exec.waves);
-  exec_json.Set("receipts_digest", exec.receipts_digest);
-  exec_json.Set("post_liquid", exec.post_liquid);
-  exec_json.Set("thread_invariant", exec.thread_invariant);
-  results.Set("block_execution", std::move(exec_json));
   runner::Json catchup_json = runner::Json::Object();
   catchup_json.Set("depth", catchup.depth);
   catchup_json.Set("txs_per_block", catchup.txs_per_block);
   catchup_json.Set("blocks", catchup.blocks);
   catchup_json.Set("head_hash", catchup.head_hash);
-  catchup_json.Set("thread_invariant", catchup.thread_invariant);
   results.Set("deep_catchup", std::move(catchup_json));
   runner::Json pow_json = runner::Json::Object();
   pow_json.Set("difficulty_bits", pow_bits);
@@ -904,12 +644,6 @@ int main(int argc, char** argv) {
   drain_wall.Set("wall_ms", drain.wall_ms);
   drain_wall.Set("txs_per_sec", drain.txs_per_sec);
   wall.Set("mempool_drain", std::move(drain_wall));
-  runner::Json prune_wall = runner::Json::Object();
-  prune_wall.Set("repeats", prune.repeats);
-  prune_wall.Set("set_wall_ms", prune.set_wall_ms);
-  prune_wall.Set("span_wall_ms", prune.span_wall_ms);
-  prune_wall.Set("speedup", prune.speedup);
-  wall.Set("prune_delta", std::move(prune_wall));
   runner::Json fork_wall = runner::Json::Object();
   fork_wall.Set("threads", fork.threads);
   fork_wall.Set("serial_wall_ms", fork.serial_wall_ms);
@@ -917,29 +651,10 @@ int main(int argc, char** argv) {
   fork_wall.Set("parallel_wall_ms", fork.parallel_wall_ms);
   fork_wall.Set("parallel_blocks_per_sec", fork.parallel_blocks_per_sec);
   wall.Set("fork_validation", std::move(fork_wall));
-  runner::Json exec_wall = runner::Json::Object();
-  exec_wall.Set("serial_wall_ms", exec.serial_wall_ms);
-  exec_wall.Set("serial_txs_per_sec", exec.serial_txs_per_sec);
-  runner::Json exec_threads_wall = runner::Json::Array();
-  for (const BlockExecThreadRun& per : exec.per_thread) {
-    runner::Json cell = runner::Json::Object();
-    cell.Set("threads", per.threads);
-    cell.Set("wall_ms", per.wall_ms);
-    cell.Set("txs_per_sec", per.txs_per_sec);
-    cell.Set("speedup", per.speedup);
-    exec_threads_wall.Push(std::move(cell));
-  }
-  exec_wall.Set("per_thread", std::move(exec_threads_wall));
-  wall.Set("block_execution", std::move(exec_wall));
-  runner::Json catchup_wall = runner::Json::Array();
-  for (const CatchupThreadRun& per : catchup.per_thread) {
-    runner::Json cell = runner::Json::Object();
-    cell.Set("threads", per.threads);
-    cell.Set("wall_ms", per.wall_ms);
-    cell.Set("blocks_per_sec", per.blocks_per_sec);
-    cell.Set("speedup", per.speedup);
-    catchup_wall.Push(std::move(cell));
-  }
+  runner::Json catchup_wall = runner::Json::Object();
+  catchup_wall.Set("threads", fork.threads);
+  catchup_wall.Set("wall_ms", catchup.wall_ms);
+  catchup_wall.Set("blocks_per_sec", catchup.blocks_per_sec);
   wall.Set("deep_catchup", std::move(catchup_wall));
   runner::Json pow_wall = runner::Json::Object();
   pow_wall.Set("wall_ms", pow.wall_ms);

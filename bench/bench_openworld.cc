@@ -9,15 +9,16 @@
 // simulated tick, the harness drains the generator into the mempools via
 // Mempool::SubmitBatch, lets several miners per chain assemble competing
 // candidate blocks (Mempool::CandidatePointersAt + the span
-// AssembleBlock, unmined), resolves the proof-of-work race with ONE
+// AssembleBlock, unmined; miners after the first reuse the chain's block
+// template), resolves the proof-of-work race with ONE
 // MineHeaderBatch call spanning every miner on every chain (the
 // full-lane batch occupying all SIMD lanes across distinct headers), and
 // submits each chain's winner — the miner whose search finished in the
 // fewest evaluations.
 //
 // Self-check: the first cell runs twice — the hot arm above, and an
-// oracle arm using per-transaction Submit, the null-pool serial
-// AssembleBlockOn and sequential per-miner MineHeader — and every
+// oracle arm using per-transaction Submit, value-copied candidates (fresh
+// addresses for every miner) and sequential per-miner MineHeader — and every
 // deterministic output (head hashes, eval totals, per-swap inclusion
 // latencies) must match exactly; the process exits non-zero otherwise.
 //
@@ -220,8 +221,8 @@ CellResult RunCell(const CellConfig& cell, uint64_t seed, bool oracle) {
           for (const chain::Transaction& tx : pool_txs) {
             pointers.push_back(&tx);
           }
-          block = chains[c]->AssembleBlockOn(
-              nullptr, chains[c]->head()->hash,
+          block = chains[c]->AssembleBlock(
+              chains[c]->head()->hash,
               std::span<const chain::Transaction* const>(pointers), miner,
               now, &pow_rng, /*mine=*/false);
         } else {
@@ -398,7 +399,7 @@ int main(int argc, char** argv) {
 
   benchutil::PrintHeader(
       "Open-world traffic — sustained swaps/sec through batched ingestion,\n"
-      "widened assembly and full-lane multi-miner PoW (hot vs serial-oracle "
+      "shared block templates and full-lane multi-miner PoW (hot vs oracle "
       "self-check)");
 
   std::printf("%8s | %9s | %8s | %8s | %9s | %7s | %7s | %8s\n", "rate/s",

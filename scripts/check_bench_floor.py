@@ -8,13 +8,6 @@ a CI runner) against the committed full-run envelope at the repo root:
     GROWTH_FACTOR times the slowest committed segment's blocks/sec.
   * PoW — the fresh evals/sec must reach at least POW_FACTOR times the
     committed rate.
-  * block execution — the best fresh txs/sec across the serial run and
-    every thread count must reach at least EXEC_FACTOR times the
-    committed best, and the fresh run's parallel-vs-serial equivalence
-    verdicts (block_execution and deep_catchup thread_invariant) must
-    hold. The floor rides the *best* rate so it is meaningful both on
-    many-core runners (where the parallel path wins) and single-core
-    ones (where the serial path does).
 
 The committed envelope is the floors' source of truth — landing a faster
 full run automatically tightens them. GROWTH_FACTOR (default 0.5)
@@ -72,7 +65,7 @@ The open-world traffic envelope has its own mode:
     ceiling the *committed* envelope declares (results.rss_ceiling_bytes).
   * the fresh hot-vs-serial-oracle equivalence verdict must be true.
 
-Usage: check_bench_floor.py FRESH.json COMMITTED.json [GROWTH_FACTOR] [POW_FACTOR] [EXEC_FACTOR]
+Usage: check_bench_floor.py FRESH.json COMMITTED.json [GROWTH_FACTOR] [POW_FACTOR]
 Exit status: 0 when every floor holds, 1 on regression or malformed input.
 """
 
@@ -108,28 +101,6 @@ def check(name, fresh, committed, factor):
         f"({factor} x committed {committed:.0f}) -> {verdict}"
     )
     return ok
-
-
-def best_exec_rate(doc, path):
-    exec_wall = doc["wall"]["block_execution"]
-    rates = [exec_wall["serial_txs_per_sec"]]
-    rates.extend(cell["txs_per_sec"] for cell in exec_wall["per_thread"])
-    best = max(rates)
-    if best <= 0:
-        raise ValueError(f"{path}: non-positive block-execution txs/sec")
-    return best
-
-
-def exec_invariants_ok(doc):
-    results = doc["results"]
-    exec_ok = bool(results["block_execution"]["thread_invariant"])
-    catchup_ok = bool(results["deep_catchup"]["thread_invariant"])
-    print(
-        "block execution parallel-vs-serial: "
-        f"{'identical' if exec_ok else 'DIVERGED'}; deep catchup: "
-        f"{'identical' if catchup_ok else 'DIVERGED'}"
-    )
-    return exec_ok and catchup_ok
 
 
 def min_lookup_rate(doc, path):
@@ -285,13 +256,12 @@ def main(argv):
         return check_commit_study(argv)
     if len(argv) >= 2 and argv[1] == "--message-overhead":
         return check_message_overhead(argv)
-    if len(argv) not in (3, 4, 5, 6):
+    if len(argv) not in (3, 4, 5):
         print(__doc__, file=sys.stderr)
         return 1
     fresh_path, committed_path = argv[1], argv[2]
     growth_factor = float(argv[3]) if len(argv) >= 4 else 0.5
-    pow_factor = float(argv[4]) if len(argv) >= 5 else 0.1
-    exec_factor = float(argv[5]) if len(argv) == 6 else 0.2
+    pow_factor = float(argv[4]) if len(argv) == 5 else 0.1
 
     fresh = load(fresh_path)
     committed = load(committed_path)
@@ -307,14 +277,7 @@ def main(argv):
         pow_rate(committed, committed_path),
         pow_factor,
     )
-    exec_ok = check(
-        "block execution (txs/s, best over threads)",
-        best_exec_rate(fresh, fresh_path),
-        best_exec_rate(committed, committed_path),
-        exec_factor,
-    )
-    invariants = exec_invariants_ok(fresh)
-    return 0 if growth_ok and pow_ok and exec_ok and invariants else 1
+    return 0 if growth_ok and pow_ok else 1
 
 
 if __name__ == "__main__":

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <unordered_set>
 #include <utility>
 
 #include "src/chain/pow.h"
-#include "src/chain/tx_conflict.h"
 #include "src/common/logging.h"
 #include "src/common/worker_pool.h"
+#include "src/crypto/merkle.h"
 
 namespace ac3::chain {
 
@@ -53,11 +52,6 @@ Blockchain::Blockchain(ChainParams params, std::vector<TxOutput> allocations,
 }
 
 namespace {
-
-/// Widened candidate selection is only worth the per-candidate snapshot
-/// copy + conflict bookkeeping once the pool has enough entries to spread
-/// (mirrors kMinParallelBodyTxs in ledger.cc).
-constexpr size_t kMinParallelSelection = 8;
 
 /// Clears the lowest set bit (Bitcoin's skip-height helper).
 uint64_t InvertLowestOne(uint64_t n) { return n & (n - 1); }
@@ -117,20 +111,10 @@ const BlockEntry* Blockchain::Get(const crypto::Hash256& hash) const {
   return index_.FindEntry(hash);
 }
 
-Blockchain::~Blockchain() = default;
-
-common::WorkerPool* Blockchain::ExecPool() const {
-  if (exec_pool_ == nullptr) {
-    exec_pool_ = std::make_unique<common::WorkerPool>(0);
-  }
-  return exec_pool_.get();
-}
-
 Status Blockchain::ValidateAgainstParent(const Block& block,
                                          const BlockEntry& parent,
                                          std::vector<Receipt>* receipts,
-                                         LedgerState* post_state,
-                                         common::WorkerPool* exec_pool) const {
+                                         LedgerState* post_state) const {
   const BlockHeader& header = block.header;
   if (header.chain_id != params_.id) {
     return Status::InvalidArgument("block for another chain");
@@ -144,14 +128,18 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
   if (!CheckProofOfWork(header)) {
     return Status::VerificationFailed("proof of work does not meet target");
   }
+  // The O(1) size checks run before anything hashes or executes the body.
+  if (block.txs.size() > params_.max_block_txs + 1) {  // +1 for coinbase.
+    return Status::InvalidArgument("block over capacity");
+  }
+  if (block.receipts.size() != block.txs.size()) {
+    return Status::VerificationFailed("receipt count mismatch");
+  }
   if (header.tx_root != block.ComputeTxRoot()) {
     return Status::VerificationFailed("tx merkle root mismatch");
   }
   if (header.receipt_root != block.ComputeReceiptRoot()) {
     return Status::VerificationFailed("receipt merkle root mismatch");
-  }
-  if (block.txs.size() > params_.max_block_txs + 1) {  // +1 for coinbase.
-    return Status::InvalidArgument("block over capacity");
   }
   // No transaction may repeat on this branch.
   for (size_t i = 1; i < block.txs.size(); ++i) {
@@ -161,13 +149,12 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
   }
 
   *post_state = parent.state;  // Copy-on-apply snapshot.
-  AC3_ASSIGN_OR_RETURN(
-      *receipts, ApplyBlockBodyParallel(post_state, block, params_, exec_pool));
+  AC3_ASSIGN_OR_RETURN(*receipts,
+                       ApplyBlockBody(post_state, block, params_));
 
-  // The block's declared receipts must match deterministic re-execution.
-  if (receipts->size() != block.receipts.size()) {
-    return Status::VerificationFailed("receipt count mismatch");
-  }
+  // The block's declared receipts must match deterministic re-execution
+  // (a successful body yields one receipt per transaction, so the counts
+  // already agree).
   for (size_t i = 0; i < receipts->size(); ++i) {
     if ((*receipts)[i].Encode() != block.receipts[i].Encode()) {
       return Status::VerificationFailed("receipt mismatch at index " +
@@ -190,8 +177,7 @@ Status Blockchain::SubmitBlock(const Block& block, TimePoint arrival_time) {
   std::vector<Receipt> receipts;
   LedgerState post_state;
   AC3_RETURN_IF_ERROR(
-      ValidateAgainstParent(block, *parent, &receipts, &post_state,
-                            ExecPool()));
+      ValidateAgainstParent(block, *parent, &receipts, &post_state));
   CommitValidated(block, hash, parent, std::move(receipts),
                   std::move(post_state), arrival_time);
   return Status::OK();
@@ -283,18 +269,12 @@ Blockchain::BatchSubmitResult Blockchain::SubmitBlocks(
   std::vector<size_t> to_validate;
   std::vector<ValidationSlot> validated;
   std::unordered_set<crypto::Hash256> claimed;  // Hashes validating per round.
-  // Intra-block execution pool for the current round. Width-1 rounds (the
-  // deep linear-chain catch-up shape) run ParallelFor(1, ·) inline on this
-  // thread, leaving the pool idle — so the lone block's body can fan out
-  // on it. Wider rounds keep the pool busy across blocks; each block then
-  // executes serially (nullptr disables the intra-block fan-out).
-  common::WorkerPool* round_exec_pool = nullptr;
   const std::function<void(size_t)> validate_one = [&](size_t r) {
     const size_t i = to_validate[r];
     validated[r].status =
         ValidateAgainstParent(blocks[i], *Get(parents[i]),
                               &validated[r].receipts,
-                              &validated[r].post_state, round_exec_pool);
+                              &validated[r].post_state);
   };
   // The shared worker-pool primitive: lazily spawned on the first round
   // with >= 2 validations, reused (two barrier hops) across later rounds,
@@ -350,7 +330,6 @@ Blockchain::BatchSubmitResult Blockchain::SubmitBlocks(
 
     // Parallel phase: validation is read-only against committed state.
     validated.assign(to_validate.size(), ValidationSlot{});
-    round_exec_pool = to_validate.size() == 1 ? &pool : nullptr;
     pool.ParallelFor(to_validate.size(), validate_one);
 
     // Serial phase: commit in input order (to_validate is ascending).
@@ -452,199 +431,140 @@ Result<Block> Blockchain::AssembleBlock(
   return AssembleBlock(parent_hash, pointers, miner, now, rng);
 }
 
-Result<Block> Blockchain::AssembleBlock(
-    const crypto::Hash256& parent_hash,
-    std::span<const Transaction* const> candidates,
-    const crypto::PublicKey& miner, TimePoint now, Rng* rng,
-    bool mine) const {
-  common::WorkerPool* pool = ExecPool();
-  // Same gating as ApplyBlockBodyParallel: the serial loop wins on small
-  // candidate sets, single-threaded pools, and under the env pin.
-  if (pool->threads() <= 1 || BlockExecutionPinnedSerial() ||
-      candidates.size() < kMinParallelSelection) {
-    pool = nullptr;
-  }
-  return AssembleBlockOn(pool, parent_hash, candidates, miner, now, rng, mine);
-}
+/// One selection's outcome: the cache entry behind AssembleBlock.
+struct Blockchain::BlockTemplate {
+  // Key.
+  crypto::Hash256 parent_hash;
+  TimePoint now = 0;
+  /// Ids of the candidates the selection examined, a prefix of its list.
+  std::vector<crypto::Hash256> examined;
+  /// The selection filled the block: candidates past `examined` were never
+  /// looked at, so any list sharing the prefix selects the same.
+  bool full = false;
 
-Result<Block> Blockchain::AssembleBlockOn(
-    common::WorkerPool* pool, const crypto::Hash256& parent_hash,
-    std::span<const Transaction* const> candidates,
-    const crypto::PublicKey& miner, TimePoint now, Rng* rng,
-    bool mine) const {
-  const BlockEntry* parent = Get(parent_hash);
-  if (parent == nullptr) return Status::NotFound("unknown parent");
-  if (pool != nullptr &&
-      (pool->threads() <= 1 || candidates.size() < kMinParallelSelection)) {
-    pool = nullptr;
-  }
+  // Contents. The chosen transactions' tx leaves are their ids, at
+  // examined[chosen[k]].
+  std::vector<uint32_t> chosen;  ///< Positions in the candidate list.
+  std::vector<Receipt> receipts;
+  std::vector<crypto::Hash256> receipt_leaves;
+  Amount total_fees = 0;
 
-  BlockEnv env{params_.id, parent->block.header.height + 1, now};
+  bool Matches(const crypto::Hash256& parent, TimePoint at,
+               std::span<const Transaction* const> candidates) const {
+    if (parent != parent_hash || at != now) return false;
+    if (full ? candidates.size() < examined.size()
+             : candidates.size() != examined.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < examined.size(); ++i) {
+      if (candidates[i]->Id() != examined[i]) return false;
+    }
+    return true;
+  }
+};
+
+std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
+    const BlockEntry& parent, std::span<const Transaction* const> candidates,
+    TimePoint now) const {
+  std::shared_ptr<const BlockTemplate> cached;
+  {
+    std::lock_guard<std::mutex> lock(template_mu_);
+    cached = template_;
+  }
+  if (cached != nullptr && cached->Matches(parent.hash, now, candidates)) {
+    return cached;
+  }
 
   // Selection pass: FIFO, skip invalid / duplicate transactions. The
   // per-candidate scratch snapshot is O(1) thanks to the persistent state.
-  LedgerState working = parent->state;
-  std::vector<const Transaction*> chosen;
-  std::vector<Receipt> chosen_receipts;
-  std::set<crypto::Hash256> chosen_ids;
-  Amount total_fees = 0;
-
-  // Serial acceptance of one candidate against the current working state —
-  // the oracle semantics every candidate ultimately gets (directly in the
-  // serial loop; as the re-run fallback in the widened one).
-  const auto try_accept = [&](const Transaction& tx,
-                              const crypto::Hash256& tx_id) {
+  auto fresh = std::make_shared<BlockTemplate>();
+  fresh->parent_hash = parent.hash;
+  fresh->now = now;
+  const BlockEnv env{params_.id, parent.block.header.height + 1, now};
+  LedgerState working = parent.state;
+  std::unordered_set<crypto::Hash256> chosen_ids;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (fresh->chosen.size() >= params_.max_block_txs) break;
+    const Transaction& tx = *candidates[i];
+    const crypto::Hash256 tx_id = tx.Id();
+    fresh->examined.push_back(tx_id);
+    if (TxOnBranch(parent, tx_id) || chosen_ids.count(tx_id) > 0) continue;
     LedgerState scratch = working;  // Roll back cleanly on failure.
     auto receipt = ApplyTransaction(&scratch, tx, env);
     if (!receipt.ok()) {
       AC3_LOG(kDebug) << params_.name << ": skip tx " << tx_id.ShortHex()
                       << " — " << receipt.status().ToString();
-      return false;
+      continue;
     }
     working = std::move(scratch);
-    chosen_receipts.push_back(std::move(*receipt));
-    return true;
-  };
-
-  if (pool == nullptr) {
-    for (const Transaction* tx : candidates) {
-      if (chosen.size() >= params_.max_block_txs) break;
-      const crypto::Hash256 tx_id = tx->Id();
-      if (TxOnBranch(*parent, tx_id) || chosen_ids.count(tx_id) > 0) {
-        continue;
-      }
-      if (!try_accept(*tx, tx_id)) continue;
-      chosen.push_back(tx);
-      chosen_ids.insert(tx_id);
-      total_fees += tx->fee;
-    }
-  } else {
-    // Widened selection: execute a FIFO window of candidates speculatively
-    // against the round-start snapshot in parallel, then adopt serially in
-    // candidate order. A speculative result is adopted as-is only when its
-    // read/write key set (tx_conflict.h) is disjoint from everything
-    // accepted since the snapshot — disjointness means the speculative
-    // execution observed exactly the keys the serial loop would have shown
-    // it, so its receipt and write log ARE the serial ones, and replaying
-    // the log through the aggregate-maintaining mutators reproduces the
-    // serial post-state. Anything else (speculation failed, or a conflict
-    // with an accepted candidate) re-runs serially against the current
-    // working state — literally the oracle path for that candidate. The
-    // round window rides ahead of the remaining capacity so a tail of
-    // skipped candidates cannot starve the block.
-    struct Spec {
-      TxRwSet rw;
-      Status status = Status::OK();
-      Receipt receipt;
-      TxWrites writes;
-      bool pre_skip = false;  ///< On-branch / already chosen at round start.
-    };
-    std::vector<Spec> specs;
-    size_t next = 0;
-    while (next < candidates.size() && chosen.size() < params_.max_block_txs) {
-      const size_t capacity_left = params_.max_block_txs - chosen.size();
-      const size_t window = std::min(
-          candidates.size() - next,
-          std::max<size_t>(2 * capacity_left, kMinParallelSelection));
-      specs.assign(window, Spec{});
-      pool->ParallelFor(window, [&](size_t k) {
-        const Transaction& tx = *candidates[next + k];
-        Spec& spec = specs[k];
-        spec.rw = ExtractRwSet(tx);
-        if (TxOnBranch(*parent, spec.rw.id) ||
-            chosen_ids.count(spec.rw.id) > 0) {
-          spec.pre_skip = true;
-          return;
-        }
-        // O(1) snapshot of the round-start state; concurrent snapshot
-        // reads are safe via the persistent maps' atomic refcounts.
-        LedgerState scratch = working;
-        auto receipt = ApplyTransactionRecorded(&scratch, tx, env,
-                                                &spec.writes);
-        if (receipt.ok()) {
-          spec.receipt = std::move(*receipt);
-        } else {
-          spec.status = receipt.status();
-        }
-      });
-      // Serial FIFO adoption.
-      std::vector<const TxRwSet*> accepted_this_round;
-      for (size_t k = 0; k < window; ++k) {
-        if (chosen.size() >= params_.max_block_txs) break;
-        Spec& spec = specs[k];
-        const Transaction& tx = *candidates[next + k];
-        // Re-check the duplicate set: it may have grown this round.
-        if (spec.pre_skip || chosen_ids.count(spec.rw.id) > 0) continue;
-        bool adopted = false;
-        if (spec.status.ok()) {
-          bool conflict = false;
-          for (const TxRwSet* other : accepted_this_round) {
-            if (RwSetsConflict(*other, spec.rw)) {
-              conflict = true;
-              break;
-            }
-          }
-          if (!conflict) {
-            for (const OutPoint& outpoint : spec.writes.spent) {
-              working.SpendUtxo(outpoint);
-            }
-            for (const auto& [outpoint, output] : spec.writes.created) {
-              working.AddUtxo(outpoint, output);
-            }
-            for (const auto& [id, contract] : spec.writes.contract_puts) {
-              working.contracts.Put(id, contract);
-            }
-            chosen_receipts.push_back(std::move(spec.receipt));
-            adopted = true;
-          }
-        }
-        if (!adopted && !try_accept(tx, spec.rw.id)) continue;
-        chosen.push_back(&tx);
-        chosen_ids.insert(spec.rw.id);
-        total_fees += tx.fee;
-        accepted_this_round.push_back(&spec.rw);
-      }
-      next += window;
-    }
+    chosen_ids.insert(tx_id);
+    fresh->chosen.push_back(static_cast<uint32_t>(i));
+    fresh->receipt_leaves.push_back(receipt->LeafHash());
+    fresh->receipts.push_back(std::move(*receipt));
+    fresh->total_fees += tx.fee;
   }
+  fresh->full = fresh->chosen.size() >= params_.max_block_txs;
+
+  std::lock_guard<std::mutex> lock(template_mu_);
+  template_ = fresh;
+  return fresh;
+}
+
+Result<Block> Blockchain::AssembleBlock(
+    const crypto::Hash256& parent_hash,
+    std::span<const Transaction* const> candidates,
+    const crypto::PublicKey& miner, TimePoint now, Rng* rng,
+    bool mine) const {
+  const BlockEntry* parent = Get(parent_hash);
+  if (parent == nullptr) return Status::NotFound("unknown parent");
+  const std::shared_ptr<const BlockTemplate> selection =
+      SelectCandidates(*parent, candidates, now);
 
   // Coinbase pays the reward plus the collected fees to the miner.
   Transaction coinbase;
   coinbase.type = TxType::kCoinbase;
   coinbase.chain_id = params_.id;
   coinbase.outputs.push_back(
-      TxOutput{params_.block_reward + total_fees, miner});
+      TxOutput{params_.block_reward + selection->total_fees, miner});
   coinbase.nonce = rng->NextU64();  // Uniquify across blocks.
 
   Block block;
   block.header.chain_id = params_.id;
-  block.header.height = env.height;
+  block.header.height = parent->block.header.height + 1;
   block.header.prev_hash = parent_hash;
   block.header.time = now;
   block.header.difficulty_bits = params_.difficulty_bits;
-  block.txs.reserve(1 + chosen.size());
+  block.txs.reserve(1 + selection->chosen.size());
   block.txs.push_back(std::move(coinbase));
-  for (const Transaction* tx : chosen) block.txs.push_back(*tx);
+  std::vector<crypto::Hash256> leaves;
+  leaves.reserve(1 + selection->chosen.size());
+  leaves.push_back(block.txs[0].Id());
+  for (const uint32_t position : selection->chosen) {
+    block.txs.push_back(*candidates[position]);
+    leaves.push_back(selection->examined[position]);
+  }
+  block.header.tx_root = crypto::MerkleTree::RootOf(leaves);
 
   // Declared receipts come straight from the selection pass: each chosen
   // transaction's receipt was produced by the same ApplyTransaction call
   // sequence, against the same evolving state, that ApplyBlockBody runs
   // for validators (the serial loop creates the coinbase outputs *after*
-  // the body, so body transactions never observe them). The old
-  // re-execution pass ran every transaction a second time for provably
-  // identical results; ValidateAgainstParent's receipt-equality check
-  // still re-derives them on every submission, and the golden determinism
-  // fingerprints pin the block hashes.
+  // the body, so body transactions never observe them).
+  // ValidateAgainstParent's receipt-equality check still re-derives them
+  // on every submission, and the golden determinism fingerprints pin the
+  // block hashes.
   Receipt coinbase_receipt;
-  coinbase_receipt.tx_id = block.txs[0].Id();
+  coinbase_receipt.tx_id = leaves[0];
   coinbase_receipt.note = "coinbase";
-  block.receipts.reserve(1 + chosen_receipts.size());
+  leaves[0] = coinbase_receipt.LeafHash();
+  std::copy(selection->receipt_leaves.begin(),
+            selection->receipt_leaves.end(), leaves.begin() + 1);
+  block.header.receipt_root = crypto::MerkleTree::RootOf(leaves);
+
+  block.receipts.reserve(1 + selection->receipts.size());
   block.receipts.push_back(std::move(coinbase_receipt));
-  for (Receipt& receipt : chosen_receipts) {
-    block.receipts.push_back(std::move(receipt));
-  }
-  block.header.tx_root = block.ComputeTxRoot();
-  block.header.receipt_root = block.ComputeReceiptRoot();
+  block.receipts.insert(block.receipts.end(), selection->receipts.begin(),
+                        selection->receipts.end());
   if (mine) MineHeader(&block.header, rng);
   return block;
 }

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -35,7 +36,6 @@ class Blockchain {
   /// harnesses drive a second chain in oracle mode.
   Blockchain(ChainParams params, std::vector<TxOutput> allocations,
              ChainIndex::Options index_options = {});
-  ~Blockchain();  // Out-of-line: exec_pool_ holds an incomplete type here.
 
   const ChainParams& params() const { return params_; }
   ChainId id() const { return params_.id; }
@@ -170,12 +170,19 @@ class Blockchain {
 
   /// Builds a valid block on `parent_hash` from `candidates` (FIFO,
   /// capacity-capped, structurally-invalid and already-included ones
-  /// skipped), mines its PoW, and returns it WITHOUT submitting. The
-  /// candidate-selection loop is widened across the chain's execution
-  /// worker pool when it pays (enough candidates, pool wider than one
-  /// thread, AC3_EXEC_SERIAL unset); selected sets, receipts and the
-  /// returned block are identical to the serial loop at any width — see
-  /// AssembleBlockOn.
+  /// skipped), mines its PoW, and returns it WITHOUT submitting.
+  ///
+  /// Miners racing for the same extension assemble from the same parent,
+  /// time and candidates; only their coinbase keys differ. The chain
+  /// therefore keeps a one-entry block template: the last selection's
+  /// chosen candidates, receipts, Merkle leaves and fees, keyed by parent
+  /// hash, `now` and the ids of the candidates that selection examined
+  /// (plus the candidate count when it ran out of candidates before
+  /// filling the block). A matching call builds only the coinbase, its two
+  /// leaves, the two Merkle folds and the header; the block is
+  /// byte-identical to a fresh selection. Ids are recomputed from the
+  /// pointers on every call, so a pool that moved or replaced its entries
+  /// never matches stale addresses.
   Result<Block> AssembleBlock(const crypto::Hash256& parent_hash,
                               const std::vector<Transaction>& candidates,
                               const crypto::PublicKey& miner,
@@ -192,37 +199,25 @@ class Blockchain {
                               const crypto::PublicKey& miner, TimePoint now,
                               Rng* rng, bool mine = true) const;
 
-  /// AssembleBlock with an explicit selection worker pool — the
-  /// equivalence seam. `pool == nullptr` (or a single-threaded pool) runs
-  /// the serial FIFO selection loop, kept as the always-available oracle
-  /// (same discipline as MineHeaderScalar / ApplyBlockBody). A wider pool
-  /// runs speculative candidate execution against the round-start
-  /// snapshot with conflict-checked FIFO adoption (tx_conflict.h) and a
-  /// serial re-run for every candidate the speculation cannot prove
-  /// bit-identical — so selected sets, receipts and block bytes match the
-  /// serial loop exactly, whatever the width.
-  Result<Block> AssembleBlockOn(common::WorkerPool* pool,
-                                const crypto::Hash256& parent_hash,
-                                std::span<const Transaction* const> candidates,
-                                const crypto::PublicKey& miner, TimePoint now,
-                                Rng* rng, bool mine = true) const;
-
  private:
-  /// Full validation of `block` against its parent entry: PoW, linkage,
-  /// roots, capacity, branch-duplicate checks, then transaction execution
-  /// (via ApplyBlockBodyParallel on `exec_pool`; pass nullptr to force the
-  /// serial path, e.g. while the pool is busy validating sibling blocks)
-  /// and declared-receipt equality.
+  /// Full validation of `block` against its parent entry: linkage, PoW,
+  /// the O(1) size checks (capacity, one receipt per transaction), roots,
+  /// branch-duplicate checks, then serial transaction execution
+  /// (ApplyBlockBody) and declared-receipt equality.
   Status ValidateAgainstParent(const Block& block, const BlockEntry& parent,
                                std::vector<Receipt>* receipts,
-                               LedgerState* post_state,
-                               common::WorkerPool* exec_pool) const;
+                               LedgerState* post_state) const;
 
-  /// The lazily-created pool backing intra-block parallel execution on the
-  /// single-block SubmitBlock path. WorkerPool spawns no threads until the
-  /// first wide ParallelFor, so chains that only ever see small blocks pay
-  /// nothing.
-  common::WorkerPool* ExecPool() const;
+  /// One selection's outcome: everything of an assembled block but the
+  /// coinbase. Defined in blockchain.cc.
+  struct BlockTemplate;
+
+  /// The template for (`parent`, `now`, `candidates`): the cached one when
+  /// its key matches, else a fresh serial FIFO selection, which replaces
+  /// the cached entry.
+  std::shared_ptr<const BlockTemplate> SelectCandidates(
+      const BlockEntry& parent, std::span<const Transaction* const> candidates,
+      TimePoint now) const;
 
   /// Stores a block that already passed ValidateAgainstParent: builds the
   /// BlockEntry, indexes it, and applies the longest-chain rule (head
@@ -245,8 +240,10 @@ class Blockchain {
   uint64_t next_arrival_seq_ = 0;
   /// All entries in arrival order (genesis first).
   std::vector<const BlockEntry*> arrival_order_;
-  /// See ExecPool().
-  mutable std::unique_ptr<common::WorkerPool> exec_pool_;
+  /// The one-entry block template (see AssembleBlock). The mutex guards
+  /// the pointer; entries are immutable once published.
+  mutable std::mutex template_mu_;
+  mutable std::shared_ptr<const BlockTemplate> template_;
 };
 
 }  // namespace ac3::chain

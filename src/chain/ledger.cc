@@ -1,12 +1,8 @@
 #include "src/chain/ledger.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
-
-#include "src/chain/tx_conflict.h"
-#include "src/common/worker_pool.h"
 
 namespace ac3::chain {
 
@@ -75,8 +71,7 @@ void EnsureBuiltinContracts() {
 }
 
 /// Checks input ownership and computes the total input value.
-Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx,
-                             TxWrites* writes) {
+Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
   if (tx.inputs.empty()) {
     return Status::InvalidArgument("non-coinbase transaction needs inputs");
   }
@@ -101,20 +96,15 @@ Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx,
     }
     total += output->value;
   }
-  for (const OutPoint& in : tx.inputs) {
-    state->SpendUtxo(in);
-    if (writes != nullptr) writes->spent.push_back(in);
-  }
+  for (const OutPoint& in : tx.inputs) state->SpendUtxo(in);
   return total;
 }
 
 void CreateOutputs(LedgerState* state, const crypto::Hash256& tx_id,
                    const std::vector<TxOutput>& outputs,
-                   uint32_t first_index = 0, TxWrites* writes = nullptr) {
+                   uint32_t first_index = 0) {
   for (uint32_t i = 0; i < outputs.size(); ++i) {
-    const OutPoint outpoint{tx_id, first_index + i};
-    state->AddUtxo(outpoint, outputs[i]);
-    if (writes != nullptr) writes->created.emplace_back(outpoint, outputs[i]);
+    state->AddUtxo(OutPoint{tx_id, first_index + i}, outputs[i]);
   }
 }
 
@@ -126,18 +116,15 @@ bool IsRevert(const Status& status) {
          status.code() == StatusCode::kInvalidArgument;
 }
 
-/// The one execution path behind both ApplyTransaction and the wave
-/// executor. `verify_sig` lets the parallel path skip re-verifying a
-/// signature it already batch-verified; `writes` (optional) records every
-/// state mutation for the wave merger.
-Result<Receipt> ApplyTransactionImpl(LedgerState* state, const Transaction& tx,
-                                     const BlockEnv& env, bool verify_sig,
-                                     TxWrites* writes) {
+}  // namespace
+
+Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
+                                 const BlockEnv& env) {
   EnsureBuiltinContracts();
   if (tx.chain_id != env.chain_id) {
     return Status::InvalidArgument("transaction targets another chain");
   }
-  if (verify_sig && !tx.VerifySignature()) {
+  if (!tx.VerifySignature()) {
     return Status::VerificationFailed("bad transaction signature");
   }
 
@@ -150,17 +137,17 @@ Result<Receipt> ApplyTransactionImpl(LedgerState* state, const Transaction& tx,
       return Status::InvalidArgument("coinbase outside block head position");
 
     case TxType::kTransfer: {
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx, writes));
+      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
       if (in_total != tx.TotalOutput() + tx.fee) {
         return Status::InvalidArgument("transfer value not conserved");
       }
-      CreateOutputs(state, tx_id, tx.outputs, 0, writes);
+      CreateOutputs(state, tx_id, tx.outputs);
       receipt.note = "transfer";
       return receipt;
     }
 
     case TxType::kDeploy: {
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx, writes));
+      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
       if (in_total != tx.TotalOutput() + tx.fee + tx.contract_value) {
         return Status::InvalidArgument("deploy value not conserved");
       }
@@ -177,9 +164,8 @@ Result<Receipt> ApplyTransactionImpl(LedgerState* state, const Transaction& tx,
         // Malformed deployments never make it into a block.
         return deployed.status();
       }
-      CreateOutputs(state, tx_id, tx.outputs, 0, writes);
+      CreateOutputs(state, tx_id, tx.outputs);
       state->contracts.Put(tx_id, *deployed);
-      if (writes != nullptr) writes->contract_puts.emplace_back(tx_id, *deployed);
       receipt.contract_id = tx_id;
       receipt.state_digest = (*deployed)->StateDigest();
       receipt.note = "deployed " + tx.contract_kind;
@@ -189,11 +175,11 @@ Result<Receipt> ApplyTransactionImpl(LedgerState* state, const Transaction& tx,
     case TxType::kCall: {
       AC3_ASSIGN_OR_RETURN(contracts::ContractPtr contract,
                            state->GetContract(tx.contract_id));
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx, writes));
+      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
       if (in_total != tx.TotalOutput() + tx.fee) {
         return Status::InvalidArgument("call value not conserved");
       }
-      CreateOutputs(state, tx_id, tx.outputs, 0, writes);
+      CreateOutputs(state, tx_id, tx.outputs);
 
       std::vector<contracts::Payout> payouts;
       contracts::CallContext ctx;
@@ -228,45 +214,14 @@ Result<Receipt> ApplyTransactionImpl(LedgerState* state, const Transaction& tx,
         payout_outputs.push_back(TxOutput{payout.value, payout.recipient});
       }
       CreateOutputs(state, tx_id, payout_outputs,
-                    static_cast<uint32_t>(tx.outputs.size()), writes);
+                    static_cast<uint32_t>(tx.outputs.size()));
       state->contracts.Put(tx.contract_id, outcome->next);
-      if (writes != nullptr) {
-        writes->contract_puts.emplace_back(tx.contract_id, outcome->next);
-      }
       receipt.state_digest = outcome->next->StateDigest();
       receipt.note = outcome->note;
       return receipt;
     }
   }
   return Status::Internal("unreachable transaction type");
-}
-
-/// Fan-out is only worth the scratch-copy + merge overhead on bodies with
-/// enough transactions to spread; below this the serial loop wins.
-constexpr size_t kMinParallelBodyTxs = 4;
-
-}  // namespace
-
-bool BlockExecutionPinnedSerial() {
-  static const bool pinned = [] {
-    const char* pin = std::getenv("AC3_EXEC_SERIAL");
-    return pin != nullptr && pin[0] != '\0' &&
-           !(pin[0] == '0' && pin[1] == '\0');
-  }();
-  return pinned;
-}
-
-Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
-                                 const BlockEnv& env) {
-  return ApplyTransactionImpl(state, tx, env, /*verify_sig=*/true,
-                              /*writes=*/nullptr);
-}
-
-Result<Receipt> ApplyTransactionRecorded(LedgerState* state,
-                                         const Transaction& tx,
-                                         const BlockEnv& env,
-                                         TxWrites* writes) {
-  return ApplyTransactionImpl(state, tx, env, /*verify_sig=*/true, writes);
 }
 
 Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
@@ -305,112 +260,6 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
     return Status::InvalidArgument("coinbase exceeds reward plus fees");
   }
   CreateOutputs(state, coinbase.Id(), coinbase.outputs);
-  return receipts;
-}
-
-Result<std::vector<Receipt>> ApplyBlockBodyParallel(LedgerState* state,
-                                                    const Block& block,
-                                                    const ChainParams& params,
-                                                    common::WorkerPool* pool) {
-  const size_t n = block.txs.size();
-  if (pool == nullptr || pool->threads() <= 1 || BlockExecutionPinnedSerial() ||
-      n < kMinParallelBodyTxs + 1) {
-    return ApplyBlockBody(state, block, params);
-  }
-  const Transaction& coinbase = block.txs[0];
-  if (coinbase.type != TxType::kCoinbase || !coinbase.inputs.empty()) {
-    return Status::InvalidArgument("first transaction must be a coinbase");
-  }
-  // A duplicate coinbase aborts the serial loop mid-block at its position;
-  // hand that (rare, invalid) shape to the oracle for the exact status.
-  for (size_t i = 1; i < n; ++i) {
-    if (block.txs[i].type == TxType::kCoinbase) {
-      return ApplyBlockBody(state, block, params);
-    }
-  }
-
-  // Signature verification is pure per-transaction work: fan it out
-  // unconditionally. Any failure aborts the serial loop mid-block, so —
-  // like every structural failure below — it routes to the oracle.
-  std::vector<char> sig_ok(n, 1);
-  pool->ParallelFor(n - 1, [&](size_t r) {
-    sig_ok[r + 1] = block.txs[r + 1].VerifySignature() ? 1 : 0;
-  });
-  for (size_t i = 1; i < n; ++i) {
-    if (!sig_ok[i]) return ApplyBlockBody(state, block, params);
-  }
-
-  BlockEnv env{block.header.chain_id, block.header.height, block.header.time};
-  const std::vector<std::vector<size_t>> waves =
-      BuildExecutionWaves(block.txs);
-
-  // `working` evolves wave by wave; *state stays untouched until the whole
-  // body succeeded, so the oracle fallback always re-runs from the
-  // caller's original state (reproducing serial partial-mutation behavior
-  // on its own).
-  LedgerState working = *state;
-  std::vector<Receipt> receipts(n);
-  receipts[0].tx_id = coinbase.Id();
-  receipts[0].note = "coinbase";
-
-  struct Slot {
-    Status status = Status::OK();
-    Receipt receipt;
-    TxWrites writes;
-  };
-  std::vector<Slot> slots;
-  for (const std::vector<size_t>& wave : waves) {
-    if (wave.size() == 1) {
-      // Singleton wave: apply directly, no snapshot or merge needed.
-      auto receipt = ApplyTransactionImpl(&working, block.txs[wave[0]], env,
-                                          /*verify_sig=*/false,
-                                          /*writes=*/nullptr);
-      if (!receipt.ok()) return ApplyBlockBody(state, block, params);
-      receipts[wave[0]] = std::move(*receipt);
-      continue;
-    }
-    slots.assign(wave.size(), Slot{});
-    pool->ParallelFor(wave.size(), [&](size_t k) {
-      // O(1) snapshot; conflict-freedom within the wave means the keys
-      // this transaction observes are exactly what the serial loop would
-      // show it at its block position.
-      LedgerState scratch = working;
-      auto receipt =
-          ApplyTransactionImpl(&scratch, block.txs[wave[k]], env,
-                               /*verify_sig=*/false, &slots[k].writes);
-      if (receipt.ok()) {
-        slots[k].receipt = std::move(*receipt);
-      } else {
-        slots[k].status = receipt.status();
-      }
-    });
-    for (const Slot& slot : slots) {
-      if (!slot.status.ok()) return ApplyBlockBody(state, block, params);
-    }
-    // Serial merge in transaction order (wave indices are ascending):
-    // write sets are pairwise disjoint, so the merged content equals the
-    // serial loop's.
-    for (size_t k = 0; k < wave.size(); ++k) {
-      for (const OutPoint& outpoint : slots[k].writes.spent) {
-        working.SpendUtxo(outpoint);
-      }
-      for (const auto& [outpoint, output] : slots[k].writes.created) {
-        working.AddUtxo(outpoint, output);
-      }
-      for (const auto& [id, contract] : slots[k].writes.contract_puts) {
-        working.contracts.Put(id, contract);
-      }
-      receipts[wave[k]] = std::move(slots[k].receipt);
-    }
-  }
-
-  Amount total_fees = 0;
-  for (size_t i = 1; i < n; ++i) total_fees += block.txs[i].fee;
-  if (coinbase.TotalOutput() > params.block_reward + total_fees) {
-    return Status::InvalidArgument("coinbase exceeds reward plus fees");
-  }
-  CreateOutputs(&working, coinbase.Id(), coinbase.outputs);
-  *state = std::move(working);
   return receipts;
 }
 

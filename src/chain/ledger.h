@@ -26,10 +26,6 @@
 #include "src/common/persistent_map.h"
 #include "src/contracts/contract.h"
 
-namespace ac3::common {
-class WorkerPool;
-}
-
 namespace ac3::chain {
 
 /// Snapshot of one branch's state. Copies are O(1) and fully independent:
@@ -99,68 +95,15 @@ struct BlockEnv {
 Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
                                  const BlockEnv& env);
 
-/// The state writes one transaction performed, captured while executing
-/// against a private snapshot and replayed onto the shared state by a
-/// merger (the wave executor, the widened assembly loop) — the full
-/// mutation vocabulary of ApplyTransaction.
-struct TxWrites {
-  std::vector<OutPoint> spent;
-  std::vector<std::pair<OutPoint, TxOutput>> created;
-  std::vector<std::pair<crypto::Hash256, contracts::ContractPtr>>
-      contract_puts;
-};
-
-/// ApplyTransaction that additionally records every state mutation into
-/// `*writes` (appended in execution order). Replaying the log through
-/// SpendUtxo/AddUtxo/contracts.Put onto a state whose observed keys match
-/// the execution snapshot reproduces the direct application exactly —
-/// aggregates included, since the replay goes through the same
-/// aggregate-maintaining mutators.
-Result<Receipt> ApplyTransactionRecorded(LedgerState* state,
-                                         const Transaction& tx,
-                                         const BlockEnv& env,
-                                         TxWrites* writes);
-
 /// Applies a full block body (coinbase included) to `state`, returning the
 /// receipts in transaction order. Enforces the coinbase value rule
-/// (outputs <= block reward + total fees).
+/// (outputs <= block reward + total fees). Serial by design: on a
+/// 4-core host a conflict-wave executor ran blocks 2.5-3x slower than
+/// this loop. On an invalid body the loop stops at the offending
+/// transaction and `state` keeps the mutations of the ones before it.
 Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
                                             const Block& block,
                                             const ChainParams& params);
-
-/// Parallel block-body execution — the serial loop's equivalence twin.
-///
-/// Returns exactly what ApplyBlockBody returns for the same inputs: same
-/// receipts (revert ordering included), same error status on an invalid
-/// body, same post-state content. The fast path fans out on `pool`:
-/// signature verification runs for every transaction unconditionally
-/// (pure per-tx), then the conflict analyzer (tx_conflict.h) schedules
-/// the body into conflict-free waves and each wave executes concurrently
-/// against an O(1) snapshot of the pre-wave state — the persistent maps'
-/// atomic refcounts make concurrent snapshot reads safe, exactly as in
-/// Blockchain::SubmitBlocks — with recorded writes merged serially in
-/// transaction order. Anything the fast path cannot reproduce bit-for-bit
-/// (a structurally invalid transaction, a bad signature, a duplicate
-/// coinbase — all of which abort the block with a position-dependent
-/// status) falls back to re-running ApplyBlockBody from the untouched
-/// input state, so mid-block failure semantics are the serial ones by
-/// construction.
-///
-/// Runs serially (delegating to ApplyBlockBody) when `pool` is null or
-/// single-threaded, when the body is too small to amortize the fan-out,
-/// or when the AC3_EXEC_SERIAL environment pin is set (any value but
-/// "0"; mirrors AC3_SHA256_DISPATCH) — the serial loop stays the
-/// always-available oracle, same discipline as MineHeaderScalar and
-/// VisibleHeadScan.
-Result<std::vector<Receipt>> ApplyBlockBodyParallel(LedgerState* state,
-                                                    const Block& block,
-                                                    const ChainParams& params,
-                                                    common::WorkerPool* pool);
-
-/// True when the AC3_EXEC_SERIAL environment pin forces every
-/// ApplyBlockBodyParallel call down the serial path (read once, at first
-/// use).
-bool BlockExecutionPinnedSerial();
 
 /// Builds the genesis state from initial allocations. The allocations are
 /// materialized as outputs of a synthetic genesis transaction.

@@ -74,19 +74,6 @@ std::vector<Transaction> Mempool::CandidatesAt(
   });
 }
 
-void Mempool::Prune(const std::set<crypto::Hash256>& included) {
-  size_t keep = 0;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (included.count(entries_[i].id) > 0) {
-      ids_.erase(entries_[i].id);  // Both containers pruned in one pass.
-      continue;
-    }
-    if (keep != i) entries_[keep] = std::move(entries_[i]);
-    ++keep;
-  }
-  entries_.resize(keep);
-}
-
 void Mempool::Prune(std::span<const crypto::Hash256> included) {
   // Unindex first: O(1) per id, and ids not in the pool cost one lookup.
   size_t dropped = 0;

@@ -67,14 +67,10 @@ class Mempool {
   std::vector<const Transaction*> CandidatePointersAt(
       TimePoint now, const TxFilter& already_included) const;
 
-  /// Drops entries whose ids appear in `included` (canonical cleanup).
-  /// One pass over the pool; ids are unindexed as their entries drop.
-  void Prune(const std::set<crypto::Hash256>& included);
-
-  /// Prune for an arbitrary id list (unsorted, duplicates allowed): no
-  /// ordered-set build at the call site. Ids are unindexed first (O(1)
-  /// hash erases); the entry vector is compacted only when something was
-  /// actually dropped. Same post-state as the set overload.
+  /// Drops entries whose ids appear in `included` (canonical cleanup), an
+  /// arbitrary id list (unsorted, duplicates and unknown ids allowed). Ids
+  /// are unindexed first (O(1) hash erases); the entry vector is compacted
+  /// only when something was actually dropped.
   void Prune(std::span<const crypto::Hash256> included);
 
   size_t size() const { return entries_.size(); }

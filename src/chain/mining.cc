@@ -201,9 +201,8 @@ Result<std::vector<Block>> MiningNetwork::BuildPrivateBranch(
     // from the parent state (its body was staged above), later blocks run
     // on the branch state they extend.
     LedgerState verify = i == 0 ? parent_entry->state : state;
-    AC3_ASSIGN_OR_RETURN(
-        block.receipts,
-        ApplyBlockBodyParallel(&verify, block, chain_->params(), &exec_pool_));
+    AC3_ASSIGN_OR_RETURN(block.receipts,
+                         ApplyBlockBody(&verify, block, chain_->params()));
     state = std::move(verify);
 
     block.header.tx_root = block.ComputeTxRoot();

@@ -23,7 +23,6 @@
 
 #include "src/chain/blockchain.h"
 #include "src/chain/mempool.h"
-#include "src/common/worker_pool.h"
 #include "src/crypto/schnorr.h"
 #include "src/sim/simulation.h"
 
@@ -112,9 +111,6 @@ class MiningNetwork {
   sim::EventHandle pending_;
   bool running_ = false;
   uint64_t blocks_mined_ = 0;
-  /// Intra-block execution pool for BuildPrivateBranch's verify pass
-  /// (lazy: spawns no threads until a wide block's body fans out).
-  common::WorkerPool exec_pool_{0};
 };
 
 }  // namespace ac3::chain

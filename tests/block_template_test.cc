@@ -1,0 +1,632 @@
+// Block assembly and serial block execution.
+//
+// Blockchain::AssembleBlock keeps a one-entry block template shared by the
+// miners racing for the same extension. Whatever the template does, an
+// assembled block must be byte-identical to a fresh selection on an
+// identical second chain (whose template is empty), and the chain must
+// accept it. The template cases below cover the calls that should reuse
+// the cached selection and the ones that must not; the serial-execution
+// cases pin ApplyBlockBody's mid-block failure statuses, receipts and
+// catch-up replay, and the validation-order cases pin which status an
+// over-capacity block or a short receipt list gets.
+
+#include <memory>
+#include <span>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/chain/ledger.h"
+#include "src/contracts/atomic_swap_contract.h"
+#include "src/contracts/htlc_contract.h"
+#include "tests/test_util.h"
+
+namespace ac3 {
+namespace {
+
+using chain::Amount;
+using chain::ApplyBlockBody;
+using chain::Block;
+using chain::Blockchain;
+using chain::ChainParams;
+using chain::LedgerState;
+using chain::OutPoint;
+using chain::Transaction;
+using chain::TxOutput;
+using chain::TxType;
+using chain::Wallet;
+
+using Candidates = std::span<const Transaction* const>;
+
+std::vector<const Transaction*> Pointers(const std::vector<Transaction>& txs) {
+  std::vector<const Transaction*> pointers;
+  pointers.reserve(txs.size());
+  for (const Transaction& tx : txs) pointers.push_back(&tx);
+  return pointers;
+}
+
+void ExpectBlocksIdentical(const Block& a, const Block& b) {
+  EXPECT_EQ(a.header.Encode(), b.header.Encode());
+  ASSERT_EQ(a.txs.size(), b.txs.size());
+  for (size_t i = 0; i < a.txs.size(); ++i) {
+    EXPECT_EQ(a.txs[i].Encode(), b.txs[i].Encode()) << "tx " << i;
+  }
+  ASSERT_EQ(a.receipts.size(), b.receipts.size());
+  for (size_t i = 0; i < a.receipts.size(); ++i) {
+    EXPECT_EQ(a.receipts[i].Encode(), b.receipts[i].Encode())
+        << "receipt " << i;
+  }
+}
+
+void ExpectStatesEqual(const LedgerState& a, const LedgerState& b) {
+  std::vector<std::pair<OutPoint, TxOutput>> utxos_a, utxos_b;
+  for (const auto& [op, out] : a.utxos) utxos_a.emplace_back(op, out);
+  for (const auto& [op, out] : b.utxos) utxos_b.emplace_back(op, out);
+  EXPECT_EQ(utxos_a, utxos_b);
+  EXPECT_EQ(a.LiquidValue(), b.LiquidValue());
+  EXPECT_EQ(a.LockedValue(), b.LockedValue());
+}
+
+/// A main chain plus the means to build identical twins of it. Test
+/// transactions come from 16 funded keys.
+class ChainFixture : public ::testing::Test {
+ protected:
+  ChainFixture() { Reset(chain::TestChainParams().max_block_txs); }
+
+  /// Rebuilds the main chain at genesis with `capacity` body slots.
+  void Reset(size_t capacity) {
+    params_ = chain::TestChainParams();
+    params_.max_block_txs = capacity;
+    keys_.clear();
+    std::vector<crypto::PublicKey> pks;
+    for (int i = 0; i < 16; ++i) {
+      keys_.push_back(crypto::KeyPair::FromSeed(1000 + i));
+      pks.push_back(keys_.back().public_key());
+    }
+    allocations_ = testutil::Fund(pks, 1000);
+    tc_ = std::make_unique<testutil::TestChain>(params_, allocations_);
+  }
+
+  Blockchain& chain() { return tc_->chain(); }
+  const ChainParams& params() { return chain().params(); }
+  Wallet WalletFor(size_t i) { return Wallet(keys_[i], chain().id()); }
+  const crypto::PublicKey& Miner(size_t m) {
+    return keys_[m % keys_.size()].public_key();
+  }
+
+  /// A transfer of `amount` from key `from` to key `from + 1`, built
+  /// against the head state.
+  Transaction Transfer(size_t from, Amount amount, uint64_t nonce) {
+    Wallet wallet = WalletFor(from);
+    const crypto::PublicKey& to = keys_[(from + 1) % keys_.size()].public_key();
+    auto tx =
+        wallet.BuildTransfer(chain().head()->state, to, amount, 1, nonce);
+    EXPECT_TRUE(tx.ok()) << tx.status().ToString();
+    return *tx;
+  }
+
+  /// A fresh chain holding every block of the main chain: its block
+  /// template is empty, so its assembly is a fresh selection.
+  std::unique_ptr<Blockchain> Twin() {
+    auto twin = std::make_unique<Blockchain>(params_, allocations_);
+    std::vector<Block> blocks;
+    for (const chain::BlockEntry* entry : chain().arrival_order()) {
+      if (entry->height() > 0) blocks.push_back(entry->block);
+    }
+    const auto result = twin->SubmitBlocks(blocks, /*arrival_time=*/0);
+    EXPECT_EQ(result.accepted, blocks.size());
+    return twin;
+  }
+
+  /// Unmined assembly whose coinbase nonce draw is a function of `now`, so
+  /// two calls with the same inputs return byte-identical blocks (and
+  /// blocks at different times never repeat a coinbase id).
+  static Block Assemble(const Blockchain& bc, const crypto::Hash256& parent,
+                        Candidates candidates, const crypto::PublicKey& miner,
+                        TimePoint now) {
+    Rng rng(static_cast<uint64_t>(now));
+    auto block =
+        bc.AssembleBlock(parent, candidates, miner, now, &rng, /*mine=*/false);
+    EXPECT_TRUE(block.ok()) << block.status().ToString();
+    return block.ok() ? *block : Block{};
+  }
+
+  /// Assembles on the main chain and on a twin and asserts the blocks are
+  /// byte-identical; returns the main chain's block.
+  Block ExpectMatchesFresh(const crypto::Hash256& parent,
+                           Candidates candidates,
+                           const crypto::PublicKey& miner, TimePoint now) {
+    Block block = Assemble(chain(), parent, candidates, miner, now);
+    const std::unique_ptr<Blockchain> twin = Twin();
+    ExpectBlocksIdentical(block, Assemble(*twin, parent, candidates, miner,
+                                          now));
+    return block;
+  }
+
+  /// Every one of `miners` assembles on the head (the first call primes
+  /// the template, the rest may reuse it); each block must match a fresh
+  /// assembly. The last miner's block is mined and submitted.
+  Block RaceAndSubmit(Candidates candidates, size_t miners, TimePoint now) {
+    Block block;
+    for (size_t m = 0; m < miners; ++m) {
+      SCOPED_TRACE("miner " + std::to_string(m));
+      block = ExpectMatchesFresh(chain().head()->hash, candidates, Miner(m),
+                                 now);
+    }
+    Rng rng(static_cast<uint64_t>(now));
+    chain::MineHeader(&block.header, &rng);
+    const Status submitted = chain().SubmitBlock(block, now);
+    EXPECT_TRUE(submitted.ok()) << submitted.ToString();
+    return block;
+  }
+
+  /// A coinbase-headed block built outside AssembleBlock, for invalid
+  /// shapes the assembler would never produce. `fees` funds the coinbase.
+  Block RawBlock(std::vector<Transaction> body, Amount fees) {
+    Block block;
+    block.header.chain_id = params().id;
+    block.header.height = chain().head()->height() + 1;
+    block.header.prev_hash = chain().head()->hash;
+    block.header.time = 50;
+    block.header.difficulty_bits = params().difficulty_bits;
+    Transaction coinbase;
+    coinbase.type = TxType::kCoinbase;
+    coinbase.chain_id = params().id;
+    coinbase.outputs.push_back(
+        TxOutput{params().block_reward + fees, keys_[0].public_key()});
+    coinbase.nonce = 4242;
+    block.txs.push_back(std::move(coinbase));
+    for (Transaction& tx : body) block.txs.push_back(std::move(tx));
+    return block;
+  }
+
+  ChainParams params_;
+  std::vector<chain::TxOutput> allocations_;
+  std::vector<crypto::KeyPair> keys_;
+  std::unique_ptr<testutil::TestChain> tc_;
+};
+
+// ------------------------------------------------------------ block template
+
+using BlockTemplateTest = ChainFixture;
+
+TEST_F(BlockTemplateTest, RacingMinersMatchFreshAssemblyAndValidate) {
+  std::vector<Transaction> txs;
+  for (size_t i = 0; i < 12; ++i) {
+    txs.push_back(Transfer(i, 50 + static_cast<Amount>(i), i));
+  }
+  const auto pointers = Pointers(txs);
+  const Block block = RaceAndSubmit(pointers, /*miners=*/4, /*now=*/100);
+  EXPECT_EQ(block.txs.size(), txs.size() + 1);
+  EXPECT_EQ(chain().head()->hash, block.header.Hash());
+}
+
+TEST_F(BlockTemplateTest, RacingMinersMatchFreshWithContractCallsAndReverts) {
+  // Block 1: two HTLCs (one to redeem properly, one to feed a wrong-secret
+  // revert) plus independent transfers.
+  const Bytes secret{7, 7, 7};
+  const Bytes wrong{6, 6, 6};
+  Wallet alice = WalletFor(1);
+  Wallet dave = WalletFor(3);
+  const LedgerState s0 = chain().head()->state;
+  const Bytes payload = contracts::HtlcContract::MakeInitPayload(
+      keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000);
+  auto deploy_a =
+      alice.BuildDeploy(s0, contracts::kHtlcKind, payload, 300, 4, 1);
+  auto deploy_b =
+      dave.BuildDeploy(s0, contracts::kHtlcKind, payload, 200, 4, 2);
+  ASSERT_TRUE(deploy_a.ok() && deploy_b.ok());
+  std::vector<Transaction> block1{*deploy_a, *deploy_b};
+  for (size_t i = 4; i < 10; ++i) block1.push_back(Transfer(i, 40, i));
+  RaceAndSubmit(Pointers(block1), /*miners=*/4, /*now=*/100);
+
+  // Block 2: a successful redeem, a wrong-secret revert, and a same-block
+  // spend chain: a transfer whose output a second transfer consumes.
+  const LedgerState s1 = chain().head()->state;
+  Wallet bob = WalletFor(2);
+  Wallet eve = WalletFor(15);
+  auto redeem = bob.BuildCall(s1, deploy_a->Id(), contracts::kRedeemFunction,
+                              secret, 2, 1);
+  auto bad_redeem = eve.BuildCall(s1, deploy_b->Id(),
+                                  contracts::kRedeemFunction, wrong, 2, 2);
+  ASSERT_TRUE(redeem.ok() && bad_redeem.ok());
+  const Transaction hop1 = Transfer(5, 100, 7);
+  Transaction hop2;  // keys_[6] spends hop1's output inside the same block.
+  hop2.type = TxType::kTransfer;
+  hop2.chain_id = chain().id();
+  hop2.inputs.push_back(OutPoint{hop1.Id(), 0});
+  hop2.outputs.push_back(TxOutput{99, keys_[7].public_key()});
+  hop2.fee = 1;
+  hop2.nonce = 8;
+  hop2.SignWith(keys_[6]);
+  std::vector<Transaction> block2{*redeem, *bad_redeem, hop1, hop2};
+  for (size_t i = 10; i < 14; ++i) block2.push_back(Transfer(i, 30, i));
+  const Block mined = RaceAndSubmit(Pointers(block2), /*miners=*/4,
+                                    /*now=*/200);
+
+  ASSERT_EQ(mined.txs.size(), block2.size() + 1);
+  EXPECT_TRUE(mined.receipts[1].success);
+  EXPECT_FALSE(mined.receipts[2].success);  // The wrong-secret call.
+}
+
+TEST_F(BlockTemplateTest, HitsWhenCandidatesDifferOnlyAfterCapacityCut) {
+  Reset(/*capacity=*/5);
+  std::vector<Transaction> txs;
+  for (size_t i = 0; i < 10; ++i) txs.push_back(Transfer(i, 60, i));
+  Transaction forged = txs[9];
+  forged.fee += 1;  // Invalidates the signature: examined, then skipped.
+  // The selection examines t0, forged, t1..t4 and stops at capacity.
+  const std::vector<const Transaction*> first{
+      &txs[0], &forged, &txs[1], &txs[2], &txs[3], &txs[4], &txs[5], &txs[6]};
+  const Block primed = ExpectMatchesFresh(chain().head()->hash, first,
+                                          Miner(0), 100);
+  ASSERT_EQ(primed.txs.size(), 6u);
+
+  // Same examined prefix, a different tail, then the bare prefix.
+  const std::vector<const Transaction*> other_tail{
+      &txs[0], &forged, &txs[1], &txs[2], &txs[3], &txs[4], &txs[8], &txs[7]};
+  const std::vector<const Transaction*> prefix_only(first.begin(),
+                                                    first.begin() + 6);
+  for (const auto* list : {&other_tail, &prefix_only}) {
+    const Block block =
+        ExpectMatchesFresh(chain().head()->hash, *list, Miner(1), 100);
+    ASSERT_EQ(block.txs.size(), primed.txs.size());
+    for (size_t i = 1; i < block.txs.size(); ++i) {
+      EXPECT_EQ(block.txs[i].Id(), primed.txs[i].Id());
+    }
+  }
+}
+
+TEST_F(BlockTemplateTest, MissesOnChangedIdBeforeCapacityCut) {
+  Reset(/*capacity=*/5);
+  std::vector<Transaction> txs;
+  for (size_t i = 0; i < 8; ++i) txs.push_back(Transfer(i, 60, i));
+  std::vector<const Transaction*> list = Pointers(txs);
+  ExpectMatchesFresh(chain().head()->hash, list, Miner(0), 100);
+  list[2] = &txs[7];  // Inside the examined prefix.
+  const Block block =
+      ExpectMatchesFresh(chain().head()->hash, list, Miner(1), 100);
+  ASSERT_EQ(block.txs.size(), 6u);
+  EXPECT_EQ(block.txs[3].Id(), txs[7].Id());
+}
+
+TEST_F(BlockTemplateTest, MissesOnDifferentTxAtReusedAddress) {
+  std::vector<Transaction> txs;
+  for (size_t i = 0; i < 4; ++i) txs.push_back(Transfer(i, 60, i));
+  const std::vector<const Transaction*> pointers = Pointers(txs);
+  ExpectMatchesFresh(chain().head()->hash, pointers, Miner(0), 100);
+  // Overwrite one candidate in place: same address, different transaction
+  // (as when a pool compacts its entries after a prune).
+  const crypto::Hash256 replaced = txs[2].Id();
+  txs[2] = Transfer(9, 70, 99);
+  const Block block =
+      ExpectMatchesFresh(chain().head()->hash, pointers, Miner(1), 100);
+  ASSERT_EQ(block.txs.size(), 5u);
+  EXPECT_EQ(block.txs[3].Id(), txs[2].Id());
+  EXPECT_NE(block.txs[3].Id(), replaced);
+}
+
+TEST_F(BlockTemplateTest, HitsOnSameIdsAtMovedAddresses) {
+  std::vector<Transaction> txs;
+  for (size_t i = 0; i < 6; ++i) txs.push_back(Transfer(i, 60, i));
+  const Block primed =
+      ExpectMatchesFresh(chain().head()->hash, Pointers(txs), Miner(0), 100);
+  // The same transactions moved to new storage (as when a pool compacts
+  // its entries), and the old slots reused for others: the selection
+  // depends on the ids, not on where they live.
+  const std::vector<Transaction> moved = txs;
+  for (size_t i = 0; i < txs.size(); ++i) {
+    txs[i] = Transfer(i + 8, 70, 50 + i);
+  }
+  const Block block =
+      ExpectMatchesFresh(chain().head()->hash, Pointers(moved), Miner(1), 100);
+  ASSERT_EQ(block.txs.size(), primed.txs.size());
+  for (size_t i = 1; i < block.txs.size(); ++i) {
+    EXPECT_EQ(block.txs[i].Id(), moved[i - 1].Id());
+  }
+}
+
+TEST_F(BlockTemplateTest, MissesOnLongerListWhenSelectionRanOut) {
+  std::vector<Transaction> txs;
+  for (size_t i = 0; i < 4; ++i) txs.push_back(Transfer(i, 60, i));
+  const std::vector<const Transaction*> all = Pointers(txs);
+  const std::vector<const Transaction*> first_three(all.begin(),
+                                                    all.begin() + 3);
+  const Block short_block =
+      ExpectMatchesFresh(chain().head()->hash, first_three, Miner(0), 100);
+  EXPECT_EQ(short_block.txs.size(), 4u);
+  const Block long_block =
+      ExpectMatchesFresh(chain().head()->hash, all, Miner(1), 100);
+  EXPECT_EQ(long_block.txs.size(), 5u);
+}
+
+TEST_F(BlockTemplateTest, MissesOnDifferentNowForTimeReadingCall) {
+  // An HTLC refund reads the block time: before the timelock it reverts,
+  // after it succeeds. The same candidate at two times must not share a
+  // selection.
+  Wallet alice = WalletFor(1);
+  const Bytes payload = contracts::HtlcContract::MakeInitPayload(
+      keys_[2].public_key(), crypto::Hash256::Of(Bytes{1}), /*timelock=*/1'000);
+  auto deploy = alice.BuildDeploy(chain().head()->state, contracts::kHtlcKind,
+                                  payload, 300, 4, 1);
+  ASSERT_TRUE(deploy.ok());
+  RaceAndSubmit(std::vector<const Transaction*>{&*deploy}, /*miners=*/1, 100);
+
+  auto refund = alice.BuildCall(chain().head()->state, deploy->Id(),
+                                contracts::kRefundFunction, {}, 2, 2);
+  ASSERT_TRUE(refund.ok());
+  const std::vector<const Transaction*> candidates{&*refund};
+  const Block early =
+      ExpectMatchesFresh(chain().head()->hash, candidates, Miner(0), 500);
+  const Block late =
+      ExpectMatchesFresh(chain().head()->hash, candidates, Miner(0), 1'500);
+  ASSERT_EQ(early.receipts.size(), 2u);
+  ASSERT_EQ(late.receipts.size(), 2u);
+  EXPECT_FALSE(early.receipts[1].success);
+  EXPECT_TRUE(late.receipts[1].success);
+}
+
+TEST_F(BlockTemplateTest, MissesOnDifferentParent) {
+  const Transaction included = Transfer(0, 60, 1);
+  RaceAndSubmit(std::vector<const Transaction*>{&included}, /*miners=*/1, 100);
+  const Transaction pending = Transfer(3, 60, 2);
+  const std::vector<const Transaction*> candidates{&included, &pending};
+  // On the head the first candidate is already on the branch; on genesis
+  // it is not.
+  const Block on_head =
+      ExpectMatchesFresh(chain().head()->hash, candidates, Miner(0), 200);
+  const Block on_genesis =
+      ExpectMatchesFresh(chain().genesis()->hash, candidates, Miner(0), 200);
+  EXPECT_EQ(on_head.txs.size(), 2u);
+  EXPECT_EQ(on_genesis.txs.size(), 3u);
+}
+
+TEST_F(BlockTemplateTest, CapacityCapsTheBlock) {
+  Reset(/*capacity=*/7);
+  std::vector<Transaction> txs;
+  for (size_t i = 0; i < 16; ++i) txs.push_back(Transfer(i, 100, i));
+  const Block block = RaceAndSubmit(Pointers(txs), /*miners=*/2, 100);
+  EXPECT_EQ(block.txs.size(), params().max_block_txs + 1);  // +1 coinbase.
+}
+
+// ------------------------------------------------------------ serial execution
+
+using SerialExecTest = ChainFixture;
+
+TEST_F(SerialExecTest, MidBlockFailureStopsAtTheBadTransaction) {
+  // Body: two valid transfers, then a signed transfer spending a
+  // nonexistent outpoint, then another valid transfer. The loop aborts at
+  // index 3 having applied indices 1-2.
+  std::vector<Transaction> body{Transfer(1, 25, 1), Transfer(2, 25, 2)};
+  Transaction bogus;
+  bogus.type = TxType::kTransfer;
+  bogus.chain_id = chain().id();
+  bogus.inputs.push_back(OutPoint{crypto::Hash256::Of(Bytes{0xBA}), 0});
+  bogus.outputs.push_back(TxOutput{5, keys_[9].public_key()});
+  bogus.nonce = 77;
+  bogus.SignWith(keys_[8]);
+  body.push_back(std::move(bogus));
+  body.push_back(Transfer(4, 25, 4));
+  const Block block = RawBlock(body, /*fees=*/4);
+
+  LedgerState state = chain().head()->state;
+  const auto receipts = ApplyBlockBody(&state, block, params());
+  ASSERT_FALSE(receipts.ok());
+  EXPECT_EQ(receipts.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(receipts.status().message(),
+            "input not in UTXO set (double spend?)");
+  EXPECT_NE(state.utxos.Find(OutPoint{body[0].Id(), 0}), nullptr);
+  EXPECT_NE(state.utxos.Find(OutPoint{body[1].Id(), 0}), nullptr);
+  EXPECT_EQ(state.utxos.Find(OutPoint{body[3].Id(), 0}), nullptr);
+  EXPECT_NE(state.utxos.Find(body[3].inputs[0]), nullptr);  // Unspent.
+}
+
+TEST_F(SerialExecTest, DuplicateCoinbaseRejected) {
+  std::vector<Transaction> body{Transfer(1, 25, 1), Transfer(2, 25, 2)};
+  Transaction rogue;  // A second coinbase buried mid-body.
+  rogue.type = TxType::kCoinbase;
+  rogue.chain_id = chain().id();
+  rogue.outputs.push_back(TxOutput{1, keys_[9].public_key()});
+  rogue.nonce = 5;
+  body.push_back(std::move(rogue));
+  body.push_back(Transfer(4, 25, 4));
+  const Block block = RawBlock(std::move(body), /*fees=*/2);
+
+  LedgerState state = chain().head()->state;
+  const auto receipts = ApplyBlockBody(&state, block, params());
+  ASSERT_FALSE(receipts.ok());
+  EXPECT_EQ(receipts.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(receipts.status().message(), "duplicate coinbase");
+}
+
+TEST_F(SerialExecTest, BadSignatureRejected) {
+  std::vector<Transaction> body{Transfer(1, 25, 1), Transfer(2, 25, 2),
+                                Transfer(3, 25, 3), Transfer(4, 25, 4)};
+  body[2].nonce ^= 1;  // Corrupted after signing.
+  const Block block = RawBlock(std::move(body), /*fees=*/4);
+
+  LedgerState state = chain().head()->state;
+  const auto receipts = ApplyBlockBody(&state, block, params());
+  ASSERT_FALSE(receipts.ok());
+  EXPECT_EQ(receipts.status().code(), StatusCode::kVerificationFailed);
+  EXPECT_EQ(receipts.status().message(), "bad transaction signature");
+}
+
+TEST_F(SerialExecTest, SpendOfLaterOutputFollowsBlockOrder) {
+  // `spend` consumes `source`'s output. Execution follows block order, so
+  // the spend must come second: placed first, it invalidates a block and
+  // is skipped by assembly.
+  const Transaction source = Transfer(5, 100, 7);
+  Transaction spend;
+  spend.type = TxType::kTransfer;
+  spend.chain_id = chain().id();
+  spend.inputs.push_back(OutPoint{source.Id(), 0});
+  spend.outputs.push_back(TxOutput{99, keys_[7].public_key()});
+  spend.fee = 1;
+  spend.nonce = 8;
+  spend.SignWith(keys_[6]);
+
+  const Block raw = RawBlock({spend, source}, /*fees=*/2);
+  LedgerState state = chain().head()->state;
+  const auto receipts = ApplyBlockBody(&state, raw, params());
+  ASSERT_FALSE(receipts.ok());
+  EXPECT_EQ(receipts.status().message(),
+            "input not in UTXO set (double spend?)");
+
+  const Block skipped = ExpectMatchesFresh(
+      chain().head()->hash, std::vector<const Transaction*>{&spend, &source},
+      Miner(0), 100);
+  ASSERT_EQ(skipped.txs.size(), 2u);
+  EXPECT_EQ(skipped.txs[1].Id(), source.Id());
+
+  const Block both = RaceAndSubmit(
+      std::vector<const Transaction*>{&source, &spend}, /*miners=*/2, 200);
+  ASSERT_EQ(both.txs.size(), 3u);
+  EXPECT_EQ(both.txs[2].Id(), spend.Id());
+  EXPECT_NE(chain().head()->state.utxos.Find(OutPoint{spend.Id(), 0}),
+            nullptr);
+}
+
+TEST_F(SerialExecTest, CallFollowsSameBlockDeploy) {
+  // A call to a contract deployed earlier in the same block sees it; a
+  // call placed before the deploy finds no contract.
+  const Bytes secret{3, 1, 4};
+  Wallet alice = WalletFor(1);
+  Wallet bob = WalletFor(2);
+  const LedgerState& s0 = chain().head()->state;
+  const Bytes payload = contracts::HtlcContract::MakeInitPayload(
+      keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000);
+  auto deploy = alice.BuildDeploy(s0, contracts::kHtlcKind, payload, 300, 4, 1);
+  ASSERT_TRUE(deploy.ok());
+  auto redeem = bob.BuildCall(s0, deploy->Id(), contracts::kRedeemFunction,
+                              secret, 2, 2);
+  ASSERT_TRUE(redeem.ok());
+
+  const Block raw = RawBlock({*redeem, *deploy}, /*fees=*/6);
+  LedgerState state = chain().head()->state;
+  const auto receipts = ApplyBlockBody(&state, raw, params());
+  ASSERT_FALSE(receipts.ok());
+  EXPECT_EQ(receipts.status().code(), StatusCode::kNotFound);
+
+  const Block skipped = ExpectMatchesFresh(
+      chain().head()->hash,
+      std::vector<const Transaction*>{&*redeem, &*deploy}, Miner(0), 100);
+  ASSERT_EQ(skipped.txs.size(), 2u);
+  EXPECT_EQ(skipped.txs[1].Id(), deploy->Id());
+
+  const Block both = RaceAndSubmit(
+      std::vector<const Transaction*>{&*deploy, &*redeem}, /*miners=*/2, 200);
+  ASSERT_EQ(both.receipts.size(), 3u);
+  EXPECT_TRUE(both.receipts[2].success);
+  EXPECT_EQ(both.receipts[2].contract_id, deploy->Id());
+}
+
+TEST_F(SerialExecTest, AssembledReceiptsMatchFullReExecution) {
+  // AssembleBlock reuses the selection-pass receipts instead of re-running
+  // the body; this pins them against the validators' execution.
+  std::vector<Transaction> txs;
+  for (size_t i = 0; i < 8; ++i) txs.push_back(Transfer(i, 60, i));
+  const Block block =
+      Assemble(chain(), chain().head()->hash, Pointers(txs), Miner(0), 100);
+  LedgerState replay = chain().head()->state;
+  const auto receipts = ApplyBlockBody(&replay, block, params());
+  ASSERT_TRUE(receipts.ok());
+  ASSERT_EQ(receipts->size(), block.receipts.size());
+  for (size_t i = 0; i < receipts->size(); ++i) {
+    EXPECT_EQ((*receipts)[i].Encode(), block.receipts[i].Encode());
+  }
+  EXPECT_EQ(block.header.receipt_root, block.ComputeReceiptRoot());
+  EXPECT_EQ(block.header.tx_root, block.ComputeTxRoot());
+}
+
+TEST_F(SerialExecTest, RandomizedChurnKeepsAggregatesExact) {
+  Rng rng(0xfeed);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<Transaction> txs;
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (rng.NextU64() % 4 == 0) continue;  // Skip some senders.
+      Wallet w = WalletFor(i);
+      const size_t to = rng.NextU64() % keys_.size();
+      const Amount amount = 10 + static_cast<Amount>(rng.NextU64() % 50);
+      auto tx = w.BuildTransfer(chain().head()->state, keys_[to].public_key(),
+                                amount, 1, rng.NextU64());
+      if (tx.ok()) txs.push_back(std::move(*tx));
+    }
+    RaceAndSubmit(Pointers(txs), /*miners=*/2, 100 * (round + 1));
+  }
+  const LedgerState& head = chain().head()->state;
+  EXPECT_EQ(head.LiquidValue(), head.LiquidValueScan());
+  for (const auto& key : keys_) {
+    EXPECT_EQ(head.BalanceOf(key.public_key()),
+              head.BalanceOfScan(key.public_key()));
+  }
+}
+
+TEST_F(SerialExecTest, DeepCatchupHeadHashAtOneAndFourThreads) {
+  // Grow a 10-block linear chain of 8-transfer blocks, then replay it into
+  // fresh chains through SubmitBlocks: head hash and post-state must not
+  // depend on the thread count.
+  for (int round = 0; round < 10; ++round) {
+    std::vector<Transaction> txs;
+    for (size_t i = 0; i < 8; ++i) {
+      Wallet w = WalletFor(i + (round % 2 == 0 ? 0 : 8));
+      auto tx = w.BuildTransfer(chain().head()->state,
+                                keys_[(i + 3) % keys_.size()].public_key(), 20,
+                                1, static_cast<uint64_t>(round) * 100 + i);
+      ASSERT_TRUE(tx.ok());
+      txs.push_back(std::move(*tx));
+    }
+    RaceAndSubmit(Pointers(txs), /*miners=*/1, 100 * (round + 1));
+  }
+  std::vector<Block> batch;
+  for (const auto* entry : chain().arrival_order()) {
+    if (entry->height() > 0) batch.push_back(entry->block);
+  }
+  ASSERT_EQ(batch.size(), 10u);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Blockchain replica(params_, allocations_);
+    const auto result =
+        replica.SubmitBlocks(batch, /*arrival_time=*/1, threads);
+    EXPECT_EQ(result.accepted, batch.size());
+    for (const Status& status : result.statuses) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    ASSERT_EQ(replica.head()->hash, chain().head()->hash);
+    ExpectStatesEqual(replica.head()->state, chain().head()->state);
+  }
+}
+
+// ------------------------------------------------------------ validation order
+
+using ValidationOrderTest = ChainFixture;
+
+TEST_F(ValidationOrderTest, OverCapacityRejectedBeforeRootsAreHashed) {
+  Reset(/*capacity=*/2);
+  // Three body transactions and roots that were never computed: the
+  // capacity check must answer first.
+  Block block = RawBlock({Transfer(1, 25, 1), Transfer(2, 25, 2),
+                          Transfer(3, 25, 3)},
+                         /*fees=*/3);
+  Rng rng(5);
+  chain::MineHeader(&block.header, &rng);
+  const Status status = chain().SubmitBlock(block, 100);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "block over capacity");
+}
+
+TEST_F(ValidationOrderTest, ShortReceiptListRejectedBeforeRootsAreHashed) {
+  const std::vector<Transaction> txs{Transfer(1, 25, 1), Transfer(2, 25, 2)};
+  Block block =
+      Assemble(chain(), chain().head()->hash, Pointers(txs), Miner(0), 100);
+  block.receipts.pop_back();  // The header still commits to three.
+  Rng rng(5);
+  chain::MineHeader(&block.header, &rng);
+  const Status status = chain().SubmitBlock(block, 100);
+  EXPECT_EQ(status.code(), StatusCode::kVerificationFailed);
+  EXPECT_EQ(status.message(), "receipt count mismatch");
+}
+
+}  // namespace
+}  // namespace ac3

@@ -415,7 +415,7 @@ TEST(MempoolTest, ExcludesIncluded) {
   ASSERT_TRUE(pool.Submit(tx, 0).ok());
   std::set<crypto::Hash256> included = {tx.Id()};
   EXPECT_TRUE(pool.CandidatesAt(10, included).empty());
-  pool.Prune(included);
+  pool.Prune(std::vector<crypto::Hash256>(included.begin(), included.end()));
   EXPECT_EQ(pool.size(), 0u);
 }
 

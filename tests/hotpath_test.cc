@@ -665,8 +665,8 @@ TEST(MempoolIndexTest, PruneDropsEntriesAndIdsTogether) {
     txs.push_back(SignedTransfer(i + 1));
     ASSERT_TRUE(pool.Submit(txs.back(), static_cast<TimePoint>(i)).ok());
   }
-  std::set<crypto::Hash256> included;
-  for (size_t i = 0; i < txs.size(); i += 2) included.insert(txs[i].Id());
+  std::vector<crypto::Hash256> included;
+  for (size_t i = 0; i < txs.size(); i += 2) included.push_back(txs[i].Id());
   pool.Prune(included);
   EXPECT_EQ(pool.size(), 5u);
   for (size_t i = 0; i < txs.size(); ++i) {

@@ -91,7 +91,8 @@ TEST_F(MempoolTest, PruneDropsEntriesPermanently) {
   Transaction t2 = MakeTransfer(2);
   ASSERT_TRUE(pool_.Submit(t1, 0).ok());
   ASSERT_TRUE(pool_.Submit(t2, 0).ok());
-  pool_.Prune({t1.Id()});
+  const std::vector<crypto::Hash256> included{t1.Id()};
+  pool_.Prune(included);
   EXPECT_EQ(pool_.size(), 1u);
   EXPECT_FALSE(pool_.Contains(t1.Id()));
   EXPECT_TRUE(pool_.Contains(t2.Id()));
@@ -209,27 +210,23 @@ TEST_F(MempoolTest, CandidatePointersMatchValueCandidates) {
   }
 }
 
-TEST_F(MempoolTest, PruneSpanMatchesSetPrune) {
+TEST_F(MempoolTest, PruneUnsortedIdsWithUnknownAndDuplicate) {
   std::vector<Transaction> batch;
   for (uint64_t i = 1; i <= 10; ++i) batch.push_back(MakeTransfer(i));
-  Mempool set_pool;
-  Mempool span_pool;
-  for (const Transaction& tx : batch) {
-    ASSERT_TRUE(set_pool.Submit(tx, 0).ok());
-    ASSERT_TRUE(span_pool.Submit(tx, 0).ok());
-  }
-  // Unsorted, with an unknown id mixed in.
-  std::vector<crypto::Hash256> drop{batch[7].Id(), batch[1].Id(),
-                                    crypto::Hash256::Of(Bytes{9, 9}),
-                                    batch[4].Id()};
-  set_pool.Prune(std::set<crypto::Hash256>(drop.begin(), drop.end()));
-  span_pool.Prune(std::span<const crypto::Hash256>(drop));
-  EXPECT_EQ(span_pool.size(), set_pool.size());
-  auto expected = set_pool.CandidatesAt(100, none_);
-  auto actual = span_pool.CandidatesAt(100, none_);
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].Id(), expected[i].Id());
+  for (const Transaction& tx : batch) ASSERT_TRUE(pool_.Submit(tx, 0).ok());
+  // Unsorted, with an unknown id and a repeated id mixed in.
+  const std::vector<crypto::Hash256> drop{
+      batch[7].Id(), batch[1].Id(), crypto::Hash256::Of(Bytes{9, 9}),
+      batch[4].Id(), batch[1].Id()};
+  pool_.Prune(drop);
+  ASSERT_EQ(pool_.size(), 7u);
+  // Survivors keep arrival order.
+  const auto survivors = pool_.CandidatesAt(100, none_);
+  const std::vector<size_t> kept{0, 2, 3, 5, 6, 8, 9};
+  ASSERT_EQ(survivors.size(), kept.size());
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(survivors[i].Id(), batch[kept[i]].Id());
+    EXPECT_TRUE(pool_.Contains(batch[kept[i]].Id()));
   }
 }
 

@@ -188,8 +188,8 @@ TEST(WorkloadTest, BurstyArrivalsStayInsideOnWindowsWithSaneDutyCycle) {
 
 // End-to-end: traffic generated against real chains executes fully — every
 // emitted transaction (grants and legs) is eventually included on the
-// canonical branch of its chain, through the batched ingestion + widened
-// assembly + batched-PoW production path the open-world bench drives.
+// canonical branch of its chain, through the batched ingestion + assembly
+// + batched-PoW production path the open-world bench drives.
 TEST(WorkloadTest, GeneratedTrafficFullyIncludesOnRealChains) {
   WorkloadConfig config;
   config.chains = 2;
