@@ -173,10 +173,8 @@ int main(int argc, char** argv) {
   results.Set("storage", std::move(storage_rows));
   runner::Json wall = runner::Json::Object();
   wall.Set("queries", std::move(query_rows));
-  auto written = runner::WriteBenchJson(context, "ablation_validation",
-                                        std::move(results), std::move(wall));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "ablation_validation",
+                            std::move(results), std::move(wall))) {
     return 1;
   }
   std::printf(

@@ -217,10 +217,8 @@ int main(int argc, char** argv) {
   results.Set("matrix", std::move(matrix));
   results.Set("htlc_violations", htlc_violations);
   results.Set("witnessed_violations", witnessed_violations);
-  auto written = runner::WriteBenchJson(context, "atomicity_failures",
-                                        std::move(results));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "atomicity_failures",
+                            std::move(results))) {
     return 1;
   }
   return witnessed_violations == 0 ? 0 : 1;

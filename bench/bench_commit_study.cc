@@ -53,23 +53,11 @@ int main(int argc, char** argv) {
   if (context.smoke) {
     grid.seeds = {401};
   }
-  context.ApplyAxisOverrides(&grid);
-
-  benchutil::PrintHeader(
+  const double delta_ms = bench::BeginStudy(
+      context, &grid,
       "Commit study — coordinator crash between prepare and commit:\n"
       "2PC-style engines block, the quorum-commit engine takes over");
-
-  core::ScenarioOptions delta_world;
-  delta_world.seed = 999;
-  const double delta_ms =
-      runner::MeasureDeltaMs(delta_world, grid.confirm_depth);
-  std::printf("measured delta (publish + public recognition): %.0f ms\n\n",
-              delta_ms);
-
-  runner::SweepRunner pool(context.threads);
-  runner::GridWallStats wall_stats;
-  const std::vector<runner::RunOutcome> outcomes =
-      pool.RunGridTimed(grid, &wall_stats);
+  const bench::GridRun run = bench::RunStudyGrid(context, grid);
 
   std::printf("%9s | %-28s | %8s | %8s | %8s | %8s | %10s\n", "protocol",
               "failure", "finished", "commit", "abort", "stranded",
@@ -85,16 +73,15 @@ int main(int argc, char** argv) {
   runner::Json rows = runner::Json::Array();
   for (runner::Protocol protocol : grid.protocols) {
     for (runner::FailureMode failure : grid.failures) {
-      std::vector<runner::RunOutcome> mine;
+      const std::vector<runner::RunOutcome> mine = bench::Select(
+          run.outcomes, [&](const runner::RunOutcome& outcome) {
+            return outcome.point.protocol == protocol &&
+                   outcome.point.failure == failure;
+          });
+      if (mine.empty()) continue;
       int stranded = 0;
-      for (const runner::RunOutcome& outcome : outcomes) {
-        if (outcome.point.protocol != protocol ||
-            outcome.point.failure != failure) {
-          continue;
-        }
-        mine.push_back(outcome);
+      for (const runner::RunOutcome& outcome : mine) {
         stranded += outcome.edges_stranded;
-        if (outcome.atomicity_violated) ++violations;
 
         const bool coordinator_crash =
             failure != runner::FailureMode::kNone;
@@ -112,8 +99,8 @@ int main(int argc, char** argv) {
           if (!atomic_verdict) quorum_atomic = false;
         }
       }
-      if (mine.empty()) continue;
-      runner::SweepAggregate agg = runner::Aggregate(mine, delta_ms);
+      const runner::SweepAggregate agg = runner::Aggregate(mine, delta_ms);
+      violations += agg.atomicity_violations;
       std::printf("%9s | %-28s | %8d | %8d | %8d | %8d | %10.1f\n",
                   runner::ProtocolName(protocol),
                   runner::FailureModeName(failure), agg.finished,
@@ -131,25 +118,11 @@ int main(int argc, char** argv) {
   }
 
   // Determinism contract: the same grid on one thread must be bit-for-bit
-  // identical to the pooled run (per-cell JSON excludes wall clock).
-  auto fingerprint = [](const std::vector<runner::RunOutcome>& all) {
-    runner::Json arr = runner::Json::Array();
-    for (const runner::RunOutcome& outcome : all) {
-      arr.Push(runner::OutcomeToJson(outcome));
-    }
-    return arr.Serialize();
-  };
-  runner::SweepRunner single(1);
-  const bool thread_invariant =
-      fingerprint(outcomes) == fingerprint(single.RunGrid(grid));
+  // identical to the pooled run.
+  const bool thread_invariant = bench::ThreadInvariant(grid, run.outcomes);
 
   const bool separation_reproduced =
       blocking_reproduced && quorum_atomic && violations == 0;
-
-  runner::Json outcome_list = runner::Json::Array();
-  for (const runner::RunOutcome& outcome : outcomes) {
-    outcome_list.Push(runner::OutcomeToJson(outcome));
-  }
 
   runner::Json results = runner::Json::Object();
   results.Set("delta_ms", delta_ms);
@@ -163,13 +136,10 @@ int main(int argc, char** argv) {
   results.Set("separation_reproduced", separation_reproduced);
   results.Set("thread_invariant", thread_invariant);
   results.Set("rows", std::move(rows));
-  results.Set("outcomes", std::move(outcome_list));
+  results.Set("outcomes", bench::OutcomesJson(run.outcomes, false));
 
-  auto written =
-      runner::WriteBenchJson(context, "commit_study", std::move(results),
-                             runner::GridWallJson(wall_stats, outcomes));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "commit_study", std::move(results),
+                            run.WallJson())) {
     return 1;
   }
   std::printf(

@@ -664,10 +664,8 @@ int main(int argc, char** argv) {
   wall.Set("pow", std::move(pow_wall));
   wall.Set("pow_dispatch", std::move(pow_dispatch_wall));
 
-  auto written = runner::WriteBenchJson(context, "engine_hotpaths",
-                                        std::move(results), std::move(wall));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "engine_hotpaths",
+                            std::move(results), std::move(wall))) {
     return 1;
   }
   return 0;

@@ -42,35 +42,18 @@ int main(int argc, char** argv) {
   for (int s = 0; s < seeds_per_point; ++s) {
     grid.seeds.push_back(1000 + static_cast<uint64_t>(s));
   }
-  context.ApplyAxisOverrides(&grid);
-
-  benchutil::PrintHeader(
+  const double delta_ms = bench::BeginStudy(
+      context, &grid,
       "Figure 10 — AC2T latency vs. graph diameter Diam(D)\n"
       "analytic: Herlihy 2*Diam deltas, AC3WN 4 deltas (constant)");
-
-  // Ground "latency in Δs" with the same Δ measurement the paper's
-  // Section 6.1 normalization implies.
-  core::ScenarioOptions delta_world;
-  delta_world.seed = 999;
-  const double delta_ms =
-      runner::MeasureDeltaMs(delta_world, grid.confirm_depth);
-  std::printf("measured delta (publish + public recognition): %.0f ms\n\n",
-              delta_ms);
-
-  runner::SweepRunner pool(context.threads);
-  runner::GridWallStats wall_stats;
-  const std::vector<runner::RunOutcome> outcomes =
-      pool.RunGridTimed(grid, &wall_stats);
+  const bench::GridRun run = bench::RunStudyGrid(context, grid);
 
   auto bucket = [&](runner::Protocol protocol, int diameter) {
-    std::vector<runner::RunOutcome> mine;
-    for (const runner::RunOutcome& outcome : outcomes) {
-      if (outcome.point.protocol == protocol &&
-          outcome.point.size == diameter) {
-        mine.push_back(outcome);
-      }
-    }
-    return runner::Aggregate(mine, delta_ms);
+    return bench::AggregateWhere(
+        run.outcomes, delta_ms, [&](const runner::RunOutcome& outcome) {
+          return outcome.point.protocol == protocol &&
+                 outcome.point.size == diameter;
+        });
   };
 
   std::printf("%6s | %14s %14s | %12s %12s | %12s %12s\n", "Diam",
@@ -111,12 +94,12 @@ int main(int argc, char** argv) {
   // latency-in-Δ and swap-throughput numbers.
   runner::Json protocols = runner::Json::Object();
   for (runner::Protocol protocol : grid.protocols) {
-    std::vector<runner::RunOutcome> mine;
-    for (const runner::RunOutcome& outcome : outcomes) {
-      if (outcome.point.protocol == protocol) mine.push_back(outcome);
-    }
     protocols.Set(runner::ProtocolName(protocol),
-                  runner::AggregateToJson(runner::Aggregate(mine, delta_ms)));
+                  runner::AggregateToJson(bench::AggregateWhere(
+                      run.outcomes, delta_ms,
+                      [&](const runner::RunOutcome& outcome) {
+                        return outcome.point.protocol == protocol;
+                      })));
   }
 
   runner::Json results = runner::Json::Object();
@@ -124,12 +107,8 @@ int main(int argc, char** argv) {
   results.Set("rows", std::move(rows));
   results.Set("protocols", std::move(protocols));
 
-  auto written =
-      runner::WriteBenchJson(context, "fig10_latency_vs_diameter",
-                             std::move(results),
-                             runner::GridWallJson(wall_stats, outcomes));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "fig10_latency_vs_diameter",
+                            std::move(results), run.WallJson())) {
     return 1;
   }
   std::printf(

@@ -86,10 +86,8 @@ int main(int argc, char** argv) {
   }
   ac3::runner::Json results = ac3::runner::Json::Object();
   results.Set("rows", std::move(rows));
-  auto written = ac3::runner::WriteBenchJson(context, "fig9_ac3wn_timeline",
-                                             std::move(results));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!ac3::bench::WriteEnvelope(context, "fig9_ac3wn_timeline",
+                                 std::move(results))) {
     return 1;
   }
   return 0;

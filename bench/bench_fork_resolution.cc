@@ -182,10 +182,8 @@ int main(int argc, char** argv) {
   runner::Json results = runner::Json::Object();
   results.Set("matrix", std::move(matrix));
   results.Set("attack_pricing", std::move(pricing));
-  auto written = runner::WriteBenchJson(context, "fork_resolution",
-                                        std::move(results));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "fork_resolution",
+                            std::move(results))) {
     return 1;
   }
   return 0;

@@ -32,7 +32,6 @@
 // --message-overhead.
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,18 +62,10 @@ int main(int argc, char** argv) {
   if (context.smoke) {
     grid.seeds = {501};
   }
-  context.ApplyAxisOverrides(&grid);
-
-  benchutil::PrintHeader(
+  const double delta_ms = bench::BeginStudy(
+      context, &grid,
       "Message-overhead study — per-protocol wire messages (closed-form\n"
       "fault-free counts) and verdict recovery under loss/duplication");
-
-  core::ScenarioOptions delta_world;
-  delta_world.seed = 999;
-  const double delta_ms =
-      runner::MeasureDeltaMs(delta_world, grid.confirm_depth);
-  std::printf("measured delta (publish + public recognition): %.0f ms\n\n",
-              delta_ms);
 
   // Hand-derived fault-free protocol message counts (see the file
   // comment); n is the ring size.
@@ -93,10 +84,7 @@ int main(int argc, char** argv) {
     return -1;
   };
 
-  runner::SweepRunner pool(context.threads);
-  runner::GridWallStats wall_stats;
-  const std::vector<runner::RunOutcome> outcomes =
-      pool.RunGridTimed(grid, &wall_stats);
+  const bench::GridRun run = bench::RunStudyGrid(context, grid);
 
   std::printf("%9s | %-20s | %8s | %8s | %8s | %10s | %10s\n", "protocol",
               "failure", "finished", "commit", "abort", "msgs/swap",
@@ -110,20 +98,18 @@ int main(int argc, char** argv) {
   runner::Json rows = runner::Json::Array();
   for (runner::Protocol protocol : grid.protocols) {
     for (runner::FailureMode failure : grid.failures) {
-      std::vector<runner::RunOutcome> mine;
+      const std::vector<runner::RunOutcome> mine = bench::Select(
+          run.outcomes, [&](const runner::RunOutcome& outcome) {
+            return outcome.point.protocol == protocol &&
+                   outcome.point.failure == failure;
+          });
+      if (mine.empty()) continue;
       int64_t msgs = 0;
       int64_t bytes = 0;
       bool cell_counts_ok = true;
-      for (const runner::RunOutcome& outcome : outcomes) {
-        if (outcome.point.protocol != protocol ||
-            outcome.point.failure != failure) {
-          continue;
-        }
-        mine.push_back(outcome);
+      for (const runner::RunOutcome& outcome : mine) {
         msgs += outcome.messages_sent;
         bytes += outcome.message_bytes_sent;
-        if (outcome.atomicity_violated) ++violations;
-
         if (failure == runner::FailureMode::kNone &&
             outcome.messages_sent != closed_form(protocol)) {
           cell_counts_ok = false;
@@ -143,8 +129,8 @@ int main(int argc, char** argv) {
           }
         }
       }
-      if (mine.empty()) continue;
-      runner::SweepAggregate agg = runner::Aggregate(mine, delta_ms);
+      const runner::SweepAggregate agg = runner::Aggregate(mine, delta_ms);
+      violations += agg.atomicity_violations;
       const double per_swap =
           static_cast<double>(msgs) / static_cast<double>(mine.size());
       const double bytes_per_swap =
@@ -169,41 +155,11 @@ int main(int argc, char** argv) {
   }
 
   // Determinism contract: the same grid on one thread must be bit-for-bit
-  // identical to the pooled run (per-cell JSON excludes wall clock and
-  // message counters; the fault draws ride each world's own forked RNG
-  // stream, so the check also certifies thread-invariant fault injection).
-  auto fingerprint = [](const std::vector<runner::RunOutcome>& all) {
-    runner::Json arr = runner::Json::Array();
-    for (const runner::RunOutcome& outcome : all) {
-      arr.Push(runner::OutcomeToJson(outcome));
-    }
-    return arr.Serialize();
-  };
-  runner::SweepRunner single(1);
-  const std::vector<runner::RunOutcome> rerun = single.RunGrid(grid);
-  bool thread_invariant = fingerprint(outcomes) == fingerprint(rerun);
-  // Message counters are excluded from the JSON; compare them explicitly.
-  for (size_t i = 0; i < outcomes.size() && thread_invariant; ++i) {
-    if (outcomes[i].messages_sent != rerun[i].messages_sent ||
-        outcomes[i].message_bytes_sent != rerun[i].message_bytes_sent) {
-      thread_invariant = false;
-    }
-  }
+  // identical to the pooled run, message counters included.
+  const bool thread_invariant = bench::ThreadInvariant(grid, run.outcomes);
 
   const bool overhead_reproduced = counts_match && loss_recovered &&
                                    dup_recovered && violations == 0;
-
-  runner::Json outcome_list = runner::Json::Array();
-  for (const runner::RunOutcome& outcome : outcomes) {
-    runner::Json j = runner::OutcomeToJson(outcome);
-    if (outcome.ok) {
-      // The study's own payload may carry the counters; only the shared
-      // OutcomeToJson (the fingerprint surface) must exclude them.
-      j.Set("messages_sent", outcome.messages_sent);
-      j.Set("message_bytes_sent", outcome.message_bytes_sent);
-    }
-    outcome_list.Push(std::move(j));
-  }
 
   runner::Json results = runner::Json::Object();
   results.Set("delta_ms", delta_ms);
@@ -218,13 +174,10 @@ int main(int argc, char** argv) {
   results.Set("overhead_reproduced", overhead_reproduced);
   results.Set("thread_invariant", thread_invariant);
   results.Set("rows", std::move(rows));
-  results.Set("outcomes", std::move(outcome_list));
+  results.Set("outcomes", bench::OutcomesJson(run.outcomes, true));
 
-  auto written =
-      runner::WriteBenchJson(context, "message_overhead", std::move(results),
-                             runner::GridWallJson(wall_stats, outcomes));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "message_overhead", std::move(results),
+                            run.WallJson())) {
     return 1;
   }
   std::printf(

@@ -423,10 +423,8 @@ int main(int argc, char** argv) {
   wall.Set("cells", std::move(wall_cells));
   wall.Set("peak_rss_bytes", peak_rss);
 
-  auto written = runner::WriteBenchJson(context, "multichain",
-                                        std::move(results), std::move(wall));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "multichain",
+                            std::move(results), std::move(wall))) {
     return 1;
   }
   return 0;

@@ -133,9 +133,7 @@ int main(int argc, char** argv) {
       "Section 5.2 — coordination scalability: a batch of concurrent AC2Ts\n"
       "spread across W capacity-starved witness networks (1 tx/block)");
 
-  core::ScenarioOptions delta_world;
-  delta_world.seed = 999;
-  const double delta_ms = runner::MeasureDeltaMs(delta_world, 1);
+  const double delta_ms = bench::MeasureStudyDelta(1);
 
   // Each batch world is independent and deterministic: fan the witness-
   // count axis across the worker pool.
@@ -190,10 +188,8 @@ int main(int argc, char** argv) {
                ? static_cast<double>(batches.size()) /
                      (batches_wall_ms / 1000.0)
                : 0.0);
-  auto written = runner::WriteBenchJson(context, "scalability",
-                                        std::move(results), std::move(wall));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "scalability", std::move(results),
+                            std::move(wall))) {
     return 1;
   }
   std::printf(

@@ -125,10 +125,8 @@ int main(int argc, char** argv) {
   results.Set("rows", std::move(rows));
   results.Set("scw_usd_at_300", analysis::ScwDollarCost(4.0, 300.0));
   results.Set("scw_usd_at_140", analysis::ScwDollarCost(4.0, 140.0));
-  auto written = runner::WriteBenchJson(context, "sec62_cost_overhead",
-                                        std::move(results));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "sec62_cost_overhead",
+                            std::move(results))) {
     return 1;
   }
   return 0;

@@ -184,10 +184,8 @@ int main(int argc, char** argv) {
   results.Set("depth_by_value", std::move(depth_rows));
   results.Set("ranking_va_1m", std::move(ranking));
   results.Set("measured_reorg", std::move(reorg_rows));
-  auto written = runner::WriteBenchJson(context, "sec63_witness_choice",
-                                        std::move(results));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "sec63_witness_choice",
+                            std::move(results))) {
     return 1;
   }
   return 0;

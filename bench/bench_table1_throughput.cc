@@ -215,10 +215,7 @@ int main(int argc, char** argv) {
   for (int s = 0; s < sweep_seeds; ++s) {
     grid.seeds.push_back(7700 + static_cast<uint64_t>(s));
   }
-  core::ScenarioOptions delta_world;
-  delta_world.seed = 999;
-  const double delta_ms =
-      runner::MeasureDeltaMs(delta_world, grid.confirm_depth);
+  const double delta_ms = bench::MeasureStudyDelta(grid.confirm_depth);
   runner::GridWallStats wall_stats;
   const std::vector<runner::RunOutcome> outcomes =
       pool.RunGridTimed(grid, &wall_stats);
@@ -250,11 +247,8 @@ int main(int argc, char** argv) {
   results.Set("paper_example", std::move(example));
   results.Set("protocols", std::move(protocols));
 
-  auto written =
-      runner::WriteBenchJson(context, "table1_throughput", std::move(results),
-                             runner::GridWallJson(wall_stats, outcomes));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "table1_throughput", std::move(results),
+                            runner::GridWallJson(wall_stats, outcomes))) {
     return 1;
   }
   std::printf(

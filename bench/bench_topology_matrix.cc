@@ -49,23 +49,11 @@ int main(int argc, char** argv) {
                      runner::FailureMode::kCrashParticipant};
     grid.seeds = {301};
   }
-  context.ApplyAxisOverrides(&grid);
-
-  benchutil::PrintHeader(
+  const double delta_ms = bench::BeginStudy(
+      context, &grid,
       "Topology × failure matrix — the Section 5.3 functional gap:\n"
       "Herlihy rejects single-leader-infeasible families, AC3WN commits");
-
-  core::ScenarioOptions delta_world;
-  delta_world.seed = 999;
-  const double delta_ms =
-      runner::MeasureDeltaMs(delta_world, grid.confirm_depth);
-  std::printf("measured delta (publish + public recognition): %.0f ms\n\n",
-              delta_ms);
-
-  runner::SweepRunner pool(context.threads);
-  runner::GridWallStats wall_stats;
-  const std::vector<runner::RunOutcome> outcomes =
-      pool.RunGridTimed(grid, &wall_stats);
+  const bench::GridRun run = bench::RunStudyGrid(context, grid);
 
   std::printf("%9s | %-19s | %-22s | %9s | %9s | %9s | %10s\n", "protocol",
               "topology", "failure", "commit", "abort", "reject",
@@ -80,17 +68,14 @@ int main(int argc, char** argv) {
   for (runner::Protocol protocol : grid.protocols) {
     for (runner::Topology topology : grid.topologies) {
       for (runner::FailureMode failure : grid.failures) {
-        std::vector<runner::RunOutcome> mine;
-        for (const runner::RunOutcome& outcome : outcomes) {
-          if (outcome.point.protocol == protocol &&
-              outcome.point.topology == topology &&
-              outcome.point.failure == failure) {
-            mine.push_back(outcome);
-            if (outcome.atomicity_violated) ++violations;
-          }
-        }
-        if (mine.empty()) continue;
-        runner::SweepAggregate agg = runner::Aggregate(mine, delta_ms);
+        const runner::SweepAggregate agg = bench::AggregateWhere(
+            run.outcomes, delta_ms, [&](const runner::RunOutcome& outcome) {
+              return outcome.point.protocol == protocol &&
+                     outcome.point.topology == topology &&
+                     outcome.point.failure == failure;
+            });
+        if (agg.runs == 0) continue;
+        violations += agg.atomicity_violations;
         std::printf("%9s | %-19s | %-22s | %9d | %9d | %9d | %10.1f\n",
                     runner::ProtocolName(protocol),
                     runner::TopologyName(topology),
@@ -122,11 +107,6 @@ int main(int argc, char** argv) {
     benchutil::PrintRule(104);
   }
 
-  runner::Json outcome_list = runner::Json::Array();
-  for (const runner::RunOutcome& outcome : outcomes) {
-    outcome_list.Push(runner::OutcomeToJson(outcome));
-  }
-
   runner::Json results = runner::Json::Object();
   results.Set("delta_ms", delta_ms);
   results.Set("sizes", static_cast<int64_t>(grid.sizes.front()));
@@ -134,13 +114,10 @@ int main(int argc, char** argv) {
   results.Set("atomicity_violations", violations);
   results.Set("section53_gap_reproduced", gap_reproduced);
   results.Set("rows", std::move(rows));
-  results.Set("outcomes", std::move(outcome_list));
+  results.Set("outcomes", bench::OutcomesJson(run.outcomes, false));
 
-  auto written =
-      runner::WriteBenchJson(context, "topology_matrix", std::move(results),
-                             runner::GridWallJson(wall_stats, outcomes));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+  if (!bench::WriteEnvelope(context, "topology_matrix", std::move(results),
+                            run.WallJson())) {
     return 1;
   }
   std::printf(

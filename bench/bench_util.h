@@ -1,8 +1,8 @@
-// Shared presentation-layer scaffolding for the experiment harnesses:
-// the uniform bench CLI (bench::Options), "fast profile" engine
-// configurations, ring-graph construction over a ScenarioWorld, and
-// fixed-width table printing. Measurement, parallel sweeping, and
-// machine-readable output live in src/runner/.
+// Shared scaffolding for the experiment harnesses: the uniform bench CLI
+// (bench::Options), "fast profile" engine configurations, ring-graph
+// construction over a ScenarioWorld, fixed-width table printing, and the
+// grid-study helpers the sweep studies share. Measurement, parallel
+// sweeping, and machine-readable output live in src/runner/.
 
 #ifndef AC3_BENCH_BENCH_UTIL_H_
 #define AC3_BENCH_BENCH_UTIL_H_
@@ -241,9 +241,6 @@ inline graph::Ac2tGraph MakeRingOverWorld(core::ScenarioWorld* world, int n,
   return runner::RingOverWorld(world, n, amount);
 }
 
-// NOTE: the empirical Δ measurement lives in src/runner/sweep_runner.h
-// (runner::MeasureDeltaMs) — bench_util is presentation-layer only.
-
 /// printf-style row helpers so every harness prints aligned tables.
 inline void PrintRule(int width = 72) {
   std::string rule(static_cast<size_t>(width), '-');
@@ -257,5 +254,129 @@ inline void PrintHeader(const std::string& title, int width = 72) {
 }
 
 }  // namespace ac3::benchutil
+
+// ---- the grid-study helpers ------------------------------------------------
+//
+// The grid studies (fig10, topology_matrix, commit_study, message_overhead)
+// share one skeleton, spelled out once here:
+//
+//   bench::Options options = bench::Options::Parse(argc, argv);
+//   if (options.exit_early) return options.exit_code;
+//   runner::SweepGridConfig grid = ...;               // the study's grid
+//   const double delta_ms = bench::BeginStudy(options, &grid, "title");
+//   const bench::GridRun run = bench::RunStudyGrid(options, grid);
+//   ... bench::Select / bench::AggregateWhere per row, checks, table ...
+//   if (!bench::WriteEnvelope(options, "name", results, run.WallJson()))
+//     return 1;
+//
+// Each bench keeps its own grid, acceptance checks, row fields, printed
+// table and exit code.
+
+namespace ac3::bench {
+
+/// Δ measured the way every study grounds "latency in Δs": one publish +
+/// public recognition, `confirm_depth` blocks deep, on a fresh seed-999
+/// world.
+inline double MeasureStudyDelta(uint32_t confirm_depth) {
+  core::ScenarioOptions delta_world;
+  delta_world.seed = 999;
+  return runner::MeasureDeltaMs(delta_world, confirm_depth);
+}
+
+/// The preamble of a grid study: applies the CLI's axis overrides to
+/// `grid`, prints `title` as the banner, then measures Δ at
+/// grid->confirm_depth and prints it. Returns Δ in ms.
+inline double BeginStudy(const Options& options, runner::SweepGridConfig* grid,
+                         const char* title) {
+  options.ApplyAxisOverrides(grid);
+  benchutil::PrintHeader(title);
+  const double delta_ms = MeasureStudyDelta(grid->confirm_depth);
+  std::printf("measured delta (publish + public recognition): %.0f ms\n\n",
+              delta_ms);
+  return delta_ms;
+}
+
+/// One pooled run of a study grid: outcomes in GridPoints() order plus the
+/// grid's wall-clock totals.
+struct GridRun {
+  std::vector<runner::RunOutcome> outcomes;
+  runner::GridWallStats wall;
+
+  /// The envelope "wall" section for this run.
+  runner::Json WallJson() const { return runner::GridWallJson(wall, outcomes); }
+};
+
+/// Runs `grid` on options.threads workers (RunGridTimed).
+inline GridRun RunStudyGrid(const Options& options,
+                            const runner::SweepGridConfig& grid) {
+  GridRun run;
+  run.outcomes =
+      runner::SweepRunner(options.threads).RunGridTimed(grid, &run.wall);
+  return run;
+}
+
+/// The outcomes `keep` accepts, in grid order.
+template <typename Keep>
+std::vector<runner::RunOutcome> Select(
+    const std::vector<runner::RunOutcome>& outcomes, Keep keep) {
+  std::vector<runner::RunOutcome> out;
+  for (const runner::RunOutcome& outcome : outcomes) {
+    if (keep(outcome)) out.push_back(outcome);
+  }
+  return out;
+}
+
+/// runner::Aggregate over the outcomes `keep` accepts.
+template <typename Keep>
+runner::SweepAggregate AggregateWhere(
+    const std::vector<runner::RunOutcome>& outcomes, double delta_ms,
+    Keep keep) {
+  return runner::Aggregate(Select(outcomes, keep), delta_ms);
+}
+
+/// The `outcomes` array of a study's results: OutcomeToJson per cell, plus
+/// the typed-message counters (which the shared OutcomeToJson leaves out)
+/// on every cell that ran when `message_counters` is set.
+inline runner::Json OutcomesJson(
+    const std::vector<runner::RunOutcome>& outcomes, bool message_counters) {
+  runner::Json list = runner::Json::Array();
+  for (const runner::RunOutcome& outcome : outcomes) {
+    runner::Json cell = runner::OutcomeToJson(outcome);
+    if (message_counters && outcome.ok) {
+      cell.Set("messages_sent", outcome.messages_sent);
+      cell.Set("message_bytes_sent", outcome.message_bytes_sent);
+    }
+    list.Push(std::move(cell));
+  }
+  return list;
+}
+
+/// Determinism contract: re-runs `grid` on one thread and reports whether
+/// every cell — including the message counters — matches the pooled
+/// `outcomes` bit for bit. Fault draws ride each world's own forked RNG
+/// stream, so this also certifies thread-invariant fault injection.
+inline bool ThreadInvariant(const runner::SweepGridConfig& grid,
+                            const std::vector<runner::RunOutcome>& outcomes) {
+  const std::vector<runner::RunOutcome> rerun =
+      runner::SweepRunner(1).RunGrid(grid);
+  return OutcomesJson(outcomes, true).Serialize() ==
+         OutcomesJson(rerun, true).Serialize();
+}
+
+/// runner::WriteBenchJson, printing the failure to stderr. Returns false
+/// when the envelope could not be written (main then exits 1).
+inline bool WriteEnvelope(const runner::BenchContext& context,
+                          const std::string& name, runner::Json results,
+                          runner::Json wall = runner::Json()) {
+  auto written = runner::WriteBenchJson(context, name, std::move(results),
+                                        std::move(wall));
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+    return false;
+  }
+  return true;
+}
+
+}  // namespace ac3::bench
 
 #endif  // AC3_BENCH_BENCH_UTIL_H_

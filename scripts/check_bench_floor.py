@@ -30,40 +30,21 @@ The many-chain world-state envelope has its own mode:
     the same absolute budget the full run promised.
   * the fresh sharded-vs-oracle equivalence verdict must be true.
 
-The commit-study envelope has its own mode:
+The grid-study envelopes share one mode, spelled per study:
 
   check_bench_floor.py --commit-study FRESH.json COMMITTED.json [WORLDS_FACTOR]
-
-  * correctness — the fresh run's separation_reproduced verdict (blocking
-    baselines stall/strand under coordinator crash, the quorum engine
-    reaches an atomic verdict everywhere) and its thread_invariant
-    verdict must both be true.
-  * throughput — the fresh grid's worlds/sec must reach at least
-    WORLDS_FACTOR (default 0.05) times the committed full run's.
-
-The message-overhead envelope has its own mode:
-
   check_bench_floor.py --message-overhead FRESH.json COMMITTED.json [WORLDS_FACTOR]
 
-  * correctness — the fresh run's counts_match verdict (fault-free
-    per-protocol message counts equal their closed forms), its
-    loss_recovered / dup_recovered verdicts (every lossy cell reached an
-    atomic verdict via resends), and its thread_invariant verdict must
-    all be true.
+  * correctness — every verdict the study publishes must be true in the
+    fresh run: commit study — separation_reproduced (blocking baselines
+    stall/strand under coordinator crash, the quorum engine reaches an
+    atomic verdict everywhere); message overhead — counts_match
+    (fault-free per-protocol message counts equal their closed forms),
+    loss_recovered / dup_recovered (every lossy cell reached an atomic
+    verdict via resends); both — thread_invariant (1-vs-N-thread grids
+    identical).
   * throughput — the fresh grid's worlds/sec must reach at least
     WORLDS_FACTOR (default 0.05) times the committed full run's.
-
-The open-world traffic envelope has its own mode:
-
-  check_bench_floor.py --openworld FRESH.json COMMITTED.json [SWAPS_FACTOR]
-
-  * throughput — the slowest fresh cell's wall swaps/sec must reach at
-    least SWAPS_FACTOR (default 0.05; a smoke cell is far smaller than a
-    full-run cell, and CI runners lack the bench container's SIMD rungs)
-    times the slowest committed cell's.
-  * memory — the fresh run's wall.peak_rss_bytes must stay under the
-    ceiling the *committed* envelope declares (results.rss_ceiling_bytes).
-  * the fresh hot-vs-serial-oracle equivalence verdict must be true.
 
 Usage: check_bench_floor.py FRESH.json COMMITTED.json [GROWTH_FACTOR] [POW_FACTOR]
 Exit status: 0 when every floor holds, 1 on regression or malformed input.
@@ -142,7 +123,21 @@ def check_multichain(argv):
     return 0 if ops_ok and rss_ok and equiv_ok else 1
 
 
-def check_commit_study(argv):
+# Per grid-study mode: the label its lines print under and the results
+# verdict keys that must all be true.
+STUDY_VERDICTS = {
+    "--commit-study": (
+        "commit-study",
+        ("separation_reproduced", "thread_invariant"),
+    ),
+    "--message-overhead": (
+        "message-overhead",
+        ("counts_match", "loss_recovered", "dup_recovered", "thread_invariant"),
+    ),
+}
+
+
+def check_study(argv, label, verdict_keys):
     if len(argv) not in (4, 5):
         print(__doc__, file=sys.stderr)
         return 1
@@ -152,110 +147,25 @@ def check_commit_study(argv):
     fresh = load(fresh_path)
     committed = load(committed_path)
 
-    separation_ok = bool(fresh["results"].get("separation_reproduced"))
-    print(
-        "commit-study separation (blocking baselines vs quorum engine): "
-        f"{'reproduced' if separation_ok else 'NOT REPRODUCED'}"
-    )
-    invariant_ok = bool(fresh["results"].get("thread_invariant"))
-    print(
-        "commit-study 1-vs-N thread grids: "
-        f"{'identical' if invariant_ok else 'DIVERGED'}"
-    )
+    verdicts_ok = True
+    for key in verdict_keys:
+        ok = bool(fresh["results"].get(key))
+        print(f"{label} {key}: {'true' if ok else 'FALSE'}")
+        verdicts_ok = verdicts_ok and ok
     worlds_ok = check(
-        "commit-study grid throughput (worlds/s)",
+        f"{label} grid throughput (worlds/s)",
         fresh["wall"]["worlds_per_sec"],
         committed["wall"]["worlds_per_sec"],
         worlds_factor,
     )
-    return 0 if separation_ok and invariant_ok and worlds_ok else 1
-
-
-def check_message_overhead(argv):
-    if len(argv) not in (4, 5):
-        print(__doc__, file=sys.stderr)
-        return 1
-    fresh_path, committed_path = argv[2], argv[3]
-    worlds_factor = float(argv[4]) if len(argv) == 5 else 0.05
-
-    fresh = load(fresh_path)
-    committed = load(committed_path)
-
-    counts_ok = bool(fresh["results"].get("counts_match"))
-    print(
-        "message-overhead fault-free counts vs closed forms: "
-        f"{'match' if counts_ok else 'MISMATCH'}"
-    )
-    loss_ok = bool(fresh["results"].get("loss_recovered"))
-    dup_ok = bool(fresh["results"].get("dup_recovered"))
-    print(
-        "message-overhead lossy-cell recovery: "
-        f"drop {'recovered' if loss_ok else 'NOT RECOVERED'}, "
-        f"duplicate {'recovered' if dup_ok else 'NOT RECOVERED'}"
-    )
-    invariant_ok = bool(fresh["results"].get("thread_invariant"))
-    print(
-        "message-overhead 1-vs-N thread grids: "
-        f"{'identical' if invariant_ok else 'DIVERGED'}"
-    )
-    worlds_ok = check(
-        "message-overhead grid throughput (worlds/s)",
-        fresh["wall"]["worlds_per_sec"],
-        committed["wall"]["worlds_per_sec"],
-        worlds_factor,
-    )
-    correct = counts_ok and loss_ok and dup_ok and invariant_ok
-    return 0 if correct and worlds_ok else 1
-
-
-def min_swap_rate(doc, path):
-    cells = doc["wall"]["cells"]
-    if not cells:
-        raise ValueError(f"{path}: no wall cells")
-    return min(cell["wall_swaps_per_sec"] for cell in cells)
-
-
-def check_openworld(argv):
-    if len(argv) not in (4, 5):
-        print(__doc__, file=sys.stderr)
-        return 1
-    fresh_path, committed_path = argv[2], argv[3]
-    swaps_factor = float(argv[4]) if len(argv) == 5 else 0.05
-
-    fresh = load(fresh_path)
-    committed = load(committed_path)
-    swaps_ok = check(
-        "openworld throughput (swaps/s)",
-        min_swap_rate(fresh, fresh_path),
-        min_swap_rate(committed, committed_path),
-        swaps_factor,
-    )
-
-    ceiling = committed["results"]["rss_ceiling_bytes"]
-    peak = fresh["wall"]["peak_rss_bytes"]
-    rss_ok = peak <= ceiling
-    print(
-        f"openworld peak RSS: fresh {peak} vs declared ceiling {ceiling} "
-        f"-> {'OK' if rss_ok else 'REGRESSION'}"
-    )
-
-    equiv_ok = bool(fresh["results"].get("equivalence_ok"))
-    print(
-        "openworld hot-vs-oracle: "
-        f"{'identical' if equiv_ok else 'DIVERGED'}"
-    )
-    return 0 if swaps_ok and rss_ok and equiv_ok else 1
+    return 0 if verdicts_ok and worlds_ok else 1
 
 
 def main(argv):
     if len(argv) >= 2 and argv[1] == "--multichain":
         return check_multichain(argv)
-    if len(argv) >= 2 and argv[1] == "--openworld":
-        return check_openworld(argv)
-    if len(argv) >= 2 and argv[1] == "--commit-study":
-        return check_commit_study(argv)
-    if len(argv) >= 2 and argv[1] == "--message-overhead":
-        return check_message_overhead(argv)
+    if len(argv) >= 2 and argv[1] in STUDY_VERDICTS:
+        return check_study(argv, *STUDY_VERDICTS[argv[1]])
     if len(argv) not in (3, 4, 5):
         print(__doc__, file=sys.stderr)
         return 1

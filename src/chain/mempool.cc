@@ -56,24 +56,6 @@ Mempool::BatchResult Mempool::SubmitBatch(std::span<const Transaction> txs,
   return result;
 }
 
-std::vector<Transaction> Mempool::CandidatesAt(
-    TimePoint now, const TxFilter& already_included) const {
-  std::vector<Transaction> out;
-  for (const Entry& entry : entries_) {
-    if (entry.arrival > now) break;  // Sorted: nothing later is visible.
-    if (already_included && already_included(entry.id)) continue;
-    out.push_back(entry.tx);
-  }
-  return out;
-}
-
-std::vector<Transaction> Mempool::CandidatesAt(
-    TimePoint now, const std::set<crypto::Hash256>& already_included) const {
-  return CandidatesAt(now, [&](const crypto::Hash256& id) {
-    return already_included.count(id) > 0;
-  });
-}
-
 void Mempool::Prune(std::span<const crypto::Hash256> included) {
   // Unindex first: O(1) per id, and ids not in the pool cost one lookup.
   size_t dropped = 0;

@@ -15,7 +15,6 @@
 #define AC3_CHAIN_MEMPOOL_H_
 
 #include <functional>
-#include <set>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -52,18 +51,10 @@ class Mempool {
   BatchResult SubmitBatch(std::span<const Transaction> txs, TimePoint arrival);
 
   /// Transactions visible at `now` for which `already_included` returns
-  /// false, in arrival order.
-  std::vector<Transaction> CandidatesAt(TimePoint now,
-                                        const TxFilter& already_included) const;
-
-  /// Convenience overload for explicit id sets (tests, replay tools).
-  std::vector<Transaction> CandidatesAt(
-      TimePoint now, const std::set<crypto::Hash256>& already_included) const;
-
-  /// CandidatesAt without copying any Transaction: arrival-ordered
-  /// pointers into the pool, for the assembly hot path (a miner inspects
-  /// hundreds of candidates per block and copies none of the rejects).
-  /// Pointers are invalidated by the next Submit/SubmitBatch/Prune.
+  /// false (a null filter excludes nothing), in arrival order — as
+  /// pointers into the pool, so a miner inspecting hundreds of candidates
+  /// per block copies none of the rejects. Pointers are invalidated by the
+  /// next Submit/SubmitBatch/Prune.
   std::vector<const Transaction*> CandidatePointersAt(
       TimePoint now, const TxFilter& already_included) const;
 

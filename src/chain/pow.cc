@@ -20,53 +20,8 @@ bool CheckProofOfWork(const BlockHeader& header) {
 }
 
 uint64_t MineHeader(BlockHeader* header, Rng* rng) {
-  // Encode once; the nonce search only re-hashes from the cached SHA-256
-  // midstate of the fixed prefix, patching the trailing nonce in place.
-  // The loop width follows the active SHA-256 dispatch level (2 lanes on
-  // the scalar/SHA-NI rungs, 8 on AVX2); lanes are checked in ascending
-  // nonce order, so whatever the width, the winning nonce and the
-  // returned count — nonces visited up to and including the winner —
-  // match MineHeaderScalar exactly (the later-lane hashes of a win are
-  // the only extra work, amortized over ~2^difficulty attempts).
-  uint8_t preimage[BlockHeader::kEncodedSize];
-  header->EncodeTo(preimage);
-  crypto::HeaderHasher hasher(preimage);
-  uint64_t nonce = rng->NextU64();
-  uint64_t evaluations = 0;
-  const size_t lanes = crypto::Sha256::PreferredMiningLanes();
-  if (lanes > 2) {
-    uint64_t nonces[crypto::Sha256::kMaxLanes];
-    crypto::Hash256 hashes[crypto::Sha256::kMaxLanes];
-    for (;;) {
-      for (size_t lane = 0; lane < lanes; ++lane) {
-        nonces[lane] = nonce + lane;
-      }
-      hasher.HashBatchWithNonces(nonces, lanes, hashes);
-      for (size_t lane = 0; lane < lanes; ++lane) {
-        if (HashMeetsDifficulty(hashes[lane], header->difficulty_bits)) {
-          header->nonce = nonces[lane];
-          return evaluations + lane + 1;
-        }
-      }
-      evaluations += lanes;
-      nonce += lanes;
-    }
-  }
-  for (;;) {
-    crypto::Hash256 hash_a;
-    crypto::Hash256 hash_b;
-    hasher.HashPairWithNonces(nonce, nonce + 1, &hash_a, &hash_b);
-    if (HashMeetsDifficulty(hash_a, header->difficulty_bits)) {
-      header->nonce = nonce;
-      return evaluations + 1;
-    }
-    if (HashMeetsDifficulty(hash_b, header->difficulty_bits)) {
-      header->nonce = nonce + 1;
-      return evaluations + 2;
-    }
-    evaluations += 2;
-    nonce += 2;
-  }
+  BlockHeader* const one[] = {header};
+  return MineHeaderBatch(one, rng)[0];
 }
 
 std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
@@ -124,7 +79,7 @@ std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
       // Check each miner's lanes in ascending nonce order (the plan is
       // grouped per miner, ascending): the first meeting hash is that
       // miner's winning nonce, with later lanes of a winner the only
-      // wasted work — same discipline as MineHeader's wide loop.
+      // wasted work.
       for (size_t i = 0; i < used; ) {
         Miner& miner = active[plan_miner[i]];
         size_t count = 1;

@@ -30,14 +30,13 @@ bool CheckProofOfWork(const BlockHeader& header);
 /// including the winner — a deterministic function of the seed, pinned by
 /// the committed BENCH witnesses.
 ///
-/// The search runs several interleaved lanes per loop iteration — two
-/// (HeaderHasher::HashPairWithNonces over nonce, nonce+1) on the
-/// scalar/SHA-NI SHA-256 dispatch levels, eight
-/// (HeaderHasher::HashBatchWithNonces) on the AVX2 message-parallel
-/// level — overlapping the independent SHA-256 dependency chains. Lanes
-/// are checked in ascending nonce order, so the winning nonce and the
-/// returned count are identical to MineHeaderScalar on every dispatch
-/// level — only the wall-clock per nonce changes.
+/// Exactly MineHeaderBatch({header}, rng)[0]: the one header fills every
+/// Sha256::PreferredMiningLanes() lane with consecutive nonces (two on the
+/// scalar/SHA-NI dispatch levels, eight on AVX2), overlapping the
+/// independent SHA-256 dependency chains. Lanes are checked in ascending
+/// nonce order, so the winning nonce and the returned count are identical
+/// to MineHeaderScalar on every dispatch level — only the wall-clock per
+/// nonce changes.
 uint64_t MineHeader(BlockHeader* header, Rng* rng);
 
 /// The one-nonce-at-a-time reference search. Kept as the equivalence
@@ -50,16 +49,16 @@ uint64_t MineHeaderScalar(BlockHeader* header, Rng* rng);
 ///
 /// Semantically identical to calling MineHeader(headers[i], rng) in index
 /// order: each header's start nonce is drawn from `rng` in that order
-/// (MineHeader draws exactly one NextU64 per call), each header's nonces
-/// are visited ascending from its start, and eval counts are "nonces
-/// visited up to and including the winner" — so winning nonces and counts
+/// (one NextU64 per header), each header's nonces are visited ascending
+/// from its start, and eval counts are "nonces visited up to and
+/// including the winner" — so winning nonces and counts
 /// match the per-header loop (and hence MineHeaderScalar) on every
 /// SHA-256 dispatch level. The difference is occupancy: every loop
 /// iteration fills all Sha256::PreferredMiningLanes() lanes with attempts
 /// spread across the still-unsolved headers (HeaderHasher's cross-hasher
 /// HashLanesWithNonces), so the AVX2 8-way rung runs full even when each
 /// miner's difficulty is low — the realistic many-miners-low-difficulty
-/// regime, where per-miner MineHeader would run short, underfilled
+/// regime, where one search per miner would run short, underfilled
 /// batches.
 std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
                                       Rng* rng);

@@ -89,58 +89,6 @@ Hash256 HeaderHasher::HashWithNonce(uint64_t nonce) {
   return Hash256(digest);
 }
 
-void HeaderHasher::HashPairWithNonces(uint64_t nonce_a, uint64_t nonce_b,
-                                      Hash256* out_a, Hash256* out_b) {
-  PatchNonce(tails_[0], nonce_a);
-  PatchNonce(tails_[1], nonce_b);
-  std::array<uint32_t, 8> state_a = midstate_;
-  std::array<uint32_t, 8> state_b = midstate_;
-  for (size_t b = 0; b < tail_blocks_; ++b) {
-    Sha256::Compress2(state_a.data(), tails_[0] + b * Sha256::kBlockSize,
-                      state_b.data(), tails_[1] + b * Sha256::kBlockSize);
-  }
-  StateToDigest(state_a.data(), seconds_[0]);
-  StateToDigest(state_b.data(), seconds_[1]);
-  std::array<uint32_t, 8> outer_a = Sha256::kInitialState;
-  std::array<uint32_t, 8> outer_b = Sha256::kInitialState;
-  Sha256::Compress2(outer_a.data(), seconds_[0], outer_b.data(), seconds_[1]);
-  std::array<uint8_t, Sha256::kDigestSize> digest;
-  StateToDigest(outer_a.data(), digest.data());
-  *out_a = Hash256(digest);
-  StateToDigest(outer_b.data(), digest.data());
-  *out_b = Hash256(digest);
-}
-
-void HeaderHasher::HashBatchWithNonces(const uint64_t* nonces, size_t n,
-                                       Hash256* out) {
-  assert(n <= Sha256::kMaxLanes);
-  std::array<uint32_t, 8> states[Sha256::kMaxLanes];
-  uint32_t* state_ptrs[Sha256::kMaxLanes] = {};
-  const uint8_t* block_ptrs[Sha256::kMaxLanes] = {};
-  for (size_t lane = 0; lane < n; ++lane) {
-    PatchNonce(tails_[lane], nonces[lane]);
-    states[lane] = midstate_;
-    state_ptrs[lane] = states[lane].data();
-  }
-  for (size_t b = 0; b < tail_blocks_; ++b) {
-    for (size_t lane = 0; lane < n; ++lane) {
-      block_ptrs[lane] = tails_[lane] + b * Sha256::kBlockSize;
-    }
-    Sha256::CompressBatch(state_ptrs, block_ptrs, n);
-  }
-  for (size_t lane = 0; lane < n; ++lane) {
-    StateToDigest(states[lane].data(), seconds_[lane]);
-    states[lane] = Sha256::kInitialState;
-    block_ptrs[lane] = seconds_[lane];
-  }
-  Sha256::CompressBatch(state_ptrs, block_ptrs, n);
-  std::array<uint8_t, Sha256::kDigestSize> digest;
-  for (size_t lane = 0; lane < n; ++lane) {
-    StateToDigest(states[lane].data(), digest.data());
-    out[lane] = Hash256(digest);
-  }
-}
-
 void HeaderHasher::HashLanesWithNonces(const Lane* lanes, size_t n,
                                        Hash256* out) {
   assert(n <= Sha256::kMaxLanes);

@@ -17,16 +17,15 @@
 // 3 compression calls and zero allocations for the 128-byte block header
 // (the naive path is 4 compressions plus a heap re-encode).
 //
-// HashPairWithNonces additionally evaluates TWO nonces per call through
-// Sha256::Compress2, which interleaves the rounds of two independent
-// compressions so their serial dependency chains overlap in the pipeline —
-// the 2-way nonce search chain::MineHeader runs on the scalar and SHA-NI
-// dispatch levels. HashBatchWithNonces generalizes to up to
-// Sha256::kMaxLanes nonces per call through Sha256::CompressBatch, which
-// the AVX2 8-way level turns into one message-parallel compression — the
-// 8-way nonce search. Per-nonce digests are bit-identical to
-// HashWithNonce on every dispatch level (pinned by tests/hotpath_test.cc
-// and tests/crypto_test.cc).
+// HashLanesWithNonces evaluates up to Sha256::kMaxLanes nonce attempts per
+// call — across one or several hashers — through Sha256::CompressBatch,
+// which runs full batches of eight as one AVX2 message-parallel
+// compression and pairs through the round-interleaved Compress2, so the
+// serial dependency chains of independent compressions overlap. This is
+// the nonce search chain::MineHeaderBatch (and hence chain::MineHeader)
+// runs. Per-nonce digests are bit-identical to HashWithNonce on every
+// dispatch level (pinned by tests/hotpath_test.cc and
+// tests/crypto_test.cc).
 
 #ifndef AC3_CRYPTO_HEADER_HASHER_H_
 #define AC3_CRYPTO_HEADER_HASHER_H_
@@ -54,21 +53,6 @@ class HeaderHasher {
   /// `nonce` (little-endian). Allocation-free.
   Hash256 HashWithNonce(uint64_t nonce);
 
-  /// HashWithNonce for two nonces in one round-interleaved pass
-  /// (Sha256::Compress2): `*out_a` receives the digest for `nonce_a`,
-  /// `*out_b` for `nonce_b`. Identical per-nonce results to the scalar
-  /// path, roughly 1.5 compressions' latency per nonce instead of 3.
-  void HashPairWithNonces(uint64_t nonce_a, uint64_t nonce_b, Hash256* out_a,
-                          Hash256* out_b);
-
-  /// HashWithNonce for `n <= Sha256::kMaxLanes` nonces in one
-  /// message-parallel pass (Sha256::CompressBatch): out[i] receives the
-  /// digest for nonces[i]. On the AVX2 dispatch level a full batch of 8
-  /// runs as one 8-way compression per block; narrower batches (and
-  /// non-AVX2 levels) fall back to pair/scalar compressions with the
-  /// identical per-nonce results.
-  void HashBatchWithNonces(const uint64_t* nonces, size_t n, Hash256* out);
-
   /// One lane of a cross-hasher batch: a nonce attempt against a specific
   /// hasher's preimage. The same hasher may occupy several lanes (with
   /// distinct nonces); each lane uses its own per-lane tail image.
@@ -77,8 +61,9 @@ class HeaderHasher {
     uint64_t nonce = 0;
   };
 
-  /// HashWithNonce across DIFFERENT hashers in one message-parallel pass:
-  /// out[i] receives lanes[i].hasher's digest for lanes[i].nonce.
+  /// HashWithNonce for up to Sha256::kMaxLanes lanes — one hasher or
+  /// several — in one message-parallel pass: out[i] receives
+  /// lanes[i].hasher's digest for lanes[i].nonce.
   /// CompressBatch takes fully general per-lane chaining values, so each
   /// lane runs from its own hasher's midstate — this is what lets a
   /// multi-miner nonce search (chain::MineHeaderBatch) fill all 8 AVX2
@@ -98,8 +83,8 @@ class HeaderHasher {
   size_t tail_len_ = 0;     ///< Unpadded tail bytes (nonce hole at the end).
   size_t tail_blocks_ = 0;  ///< Padded tail length in 64-byte blocks.
   /// Per-lane pre-padded tail images; only the 8 nonce bytes change
-  /// between attempts (lane 0 serves the scalar path, lanes 0..1 the
-  /// pair path, lanes 0..n-1 a batch).
+  /// between attempts (lane 0 serves HashWithNonce, lane i the i-th lane
+  /// of a HashLanesWithNonces batch).
   uint8_t tails_[Sha256::kMaxLanes][kMaxTail];
   /// Per-lane pre-padded second-hash blocks; the leading 32 bytes are
   /// overwritten with the inner digest per attempt.

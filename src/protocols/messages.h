@@ -1,10 +1,10 @@
 // Typed protocol-message envelopes — the wire format of every off-chain
 // exchange the swap engines perform.
 //
-// Historically sim::Network::Send delivered opaque std::function closures,
-// so a message had no kind, no size, and no identity: nothing could count
+// Without an envelope, a message delivered as an opaque std::function
+// closure has no kind, no size, and no identity: nothing can count
 // per-protocol message overhead (the cost axis Robinson's "Performance
-// Overhead of Atomic Crosschain Transactions" quantifies), and faults could
+// Overhead of Atomic Crosschain Transactions" quantifies), and faults can
 // only be injected per *node*, never per *message*. proto::Message gives
 // every exchange an explicit envelope:
 //

@@ -74,24 +74,6 @@ Duration Network::SampleLatency() {
   return latency_.base + jitter;
 }
 
-void Network::Send(NodeId from, NodeId to, std::function<void()> on_deliver) {
-  assert(from < nodes_.size() && to < nodes_.size());
-  Duration latency = SampleLatency();
-  sim_->After(latency, [this, from, to, fn = std::move(on_deliver)]() {
-    // Liveness and partition membership are evaluated at *delivery* time:
-    // a node that crashes mid-flight still loses the message.
-    if (!nodes_[to].up ||
-        nodes_[from].partition != nodes_[to].partition) {
-      ++dropped_count_;
-      AC3_LOG(kDebug) << "drop " << nodes_[from].label << " -> "
-                      << nodes_[to].label;
-      return;
-    }
-    ++delivered_count_;
-    fn();
-  });
-}
-
 void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
   const NodeId from = msg.sender;
   const NodeId to = msg.receiver;
@@ -101,8 +83,8 @@ void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
   traffic_[from].bytes_sent += bytes;
 
   // Draw order is fixed and every fault draw is gated on its knob, so the
-  // all-zero fault model consumes exactly the closure path's RNG sequence
-  // (one jitter sample per send) — the migration's determinism contract.
+  // all-zero fault model consumes exactly one jitter sample per send — the
+  // RNG sequence the golden fingerprints pin.
   int copies = 1;
   if (faults_.duplicate_prob > 0 && rng_.NextBool(faults_.duplicate_prob)) {
     copies = 2;
@@ -122,6 +104,7 @@ void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
           rng_.NextBelow(static_cast<uint64_t>(faults_.max_extra_delay) + 1));
     }
     sim_->After(latency, [this, from, to, bytes, shared, handler]() {
+      // A node that crashes (or is cut off) mid-flight still loses the copy.
       if (!nodes_[to].up ||
           nodes_[from].partition != nodes_[to].partition) {
         ++traffic_[to].messages_dropped;
@@ -135,14 +118,6 @@ void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
       traffic_[to].bytes_delivered += bytes;
       handler(*shared);
     });
-  }
-}
-
-void Network::Broadcast(NodeId from,
-                        const std::function<void(NodeId)>& on_deliver) {
-  for (NodeId to = 0; to < nodes_.size(); ++to) {
-    if (to == from) continue;
-    Send(from, to, [on_deliver, to]() { on_deliver(to); });
   }
 }
 

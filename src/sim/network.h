@@ -9,10 +9,10 @@
 //   * network partitions   = messages between different partition groups
 //                            are dropped at delivery time.
 //
-// Delivery is "fire a callback at the receiver" — since everything lives in
-// one process, a message *is* its handler closure. Protocol engines react
-// to deliveries, chain events, and the connectivity subscriptions below,
-// retrying on timers as real blockchain clients do.
+// Delivery is "run the handler at the receiver": every message is a typed
+// proto::Message envelope handed to SendMessage with the receiver's handler.
+// Protocol engines react to deliveries, chain events, and the connectivity
+// subscriptions below, retrying on timers as real blockchain clients do.
 
 #ifndef AC3_SIM_NETWORK_H_
 #define AC3_SIM_NETWORK_H_
@@ -42,19 +42,17 @@ struct LatencyModel {
   Duration jitter = Milliseconds(50);  ///< Uniform extra in [0, jitter].
 };
 
-/// Per-message fault injection for the typed SendMessage path. All draws
-/// come from the network's own forked run-RNG stream, and every draw is
-/// gated on its knob being active — with the model at its all-zero default
-/// the typed path consumes the exact RNG sequence of the closure Send
-/// oracle, which is how the golden fingerprints certify the message-layer
-/// migration. The closure Send path is never fault-injected.
+/// Per-message fault injection for SendMessage. All draws come from the
+/// network's own forked run-RNG stream, and every draw is gated on its knob
+/// being active — with the model at its all-zero default a send consumes
+/// exactly one jitter draw, the sequence the golden fingerprints pin.
 struct MessageFaults {
   double drop_prob = 0.0;       ///< P(a delivery copy is silently lost).
   double duplicate_prob = 0.0;  ///< P(one extra copy is delivered).
   Duration max_extra_delay = 0; ///< Uniform extra latency in [0, max].
 };
 
-/// Per-node message/byte counters for the typed SendMessage path. Sent is
+/// Per-node message/byte counters of SendMessage. Sent is
 /// charged to the sender at send time; delivered and dropped are charged
 /// to the receiver at (non-)delivery — a fault-dropped or crash-dropped
 /// message counts against the node that never saw it.
@@ -97,34 +95,23 @@ class Network {
 
   // ------------------------------------------------------------- sending
 
-  /// Sends a message from `from` to `to`; `on_deliver` runs at the receiver
-  /// after the sampled latency, unless at delivery time the receiver is
-  /// crashed or partitioned away from the sender (then the message is
-  /// silently dropped, and `dropped_count` increments).
-  void Send(NodeId from, NodeId to, std::function<void()> on_deliver);
-
-  /// Broadcast to every other node (gossip primitive used by miners).
-  void Broadcast(NodeId from, const std::function<void(NodeId)>& on_deliver);
-
-  // ------------------------------------------------------ typed messages
-
-  /// Delivery callback of the typed message path.
+  /// Delivery callback of SendMessage.
   using MessageHandler = std::function<void(const proto::Message&)>;
 
-  /// Typed counterpart of Send: routes `msg` from msg.sender to
-  /// msg.receiver, runs `handler(msg)` at the receiver after the sampled
-  /// latency, and applies the armed per-message fault model (drop,
-  /// duplication, bounded extra delay — see MessageFaults). Liveness and
-  /// partition membership are still evaluated at delivery time, exactly
-  /// like the closure path. Per-node traffic counters are updated on both
-  /// ends.
+  /// Routes `msg` from msg.sender to msg.receiver and runs `handler(msg)`
+  /// at the receiver after the sampled latency, applying the armed
+  /// per-message fault model (drop, duplication, bounded extra delay — see
+  /// MessageFaults). Liveness and partition membership are evaluated at
+  /// *delivery* time: a copy whose receiver is then crashed or partitioned
+  /// away from the sender is silently dropped (`dropped_count` increments).
+  /// Per-node traffic counters are updated on both ends.
   void SendMessage(const proto::Message& msg, MessageHandler handler);
 
   /// Arms (or clears, with the default) the per-message fault model.
   void set_message_faults(const MessageFaults& faults) { faults_ = faults; }
   const MessageFaults& message_faults() const { return faults_; }
 
-  /// Typed-path traffic counters of `id` (zero until it sends/receives).
+  /// Traffic counters of `id` (zero until it sends/receives).
   const NodeTraffic& traffic(NodeId id) const { return traffic_.at(id); }
 
   /// Samples one latency value (exposed for tests).

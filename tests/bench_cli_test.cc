@@ -3,7 +3,9 @@
 // and CI rely on — shared flags fill the BenchContext the envelope writer
 // consumes, axis lists go through the same name tables as the JSON
 // output, unknown flags exit non-zero, and ParseKnown forwards foreign
-// flags (google-benchmark's) instead of failing.
+// flags (google-benchmark's) instead of failing. The grid-study helpers
+// the sweep studies share (selection, the outcomes array, the 1-thread
+// determinism witness) are pinned here too.
 
 #include <gtest/gtest.h>
 
@@ -149,6 +151,86 @@ TEST(BenchCliTest, ParseKnownForwardsForeignFlags) {
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_STREQ(rest[0], "bench");
   EXPECT_STREQ(rest[1], "--benchmark_filter=Pow");
+}
+
+// ---- the grid-study helpers -----------------------------------------------
+
+runner::RunOutcome Cell(runner::Protocol protocol, bool ok, bool committed) {
+  runner::RunOutcome outcome;
+  outcome.point.protocol = protocol;
+  outcome.ok = ok;
+  outcome.finished = committed;
+  outcome.committed = committed;
+  outcome.latency_ms = committed ? 1000 : -1;
+  outcome.messages_sent = 6;
+  outcome.message_bytes_sent = 300;
+  return outcome;
+}
+
+TEST(GridStudyTest, SelectKeepsGridOrderAndAggregateWhereAggregatesIt) {
+  const std::vector<runner::RunOutcome> outcomes = {
+      Cell(runner::Protocol::kHerlihy, true, true),
+      Cell(runner::Protocol::kAc3wn, true, false),
+      Cell(runner::Protocol::kHerlihy, false, false),
+      Cell(runner::Protocol::kHerlihy, true, true)};
+  auto herlihy = [](const runner::RunOutcome& outcome) {
+    return outcome.point.protocol == runner::Protocol::kHerlihy;
+  };
+  const std::vector<runner::RunOutcome> mine = bench::Select(outcomes, herlihy);
+  ASSERT_EQ(mine.size(), 3u);
+  EXPECT_TRUE(mine[0].ok);
+  EXPECT_FALSE(mine[1].ok);
+  EXPECT_TRUE(mine[2].ok);
+
+  const runner::SweepAggregate agg =
+      bench::AggregateWhere(outcomes, /*delta_ms=*/500, herlihy);
+  EXPECT_EQ(runner::AggregateToJson(agg),
+            runner::AggregateToJson(runner::Aggregate(mine, 500)));
+  EXPECT_EQ(agg.runs, 3);
+  EXPECT_EQ(agg.committed, 2);
+  EXPECT_DOUBLE_EQ(agg.mean_latency_deltas, 2.0);
+  EXPECT_EQ(bench::AggregateWhere(outcomes, 500,
+                                  [](const runner::RunOutcome&) {
+                                    return false;
+                                  })
+                .runs,
+            0);
+}
+
+TEST(GridStudyTest, OutcomesJsonAddsMessageCountersOnlyToCellsThatRan) {
+  const std::vector<runner::RunOutcome> outcomes = {
+      Cell(runner::Protocol::kQuorum, true, true),
+      Cell(runner::Protocol::kQuorum, false, false)};
+  const runner::Json plain = bench::OutcomesJson(outcomes, false);
+  ASSERT_EQ(plain.items().size(), 2u);
+  for (const runner::Json& cell : plain.items()) {
+    EXPECT_FALSE(cell.Has("messages_sent"));
+    EXPECT_FALSE(cell.Has("message_bytes_sent"));
+  }
+  EXPECT_EQ(plain.at(0), runner::OutcomeToJson(outcomes[0]));
+
+  const runner::Json counted = bench::OutcomesJson(outcomes, true);
+  ASSERT_EQ(counted.items().size(), 2u);
+  EXPECT_TRUE(counted.at(0).Has("messages_sent"));
+  EXPECT_TRUE(counted.at(0).Has("message_bytes_sent"));
+  EXPECT_FALSE(counted.at(1).Has("messages_sent"));
+}
+
+TEST(GridStudyTest, ThreadInvariantHoldsOnATinyGridAndSeesCounterDrift) {
+  runner::SweepGridConfig grid;
+  grid.protocols = {runner::Protocol::kAc3tw};
+  grid.topologies = {runner::Topology::kRing};
+  grid.sizes = {2};
+  grid.failures = {runner::FailureMode::kNone};
+  grid.seeds = {501, 502};
+  std::vector<runner::RunOutcome> outcomes =
+      runner::SweepRunner(2).RunGrid(grid);
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_TRUE(outcomes[1].ok);
+  EXPECT_TRUE(bench::ThreadInvariant(grid, outcomes));
+  // The counters OutcomeToJson omits are part of the witness.
+  outcomes[1].messages_sent += 1;
+  EXPECT_FALSE(bench::ThreadInvariant(grid, outcomes));
 }
 
 }  // namespace

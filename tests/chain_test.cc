@@ -392,8 +392,8 @@ TEST(MempoolTest, VisibilityByArrivalTime) {
   tx.nonce = 1;
   tx.SignWith(Alice());
   ASSERT_TRUE(pool.Submit(tx, 100).ok());
-  EXPECT_TRUE(pool.CandidatesAt(50, std::set<crypto::Hash256>{}).empty());
-  EXPECT_EQ(pool.CandidatesAt(100, std::set<crypto::Hash256>{}).size(), 1u);
+  EXPECT_TRUE(pool.CandidatePointersAt(50, {}).empty());
+  EXPECT_EQ(pool.CandidatePointersAt(100, {}).size(), 1u);
 }
 
 TEST(MempoolTest, RejectsDuplicates) {
@@ -414,7 +414,9 @@ TEST(MempoolTest, ExcludesIncluded) {
   tx.SignWith(Alice());
   ASSERT_TRUE(pool.Submit(tx, 0).ok());
   std::set<crypto::Hash256> included = {tx.Id()};
-  EXPECT_TRUE(pool.CandidatesAt(10, included).empty());
+  EXPECT_TRUE(pool.CandidatePointersAt(10, [&](const crypto::Hash256& id) {
+                    return included.count(id) > 0;
+                  }).empty());
   pool.Prune(std::vector<crypto::Hash256>(included.begin(), included.end()));
   EXPECT_EQ(pool.size(), 0u);
 }

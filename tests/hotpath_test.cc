@@ -97,36 +97,15 @@ TEST(MineHeaderTest, ProducesValidPowFromMidstate) {
   EXPECT_TRUE(chain::CheckProofOfWork(header));
 }
 
-TEST(HeaderHasherTest, PairLanesMatchScalarDigests) {
-  Rng rng(424242);
-  for (int trial = 0; trial < 8; ++trial) {
-    chain::BlockHeader header = RandomHeader(&rng);
-    uint8_t preimage[chain::BlockHeader::kEncodedSize];
-    header.EncodeTo(preimage);
-    crypto::HeaderHasher hasher(preimage);
-    for (int n = 0; n < 8; ++n) {
-      const uint64_t nonce_a = rng.NextU64();
-      const uint64_t nonce_b = rng.NextU64();
-      crypto::Hash256 pair_a;
-      crypto::Hash256 pair_b;
-      hasher.HashPairWithNonces(nonce_a, nonce_b, &pair_a, &pair_b);
-      EXPECT_EQ(pair_a, hasher.HashWithNonce(nonce_a));
-      EXPECT_EQ(pair_b, hasher.HashWithNonce(nonce_b));
-      // Scalar calls in between must not perturb later pair calls.
-      hasher.HashPairWithNonces(nonce_b, nonce_a, &pair_b, &pair_a);
-      EXPECT_EQ(pair_a, hasher.HashWithNonce(nonce_a));
-      EXPECT_EQ(pair_b, hasher.HashWithNonce(nonce_b));
-    }
-  }
-}
-
 using ::ac3::testutil::AvailableDispatches;
 using ::ac3::testutil::DispatchGuard;
 
-// The batch hasher must agree with the scalar hasher for every batch
-// width up to kMaxLanes, on every available dispatch level (this is the
-// digest seam the 8-way AVX2 nonce search rides).
-TEST(HeaderHasherTest, BatchLanesMatchScalarDigestsOnEveryDispatch) {
+// One hasher occupying 1..kMaxLanes lanes of a HashLanesWithNonces batch
+// must agree with the scalar hasher lane for lane, on every available
+// dispatch level (pairs ride Compress2, full batches of eight the AVX2
+// 8-way kernel — the seam MineHeader's nonce search runs on). Scalar calls
+// in between must not perturb later batches.
+TEST(HeaderHasherTest, HashLanesWithNoncesMatchScalarDigestsOnEveryDispatch) {
   DispatchGuard guard;
   Rng rng(887766);
   for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
@@ -136,12 +115,49 @@ TEST(HeaderHasherTest, BatchLanesMatchScalarDigestsOnEveryDispatch) {
     header.EncodeTo(preimage);
     crypto::HeaderHasher hasher(preimage);
     for (size_t n = 1; n <= crypto::Sha256::kMaxLanes; ++n) {
-      uint64_t nonces[crypto::Sha256::kMaxLanes];
+      for (int round = 0; round < 2; ++round) {
+        crypto::HeaderHasher::Lane lanes[crypto::Sha256::kMaxLanes];
+        crypto::Hash256 batch[crypto::Sha256::kMaxLanes];
+        for (size_t lane = 0; lane < n; ++lane) {
+          lanes[lane] = crypto::HeaderHasher::Lane{&hasher, rng.NextU64()};
+        }
+        crypto::HeaderHasher::HashLanesWithNonces(lanes, n, batch);
+        for (size_t lane = 0; lane < n; ++lane) {
+          EXPECT_EQ(batch[lane], hasher.HashWithNonce(lanes[lane].nonce))
+              << "level " << crypto::Sha256::DispatchName(level) << " n " << n
+              << " round " << round << " lane " << lane;
+        }
+      }
+    }
+  }
+}
+
+// Lanes drawn from different hashers (the multi-miner batch; here three
+// hashers interleaved across the lanes) each run from their own hasher's
+// midstate: every lane's digest equals its own hasher's scalar digest, on
+// every available dispatch level.
+TEST(HeaderHasherTest, LanesAcrossHashersMatchScalarDigestsOnEveryDispatch) {
+  DispatchGuard guard;
+  Rng rng(313131);
+  for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
+    ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
+    std::vector<crypto::HeaderHasher> hashers;
+    for (int i = 0; i < 3; ++i) {
+      uint8_t preimage[chain::BlockHeader::kEncodedSize];
+      RandomHeader(&rng).EncodeTo(preimage);
+      hashers.emplace_back(preimage);
+    }
+    for (size_t n = 1; n <= crypto::Sha256::kMaxLanes; ++n) {
+      crypto::HeaderHasher::Lane lanes[crypto::Sha256::kMaxLanes];
       crypto::Hash256 batch[crypto::Sha256::kMaxLanes];
-      for (size_t lane = 0; lane < n; ++lane) nonces[lane] = rng.NextU64();
-      hasher.HashBatchWithNonces(nonces, n, batch);
       for (size_t lane = 0; lane < n; ++lane) {
-        EXPECT_EQ(batch[lane], hasher.HashWithNonce(nonces[lane]))
+        lanes[lane] =
+            crypto::HeaderHasher::Lane{&hashers[lane % 3], rng.NextU64()};
+      }
+      crypto::HeaderHasher::HashLanesWithNonces(lanes, n, batch);
+      for (size_t lane = 0; lane < n; ++lane) {
+        const crypto::HeaderHasher::Lane& plan = lanes[lane];
+        EXPECT_EQ(batch[lane], plan.hasher->HashWithNonce(plan.nonce))
             << "level " << crypto::Sha256::DispatchName(level) << " n " << n
             << " lane " << lane;
       }
@@ -638,12 +654,12 @@ TEST(MempoolIndexTest, OutOfOrderArrivalsStaySorted) {
   ASSERT_TRUE(pool.Submit(t2, 100).ok());  // Arrives out of order.
   ASSERT_TRUE(pool.Submit(t3, 300).ok());  // Ties keep submission order.
 
-  auto candidates = pool.CandidatesAt(300, std::set<crypto::Hash256>{});
+  auto candidates = pool.CandidatePointersAt(300, {});
   ASSERT_EQ(candidates.size(), 3u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
-  EXPECT_EQ(candidates[1].Id(), t1.Id());
-  EXPECT_EQ(candidates[2].Id(), t3.Id());
-  EXPECT_EQ(pool.CandidatesAt(200, std::set<crypto::Hash256>{}).size(), 1u);
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
+  EXPECT_EQ(candidates[1]->Id(), t1.Id());
+  EXPECT_EQ(candidates[2]->Id(), t3.Id());
+  EXPECT_EQ(pool.CandidatePointersAt(200, {}).size(), 1u);
 }
 
 TEST(MempoolIndexTest, FilterCallbackExcludes) {
@@ -652,10 +668,10 @@ TEST(MempoolIndexTest, FilterCallbackExcludes) {
   const chain::Transaction t2 = SignedTransfer(2);
   ASSERT_TRUE(pool.Submit(t1, 0).ok());
   ASSERT_TRUE(pool.Submit(t2, 0).ok());
-  auto candidates = pool.CandidatesAt(
+  auto candidates = pool.CandidatePointersAt(
       10, [&](const crypto::Hash256& id) { return id == t1.Id(); });
   ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
 }
 
 TEST(MempoolIndexTest, PruneDropsEntriesAndIdsTogether) {
@@ -673,10 +689,10 @@ TEST(MempoolIndexTest, PruneDropsEntriesAndIdsTogether) {
     EXPECT_EQ(pool.Contains(txs[i].Id()), i % 2 == 1) << i;
   }
   // Survivors keep arrival order.
-  auto candidates = pool.CandidatesAt(100, std::set<crypto::Hash256>{});
+  auto candidates = pool.CandidatePointersAt(100, {});
   ASSERT_EQ(candidates.size(), 5u);
   for (size_t i = 0; i + 1 < candidates.size(); ++i) {
-    EXPECT_EQ(candidates[i].nonce + 2, candidates[i + 1].nonce);
+    EXPECT_EQ(candidates[i]->nonce + 2, candidates[i + 1]->nonce);
   }
 }
 

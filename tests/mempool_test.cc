@@ -1,9 +1,10 @@
 // Mempool tests: FIFO candidate ordering, arrival-time visibility (a
 // transaction gossiped at t is not minable before t), pruning, and the
-// interaction with block capacity via CandidatesAt.
+// interaction with block capacity via CandidatePointersAt.
 
 #include "src/chain/mempool.h"
 
+#include <set>
 #include <span>
 
 #include <gtest/gtest.h>
@@ -42,8 +43,13 @@ class MempoolTest : public ::testing::Test {
 
   testutil::TestChain world_;
   Wallet alice_;
+  /// Filter excluding exactly `ids` (which must outlive the call).
+  static Mempool::TxFilter Excluding(const std::set<crypto::Hash256>& ids) {
+    return [&ids](const crypto::Hash256& id) { return ids.count(id) > 0; };
+  }
+
   Mempool pool_;
-  std::set<crypto::Hash256> none_;
+  const Mempool::TxFilter none_;
 };
 
 TEST_F(MempoolTest, CandidatesComeOutInArrivalOrder) {
@@ -53,18 +59,18 @@ TEST_F(MempoolTest, CandidatesComeOutInArrivalOrder) {
   ASSERT_TRUE(pool_.Submit(t2, /*arrival=*/10).ok());
   ASSERT_TRUE(pool_.Submit(t1, /*arrival=*/20).ok());
   ASSERT_TRUE(pool_.Submit(t3, /*arrival=*/30).ok());
-  auto candidates = pool_.CandidatesAt(/*now=*/100, none_);
+  auto candidates = pool_.CandidatePointersAt(/*now=*/100, none_);
   ASSERT_EQ(candidates.size(), 3u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
-  EXPECT_EQ(candidates[1].Id(), t1.Id());
-  EXPECT_EQ(candidates[2].Id(), t3.Id());
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
+  EXPECT_EQ(candidates[1]->Id(), t1.Id());
+  EXPECT_EQ(candidates[2]->Id(), t3.Id());
 }
 
 TEST_F(MempoolTest, FutureArrivalsAreInvisible) {
   Transaction tx = MakeTransfer(1);
   ASSERT_TRUE(pool_.Submit(tx, /*arrival=*/500).ok());
-  EXPECT_TRUE(pool_.CandidatesAt(/*now=*/499, none_).empty());
-  EXPECT_EQ(pool_.CandidatesAt(/*now=*/500, none_).size(), 1u);
+  EXPECT_TRUE(pool_.CandidatePointersAt(/*now=*/499, none_).empty());
+  EXPECT_EQ(pool_.CandidatePointersAt(/*now=*/500, none_).size(), 1u);
 }
 
 TEST_F(MempoolTest, DuplicateSubmissionRejectedButHarmless) {
@@ -81,9 +87,9 @@ TEST_F(MempoolTest, IncludedTransactionsAreFiltered) {
   ASSERT_TRUE(pool_.Submit(t1, 0).ok());
   ASSERT_TRUE(pool_.Submit(t2, 0).ok());
   std::set<crypto::Hash256> included{t1.Id()};
-  auto candidates = pool_.CandidatesAt(100, included);
+  auto candidates = pool_.CandidatePointersAt(100, Excluding(included));
   ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
 }
 
 TEST_F(MempoolTest, PruneDropsEntriesPermanently) {
@@ -96,9 +102,9 @@ TEST_F(MempoolTest, PruneDropsEntriesPermanently) {
   EXPECT_EQ(pool_.size(), 1u);
   EXPECT_FALSE(pool_.Contains(t1.Id()));
   EXPECT_TRUE(pool_.Contains(t2.Id()));
-  auto candidates = pool_.CandidatesAt(100, none_);
+  auto candidates = pool_.CandidatePointersAt(100, none_);
   ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
 }
 
 TEST_F(MempoolTest, CapacityIsEnforcedByBlockAssemblyNotThePool) {
@@ -111,7 +117,7 @@ TEST_F(MempoolTest, CapacityIsEnforcedByBlockAssemblyNotThePool) {
     ASSERT_TRUE(pool_.Submit(tx, 0).ok());
     batch.push_back(tx);
   }
-  auto candidates = pool_.CandidatesAt(100, none_);
+  auto candidates = pool_.CandidatePointersAt(100, none_);
   EXPECT_EQ(candidates.size(), capacity + 5);
   Rng rng(1);
   auto block = world_.chain().AssembleBlock(world_.chain().head()->hash,
@@ -141,11 +147,11 @@ TEST_F(MempoolTest, SubmitBatchMatchesSerialSubmit) {
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
   EXPECT_EQ(batched.size(), serial.size());
-  auto serial_candidates = serial.CandidatesAt(100, none_);
-  auto batched_candidates = batched.CandidatesAt(100, none_);
+  auto serial_candidates = serial.CandidatePointersAt(100, none_);
+  auto batched_candidates = batched.CandidatePointersAt(100, none_);
   ASSERT_EQ(batched_candidates.size(), serial_candidates.size());
   for (size_t i = 0; i < serial_candidates.size(); ++i) {
-    EXPECT_EQ(batched_candidates[i].Id(), serial_candidates[i].Id());
+    EXPECT_EQ(batched_candidates[i]->Id(), serial_candidates[i]->Id());
   }
 }
 
@@ -173,9 +179,9 @@ TEST_F(MempoolTest, SubmitBatchRejectsCrossBatchDuplicate) {
   EXPECT_TRUE(result.statuses[1].ok());
   EXPECT_EQ(pool_.size(), 2u);
   // The duplicate kept its original (earlier) arrival.
-  auto candidates = pool_.CandidatesAt(100, none_);
+  auto candidates = pool_.CandidatePointersAt(100, none_);
   ASSERT_EQ(candidates.size(), 2u);
-  EXPECT_EQ(candidates[0].Id(), t1.Id());
+  EXPECT_EQ(candidates[0]->Id(), t1.Id());
 }
 
 TEST_F(MempoolTest, SubmitBatchKeepsArrivalOrderWhenBatchArrivesEarlier) {
@@ -187,27 +193,12 @@ TEST_F(MempoolTest, SubmitBatchKeepsArrivalOrderWhenBatchArrivesEarlier) {
   auto result = pool_.SubmitBatch(std::span<const Transaction>(batch),
                                   /*arrival=*/50);
   EXPECT_EQ(result.accepted, 2u);
-  auto candidates = pool_.CandidatesAt(200, none_);
+  auto candidates = pool_.CandidatePointersAt(200, none_);
   ASSERT_EQ(candidates.size(), 3u);
-  EXPECT_EQ(candidates[0].Id(), batch[0].Id());
-  EXPECT_EQ(candidates[1].Id(), batch[1].Id());
-  EXPECT_EQ(candidates[2].Id(), late.Id());
-  EXPECT_TRUE(pool_.CandidatesAt(60, none_).size() == 2u);
-}
-
-TEST_F(MempoolTest, CandidatePointersMatchValueCandidates) {
-  std::vector<Transaction> batch;
-  for (uint64_t i = 1; i <= 8; ++i) batch.push_back(MakeTransfer(i));
-  ASSERT_EQ(pool_.SubmitBatch(std::span<const Transaction>(batch), 5).accepted,
-            batch.size());
-  std::set<crypto::Hash256> included{batch[2].Id(), batch[6].Id()};
-  auto values = pool_.CandidatesAt(100, included);
-  auto pointers = pool_.CandidatePointersAt(
-      100, [&](const crypto::Hash256& id) { return included.count(id) > 0; });
-  ASSERT_EQ(pointers.size(), values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(pointers[i]->Id(), values[i].Id());
-  }
+  EXPECT_EQ(candidates[0]->Id(), batch[0].Id());
+  EXPECT_EQ(candidates[1]->Id(), batch[1].Id());
+  EXPECT_EQ(candidates[2]->Id(), late.Id());
+  EXPECT_TRUE(pool_.CandidatePointersAt(60, none_).size() == 2u);
 }
 
 TEST_F(MempoolTest, PruneUnsortedIdsWithUnknownAndDuplicate) {
@@ -221,11 +212,11 @@ TEST_F(MempoolTest, PruneUnsortedIdsWithUnknownAndDuplicate) {
   pool_.Prune(drop);
   ASSERT_EQ(pool_.size(), 7u);
   // Survivors keep arrival order.
-  const auto survivors = pool_.CandidatesAt(100, none_);
+  const auto survivors = pool_.CandidatePointersAt(100, none_);
   const std::vector<size_t> kept{0, 2, 3, 5, 6, 8, 9};
   ASSERT_EQ(survivors.size(), kept.size());
   for (size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(survivors[i].Id(), batch[kept[i]].Id());
+    EXPECT_EQ(survivors[i]->Id(), batch[kept[i]].Id());
     EXPECT_TRUE(pool_.Contains(batch[kept[i]].Id()));
   }
 }

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "src/protocols/messages.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/failure.h"
 #include "src/sim/network.h"
@@ -12,6 +13,14 @@
 
 namespace ac3::sim {
 namespace {
+
+/// A minimal typed envelope from `from` to `to` (default payload).
+proto::Message Envelope(NodeId from, NodeId to) {
+  proto::Message msg;
+  msg.sender = from;
+  msg.receiver = to;
+  return msg;
+}
 
 TEST(EventQueueTest, OrdersByTime) {
   EventQueue q;
@@ -106,7 +115,8 @@ TEST(NetworkTest, DeliversWithLatency) {
   NodeId a = net.AddNode("a");
   NodeId b = net.AddNode("b");
   TimePoint delivered_at = -1;
-  net.Send(a, b, [&] { delivered_at = sim.Now(); });
+  net.SendMessage(Envelope(a, b),
+                  [&](const proto::Message&) { delivered_at = sim.Now(); });
   sim.RunToCompletion();
   EXPECT_EQ(delivered_at, 50);
   EXPECT_EQ(net.delivered_count(), 1u);
@@ -119,7 +129,8 @@ TEST(NetworkTest, CrashedReceiverDropsMessage) {
   NodeId b = net.AddNode("b");
   net.Crash(b);
   bool delivered = false;
-  net.Send(a, b, [&] { delivered = true; });
+  net.SendMessage(Envelope(a, b),
+                  [&](const proto::Message&) { delivered = true; });
   sim.RunToCompletion();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(net.dropped_count(), 1u);
@@ -131,7 +142,8 @@ TEST(NetworkTest, CrashMidFlightDropsMessage) {
   NodeId a = net.AddNode("a");
   NodeId b = net.AddNode("b");
   bool delivered = false;
-  net.Send(a, b, [&] { delivered = true; });
+  net.SendMessage(Envelope(a, b),
+                  [&](const proto::Message&) { delivered = true; });
   sim.After(50, [&] { net.Crash(b); });  // Crashes while in flight.
   sim.RunToCompletion();
   EXPECT_FALSE(delivered);
@@ -145,7 +157,8 @@ TEST(NetworkTest, RecoveryRestoresDelivery) {
   net.Crash(b);
   net.Recover(b);
   bool delivered = false;
-  net.Send(a, b, [&] { delivered = true; });
+  net.SendMessage(Envelope(a, b),
+                  [&](const proto::Message&) { delivered = true; });
   sim.RunToCompletion();
   EXPECT_TRUE(delivered);
 }
@@ -157,27 +170,16 @@ TEST(NetworkTest, PartitionBlocksCrossGroupTraffic) {
   NodeId b = net.AddNode("b");
   net.SetPartition(b, 1);
   bool delivered = false;
-  net.Send(a, b, [&] { delivered = true; });
+  net.SendMessage(Envelope(a, b),
+                  [&](const proto::Message&) { delivered = true; });
   sim.RunToCompletion();
   EXPECT_FALSE(delivered);
 
   net.HealPartitions();
-  net.Send(a, b, [&] { delivered = true; });
+  net.SendMessage(Envelope(a, b),
+                  [&](const proto::Message&) { delivered = true; });
   sim.RunToCompletion();
   EXPECT_TRUE(delivered);
-}
-
-TEST(NetworkTest, BroadcastReachesAllOthers) {
-  Simulation sim(7);
-  Network net(&sim, LatencyModel{Milliseconds(5), Milliseconds(3)});
-  NodeId a = net.AddNode("a");
-  net.AddNode("b");
-  net.AddNode("c");
-  net.AddNode("d");
-  int received = 0;
-  net.Broadcast(a, [&](NodeId) { ++received; });
-  sim.RunToCompletion();
-  EXPECT_EQ(received, 3);
 }
 
 TEST(NetworkTest, JitterWithinBounds) {
@@ -224,8 +226,14 @@ TEST(FailureInjectorTest, PartitionWindowIsolatesNode) {
   injector.SchedulePartition(PartitionWindow{b, 100, 200});
 
   int delivered = 0;
-  sim.At(150, [&] { net.Send(a, b, [&] { ++delivered; }); });
-  sim.At(250, [&] { net.Send(a, b, [&] { ++delivered; }); });
+  sim.At(150, [&] {
+    net.SendMessage(Envelope(a, b),
+                    [&](const proto::Message&) { ++delivered; });
+  });
+  sim.At(250, [&] {
+    net.SendMessage(Envelope(a, b),
+                    [&](const proto::Message&) { ++delivered; });
+  });
   sim.RunToCompletion();
   EXPECT_EQ(delivered, 1);  // Only the post-heal message lands.
 }
