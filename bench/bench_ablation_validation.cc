@@ -83,17 +83,15 @@ TechniqueCosts RunAt(uint64_t chain_length, uint64_t seed) {
   TechniqueCosts costs;
 
   // ---- 1. full replication --------------------------------------------
-  validated.ForEachEntry(
-      [&](const crypto::Hash256& hash, const chain::BlockEntry& entry) {
-        (void)hash;
-        costs.full_bytes += entry.block.header.Encode().size();
-        for (const chain::Transaction& body_tx : entry.block.txs) {
-          costs.full_bytes += body_tx.Encode().size();
-        }
-        for (const chain::Receipt& receipt : entry.block.receipts) {
-          costs.full_bytes += receipt.Encode().size();
-        }
-      });
+  for (const chain::BlockEntry* entry : validated.arrival_order()) {
+    costs.full_bytes += entry->block.header.Encode().size();
+    for (const chain::Transaction& body_tx : entry->block.txs) {
+      costs.full_bytes += body_tx.Encode().size();
+    }
+    for (const chain::Receipt& receipt : entry->block.receipts) {
+      costs.full_bytes += receipt.Encode().size();
+    }
+  }
   costs.full_query_us = MeasureMicros([&]() {
     auto loc = validated.FindTx(tx_id);
     benchmarkish_use(loc.has_value());

@@ -44,19 +44,17 @@ std::map<uint32_t, double> MeasureReorgFrequency(uint64_t seed,
   while (t < duration) {
     t += Milliseconds(20);
     world.env()->sim()->RunUntil(t);
-    chain->ForEachEntry(
-        [&](const crypto::Hash256& hash, const chain::BlockEntry& entry) {
-          (void)entry;
-          auto confirmations = chain->ConfirmationsOf(hash);
-          if (confirmations.has_value()) {
-            uint32_t depth = static_cast<uint32_t>(
-                std::min<uint64_t>(*confirmations, 8));
-            auto it = deepest.find(hash);
-            if (it == deepest.end() || it->second < depth) {
-              deepest[hash] = depth;
-            }
-          }
-        });
+    for (const chain::BlockEntry* entry : chain->arrival_order()) {
+      auto confirmations = chain->ConfirmationsOf(entry->hash);
+      if (confirmations.has_value()) {
+        uint32_t depth =
+            static_cast<uint32_t>(std::min<uint64_t>(*confirmations, 8));
+        auto it = deepest.find(entry->hash);
+        if (it == deepest.end() || it->second < depth) {
+          deepest[entry->hash] = depth;
+        }
+      }
+    }
   }
   // A block whose deepest observed depth was k but is non-canonical at the
   // end was reorged after reaching depth k.

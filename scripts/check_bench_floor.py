@@ -18,18 +18,6 @@ container has (SHA-NI / AVX2) while a CI runner may only have the scalar
 path — the floor still catches a hot-loop regression, which costs far
 more than one dispatch rung.
 
-The many-chain world-state envelope has its own mode:
-
-  check_bench_floor.py --multichain FRESH.json COMMITTED.json [OPS_FACTOR]
-
-  * lookups — the slowest fresh cell's lookup ops/sec must reach at least
-    OPS_FACTOR (default 0.1) times the slowest committed cell's.
-  * memory — the fresh run's measured wall.peak_rss_bytes must stay under
-    the ceiling the *committed* envelope declares
-    (results.rss_ceiling_bytes), so a smoke run on a CI runner is held to
-    the same absolute budget the full run promised.
-  * the fresh sharded-vs-oracle equivalence verdict must be true.
-
 The grid-study envelopes share one mode, spelled per study:
 
   check_bench_floor.py --commit-study FRESH.json COMMITTED.json [WORLDS_FACTOR]
@@ -84,45 +72,6 @@ def check(name, fresh, committed, factor):
     return ok
 
 
-def min_lookup_rate(doc, path):
-    cells = doc["wall"]["cells"]
-    if not cells:
-        raise ValueError(f"{path}: no wall cells")
-    return min(cell["lookup_ops_per_sec"] for cell in cells)
-
-
-def check_multichain(argv):
-    if len(argv) not in (4, 5):
-        print(__doc__, file=sys.stderr)
-        return 1
-    fresh_path, committed_path = argv[2], argv[3]
-    ops_factor = float(argv[4]) if len(argv) == 5 else 0.1
-
-    fresh = load(fresh_path)
-    committed = load(committed_path)
-    ops_ok = check(
-        "multichain lookups (ops/s)",
-        min_lookup_rate(fresh, fresh_path),
-        min_lookup_rate(committed, committed_path),
-        ops_factor,
-    )
-
-    ceiling = committed["results"]["rss_ceiling_bytes"]
-    peak = fresh["wall"]["peak_rss_bytes"]
-    rss_ok = peak <= ceiling
-    print(
-        f"multichain peak RSS: fresh {peak} vs declared ceiling {ceiling} "
-        f"-> {'OK' if rss_ok else 'REGRESSION'}"
-    )
-
-    equiv_ok = bool(fresh["results"].get("equivalence_ok"))
-    print(
-        "multichain sharded-vs-oracle: "
-        f"{'identical' if equiv_ok else 'DIVERGED'}"
-    )
-    return 0 if ops_ok and rss_ok and equiv_ok else 1
-
-
 # Per grid-study mode: the label its lines print under and the results
 # verdict keys that must all be true.
 STUDY_VERDICTS = {
@@ -162,8 +111,6 @@ def check_study(argv, label, verdict_keys):
 
 
 def main(argv):
-    if len(argv) >= 2 and argv[1] == "--multichain":
-        return check_multichain(argv)
     if len(argv) >= 2 and argv[1] in STUDY_VERDICTS:
         return check_study(argv, *STUDY_VERDICTS[argv[1]])
     if len(argv) not in (3, 4, 5):

@@ -12,9 +12,8 @@
 
 namespace ac3::chain {
 
-Blockchain::Blockchain(ChainParams params, std::vector<TxOutput> allocations,
-                       ChainIndex::Options index_options)
-    : params_(std::move(params)), index_(index_options) {
+Blockchain::Blockchain(ChainParams params, std::vector<TxOutput> allocations)
+    : params_(std::move(params)) {
   // Synthetic genesis: a coinbase materializing the initial allocations.
   Transaction genesis_tx;
   genesis_tx.type = TxType::kCoinbase;

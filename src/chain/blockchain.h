@@ -3,10 +3,10 @@
 //
 // Every validated block keeps its own post-state snapshot, so contract
 // state is a pure function of the branch — a reorg "reverts" contract state
-// simply by the head moving (DESIGN.md, design decision 1). This is the
-// machinery behind the paper's fork discussion (Section 4.2): two
-// conflicting SCw states can transiently live on two forks, and the chain
-// converges to one of them.
+// simply by the head moving (docs/architecture.md, "The three load-bearing
+// design decisions", decision 1). This is the machinery behind the paper's
+// fork discussion (Section 4.2): two conflicting SCw states can transiently
+// live on two forks, and the chain converges to one of them.
 
 #ifndef AC3_CHAIN_BLOCKCHAIN_H_
 #define AC3_CHAIN_BLOCKCHAIN_H_
@@ -31,11 +31,7 @@ class Blockchain {
  public:
   /// Creates the chain with a genesis block materializing `allocations`
   /// (initial asset owners, e.g. experiment participants' funding).
-  /// `index_options` tunes the ChainIndex backing storage (shard count,
-  /// oracle mode) — the default fits a production chain; equivalence
-  /// harnesses drive a second chain in oracle mode.
-  Blockchain(ChainParams params, std::vector<TxOutput> allocations,
-             ChainIndex::Options index_options = {});
+  Blockchain(ChainParams params, std::vector<TxOutput> allocations);
 
   const ChainParams& params() const { return params_; }
   ChainId id() const { return params_.id; }
@@ -87,17 +83,9 @@ class Blockchain {
   /// Height of the canonical tip.
   uint64_t height() const { return head_->block.header.height; }
   size_t block_count() const { return index_.EntryCount(); }
-  /// The chain's entry store + query indexes. The only way to reach the
-  /// index internals — there is no raw map accessor.
-  const ChainIndex& index() const { return index_; }
-  /// Visits every stored (hash, entry) — all forks, genesis included — in
-  /// ChainIndex's deterministic order. Shorthand for index().ForEachEntry.
-  template <typename Fn>
-  void ForEachEntry(Fn&& fn) const {
-    index_.ForEachEntry(fn);
-  }
-  /// Every entry (genesis included) in arrival order — an append-only feed
-  /// consumers (the mining network's head trackers) index into.
+  /// Every stored entry (all forks, genesis first) in arrival order: the
+  /// store's one enumeration, and an append-only feed consumers (the
+  /// mining network's head trackers) index into.
   const std::vector<const BlockEntry*>& arrival_order() const {
     return arrival_order_;
   }
@@ -231,7 +219,7 @@ class Blockchain {
   bool OnBranch(const BlockEntry& tip, const BlockEntry* entry) const;
 
   ChainParams params_;
-  /// Entry store + tx/contract query indexes (sharded; see chain_index.h).
+  /// Entry store + tx/contract query indexes (see chain_index.h).
   ChainIndex index_;
   std::vector<std::pair<SubscriptionId, HeadListener>> head_listeners_;
   SubscriptionId next_subscription_id_ = 1;

@@ -1,16 +1,13 @@
 // ChainIndex: the block-entry store and chain-global query indexes behind
 // one narrow facade.
 //
-// A Blockchain used to hold three raw `std::unordered_map`s (hash ->
-// entry, tx -> occurrences, contract -> call entries) and even leaked one
-// of them through an `entries()` accessor, which welded every caller to
-// the backing container. ChainIndex is the seam that un-welds them: the
-// fork-tree store and both hot query indexes live here behind FindEntry /
-// FindTx / FindCall / OccurrencesOf / EntryCount / ForEachEntry, and the
-// backing storage is the sharded, slab-backed ShardedIndex
-// (src/common/sharded_index.h) — swappable, memory-accounted, and
-// testable against its own single-map oracle mode without touching any
-// caller.
+// The fork-tree store (hash -> entry) and both hot query indexes (tx ->
+// occurrences, contract -> entries with calls) live here behind FindEntry
+// / FindTx / FindCall / OccurrencesOf / EntryCount, with no raw map
+// accessor, so no caller depends on the backing containers. Those are
+// three plain std::unordered_maps: node-based, so a stored entry never
+// moves, which the parent links, head pointers and occurrence lists rely
+// on.
 //
 // Branch awareness stays out: ChainIndex knows every fork-sibling
 // occurrence of a transaction, but *which* occurrence is canonical
@@ -32,7 +29,6 @@
 
 #include "src/chain/block.h"
 #include "src/chain/ledger.h"
-#include "src/common/sharded_index.h"
 
 namespace ac3::chain {
 
@@ -101,23 +97,12 @@ struct TxLocation {
 /// — the Blockchain's parallel-validation discipline.
 class ChainIndex {
  public:
-  /// Construction knobs, forwarded to the backing ShardedIndexes.
-  struct Options {
-    /// Shards per index (rounded up to a power of two).
-    size_t shards = 16;
-    /// True backs every index with the single-map oracle — the reference
-    /// mode equivalence tests and the many-chain bench compare against.
-    bool oracle = false;
-  };
-
-  /// An empty index with default options.
-  ChainIndex() : ChainIndex(Options{}) {}
-
-  /// An empty index with the given backing options.
-  explicit ChainIndex(Options options)
-      : entries_(IndexOptions<EntryIndex>(options)),
-        tx_occurrences_(IndexOptions<TxIndex>(options)),
-        contract_calls_(IndexOptions<CallIndex>(options)) {}
+  /// An empty index.
+  ChainIndex() = default;
+  /// Not copyable: the occurrence lists point into this store's entries.
+  ChainIndex(const ChainIndex&) = delete;
+  /// Not copy-assignable (see the copy constructor).
+  ChainIndex& operator=(const ChainIndex&) = delete;
 
   /// Stores `entry` under `hash` (which must be new) and records its
   /// transactions and contract calls in the query indexes. Returns the
@@ -126,31 +111,25 @@ class ChainIndex {
 
   /// The stored entry for `hash`, or nullptr.
   const BlockEntry* FindEntry(const crypto::Hash256& hash) const {
-    return entries_.Find(hash);
+    auto it = entries_.find(hash);
+    return it == entries_.end() ? nullptr : &it->second;
   }
 
   /// True when `hash` is stored.
   bool Contains(const crypto::Hash256& hash) const {
-    return entries_.Contains(hash);
+    return entries_.contains(hash);
   }
 
   /// Stored entries (every fork, genesis included).
   size_t EntryCount() const { return entries_.size(); }
 
-  /// Visits every stored (hash, entry) in the deterministic sharded order
-  /// (shard-major, insertion order within a shard). The only sanctioned
-  /// full scan — there is deliberately no raw map accessor.
-  template <typename Fn>
-  void ForEachEntry(Fn&& fn) const {
-    entries_.ForEach(fn);
-  }
-
-  /// Every stored occurrence of `tx_id` across all forks (empty span when
-  /// the transaction is unknown). Valid until the next Store.
+  /// Every stored occurrence of `tx_id` across all forks, in store order
+  /// (empty span when the transaction is unknown). Valid until the next
+  /// Store.
   std::span<const TxLocation> OccurrencesOf(const crypto::Hash256& tx_id) const {
-    const std::vector<TxLocation>* list = tx_occurrences_.Find(tx_id);
-    if (list == nullptr) return {};
-    return {list->data(), list->size()};
+    auto it = tx_occurrences_.find(tx_id);
+    if (it == tx_occurrences_.end()) return {};
+    return it->second;
   }
 
   /// The occurrence of `tx_id` on the branch selected by `on_branch`
@@ -174,15 +153,14 @@ class ChainIndex {
                                      const std::string& function,
                                      bool require_success,
                                      OnBranch&& on_branch) const {
-    const std::vector<const BlockEntry*>* list =
-        contract_calls_.Find(contract_id);
-    if (list == nullptr) return std::nullopt;
+    auto it = contract_calls_.find(contract_id);
+    if (it == contract_calls_.end()) return std::nullopt;
     // Newest on-branch entry containing a matching call; within an entry,
     // calls are scanned in block order (same answer a head-to-genesis walk
     // would produce, without visiting call-free blocks).
     const BlockEntry* best_entry = nullptr;
     uint32_t best_index = 0;
-    for (const BlockEntry* entry : *list) {
+    for (const BlockEntry* entry : it->second) {
       if (best_entry != nullptr && entry->height() <= best_entry->height()) {
         continue;
       }
@@ -200,30 +178,11 @@ class ChainIndex {
     return TxLocation{best_entry, best_index};
   }
 
-  /// Slab bytes reserved across all three backing indexes (the number the
-  /// many-chain bench's memory ceiling bounds). Excludes value-owned heap.
-  size_t bytes_reserved() const {
-    return entries_.bytes_reserved() + tx_occurrences_.bytes_reserved() +
-           contract_calls_.bytes_reserved();
-  }
-
  private:
-  using EntryIndex = ShardedIndex<crypto::Hash256, BlockEntry>;
-  using TxIndex = ShardedIndex<crypto::Hash256, std::vector<TxLocation>>;
-  using CallIndex =
-      ShardedIndex<crypto::Hash256, std::vector<const BlockEntry*>>;
-
-  template <typename Index>
-  static typename Index::Options IndexOptions(const Options& options) {
-    typename Index::Options out;
-    out.shards = options.shards;
-    out.oracle = options.oracle;
-    return out;
-  }
-
-  EntryIndex entries_;
-  TxIndex tx_occurrences_;
-  CallIndex contract_calls_;
+  std::unordered_map<crypto::Hash256, BlockEntry> entries_;
+  std::unordered_map<crypto::Hash256, std::vector<TxLocation>> tx_occurrences_;
+  std::unordered_map<crypto::Hash256, std::vector<const BlockEntry*>>
+      contract_calls_;
 };
 
 }  // namespace ac3::chain

@@ -58,15 +58,14 @@ Duration MiningNetwork::GossipDelay(const crypto::Hash256& block_hash,
 const BlockEntry* MiningNetwork::VisibleHeadScan(int miner,
                                                  TimePoint now) const {
   const BlockEntry* best = chain_->genesis();
-  chain_->ForEachEntry([&](const crypto::Hash256& hash,
-                           const BlockEntry& entry) {
-    if (entry.arrival_time + GossipDelay(hash, miner) > now) return;
-    if (entry.total_work > best->total_work ||
-        (entry.total_work == best->total_work &&
-         entry.arrival_seq < best->arrival_seq)) {
-      best = &entry;
+  for (const BlockEntry* entry : chain_->arrival_order()) {
+    if (entry->arrival_time + GossipDelay(entry->hash, miner) > now) continue;
+    if (entry->total_work > best->total_work ||
+        (entry->total_work == best->total_work &&
+         entry->arrival_seq < best->arrival_seq)) {
+      best = entry;
     }
-  });
+  }
   return best;
 }
 

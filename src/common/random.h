@@ -17,7 +17,7 @@ namespace ac3 {
 
 /// xoshiro256** generator. Small, fast, and good enough statistical quality
 /// for simulation workloads (NOT for key generation in a real deployment;
-/// see DESIGN.md on toy crypto parameters).
+/// see the SECURITY NOTE in src/crypto/primes.h on toy crypto parameters).
 class Rng {
  public:
   /// Seeds the four 64-bit lanes from `seed` via SplitMix64.

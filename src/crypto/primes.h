@@ -11,7 +11,7 @@
 //
 // SECURITY NOTE: the parameter sizes are deliberately tiny (a laptop could
 // break them); they substitute for secp256k1 so that every sign/verify code
-// path in the protocols is real while experiments stay fast. See DESIGN.md.
+// path in the protocols is real while experiments stay fast.
 
 #ifndef AC3_CRYPTO_PRIMES_H_
 #define AC3_CRYPTO_PRIMES_H_

@@ -49,12 +49,11 @@ void Ac3twSwapEngine::TryRegister() {
   // travels back. Either leg can be lost to a crash (or, under the message
   // fault model, dropped outright) — PaceResend re-sends until the ack
   // lands.
-  proto::Message msg;
-  msg.swap_id = ms_id_;
-  msg.sender = registrar->node();
-  msg.receiver = trent_->node();
-  msg.payload = proto::PreparePayload{ms_.Encode()};
-  SendProtocolMessage(std::move(msg));
+  SendProtocolMessage(proto::Message{
+      .swap_id = ms_id_,
+      .sender = registrar->node(),
+      .receiver = trent_->node(),
+      .payload = proto::PreparePayload{ms_.Encode()}});
 }
 
 void Ac3twSwapEngine::TryPublish(EdgeRt* rt) {
@@ -100,12 +99,11 @@ void Ac3twSwapEngine::RequestDecision(crypto::CommitmentTag tag) {
   // Step 5 / 6: the request travels to Trent, who consults (and possibly
   // updates) his key/value store, and the value travels back as a
   // kDecision envelope.
-  proto::Message msg;
-  msg.swap_id = ms_id_;
-  msg.sender = requester->node();
-  msg.receiver = trent_->node();
-  msg.payload = proto::RedeemNotifyPayload{static_cast<uint8_t>(tag)};
-  SendProtocolMessage(std::move(msg));
+  SendProtocolMessage(proto::Message{
+      .swap_id = ms_id_,
+      .sender = requester->node(),
+      .receiver = trent_->node(),
+      .payload = proto::RedeemNotifyPayload{static_cast<uint8_t>(tag)}});
 }
 
 void Ac3twSwapEngine::OnMessage(const proto::Message& msg) {
@@ -117,12 +115,11 @@ void Ac3twSwapEngine::OnMessage(const proto::Message& msg) {
       Status status = trent_->HandleRegister(ms_);
       const bool accepted =
           status.ok() || status.code() == StatusCode::kAlreadyExists;
-      proto::Message ack;
-      ack.swap_id = ms_id_;
-      ack.sender = trent_->node();
-      ack.receiver = msg.sender;
-      ack.payload = proto::AckPayload{0, 0, accepted};
-      SendProtocolMessage(std::move(ack));
+      SendProtocolMessage(proto::Message{
+          .swap_id = ms_id_,
+          .sender = trent_->node(),
+          .receiver = msg.sender,
+          .payload = proto::AckPayload{0, 0, accepted}});
       return;
     }
     case proto::MessageKind::kAck: {
@@ -156,13 +153,13 @@ void Ac3twSwapEngine::OnMessage(const proto::Message& msg) {
         AC3_LOG(kDebug) << "Trent declines: " << result.status().ToString();
         return;
       }
-      proto::Message reply;
-      reply.swap_id = ms_id_;
-      reply.sender = trent_->node();
-      reply.receiver = msg.sender;
-      reply.payload = proto::DecisionPayload{
-          0, static_cast<uint8_t>(result->tag), result->signature.Encode()};
-      SendProtocolMessage(std::move(reply));
+      SendProtocolMessage(proto::Message{
+          .swap_id = ms_id_,
+          .sender = trent_->node(),
+          .receiver = msg.sender,
+          .payload = proto::DecisionPayload{
+              0, static_cast<uint8_t>(result->tag),
+              result->signature.Encode()}});
       return;
     }
     case proto::MessageKind::kDecision: {

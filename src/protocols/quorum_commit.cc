@@ -141,13 +141,12 @@ void QuorumCommitEngine::BroadcastStateReq(uint32_t coordinator,
   if (!PaceBroadcast(now)) return;
   for (uint32_t v = 0; v < VertexCount(); ++v) {
     if (v == coordinator || state_replies_.count(v) > 0) continue;
-    proto::Message msg;
-    msg.swap_id = ms_id_;
-    msg.epoch = epoch_;
-    msg.sender = participant(coordinator)->node();
-    msg.receiver = participant(v)->node();
-    msg.payload = proto::StateReqPayload{v, coordinator};
-    SendProtocolMessage(std::move(msg));
+    SendProtocolMessage(proto::Message{
+        .swap_id = ms_id_,
+        .epoch = epoch_,
+        .sender = participant(coordinator)->node(),
+        .receiver = participant(v)->node(),
+        .payload = proto::StateReqPayload{v, coordinator}});
   }
 }
 
@@ -156,14 +155,13 @@ void QuorumCommitEngine::BroadcastPreCommit(uint32_t coordinator,
   if (!PaceBroadcast(now)) return;
   for (uint32_t v = 0; v < VertexCount(); ++v) {
     if (v == coordinator || acks_.count(v) > 0) continue;
-    proto::Message msg;
-    msg.swap_id = ms_id_;
-    msg.epoch = epoch_;
-    msg.sender = participant(coordinator)->node();
-    msg.receiver = participant(v)->node();
-    msg.payload =
-        proto::PreCommitPayload{v, static_cast<uint8_t>(round_tag_)};
-    SendProtocolMessage(std::move(msg));
+    SendProtocolMessage(proto::Message{
+        .swap_id = ms_id_,
+        .epoch = epoch_,
+        .sender = participant(coordinator)->node(),
+        .receiver = participant(v)->node(),
+        .payload =
+            proto::PreCommitPayload{v, static_cast<uint8_t>(round_tag_)}});
   }
 }
 
@@ -171,14 +169,14 @@ void QuorumCommitEngine::BroadcastDecision(uint32_t sender, TimePoint now) {
   if (!PaceBroadcast(now)) return;
   for (uint32_t v = 0; v < VertexCount(); ++v) {
     if (v == sender || members_[v].knows_decision) continue;
-    proto::Message msg;
-    msg.swap_id = ms_id_;
-    msg.epoch = epoch_;
-    msg.sender = participant(sender)->node();
-    msg.receiver = participant(v)->node();
-    msg.payload = proto::DecisionPayload{
-        v, static_cast<uint8_t>(decision_->tag), decision_->secret.Encode()};
-    SendProtocolMessage(std::move(msg));
+    SendProtocolMessage(proto::Message{
+        .swap_id = ms_id_,
+        .epoch = epoch_,
+        .sender = participant(sender)->node(),
+        .receiver = participant(v)->node(),
+        .payload = proto::DecisionPayload{
+            v, static_cast<uint8_t>(decision_->tag),
+            decision_->secret.Encode()}});
   }
 }
 
@@ -190,15 +188,14 @@ void QuorumCommitEngine::OnMessage(const proto::Message& msg) {
       // reply is fenced if the takeover has moved on by the time it lands.
       const auto& req = std::get<proto::StateReqPayload>(msg.payload);
       const MemberState& m = members_[req.vertex];
-      proto::Message reply;
-      reply.swap_id = ms_id_;
-      reply.epoch = msg.epoch;
-      reply.sender = msg.receiver;
-      reply.receiver = msg.sender;
-      reply.payload = proto::StateReplyPayload{
-          req.vertex, m.epoch, static_cast<uint8_t>(m.phase),
-          static_cast<uint8_t>(m.tag), m.knows_decision};
-      SendProtocolMessage(std::move(reply));
+      SendProtocolMessage(proto::Message{
+          .swap_id = ms_id_,
+          .epoch = msg.epoch,
+          .sender = msg.receiver,
+          .receiver = msg.sender,
+          .payload = proto::StateReplyPayload{
+              req.vertex, m.epoch, static_cast<uint8_t>(m.phase),
+              static_cast<uint8_t>(m.tag), m.knows_decision}});
       return;
     }
     case proto::MessageKind::kStateReply: {
@@ -219,13 +216,12 @@ void QuorumCommitEngine::OnMessage(const proto::Message& msg) {
                           static_cast<crypto::CommitmentTag>(pc.tag))) {
         return;
       }
-      proto::Message ack;
-      ack.swap_id = ms_id_;
-      ack.epoch = msg.epoch;
-      ack.sender = msg.receiver;
-      ack.receiver = msg.sender;
-      ack.payload = proto::AckPayload{pc.vertex, pc.tag, true};
-      SendProtocolMessage(std::move(ack));
+      SendProtocolMessage(proto::Message{
+          .swap_id = ms_id_,
+          .epoch = msg.epoch,
+          .sender = msg.receiver,
+          .receiver = msg.sender,
+          .payload = proto::AckPayload{pc.vertex, pc.tag, true}});
       return;
     }
     case proto::MessageKind::kAck: {

@@ -4,7 +4,8 @@
 // the system — miners, participants, witnesses, the network — advances by
 // scheduling callbacks. The kernel is single-threaded and deterministic:
 // given the same seed and the same schedule of calls, a run is reproducible
-// bit-for-bit (DESIGN.md, design decision 3).
+// bit-for-bit (docs/architecture.md, "The three load-bearing design
+// decisions", decision 2).
 
 #ifndef AC3_SIM_SIMULATION_H_
 #define AC3_SIM_SIMULATION_H_

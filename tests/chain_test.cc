@@ -1,14 +1,23 @@
 // Unit tests for the blockchain substrate: transactions, blocks, PoW,
-// ledger execution, fork choice, canonical queries, mempool, wallet, and
-// the Poisson mining network.
+// ledger execution, fork choice, canonical queries, the chain index,
+// mempool, wallet, and the Poisson mining network.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <span>
+#include <string>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/chain/blockchain.h"
 #include "src/chain/mempool.h"
 #include "src/chain/mining.h"
 #include "src/chain/pow.h"
 #include "src/chain/wallet.h"
+#include "src/contracts/htlc_contract.h"
 #include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
@@ -381,6 +390,669 @@ TEST(BlockchainTest, FindTxLocatesCanonicalInclusion) {
   ASSERT_TRUE(loc.has_value());
   EXPECT_EQ(loc->index, 1u);  // After the coinbase.
   EXPECT_FALSE(tc.chain().FindTx(crypto::Hash256::OfString("no")).has_value());
+}
+
+TEST(BlockchainTest, ArrivalOrderListsEveryStoredEntryOnce) {
+  TestChain tc(FastParams(), {});
+  Blockchain& bc = tc.chain();
+  Rng rng(23);
+  ASSERT_EQ(bc.arrival_order().size(), 1u);
+  EXPECT_EQ(bc.arrival_order().front(), bc.genesis());
+
+  // Fork siblings are appended in submission order, not hash order.
+  const crypto::Hash256 root = bc.genesis()->hash;
+  auto a1 =
+      bc.AssembleBlock(root, kNoCandidates, Alice().public_key(), 100, &rng);
+  auto b1 =
+      bc.AssembleBlock(root, kNoCandidates, Bob().public_key(), 100, &rng);
+  ASSERT_TRUE(a1.ok() && b1.ok());
+  ASSERT_TRUE(bc.SubmitBlock(*b1, 100).ok());
+  ASSERT_TRUE(bc.SubmitBlock(*a1, 101).ok());
+
+  // A re-submitted stored block and a rejected block append nothing.
+  EXPECT_EQ(bc.SubmitBlock(*a1, 102).code(), StatusCode::kAlreadyExists);
+  Block bad = *a1;
+  do {
+    ++bad.header.nonce;
+  } while (CheckProofOfWork(bad.header));
+  EXPECT_EQ(bc.SubmitBlock(bad, 102).code(), StatusCode::kVerificationFailed);
+  ASSERT_EQ(bc.arrival_order().size(), 3u);
+  EXPECT_EQ(bc.arrival_order()[1]->hash, b1->header.Hash());
+  EXPECT_EQ(bc.arrival_order()[2]->hash, a1->header.Hash());
+
+  // A SubmitBlocks batch appends its accepted blocks in input order,
+  // skipping the stored duplicate and the rejected block it carries.
+  auto c1 = bc.AssembleBlock(a1->header.Hash(), kNoCandidates,
+                             Alice().public_key(), 200, &rng);
+  auto c2 = bc.AssembleBlock(b1->header.Hash(), kNoCandidates,
+                             Alice().public_key(), 200, &rng);
+  auto c3 = bc.AssembleBlock(a1->header.Hash(), kNoCandidates,
+                             Bob().public_key(), 200, &rng);
+  ASSERT_TRUE(c1.ok() && c2.ok() && c3.ok());
+  const auto batch =
+      bc.SubmitBlocks({*c2, *b1, bad, *c3, *c1}, 200, /*threads=*/2);
+  EXPECT_EQ(batch.accepted, 3u);
+  EXPECT_EQ(batch.statuses[1].code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(batch.statuses[2].code(), StatusCode::kVerificationFailed);
+
+  const std::vector<const BlockEntry*>& order = bc.arrival_order();
+  ASSERT_EQ(order.size(), 6u);
+  EXPECT_EQ(order[3]->hash, c2->header.Hash());
+  EXPECT_EQ(order[4]->hash, c3->header.Hash());
+  EXPECT_EQ(order[5]->hash, c1->header.Hash());
+
+  // Every stored entry exactly once, as the pointer the store holds.
+  EXPECT_EQ(order.size(), bc.block_count());
+  EXPECT_EQ(std::unordered_set<const BlockEntry*>(order.begin(), order.end())
+                .size(),
+            order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(bc.Get(order[i]->hash), order[i]);
+    EXPECT_EQ(order[i]->arrival_seq, i);
+  }
+}
+
+TEST(BlockchainTest, FindTxFollowsAReorgToTheOtherInclusion) {
+  // One transfer mined into two sibling blocks at different positions:
+  // FindTx answers with whichever sibling the head extends.
+  TestChain tc(FastParams(),
+               Fund({Alice().public_key(), Bob().public_key()}, 100));
+  Blockchain& bc = tc.chain();
+  Rng rng(29);
+  Wallet alice(Alice(), 0);
+  Wallet bob(Bob(), 0);
+  auto tx = alice.BuildTransfer(bc.StateAtHead(), Bob().public_key(), 10, 1, 1);
+  auto filler =
+      bob.BuildTransfer(bc.StateAtHead(), Alice().public_key(), 5, 1, 1);
+  ASSERT_TRUE(tx.ok() && filler.ok());
+
+  const crypto::PublicKey miner = crypto::KeyPair::FromSeed(9999).public_key();
+  const BlockEntry* root = bc.head();
+  auto a1 = bc.AssembleBlock(root->hash, {*tx}, miner, 100, &rng);
+  auto b1 = bc.AssembleBlock(root->hash, {*filler, *tx}, miner, 100, &rng);
+  ASSERT_TRUE(a1.ok() && b1.ok());
+  ASSERT_TRUE(bc.SubmitBlock(*a1, 100).ok());
+  ASSERT_TRUE(bc.SubmitBlock(*b1, 101).ok());
+  const BlockEntry* a1_entry = bc.Get(a1->header.Hash());
+  const BlockEntry* b1_entry = bc.Get(b1->header.Hash());
+  ASSERT_EQ(bc.head(), a1_entry);  // First seen wins the tie.
+
+  auto loc = bc.FindTx(tx->Id());
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->entry, a1_entry);
+  EXPECT_EQ(a1_entry->block.txs[loc->index].Id(), tx->Id());
+  EXPECT_FALSE(bc.FindTx(filler->Id()).has_value());
+  EXPECT_TRUE(bc.TxOnBranch(*a1_entry, tx->Id()));
+  EXPECT_TRUE(bc.TxOnBranch(*b1_entry, tx->Id()));
+  EXPECT_FALSE(bc.TxOnBranch(*a1_entry, filler->Id()));
+  EXPECT_FALSE(bc.TxOnBranch(*root, tx->Id()));
+
+  // Extending b1 reorgs the head onto the other inclusion.
+  auto b2 = bc.AssembleBlock(b1_entry->hash, kNoCandidates, miner, 200, &rng);
+  ASSERT_TRUE(b2.ok());
+  ASSERT_TRUE(bc.SubmitBlock(*b2, 200).ok());
+  ASSERT_EQ(bc.head()->parent, b1_entry);
+  loc = bc.FindTx(tx->Id());
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->entry, b1_entry);
+  EXPECT_EQ(b1_entry->block.txs[loc->index].Id(), tx->Id());
+  ASSERT_TRUE(bc.FindTx(filler->Id()).has_value());
+  EXPECT_EQ(bc.FindTx(filler->Id())->entry, b1_entry);
+  EXPECT_EQ(bc.ConfirmationsOf(b1_entry->hash), 1u);
+  EXPECT_FALSE(bc.ConfirmationsOf(a1_entry->hash).has_value());
+}
+
+TEST(BlockchainTest, FindCallForgetsARedeemReorgedAway) {
+  contracts::RegisterBuiltinContracts();
+  const ChainParams params = FastParams();
+  TestChain tc(params,
+               Fund({Alice().public_key(), Bob().public_key()}, 100000));
+  Blockchain& bc = tc.chain();
+  Wallet alice(Alice(), params.id);
+  Wallet bob(Bob(), params.id);
+
+  const Bytes secret{3, 1, 4, 1, 5, 9};
+  auto deploy = alice.BuildDeploy(
+      bc.StateAtHead(), contracts::kHtlcKind,
+      contracts::HtlcContract::MakeInitPayload(
+          Bob().public_key(), crypto::Hash256::Of(secret), Minutes(60)),
+      500, params.deploy_fee, /*nonce=*/1);
+  ASSERT_TRUE(deploy.ok());
+  const crypto::Hash256 contract_id = deploy->Id();
+  ASSERT_TRUE(tc.MineBlock({*deploy}).ok());
+  const BlockEntry* deployed = bc.head();
+  auto redeem = bob.BuildCall(bc.StateAtHead(), contract_id,
+                              contracts::kRedeemFunction, secret, 1,
+                              /*nonce=*/1);
+  ASSERT_TRUE(redeem.ok());
+  ASSERT_TRUE(tc.MineBlock({*redeem}).ok());
+
+  const BlockEntry* redeemed = bc.head();
+  auto call = bc.FindCall(contract_id, contracts::kRedeemFunction,
+                          /*require_success=*/true);
+  ASSERT_TRUE(call.has_value());
+  EXPECT_EQ(call->entry, redeemed);
+  EXPECT_EQ(redeemed->block.txs[call->index].Id(), redeem->Id());
+
+  // A two-block fork off the deploy block overtakes the redeem block.
+  ASSERT_TRUE(tc.MineBlockOn(deployed->hash, {}).ok());
+  ASSERT_TRUE(tc.MineBlockOn(bc.arrival_order().back()->hash, {}).ok());
+  ASSERT_EQ(bc.head()->parent->parent, deployed);
+  for (bool require_success : {false, true}) {
+    EXPECT_FALSE(bc.FindCall(contract_id, contracts::kRedeemFunction,
+                             require_success)
+                     .has_value());
+  }
+  EXPECT_FALSE(bc.FindTx(redeem->Id()).has_value());
+
+  // Re-mining the same redeem on the winning branch brings the call back.
+  ASSERT_TRUE(tc.MineBlock({*redeem}).ok());
+  call = bc.FindCall(contract_id, contracts::kRedeemFunction,
+                     /*require_success=*/true);
+  ASSERT_TRUE(call.has_value());
+  EXPECT_EQ(call->entry, bc.head());
+  EXPECT_NE(call->entry, redeemed);
+  // The losing fork still holds its own copy of the call.
+  EXPECT_TRUE(bc.TxOnBranch(*redeemed, redeem->Id()));
+}
+
+// ------------------------------------------------------------- chain index
+
+const crypto::KeyPair kAlice = crypto::KeyPair::FromSeed(61);
+const crypto::KeyPair kBob = crypto::KeyPair::FromSeed(62);
+const crypto::KeyPair kMiner = crypto::KeyPair::FromSeed(63);
+
+ChainParams ChurnParams() {
+  ChainParams params = TestChainParams();
+  params.difficulty_bits = 4;
+  return params;
+}
+
+// Reference answers, computed by walking parent links from a tip: what
+// the ChainIndex occurrence and call lists must reproduce.
+
+std::optional<TxLocation> WalkFindTx(const BlockEntry* tip,
+                                     const crypto::Hash256& tx_id) {
+  for (const BlockEntry* entry = tip; entry != nullptr; entry = entry->parent) {
+    auto it = entry->tx_index.find(tx_id);
+    if (it != entry->tx_index.end()) return TxLocation{entry, it->second};
+  }
+  return std::nullopt;
+}
+
+std::optional<TxLocation> WalkFindCall(const BlockEntry* tip,
+                                       const crypto::Hash256& contract_id,
+                                       const std::string& function,
+                                       bool require_success) {
+  for (const BlockEntry* entry = tip; entry != nullptr; entry = entry->parent) {
+    for (const CallRecord& call : entry->calls) {
+      if (call.contract_id == contract_id && call.function == function &&
+          (!require_success || call.success)) {
+        return TxLocation{entry, call.tx_index};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<uint64_t> WalkConfirmations(const BlockEntry* head,
+                                          const BlockEntry* entry) {
+  for (const BlockEntry* walk = head; walk != nullptr; walk = walk->parent) {
+    if (walk == entry) return head->height() - entry->height();
+  }
+  return std::nullopt;
+}
+
+void ExpectSameLocation(const std::optional<TxLocation>& got,
+                        const std::optional<TxLocation>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->entry, want->entry);
+  EXPECT_EQ(got->index, want->index);
+}
+
+TEST(ChainIndexTest, ForkReorgChurnMatchesParentWalk) {
+  contracts::RegisterBuiltinContracts();
+  const ChainParams params = ChurnParams();
+  Blockchain bc(params, Fund({kAlice.public_key(), kBob.public_key()}, 100000));
+
+  Rng rng(777);
+  TimePoint now = 0;
+  std::vector<crypto::Hash256> tx_ids;
+  auto mine_on = [&](const crypto::Hash256& parent,
+                     const std::vector<Transaction>& txs) {
+    now += 100;
+    auto block =
+        bc.AssembleBlock(parent, txs, kMiner.public_key(), now, &rng);
+    ASSERT_TRUE(block.ok());
+    ASSERT_TRUE(bc.SubmitBlock(*block, now).ok());
+    for (const Transaction& tx : block->txs) tx_ids.push_back(tx.Id());
+  };
+
+  Wallet alice(kAlice, params.id);
+  Wallet bob(kBob, params.id);
+
+  // An HTLC deploy + redeem so FindCall has real traffic to index.
+  const Bytes secret{4, 8, 15, 16, 23, 42};
+  auto deploy = alice.BuildDeploy(
+      bc.StateAtHead(), contracts::kHtlcKind,
+      contracts::HtlcContract::MakeInitPayload(
+          kBob.public_key(), crypto::Hash256::Of(secret), Minutes(60)),
+      500, params.deploy_fee, /*nonce=*/1);
+  ASSERT_TRUE(deploy.ok());
+  const crypto::Hash256 contract_id = deploy->Id();
+  mine_on(bc.head()->hash, {*deploy});
+  auto redeem = bob.BuildCall(bc.StateAtHead(), contract_id,
+                              contracts::kRedeemFunction, secret, 1,
+                              /*nonce=*/1);
+  ASSERT_TRUE(redeem.ok());
+  mine_on(bc.head()->hash, {*redeem});
+
+  // Randomized churn: transfers on the head, plus empty fork blocks on
+  // random recent parents (some of which overtake the head — reorgs).
+  uint64_t nonce = 2;
+  for (int round = 0; round < 40; ++round) {
+    if (rng.NextU64() % 3 == 0) {
+      auto tx = alice.BuildTransfer(bc.StateAtHead(), kBob.public_key(),
+                                    1 + rng.NextU64() % 5, 1, nonce++);
+      ASSERT_TRUE(tx.ok());
+      mine_on(bc.head()->hash, {*tx});
+    } else {
+      const auto& arrivals = bc.arrival_order();
+      const size_t window = std::min<size_t>(arrivals.size(), 6);
+      const BlockEntry* parent =
+          arrivals[arrivals.size() - 1 - rng.NextU64() % window];
+      mine_on(parent->hash, {});
+    }
+  }
+  ASSERT_GT(bc.block_count(), 40u);
+
+  // Every query the facade exposes answers like the parent-link walk.
+  const BlockEntry* head = bc.head();
+  size_t off_branch = 0;
+  for (const crypto::Hash256& tx_id : tx_ids) {
+    const std::optional<TxLocation> want = WalkFindTx(head, tx_id);
+    if (!want.has_value()) ++off_branch;
+    ExpectSameLocation(bc.FindTx(tx_id), want);
+    for (const BlockEntry* tip : bc.arrival_order()) {
+      EXPECT_EQ(bc.TxOnBranch(*tip, tx_id),
+                WalkFindTx(tip, tx_id).has_value());
+    }
+  }
+  // The churn must leave transactions on losing forks, or FindTx's
+  // branch filter goes unexercised.
+  EXPECT_GT(off_branch, 0u);
+  for (bool require_success : {false, true}) {
+    ExpectSameLocation(
+        bc.FindCall(contract_id, contracts::kRedeemFunction, require_success),
+        WalkFindCall(head, contract_id, contracts::kRedeemFunction,
+                     require_success));
+  }
+  // Entry by entry: the pointer handed out at arrival is still the stored
+  // entry after all the churn (entries never move), and its canonical
+  // depth matches the walk.
+  for (const BlockEntry* entry : bc.arrival_order()) {
+    EXPECT_EQ(bc.Get(entry->hash), entry);
+    EXPECT_EQ(bc.ConfirmationsOf(entry->hash), WalkConfirmations(head, entry));
+  }
+  EXPECT_EQ(bc.arrival_order().size(), bc.block_count());
+}
+
+TEST(ChainIndexTest, EntrySnapshotsAreIndependentOfLaterChurn) {
+  testutil::TestChain tc(ChurnParams(),
+                         testutil::Fund({kAlice.public_key()}, 1000));
+  chain::Wallet alice(kAlice, tc.chain().id());
+  auto tx = alice.BuildTransfer(tc.chain().StateAtHead(), kBob.public_key(),
+                                100, 1, 1);
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(tc.MineBlock({*tx}).ok());
+  const chain::BlockEntry* snapshot_entry = tc.chain().head();
+  const chain::Amount bob_then =
+      snapshot_entry->state.BalanceOf(kBob.public_key());
+  EXPECT_EQ(bob_then, 100);
+
+  // Later blocks (including a fork off the snapshot's parent) must not
+  // disturb the stored entry's state snapshot.
+  auto tx2 = alice.BuildTransfer(tc.chain().StateAtHead(), kBob.public_key(),
+                                 25, 1, 2);
+  ASSERT_TRUE(tx2.ok());
+  ASSERT_TRUE(tc.MineBlock({*tx2}).ok());
+  ASSERT_TRUE(tc.MineBlockOn(snapshot_entry->block.header.prev_hash, {}).ok());
+  ASSERT_TRUE(tc.MineEmpty(5).ok());
+  EXPECT_EQ(snapshot_entry->state.BalanceOf(kBob.public_key()), bob_then);
+  EXPECT_EQ(tc.chain().StateAtHead().BalanceOf(kBob.public_key()), 125);
+}
+
+// Hand-built entries for driving a ChainIndex directly. The index reads
+// only an entry's hash, height, parent, tx_index and calls, so no block
+// has to be mined or validated.
+
+using TxSlots = std::vector<std::pair<crypto::Hash256, uint32_t>>;
+
+crypto::Hash256 Key(const std::string& label) {
+  return crypto::Hash256::OfString(label);
+}
+
+// `prefix` followed by `n` in decimal.
+std::string Numbered(const std::string& prefix, int n) {
+  std::string label = prefix;
+  label += std::to_string(n);
+  return label;
+}
+
+const BlockEntry* StoreEntry(ChainIndex* index, const std::string& label,
+                             const BlockEntry* parent,
+                             const TxSlots& txs = {},
+                             std::vector<CallRecord> calls = {}) {
+  BlockEntry entry;
+  entry.hash = Key(label);
+  entry.parent = parent;
+  if (parent != nullptr) {
+    entry.block.header.height = parent->height() + 1;
+    entry.block.header.prev_hash = parent->hash;
+  }
+  for (const auto& [tx_id, tx_index] : txs) {
+    entry.tx_index.emplace(tx_id, tx_index);
+  }
+  entry.calls = std::move(calls);
+  const crypto::Hash256 hash = entry.hash;
+  return index->Store(hash, std::move(entry));
+}
+
+// The `on_branch` predicate for the branch genesis..`tip`.
+auto BranchOf(const BlockEntry* tip) {
+  return [tip](const BlockEntry& entry) {
+    const BlockEntry* walk = tip;
+    while (walk != nullptr && walk->height() > entry.height()) {
+      walk = walk->parent;
+    }
+    return walk == &entry;
+  };
+}
+
+TEST(ChainIndexTest, StoreFindsEntriesByHash) {
+  ChainIndex index;
+  EXPECT_EQ(index.EntryCount(), 0u);
+  EXPECT_FALSE(index.Contains(Key("genesis")));
+  EXPECT_EQ(index.FindEntry(Key("genesis")), nullptr);
+
+  const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
+  const BlockEntry* a1 = StoreEntry(&index, "a1", genesis);
+  const BlockEntry* b1 = StoreEntry(&index, "b1", genesis);
+  EXPECT_EQ(index.EntryCount(), 3u);
+  for (const BlockEntry* stored : {genesis, a1, b1}) {
+    EXPECT_TRUE(index.Contains(stored->hash));
+    EXPECT_EQ(index.FindEntry(stored->hash), stored);
+  }
+  EXPECT_EQ(a1->hash, Key("a1"));
+  EXPECT_EQ(b1->parent, genesis);
+  EXPECT_EQ(b1->height(), 1u);
+  EXPECT_FALSE(index.Contains(Key("a2")));
+  EXPECT_EQ(index.FindEntry(Key("a2")), nullptr);
+}
+
+TEST(ChainIndexTest, StoredEntriesStayPutAcrossRehash) {
+  ChainIndex index;
+  const crypto::Hash256 tx = Key("tx");
+  const crypto::Hash256 contract = Key("contract");
+  const BlockEntry* genesis =
+      StoreEntry(&index, "genesis", nullptr, {{tx, 0}},
+                 {CallRecord{contract, "redeem", 0, true}});
+
+  // Enough entries, each with its own transaction and contract, that all
+  // three maps rehash several times over.
+  std::vector<const BlockEntry*> stored = {genesis};
+  for (int i = 0; i < 2000; ++i) {
+    const std::string label = Numbered("e", i);
+    stored.push_back(
+        StoreEntry(&index, label, stored.back(), {{Key("tx" + label), 0}},
+                   {CallRecord{Key("c" + label), "redeem", 0, true}}));
+  }
+  EXPECT_EQ(index.EntryCount(), stored.size());
+  for (const BlockEntry* entry : stored) {
+    EXPECT_EQ(index.FindEntry(entry->hash), entry);
+  }
+  // The occurrence and call lists still point at the first entry, whose
+  // contents are intact.
+  ASSERT_EQ(index.OccurrencesOf(tx).size(), 1u);
+  EXPECT_EQ(index.OccurrencesOf(tx)[0].entry, genesis);
+  EXPECT_EQ(genesis->tx_index.at(tx), 0u);
+  const auto call =
+      index.FindCall(contract, "redeem", true, BranchOf(stored.back()));
+  ASSERT_TRUE(call.has_value());
+  EXPECT_EQ(call->entry, genesis);
+}
+
+TEST(ChainIndexTest, OccurrencesListForkSiblingsInStoreOrder) {
+  ChainIndex index;
+  const crypto::Hash256 tx = Key("shared");
+  const crypto::Hash256 other = Key("other");
+  const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
+  // One transaction mined into three sibling blocks, at a different index
+  // in each, and into a grandchild on a fourth branch.
+  const BlockEntry* c = StoreEntry(&index, "c", genesis, {{tx, 2}});
+  const BlockEntry* a = StoreEntry(&index, "a", genesis, {{tx, 0}});
+  const BlockEntry* empty = StoreEntry(&index, "empty", genesis);
+  const BlockEntry* b =
+      StoreEntry(&index, "b", genesis, {{other, 0}, {tx, 1}});
+  const BlockEntry* d = StoreEntry(&index, "d", empty, {{tx, 3}});
+
+  const std::vector<TxLocation> want = {{c, 2}, {a, 0}, {b, 1}, {d, 3}};
+  const std::span<const TxLocation> got = index.OccurrencesOf(tx);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].entry, want[i].entry) << "occurrence " << i;
+    EXPECT_EQ(got[i].index, want[i].index) << "occurrence " << i;
+  }
+  ASSERT_EQ(index.OccurrencesOf(other).size(), 1u);
+  EXPECT_EQ(index.OccurrencesOf(other)[0].entry, b);
+  EXPECT_EQ(index.OccurrencesOf(other)[0].index, 0u);
+}
+
+TEST(ChainIndexTest, UnknownKeysAnswerEmpty) {
+  ChainIndex index;
+  const auto any_branch = [](const BlockEntry&) { return true; };
+  EXPECT_TRUE(index.OccurrencesOf(Key("tx")).empty());
+  EXPECT_FALSE(index.FindTx(Key("tx"), any_branch).has_value());
+  EXPECT_FALSE(
+      index.FindCall(Key("contract"), "redeem", false, any_branch).has_value());
+
+  StoreEntry(&index, "genesis", nullptr, {{Key("tx"), 0}},
+             {CallRecord{Key("contract"), "redeem", 0, true}});
+  EXPECT_TRUE(index.FindTx(Key("tx"), any_branch).has_value());
+  EXPECT_TRUE(
+      index.FindCall(Key("contract"), "redeem", false, any_branch).has_value());
+  // A stored key answers only for itself: not for another transaction,
+  // another contract, or another function on the same contract.
+  EXPECT_TRUE(index.OccurrencesOf(Key("tx2")).empty());
+  EXPECT_FALSE(index.FindTx(Key("tx2"), any_branch).has_value());
+  EXPECT_FALSE(index.FindCall(Key("contract2"), "redeem", false, any_branch)
+                   .has_value());
+  EXPECT_FALSE(
+      index.FindCall(Key("contract"), "refund", false, any_branch).has_value());
+}
+
+TEST(ChainIndexTest, FindTxReturnsTheOccurrenceOnTheSelectedBranch) {
+  ChainIndex index;
+  const crypto::Hash256 tx = Key("tx");
+  const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
+  const BlockEntry* a1 = StoreEntry(&index, "a1", genesis, {{tx, 0}});
+  const BlockEntry* b1 = StoreEntry(&index, "b1", genesis);
+  const BlockEntry* b2 = StoreEntry(&index, "b2", b1, {{tx, 1}});
+  const BlockEntry* c1 = StoreEntry(&index, "c1", genesis);
+
+  ExpectSameLocation(index.FindTx(tx, BranchOf(a1)), TxLocation{a1, 0});
+  ExpectSameLocation(index.FindTx(tx, BranchOf(b2)), TxLocation{b2, 1});
+  // b1 precedes the inclusion on its own branch; c1's branch never has it.
+  EXPECT_FALSE(index.FindTx(tx, BranchOf(b1)).has_value());
+  EXPECT_FALSE(index.FindTx(tx, BranchOf(c1)).has_value());
+
+  // The predicate is asked only about entries holding the transaction,
+  // in store order, and the scan stops at the first hit.
+  std::vector<const BlockEntry*> asked;
+  const auto on_b_branch = [&](const BlockEntry& entry) {
+    asked.push_back(&entry);
+    return BranchOf(b2)(entry);
+  };
+  ExpectSameLocation(index.FindTx(tx, on_b_branch), TxLocation{b2, 1});
+  EXPECT_EQ(asked, (std::vector<const BlockEntry*>{a1, b2}));
+  asked.clear();
+  const auto any_branch = [&](const BlockEntry& entry) {
+    asked.push_back(&entry);
+    return true;
+  };
+  ExpectSameLocation(index.FindTx(tx, any_branch), TxLocation{a1, 0});
+  EXPECT_EQ(asked, (std::vector<const BlockEntry*>{a1}));
+}
+
+TEST(ChainIndexTest, FindCallPrefersTheNewestOnBranchCall) {
+  ChainIndex index;
+  const crypto::Hash256 contract = Key("contract");
+  const auto redeem = [&](uint32_t tx_index) {
+    return std::vector<CallRecord>{
+        CallRecord{contract, "redeem", tx_index, true}};
+  };
+  const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
+  const BlockEntry* m1 = StoreEntry(&index, "m1", genesis, {}, redeem(0));
+  const BlockEntry* m2 = StoreEntry(&index, "m2", m1);
+  const BlockEntry* m3 = StoreEntry(&index, "m3", m2, {}, redeem(1));
+  // A fork off m1, stored after the taller main branch.
+  const BlockEntry* f2 = StoreEntry(&index, "f2", m1, {}, redeem(4));
+
+  ExpectSameLocation(index.FindCall(contract, "redeem", false, BranchOf(m3)),
+                     TxLocation{m3, 1});
+  ExpectSameLocation(index.FindCall(contract, "redeem", false, BranchOf(f2)),
+                     TxLocation{f2, 4});
+  ExpectSameLocation(index.FindCall(contract, "redeem", false, BranchOf(m2)),
+                     TxLocation{m1, 0});
+  EXPECT_FALSE(index.FindCall(contract, "redeem", false, BranchOf(genesis))
+                   .has_value());
+}
+
+TEST(ChainIndexTest, FindCallRequireSuccessSkipsFailedCalls) {
+  ChainIndex index;
+  const crypto::Hash256 contract = Key("contract");
+  const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
+  const BlockEntry* ok1 = StoreEntry(&index, "ok1", genesis, {},
+                                     {CallRecord{contract, "redeem", 0, true}});
+  const BlockEntry* bad2 = StoreEntry(
+      &index, "bad2", ok1, {}, {CallRecord{contract, "redeem", 3, false}});
+  const BlockEntry* bad1 = StoreEntry(
+      &index, "bad1", genesis, {}, {CallRecord{contract, "redeem", 1, false}});
+
+  ExpectSameLocation(index.FindCall(contract, "redeem", false, BranchOf(bad2)),
+                     TxLocation{bad2, 3});
+  ExpectSameLocation(index.FindCall(contract, "redeem", true, BranchOf(bad2)),
+                     TxLocation{ok1, 0});
+  // A branch whose only call failed has no successful call at all.
+  ExpectSameLocation(index.FindCall(contract, "redeem", false, BranchOf(bad1)),
+                     TxLocation{bad1, 1});
+  EXPECT_FALSE(index.FindCall(contract, "redeem", true, BranchOf(bad1))
+                   .has_value());
+}
+
+TEST(ChainIndexTest, FindCallTakesTheFirstMatchingCallInBlockOrder) {
+  ChainIndex index;
+  const crypto::Hash256 contract = Key("contract");
+  const crypto::Hash256 other = Key("other");
+  const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
+  const BlockEntry* block = StoreEntry(&index, "block", genesis, {},
+                                       {CallRecord{other, "redeem", 0, true},
+                                        CallRecord{contract, "refund", 1, true},
+                                        CallRecord{contract, "redeem", 2, false},
+                                        CallRecord{contract, "redeem", 3, true},
+                                        CallRecord{contract, "redeem", 5, true}});
+  const auto on_branch = BranchOf(block);
+
+  ExpectSameLocation(index.FindCall(contract, "redeem", false, on_branch),
+                     TxLocation{block, 2});
+  ExpectSameLocation(index.FindCall(contract, "redeem", true, on_branch),
+                     TxLocation{block, 3});
+  ExpectSameLocation(index.FindCall(contract, "refund", false, on_branch),
+                     TxLocation{block, 1});
+  ExpectSameLocation(index.FindCall(other, "redeem", true, on_branch),
+                     TxLocation{block, 0});
+  EXPECT_FALSE(index.FindCall(other, "refund", false, on_branch).has_value());
+}
+
+TEST(ChainIndexTest, RandomForkTreeMatchesParentWalk) {
+  ChainIndex index;
+  Rng rng(4242);
+  // Pools small enough that each transaction and contract recurs across
+  // many forks.
+  std::vector<crypto::Hash256> txs;
+  for (int i = 0; i < 24; ++i) txs.push_back(Key(Numbered("tx", i)));
+  std::vector<crypto::Hash256> contracts;
+  for (int i = 0; i < 4; ++i) {
+    contracts.push_back(Key(Numbered("contract", i)));
+  }
+  const std::vector<std::string> functions = {"redeem", "refund"};
+
+  std::vector<const BlockEntry*> stored = {
+      StoreEntry(&index, "genesis", nullptr)};
+  for (int i = 0; i < 200; ++i) {
+    const size_t window = std::min<size_t>(stored.size(), 8);
+    const BlockEntry* parent =
+        stored[stored.size() - 1 - rng.NextU64() % window];
+    TxSlots slots;
+    std::vector<CallRecord> calls;
+    const uint64_t attempts = rng.NextU64() % 4;
+    for (uint64_t k = 0; k < attempts; ++k) {
+      const crypto::Hash256& tx = txs[rng.NextU64() % txs.size()];
+      // At most once per branch, as block validation guarantees.
+      const bool in_block =
+          std::any_of(slots.begin(), slots.end(),
+                      [&](const auto& slot) { return slot.first == tx; });
+      if (in_block || WalkFindTx(parent, tx).has_value()) continue;
+      const uint32_t tx_index = static_cast<uint32_t>(slots.size());
+      slots.emplace_back(tx, tx_index);
+      if (rng.NextU64() % 2 == 0) {
+        calls.push_back(CallRecord{contracts[rng.NextU64() % contracts.size()],
+                                   functions[rng.NextU64() % functions.size()],
+                                   tx_index, rng.NextU64() % 3 != 0});
+      }
+    }
+    stored.push_back(StoreEntry(&index, Numbered("e", i), parent,
+                                slots, std::move(calls)));
+  }
+  EXPECT_EQ(index.EntryCount(), stored.size());
+
+  // Occurrence lists hold exactly the including entries, in store order.
+  size_t repeated = 0;
+  for (const crypto::Hash256& tx : txs) {
+    std::vector<TxLocation> want;
+    for (const BlockEntry* entry : stored) {
+      auto it = entry->tx_index.find(tx);
+      if (it != entry->tx_index.end()) want.push_back({entry, it->second});
+    }
+    if (want.size() > 1) ++repeated;
+    const std::span<const TxLocation> got = index.OccurrencesOf(tx);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].entry, want[i].entry);
+      EXPECT_EQ(got[i].index, want[i].index);
+    }
+  }
+  // Fork siblings must share transactions, or the branch filters below go
+  // unexercised.
+  EXPECT_GT(repeated, 0u);
+
+  // From every tip, FindTx and FindCall answer like the parent-link walk.
+  for (const BlockEntry* tip : stored) {
+    const auto on_branch = BranchOf(tip);
+    for (const crypto::Hash256& tx : txs) {
+      ExpectSameLocation(index.FindTx(tx, on_branch), WalkFindTx(tip, tx));
+    }
+    for (const crypto::Hash256& contract : contracts) {
+      for (const std::string& function : functions) {
+        for (bool require_success : {false, true}) {
+          ExpectSameLocation(
+              index.FindCall(contract, function, require_success, on_branch),
+              WalkFindCall(tip, contract, function, require_success));
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- mempool

@@ -448,13 +448,9 @@ TEST(AncestryTest, TxOnBranchDistinguishesForks) {
           ? nullptr  // Ties keep the first-seen head; find B by walking.
           : tc.chain().head();
   if (tip_b == nullptr) {
-    tc.chain().ForEachEntry(
-        [&](const crypto::Hash256& hash, const chain::BlockEntry& entry) {
-          (void)hash;
-          if (entry.height() == tip_a->height() && &entry != tip_a) {
-            tip_b = &entry;
-          }
-        });
+    for (const chain::BlockEntry* entry : tc.chain().arrival_order()) {
+      if (entry->height() == tip_a->height() && entry != tip_a) tip_b = entry;
+    }
   }
   ASSERT_NE(tip_b, nullptr);
 

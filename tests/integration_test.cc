@@ -152,12 +152,12 @@ TEST_F(WitnessForkTest, ConflictingStatesResolveByLongestChain) {
   // Branch B grows heavier: the reorg flips the canonical SCw state to
   // RFauth, and the RDauth block is no longer canonical.
   crypto::Hash256 branch_b;
-  witness_.chain().ForEachEntry(
-      [&](const crypto::Hash256& hash, const chain::BlockEntry& entry) {
-        if (entry.block.header.prev_hash == fork_parent && hash != branch_a) {
-          branch_b = hash;
-        }
-      });
+  for (const chain::BlockEntry* entry : witness_.chain().arrival_order()) {
+    if (entry->block.header.prev_hash == fork_parent &&
+        entry->hash != branch_a) {
+      branch_b = entry->hash;
+    }
+  }
   ASSERT_FALSE(branch_b.IsZero());
   ASSERT_TRUE(witness_.MineBlockOn(branch_b, {}).ok());
   EXPECT_FALSE(witness_.chain().IsCanonical(branch_a));
@@ -192,21 +192,19 @@ TEST_F(WitnessForkTest, DepthDisciplineOutlastsShortForkAttack) {
   // Attacker releases a private RFauth branch of length d (< honest d+1).
   ASSERT_TRUE(witness_.MineBlockOn(fork_parent, {*refund_call}).ok());
   crypto::Hash256 tip;
-  witness_.chain().ForEachEntry(
-      [&](const crypto::Hash256& hash, const chain::BlockEntry& entry) {
-        if (entry.block.header.prev_hash == fork_parent &&
-            !witness_.chain().IsCanonical(hash)) {
-          tip = hash;
-        }
-      });
+  for (const chain::BlockEntry* entry : witness_.chain().arrival_order()) {
+    if (entry->block.header.prev_hash == fork_parent &&
+        !witness_.chain().IsCanonical(entry->hash)) {
+      tip = entry->hash;
+    }
+  }
   ASSERT_FALSE(tip.IsZero());
   for (uint32_t i = 1; i < d; ++i) {
     ASSERT_TRUE(witness_.MineBlockOn(tip, {}).ok());
     crypto::Hash256 next;
-    witness_.chain().ForEachEntry(
-        [&](const crypto::Hash256& hash, const chain::BlockEntry& entry) {
-          if (entry.block.header.prev_hash == tip) next = hash;
-        });
+    for (const chain::BlockEntry* entry : witness_.chain().arrival_order()) {
+      if (entry->block.header.prev_hash == tip) next = entry->hash;
+    }
     tip = next;
   }
   // The honest branch (d+1 blocks past the parent) still wins.

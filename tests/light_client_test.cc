@@ -148,28 +148,21 @@ TEST_F(LightClientTest, FollowsHeaviestForkLikeFullNode) {
   ASSERT_TRUE(full_.MineBlockOn(fork_parent, {}).ok());
   // Feed EVERY known header (both branches) in true arrival order — ties
   // between equal-work tips break toward the first seen, as on the node.
-  std::vector<std::pair<uint64_t, BlockHeader>> ordered;
-  full_.chain().ForEachEntry(
-      [&](const crypto::Hash256& hash, const chain::BlockEntry& entry) {
-        if (hash != full_.chain().genesis()->hash) {
-          ordered.emplace_back(entry.arrival_seq, entry.block.header);
-        }
-      });
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
   std::vector<BlockHeader> all;
-  for (auto& [seq, header] : ordered) all.push_back(header);
+  for (const chain::BlockEntry* entry : full_.chain().arrival_order()) {
+    if (entry != full_.chain().genesis()) all.push_back(entry->block.header);
+  }
   ASSERT_TRUE(client_.AcceptHeaders(all).ok());
   EXPECT_TRUE(client_.IsCanonical(branch_a));
 
   // Extend the other branch: both full node and light client reorg.
   crypto::Hash256 branch_b;
-  full_.chain().ForEachEntry(
-      [&](const crypto::Hash256& hash, const chain::BlockEntry& entry) {
-        if (entry.block.header.prev_hash == fork_parent && hash != branch_a) {
-          branch_b = hash;
-        }
-      });
+  for (const chain::BlockEntry* entry : full_.chain().arrival_order()) {
+    if (entry->block.header.prev_hash == fork_parent &&
+        entry->hash != branch_a) {
+      branch_b = entry->hash;
+    }
+  }
   ASSERT_FALSE(branch_b.IsZero());
   ASSERT_TRUE(full_.MineBlockOn(branch_b, {}).ok());
   ASSERT_TRUE(client_.AcceptHeader(full_.chain().head()->block.header).ok());
