@@ -15,11 +15,12 @@ namespace ac3::chain {
 Blockchain::Blockchain(ChainParams params, std::vector<TxOutput> allocations)
     : params_(std::move(params)) {
   // Synthetic genesis: a coinbase materializing the initial allocations.
-  Transaction genesis_tx;
-  genesis_tx.type = TxType::kCoinbase;
-  genesis_tx.chain_id = params_.id;
-  genesis_tx.outputs = std::move(allocations);
-  genesis_tx.nonce = 0;
+  MutableTransaction genesis;
+  genesis.type = TxType::kCoinbase;
+  genesis.chain_id = params_.id;
+  genesis.outputs = std::move(allocations);
+  genesis.nonce = 0;
+  const Transaction genesis_tx(std::move(genesis));
 
   Block genesis_block;
   genesis_block.header.chain_id = params_.id;
@@ -202,9 +203,9 @@ void Blockchain::CommitValidated(const Block& block,
   for (uint32_t i = 0; i < block.txs.size(); ++i) {
     const Transaction& tx = block.txs[i];
     entry.tx_index[tx.Id()] = i;
-    if (tx.type == TxType::kCall) {
+    if (tx.type() == TxType::kCall) {
       entry.calls.push_back(
-          CallRecord{tx.contract_id, tx.function, i, receipts[i].success});
+          CallRecord{tx.contract_id(), tx.function(), i, receipts[i].success});
     }
   }
 
@@ -441,11 +442,15 @@ struct Blockchain::BlockTemplate {
   /// looked at, so any list sharing the prefix selects the same.
   bool full = false;
 
-  // Contents. The chosen transactions' tx leaves are their ids, at
-  // examined[chosen[k]].
+  // Contents.
   std::vector<uint32_t> chosen;  ///< Positions in the candidate list.
   std::vector<Receipt> receipts;
-  std::vector<crypto::Hash256> receipt_leaves;
+  /// Prove(0) over the tx ids and over the receipt leaves, with the
+  /// coinbase's slot at leaf 0. Racing miners' blocks differ only in that
+  /// leaf, and leaf 0's path never depends on it, so each miner folds its
+  /// coinbase up these paths: log2(n) pair hashes per root, not n - 1.
+  crypto::MerkleProof tx_branch;
+  crypto::MerkleProof receipt_branch;
   Amount total_fees = 0;
 
   bool Matches(const crypto::Hash256& parent, TimePoint at,
@@ -482,10 +487,13 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
   const BlockEnv env{params_.id, parent.block.header.height + 1, now};
   LedgerState working = parent.state;
   std::unordered_set<crypto::Hash256> chosen_ids;
+  // Leaf 0 is the coinbase's slot; its value never enters the paths.
+  std::vector<crypto::Hash256> tx_leaves(1);
+  std::vector<crypto::Hash256> receipt_leaves(1);
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (fresh->chosen.size() >= params_.max_block_txs) break;
     const Transaction& tx = *candidates[i];
-    const crypto::Hash256 tx_id = tx.Id();
+    const crypto::Hash256& tx_id = tx.Id();
     fresh->examined.push_back(tx_id);
     if (TxOnBranch(parent, tx_id) || chosen_ids.count(tx_id) > 0) continue;
     LedgerState scratch = working;  // Roll back cleanly on failure.
@@ -498,11 +506,15 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
     working = std::move(scratch);
     chosen_ids.insert(tx_id);
     fresh->chosen.push_back(static_cast<uint32_t>(i));
-    fresh->receipt_leaves.push_back(receipt->LeafHash());
+    tx_leaves.push_back(tx_id);
+    receipt_leaves.push_back(receipt->LeafHash());
     fresh->receipts.push_back(std::move(*receipt));
-    fresh->total_fees += tx.fee;
+    fresh->total_fees += tx.fee();
   }
   fresh->full = fresh->chosen.size() >= params_.max_block_txs;
+  fresh->tx_branch = *crypto::MerkleTree(std::move(tx_leaves)).Prove(0);
+  fresh->receipt_branch =
+      *crypto::MerkleTree(std::move(receipt_leaves)).Prove(0);
 
   std::lock_guard<std::mutex> lock(template_mu_);
   template_ = fresh;
@@ -520,7 +532,7 @@ Result<Block> Blockchain::AssembleBlock(
       SelectCandidates(*parent, candidates, now);
 
   // Coinbase pays the reward plus the collected fees to the miner.
-  Transaction coinbase;
+  MutableTransaction coinbase;
   coinbase.type = TxType::kCoinbase;
   coinbase.chain_id = params_.id;
   coinbase.outputs.push_back(
@@ -534,31 +546,26 @@ Result<Block> Blockchain::AssembleBlock(
   block.header.time = now;
   block.header.difficulty_bits = params_.difficulty_bits;
   block.txs.reserve(1 + selection->chosen.size());
-  block.txs.push_back(std::move(coinbase));
-  std::vector<crypto::Hash256> leaves;
-  leaves.reserve(1 + selection->chosen.size());
-  leaves.push_back(block.txs[0].Id());
+  block.txs.emplace_back(std::move(coinbase));
   for (const uint32_t position : selection->chosen) {
     block.txs.push_back(*candidates[position]);
-    leaves.push_back(selection->examined[position]);
   }
-  block.header.tx_root = crypto::MerkleTree::RootOf(leaves);
 
   // Declared receipts come straight from the selection pass: each chosen
   // transaction's receipt was produced by the same ApplyTransaction call
   // sequence, against the same evolving state, that ApplyBlockBody runs
   // for validators (the serial loop creates the coinbase outputs *after*
   // the body, so body transactions never observe them).
-  // ValidateAgainstParent's receipt-equality check still re-derives them
-  // on every submission, and the golden determinism fingerprints pin the
-  // block hashes.
+  // ValidateAgainstParent's receipt-equality check still re-derives them,
+  // and both roots from the whole body, on every submission, and the
+  // golden determinism fingerprints pin the block hashes.
   Receipt coinbase_receipt;
-  coinbase_receipt.tx_id = leaves[0];
+  coinbase_receipt.tx_id = block.txs[0].Id();
   coinbase_receipt.note = "coinbase";
-  leaves[0] = coinbase_receipt.LeafHash();
-  std::copy(selection->receipt_leaves.begin(),
-            selection->receipt_leaves.end(), leaves.begin() + 1);
-  block.header.receipt_root = crypto::MerkleTree::RootOf(leaves);
+  block.header.tx_root =
+      crypto::RootFromProof(coinbase_receipt.tx_id, selection->tx_branch);
+  block.header.receipt_root = crypto::RootFromProof(
+      coinbase_receipt.LeafHash(), selection->receipt_branch);
 
   block.receipts.reserve(1 + selection->receipts.size());
   block.receipts.push_back(std::move(coinbase_receipt));

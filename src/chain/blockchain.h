@@ -163,14 +163,15 @@ class Blockchain {
   /// Miners racing for the same extension assemble from the same parent,
   /// time and candidates; only their coinbase keys differ. The chain
   /// therefore keeps a one-entry block template: the last selection's
-  /// chosen candidates, receipts, Merkle leaves and fees, keyed by parent
-  /// hash, `now` and the ids of the candidates that selection examined
-  /// (plus the candidate count when it ran out of candidates before
-  /// filling the block). A matching call builds only the coinbase, its two
-  /// leaves, the two Merkle folds and the header; the block is
-  /// byte-identical to a fresh selection. Ids are recomputed from the
-  /// pointers on every call, so a pool that moved or replaced its entries
-  /// never matches stale addresses.
+  /// chosen candidates, receipts, fees and the leaf-0 (coinbase) Merkle
+  /// paths of both trees, keyed by parent hash, `now` and the ids of the
+  /// candidates that selection examined (plus the candidate count when it
+  /// ran out of candidates before filling the block). A matching call
+  /// builds only the coinbase, its two leaves, two log-depth folds up the
+  /// stored paths and the header; the block is byte-identical to a fresh
+  /// selection. The key's ids are read from the transactions on every
+  /// call, so a pool that moved or replaced its entries never matches
+  /// stale addresses.
   Result<Block> AssembleBlock(const crypto::Hash256& parent_hash,
                               const std::vector<Transaction>& candidates,
                               const crypto::PublicKey& miner,

@@ -72,17 +72,18 @@ void EnsureBuiltinContracts() {
 
 /// Checks input ownership and computes the total input value.
 Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
-  if (tx.inputs.empty()) {
+  const std::vector<OutPoint>& inputs = tx.inputs();
+  if (inputs.empty()) {
     return Status::InvalidArgument("non-coinbase transaction needs inputs");
   }
   Amount total = 0;
   // Validate first (no partial mutation on failure).
-  for (size_t i = 0; i < tx.inputs.size(); ++i) {
-    const OutPoint& in = tx.inputs[i];
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const OutPoint& in = inputs[i];
     // A repeated outpoint would be summed twice but erased once — minting
     // value. Input lists are tiny, so the quadratic scan is free.
     for (size_t j = 0; j < i; ++j) {
-      if (tx.inputs[j] == in) {
+      if (inputs[j] == in) {
         return Status::InvalidArgument("duplicate input outpoint");
       }
     }
@@ -90,13 +91,13 @@ Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
     if (output == nullptr) {
       return Status::InvalidArgument("input not in UTXO set (double spend?)");
     }
-    if (output->owner != tx.signer) {
+    if (output->owner != tx.signer()) {
       return Status::VerificationFailed(
           "input not owned by transaction signer");
     }
     total += output->value;
   }
-  for (const OutPoint& in : tx.inputs) state->SpendUtxo(in);
+  for (const OutPoint& in : inputs) state->SpendUtxo(in);
   return total;
 }
 
@@ -121,77 +122,77 @@ bool IsRevert(const Status& status) {
 Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
                                  const BlockEnv& env) {
   EnsureBuiltinContracts();
-  if (tx.chain_id != env.chain_id) {
+  if (tx.chain_id() != env.chain_id) {
     return Status::InvalidArgument("transaction targets another chain");
   }
   if (!tx.VerifySignature()) {
     return Status::VerificationFailed("bad transaction signature");
   }
 
-  const crypto::Hash256 tx_id = tx.Id();
+  const crypto::Hash256& tx_id = tx.Id();
   Receipt receipt;
   receipt.tx_id = tx_id;
 
-  switch (tx.type) {
+  switch (tx.type()) {
     case TxType::kCoinbase:
       return Status::InvalidArgument("coinbase outside block head position");
 
     case TxType::kTransfer: {
       AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
-      if (in_total != tx.TotalOutput() + tx.fee) {
+      if (in_total != tx.TotalOutput() + tx.fee()) {
         return Status::InvalidArgument("transfer value not conserved");
       }
-      CreateOutputs(state, tx_id, tx.outputs);
+      CreateOutputs(state, tx_id, tx.outputs());
       receipt.note = "transfer";
       return receipt;
     }
 
     case TxType::kDeploy: {
       AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
-      if (in_total != tx.TotalOutput() + tx.fee + tx.contract_value) {
+      if (in_total != tx.TotalOutput() + tx.fee() + tx.contract_value()) {
         return Status::InvalidArgument("deploy value not conserved");
       }
       contracts::DeployContext ctx;
       ctx.chain_id = env.chain_id;
       ctx.tx_id = tx_id;
-      ctx.sender = tx.signer;
-      ctx.value = tx.contract_value;
+      ctx.sender = tx.signer();
+      ctx.value = tx.contract_value();
       ctx.block_time = env.time;
       ctx.block_height = env.height;
       auto deployed = contracts::ContractFactory::Instance().Deploy(
-          tx.contract_kind, tx.payload, ctx);
+          tx.contract_kind(), tx.payload(), ctx);
       if (!deployed.ok()) {
         // Malformed deployments never make it into a block.
         return deployed.status();
       }
-      CreateOutputs(state, tx_id, tx.outputs);
+      CreateOutputs(state, tx_id, tx.outputs());
       state->contracts.Put(tx_id, *deployed);
       receipt.contract_id = tx_id;
       receipt.state_digest = (*deployed)->StateDigest();
-      receipt.note = "deployed " + tx.contract_kind;
+      receipt.note = "deployed " + tx.contract_kind();
       return receipt;
     }
 
     case TxType::kCall: {
       AC3_ASSIGN_OR_RETURN(contracts::ContractPtr contract,
-                           state->GetContract(tx.contract_id));
+                           state->GetContract(tx.contract_id()));
       AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
-      if (in_total != tx.TotalOutput() + tx.fee) {
+      if (in_total != tx.TotalOutput() + tx.fee()) {
         return Status::InvalidArgument("call value not conserved");
       }
-      CreateOutputs(state, tx_id, tx.outputs);
+      CreateOutputs(state, tx_id, tx.outputs());
 
       std::vector<contracts::Payout> payouts;
       contracts::CallContext ctx;
       ctx.chain_id = env.chain_id;
       ctx.tx_id = tx_id;
-      ctx.sender = tx.signer;
+      ctx.sender = tx.signer();
       ctx.block_time = env.time;
       ctx.block_height = env.height;
       ctx.payouts = &payouts;
 
-      receipt.contract_id = tx.contract_id;
-      auto outcome = contract->Call(tx.function, tx.payload, ctx);
+      receipt.contract_id = tx.contract_id();
+      auto outcome = contract->Call(tx.function(), tx.payload(), ctx);
       if (!outcome.ok()) {
         if (!IsRevert(outcome.status())) return outcome.status();
         // Reverted: fee consumed, contract unchanged.
@@ -214,8 +215,8 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
         payout_outputs.push_back(TxOutput{payout.value, payout.recipient});
       }
       CreateOutputs(state, tx_id, payout_outputs,
-                    static_cast<uint32_t>(tx.outputs.size()));
-      state->contracts.Put(tx.contract_id, outcome->next);
+                    static_cast<uint32_t>(tx.outputs().size()));
+      state->contracts.Put(tx.contract_id(), outcome->next);
       receipt.state_digest = outcome->next->StateDigest();
       receipt.note = outcome->note;
       return receipt;
@@ -231,7 +232,7 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
     return Status::InvalidArgument("block has no coinbase");
   }
   const Transaction& coinbase = block.txs[0];
-  if (coinbase.type != TxType::kCoinbase || !coinbase.inputs.empty()) {
+  if (coinbase.type() != TxType::kCoinbase || !coinbase.inputs().empty()) {
     return Status::InvalidArgument("first transaction must be a coinbase");
   }
 
@@ -248,26 +249,26 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
   Amount total_fees = 0;
   for (size_t i = 1; i < block.txs.size(); ++i) {
     const Transaction& tx = block.txs[i];
-    if (tx.type == TxType::kCoinbase) {
+    if (tx.type() == TxType::kCoinbase) {
       return Status::InvalidArgument("duplicate coinbase");
     }
     AC3_ASSIGN_OR_RETURN(Receipt receipt, ApplyTransaction(state, tx, env));
-    total_fees += tx.fee;
+    total_fees += tx.fee();
     receipts.push_back(std::move(receipt));
   }
 
   if (coinbase.TotalOutput() > params.block_reward + total_fees) {
     return Status::InvalidArgument("coinbase exceeds reward plus fees");
   }
-  CreateOutputs(state, coinbase.Id(), coinbase.outputs);
+  CreateOutputs(state, coinbase.Id(), coinbase.outputs());
   return receipts;
 }
 
 LedgerState GenesisState(const Transaction& genesis_tx) {
   LedgerState state;
-  const crypto::Hash256 id = genesis_tx.Id();
-  for (uint32_t i = 0; i < genesis_tx.outputs.size(); ++i) {
-    state.AddUtxo(OutPoint{id, i}, genesis_tx.outputs[i]);
+  const crypto::Hash256& id = genesis_tx.Id();
+  for (uint32_t i = 0; i < genesis_tx.outputs().size(); ++i) {
+    state.AddUtxo(OutPoint{id, i}, genesis_tx.outputs()[i]);
   }
   return state;
 }

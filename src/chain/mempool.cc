@@ -5,11 +5,11 @@
 namespace ac3::chain {
 
 Status Mempool::Submit(const Transaction& tx, TimePoint arrival) {
-  const crypto::Hash256 id = tx.Id();
+  const crypto::Hash256& id = tx.Id();
   if (ids_.count(id) > 0) {
     return Status::AlreadyExists("transaction already in mempool");
   }
-  Entry entry{arrival, tx, id};
+  Entry entry{arrival, tx};
   if (entries_.empty() || entries_.back().arrival <= arrival) {
     entries_.push_back(std::move(entry));  // The production (monotone) path.
   } else {
@@ -43,13 +43,12 @@ Mempool::BatchResult Mempool::SubmitBatch(std::span<const Transaction> txs,
   entries_.reserve(entries_.size() + txs.size());
   ids_.reserve(ids_.size() + txs.size());
   for (const Transaction& tx : txs) {
-    const crypto::Hash256 id = tx.Id();
-    if (!ids_.insert(id).second) {  // Covers in-batch duplicates too.
+    if (!ids_.insert(tx.Id()).second) {  // Covers in-batch duplicates too.
       result.statuses.push_back(
           Status::AlreadyExists("transaction already in mempool"));
       continue;
     }
-    entries_.push_back(Entry{arrival, tx, id});
+    entries_.push_back(Entry{arrival, tx});
     ++result.accepted;
     result.statuses.push_back(Status::OK());
   }
@@ -65,7 +64,7 @@ void Mempool::Prune(std::span<const crypto::Hash256> included) {
   // (entries_ and ids_ are exact mirrors).
   size_t keep = 0;
   for (size_t i = 0; i < entries_.size(); ++i) {
-    if (ids_.count(entries_[i].id) == 0) continue;
+    if (ids_.count(entries_[i].tx.Id()) == 0) continue;
     if (keep != i) entries_[keep] = std::move(entries_[i]);
     ++keep;
   }
@@ -77,7 +76,7 @@ std::vector<const Transaction*> Mempool::CandidatePointersAt(
   std::vector<const Transaction*> out;
   for (const Entry& entry : entries_) {
     if (entry.arrival > now) break;  // Sorted: nothing later is visible.
-    if (already_included && already_included(entry.id)) continue;
+    if (already_included && already_included(entry.tx.Id())) continue;
     out.push_back(&entry.tx);
   }
   return out;

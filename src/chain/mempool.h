@@ -73,7 +73,6 @@ class Mempool {
   struct Entry {
     TimePoint arrival;
     Transaction tx;
-    crypto::Hash256 id;
   };
   /// Sorted by arrival; equal arrivals keep submission order.
   std::vector<Entry> entries_;

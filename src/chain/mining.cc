@@ -3,7 +3,6 @@
 #include <cassert>
 #include <span>
 
-#include "src/chain/pow.h"
 #include "src/common/logging.h"
 
 namespace ac3::chain {
@@ -143,83 +142,6 @@ void MiningNetwork::ProduceBlock() {
     }
   }
   ScheduleNext();
-}
-
-Result<std::vector<Block>> MiningNetwork::BuildPrivateBranch(
-    const crypto::Hash256& parent_hash, size_t length,
-    const std::vector<Transaction>& txs, TimePoint start_time) {
-  std::vector<Block> branch;
-  crypto::Hash256 parent = parent_hash;
-
-  // Stage the branch through a scratch validation by assembling each block
-  // against the real chain extended with the staged prefix. We reuse
-  // AssembleBlock for the first block (it must see the parent in the
-  // store); later blocks are built manually on staged state.
-  const BlockEntry* parent_entry = chain_->Get(parent);
-  if (parent_entry == nullptr) return Status::NotFound("unknown parent");
-
-  LedgerState state = parent_entry->state;
-  uint64_t height = parent_entry->block.header.height;
-  crypto::KeyPair attacker = crypto::KeyPair::Generate(&rng_);
-
-  for (size_t i = 0; i < length; ++i) {
-    const TimePoint timestamp = start_time + static_cast<Duration>(i);
-    BlockEnv env{chain_->params().id, height + 1, timestamp};
-
-    Block block;
-    block.header.chain_id = chain_->params().id;
-    block.header.height = height + 1;
-    block.header.prev_hash = parent;
-    block.header.time = timestamp;
-    block.header.difficulty_bits = chain_->params().difficulty_bits;
-
-    Amount total_fees = 0;
-    std::vector<Transaction> body;
-    if (i == 0) {
-      for (const Transaction& tx : txs) {
-        if (chain_->TxOnBranch(*parent_entry, tx.Id())) continue;
-        // O(1) persistent-state snapshot: roll back cleanly on failure.
-        LedgerState scratch = state;
-        if (!ApplyTransaction(&scratch, tx, env).ok()) continue;
-        state = std::move(scratch);
-        body.push_back(tx);
-        total_fees += tx.fee;
-      }
-    }
-
-    Transaction coinbase;
-    coinbase.type = TxType::kCoinbase;
-    coinbase.chain_id = chain_->params().id;
-    coinbase.outputs.push_back(TxOutput{
-        chain_->params().block_reward + total_fees, attacker.public_key()});
-    coinbase.nonce = rng_.NextU64();
-    block.txs.push_back(coinbase);
-    for (Transaction& tx : body) block.txs.push_back(std::move(tx));
-
-    // Receipts via the canonical execution path: the first block re-runs
-    // from the parent state (its body was staged above), later blocks run
-    // on the branch state they extend.
-    LedgerState verify = i == 0 ? parent_entry->state : state;
-    AC3_ASSIGN_OR_RETURN(block.receipts,
-                         ApplyBlockBody(&verify, block, chain_->params()));
-    state = std::move(verify);
-
-    block.header.tx_root = block.ComputeTxRoot();
-    block.header.receipt_root = block.ComputeReceiptRoot();
-    MineHeader(&block.header, &rng_);
-
-    parent = block.header.Hash();
-    height = block.header.height;
-    branch.push_back(std::move(block));
-  }
-  return branch;
-}
-
-Status MiningNetwork::PublishBranch(const std::vector<Block>& branch) {
-  for (const Block& block : branch) {
-    AC3_RETURN_IF_ERROR(chain_->SubmitBlock(block, sim_->Now()));
-  }
-  return Status::OK();
 }
 
 }  // namespace ac3::chain

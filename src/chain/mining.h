@@ -9,10 +9,6 @@
 // chain forks naturally, and the longest-chain rule later resolves it —
 // exactly the dynamics the witness network's depth-d discipline defends
 // against (Section 4.2, Lemma 5.3).
-//
-// An adversarial facility mines a private branch on a chosen parent and
-// releases it later — the "fork the witness blockchain for d blocks" attack
-// of Section 6.3.
 
 #ifndef AC3_CHAIN_MINING_H_
 #define AC3_CHAIN_MINING_H_
@@ -60,16 +56,6 @@ class MiningNetwork {
   /// same answer as VisibleHead for any (miner, now); kept public as the
   /// equivalence oracle for tests and for non-monotone replay queries.
   const BlockEntry* VisibleHeadScan(int miner, TimePoint now) const;
-
-  /// Mines `length` blocks privately on top of `parent_hash` (including
-  /// `txs` in the first block) without submitting them. Timestamps start at
-  /// `start_time`. Used by fork-attack experiments.
-  Result<std::vector<Block>> BuildPrivateBranch(
-      const crypto::Hash256& parent_hash, size_t length,
-      const std::vector<Transaction>& txs, TimePoint start_time);
-
-  /// Publishes a previously built branch (submits all blocks now).
-  Status PublishBranch(const std::vector<Block>& branch);
 
   uint64_t blocks_mined() const { return blocks_mined_; }
 

@@ -20,12 +20,16 @@ Result<Receipt> Receipt::Decode(const Bytes& encoded) {
   std::copy(tx_raw.begin(), tx_raw.end(), arr.begin());
   receipt.tx_id = crypto::Hash256(arr);
   AC3_ASSIGN_OR_RETURN(uint8_t success, r.GetU8());
-  receipt.success = success != 0;
+  if (success > 1) return Status::InvalidArgument("receipt flag not 0 or 1");
+  receipt.success = success == 1;
   AC3_ASSIGN_OR_RETURN(Bytes contract_raw, r.GetRaw(crypto::Hash256::kSize));
   std::copy(contract_raw.begin(), contract_raw.end(), arr.begin());
   receipt.contract_id = crypto::Hash256(arr);
   AC3_ASSIGN_OR_RETURN(receipt.state_digest, r.GetBytes());
   AC3_ASSIGN_OR_RETURN(receipt.note, r.GetString());
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after receipt");
+  }
   return receipt;
 }
 

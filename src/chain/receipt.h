@@ -30,6 +30,7 @@ struct Receipt {
   std::string note;
 
   Bytes Encode() const;
+  /// Canonical: rejects trailing bytes and a flag byte other than 0 or 1.
   static Result<Receipt> Decode(const Bytes& encoded);
 
   /// Merkle leaf for the receipt tree.

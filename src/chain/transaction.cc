@@ -18,7 +18,7 @@ const char* TxTypeName(TxType type) {
 
 namespace {
 
-void EncodeCore(const Transaction& tx, ByteWriter* w) {
+void EncodeCore(const MutableTransaction& tx, ByteWriter* w) {
   w->PutU8(static_cast<uint8_t>(tx.type));
   w->PutU32(tx.chain_id);
   w->PutU32(static_cast<uint32_t>(tx.inputs.size()));
@@ -50,23 +50,40 @@ Result<crypto::Hash256> ReadHash(ByteReader* r) {
 
 }  // namespace
 
-Bytes Transaction::SigningPayload() const {
+Bytes MutableTransaction::SigningPayload() const {
   ByteWriter w;
   w.PutString("ac3/tx");
   EncodeCore(*this, &w);
   return w.Take();
 }
 
-Bytes Transaction::Encode() const {
+Bytes MutableTransaction::Encode() const {
   ByteWriter w;
   EncodeCore(*this, &w);
   w.PutRaw(signature.Encode());
   return w.Take();
 }
 
+void MutableTransaction::SignWith(const crypto::KeyPair& key) {
+  signer = key.public_key();
+  signature = key.Sign(SigningPayload());
+}
+
+Transaction::Transaction() {
+  static const std::shared_ptr<const Rep> kDefault =
+      Transaction(MutableTransaction()).rep_;
+  rep_ = kDefault;
+}
+
+Transaction::Transaction(MutableTransaction tx) {
+  // The one place a transaction id is computed.
+  const crypto::Hash256 id = crypto::Hash256::Of(tx.Encode());
+  rep_ = std::make_shared<const Rep>(Rep{std::move(tx), id});
+}
+
 Result<Transaction> Transaction::Decode(const Bytes& encoded) {
   ByteReader r(encoded);
-  Transaction tx;
+  MutableTransaction tx;
   AC3_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
   if (type < 1 || type > 4) {
     return Status::InvalidArgument("unknown transaction type");
@@ -96,24 +113,20 @@ Result<Transaction> Transaction::Decode(const Bytes& encoded) {
   AC3_ASSIGN_OR_RETURN(tx.payload, r.GetBytes());
   AC3_ASSIGN_OR_RETURN(tx.contract_value, r.GetU64());
   AC3_ASSIGN_OR_RETURN(tx.signature, crypto::Signature::Decode(&r));
-  return tx;
-}
-
-crypto::Hash256 Transaction::Id() const { return crypto::Hash256::Of(Encode()); }
-
-void Transaction::SignWith(const crypto::KeyPair& key) {
-  signer = key.public_key();
-  signature = key.Sign(SigningPayload());
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after transaction");
+  }
+  return Transaction(std::move(tx));
 }
 
 bool Transaction::VerifySignature() const {
-  if (type == TxType::kCoinbase) return true;
-  return crypto::Verify(signer, SigningPayload(), signature);
+  if (type() == TxType::kCoinbase) return true;
+  return crypto::Verify(signer(), SigningPayload(), signature());
 }
 
 Amount Transaction::TotalOutput() const {
   Amount total = 0;
-  for (const TxOutput& out : outputs) total += out.value;
+  for (const TxOutput& out : outputs()) total += out.value;
   return total;
 }
 

@@ -15,6 +15,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,12 +51,16 @@ enum class TxType : uint8_t {
 
 const char* TxTypeName(TxType type);
 
-/// A signed transaction. For kDeploy, `contract_kind` selects the contract
-/// class and `payload` carries the constructor arguments; `contract_value`
-/// is msg.value, locked in the contract. For kCall, `contract_id` targets a
-/// deployed contract and `function`/`payload` name the invocation.
-class Transaction {
- public:
+/// The editable form of a transaction (Bitcoin Core's
+/// CMutableTransaction). Builders fill its fields and sign it: wallets,
+/// the workload generator, genesis and coinbase construction; tests tamper
+/// in this form too. Sealing it into a Transaction fixes the id.
+///
+/// For kDeploy, `contract_kind` selects the contract class and `payload`
+/// carries the constructor arguments; `contract_value` is msg.value, locked
+/// in the contract. For kCall, `contract_id` targets a deployed contract
+/// and `function`/`payload` name the invocation.
+struct MutableTransaction {
   TxType type = TxType::kTransfer;
   ChainId chain_id = 0;
   std::vector<OutPoint> inputs;
@@ -80,18 +85,64 @@ class Transaction {
   Bytes SigningPayload() const;
   /// Full canonical encoding, including the signature.
   Bytes Encode() const;
-  static Result<Transaction> Decode(const Bytes& encoded);
-
-  /// Transaction id: SHA-256 of the full encoding.
-  crypto::Hash256 Id() const;
 
   /// Signs with `key` and records the signer public key.
   void SignWith(const crypto::KeyPair& key);
+};
+
+/// A sealed, immutable transaction (Bitcoin Core's CTransaction). The
+/// constructor encodes and hashes once, so Id() reads a stored value.
+/// Fields and id sit behind one shared const representation: copying a
+/// Transaction (into the mempool, into each racing miner's block, into the
+/// stored BlockEntry) is a reference-count increment. It has no move
+/// operations, so a move copies and the source stays a valid transaction.
+class Transaction {
+ public:
+  /// The sealed default MutableTransaction, one instance shared by every
+  /// default-constructed Transaction: a placeholder for a slot a builder
+  /// fills later.
+  Transaction();
+  explicit Transaction(MutableTransaction tx);
+  Transaction(const Transaction&) = default;
+  Transaction& operator=(const Transaction&) = default;
+
+  /// Canonical: rejects trailing bytes, so every accepted `encoded` has
+  /// Id() == Hash256::Of(encoded).
+  static Result<Transaction> Decode(const Bytes& encoded);
+
+  TxType type() const { return rep_->tx.type; }
+  ChainId chain_id() const { return rep_->tx.chain_id; }
+  const std::vector<OutPoint>& inputs() const { return rep_->tx.inputs; }
+  const std::vector<TxOutput>& outputs() const { return rep_->tx.outputs; }
+  Amount fee() const { return rep_->tx.fee; }
+  const crypto::PublicKey& signer() const { return rep_->tx.signer; }
+  uint64_t nonce() const { return rep_->tx.nonce; }
+  const std::string& contract_kind() const { return rep_->tx.contract_kind; }
+  const crypto::Hash256& contract_id() const { return rep_->tx.contract_id; }
+  const std::string& function() const { return rep_->tx.function; }
+  const Bytes& payload() const { return rep_->tx.payload; }
+  Amount contract_value() const { return rep_->tx.contract_value; }
+  const crypto::Signature& signature() const { return rep_->tx.signature; }
+
+  /// Transaction id: SHA-256 of the full encoding, computed at sealing.
+  const crypto::Hash256& Id() const { return rep_->id; }
+
+  Bytes SigningPayload() const { return rep_->tx.SigningPayload(); }
+  Bytes Encode() const { return rep_->tx.Encode(); }
   /// Verifies the signature against `signer`. Coinbases are unsigned.
   bool VerifySignature() const;
-
   /// Sum of declared output values.
   Amount TotalOutput() const;
+
+  /// A copy to edit; sealing the edit yields a new transaction.
+  MutableTransaction ToMutable() const { return rep_->tx; }
+
+ private:
+  struct Rep {
+    MutableTransaction tx;
+    crypto::Hash256 id;
+  };
+  std::shared_ptr<const Rep> rep_;
 };
 
 }  // namespace ac3::chain

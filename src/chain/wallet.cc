@@ -31,7 +31,8 @@ Result<std::pair<std::vector<OutPoint>, Amount>> Wallet::SelectInputs(
   return std::make_pair(std::move(inputs), total);
 }
 
-Result<Transaction> Wallet::Finalize(Transaction tx, const LedgerState& state,
+Result<Transaction> Wallet::Finalize(MutableTransaction tx,
+                                     const LedgerState& state,
                                      Amount spend_total) {
   AC3_ASSIGN_OR_RETURN(auto selection, SelectInputs(state, spend_total));
   auto& [inputs, total] = selection;
@@ -42,14 +43,14 @@ Result<Transaction> Wallet::Finalize(Transaction tx, const LedgerState& state,
   }
   tx.SignWith(key_);
   for (const OutPoint& in : inputs) reserved_.insert(in);
-  return tx;
+  return Transaction(std::move(tx));
 }
 
 Result<Transaction> Wallet::BuildTransfer(const LedgerState& state,
                                           const crypto::PublicKey& recipient,
                                           Amount amount, Amount fee,
                                           uint64_t nonce) {
-  Transaction tx;
+  MutableTransaction tx;
   tx.type = TxType::kTransfer;
   tx.chain_id = chain_id_;
   tx.fee = fee;
@@ -63,7 +64,7 @@ Result<Transaction> Wallet::BuildDeploy(const LedgerState& state,
                                         const Bytes& payload,
                                         Amount locked_value, Amount fee,
                                         uint64_t nonce) {
-  Transaction tx;
+  MutableTransaction tx;
   tx.type = TxType::kDeploy;
   tx.chain_id = chain_id_;
   tx.fee = fee;
@@ -79,7 +80,7 @@ Result<Transaction> Wallet::BuildCall(const LedgerState& state,
                                       const std::string& function,
                                       const Bytes& args, Amount fee,
                                       uint64_t nonce) {
-  Transaction tx;
+  MutableTransaction tx;
   tx.type = TxType::kCall;
   tx.chain_id = chain_id_;
   tx.fee = fee;

@@ -58,8 +58,8 @@ class Wallet {
   Result<std::pair<std::vector<OutPoint>, Amount>> SelectInputs(
       const LedgerState& state, Amount needed);
 
-  /// Fills inputs/outputs (with change) and signs.
-  Result<Transaction> Finalize(Transaction tx, const LedgerState& state,
+  /// Fills inputs/outputs (with change), signs and seals.
+  Result<Transaction> Finalize(MutableTransaction tx, const LedgerState& state,
                                Amount spend_total);
 
   crypto::KeyPair key_;

@@ -26,14 +26,23 @@ Result<HeaderChainEvidence> HeaderChainEvidence::Decode(const Bytes& encoded) {
     ByteReader hr(header_bytes);
     AC3_ASSIGN_OR_RETURN(chain::BlockHeader header,
                          chain::BlockHeader::Decode(&hr));
+    if (!hr.AtEnd()) {
+      return Status::InvalidArgument("trailing bytes after evidence header");
+    }
     ev.headers.push_back(header);
   }
   AC3_ASSIGN_OR_RETURN(ev.target_index, r.GetU32());
   AC3_ASSIGN_OR_RETURN(uint8_t is_receipt, r.GetU8());
-  ev.leaf_is_receipt = is_receipt != 0;
+  if (is_receipt > 1) {
+    return Status::InvalidArgument("evidence leaf kind not 0 or 1");
+  }
+  ev.leaf_is_receipt = is_receipt == 1;
   AC3_ASSIGN_OR_RETURN(ev.leaf, r.GetBytes());
   AC3_ASSIGN_OR_RETURN(Bytes proof_bytes, r.GetBytes());
   AC3_ASSIGN_OR_RETURN(ev.proof, crypto::MerkleProof::Decode(proof_bytes));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after evidence");
+  }
   return ev;
 }
 

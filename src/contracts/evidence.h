@@ -46,6 +46,8 @@ struct HeaderChainEvidence {
   crypto::MerkleProof proof;
 
   Bytes Encode() const;
+  /// Canonical: rejects trailing bytes (after the evidence or inside a
+  /// header) and a leaf-kind byte other than 0 or 1.
   static Result<HeaderChainEvidence> Decode(const Bytes& encoded);
 
   /// Blocks on top of the target block within this evidence.

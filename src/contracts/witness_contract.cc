@@ -135,23 +135,23 @@ Status WitnessContract::VerifyEdge(size_t i,
   }
   AC3_ASSIGN_OR_RETURN(chain::Transaction deploy_tx,
                        chain::Transaction::Decode(evidence.leaf));
-  if (deploy_tx.type != chain::TxType::kDeploy) {
+  if (deploy_tx.type() != chain::TxType::kDeploy) {
     return Status::VerificationFailed(tag + "leaf is not a deployment");
   }
-  if (deploy_tx.chain_id != spec.chain_id) {
+  if (deploy_tx.chain_id() != spec.chain_id) {
     return Status::VerificationFailed(tag + "deployed on the wrong chain");
   }
-  if (deploy_tx.contract_kind != kPermissionlessKind) {
+  if (deploy_tx.contract_kind() != kPermissionlessKind) {
     return Status::VerificationFailed(tag + "wrong contract kind");
   }
-  if (deploy_tx.signer != spec.sender) {
+  if (deploy_tx.signer() != spec.sender) {
     return Status::VerificationFailed(tag + "deployed by the wrong sender");
   }
-  if (deploy_tx.contract_value != spec.amount) {
+  if (deploy_tx.contract_value() != spec.amount) {
     return Status::VerificationFailed(tag + "locks the wrong asset value");
   }
   AC3_ASSIGN_OR_RETURN(PermissionlessInit sc_init,
-                       PermissionlessInit::Decode(deploy_tx.payload));
+                       PermissionlessInit::Decode(deploy_tx.payload()));
   if (sc_init.recipient != spec.recipient) {
     return Status::VerificationFailed(tag + "wrong recipient");
   }

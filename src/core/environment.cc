@@ -47,7 +47,7 @@ void PruneIncludedOnHeadMove(const chain::Blockchain* chain,
   for (const chain::BlockEntry* walk = &old_head; walk != fork;
        walk = walk->parent) {
     for (const chain::Transaction& tx : walk->block.txs) {
-      if (tx.type == chain::TxType::kCoinbase) continue;
+      if (tx.type() == chain::TxType::kCoinbase) continue;
       if (chain->TxOnBranch(*chain->head(), tx.Id())) continue;
       // Duplicate submissions are rejected by id; ignore them.
       (void)pool->Submit(tx, walk->arrival_time);

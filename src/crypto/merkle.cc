@@ -34,7 +34,8 @@ Result<MerkleStep> MerkleStep::Decode(ByteReader* reader) {
   std::copy(raw.begin(), raw.end(), arr.begin());
   step.sibling = Hash256(arr);
   AC3_ASSIGN_OR_RETURN(uint8_t side, reader->GetU8());
-  step.sibling_on_left = side != 0;
+  if (side > 1) return Status::InvalidArgument("merkle step side not 0 or 1");
+  step.sibling_on_left = side == 1;
   return step;
 }
 
@@ -54,6 +55,9 @@ Result<MerkleProof> MerkleProof::Decode(const Bytes& encoded) {
   for (uint32_t i = 0; i < count; ++i) {
     AC3_ASSIGN_OR_RETURN(MerkleStep step, MerkleStep::Decode(&reader));
     proof.path.push_back(step);
+  }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after merkle proof");
   }
   return proof;
 }
@@ -103,14 +107,18 @@ Hash256 MerkleTree::RootOf(const std::vector<Hash256>& leaves) {
   return level[0];
 }
 
-bool VerifyMerkleProof(const Hash256& leaf, const MerkleProof& proof,
-                       const Hash256& expected_root) {
+Hash256 RootFromProof(const Hash256& leaf, const MerkleProof& proof) {
   Hash256 acc = leaf;
   for (const MerkleStep& step : proof.path) {
     acc = step.sibling_on_left ? Hash256::OfPair(step.sibling, acc)
                                : Hash256::OfPair(acc, step.sibling);
   }
-  return acc == expected_root;
+  return acc;
+}
+
+bool VerifyMerkleProof(const Hash256& leaf, const MerkleProof& proof,
+                       const Hash256& expected_root) {
+  return RootFromProof(leaf, proof) == expected_root;
 }
 
 }  // namespace ac3::crypto

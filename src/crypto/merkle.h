@@ -23,6 +23,7 @@ struct MerkleStep {
   bool sibling_on_left = false;
 
   Bytes Encode() const;
+  /// Rejects a side byte other than 0 or 1.
   static Result<MerkleStep> Decode(ByteReader* reader);
 };
 
@@ -32,6 +33,7 @@ struct MerkleProof {
   std::vector<MerkleStep> path;
 
   Bytes Encode() const;
+  /// Canonical: rejects trailing bytes and non-canonical steps.
   static Result<MerkleProof> Decode(const Bytes& encoded);
 };
 
@@ -55,6 +57,11 @@ class MerkleTree {
   std::vector<std::vector<Hash256>> levels_;  // levels_[0] = leaves.
   Hash256 root_;
 };
+
+/// The root `proof` implies for `leaf`: the leaf folded up the path, one
+/// pair hash per step. Leaf 0's path never depends on leaf 0 itself, so a
+/// block template keeps Prove(0) and folds each miner's coinbase up it.
+Hash256 RootFromProof(const Hash256& leaf, const MerkleProof& proof);
 
 /// Recomputes the root implied by `proof` for `leaf` and compares with
 /// `expected_root`. This is the verification a relay contract executes.

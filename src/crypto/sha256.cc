@@ -340,21 +340,21 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
   // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit big-endian
-  // message bit length.
-  const uint64_t bit_count = bit_count_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  bit_count_ -= 8;  // Padding is not message content.
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-    bit_count_ -= 8;
+  // message bit length. The buffer always has room for the 0x80 (a full
+  // block is compressed as soon as it fills); when fewer than 8 bytes are
+  // left after it, the zeros spill into a second block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_count >> (56 - 8 * i));
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  for (size_t i = 0; i < 8; ++i) {
+    buffer_[kBlockSize - 8 + i] =
+        static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  Update(len_be, 8);
+  ProcessBlock(buffer_);
 
   std::array<uint8_t, kDigestSize> digest;
   for (int i = 0; i < 8; ++i) {

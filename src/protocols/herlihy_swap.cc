@@ -204,7 +204,7 @@ void HerlihySwapEngine::ObserveSecrets() {
                                 /*require_success=*/true);
     if (!call.has_value()) continue;
     const chain::Transaction& tx = call->entry->block.txs[call->index];
-    if (crypto::Hash256::Of(tx.payload) == hashlock_) {
+    if (crypto::Hash256::Of(tx.payload()) == hashlock_) {
       // Only an up participant observes the chain.
       if (participant(rt.edge.from)->IsUp()) {
         knows_secret_[rt.edge.from] = true;

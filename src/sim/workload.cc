@@ -60,13 +60,14 @@ void WorkloadGenerator::BindChain(size_t chain, chain::ChainId chain_id,
   ChainSlot& slot = slots_[chain];
   slot.chain_id = chain_id;
   slot.bound = true;
-  const crypto::Hash256 genesis_id = genesis_tx.Id();
+  const crypto::Hash256& genesis_id = genesis_tx.Id();
   slot.faucet_utxos.clear();
   slot.faucet_values.clear();
-  for (uint32_t i = 0; i < genesis_tx.outputs.size(); ++i) {
-    if (genesis_tx.outputs[i].owner == faucet_key_.public_key()) {
+  const std::vector<chain::TxOutput>& outputs = genesis_tx.outputs();
+  for (uint32_t i = 0; i < outputs.size(); ++i) {
+    if (outputs[i].owner == faucet_key_.public_key()) {
       slot.faucet_utxos.push_back(chain::OutPoint{genesis_id, i});
-      slot.faucet_values.push_back(genesis_tx.outputs[i].value);
+      slot.faucet_values.push_back(outputs[i].value);
     }
   }
   assert(!slot.faucet_utxos.empty());
@@ -165,7 +166,7 @@ WorkloadGenerator::AccountState* WorkloadGenerator::EnsureFunded(
   const chain::Amount lane_value = slot->faucet_values[lane];
   assert(lane_value >= config_.grant_amount + fee + 1);
 
-  chain::Transaction grant;
+  chain::MutableTransaction grant;
   grant.type = chain::TxType::kTransfer;
   grant.chain_id = slot->chain_id;
   grant.inputs.push_back(slot->faucet_utxos[lane]);
@@ -177,7 +178,8 @@ WorkloadGenerator::AccountState* WorkloadGenerator::EnsureFunded(
   grant.fee = fee;
   grant.nonce = slot->faucet_nonce++;
   grant.SignWith(faucet_key_);
-  const crypto::Hash256 grant_id = grant.Id();
+  chain::Transaction sealed(std::move(grant));
+  const crypto::Hash256& grant_id = sealed.Id();
   slot->faucet_utxos[lane] = chain::OutPoint{grant_id, 1};
   slot->faucet_values[lane] = lane_value - config_.grant_amount - fee;
   // Any residual balance on a previously tracked output is abandoned as
@@ -185,7 +187,7 @@ WorkloadGenerator::AccountState* WorkloadGenerator::EnsureFunded(
   account->utxo = chain::OutPoint{grant_id, 0};
   account->balance = config_.grant_amount;
   account->funded = true;
-  out->txs.push_back(GeneratedTx{arrival, chain, std::move(grant)});
+  out->txs.push_back(GeneratedTx{arrival, chain, sealed});
   return account;
 }
 
@@ -195,7 +197,7 @@ chain::Transaction WorkloadGenerator::BuildLeg(ChainSlot* slot,
                                                chain::Amount amount,
                                                chain::Amount fee) {
   assert(payer->balance >= amount + fee + 1);
-  chain::Transaction tx;
+  chain::MutableTransaction tx;
   tx.type = chain::TxType::kTransfer;
   tx.chain_id = slot->chain_id;
   tx.inputs.push_back(payer->utxo);
@@ -205,9 +207,10 @@ chain::Transaction WorkloadGenerator::BuildLeg(ChainSlot* slot,
   tx.fee = fee;
   tx.nonce = payer->nonce++;
   tx.SignWith(payer->key);
-  payer->utxo = chain::OutPoint{tx.Id(), 1};
+  chain::Transaction sealed(std::move(tx));
+  payer->utxo = chain::OutPoint{sealed.Id(), 1};
   payer->balance -= amount + fee;
-  return tx;
+  return sealed;
 }
 
 WorkloadBatch WorkloadGenerator::NextBatch(TimePoint until) {

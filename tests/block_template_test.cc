@@ -30,6 +30,7 @@ using chain::Block;
 using chain::Blockchain;
 using chain::ChainParams;
 using chain::LedgerState;
+using chain::MutableTransaction;
 using chain::OutPoint;
 using chain::Transaction;
 using chain::TxOutput;
@@ -169,14 +170,14 @@ class ChainFixture : public ::testing::Test {
     block.header.prev_hash = chain().head()->hash;
     block.header.time = 50;
     block.header.difficulty_bits = params().difficulty_bits;
-    Transaction coinbase;
+    MutableTransaction coinbase;
     coinbase.type = TxType::kCoinbase;
     coinbase.chain_id = params().id;
     coinbase.outputs.push_back(
         TxOutput{params().block_reward + fees, keys_[0].public_key()});
     coinbase.nonce = 4242;
-    block.txs.push_back(std::move(coinbase));
-    for (Transaction& tx : body) block.txs.push_back(std::move(tx));
+    block.txs.emplace_back(std::move(coinbase));
+    block.txs.insert(block.txs.end(), body.begin(), body.end());
     return block;
   }
 
@@ -199,6 +200,26 @@ TEST_F(BlockTemplateTest, RacingMinersMatchFreshAssemblyAndValidate) {
   const Block block = RaceAndSubmit(pointers, /*miners=*/4, /*now=*/100);
   EXPECT_EQ(block.txs.size(), txs.size() + 1);
   EXPECT_EQ(chain().head()->hash, block.header.Hash());
+}
+
+// Each racing miner folds its own coinbase up the template's two leaf-0
+// paths. The roots must equal full folds over its own block at every body
+// size, the empty body and odd Merkle levels included.
+TEST_F(BlockTemplateTest, CoinbaseBranchRootsMatchFullFolds) {
+  for (const size_t n : {0u, 1u, 2u, 3u, 4u, 7u, 8u}) {
+    SCOPED_TRACE("body size " + std::to_string(n));
+    std::vector<Transaction> txs;
+    for (size_t i = 0; i < n; ++i) txs.push_back(Transfer(i, 10, 100 + n));
+    const auto pointers = Pointers(txs);
+    for (size_t m = 0; m < 3; ++m) {
+      const Block block = Assemble(chain(), chain().head()->hash, pointers,
+                                   Miner(m), /*now=*/100);
+      ASSERT_EQ(block.txs.size(), n + 1);
+      EXPECT_EQ(block.header.tx_root, block.ComputeTxRoot()) << "miner " << m;
+      EXPECT_EQ(block.header.receipt_root, block.ComputeReceiptRoot())
+          << "miner " << m;
+    }
+  }
 }
 
 TEST_F(BlockTemplateTest, RacingMinersMatchFreshWithContractCallsAndReverts) {
@@ -231,7 +252,7 @@ TEST_F(BlockTemplateTest, RacingMinersMatchFreshWithContractCallsAndReverts) {
                                   contracts::kRedeemFunction, wrong, 2, 2);
   ASSERT_TRUE(redeem.ok() && bad_redeem.ok());
   const Transaction hop1 = Transfer(5, 100, 7);
-  Transaction hop2;  // keys_[6] spends hop1's output inside the same block.
+  MutableTransaction hop2;  // keys_[6] spends hop1's output in the block.
   hop2.type = TxType::kTransfer;
   hop2.chain_id = chain().id();
   hop2.inputs.push_back(OutPoint{hop1.Id(), 0});
@@ -239,7 +260,8 @@ TEST_F(BlockTemplateTest, RacingMinersMatchFreshWithContractCallsAndReverts) {
   hop2.fee = 1;
   hop2.nonce = 8;
   hop2.SignWith(keys_[6]);
-  std::vector<Transaction> block2{*redeem, *bad_redeem, hop1, hop2};
+  std::vector<Transaction> block2{*redeem, *bad_redeem, hop1,
+                                  Transaction(hop2)};
   for (size_t i = 10; i < 14; ++i) block2.push_back(Transfer(i, 30, i));
   const Block mined = RaceAndSubmit(Pointers(block2), /*miners=*/4,
                                     /*now=*/200);
@@ -253,8 +275,9 @@ TEST_F(BlockTemplateTest, HitsWhenCandidatesDifferOnlyAfterCapacityCut) {
   Reset(/*capacity=*/5);
   std::vector<Transaction> txs;
   for (size_t i = 0; i < 10; ++i) txs.push_back(Transfer(i, 60, i));
-  Transaction forged = txs[9];
-  forged.fee += 1;  // Invalidates the signature: examined, then skipped.
+  MutableTransaction edit = txs[9].ToMutable();
+  edit.fee += 1;  // Invalidates the signature: examined, then skipped.
+  const Transaction forged(std::move(edit));
   // The selection examines t0, forged, t1..t4 and stops at capacity.
   const std::vector<const Transaction*> first{
       &txs[0], &forged, &txs[1], &txs[2], &txs[3], &txs[4], &txs[5], &txs[6]};
@@ -398,14 +421,14 @@ TEST_F(SerialExecTest, MidBlockFailureStopsAtTheBadTransaction) {
   // nonexistent outpoint, then another valid transfer. The loop aborts at
   // index 3 having applied indices 1-2.
   std::vector<Transaction> body{Transfer(1, 25, 1), Transfer(2, 25, 2)};
-  Transaction bogus;
+  MutableTransaction bogus;
   bogus.type = TxType::kTransfer;
   bogus.chain_id = chain().id();
   bogus.inputs.push_back(OutPoint{crypto::Hash256::Of(Bytes{0xBA}), 0});
   bogus.outputs.push_back(TxOutput{5, keys_[9].public_key()});
   bogus.nonce = 77;
   bogus.SignWith(keys_[8]);
-  body.push_back(std::move(bogus));
+  body.emplace_back(std::move(bogus));
   body.push_back(Transfer(4, 25, 4));
   const Block block = RawBlock(body, /*fees=*/4);
 
@@ -418,17 +441,17 @@ TEST_F(SerialExecTest, MidBlockFailureStopsAtTheBadTransaction) {
   EXPECT_NE(state.utxos.Find(OutPoint{body[0].Id(), 0}), nullptr);
   EXPECT_NE(state.utxos.Find(OutPoint{body[1].Id(), 0}), nullptr);
   EXPECT_EQ(state.utxos.Find(OutPoint{body[3].Id(), 0}), nullptr);
-  EXPECT_NE(state.utxos.Find(body[3].inputs[0]), nullptr);  // Unspent.
+  EXPECT_NE(state.utxos.Find(body[3].inputs()[0]), nullptr);  // Unspent.
 }
 
 TEST_F(SerialExecTest, DuplicateCoinbaseRejected) {
   std::vector<Transaction> body{Transfer(1, 25, 1), Transfer(2, 25, 2)};
-  Transaction rogue;  // A second coinbase buried mid-body.
+  MutableTransaction rogue;  // A second coinbase buried mid-body.
   rogue.type = TxType::kCoinbase;
   rogue.chain_id = chain().id();
   rogue.outputs.push_back(TxOutput{1, keys_[9].public_key()});
   rogue.nonce = 5;
-  body.push_back(std::move(rogue));
+  body.emplace_back(std::move(rogue));
   body.push_back(Transfer(4, 25, 4));
   const Block block = RawBlock(std::move(body), /*fees=*/2);
 
@@ -442,7 +465,9 @@ TEST_F(SerialExecTest, DuplicateCoinbaseRejected) {
 TEST_F(SerialExecTest, BadSignatureRejected) {
   std::vector<Transaction> body{Transfer(1, 25, 1), Transfer(2, 25, 2),
                                 Transfer(3, 25, 3), Transfer(4, 25, 4)};
-  body[2].nonce ^= 1;  // Corrupted after signing.
+  MutableTransaction corrupted = body[2].ToMutable();
+  corrupted.nonce ^= 1;  // Corrupted after signing.
+  body[2] = Transaction(std::move(corrupted));
   const Block block = RawBlock(std::move(body), /*fees=*/4);
 
   LedgerState state = chain().head()->state;
@@ -457,14 +482,15 @@ TEST_F(SerialExecTest, SpendOfLaterOutputFollowsBlockOrder) {
   // the spend must come second: placed first, it invalidates a block and
   // is skipped by assembly.
   const Transaction source = Transfer(5, 100, 7);
-  Transaction spend;
-  spend.type = TxType::kTransfer;
-  spend.chain_id = chain().id();
-  spend.inputs.push_back(OutPoint{source.Id(), 0});
-  spend.outputs.push_back(TxOutput{99, keys_[7].public_key()});
-  spend.fee = 1;
-  spend.nonce = 8;
-  spend.SignWith(keys_[6]);
+  MutableTransaction m;
+  m.type = TxType::kTransfer;
+  m.chain_id = chain().id();
+  m.inputs.push_back(OutPoint{source.Id(), 0});
+  m.outputs.push_back(TxOutput{99, keys_[7].public_key()});
+  m.fee = 1;
+  m.nonce = 8;
+  m.SignWith(keys_[6]);
+  const Transaction spend(std::move(m));
 
   const Block raw = RawBlock({spend, source}, /*fees=*/2);
   LedgerState state = chain().head()->state;

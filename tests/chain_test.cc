@@ -43,40 +43,157 @@ crypto::KeyPair Bob() { return crypto::KeyPair::FromSeed(1002); }
 // ------------------------------------------------------------ transactions
 
 TEST(TransactionTest, EncodeDecodeRoundTrip) {
-  Transaction tx;
-  tx.type = TxType::kTransfer;
-  tx.chain_id = 3;
-  tx.inputs.push_back(OutPoint{crypto::Hash256::OfString("prev"), 1});
-  tx.outputs.push_back(TxOutput{25, Alice().public_key()});
-  tx.fee = 2;
-  tx.nonce = 99;
-  tx.SignWith(Bob());
+  MutableTransaction m;
+  m.type = TxType::kTransfer;
+  m.chain_id = 3;
+  m.inputs.push_back(OutPoint{crypto::Hash256::OfString("prev"), 1});
+  m.outputs.push_back(TxOutput{25, Alice().public_key()});
+  m.fee = 2;
+  m.nonce = 99;
+  m.SignWith(Bob());
+  const Transaction tx(m);
 
   auto decoded = Transaction::Decode(tx.Encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->Id(), tx.Id());
-  EXPECT_EQ(decoded->outputs[0].value, 25u);
+  EXPECT_EQ(decoded->outputs()[0].value, 25u);
   EXPECT_TRUE(decoded->VerifySignature());
 }
 
 TEST(TransactionTest, SignatureCoversContent) {
-  Transaction tx;
-  tx.type = TxType::kTransfer;
-  tx.outputs.push_back(TxOutput{10, Alice().public_key()});
-  tx.SignWith(Bob());
-  EXPECT_TRUE(tx.VerifySignature());
-  tx.outputs[0].value = 11;  // Tamper.
-  EXPECT_FALSE(tx.VerifySignature());
+  MutableTransaction m;
+  m.type = TxType::kTransfer;
+  m.outputs.push_back(TxOutput{10, Alice().public_key()});
+  m.SignWith(Bob());
+  EXPECT_TRUE(Transaction(m).VerifySignature());
+  m.outputs[0].value = 11;  // Tamper.
+  EXPECT_FALSE(Transaction(m).VerifySignature());
 }
 
 TEST(TransactionTest, NonceChangesId) {
-  Transaction a, b;
+  MutableTransaction a, b;
   a.type = b.type = TxType::kTransfer;
   a.nonce = 1;
   b.nonce = 2;
   a.SignWith(Alice());
   b.SignWith(Alice());
-  EXPECT_NE(a.Id(), b.Id());
+  EXPECT_NE(Transaction(a).Id(), Transaction(b).Id());
+}
+
+/// One signed (coinbases: unsigned) transaction of every TxType, with
+/// every field its type uses set.
+std::vector<MutableTransaction> OneOfEachType() {
+  std::vector<MutableTransaction> out;
+  for (const TxType type : {TxType::kCoinbase, TxType::kTransfer,
+                            TxType::kDeploy, TxType::kCall}) {
+    MutableTransaction m;
+    m.type = type;
+    m.chain_id = 3;
+    m.outputs.push_back(TxOutput{25, Alice().public_key()});
+    m.nonce = 40 + static_cast<uint64_t>(type);
+    if (type == TxType::kDeploy) {
+      m.contract_kind = "HTLC";
+      m.payload = Bytes{1, 2, 3};
+      m.contract_value = 30;
+    }
+    if (type == TxType::kCall) {
+      m.contract_id = crypto::Hash256::OfString("contract");
+      m.function = "redeem";
+      m.payload = Bytes{9};
+    }
+    if (type != TxType::kCoinbase) {
+      m.inputs.push_back(OutPoint{crypto::Hash256::OfString("prev"), 1});
+      m.fee = 2;
+      m.SignWith(Bob());
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+TEST(TransactionTest, SealedIdIsHashOfEncoding) {
+  for (const MutableTransaction& m : OneOfEachType()) {
+    EXPECT_EQ(Transaction(m).Id(), crypto::Hash256::Of(m.Encode()))
+        << TxTypeName(m.type);
+  }
+}
+
+TEST(TransactionTest, DecodedIdIsHashOfAcceptedBytes) {
+  for (const MutableTransaction& m : OneOfEachType()) {
+    const Bytes encoded = m.Encode();
+    auto decoded = Transaction::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << TxTypeName(m.type);
+    EXPECT_EQ(decoded->Id(), crypto::Hash256::Of(encoded))
+        << TxTypeName(m.type);
+    EXPECT_EQ(decoded->Encode(), encoded) << TxTypeName(m.type);
+  }
+}
+
+TEST(TransactionTest, DecodeRejectsTrailingBytes) {
+  for (const MutableTransaction& m : OneOfEachType()) {
+    Bytes encoded = m.Encode();
+    encoded.push_back(0);
+    EXPECT_FALSE(Transaction::Decode(encoded).ok()) << TxTypeName(m.type);
+  }
+}
+
+TEST(TransactionTest, CopiesShareTheId) {
+  Transaction tx(OneOfEachType()[1]);
+  const Transaction copy = tx;
+  EXPECT_EQ(copy.Id(), tx.Id());
+  EXPECT_EQ(&copy.Id(), &tx.Id());  // One shared representation.
+  // A move copies, so the source stays a whole transaction.
+  const Transaction moved = std::move(tx);
+  EXPECT_EQ(moved.Id(), copy.Id());
+  EXPECT_EQ(tx.Id(), copy.Id());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(tx.VerifySignature());
+}
+
+TEST(TransactionTest, EditedCopyGetsANewIdAndFailsVerification) {
+  const Transaction original(OneOfEachType()[1]);
+  ASSERT_TRUE(original.VerifySignature());
+  MutableTransaction edit = original.ToMutable();
+  edit.fee += 1;
+  const Transaction edited(std::move(edit));
+  EXPECT_NE(edited.Id(), original.Id());
+  EXPECT_FALSE(edited.VerifySignature());
+  // The original is untouched.
+  EXPECT_EQ(original.fee(), 2u);
+  EXPECT_TRUE(original.VerifySignature());
+}
+
+// ---------------------------------------------------------------- receipts
+
+Receipt SampleReceipt() {
+  Receipt receipt;
+  receipt.tx_id = crypto::Hash256::OfString("tx");
+  receipt.success = false;
+  receipt.contract_id = crypto::Hash256::OfString("contract");
+  receipt.state_digest = Bytes{4, 5, 6};
+  receipt.note = "guard failed";
+  return receipt;
+}
+
+TEST(ReceiptTest, EncodeDecodeRoundTrip) {
+  const Bytes encoded = SampleReceipt().Encode();
+  auto decoded = Receipt::Decode(encoded);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->Encode(), encoded);
+  EXPECT_FALSE(decoded->success);
+}
+
+TEST(ReceiptTest, DecodeRejectsTrailingBytes) {
+  Bytes encoded = SampleReceipt().Encode();
+  encoded.push_back(0);
+  EXPECT_FALSE(Receipt::Decode(encoded).ok());
+}
+
+TEST(ReceiptTest, DecodeRejectsNonBooleanSuccess) {
+  Bytes encoded = SampleReceipt().Encode();
+  const size_t success_at = crypto::Hash256::kSize;  // After tx_id.
+  ASSERT_EQ(encoded[success_at], 0);
+  encoded[success_at] = 2;
+  EXPECT_FALSE(Receipt::Decode(encoded).ok());
 }
 
 // ------------------------------------------------------------------ blocks
@@ -165,7 +282,7 @@ TEST(LedgerTest, DoubleSpendRejected) {
 TEST(LedgerTest, ForeignInputsRejected) {
   TestChain tc(FastParams(), Fund({Alice().public_key()}, 500));
   // Bob tries to spend Alice's UTXO.
-  Transaction theft;
+  MutableTransaction theft;
   theft.type = TxType::kTransfer;
   theft.chain_id = 0;
   theft.inputs.push_back(OutPoint{tc.chain().genesis_tx().Id(), 0});
@@ -175,7 +292,7 @@ TEST(LedgerTest, ForeignInputsRejected) {
 
   LedgerState state = tc.chain().StateAtHead();
   BlockEnv env{0, 1, 100};
-  auto receipt = ApplyTransaction(&state, theft, env);
+  auto receipt = ApplyTransaction(&state, Transaction(theft), env);
   EXPECT_FALSE(receipt.ok());
   EXPECT_EQ(receipt.status().code(), StatusCode::kVerificationFailed);
 }
@@ -184,7 +301,7 @@ TEST(LedgerTest, DuplicateInputOutpointRejected) {
   TestChain tc(FastParams(), Fund({Alice().public_key()}, 500));
   // Listing the same 500-value outpoint twice must not let Alice claim
   // 1000 of outputs (value inflation).
-  Transaction tx;
+  MutableTransaction tx;
   tx.type = TxType::kTransfer;
   tx.chain_id = 0;
   const OutPoint funding{tc.chain().genesis_tx().Id(), 0};
@@ -195,7 +312,7 @@ TEST(LedgerTest, DuplicateInputOutpointRejected) {
 
   LedgerState state = tc.chain().StateAtHead();
   BlockEnv env{0, 1, 100};
-  auto receipt = ApplyTransaction(&state, tx, env);
+  auto receipt = ApplyTransaction(&state, Transaction(tx), env);
   EXPECT_FALSE(receipt.ok());
   EXPECT_EQ(receipt.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(state.TotalValue(), 500u);
@@ -203,7 +320,7 @@ TEST(LedgerTest, DuplicateInputOutpointRejected) {
 
 TEST(LedgerTest, ValueImbalanceRejected) {
   TestChain tc(FastParams(), Fund({Alice().public_key()}, 500));
-  Transaction tx;
+  MutableTransaction tx;
   tx.type = TxType::kTransfer;
   tx.chain_id = 0;
   tx.inputs.push_back(OutPoint{tc.chain().genesis_tx().Id(), 0});
@@ -213,7 +330,7 @@ TEST(LedgerTest, ValueImbalanceRejected) {
 
   LedgerState state = tc.chain().StateAtHead();
   BlockEnv env{0, 1, 100};
-  EXPECT_FALSE(ApplyTransaction(&state, tx, env).ok());
+  EXPECT_FALSE(ApplyTransaction(&state, Transaction(tx), env).ok());
 }
 
 TEST(LedgerTest, MergeAndSplitSemantics) {
@@ -225,7 +342,7 @@ TEST(LedgerTest, MergeAndSplitSemantics) {
   auto merge = alice.BuildTransfer(tc.chain().StateAtHead(),
                                    Bob().public_key(), 299, 1, 1);
   ASSERT_TRUE(merge.ok());
-  EXPECT_EQ(merge->inputs.size(), 3u);
+  EXPECT_EQ(merge->inputs().size(), 3u);
   ASSERT_TRUE(tc.MineBlock({*merge}).ok());
 
   // Split: Bob sends 50 back, keeps change.
@@ -1059,10 +1176,11 @@ TEST(ChainIndexTest, RandomForkTreeMatchesParentWalk) {
 
 TEST(MempoolTest, VisibilityByArrivalTime) {
   Mempool pool;
-  Transaction tx;
-  tx.type = TxType::kTransfer;
-  tx.nonce = 1;
-  tx.SignWith(Alice());
+  MutableTransaction m;
+  m.type = TxType::kTransfer;
+  m.nonce = 1;
+  m.SignWith(Alice());
+  const Transaction tx(m);
   ASSERT_TRUE(pool.Submit(tx, 100).ok());
   EXPECT_TRUE(pool.CandidatePointersAt(50, {}).empty());
   EXPECT_EQ(pool.CandidatePointersAt(100, {}).size(), 1u);
@@ -1070,20 +1188,22 @@ TEST(MempoolTest, VisibilityByArrivalTime) {
 
 TEST(MempoolTest, RejectsDuplicates) {
   Mempool pool;
-  Transaction tx;
-  tx.type = TxType::kTransfer;
-  tx.nonce = 1;
-  tx.SignWith(Alice());
+  MutableTransaction m;
+  m.type = TxType::kTransfer;
+  m.nonce = 1;
+  m.SignWith(Alice());
+  const Transaction tx(m);
   ASSERT_TRUE(pool.Submit(tx, 0).ok());
   EXPECT_EQ(pool.Submit(tx, 5).code(), StatusCode::kAlreadyExists);
 }
 
 TEST(MempoolTest, ExcludesIncluded) {
   Mempool pool;
-  Transaction tx;
-  tx.type = TxType::kTransfer;
-  tx.nonce = 1;
-  tx.SignWith(Alice());
+  MutableTransaction m;
+  m.type = TxType::kTransfer;
+  m.nonce = 1;
+  m.SignWith(Alice());
+  const Transaction tx(m);
   ASSERT_TRUE(pool.Submit(tx, 0).ok());
   std::set<crypto::Hash256> included = {tx.Id()};
   EXPECT_TRUE(pool.CandidatePointersAt(10, [&](const crypto::Hash256& id) {
@@ -1170,14 +1290,22 @@ TEST(MiningNetworkTest, PrivateBranchOverridesHead) {
 
   const uint64_t public_height = chain.height();
   ASSERT_GT(public_height, 3u);
-  // Attacker mines a longer private branch from 3 blocks back.
+  // Attacker mines a longer private branch from 3 blocks back, each block
+  // assembled on the previous one, then publishes it.
   const BlockEntry* fork_point = chain.StableBlock(3);
-  auto branch = miners.BuildPrivateBranch(fork_point->hash, 6, {},
-                                          sim.Now() + 1);
-  ASSERT_TRUE(branch.ok());
-  ASSERT_TRUE(miners.PublishBranch(*branch).ok());
+  const crypto::PublicKey attacker = crypto::KeyPair::FromSeed(99).public_key();
+  Rng rng(56);
+  crypto::Hash256 tip = fork_point->hash;
+  for (int i = 0; i < 6; ++i) {
+    const TimePoint now = sim.Now() + 1 + i;
+    auto block = chain.AssembleBlock(tip, std::vector<Transaction>{},
+                                     attacker, now, &rng);
+    ASSERT_TRUE(block.ok());
+    ASSERT_TRUE(chain.SubmitBlock(*block, now).ok());
+    tip = block->header.Hash();
+  }
   // 51% attack succeeded: the private branch is now canonical.
-  EXPECT_EQ(chain.head()->hash, branch->back().header.Hash());
+  EXPECT_EQ(chain.head()->hash, tip);
   EXPECT_EQ(chain.height(), fork_point->block.header.height + 6);
 }
 

@@ -83,6 +83,51 @@ TEST(Sha256Test, PaddingBoundaries) {
 using ::ac3::testutil::AvailableDispatches;
 using ::ac3::testutil::DispatchGuard;
 
+/// An oracle for Finish's padding that shares no code with Update or
+/// Finish: the FIPS 180-4 (5.1.1) padded message built here, folded block
+/// by block with the raw compression function from H(0).
+Hash256 FipsPaddedDigest(const Bytes& message) {
+  Bytes padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % Sha256::kBlockSize != Sha256::kBlockSize - 8) {
+    padded.push_back(0);
+  }
+  const uint64_t bits = static_cast<uint64_t>(message.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<uint8_t>(bits >> shift));
+  }
+  std::array<uint32_t, 8> state = Sha256::kInitialState;
+  for (size_t offset = 0; offset < padded.size();
+       offset += Sha256::kBlockSize) {
+    Sha256::Compress(state.data(), padded.data() + offset);
+  }
+  std::array<uint8_t, Sha256::kDigestSize> digest{};
+  for (size_t i = 0; i < state.size(); ++i) {
+    for (size_t b = 0; b < 4; ++b) {
+      digest[4 * i + b] = static_cast<uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return Hash256(digest);
+}
+
+// PaddingBoundaries compares two ways into the same Finish, so a padding
+// bug there cancels out. This holds Finish against the oracle at every
+// message length through two full blocks, which puts every buffered length
+// 0..63 (55/56 and the two-block 56..63 among them) in front of Finish.
+TEST(Sha256Test, FinishMatchesFipsPaddingOracleAtEveryLength) {
+  DispatchGuard guard;
+  Rng rng(1804);
+  for (Sha256::Dispatch level : AvailableDispatches()) {
+    ASSERT_TRUE(Sha256::SetDispatch(level));
+    for (size_t len = 0; len <= 130; ++len) {
+      Bytes data(len);
+      for (uint8_t& byte : data) byte = static_cast<uint8_t>(rng.NextU64());
+      EXPECT_EQ(Hash256::Of(data), FipsPaddedDigest(data))
+          << "len " << len << " level " << Sha256::DispatchName(level);
+    }
+  }
+}
+
 TEST(Sha256DispatchTest, ActiveLevelIsAvailableAndNamed) {
   const Sha256::Dispatch active = Sha256::ActiveDispatch();
   EXPECT_TRUE(Sha256::DispatchAvailable(active));
@@ -488,6 +533,42 @@ TEST(MerkleTest, ProofEncodeDecodeRoundTrip) {
   auto decoded = MerkleProof::Decode(proof->Encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(VerifyMerkleProof(leaves[5], *decoded, tree.root()));
+}
+
+// Racing miners' blocks differ only in leaf 0 (the coinbase), so a block
+// template keeps Prove(0) and folds each coinbase up it. That is sound
+// only if leaf 0's path never depends on leaf 0, odd levels included.
+TEST(MerkleTest, LeafZeroPathFoldsAnyLeafZero) {
+  const Hash256 other = Hash256::OfString("another coinbase");
+  for (int n = 1; n <= 70; ++n) {
+    std::vector<Hash256> leaves = MakeLeaves(n);
+    const auto proof = MerkleTree(leaves).Prove(0);
+    ASSERT_TRUE(proof.ok()) << "n=" << n;
+    leaves[0] = other;
+    EXPECT_EQ(RootFromProof(other, *proof), MerkleTree::RootOf(leaves))
+        << "n=" << n;
+  }
+}
+
+TEST(MerkleTest, DecodeRejectsTrailingBytes) {
+  const auto proof = MerkleTree(MakeLeaves(5)).Prove(2);
+  ASSERT_TRUE(proof.ok());
+  Bytes encoded = proof->Encode();
+  ASSERT_TRUE(MerkleProof::Decode(encoded).ok());
+  encoded.push_back(0);
+  EXPECT_FALSE(MerkleProof::Decode(encoded).ok());
+}
+
+TEST(MerkleTest, DecodeRejectsNonBooleanSide) {
+  const auto proof = MerkleTree(MakeLeaves(5)).Prove(2);
+  ASSERT_TRUE(proof.ok());
+  Bytes encoded = proof->Encode();
+  // Layout: u32 leaf index, u32 step count, then per step a 32-byte
+  // sibling and one side byte.
+  const size_t first_side = 4 + 4 + Hash256::kSize;
+  ASSERT_LE(encoded[first_side], 1);
+  encoded[first_side] = 2;
+  EXPECT_FALSE(MerkleProof::Decode(encoded).ok());
 }
 
 TEST(MerkleTest, TamperedProofStepFails) {

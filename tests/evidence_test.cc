@@ -114,6 +114,54 @@ class EvidenceTest : public ::testing::Test {
   uint64_t next_nonce_ = 1;
 };
 
+// ------------------------------------------------------ canonical decoding
+
+HeaderChainEvidence SmallEvidence() {
+  HeaderChainEvidence ev;
+  ev.headers.push_back(chain::BlockHeader{});
+  ev.leaf = Bytes{1, 2, 3};
+  ev.proof = *crypto::MerkleTree({crypto::Hash256::OfString("a"),
+                                  crypto::Hash256::OfString("b")})
+                  .Prove(0);
+  return ev;
+}
+
+TEST(EvidenceDecodeTest, RoundTripsCanonicalBytes) {
+  const Bytes encoded = SmallEvidence().Encode();
+  auto decoded = HeaderChainEvidence::Decode(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->Encode(), encoded);
+}
+
+TEST(EvidenceDecodeTest, RejectsTrailingBytes) {
+  Bytes encoded = SmallEvidence().Encode();
+  encoded.push_back(0);
+  EXPECT_FALSE(HeaderChainEvidence::Decode(encoded).ok());
+}
+
+TEST(EvidenceDecodeTest, RejectsTrailingBytesInsideAHeader) {
+  const HeaderChainEvidence ev = SmallEvidence();
+  Bytes header = ev.headers[0].Encode();
+  header.push_back(0);
+  ByteWriter w;
+  w.PutU32(1);
+  w.PutBytes(header);
+  w.PutU32(ev.target_index);
+  w.PutU8(0);
+  w.PutBytes(ev.leaf);
+  w.PutBytes(ev.proof.Encode());
+  EXPECT_FALSE(HeaderChainEvidence::Decode(w.Take()).ok());
+}
+
+TEST(EvidenceDecodeTest, RejectsNonBooleanLeafKind) {
+  Bytes encoded = SmallEvidence().Encode();
+  // u32 header count, one u32-length-prefixed header, u32 target index.
+  const size_t kind_at = 4 + (4 + chain::BlockHeader::kEncodedSize) + 4;
+  ASSERT_EQ(encoded[kind_at], 0);
+  encoded[kind_at] = 2;
+  EXPECT_FALSE(HeaderChainEvidence::Decode(encoded).ok());
+}
+
 // ------------------------------------------------- raw evidence mechanics
 
 TEST_F(EvidenceTest, TxEvidenceVerifiesAgainstCheckpoint) {

@@ -634,11 +634,11 @@ TEST(VisibleHeadTest, IncrementalMatchesFullScan) {
 // ---- mempool ---------------------------------------------------------------
 
 chain::Transaction SignedTransfer(uint64_t nonce) {
-  chain::Transaction tx;
+  chain::MutableTransaction tx;
   tx.type = chain::TxType::kTransfer;
   tx.nonce = nonce;
   tx.SignWith(crypto::KeyPair::FromSeed(1));
-  return tx;
+  return chain::Transaction(std::move(tx));
 }
 
 TEST(MempoolIndexTest, OutOfOrderArrivalsStaySorted) {
@@ -688,7 +688,7 @@ TEST(MempoolIndexTest, PruneDropsEntriesAndIdsTogether) {
   auto candidates = pool.CandidatePointersAt(100, {});
   ASSERT_EQ(candidates.size(), 5u);
   for (size_t i = 0; i + 1 < candidates.size(); ++i) {
-    EXPECT_EQ(candidates[i]->nonce + 2, candidates[i + 1]->nonce);
+    EXPECT_EQ(candidates[i]->nonce() + 2, candidates[i + 1]->nonce());
   }
 }
 

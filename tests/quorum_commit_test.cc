@@ -277,12 +277,12 @@ TEST(QuorumCommitTest, CrashScheduleReplaysBitForBit) {
 
 chain::Transaction FakeGenesis(std::vector<chain::TxOutput> allocations,
                                chain::ChainId id) {
-  chain::Transaction tx;
+  chain::MutableTransaction tx;
   tx.type = chain::TxType::kCoinbase;
   tx.chain_id = id;
   tx.outputs = std::move(allocations);
   tx.nonce = 0;
-  return tx;
+  return chain::Transaction(std::move(tx));
 }
 
 // The open-world generator supplies the swap schedule (chain pairs in

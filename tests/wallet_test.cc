@@ -43,13 +43,13 @@ TEST_F(WalletTest, TransferValueBalanceHolds) {
   ASSERT_TRUE(tx.ok()) << tx.status();
   // sum(inputs) = sum(outputs) + fee: the Figure 2 invariant.
   Amount input_total = 0;
-  for (const OutPoint& in : tx->inputs) {
+  for (const OutPoint& in : tx->inputs()) {
     input_total += State().utxos.at(in).value;
   }
-  EXPECT_EQ(input_total, tx->TotalOutput() + tx->fee);
+  EXPECT_EQ(input_total, tx->TotalOutput() + tx->fee());
   // Bob receives exactly the amount; change (if any) returns to Alice.
   Amount to_bob = 0, to_alice = 0;
-  for (const TxOutput& out : tx->outputs) {
+  for (const TxOutput& out : tx->outputs()) {
     if (out.owner == kBob.public_key()) to_bob += out.value;
     if (out.owner == kAlice.public_key()) to_alice += out.value;
   }
@@ -61,7 +61,7 @@ TEST_F(WalletTest, MergesUtxosWhenOneIsNotEnough) {
   // 600 exceeds any single UTXO: at least two inputs are merged.
   auto tx = alice_.BuildTransfer(State(), kBob.public_key(), 600, 5, 1);
   ASSERT_TRUE(tx.ok());
-  EXPECT_GE(tx->inputs.size(), 2u);
+  EXPECT_GE(tx->inputs().size(), 2u);
 }
 
 TEST_F(WalletTest, InsufficientFundsReported) {
@@ -77,8 +77,8 @@ TEST_F(WalletTest, ReservationsPreventOverlappingSpends) {
   auto t2 = alice_.BuildTransfer(State(), kBob.public_key(), 300, 5, 2);
   ASSERT_TRUE(t1.ok());
   ASSERT_TRUE(t2.ok());
-  for (const OutPoint& a : t1->inputs) {
-    for (const OutPoint& b : t2->inputs) {
+  for (const OutPoint& a : t1->inputs()) {
+    for (const OutPoint& b : t2->inputs()) {
       EXPECT_FALSE(a == b) << "shared input = self double spend";
     }
   }
@@ -104,23 +104,23 @@ TEST_F(WalletTest, DeployLocksContractValueSeparately) {
   auto tx = alice_.BuildDeploy(State(), "HTLC", Bytes{1, 2, 3},
                                /*locked_value=*/200, /*fee=*/4, 1);
   ASSERT_TRUE(tx.ok()) << tx.status();
-  EXPECT_EQ(tx->type, TxType::kDeploy);
-  EXPECT_EQ(tx->contract_value, 200u);
+  EXPECT_EQ(tx->type(), TxType::kDeploy);
+  EXPECT_EQ(tx->contract_value(), 200u);
   // Inputs cover locked value + fee + change outputs.
   Amount input_total = 0;
-  for (const OutPoint& in : tx->inputs) {
+  for (const OutPoint& in : tx->inputs()) {
     input_total += State().utxos.at(in).value;
   }
-  EXPECT_EQ(input_total, tx->TotalOutput() + tx->fee + tx->contract_value);
+  EXPECT_EQ(input_total, tx->TotalOutput() + tx->fee() + tx->contract_value());
 }
 
 TEST_F(WalletTest, CallSpendsOnlyTheFee) {
   auto tx = alice_.BuildCall(State(), crypto::Hash256::Of(Bytes{9}), "redeem",
                              Bytes{1}, /*fee=*/2, 1);
   ASSERT_TRUE(tx.ok()) << tx.status();
-  EXPECT_EQ(tx->type, TxType::kCall);
+  EXPECT_EQ(tx->type(), TxType::kCall);
   Amount input_total = 0;
-  for (const OutPoint& in : tx->inputs) {
+  for (const OutPoint& in : tx->inputs()) {
     input_total += State().utxos.at(in).value;
   }
   EXPECT_EQ(input_total - tx->TotalOutput(), 2u);
@@ -130,11 +130,11 @@ TEST_F(WalletTest, BuiltTransactionsCarryValidSignatures) {
   auto tx = alice_.BuildTransfer(State(), kBob.public_key(), 100, 1, 1);
   ASSERT_TRUE(tx.ok());
   EXPECT_TRUE(tx->VerifySignature());
-  EXPECT_EQ(tx->signer, kAlice.public_key());
+  EXPECT_EQ(tx->signer(), kAlice.public_key());
   // Tampering after signing is detectable.
-  Transaction tampered = *tx;
+  MutableTransaction tampered = tx->ToMutable();
   tampered.fee += 1;
-  EXPECT_FALSE(tampered.VerifySignature());
+  EXPECT_FALSE(Transaction(tampered).VerifySignature());
 }
 
 // Property sweep: for any (amount, fee) the wallet can afford, the value
@@ -158,7 +158,7 @@ TEST_P(WalletBalanceSweep, ValueConservation) {
   }
   ASSERT_TRUE(tx.ok()) << tx.status();
   Amount input_total = 0;
-  for (const OutPoint& in : tx->inputs) {
+  for (const OutPoint& in : tx->inputs()) {
     input_total += world.chain().StateAtHead().utxos.at(in).value;
   }
   EXPECT_EQ(input_total, tx->TotalOutput() + fee);

@@ -22,12 +22,12 @@ namespace {
 /// lets pure generator tests bind chain slots without a chain instance.
 chain::Transaction FakeGenesis(std::vector<chain::TxOutput> allocations,
                                chain::ChainId id) {
-  chain::Transaction tx;
+  chain::MutableTransaction tx;
   tx.type = chain::TxType::kCoinbase;
   tx.chain_id = id;
   tx.outputs = std::move(allocations);
   tx.nonce = 0;
-  return tx;
+  return chain::Transaction(std::move(tx));
 }
 
 void BindAll(WorkloadGenerator* gen) {
