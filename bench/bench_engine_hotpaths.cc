@@ -560,9 +560,7 @@ int main(int argc, char** argv) {
   const crypto::Sha256::Dispatch entry_level = crypto::Sha256::ActiveDispatch();
   runner::Json pow_dispatch_wall = runner::Json::Array();
   bool dispatch_invariant = true;
-  for (crypto::Sha256::Dispatch level :
-       {crypto::Sha256::Dispatch::kScalar, crypto::Sha256::Dispatch::kShaNi,
-        crypto::Sha256::Dispatch::kAvx2}) {
+  for (crypto::Sha256::Dispatch level : crypto::Sha256::kDispatchLadder) {
     if (!crypto::Sha256::DispatchAvailable(level)) continue;
     crypto::Sha256::SetDispatch(level);
     const PowRun ladder = RunPow(pow_bits, pow_headers);

@@ -13,10 +13,10 @@ The committed envelope is the floors' source of truth — landing a faster
 full run automatically tightens them. GROWTH_FACTOR (default 0.5)
 absorbs the machine gap between CI runners and the container the
 committed run came from. POW_FACTOR defaults lower (0.1) because the
-committed rate rides the widest SHA-256 dispatch level the bench
-container has (SHA-NI / AVX2) while a CI runner may only have the scalar
-path — the floor still catches a hot-loop regression, which costs far
-more than one dispatch rung.
+committed rate rides the top SHA-256 dispatch level the bench container
+has (the AVX-512 nonce scan) while a CI runner may only have the SHA-NI
+or AVX2 rungs, each above a tenth of it — the floor still catches a
+hot-loop regression. A runner with only the scalar path reads below it.
 
 The grid-study envelopes share one mode, spelled per study:
 

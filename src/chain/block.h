@@ -32,7 +32,7 @@ struct BlockHeader {
   uint64_t nonce = 0;
 
   /// Canonical encoding is fixed-width: 4 + 8 + 3*32 + 8 + 4 + 8 bytes,
-  /// with the nonce as the final 8 bytes (what HeaderHasher patches).
+  /// with the nonce as the final 8 bytes (what HeaderHasher varies).
   static constexpr size_t kEncodedSize = 128;
 
   Bytes Encode() const;

@@ -18,7 +18,9 @@
 
 namespace ac3::chain {
 
-/// True when `hash` has >= `difficulty_bits` leading zero bits.
+/// True when `hash` has >= `difficulty_bits` leading zero bits, counted
+/// over the whole 32-byte digest. Defined for every value: a difficulty
+/// above 256 is never met.
 bool HashMeetsDifficulty(const crypto::Hash256& hash, uint32_t difficulty_bits);
 
 /// True when the header's own hash meets its declared difficulty.
@@ -30,13 +32,14 @@ bool CheckProofOfWork(const BlockHeader& header);
 /// including the winner — a deterministic function of the seed, pinned by
 /// the committed BENCH witnesses.
 ///
-/// Exactly MineHeaderBatch({header}, rng)[0]: the one header fills every
-/// Sha256::PreferredMiningLanes() lane with consecutive nonces (two on the
-/// scalar/SHA-NI dispatch levels, eight on AVX2), overlapping the
-/// independent SHA-256 dependency chains. Lanes are checked in ascending
-/// nonce order, so the winning nonce and the returned count are identical
-/// to MineHeaderScalar on every dispatch level — only the wall-clock per
-/// nonce changes.
+/// Each step is one HeaderHasher::ScanNonces call: on the avx512 and avx2
+/// dispatch levels a fused 16- or 8-lane double-SHA-256 of consecutive
+/// nonces, on the scalar and shani levels a single nonce, returning the
+/// nonces whose digest passes a pre-filter on its first 32 bits. The
+/// candidates are confirmed in ascending nonce order with
+/// HashMeetsDifficulty(HashWithNonce(nonce)), so the winning nonce and the
+/// returned count are identical to MineHeaderScalar on every dispatch
+/// level — only the wall-clock per nonce changes.
 uint64_t MineHeader(BlockHeader* header, Rng* rng);
 
 /// The one-nonce-at-a-time reference search. Kept as the equivalence
@@ -44,22 +47,10 @@ uint64_t MineHeader(BlockHeader* header, Rng* rng);
 /// counts across a seed/difficulty grid); not used on the hot path.
 uint64_t MineHeaderScalar(BlockHeader* header, Rng* rng);
 
-/// Mines every header in `headers` — multi-miner contention in one batch.
-/// Returns the per-header eval counts, index-aligned with `headers`.
-///
-/// Semantically identical to calling MineHeader(headers[i], rng) in index
-/// order: each header's start nonce is drawn from `rng` in that order
-/// (one NextU64 per header), each header's nonces are visited ascending
-/// from its start, and eval counts are "nonces visited up to and
-/// including the winner" — so winning nonces and counts
-/// match the per-header loop (and hence MineHeaderScalar) on every
-/// SHA-256 dispatch level. The difference is occupancy: every loop
-/// iteration fills all Sha256::PreferredMiningLanes() lanes with attempts
-/// spread across the still-unsolved headers (HeaderHasher's cross-hasher
-/// HashLanesWithNonces), so the AVX2 8-way rung runs full even when each
-/// miner's difficulty is low — the realistic many-miners-low-difficulty
-/// regime, where one search per miner would run short, underfilled
-/// batches.
+/// Mines every header in `headers` — multi-miner contention in one call.
+/// Returns the per-header eval counts, index-aligned with `headers`:
+/// exactly MineHeader(headers[i], rng) in index order, so each header's
+/// start nonce is the i-th draw from `rng`.
 std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
                                       Rng* rng);
 

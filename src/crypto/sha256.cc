@@ -11,18 +11,7 @@ namespace ac3::crypto {
 
 namespace {
 
-constexpr uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+constexpr const std::array<uint32_t, 64>& kK = simd::kRoundConstants;
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 inline uint32_t Ch(uint32_t x, uint32_t y, uint32_t z) {
@@ -44,25 +33,38 @@ inline uint32_t SmallSigma1(uint32_t x) {
   return Rotr(x, 17) ^ Rotr(x, 19) ^ (x >> 10);
 }
 
-/// The portable reference compression — the bottom rung of the dispatch
-/// ladder and the oracle every hardware kernel is tested against.
-void CompressScalar(uint32_t* state, const uint8_t* block) {
-  uint32_t w[64];
+/// The big-endian message word holding four little-endian nonce bytes.
+inline uint32_t NonceWord(uint32_t half) {
+  return (half >> 24) | ((half >> 8) & 0xff00) | ((half << 8) & 0xff0000) |
+         (half << 24);
+}
+
+/// Reads a 64-byte block as 16 big-endian words.
+void LoadBlock(const uint8_t* block, uint32_t* w) {
   for (int t = 0; t < 16; ++t) {
     w[t] = static_cast<uint32_t>(block[t * 4]) << 24 |
            static_cast<uint32_t>(block[t * 4 + 1]) << 16 |
            static_cast<uint32_t>(block[t * 4 + 2]) << 8 |
            static_cast<uint32_t>(block[t * 4 + 3]);
   }
+}
+
+/// Expands w[0..15] into the full message schedule and adds the round
+/// constants: w[t] becomes K[t] + W[t].
+void ScheduleWithConstants(uint32_t* w) {
   for (int t = 16; t < 64; ++t) {
     w[t] = SmallSigma1(w[t - 2]) + w[t - 7] + SmallSigma0(w[t - 15]) + w[t - 16];
   }
+  for (int t = 0; t < 64; ++t) w[t] += kK[t];
+}
 
-  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-
-  for (int t = 0; t < 64; ++t) {
-    uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kK[t] + w[t];
+/// Rounds [first, last) over the working variables s = {a, ..., h}, with
+/// wk[t] = K[t] + W[t].
+void Rounds(uint32_t* s, const uint32_t* wk, int first, int last) {
+  uint32_t a = s[0], b = s[1], c = s[2], d = s[3];
+  uint32_t e = s[4], f = s[5], g = s[6], h = s[7];
+  for (int t = first; t < last; ++t) {
+    uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + wk[t];
     uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
     h = g;
     g = f;
@@ -73,113 +75,95 @@ void CompressScalar(uint32_t* state, const uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-
-  state[0] += a;
-  state[1] += b;
-  state[2] += c;
-  state[3] += d;
-  state[4] += e;
-  state[5] += f;
-  state[6] += g;
-  state[7] += h;
+  s[0] = a;
+  s[1] = b;
+  s[2] = c;
+  s[3] = d;
+  s[4] = e;
+  s[5] = f;
+  s[6] = g;
+  s[7] = h;
 }
 
-/// The portable two-lane round-interleaved compression (scalar rung).
-void Compress2Scalar(uint32_t* state_a, const uint8_t* block_a,
-                     uint32_t* state_b, const uint8_t* block_b) {
-  // Identical math to Compress(), with lane A and lane B statements
-  // interleaved so the two (mutually independent) round dependency chains
-  // overlap in the pipeline. Keep the two lanes textually in lockstep when
-  // editing: the per-lane results must equal Compress() exactly.
-  uint32_t wa[64];
-  uint32_t wb[64];
-  for (int t = 0; t < 16; ++t) {
-    wa[t] = static_cast<uint32_t>(block_a[t * 4]) << 24 |
-            static_cast<uint32_t>(block_a[t * 4 + 1]) << 16 |
-            static_cast<uint32_t>(block_a[t * 4 + 2]) << 8 |
-            static_cast<uint32_t>(block_a[t * 4 + 3]);
-    wb[t] = static_cast<uint32_t>(block_b[t * 4]) << 24 |
-            static_cast<uint32_t>(block_b[t * 4 + 1]) << 16 |
-            static_cast<uint32_t>(block_b[t * 4 + 2]) << 8 |
-            static_cast<uint32_t>(block_b[t * 4 + 3]);
-  }
-  for (int t = 16; t < 64; ++t) {
-    wa[t] =
-        SmallSigma1(wa[t - 2]) + wa[t - 7] + SmallSigma0(wa[t - 15]) + wa[t - 16];
-    wb[t] =
-        SmallSigma1(wb[t - 2]) + wb[t - 7] + SmallSigma0(wb[t - 15]) + wb[t - 16];
-  }
+/// The portable reference compression — the bottom rung of the dispatch
+/// ladder and the oracle every hardware kernel is tested against.
+void CompressScalar(uint32_t* state, const uint8_t* block) {
+  uint32_t w[64] = {};
+  LoadBlock(block, w);
+  ScheduleWithConstants(w);
+  uint32_t s[8] = {};
+  for (int i = 0; i < 8; ++i) s[i] = state[i];
+  Rounds(s, w, 0, 64);
+  for (int i = 0; i < 8; ++i) state[i] += s[i];
+}
 
-  uint32_t aa = state_a[0], ba = state_a[1], ca = state_a[2], da = state_a[3];
-  uint32_t ea = state_a[4], fa = state_a[5], ga = state_a[6], ha = state_a[7];
-  uint32_t ab = state_b[0], bb = state_b[1], cb = state_b[2], db = state_b[3];
-  uint32_t eb = state_b[4], fb = state_b[5], gb = state_b[6], hb = state_b[7];
-
-  for (int t = 0; t < 64; ++t) {
-    const uint32_t t1a = ha + BigSigma1(ea) + Ch(ea, fa, ga) + kK[t] + wa[t];
-    const uint32_t t1b = hb + BigSigma1(eb) + Ch(eb, fb, gb) + kK[t] + wb[t];
-    const uint32_t t2a = BigSigma0(aa) + Maj(aa, ba, ca);
-    const uint32_t t2b = BigSigma0(ab) + Maj(ab, bb, cb);
-    ha = ga;
-    hb = gb;
-    ga = fa;
-    gb = fb;
-    fa = ea;
-    fb = eb;
-    ea = da + t1a;
-    eb = db + t1b;
-    da = ca;
-    db = cb;
-    ca = ba;
-    cb = bb;
-    ba = aa;
-    bb = ab;
-    aa = t1a + t2a;
-    ab = t1b + t2b;
+/// The portable Sha256::HashNonce: the same three blocks ScanNonces runs
+/// per lane, one nonce at a time.
+void HashNonceScalar(const Sha256::NonceScanJob& job, uint64_t nonce,
+                     uint32_t* digest) {
+  uint32_t w[64] = {};
+  for (int t = 0; t < 14; ++t) w[t] = job.words[t];
+  w[14] = NonceWord(static_cast<uint32_t>(nonce));
+  w[15] = NonceWord(static_cast<uint32_t>(nonce >> 32));
+  ScheduleWithConstants(w);
+  uint32_t s[8] = {};
+  for (int i = 0; i < 8; ++i) s[i] = job.state14[i];
+  Rounds(s, w, 14, 64);
+  uint32_t inner[8] = {};
+  for (int i = 0; i < 8; ++i) {
+    inner[i] = job.midstate[i] + s[i];
+    s[i] = inner[i];
   }
+  Rounds(s, job.pad_wk, 0, 64);
+  for (int i = 0; i < 8; ++i) w[i] = inner[i] + s[i];
+  for (int t = 8; t < 16; ++t) w[t] = simd::kDigestPadWords[t - 8];
+  ScheduleWithConstants(w);
+  for (int i = 0; i < 8; ++i) s[i] = Sha256::kInitialState[i];
+  Rounds(s, w, 0, 64);
+  for (int i = 0; i < 8; ++i) digest[i] = Sha256::kInitialState[i] + s[i];
+}
 
-  state_a[0] += aa;
-  state_a[1] += ba;
-  state_a[2] += ca;
-  state_a[3] += da;
-  state_a[4] += ea;
-  state_a[5] += fa;
-  state_a[6] += ga;
-  state_a[7] += ha;
-  state_b[0] += ab;
-  state_b[1] += bb;
-  state_b[2] += cb;
-  state_b[3] += db;
-  state_b[4] += eb;
-  state_b[5] += fb;
-  state_b[6] += gb;
-  state_b[7] += hb;
+/// The one-lane scan of levels without a vector kernel: `hash` (the
+/// level's HashNonce) and the pre-filter, for nonce `start` alone.
+template <void (*hash)(const Sha256::NonceScanJob&, uint64_t, uint32_t*)>
+uint32_t ScanOneNonce(const Sha256::NonceScanJob& job, uint64_t start,
+                      uint32_t prefix_mask) {
+  uint32_t digest[8] = {};
+  hash(job, start, digest);
+  return (digest[0] & prefix_mask) == 0 ? 1 : 0;
 }
 
 // ---- runtime dispatch -----------------------------------------------------
 
-/// The kernel set of one dispatch level. `compress8` is null on levels
-/// without a message-parallel kernel (CompressBatch then runs pairs).
+/// The kernel set of one dispatch level.
 struct DispatchTable {
   Sha256::Dispatch level;
   void (*compress)(uint32_t*, const uint8_t*);
-  void (*compress2)(uint32_t*, const uint8_t*, uint32_t*, const uint8_t*);
-  void (*compress8)(uint32_t* const*, const uint8_t* const*);
-  size_t mining_lanes;
+  void (*hash_nonce)(const Sha256::NonceScanJob&, uint64_t, uint32_t*);
+  uint32_t (*scan)(const Sha256::NonceScanJob&, uint64_t, uint32_t);
+  size_t scan_lanes;
 };
 
-constexpr DispatchTable kScalarTable{Sha256::Dispatch::kScalar,
-                                     &CompressScalar, &Compress2Scalar,
-                                     nullptr, 2};
+constexpr DispatchTable kScalarTable{
+    Sha256::Dispatch::kScalar, &CompressScalar, &HashNonceScalar,
+    &ScanOneNonce<&HashNonceScalar>, 1};
 
 #if defined(__x86_64__) || defined(__i386__)
-constexpr DispatchTable kShaNiTable{Sha256::Dispatch::kShaNi,
-                                    &simd::CompressShaNi,
-                                    &simd::Compress2ShaNi, nullptr, 2};
-// The AVX2 level only has a batch kernel; single/pair compressions stay
-// scalar, which keeps each level's behavior attributable to one kernel.
+constexpr DispatchTable kShaNiTable{
+    Sha256::Dispatch::kShaNi, &simd::CompressShaNi, &simd::HashNonceShaNi,
+    &ScanOneNonce<&simd::HashNonceShaNi>, 1};
+// The AVX2 level only has the scan; single-nonce hashing stays scalar,
+// which keeps each level's behavior attributable to one kernel.
 constexpr DispatchTable kAvx2Table{Sha256::Dispatch::kAvx2, &CompressScalar,
-                                   &Compress2Scalar, &simd::Compress8Avx2, 8};
+                                   &HashNonceScalar, &simd::ScanNoncesAvx2,
+                                   8};
+// The AVX-512 scan pairs with the fastest single-block kernels present.
+constexpr DispatchTable kAvx512ShaNiTable{
+    Sha256::Dispatch::kAvx512, &simd::CompressShaNi, &simd::HashNonceShaNi,
+    &simd::ScanNoncesAvx512, 16};
+constexpr DispatchTable kAvx512ScalarTable{
+    Sha256::Dispatch::kAvx512, &CompressScalar, &HashNonceScalar,
+    &simd::ScanNoncesAvx512, 16};
 #endif
 
 const DispatchTable* TableFor(Sha256::Dispatch level) {
@@ -191,9 +175,13 @@ const DispatchTable* TableFor(Sha256::Dispatch level) {
       return simd::CpuHasShaNi() ? &kShaNiTable : nullptr;
     case Sha256::Dispatch::kAvx2:
       return simd::CpuHasAvx2() ? &kAvx2Table : nullptr;
+    case Sha256::Dispatch::kAvx512:
+      if (!simd::CpuHasAvx512()) return nullptr;
+      return simd::CpuHasShaNi() ? &kAvx512ShaNiTable : &kAvx512ScalarTable;
 #else
     case Sha256::Dispatch::kShaNi:
     case Sha256::Dispatch::kAvx2:
+    case Sha256::Dispatch::kAvx512:
       return nullptr;
 #endif
   }
@@ -204,9 +192,7 @@ const DispatchTable* TableFor(Sha256::Dispatch level) {
 const DispatchTable* PinnedTable() {
   const char* pin = std::getenv("AC3_SHA256_DISPATCH");
   if (pin == nullptr) return nullptr;
-  for (Sha256::Dispatch level :
-       {Sha256::Dispatch::kScalar, Sha256::Dispatch::kShaNi,
-        Sha256::Dispatch::kAvx2}) {
+  for (Sha256::Dispatch level : Sha256::kDispatchLadder) {
     if (std::strcmp(pin, Sha256::DispatchName(level)) == 0) {
       return TableFor(level);  // Null when pinned level is unavailable.
     }
@@ -214,23 +200,22 @@ const DispatchTable* PinnedTable() {
   return nullptr;
 }
 
-/// One-time probe: the env pin when valid, else the widest rung of the
-/// ladder (SHA-NI beats AVX2 8-way for double-SHA-256 on every CPU that
-/// has both, and also wins on single-message hashing). A set-but-unusable
-/// pin (typo, or a level this CPU lacks) is loudly ignored — a silent
-/// fallback would let a forced-scalar sanitizer shard quietly cover the
-/// hardware path instead.
+/// One-time probe: the env pin when valid, else the top available rung of
+/// the ladder. A set-but-unusable pin (typo, or a level this CPU lacks) is
+/// loudly ignored — a silent fallback would let a forced-scalar sanitizer
+/// shard quietly cover the hardware path instead.
 const DispatchTable* ProbeInitialTable() {
   if (const char* pin = std::getenv("AC3_SHA256_DISPATCH")) {
     if (const DispatchTable* pinned = PinnedTable()) return pinned;
     std::fprintf(stderr,
-                 "AC3_SHA256_DISPATCH='%s' is not an available level "
-                 "(want scalar, shani, or avx2); using the default "
-                 "dispatch ladder\n",
+                 "AC3_SHA256_DISPATCH='%s' is not an available level (want",
                  pin);
+    for (Sha256::Dispatch level : Sha256::kDispatchLadder) {
+      std::fprintf(stderr, " %s", Sha256::DispatchName(level));
+    }
+    std::fprintf(stderr, "); using the default dispatch ladder\n");
   }
-  for (Sha256::Dispatch level :
-       {Sha256::Dispatch::kShaNi, Sha256::Dispatch::kAvx2}) {
+  for (Sha256::Dispatch level : Sha256::kDispatchLadder) {
     if (const DispatchTable* table = TableFor(level)) return table;
   }
   return &kScalarTable;
@@ -273,6 +258,8 @@ const char* Sha256::DispatchName(Dispatch dispatch) {
       return "shani";
     case Dispatch::kAvx2:
       return "avx2";
+    case Dispatch::kAvx512:
+      return "avx512";
   }
   return "?";
 }
@@ -282,8 +269,6 @@ bool Sha256::SetDispatch(Dispatch dispatch) {
   g_active_table.store(TableFor(dispatch), std::memory_order_release);
   return true;
 }
-
-size_t Sha256::PreferredMiningLanes() { return ActiveTable()->mining_lanes; }
 
 Sha256::Sha256() {
   // Single source of truth for H(0): the same constant the raw
@@ -295,22 +280,33 @@ void Sha256::Compress(uint32_t* state, const uint8_t* block) {
   ActiveTable()->compress(state, block);
 }
 
-void Sha256::Compress2(uint32_t* state_a, const uint8_t* block_a,
-                       uint32_t* state_b, const uint8_t* block_b) {
-  ActiveTable()->compress2(state_a, block_a, state_b, block_b);
+void Sha256::PrepareNonceScan(const uint32_t* midstate,
+                              const uint8_t* blocks, NonceScanJob* job) {
+  uint32_t w[64] = {};
+  LoadBlock(blocks, w);
+  for (int t = 0; t < 14; ++t) job->words[t] = w[t];
+  // Only rounds 0..13 run here, and their words hold no nonce byte.
+  ScheduleWithConstants(w);
+  for (int i = 0; i < 8; ++i) {
+    job->midstate[i] = midstate[i];
+    job->state14[i] = midstate[i];
+  }
+  Rounds(job->state14, w, 0, 14);
+  LoadBlock(blocks + kBlockSize, w);
+  ScheduleWithConstants(w);
+  for (int t = 0; t < 64; ++t) job->pad_wk[t] = w[t];
 }
 
-void Sha256::CompressBatch(uint32_t* const* states,
-                           const uint8_t* const* blocks, size_t n) {
-  const DispatchTable* table = ActiveTable();
-  size_t i = 0;
-  if (table->compress8 != nullptr) {
-    for (; i + 8 <= n; i += 8) table->compress8(states + i, blocks + i);
-  }
-  for (; i + 2 <= n; i += 2) {
-    table->compress2(states[i], blocks[i], states[i + 1], blocks[i + 1]);
-  }
-  if (i < n) table->compress(states[i], blocks[i]);
+void Sha256::HashNonce(const NonceScanJob& job, uint64_t nonce,
+                       uint32_t* digest) {
+  ActiveTable()->hash_nonce(job, nonce, digest);
+}
+
+size_t Sha256::NonceScanLanes() { return ActiveTable()->scan_lanes; }
+
+uint32_t Sha256::ScanNonces(const NonceScanJob& job, uint64_t start,
+                            uint32_t prefix_mask) {
+  return ActiveTable()->scan(job, start, prefix_mask);
 }
 
 void Sha256::ProcessBlock(const uint8_t* block) { Compress(state_, block); }

@@ -45,16 +45,17 @@ class Sha256 {
 
   // ---- raw compression-function access (proof-of-work hot path) ----------
   //
-  // The nonce-search loop in crypto::HeaderHasher drives the compression
-  // function directly — it does its own padding once, up front, and then
-  // re-compresses only the nonce-bearing blocks per attempt. These hooks
-  // exist for that path; everything else should use Update()/Finish().
+  // The nonce search (crypto::HeaderHasher, chain::MineHeader) drives the
+  // compression function directly — it does its own padding once, up
+  // front, and then hashes only what depends on the nonce per attempt.
+  // These hooks exist for that path; everything else should use
+  // Update()/Finish().
   //
   // All of them are runtime-dispatched: a one-time cpuid probe installs
-  // the widest available hardware kernel (the "dispatch ladder":
-  // SHA-NI > AVX2 8-way > portable scalar), and every level computes
-  // bit-identical digests — the scalar code is the permanent oracle the
-  // dispatch-equivalence tests hold the hardware paths against.
+  // the top available rung of the dispatch ladder (kDispatchLadder), and
+  // every level computes bit-identical digests — the scalar code is the
+  // permanent oracle the dispatch-equivalence tests hold the hardware
+  // paths against.
 
   /// The initial chaining value H(0) (FIPS 180-4, section 5.3.3).
   static constexpr std::array<uint32_t, 8> kInitialState = {
@@ -65,34 +66,63 @@ class Sha256 {
   /// the 8-word chaining value `state` in place.
   static void Compress(uint32_t* state, const uint8_t* block);
 
-  /// Two independent compressions with their rounds interleaved in one
-  /// loop. SHA-256's 64 rounds form a serial dependency chain, so a single
-  /// compression leaves superscalar execution units idle; interleaving two
-  /// unrelated lanes gives the scheduler a second independent chain to
-  /// fill them with (on the SHA-NI level the two lanes interleave
-  /// hardware round instructions instead). This is what makes the wide
-  /// PoW nonce search faster than sequential Compress() calls.
-  static void Compress2(uint32_t* state_a, const uint8_t* block_a,
-                        uint32_t* state_b, const uint8_t* block_b);
+  /// Everything a nonce scan needs that does not depend on the nonce, for
+  /// a message whose last two 64-byte blocks are a "nonce block" — ending
+  /// in the 8-byte little-endian nonce, i.e. message words W14 and W15 —
+  /// and a padding block. Built once per header by PrepareNonceScan.
+  struct NonceScanJob {
+    uint32_t midstate[8];  ///< Chaining value before the nonce block.
+    uint32_t state14[8];   ///< a..h after the nonce block's rounds 0..13,
+                           ///< the last ones that read no nonce word.
+    uint32_t words[14];    ///< The nonce block's words W0..W13.
+    uint32_t pad_wk[64];   ///< K[t] + W[t] of the padding block.
+  };
 
-  /// Widest batch CompressBatch accelerates in one step.
-  static constexpr size_t kMaxLanes = 8;
+  /// Fills `job` from the chaining value before the nonce block and the
+  /// two 64-byte tail `blocks` (nonce block, then padding block). The
+  /// nonce bytes of the first block are ignored.
+  static void PrepareNonceScan(const uint32_t* midstate,
+                               const uint8_t* blocks, NonceScanJob* job);
 
-  /// `n` independent compressions: folds blocks[i] into states[i] for
-  /// i in [0, n). Runs 8-at-a-time on the AVX2 level, then pairs through
-  /// Compress2, then a scalar remainder — so any `n` is valid on any
-  /// level and the per-lane results always equal Compress().
-  static void CompressBatch(uint32_t* const* states,
-                            const uint8_t* const* blocks, size_t n);
+  /// The double-SHA-256 of the job's message with one `nonce`, in full:
+  /// the outer hash's state words, i.e. the digest read as eight
+  /// big-endian words. One lane of ScanNonces without the pre-filter; runs
+  /// on the level's SHA-NI kernel where it has one, else as scalar code.
+  static void HashNonce(const NonceScanJob& job, uint64_t nonce,
+                        uint32_t* digest);
+
+  /// Consecutive nonces one ScanNonces call covers on the active level:
+  /// 16 on avx512 and 8 on avx2, whose vector kernels run one nonce per
+  /// lane; 1 on scalar and shani, which run HashNonce once per call.
+  static size_t NonceScanLanes();
+
+  /// The nonce scan of the active level: the double-SHA-256 of the job's
+  /// message with nonces start, start + 1, ... (NonceScanLanes() of them,
+  /// wrapping at 2^64). The vector kernels run the nonce block's remaining
+  /// 50 rounds, the padding block, then the outer hash of the 32-byte
+  /// inner digest, all in vector registers. Bit i of the result is set
+  /// when the outer digest of nonce start + i has its first four bytes,
+  /// read big-endian, AND `prefix_mask` equal to zero: a pre-filter the
+  /// caller confirms with the full digest.
+  static uint32_t ScanNonces(const NonceScanJob& job, uint64_t start,
+                             uint32_t prefix_mask);
 
   // ---- runtime dispatch ---------------------------------------------------
 
-  /// The hardware levels of the compression-function dispatch ladder.
+  /// The hardware levels of the dispatch ladder.
   enum class Dispatch {
     kScalar,  ///< Portable C++ — always available; the equivalence oracle.
-    kShaNi,   ///< x86 SHA-NI two-block kernels (preferred when present).
-    kAvx2,    ///< AVX2 8-way message-parallel kernel.
+    kShaNi,   ///< x86 SHA-NI for every compression and HashNonce.
+    kAvx2,    ///< 8-lane AVX2 nonce scan; scalar single-block hashing.
+    kAvx512,  ///< 16-lane AVX-512 (F/BW/VL) nonce scan; SHA-NI (or scalar,
+              ///< on CPUs without it) single-block hashing.
   };
+
+  /// Every level, top rung first. The probe installs the first available
+  /// one; the AC3_SHA256_DISPATCH pin, the dispatch-equivalence suites
+  /// and the dispatch bench all enumerate this one list.
+  static constexpr std::array<Dispatch, 4> kDispatchLadder = {
+      Dispatch::kAvx512, Dispatch::kShaNi, Dispatch::kAvx2, Dispatch::kScalar};
 
   /// True when `dispatch` can run here. Scalar is always available; the
   /// hardware levels require cpuid support AND survive the
@@ -100,23 +130,20 @@ class Sha256 {
   /// level as available, so forced-fallback CI shards stay airtight).
   static bool DispatchAvailable(Dispatch dispatch);
 
-  /// The active level. Defaults to the widest available rung of the
-  /// ladder (SHA-NI > AVX2 > scalar); the AC3_SHA256_DISPATCH environment
-  /// variable ("scalar", "shani", "avx2") pins it for the whole process
-  /// (ignored when it names an unavailable level).
+  /// The active level. Defaults to the top available rung of
+  /// kDispatchLadder; the AC3_SHA256_DISPATCH environment variable (a
+  /// DispatchName) pins it for the whole process (ignored when it names
+  /// an unavailable level).
   static Dispatch ActiveDispatch();
 
-  /// Stable lowercase name of a level: "scalar", "shani", "avx2".
+  /// Stable lowercase name of a level: "scalar", "shani", "avx2",
+  /// "avx512".
   static const char* DispatchName(Dispatch dispatch);
 
   /// Forces the active level (for tests and the dispatch bench); returns
   /// false — leaving the active level unchanged — when `dispatch` is
   /// unavailable. Not thread-safe against concurrent hashing.
   static bool SetDispatch(Dispatch dispatch);
-
-  /// Independent nonce lanes the active level wants per mining loop
-  /// iteration: 8 on the AVX2 level, otherwise 2 (one Compress2 pair).
-  static size_t PreferredMiningLanes();
 
  private:
   void ProcessBlock(const uint8_t* block);

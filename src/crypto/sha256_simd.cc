@@ -1,7 +1,5 @@
 #include "src/crypto/sha256_simd.h"
 
-#include <cstring>
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #include <immintrin.h>
@@ -14,208 +12,17 @@ namespace ac3::crypto::simd {
 
 bool CpuHasShaNi() { return false; }
 bool CpuHasAvx2() { return false; }
+bool CpuHasAvx512() { return false; }
 
 #else  // AC3_SHA256_X86
 
 namespace {
-
-/// FIPS 180-4 round constants (a local copy: the kernels need them in
-/// SIMD-loadable form, and they are spec constants, not tunables).
-alignas(64) constexpr uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 uint64_t ReadXcr0() {
   uint32_t eax;
   uint32_t edx;
   __asm__ __volatile__("xgetbv" : "=a"(eax), "=d"(edx) : "c"(0));
   return (static_cast<uint64_t>(edx) << 32) | eax;
-}
-
-#define AC3_TARGET_SHANI __attribute__((target("sha,sse4.1")))
-#define AC3_TARGET_AVX2 __attribute__((target("avx2")))
-
-// ---- SHA-NI ---------------------------------------------------------------
-//
-// `lanes` (1 or 2) independent compressions. The message schedule uses
-// the standard sha256msg1/msg2 identity
-//   m[g] = msg2(msg1(m[g-4], m[g-3]) + alignr(m[g-1], m[g-2], 4), m[g-1])
-// (m[g] = big-endian words W[4g..4g+3]), and the 16 four-round groups run
-// with the lanes interleaved so the two sha256rnds2 dependency chains
-// overlap in the pipeline. State register juggling (ABEF/CDGH packing)
-// follows the canonical SHA-NI layout.
-
-AC3_TARGET_SHANI inline void ShaNiCompressLanes(
-    uint32_t* const* states, const uint8_t* const* blocks, int lanes) {
-  const __m128i kShuffle =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-  __m128i abef[2];
-  __m128i cdgh[2];
-  __m128i save_abef[2];
-  __m128i save_cdgh[2];
-  __m128i m[2][16];
-
-  for (int l = 0; l < lanes; ++l) {
-    __m128i lo =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[l]));  // DCBA
-    __m128i hi = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(states[l] + 4));  // HGFE
-    lo = _mm_shuffle_epi32(lo, 0xB1);                      // CDAB
-    hi = _mm_shuffle_epi32(hi, 0x1B);                      // EFGH
-    abef[l] = _mm_alignr_epi8(lo, hi, 8);                  // ABEF
-    cdgh[l] = _mm_blend_epi16(hi, lo, 0xF0);               // CDGH
-    save_abef[l] = abef[l];
-    save_cdgh[l] = cdgh[l];
-    for (int g = 0; g < 4; ++g) {
-      m[l][g] = _mm_shuffle_epi8(
-          _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(blocks[l] + g * 16)),
-          kShuffle);
-    }
-  }
-
-  for (int g = 4; g < 16; ++g) {
-    for (int l = 0; l < lanes; ++l) {
-      m[l][g] = _mm_sha256msg2_epu32(
-          _mm_add_epi32(_mm_sha256msg1_epu32(m[l][g - 4], m[l][g - 3]),
-                        _mm_alignr_epi8(m[l][g - 1], m[l][g - 2], 4)),
-          m[l][g - 1]);
-    }
-  }
-
-  for (int g = 0; g < 16; ++g) {
-    const __m128i k =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + g * 4));
-    __m128i wk[2];
-    for (int l = 0; l < lanes; ++l) {
-      wk[l] = _mm_add_epi32(m[l][g], k);
-      cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk[l]);
-    }
-    for (int l = 0; l < lanes; ++l) {
-      wk[l] = _mm_shuffle_epi32(wk[l], 0x0E);
-      abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], wk[l]);
-    }
-  }
-
-  for (int l = 0; l < lanes; ++l) {
-    abef[l] = _mm_add_epi32(abef[l], save_abef[l]);
-    cdgh[l] = _mm_add_epi32(cdgh[l], save_cdgh[l]);
-    const __m128i feba = _mm_shuffle_epi32(abef[l], 0x1B);
-    const __m128i dchg = _mm_shuffle_epi32(cdgh[l], 0xB1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(states[l]),
-                     _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(states[l] + 4),
-                     _mm_alignr_epi8(dchg, feba, 8));  // HGFE
-  }
-}
-
-// ---- AVX2 8-way -----------------------------------------------------------
-//
-// A direct vectorization of the scalar rounds: vector lane i carries
-// compression i, so eight independent (state, block) pairs advance in
-// lockstep. The only scalar work is the big-endian word gather on entry
-// and the state scatter on exit.
-
-template <int N>
-AC3_TARGET_AVX2 inline __m256i Rotr(__m256i x) {
-  return _mm256_or_si256(_mm256_srli_epi32(x, N), _mm256_slli_epi32(x, 32 - N));
-}
-
-AC3_TARGET_AVX2 inline __m256i Ch(__m256i x, __m256i y, __m256i z) {
-  return _mm256_xor_si256(_mm256_and_si256(x, y), _mm256_andnot_si256(x, z));
-}
-
-AC3_TARGET_AVX2 inline __m256i Maj(__m256i x, __m256i y, __m256i z) {
-  return _mm256_xor_si256(
-      _mm256_xor_si256(_mm256_and_si256(x, y), _mm256_and_si256(x, z)),
-      _mm256_and_si256(y, z));
-}
-
-AC3_TARGET_AVX2 inline __m256i BigSigma0(__m256i x) {
-  return _mm256_xor_si256(_mm256_xor_si256(Rotr<2>(x), Rotr<13>(x)),
-                          Rotr<22>(x));
-}
-
-AC3_TARGET_AVX2 inline __m256i BigSigma1(__m256i x) {
-  return _mm256_xor_si256(_mm256_xor_si256(Rotr<6>(x), Rotr<11>(x)),
-                          Rotr<25>(x));
-}
-
-AC3_TARGET_AVX2 inline __m256i SmallSigma0(__m256i x) {
-  return _mm256_xor_si256(_mm256_xor_si256(Rotr<7>(x), Rotr<18>(x)),
-                          _mm256_srli_epi32(x, 3));
-}
-
-AC3_TARGET_AVX2 inline __m256i SmallSigma1(__m256i x) {
-  return _mm256_xor_si256(_mm256_xor_si256(Rotr<17>(x), Rotr<19>(x)),
-                          _mm256_srli_epi32(x, 10));
-}
-
-AC3_TARGET_AVX2 void Compress8Avx2Impl(uint32_t* const* states,
-                                       const uint8_t* const* blocks) {
-  alignas(32) uint32_t lane_words[8];
-  __m256i w[64];
-  for (int t = 0; t < 16; ++t) {
-    for (int l = 0; l < 8; ++l) {
-      uint32_t word;
-      std::memcpy(&word, blocks[l] + t * 4, 4);
-      lane_words[l] = __builtin_bswap32(word);
-    }
-    w[t] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lane_words));
-  }
-  for (int t = 16; t < 64; ++t) {
-    w[t] = _mm256_add_epi32(
-        _mm256_add_epi32(SmallSigma1(w[t - 2]), w[t - 7]),
-        _mm256_add_epi32(SmallSigma0(w[t - 15]), w[t - 16]));
-  }
-
-  __m256i v[8];
-  for (int j = 0; j < 8; ++j) {
-    for (int l = 0; l < 8; ++l) lane_words[l] = states[l][j];
-    v[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lane_words));
-  }
-  __m256i a = v[0], b = v[1], c = v[2], d = v[3];
-  __m256i e = v[4], f = v[5], g = v[6], h = v[7];
-
-  for (int t = 0; t < 64; ++t) {
-    const __m256i t1 = _mm256_add_epi32(
-        _mm256_add_epi32(h, BigSigma1(e)),
-        _mm256_add_epi32(
-            Ch(e, f, g),
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(kK[t])),
-                             w[t])));
-    const __m256i t2 = _mm256_add_epi32(BigSigma0(a), Maj(a, b, c));
-    h = g;
-    g = f;
-    f = e;
-    e = _mm256_add_epi32(d, t1);
-    d = c;
-    c = b;
-    b = a;
-    a = _mm256_add_epi32(t1, t2);
-  }
-
-  v[0] = _mm256_add_epi32(v[0], a);
-  v[1] = _mm256_add_epi32(v[1], b);
-  v[2] = _mm256_add_epi32(v[2], c);
-  v[3] = _mm256_add_epi32(v[3], d);
-  v[4] = _mm256_add_epi32(v[4], e);
-  v[5] = _mm256_add_epi32(v[5], f);
-  v[6] = _mm256_add_epi32(v[6], g);
-  v[7] = _mm256_add_epi32(v[7], h);
-  for (int j = 0; j < 8; ++j) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_words), v[j]);
-    for (int l = 0; l < 8; ++l) states[l][j] = lane_words[l];
-  }
 }
 
 }  // namespace
@@ -238,24 +45,149 @@ bool CpuHasAvx2() {
   return (b & bit_AVX2) != 0;
 }
 
+bool CpuHasAvx512() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+  // The OS must save XMM, YMM, opmask and both ZMM halves (XCR0 bits 1, 2,
+  // 5, 6, 7) for AVX-512 to be usable.
+  if (!(c & bit_OSXSAVE)) return false;
+  if ((ReadXcr0() & 0xE6) != 0xE6) return false;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  return (b & bit_AVX512F) != 0 && (b & bit_AVX512BW) != 0 &&
+         (b & bit_AVX512VL) != 0;
+}
+
+// ---- SHA-NI ---------------------------------------------------------------
+//
+// The state lives in the canonical SHA-NI register pair (ABEF, CDGH); a
+// message group m[g] holds words W[4g..4g+3], W[4g] in the low lane. The
+// schedule uses the standard sha256msg1/msg2 identity
+//   m[g] = msg2(msg1(m[g-4], m[g-3]) + alignr(m[g-1], m[g-2], 4), m[g-1]).
+
+#define AC3_TARGET_SHANI __attribute__((target("sha,sse4.1")))
+
+namespace {
+
+/// Packs state words a..h into (ABEF, CDGH).
+AC3_TARGET_SHANI inline void PackState(const uint32_t* s, __m128i* abef,
+                                       __m128i* cdgh) {
+  __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s));  // DCBA
+  __m128i hi =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + 4));  // HGFE
+  lo = _mm_shuffle_epi32(lo, 0xB1);                              // CDAB
+  hi = _mm_shuffle_epi32(hi, 0x1B);                              // EFGH
+  *abef = _mm_alignr_epi8(lo, hi, 8);                            // ABEF
+  *cdgh = _mm_blend_epi16(hi, lo, 0xF0);                         // CDGH
+}
+
+/// Writes (ABEF, CDGH) back as state words a..h.
+AC3_TARGET_SHANI inline void UnpackState(__m128i abef, __m128i cdgh,
+                                         uint32_t* s) {
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(s),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(s + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+/// Groups m[4..15] of the message schedule from m[0..3].
+AC3_TARGET_SHANI inline void ExpandGroups(__m128i* m) {
+  for (int g = 4; g < 16; ++g) {
+    m[g] = _mm_sha256msg2_epu32(
+        _mm_add_epi32(_mm_sha256msg1_epu32(m[g - 4], m[g - 3]),
+                      _mm_alignr_epi8(m[g - 1], m[g - 2], 4)),
+        m[g - 1]);
+  }
+}
+
+/// K[4g..4g+3] + m[g]: the four rounds' inputs of group g.
+AC3_TARGET_SHANI inline __m128i GroupWk(const __m128i* m, int g) {
+  return _mm_add_epi32(m[g], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                                 &kRoundConstants[g * 4])));
+}
+
+/// Four rounds from `wk` = K + W of rounds 4g..4g+3.
+AC3_TARGET_SHANI inline void FourRounds(__m128i* abef, __m128i* cdgh,
+                                        __m128i wk) {
+  *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+  *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+/// One compression of the message groups m[0..3] into `state` (a..h).
+AC3_TARGET_SHANI inline void CompressGroups(uint32_t* state, __m128i* m) {
+  __m128i abef = _mm_setzero_si128();
+  __m128i cdgh = _mm_setzero_si128();
+  PackState(state, &abef, &cdgh);
+  const __m128i save_abef = abef;
+  const __m128i save_cdgh = cdgh;
+  ExpandGroups(m);
+  for (int g = 0; g < 16; ++g) FourRounds(&abef, &cdgh, GroupWk(m, g));
+  UnpackState(_mm_add_epi32(abef, save_abef), _mm_add_epi32(cdgh, save_cdgh),
+              state);
+}
+
+}  // namespace
+
 AC3_TARGET_SHANI void CompressShaNi(uint32_t* state, const uint8_t* block) {
-  uint32_t* const states[1] = {state};
-  const uint8_t* const blocks[1] = {block};
-  ShaNiCompressLanes(states, blocks, 1);
+  const __m128i kShuffle =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i m[16] = {};
+  for (int g = 0; g < 4; ++g) {
+    m[g] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + g * 16)),
+        kShuffle);
+  }
+  CompressGroups(state, m);
 }
 
-AC3_TARGET_SHANI void Compress2ShaNi(uint32_t* state_a,
-                                     const uint8_t* block_a,
-                                     uint32_t* state_b,
-                                     const uint8_t* block_b) {
-  uint32_t* const states[2] = {state_a, state_b};
-  const uint8_t* const blocks[2] = {block_a, block_b};
-  ShaNiCompressLanes(states, blocks, 2);
-}
+AC3_TARGET_SHANI void HashNonceShaNi(const Sha256::NonceScanJob& job,
+                                     uint64_t nonce, uint32_t* digest) {
+  // The nonce block from round 14 on. Rounds 14 and 15 are the upper
+  // half of group 3, run on the state after round 13.
+  alignas(16) uint32_t w[16] = {};
+  for (int t = 0; t < 14; ++t) w[t] = job.words[t];
+  w[14] = __builtin_bswap32(static_cast<uint32_t>(nonce));
+  w[15] = __builtin_bswap32(static_cast<uint32_t>(nonce >> 32));
+  __m128i m[16] = {};
+  for (int g = 0; g < 4; ++g) {
+    m[g] = _mm_load_si128(reinterpret_cast<const __m128i*>(w + 4 * g));
+  }
+  ExpandGroups(m);
+  __m128i abef = _mm_setzero_si128();
+  __m128i cdgh = _mm_setzero_si128();
+  PackState(job.state14, &abef, &cdgh);
+  const __m128i next =
+      _mm_sha256rnds2_epu32(cdgh, abef, _mm_shuffle_epi32(GroupWk(m, 3), 0x0E));
+  cdgh = abef;
+  abef = next;
+  for (int g = 4; g < 16; ++g) FourRounds(&abef, &cdgh, GroupWk(m, g));
+  __m128i mid_abef = _mm_setzero_si128();
+  __m128i mid_cdgh = _mm_setzero_si128();
+  PackState(job.midstate, &mid_abef, &mid_cdgh);
+  abef = _mm_add_epi32(abef, mid_abef);
+  cdgh = _mm_add_epi32(cdgh, mid_cdgh);
 
-AC3_TARGET_AVX2 void Compress8Avx2(uint32_t* const* states,
-                                   const uint8_t* const* blocks) {
-  Compress8Avx2Impl(states, blocks);
+  // The padding block, its K + W precomputed.
+  const __m128i save_abef = abef;
+  const __m128i save_cdgh = cdgh;
+  for (int g = 0; g < 16; ++g) {
+    FourRounds(&abef, &cdgh,
+               _mm_loadu_si128(
+                   reinterpret_cast<const __m128i*>(job.pad_wk + 4 * g)));
+  }
+
+  // The outer hash: the inner digest words, then a 32-byte message's
+  // padding.
+  alignas(16) uint32_t outer[16] = {};
+  UnpackState(_mm_add_epi32(abef, save_abef), _mm_add_epi32(cdgh, save_cdgh),
+              outer);
+  for (int t = 8; t < 16; ++t) outer[t] = kDigestPadWords[t - 8];
+  for (int g = 0; g < 4; ++g) {
+    m[g] = _mm_load_si128(reinterpret_cast<const __m128i*>(outer + 4 * g));
+  }
+  for (int i = 0; i < 8; ++i) digest[i] = Sha256::kInitialState[i];
+  CompressGroups(digest, m);
 }
 
 #endif  // AC3_SHA256_X86

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <span>
 #include <string>
@@ -219,6 +220,34 @@ TEST(BlockTest, HeaderRoundTrip) {
 
 TEST(PowTest, DifficultyZeroAlwaysPasses) {
   EXPECT_TRUE(HashMeetsDifficulty(crypto::Hash256::OfString("x"), 0));
+}
+
+// A digest whose first `zeros` bits are clear and whose next bit is set.
+crypto::Hash256 HashWithLeadingZeros(uint32_t zeros) {
+  std::array<uint8_t, crypto::Hash256::kSize> bytes{};
+  bytes.fill(0xff);
+  for (uint32_t bit = 0; bit < zeros; ++bit) {
+    bytes[bit / 8] &= static_cast<uint8_t>(~(0x80u >> (bit % 8)));
+  }
+  return crypto::Hash256(bytes);
+}
+
+// Leading zeros count over the whole 32-byte digest, so every uint32_t
+// difficulty is defined: a digest with z leading zeros meets exactly the
+// difficulties 0..z, and nothing above 256 is ever met.
+TEST(PowTest, HashMeetsDifficultyCountsLeadingZerosOverTheWholeDigest) {
+  for (uint32_t zeros : {0u, 1u, 31u, 32u, 33u, 63u, 64u, 65u, 255u}) {
+    const crypto::Hash256 hash = HashWithLeadingZeros(zeros);
+    EXPECT_TRUE(HashMeetsDifficulty(hash, zeros)) << "zeros " << zeros;
+    EXPECT_FALSE(HashMeetsDifficulty(hash, zeros + 1)) << "zeros " << zeros;
+    EXPECT_FALSE(HashMeetsDifficulty(hash, UINT32_MAX)) << "zeros " << zeros;
+  }
+  const crypto::Hash256 zero;
+  for (uint32_t bits : {0u, 1u, 31u, 32u, 33u, 63u, 64u, 65u, 255u, 256u}) {
+    EXPECT_TRUE(HashMeetsDifficulty(zero, bits)) << "bits " << bits;
+  }
+  EXPECT_FALSE(HashMeetsDifficulty(zero, 257));
+  EXPECT_FALSE(HashMeetsDifficulty(zero, UINT32_MAX));
 }
 
 TEST(PowTest, MineHeaderSatisfiesTarget) {

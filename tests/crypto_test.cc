@@ -135,11 +135,35 @@ TEST(Sha256DispatchTest, ActiveLevelIsAvailableAndNamed) {
   EXPECT_STREQ(Sha256::DispatchName(Sha256::Dispatch::kScalar), "scalar");
   EXPECT_STREQ(Sha256::DispatchName(Sha256::Dispatch::kShaNi), "shani");
   EXPECT_STREQ(Sha256::DispatchName(Sha256::Dispatch::kAvx2), "avx2");
-  // SetDispatch round-trips on the active level and mining lanes are a
-  // sane loop width on every level.
+  EXPECT_STREQ(Sha256::DispatchName(Sha256::Dispatch::kAvx512), "avx512");
+  // SetDispatch round-trips on the active level, and the scan width fits
+  // the 32-bit candidate mask on every level.
   EXPECT_TRUE(Sha256::SetDispatch(active));
-  EXPECT_GE(Sha256::PreferredMiningLanes(), 2u);
-  EXPECT_LE(Sha256::PreferredMiningLanes(), Sha256::kMaxLanes);
+  EXPECT_GE(Sha256::NonceScanLanes(), 1u);
+  EXPECT_LE(Sha256::NonceScanLanes(), 32u);
+}
+
+// The ladder lists every level once, top rung first, with scalar — the
+// level every process can run — at the bottom; without a pin the probe
+// installs the first available rung.
+TEST(Sha256DispatchTest, LadderListsEveryLevelTopRungFirst) {
+  const auto& ladder = Sha256::kDispatchLadder;
+  EXPECT_EQ(ladder.front(), Sha256::Dispatch::kAvx512);
+  EXPECT_EQ(ladder.back(), Sha256::Dispatch::kScalar);
+  for (size_t i = 0; i < ladder.size(); ++i) {
+    for (size_t j = i + 1; j < ladder.size(); ++j) {
+      EXPECT_NE(ladder[i], ladder[j]);
+    }
+  }
+  if (!Sha256::DispatchAvailable(Sha256::Dispatch::kScalar)) {
+    GTEST_SKIP() << "process pinned to a non-scalar level";
+  }
+  for (Sha256::Dispatch level : ladder) {
+    if (Sha256::DispatchAvailable(level)) {
+      EXPECT_EQ(Sha256::ActiveDispatch(), level);
+      break;
+    }
+  }
 }
 
 // Every available hardware level must produce bit-identical digests to
@@ -164,53 +188,6 @@ TEST(Sha256DispatchTest, EveryAvailableLevelMatchesScalarDigests) {
           << "len " << len << " level " << Sha256::DispatchName(level);
       EXPECT_EQ(Hash256::DoubleOf(data), double_oracle)
           << "len " << len << " level " << Sha256::DispatchName(level);
-    }
-  }
-}
-
-// CompressBatch must agree with per-lane Compress for every batch width
-// 1..kMaxLanes on every available level (covers the AVX2 8-way kernel,
-// the SHA-NI pair kernel, and the mixed remainder paths).
-TEST(Sha256DispatchTest, CompressBatchMatchesPerLaneCompress) {
-  DispatchGuard guard;
-  if (!Sha256::DispatchAvailable(Sha256::Dispatch::kScalar)) {
-    GTEST_SKIP() << "process pinned to a non-scalar level";
-  }
-  Rng rng(77007);
-  for (size_t n = 1; n <= Sha256::kMaxLanes; ++n) {
-    uint8_t blocks[Sha256::kMaxLanes][Sha256::kBlockSize];
-    std::array<uint32_t, 8> seed_states[Sha256::kMaxLanes];
-    for (size_t lane = 0; lane < n; ++lane) {
-      for (uint8_t& byte : blocks[lane]) {
-        byte = static_cast<uint8_t>(rng.NextU64());
-      }
-      for (uint32_t& word : seed_states[lane]) {
-        word = static_cast<uint32_t>(rng.NextU64());
-      }
-    }
-    // Scalar per-lane oracle.
-    ASSERT_TRUE(Sha256::SetDispatch(Sha256::Dispatch::kScalar));
-    std::array<uint32_t, 8> expected[Sha256::kMaxLanes];
-    for (size_t lane = 0; lane < n; ++lane) {
-      expected[lane] = seed_states[lane];
-      Sha256::Compress(expected[lane].data(), blocks[lane]);
-    }
-    for (Sha256::Dispatch level : AvailableDispatches()) {
-      ASSERT_TRUE(Sha256::SetDispatch(level));
-      std::array<uint32_t, 8> actual[Sha256::kMaxLanes];
-      uint32_t* state_ptrs[Sha256::kMaxLanes] = {};
-      const uint8_t* block_ptrs[Sha256::kMaxLanes] = {};
-      for (size_t lane = 0; lane < n; ++lane) {
-        actual[lane] = seed_states[lane];
-        state_ptrs[lane] = actual[lane].data();
-        block_ptrs[lane] = blocks[lane];
-      }
-      Sha256::CompressBatch(state_ptrs, block_ptrs, n);
-      for (size_t lane = 0; lane < n; ++lane) {
-        EXPECT_EQ(actual[lane], expected[lane])
-            << "n " << n << " lane " << lane << " level "
-            << Sha256::DispatchName(level);
-      }
     }
   }
 }

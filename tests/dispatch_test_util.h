@@ -24,13 +24,11 @@ class DispatchGuard {
   crypto::Sha256::Dispatch saved_;
 };
 
-/// Every dispatch level this process can run (honors the
+/// Every dispatch level this process can run, top rung first (honors the
 /// AC3_SHA256_DISPATCH pin, under which only the pinned level lists).
 inline std::vector<crypto::Sha256::Dispatch> AvailableDispatches() {
   std::vector<crypto::Sha256::Dispatch> levels;
-  for (crypto::Sha256::Dispatch level :
-       {crypto::Sha256::Dispatch::kScalar, crypto::Sha256::Dispatch::kShaNi,
-        crypto::Sha256::Dispatch::kAvx2}) {
+  for (crypto::Sha256::Dispatch level : crypto::Sha256::kDispatchLadder) {
     if (crypto::Sha256::DispatchAvailable(level)) levels.push_back(level);
   }
   return levels;

@@ -261,6 +261,26 @@ TEST_F(EvidenceTest, HigherDifficultyRequirementRejected) {
   EXPECT_FALSE(status.ok());
 }
 
+// Difficulty fields come from deploy payloads, so a header may declare any
+// uint32_t; one beyond the 64-bit digest prefix must fail its proof of work
+// like any other header that falls short, not shift out of range.
+TEST_F(EvidenceTest, OutOfRangeDeclaredDifficultyRejected) {
+  auto transfer = alice_asset_.BuildTransfer(asset_.chain().StateAtHead(),
+                                             kBob.public_key(), 10, 1, 1);
+  ASSERT_TRUE(transfer.ok());
+  ASSERT_TRUE(asset_.MineTxToDepth(*transfer, 2).ok());
+  auto evidence = BuildTxEvidence(
+      asset_.chain(), asset_.chain().genesis()->hash, transfer->Id());
+  ASSERT_TRUE(evidence.ok());
+  for (chain::BlockHeader& header : evidence->headers) {
+    header.difficulty_bits = 100;
+  }
+  Status status = VerifyHeaderChainEvidence(
+      asset_.chain().genesis()->block.header,
+      /*required_difficulty_bits=*/100, *evidence, 0);
+  EXPECT_EQ(status.code(), StatusCode::kVerificationFailed) << status;
+}
+
 TEST_F(EvidenceTest, SwappedLeafRejectedByMerkleProof) {
   auto t1 = alice_asset_.BuildTransfer(asset_.chain().StateAtHead(),
                                        kBob.public_key(), 10, 1, 1);

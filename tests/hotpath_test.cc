@@ -9,6 +9,8 @@
 #include <map>
 #include <set>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,32 +53,40 @@ chain::BlockHeader RandomHeader(Rng* rng) {
   return header;
 }
 
+// On every level, the per-header job path (Sha256::HashNonce) equals
+// hashing the re-encoded header.
 TEST(HeaderHasherTest, MidstateMatchesNaiveDoubleHash) {
+  testutil::DispatchGuard guard;
   Rng rng(314);
-  for (int trial = 0; trial < 8; ++trial) {
-    chain::BlockHeader header = RandomHeader(&rng);
-    uint8_t preimage[chain::BlockHeader::kEncodedSize];
-    header.EncodeTo(preimage);
-    crypto::HeaderHasher hasher(preimage);
-    for (int n = 0; n < 16; ++n) {
-      const uint64_t nonce = rng.NextU64();
-      header.nonce = nonce;
-      EXPECT_EQ(hasher.HashWithNonce(nonce),
-                crypto::Hash256::DoubleOf(header.Encode()))
-          << "trial " << trial << " nonce " << nonce;
-      EXPECT_EQ(hasher.HashWithNonce(nonce), header.Hash());
+  for (crypto::Sha256::Dispatch level : testutil::AvailableDispatches()) {
+    ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
+    for (int trial = 0; trial < 8; ++trial) {
+      chain::BlockHeader header = RandomHeader(&rng);
+      uint8_t preimage[chain::BlockHeader::kEncodedSize];
+      header.EncodeTo(preimage);
+      crypto::HeaderHasher hasher(preimage);
+      for (int n = 0; n < 16; ++n) {
+        const uint64_t nonce = rng.NextU64();
+        header.nonce = nonce;
+        EXPECT_EQ(hasher.HashWithNonce(nonce),
+                  crypto::Hash256::DoubleOf(header.Encode()))
+            << "level " << crypto::Sha256::DispatchName(level) << " trial "
+            << trial << " nonce " << nonce;
+        EXPECT_EQ(hasher.HashWithNonce(nonce), header.Hash());
+      }
     }
   }
 }
 
-TEST(HeaderHasherTest, SupportsArbitraryPreimageLengths) {
+// Any whole number of blocks: the nonce always ends the last one.
+TEST(HeaderHasherTest, SupportsEveryWholeBlockPreimageLength) {
   Rng rng(2718);
-  for (size_t len : {8u, 9u, 63u, 64u, 71u, 72u, 100u, 128u, 129u}) {
+  for (size_t len : {64u, 128u, 192u, 256u}) {
     Bytes preimage;
     for (size_t i = 0; i < len; ++i) {
       preimage.push_back(static_cast<uint8_t>(rng.NextU64()));
     }
-    crypto::HeaderHasher hasher(preimage);
+    const crypto::HeaderHasher hasher(preimage);
     const uint64_t nonce = rng.NextU64();
     Bytes patched = preimage;
     for (int i = 0; i < 8; ++i) {
@@ -84,6 +94,14 @@ TEST(HeaderHasherTest, SupportsArbitraryPreimageLengths) {
           static_cast<uint8_t>(nonce >> (8 * i));
     }
     EXPECT_EQ(hasher.HashWithNonce(nonce), crypto::Hash256::DoubleOf(patched))
+        << "preimage length " << len;
+  }
+}
+
+TEST(HeaderHasherTest, RejectsPreimagesThatAreNotWholeBlocks) {
+  for (size_t len : {0u, 8u, 63u, 65u, 100u, 129u}) {
+    const Bytes preimage(len, 0x5a);
+    EXPECT_THROW(crypto::HeaderHasher{preimage}, std::invalid_argument)
         << "preimage length " << len;
   }
 }
@@ -100,77 +118,113 @@ TEST(MineHeaderTest, ProducesValidPowFromMidstate) {
 using ::ac3::testutil::AvailableDispatches;
 using ::ac3::testutil::DispatchGuard;
 
-// One hasher occupying 1..kMaxLanes lanes of a HashLanesWithNonces batch
-// must agree with the scalar hasher lane for lane, on every available
-// dispatch level (pairs ride Compress2, full batches of eight the AVX2
-// 8-way kernel — the seam MineHeader's nonce search runs on). Scalar calls
-// in between must not perturb later batches.
-TEST(HeaderHasherTest, HashLanesWithNoncesMatchScalarDigestsOnEveryDispatch) {
+// Reads lane by lane the first digest word of the fused scan from
+// `start`: bit j of lane i's word is clear exactly when the single-bit
+// mask 1 << j marks lane i a candidate.
+std::vector<uint32_t> ScannedFirstWords(const crypto::HeaderHasher& hasher,
+                                        uint64_t start, uint32_t lanes) {
+  std::vector<uint32_t> words(lanes, 0);
+  for (int bit = 0; bit < 32; ++bit) {
+    const crypto::HeaderHasher::Scan scan =
+        hasher.ScanNonces(start, uint32_t{1} << bit);
+    EXPECT_EQ(scan.lanes, lanes);
+    for (uint32_t lane = 0; lane < lanes; ++lane) {
+      if (((scan.candidates >> lane) & 1) == 0) {
+        words[lane] |= uint32_t{1} << bit;
+      }
+    }
+  }
+  return words;
+}
+
+uint32_t FirstWord(const crypto::Hash256& hash) {
+  const uint8_t* b = hash.bytes();
+  return uint32_t{b[0]} << 24 | uint32_t{b[1]} << 16 | uint32_t{b[2]} << 8 |
+         uint32_t{b[3]};
+}
+
+// Every lane of the scan hashes its own nonce: the first digest word of
+// lane i equals HashWithNonce(start + i)'s, on every level, including
+// starts 2^32 - k (lanes k.. carry into the high nonce word) and 2^64 - k
+// (lanes k.. wrap to nonce 0, 1, ...).
+TEST(HeaderHasherTest, ScanLanesMatchHashWithNonceAcrossCarryAndWrap) {
   DispatchGuard guard;
   Rng rng(887766);
   for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
     ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
-    chain::BlockHeader header = RandomHeader(&rng);
     uint8_t preimage[chain::BlockHeader::kEncodedSize];
-    header.EncodeTo(preimage);
+    RandomHeader(&rng).EncodeTo(preimage);
     crypto::HeaderHasher hasher(preimage);
-    for (size_t n = 1; n <= crypto::Sha256::kMaxLanes; ++n) {
-      for (int round = 0; round < 2; ++round) {
-        crypto::HeaderHasher::Lane lanes[crypto::Sha256::kMaxLanes];
-        crypto::Hash256 batch[crypto::Sha256::kMaxLanes];
-        for (size_t lane = 0; lane < n; ++lane) {
-          lanes[lane] = crypto::HeaderHasher::Lane{&hasher, rng.NextU64()};
-        }
-        crypto::HeaderHasher::HashLanesWithNonces(lanes, n, batch);
-        for (size_t lane = 0; lane < n; ++lane) {
-          EXPECT_EQ(batch[lane], hasher.HashWithNonce(lanes[lane].nonce))
-              << "level " << crypto::Sha256::DispatchName(level) << " n " << n
-              << " round " << round << " lane " << lane;
-        }
+    const uint32_t lanes =
+        static_cast<uint32_t>(crypto::Sha256::NonceScanLanes());
+    std::vector<uint64_t> starts = {rng.NextU64(), 0, uint64_t{1} << 32};
+    for (uint64_t k = 1; k < lanes; ++k) {
+      starts.push_back((uint64_t{1} << 32) - k);
+      starts.push_back(uint64_t{0} - k);
+    }
+    for (const uint64_t start : starts) {
+      const std::vector<uint32_t> words =
+          ScannedFirstWords(hasher, start, lanes);
+      for (uint32_t lane = 0; lane < lanes; ++lane) {
+        EXPECT_EQ(words[lane], FirstWord(hasher.HashWithNonce(start + lane)))
+            << "level " << crypto::Sha256::DispatchName(level) << " start "
+            << start << " lane " << lane;
       }
     }
   }
 }
 
-// Lanes drawn from different hashers (the multi-miner batch; here three
-// hashers interleaved across the lanes) each run from their own hasher's
-// midstate: every lane's digest equals its own hasher's scalar digest, on
-// every available dispatch level.
-TEST(HeaderHasherTest, LanesAcrossHashersMatchScalarDigestsOnEveryDispatch) {
+// MineHeader and MineHeaderBatch against the scalar oracle on every level,
+// at every difficulty 0..16: the same winning nonce, eval count and header
+// hash, whichever lane of which scan the winner lands in.
+TEST(MineHeaderTest, ScanMatchesScalarOracleAtDifficultiesUpTo16) {
   DispatchGuard guard;
-  Rng rng(313131);
   for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
     ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
-    std::vector<crypto::HeaderHasher> hashers;
-    for (int i = 0; i < 3; ++i) {
-      uint8_t preimage[chain::BlockHeader::kEncodedSize];
-      RandomHeader(&rng).EncodeTo(preimage);
-      hashers.emplace_back(preimage);
+    Rng header_rng(4242);
+    std::vector<chain::BlockHeader> oracle;
+    for (uint32_t bits = 0; bits <= 16; ++bits) {
+      chain::BlockHeader header = RandomHeader(&header_rng);
+      header.difficulty_bits = bits;
+      oracle.push_back(header);
     }
-    for (size_t n = 1; n <= crypto::Sha256::kMaxLanes; ++n) {
-      crypto::HeaderHasher::Lane lanes[crypto::Sha256::kMaxLanes];
-      crypto::Hash256 batch[crypto::Sha256::kMaxLanes];
-      for (size_t lane = 0; lane < n; ++lane) {
-        lanes[lane] =
-            crypto::HeaderHasher::Lane{&hashers[lane % 3], rng.NextU64()};
-      }
-      crypto::HeaderHasher::HashLanesWithNonces(lanes, n, batch);
-      for (size_t lane = 0; lane < n; ++lane) {
-        const crypto::HeaderHasher::Lane& plan = lanes[lane];
-        EXPECT_EQ(batch[lane], plan.hasher->HashWithNonce(plan.nonce))
-            << "level " << crypto::Sha256::DispatchName(level) << " n " << n
-            << " lane " << lane;
-      }
+    std::vector<chain::BlockHeader> mined = oracle;
+    std::vector<chain::BlockHeader> batched = oracle;
+    Rng oracle_rng(77);
+    Rng mine_rng(77);
+    Rng batch_rng(77);
+    std::vector<chain::BlockHeader*> pointers;
+    for (chain::BlockHeader& header : batched) pointers.push_back(&header);
+    std::vector<uint64_t> oracle_evals;
+    std::vector<uint64_t> mine_evals;
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      oracle_evals.push_back(
+          chain::MineHeaderScalar(&oracle[i], &oracle_rng));
+      mine_evals.push_back(chain::MineHeader(&mined[i], &mine_rng));
+    }
+    const std::vector<uint64_t> batch_evals = chain::MineHeaderBatch(
+        std::span<chain::BlockHeader* const>(pointers), &batch_rng);
+    ASSERT_EQ(batch_evals.size(), oracle.size());
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      const std::string where = std::string("level ") +
+                                crypto::Sha256::DispatchName(level) +
+                                " bits " + std::to_string(i);
+      EXPECT_EQ(mined[i].nonce, oracle[i].nonce) << where;
+      EXPECT_EQ(batched[i].nonce, oracle[i].nonce) << where;
+      EXPECT_EQ(mine_evals[i], oracle_evals[i]) << where;
+      EXPECT_EQ(batch_evals[i], oracle_evals[i]) << where;
+      EXPECT_EQ(mined[i].Hash(), oracle[i].Hash()) << where;
+      EXPECT_EQ(batched[i].Hash(), oracle[i].Hash()) << where;
+      EXPECT_TRUE(chain::CheckProofOfWork(mined[i])) << where;
     }
   }
 }
 
-// The wide search must be observationally identical to the scalar
+// The scanning search must be observationally identical to the scalar
 // oracle on EVERY dispatch level: same ascending visit order from the
 // same random start, so the same winning nonce and the same
 // visited-nonce count, at every lane offset the winner can land on
-// (bits 0..11 sweep winners across both pair lanes and all 8 AVX2
-// lanes).
+// (bits 0..11 sweep winners across all 8 AVX2 and 16 AVX-512 lanes).
 TEST(MineHeaderTest, InterleavedVisitsSameNoncesAsScalar) {
   DispatchGuard guard;
   for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
@@ -201,9 +255,9 @@ TEST(MineHeaderTest, InterleavedVisitsSameNoncesAsScalar) {
 // Golden re-pin of the deterministic PoW witness, mirroring the bench's
 // --smoke pow parameters (bench_engine_hotpaths RunPow: 4 headers at 12
 // bits from Rng seed 99; the committed full-run envelope pins the
-// analogous 836367-eval witness at 16 bits). The wide search reproduces
-// the scalar count by construction on every dispatch level; running the
-// oracle and the wide loop on each available level pins the value
+// analogous 836367-eval witness at 16 bits). The scanning search
+// reproduces the scalar count by construction on every dispatch level;
+// running the oracle and the scan on each available level pins the value
 // against the implementations drifting together.
 TEST(MineHeaderTest, GoldenEvalCountMatchesBenchWitness) {
   constexpr uint64_t kGoldenEvals = 15254;  // 4 headers, 12 bits, seed 99.
@@ -233,9 +287,7 @@ TEST(MineHeaderTest, GoldenEvalCountMatchesBenchWitness) {
 // calling MineHeader(headers[i], rng) in index order: one rng draw per
 // header, ascending visit order per miner, so the same winning nonces
 // and the same per-header eval counts — on every dispatch level, at
-// every batch width (1 exercises the degenerate lane split, 16 > 8
-// lanes exercises chunking, intermediate widths exercise uneven
-// per-miner lane shares).
+// every batch width.
 TEST(MineHeaderTest, BatchVisitsSameNoncesAsSequentialMineHeader) {
   DispatchGuard guard;
   for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
