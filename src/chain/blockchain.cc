@@ -479,8 +479,9 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
     return cached;
   }
 
-  // Selection pass: FIFO, skip invalid / duplicate transactions. The
-  // per-candidate scratch snapshot is O(1) thanks to the persistent state.
+  // Selection pass: FIFO, skip invalid / duplicate transactions. A
+  // rejected ApplyTransaction leaves `working` untouched, so candidates
+  // apply to it directly.
   auto fresh = std::make_shared<BlockTemplate>();
   fresh->parent_hash = parent.hash;
   fresh->now = now;
@@ -496,14 +497,12 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
     const crypto::Hash256& tx_id = tx.Id();
     fresh->examined.push_back(tx_id);
     if (TxOnBranch(parent, tx_id) || chosen_ids.count(tx_id) > 0) continue;
-    LedgerState scratch = working;  // Roll back cleanly on failure.
-    auto receipt = ApplyTransaction(&scratch, tx, env);
+    auto receipt = ApplyTransaction(&working, tx, env);
     if (!receipt.ok()) {
       AC3_LOG(kDebug) << params_.name << ": skip tx " << tx_id.ShortHex()
                       << " — " << receipt.status().ToString();
       continue;
     }
-    working = std::move(scratch);
     chosen_ids.insert(tx_id);
     fresh->chosen.push_back(static_cast<uint32_t>(i));
     tx_leaves.push_back(tx_id);

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <mutex>
+#include <string>
 #include <utility>
 
 namespace ac3::chain {
@@ -19,11 +20,6 @@ Amount LedgerState::LockedValue() const {
 }
 
 Amount LedgerState::BalanceOf(const crypto::PublicKey& owner) const {
-  const Amount* balance = balances.Find(owner);
-  return balance != nullptr ? *balance : 0;
-}
-
-Amount LedgerState::BalanceOfScan(const crypto::PublicKey& owner) const {
   Amount total = 0;
   for (const auto& [outpoint, output] : utxos) {
     if (output.owner == owner) total += output.value;
@@ -34,19 +30,12 @@ Amount LedgerState::BalanceOfScan(const crypto::PublicKey& owner) const {
 void LedgerState::AddUtxo(const OutPoint& outpoint, const TxOutput& output) {
   utxos.Put(outpoint, output);
   liquid_total += output.value;
-  balances.Put(output.owner, BalanceOf(output.owner) + output.value);
 }
 
 void LedgerState::SpendUtxo(const OutPoint& outpoint) {
   const TxOutput* output = utxos.Find(outpoint);
   assert(output != nullptr && "SpendUtxo: outpoint not in UTXO set");
   liquid_total -= output->value;
-  const Amount remaining = BalanceOf(output->owner) - output->value;
-  if (remaining == 0) {
-    balances.Erase(output->owner);
-  } else {
-    balances.Put(output->owner, remaining);
-  }
   utxos.Erase(outpoint);
 }
 
@@ -70,14 +59,27 @@ void EnsureBuiltinContracts() {
   std::call_once(builtin_contracts_once, contracts::RegisterBuiltinContracts);
 }
 
-/// Checks input ownership and computes the total input value.
-Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
+/// `*sum += value`, failing instead of wrapping past 2^64 - 1: a wrapped
+/// output total could equal the inputs while paying out more than they
+/// hold (Bitcoin's CVE-2010-5139).
+Status AddValue(Amount value, Amount* sum) {
+  if (__builtin_add_overflow(*sum, value, sum)) {
+    return Status::InvalidArgument("value sum overflows");
+  }
+  return Status::OK();
+}
+
+/// The value check every non-coinbase kind shares, reading `state` only:
+/// the inputs are present, distinct and owned by the signer, and their
+/// total equals the outputs plus the fee plus `locked` (what a deploy
+/// moves into its contract).
+Status CheckValue(const LedgerState& state, const Transaction& tx,
+                  Amount locked, const char* kind) {
   const std::vector<OutPoint>& inputs = tx.inputs();
   if (inputs.empty()) {
     return Status::InvalidArgument("non-coinbase transaction needs inputs");
   }
-  Amount total = 0;
-  // Validate first (no partial mutation on failure).
+  Amount in_total = 0;
   for (size_t i = 0; i < inputs.size(); ++i) {
     const OutPoint& in = inputs[i];
     // A repeated outpoint would be summed twice but erased once — minting
@@ -87,7 +89,7 @@ Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
         return Status::InvalidArgument("duplicate input outpoint");
       }
     }
-    const TxOutput* output = state->utxos.Find(in);
+    const TxOutput* output = state.utxos.Find(in);
     if (output == nullptr) {
       return Status::InvalidArgument("input not in UTXO set (double spend?)");
     }
@@ -95,10 +97,18 @@ Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
       return Status::VerificationFailed(
           "input not owned by transaction signer");
     }
-    total += output->value;
+    AC3_RETURN_IF_ERROR(AddValue(output->value, &in_total));
   }
-  for (const OutPoint& in : inputs) state->SpendUtxo(in);
-  return total;
+  Amount out_total = 0;
+  for (const TxOutput& out : tx.outputs()) {
+    AC3_RETURN_IF_ERROR(AddValue(out.value, &out_total));
+  }
+  AC3_RETURN_IF_ERROR(AddValue(tx.fee(), &out_total));
+  AC3_RETURN_IF_ERROR(AddValue(locked, &out_total));
+  if (in_total != out_total) {
+    return Status::InvalidArgument(std::string(kind) + " value not conserved");
+  }
+  return Status::OK();
 }
 
 void CreateOutputs(LedgerState* state, const crypto::Hash256& tx_id,
@@ -107,6 +117,13 @@ void CreateOutputs(LedgerState* state, const crypto::Hash256& tx_id,
   for (uint32_t i = 0; i < outputs.size(); ++i) {
     state->AddUtxo(OutPoint{tx_id, first_index + i}, outputs[i]);
   }
+}
+
+/// The mutation every kind shares once its checks have passed: spends the
+/// inputs, then creates the declared outputs.
+void SpendAndCreate(LedgerState* state, const Transaction& tx) {
+  for (const OutPoint& in : tx.inputs()) state->SpendUtxo(in);
+  CreateOutputs(state, tx.Id(), tx.outputs());
 }
 
 /// True when a contract-call failure should be recorded as a reverted
@@ -133,25 +150,21 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
   Receipt receipt;
   receipt.tx_id = tx_id;
 
+  // Each case checks everything before its first write to `state`.
   switch (tx.type()) {
     case TxType::kCoinbase:
       return Status::InvalidArgument("coinbase outside block head position");
 
     case TxType::kTransfer: {
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
-      if (in_total != tx.TotalOutput() + tx.fee()) {
-        return Status::InvalidArgument("transfer value not conserved");
-      }
-      CreateOutputs(state, tx_id, tx.outputs());
+      AC3_RETURN_IF_ERROR(CheckValue(*state, tx, 0, "transfer"));
+      SpendAndCreate(state, tx);
       receipt.note = "transfer";
       return receipt;
     }
 
     case TxType::kDeploy: {
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
-      if (in_total != tx.TotalOutput() + tx.fee() + tx.contract_value()) {
-        return Status::InvalidArgument("deploy value not conserved");
-      }
+      AC3_RETURN_IF_ERROR(
+          CheckValue(*state, tx, tx.contract_value(), "deploy"));
       contracts::DeployContext ctx;
       ctx.chain_id = env.chain_id;
       ctx.tx_id = tx_id;
@@ -165,7 +178,7 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
         // Malformed deployments never make it into a block.
         return deployed.status();
       }
-      CreateOutputs(state, tx_id, tx.outputs());
+      SpendAndCreate(state, tx);
       state->contracts.Put(tx_id, *deployed);
       receipt.contract_id = tx_id;
       receipt.state_digest = (*deployed)->StateDigest();
@@ -176,11 +189,7 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
     case TxType::kCall: {
       AC3_ASSIGN_OR_RETURN(contracts::ContractPtr contract,
                            state->GetContract(tx.contract_id()));
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
-      if (in_total != tx.TotalOutput() + tx.fee()) {
-        return Status::InvalidArgument("call value not conserved");
-      }
-      CreateOutputs(state, tx_id, tx.outputs());
+      AC3_RETURN_IF_ERROR(CheckValue(*state, tx, 0, "call"));
 
       std::vector<contracts::Payout> payouts;
       contracts::CallContext ctx;
@@ -196,6 +205,7 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
       if (!outcome.ok()) {
         if (!IsRevert(outcome.status())) return outcome.status();
         // Reverted: fee consumed, contract unchanged.
+        SpendAndCreate(state, tx);
         receipt.success = false;
         receipt.state_digest = contract->StateDigest();
         receipt.note = outcome.status().ToString();
@@ -214,6 +224,7 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
       for (const contracts::Payout& payout : payouts) {
         payout_outputs.push_back(TxOutput{payout.value, payout.recipient});
       }
+      SpendAndCreate(state, tx);
       CreateOutputs(state, tx_id, payout_outputs,
                     static_cast<uint32_t>(tx.outputs().size()));
       state->contracts.Put(tx.contract_id(), outcome->next);
@@ -246,18 +257,22 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
   coinbase_receipt.note = "coinbase";
   receipts.push_back(coinbase_receipt);
 
-  Amount total_fees = 0;
+  Amount allowed = params.block_reward;  // Plus every fee.
   for (size_t i = 1; i < block.txs.size(); ++i) {
     const Transaction& tx = block.txs[i];
     if (tx.type() == TxType::kCoinbase) {
       return Status::InvalidArgument("duplicate coinbase");
     }
     AC3_ASSIGN_OR_RETURN(Receipt receipt, ApplyTransaction(state, tx, env));
-    total_fees += tx.fee();
+    AC3_RETURN_IF_ERROR(AddValue(tx.fee(), &allowed));
     receipts.push_back(std::move(receipt));
   }
 
-  if (coinbase.TotalOutput() > params.block_reward + total_fees) {
+  Amount paid = 0;
+  for (const TxOutput& out : coinbase.outputs()) {
+    AC3_RETURN_IF_ERROR(AddValue(out.value, &paid));
+  }
+  if (paid > allowed) {
     return Status::InvalidArgument("coinbase exceeds reward plus fees");
   }
   CreateOutputs(state, coinbase.Id(), coinbase.outputs());

@@ -6,11 +6,11 @@
 // one per block, so forks naturally own divergent contract states.
 //
 // Both maps are persistent (copy-on-write) trees: copying a LedgerState is
-// O(1) and mutations path-copy O(log n) shared nodes, so per-block and
-// per-candidate-transaction snapshots no longer cost O(state size). That
-// is what keeps per-block engine cost sublinear in chain length (see
-// README "Performance"). Iteration stays in key order, identical to the
-// old std::map representation, so every fold is bit-for-bit reproducible.
+// O(1), and a mutation updates the nodes this state owns alone in place
+// and path-copies the ones it still shares with a snapshot. That is what
+// keeps per-block engine cost sublinear in chain length (see README
+// "Performance"). Iteration stays in key order, identical to the old
+// std::map representation, so every fold is bit-for-bit reproducible.
 //
 // ApplyTransaction is the single execution path shared by miners (block
 // assembly) and validators (block verification): "the validation is
@@ -31,13 +31,12 @@ namespace ac3::chain {
 /// Snapshot of one branch's state. Copies are O(1) and fully independent:
 /// mutating a copy never affects the state it was copied from.
 ///
-/// The UTXO set carries two incrementally-maintained aggregates — the
-/// total liquid value and a per-owner balance map — so the per-step
-/// engine queries (protocol funding checks, bench assertions) are O(1) /
-/// O(log owners) instead of a full-set scan. All UTXO mutations go
-/// through AddUtxo/SpendUtxo (ledger execution is the only writer), which
-/// keeps the aggregates exact; the *Scan variants recompute them from the
-/// set and are kept as the test oracle.
+/// The UTXO set carries one incrementally maintained aggregate, the total
+/// liquid value, so the per-step engine queries (protocol funding checks,
+/// bench assertions) are O(1) instead of a full-set scan. All UTXO
+/// mutations go through AddUtxo/SpendUtxo (ledger execution is the only
+/// writer), which keeps it exact; LiquidValueScan recomputes it from the
+/// set and is kept as the test oracle.
 struct LedgerState {
   /// Unspent outputs: the current ownership of every liquid asset.
   PersistentMap<OutPoint, TxOutput> utxos;
@@ -45,9 +44,6 @@ struct LedgerState {
   PersistentMap<crypto::Hash256, contracts::ContractPtr> contracts;
   /// Running sum of utxos' values (exact mirror; see AddUtxo/SpendUtxo).
   Amount liquid_total = 0;
-  /// Per-owner running balances; entries are erased when they hit zero,
-  /// so the map's content is a pure function of the UTXO set.
-  PersistentMap<crypto::PublicKey, Amount> balances;
 
   /// Sum of all liquid (UTXO) value — the maintained total, O(1).
   Amount LiquidValue() const { return liquid_total; }
@@ -58,15 +54,14 @@ struct LedgerState {
   /// Liquid + locked: conserved by every non-coinbase transaction.
   Amount TotalValue() const { return LiquidValue() + LockedValue(); }
 
-  /// Balance owned by `owner` — the maintained map, O(log owners).
+  /// Balance owned by `owner`: a scan of the UTXO set, O(n). Only tests
+  /// and examples ask.
   Amount BalanceOf(const crypto::PublicKey& owner) const;
-  /// Full-scan recomputation of BalanceOf (test oracle).
-  Amount BalanceOfScan(const crypto::PublicKey& owner) const;
 
-  /// Inserts an unspent output and updates the aggregates.
+  /// Inserts an unspent output and updates the liquid total.
   void AddUtxo(const OutPoint& outpoint, const TxOutput& output);
-  /// Erases an unspent output (which must exist) and updates the
-  /// aggregates.
+  /// Erases an unspent output (which must exist) and updates the liquid
+  /// total.
   void SpendUtxo(const OutPoint& outpoint);
 
   /// Looks up a contract snapshot.
@@ -82,6 +77,11 @@ struct BlockEnv {
 };
 
 /// Validates and applies one non-coinbase transaction to `state` in place.
+/// All or nothing: every check — chain, signature, inputs, value
+/// conservation (sums that would wrap past 2^64 - 1 are rejected), the
+/// deploy or call outcome and contract conservation — runs before the
+/// first mutation, so an error Status leaves `state` untouched and block
+/// selection can apply candidates to its working state directly.
 ///
 /// Outcomes:
 ///  * OK + success receipt        — applied, state advanced.
@@ -97,10 +97,11 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
 
 /// Applies a full block body (coinbase included) to `state`, returning the
 /// receipts in transaction order. Enforces the coinbase value rule
-/// (outputs <= block reward + total fees). Serial by design: on a
-/// 4-core host a conflict-wave executor ran blocks 2.5-3x slower than
-/// this loop. On an invalid body the loop stops at the offending
-/// transaction and `state` keeps the mutations of the ones before it.
+/// (outputs <= block reward + total fees, neither sum wrapping). Serial by
+/// design: on a 4-core host a conflict-wave executor ran blocks 2.5-3x
+/// slower than this loop. On an invalid body the loop stops at the
+/// offending transaction and `state` keeps the mutations of the ones
+/// before it.
 Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
                                             const Block& block,
                                             const ChainParams& params);

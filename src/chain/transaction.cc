@@ -124,10 +124,4 @@ bool Transaction::VerifySignature() const {
   return crypto::Verify(signer(), SigningPayload(), signature());
 }
 
-Amount Transaction::TotalOutput() const {
-  Amount total = 0;
-  for (const TxOutput& out : outputs()) total += out.value;
-  return total;
-}
-
 }  // namespace ac3::chain

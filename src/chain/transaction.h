@@ -131,8 +131,6 @@ class Transaction {
   Bytes Encode() const { return rep_->tx.Encode(); }
   /// Verifies the signature against `signer`. Coinbases are unsigned.
   bool VerifySignature() const;
-  /// Sum of declared output values.
-  Amount TotalOutput() const;
 
   /// A copy to edit; sealing the edit yields a new transaction.
   MutableTransaction ToMutable() const { return rep_->tx; }

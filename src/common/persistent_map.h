@@ -1,22 +1,31 @@
-// PersistentMap: an immutable-node, copy-on-write ordered map.
+// PersistentMap: a copy-on-write ordered map with O(1) snapshots.
 //
 // This is the structure behind the engine's O(1) ledger snapshots: every
-// BlockEntry keeps the full post-state of its branch, and block assembly
-// takes a scratch copy per candidate transaction. With std::map those
-// copies cost O(state size) each — quadratic over a growing chain. Here a
-// copy is a shared root pointer; mutation path-copies O(log n) nodes of a
-// weight-balanced search tree, so divergent snapshots (forks, scratch
-// states) share all unmodified structure.
+// BlockEntry keeps the full post-state of its branch. With std::map each
+// snapshot would cost O(state size) — quadratic over a growing chain. Here
+// a copy is a shared root pointer, and divergent snapshots (forks, the
+// block template's working state) share all unmodified structure of a
+// weight-balanced search tree.
+//
+// Mutation updates a node in place when this handle owns it alone: its
+// count is 1 and every node above it on the path is owned alone too (a
+// node reached through a shared parent is reachable from other snapshots,
+// whatever its own count). The first shared node on the path and
+// everything below it are path-copied, so a snapshot never sees a later
+// change. Both paths make the same balancing decisions: tree shape and
+// key order do not depend on which nodes were shared.
 //
 // Determinism: iteration is strictly in key order (same order as std::map
 // with std::less), independent of insertion history, so every fold over a
 // ledger state is reproducible bit-for-bit.
 //
 // The API is the std::map subset the ledger needs — Find/At/Put/Erase plus
-// const in-order iteration (range-for compatible). Iterators are
-// invalidated by any mutation of the *handle* they came from; snapshots
-// taken before the mutation remain valid and unchanged (that is the
-// point).
+// const in-order iteration (range-for compatible). Iterators and Find
+// pointers are valid only until the next mutation of the *handle* they
+// came from (an in-place update may rewrite or free the node they point
+// into); snapshots taken before the mutation remain valid and unchanged
+// (that is the point). If an allocation throws mid-update, the handle is
+// left valid but unspecified.
 //
 // Allocation: nodes carry an intrusive reference count and live in
 // NodePool slabs (src/common/arena.h) instead of shared_ptr control
@@ -28,7 +37,10 @@
 // mutate sibling snapshots concurrently, and every path copy re-references
 // the untouched subtrees of the shared original. Increments are relaxed
 // (publication of the nodes themselves happens-before any handoff);
-// decrements are acq_rel so the destroying thread observes all writes.
+// decrements are acq_rel so the destroying thread observes all writes, and
+// the in-place test is an acquire load for the same reason: a count that
+// has just dropped to 1 on another thread must not be written before that
+// thread's last read of the node.
 
 #ifndef AC3_COMMON_PERSISTENT_MAP_H_
 #define AC3_COMMON_PERSISTENT_MAP_H_
@@ -45,12 +57,13 @@
 /// Core utilities shared by every module (the dependency root).
 namespace ac3 {
 
-/// Immutable-node, copy-on-write ordered map (Adams weight-balanced
-/// tree): O(1) snapshot copies, O(log n) mutation via path copying,
-/// std::map-identical key-order iteration. Nodes are pool-allocated with
-/// intrusive atomic refcounts, so snapshots may be copied, mutated, and
-/// released concurrently on different threads as long as each *handle* is
-/// used by one thread at a time.
+/// Copy-on-write ordered map (Adams weight-balanced tree): O(1) snapshot
+/// copies, O(log n) mutation — in place on nodes this handle owns alone,
+/// by path copying on shared ones — and std::map-identical key-order
+/// iteration. Nodes are pool-allocated with intrusive atomic refcounts, so
+/// snapshots may be copied, mutated, and released concurrently on
+/// different threads as long as each *handle* is used by one thread at a
+/// time.
 template <typename K, typename V>
 class PersistentMap {
  private:
@@ -65,8 +78,8 @@ class PersistentMap {
   /// True when no keys are present.
   bool empty() const { return root_ == nullptr; }
 
-  /// Pointer to the value for `key`, or nullptr when absent. The pointer
-  /// is stable for the lifetime of any snapshot still holding the node.
+  /// Pointer to the value for `key`, or nullptr when absent. Valid until
+  /// the next mutation of this handle (see the file comment).
   const V* Find(const K& key) const {
     const Node* walk = root_.get();
     while (walk != nullptr) {
@@ -95,13 +108,13 @@ class PersistentMap {
   /// Inserts or replaces `key`. Mutates only this handle: other copies of
   /// the map keep observing the previous version.
   void Put(const K& key, V value) {
-    root_ = Insert(root_, key, std::move(value));
+    root_ = Insert(std::move(root_), key, std::move(value));
   }
 
   /// Removes `key`; returns whether it was present.
   bool Erase(const K& key) {
-    if (!Contains(key)) return false;  // Avoid path-copying on a miss.
-    root_ = Remove(root_, key);
+    if (!Contains(key)) return false;  // Remove requires a present key.
+    root_ = Remove(std::move(root_), key);
     return true;
   }
 
@@ -202,13 +215,12 @@ class PersistentMap {
     Ptr right;
     size_t size;
     /// Intrusive count; starts at 1 for the reference Make() returns.
-    /// Mutable so shared (const) nodes can still be re-referenced.
-    mutable std::atomic<uint32_t> refs{1};
+    std::atomic<uint32_t> refs{1};
   };
 
-  /// Intrusive shared reference to an immutable, pool-resident Node — the
-  /// shared_ptr<const Node> subset the tree needs, minus the control
-  /// block, weak count, and per-node malloc.
+  /// Intrusive shared reference to a pool-resident Node — the
+  /// shared_ptr<Node> subset the tree needs, minus the control block, weak
+  /// count, and per-node malloc.
   class NodeRef {
    public:
     NodeRef() = default;
@@ -235,13 +247,21 @@ class PersistentMap {
 
     const Node* get() const { return node_; }
     const Node* operator->() const { return node_; }
+    /// The node, writable, when this is its only reference; else nullptr.
+    /// The caller must have reached this reference through nodes it owns
+    /// alone (or the handle's root).
+    Node* Exclusive() const {
+      if (node_ == nullptr) return nullptr;
+      return node_->refs.load(std::memory_order_acquire) == 1 ? node_
+                                                              : nullptr;
+    }
     const Node& operator*() const { return *node_; }
     bool operator==(std::nullptr_t) const { return node_ == nullptr; }
     bool operator!=(std::nullptr_t) const { return node_ != nullptr; }
     explicit operator bool() const { return node_ != nullptr; }
 
     /// Takes ownership of a node whose count is already 1.
-    static NodeRef Adopt(const Node* node) {
+    static NodeRef Adopt(Node* node) {
       NodeRef ref;
       ref.node_ = node;
       return ref;
@@ -253,14 +273,13 @@ class PersistentMap {
       if (node_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Destroying the node releases its children in turn; recursion
         // depth is bounded by the (balanced) tree height.
-        Node* dying = const_cast<Node*>(node_);
-        dying->~Node();
-        NodePool<Node>::Deallocate(dying);
+        node_->~Node();
+        NodePool<Node>::Deallocate(node_);
       }
       node_ = nullptr;
     }
 
-    const Node* node_ = nullptr;
+    Node* node_ = nullptr;
   };
 
   static size_t Size(const Ptr& node) { return node ? node->size : 0; }
@@ -319,45 +338,120 @@ class PersistentMap {
     return Make(std::move(left), key, std::move(value), std::move(right));
   }
 
-  static Ptr Insert(const Ptr& node, const K& key, V value) {
+  /// Restores the size and balance of an exclusively owned node whose
+  /// children changed by at most one insertion or removal: in place while
+  /// the weights stay within bounds, else through Balance's rotations (the
+  /// decisions Balance makes for a path copy, so the shape matches).
+  static Ptr Rebalance(Ptr node) {
+    Node* owned = node.Exclusive();
+    const size_t lw = Weight(owned->left);
+    const size_t rw = Weight(owned->right);
+    if (rw > 3 * lw || lw > 3 * rw) {
+      return Balance(std::move(owned->left), owned->key,
+                     std::move(owned->value), std::move(owned->right));
+    }
+    owned->size = lw + rw - 1;
+    return node;
+  }
+
+  /// Inserts into the subtree `node` (consumed), in place down to the first
+  /// shared node, by path copy from there.
+  static Ptr Insert(Ptr node, const K& key, V value) {
+    Node* owned = node.Exclusive();
+    if (owned == nullptr) return CopyInsert(node, key, std::move(value));
+    if (key < owned->key) {
+      owned->left = Insert(std::move(owned->left), key, std::move(value));
+    } else if (owned->key < key) {
+      owned->right = Insert(std::move(owned->right), key, std::move(value));
+    } else {
+      owned->value = std::move(value);  // Replace.
+      return node;
+    }
+    return Rebalance(std::move(node));
+  }
+
+  /// Removes the minimum of `node` (non-null, consumed), storing its key
+  /// and value in `*min_key` and `*min_value`.
+  static Ptr PopMin(Ptr node, K* min_key, V* min_value) {
+    Node* owned = node.Exclusive();
+    if (owned == nullptr) {
+      const K* key = nullptr;
+      const V* value = nullptr;
+      Ptr rest = CopyPopMin(node, &key, &value);
+      *min_key = *key;  // `node` keeps the shared minimum alive.
+      *min_value = *value;
+      return rest;
+    }
+    if (owned->left == nullptr) {
+      *min_key = std::move(owned->key);
+      *min_value = std::move(owned->value);
+      return std::move(owned->right);
+    }
+    owned->left = PopMin(std::move(owned->left), min_key, min_value);
+    return Rebalance(std::move(node));
+  }
+
+  /// `key` is known to exist under `node` (consumed).
+  static Ptr Remove(Ptr node, const K& key) {
+    Node* owned = node.Exclusive();
+    if (owned == nullptr) return CopyRemove(node, key);
+    if (key < owned->key) {
+      owned->left = Remove(std::move(owned->left), key);
+    } else if (owned->key < key) {
+      owned->right = Remove(std::move(owned->right), key);
+    } else if (owned->left == nullptr) {
+      return std::move(owned->right);
+    } else if (owned->right == nullptr) {
+      return std::move(owned->left);
+    } else {  // The successor moves into this node.
+      owned->right =
+          PopMin(std::move(owned->right), &owned->key, &owned->value);
+    }
+    return Rebalance(std::move(node));
+  }
+
+  // Path-copying counterparts for shared subtrees: they never write a node.
+
+  static Ptr CopyInsert(const Ptr& node, const K& key, V value) {
     if (node == nullptr) return Make(nullptr, key, std::move(value), nullptr);
     if (key < node->key) {
-      return Balance(Insert(node->left, key, std::move(value)), node->key,
+      return Balance(CopyInsert(node->left, key, std::move(value)), node->key,
                      node->value, node->right);
     }
     if (node->key < key) {
       return Balance(node->left, node->key, node->value,
-                     Insert(node->right, key, std::move(value)));
+                     CopyInsert(node->right, key, std::move(value)));
     }
     return Make(node->left, key, std::move(value), node->right);  // Replace.
   }
 
   /// Removes the minimum of `node` (must be non-null), exporting it.
-  static Ptr PopMin(const Ptr& node, const K** min_key, const V** min_value) {
+  static Ptr CopyPopMin(const Ptr& node, const K** min_key,
+                        const V** min_value) {
     if (node->left == nullptr) {
       *min_key = &node->key;
       *min_value = &node->value;
       return node->right;
     }
-    return Balance(PopMin(node->left, min_key, min_value), node->key,
+    return Balance(CopyPopMin(node->left, min_key, min_value), node->key,
                    node->value, node->right);
   }
 
   /// `key` is known to exist under `node`.
-  static Ptr Remove(const Ptr& node, const K& key) {
+  static Ptr CopyRemove(const Ptr& node, const K& key) {
     if (key < node->key) {
-      return Balance(Remove(node->left, key), node->key, node->value,
+      return Balance(CopyRemove(node->left, key), node->key, node->value,
                      node->right);
     }
     if (node->key < key) {
       return Balance(node->left, node->key, node->value,
-                     Remove(node->right, key));
+                     CopyRemove(node->right, key));
     }
     if (node->left == nullptr) return node->right;
     if (node->right == nullptr) return node->left;
     const K* succ_key = nullptr;
     const V* succ_value = nullptr;
-    Ptr right = PopMin(node->right, &succ_key, &succ_value);
+    Ptr right = CopyPopMin(node->right, &succ_key, &succ_value);
     return Balance(node->left, *succ_key, *succ_value, std::move(right));
   }
 

@@ -582,10 +582,6 @@ TEST_F(SerialExecTest, RandomizedChurnKeepsAggregatesExact) {
   }
   const LedgerState& head = chain().head()->state;
   EXPECT_EQ(head.LiquidValue(), head.LiquidValueScan());
-  for (const auto& key : keys_) {
-    EXPECT_EQ(head.BalanceOf(key.public_key()),
-              head.BalanceOfScan(key.public_key()));
-  }
 }
 
 TEST_F(SerialExecTest, DeepCatchupHeadHashAtOneAndFourThreads) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -397,6 +398,194 @@ TEST(LedgerTest, TotalValueConservedPlusRewards) {
             500u + tc.chain().params().block_reward);
 }
 
+constexpr Amount kMaxAmount = std::numeric_limits<Amount>::max();
+
+TEST(LedgerTest, WrappingTransferRejected) {
+  // Outputs {2^64 - 50, 150} sum to 100 modulo 2^64: a wrapping check
+  // would accept them against a 100-value input (Bitcoin's CVE-2010-5139).
+  TestChain tc(FastParams(), Fund({Alice().public_key()}, 100));
+  MutableTransaction tx;
+  tx.type = TxType::kTransfer;
+  tx.chain_id = 0;
+  tx.inputs.push_back(OutPoint{tc.chain().genesis_tx().Id(), 0});
+  tx.outputs = {TxOutput{kMaxAmount - 49, Bob().public_key()},
+                TxOutput{150, Alice().public_key()}};
+  tx.SignWith(Alice());
+  const Transaction wrapping(tx);
+
+  LedgerState state = tc.chain().StateAtHead();
+  auto receipt = ApplyTransaction(&state, wrapping, BlockEnv{0, 1, 100});
+  EXPECT_EQ(receipt.status().code(), StatusCode::kInvalidArgument);
+  // Nor does a miner include it.
+  ASSERT_TRUE(tc.MineBlock({wrapping}).ok());
+  EXPECT_FALSE(tc.chain().FindTx(wrapping.Id()).has_value());
+  EXPECT_EQ(tc.chain().StateAtHead().BalanceOf(Bob().public_key()), 0u);
+}
+
+TEST(LedgerTest, WrappingDeployValueRejected) {
+  // 150 of change plus a 2^64 - 50 contract value wraps to the 100 input.
+  TestChain tc(FastParams(), Fund({Alice().public_key()}, 100));
+  MutableTransaction tx;
+  tx.type = TxType::kDeploy;
+  tx.chain_id = 0;
+  tx.inputs.push_back(OutPoint{tc.chain().genesis_tx().Id(), 0});
+  tx.outputs.push_back(TxOutput{150, Alice().public_key()});
+  tx.contract_kind = contracts::kHtlcKind;
+  tx.payload = contracts::HtlcContract::MakeInitPayload(
+      Bob().public_key(), crypto::Hash256::OfString("secret"), 60'000);
+  tx.contract_value = kMaxAmount - 49;
+  tx.SignWith(Alice());
+
+  LedgerState state = tc.chain().StateAtHead();
+  auto receipt = ApplyTransaction(&state, Transaction(tx), BlockEnv{0, 1, 100});
+  EXPECT_EQ(receipt.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(state.LockedValue(), 0u);
+  EXPECT_EQ(state.LiquidValue(), 100u);
+}
+
+/// What a rejected transaction must leave as it was, copied out of the
+/// trees so the image shares no node with the state it describes.
+struct StateImage {
+  std::vector<std::pair<OutPoint, TxOutput>> utxos;
+  std::vector<std::pair<crypto::Hash256, contracts::ContractPtr>> contracts;
+  Amount liquid_total = 0;
+
+  bool operator==(const StateImage&) const = default;
+};
+
+StateImage ImageOf(const LedgerState& state) {
+  StateImage image;
+  for (const auto& [outpoint, output] : state.utxos) {
+    image.utxos.emplace_back(outpoint, output);
+  }
+  for (const auto& [id, contract] : state.contracts) {
+    image.contracts.emplace_back(id, contract);
+  }
+  image.liquid_total = state.liquid_total;
+  return image;
+}
+
+TEST(LedgerTest, RejectedTransactionsLeaveStateUnchanged) {
+  // Alice holds a 500 and a 300 output, Bob a 200; Alice then locks 100 of
+  // her 300 in an HTLC. Each case below fails one check of
+  // ApplyTransaction. The value checks fail after every input was read,
+  // the failed deploy after the value check passed: all before any write.
+  TestChain tc(FastParams(), {TxOutput{500, Alice().public_key()},
+                              TxOutput{300, Alice().public_key()},
+                              TxOutput{200, Bob().public_key()}});
+  const crypto::Hash256 genesis = tc.chain().genesis_tx().Id();
+  const OutPoint alice500{genesis, 0};
+  const OutPoint alice300{genesis, 1};
+  const OutPoint bob200{genesis, 2};
+  const BlockEnv env{0, 1, 100};
+  const Bytes htlc_payload = contracts::HtlcContract::MakeInitPayload(
+      Bob().public_key(), crypto::Hash256::OfString("secret"), 60'000);
+
+  auto make = [](TxType type, std::vector<OutPoint> inputs, Amount out,
+                 Amount fee) {
+    MutableTransaction tx;
+    tx.type = type;
+    tx.chain_id = 0;
+    tx.inputs = std::move(inputs);
+    tx.outputs.push_back(TxOutput{out, Alice().public_key()});
+    tx.fee = fee;
+    return tx;
+  };
+  auto signed_by_alice = [](MutableTransaction tx) {
+    tx.SignWith(Alice());
+    return Transaction(tx);
+  };
+
+  LedgerState state = tc.chain().StateAtHead();
+  MutableTransaction htlc = make(TxType::kDeploy, {alice300}, 196, 4);
+  htlc.contract_kind = contracts::kHtlcKind;
+  htlc.payload = htlc_payload;
+  htlc.contract_value = 100;
+  const Transaction deploy = signed_by_alice(htlc);
+  ASSERT_TRUE(ApplyTransaction(&state, deploy, env).ok());
+
+  struct Case {
+    const char* name;
+    Transaction tx;
+    StatusCode code;
+  };
+  std::vector<Case> cases;
+
+  MutableTransaction other_chain = make(TxType::kTransfer, {alice500}, 499, 1);
+  other_chain.chain_id = 1;
+  cases.push_back({"wrong chain", signed_by_alice(other_chain),
+                   StatusCode::kInvalidArgument});
+
+  MutableTransaction tampered = make(TxType::kTransfer, {alice500}, 499, 1);
+  tampered.SignWith(Alice());
+  tampered.outputs[0].value = 498;  // Still balanced, no longer signed.
+  tampered.fee = 2;
+  cases.push_back({"bad signature", Transaction(tampered),
+                   StatusCode::kVerificationFailed});
+
+  cases.push_back(
+      {"missing input",
+       signed_by_alice(make(TxType::kTransfer, {OutPoint{genesis, 7}}, 9, 1)),
+       StatusCode::kInvalidArgument});
+  cases.push_back({"duplicate input",
+                   signed_by_alice(make(TxType::kTransfer,
+                                        {alice500, alice500}, 999, 1)),
+                   StatusCode::kInvalidArgument});
+  cases.push_back(
+      {"foreign input",
+       signed_by_alice(make(TxType::kTransfer, {alice500, bob200}, 699, 1)),
+       StatusCode::kVerificationFailed});
+  cases.push_back(
+      {"transfer imbalance",
+       signed_by_alice(make(TxType::kTransfer, {alice500}, 600, 0)),
+       StatusCode::kInvalidArgument});
+
+  MutableTransaction deploy_imbalance =
+      make(TxType::kDeploy, {alice500}, 400, 4);
+  deploy_imbalance.contract_kind = contracts::kHtlcKind;
+  deploy_imbalance.payload = htlc_payload;
+  deploy_imbalance.contract_value = 100;  // 400 + 4 + 100 != 500.
+  cases.push_back({"deploy imbalance", signed_by_alice(deploy_imbalance),
+                   StatusCode::kInvalidArgument});
+
+  MutableTransaction call_imbalance = make(TxType::kCall, {alice500}, 498, 1);
+  call_imbalance.contract_id = deploy.Id();
+  call_imbalance.function = "refund";
+  cases.push_back({"call imbalance", signed_by_alice(call_imbalance),
+                   StatusCode::kInvalidArgument});
+
+  MutableTransaction unknown = make(TxType::kCall, {alice500}, 499, 1);
+  unknown.contract_id = crypto::Hash256::OfString("nowhere");
+  unknown.function = "refund";
+  cases.push_back({"unknown contract", signed_by_alice(unknown),
+                   StatusCode::kNotFound});
+
+  MutableTransaction bogus = make(TxType::kDeploy, {alice500}, 396, 4);
+  bogus.contract_kind = "Bogus";  // Balanced, but no such contract class.
+  bogus.contract_value = 100;
+  cases.push_back({"failed deploy", signed_by_alice(bogus),
+                   StatusCode::kNotFound});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const StateImage before = ImageOf(state);
+    auto receipt = ApplyTransaction(&state, c.tx, env);
+    ASSERT_FALSE(receipt.ok());
+    EXPECT_EQ(receipt.status().code(), c.code) << receipt.status();
+    EXPECT_TRUE(ImageOf(state) == before);
+  }
+
+  // The same state still accepts a valid spend of the contested output.
+  const StateImage before = ImageOf(state);
+  ASSERT_TRUE(ApplyTransaction(&state,
+                               signed_by_alice(make(TxType::kTransfer,
+                                                    {alice500}, 499, 1)),
+                               env)
+                  .ok());
+  EXPECT_FALSE(ImageOf(state) == before);
+  EXPECT_EQ(state.TotalValue(), 1000u - 4u - 1u);
+}
+
 // ------------------------------------------------------------- fork choice
 
 TEST(BlockchainTest, RejectsUnknownParent) {
@@ -439,6 +628,32 @@ TEST(BlockchainTest, RejectsTamperedReceipts) {
   MineHeader(&bad.header, &rng);
   EXPECT_EQ(tc.chain().SubmitBlock(bad, 50).code(),
             StatusCode::kVerificationFailed);
+}
+
+TEST(BlockchainTest, RejectsWrappingCoinbase) {
+  // Coinbase outputs {2^64 - 10, reward + 10} sum to the reward modulo
+  // 2^64.
+  TestChain tc(FastParams(), {});
+  Rng rng(3);
+  auto block = tc.chain().AssembleBlock(
+      tc.chain().head()->hash, std::span<const Transaction* const>(),
+      Alice().public_key(), 50, &rng, /*mine=*/false);
+  ASSERT_TRUE(block.ok());
+  MutableTransaction coinbase;
+  coinbase.type = TxType::kCoinbase;
+  coinbase.chain_id = 0;
+  coinbase.outputs = {
+      TxOutput{kMaxAmount - 9, Alice().public_key()},
+      TxOutput{tc.chain().params().block_reward + 10, Alice().public_key()}};
+  Block bad = *block;
+  bad.txs[0] = Transaction(coinbase);
+  bad.receipts[0].tx_id = bad.txs[0].Id();
+  bad.header.tx_root = bad.ComputeTxRoot();
+  bad.header.receipt_root = bad.ComputeReceiptRoot();
+  MineHeader(&bad.header, &rng);
+  EXPECT_EQ(tc.chain().SubmitBlock(bad, 50).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tc.chain().head()->height(), 0u);
 }
 
 TEST(BlockchainTest, ForkResolvesToHeavierBranch) {

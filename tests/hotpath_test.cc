@@ -443,6 +443,76 @@ TEST(PersistentMapTest, SnapshotsAreIndependent) {
   ASSERT_NE(original.Find(1000), nullptr);
 }
 
+TEST(PersistentMapTest, UniquePathsUpdateInPlace) {
+  PersistentMap<int, int> map;
+  for (int i = 0; i < 100; ++i) map.Put(i, i);
+
+  // No snapshot shares the tree: replacing a value rewrites its node.
+  const int* node_value = map.Find(42);
+  map.Put(42, -1);
+  EXPECT_EQ(map.Find(42), node_value);
+  EXPECT_EQ(*map.Find(42), -1);
+
+  // A snapshot shares every node: the same Put path-copies instead.
+  const PersistentMap<int, int> snapshot = map;
+  map.Put(42, -2);
+  EXPECT_NE(map.Find(42), node_value);
+  EXPECT_EQ(*map.Find(42), -2);
+  EXPECT_EQ(snapshot.Find(42), node_value);
+  EXPECT_EQ(*snapshot.Find(42), -1);
+}
+
+TEST(PersistentMapTest, InPlaceUpdatesNeverReachASnapshot) {
+  // One handle churns through long runs of Put/Erase with snapshots taken
+  // at sparse random points, so between snapshots it owns most of its
+  // paths alone and updates them in place — two-child erases through
+  // PopMin included. Dropping a snapshot mid-run makes the nodes it shared
+  // unique to the handle again. Every surviving snapshot must still hold
+  // exactly what the handle held when it was taken.
+  using Map = PersistentMap<uint64_t, uint64_t>;
+  Map live;
+  std::map<uint64_t, uint64_t> reference;
+  std::vector<Map> snapshots;
+  std::vector<std::map<uint64_t, uint64_t>> expected;
+  Rng rng(31415);
+  constexpr int kOps = 40000;
+  bool dropped = false;
+  for (int op = 0; op < kOps; ++op) {
+    const uint64_t key = rng.NextU64() % 1024;
+    if (rng.NextU64() % 3 == 0) {
+      ASSERT_EQ(live.Erase(key), reference.erase(key) > 0);
+    } else {
+      const uint64_t value = rng.NextU64();
+      live.Put(key, value);
+      reference[key] = value;
+    }
+    if (rng.NextU64() % 2000 == 0) {
+      snapshots.push_back(live);
+      expected.push_back(reference);
+    }
+    if (!dropped && op >= kOps / 2 && snapshots.size() >= 2) {
+      // Drop the newest snapshot: it shares the most with the handle.
+      snapshots.pop_back();
+      expected.pop_back();
+      dropped = true;
+    }
+  }
+  ASSERT_TRUE(dropped);
+  ASSERT_GE(snapshots.size(), 8u);
+  snapshots.push_back(live);
+  expected.push_back(reference);
+  for (size_t s = 0; s < snapshots.size(); ++s) {
+    SCOPED_TRACE("snapshot " + std::to_string(s));
+    ASSERT_EQ(snapshots[s].size(), expected[s].size());
+    auto it = expected[s].begin();
+    for (const auto& [key, value] : snapshots[s]) {
+      ASSERT_EQ(key, it->first);
+      ASSERT_EQ(value, it->second);
+      ++it;
+    }
+  }
+}
+
 TEST(LedgerStateTest, CopyOnWriteSemantics) {
   testutil::TestChain tc(chain::TestChainParams(),
                          testutil::Fund({crypto::KeyPair::FromSeed(1)

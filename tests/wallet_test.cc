@@ -15,6 +15,12 @@ namespace {
 const crypto::KeyPair kAlice = crypto::KeyPair::FromSeed(71);
 const crypto::KeyPair kBob = crypto::KeyPair::FromSeed(72);
 
+Amount OutputTotal(const Transaction& tx) {
+  Amount total = 0;
+  for (const TxOutput& out : tx.outputs()) total += out.value;
+  return total;
+}
+
 class WalletTest : public ::testing::Test {
  protected:
   // Alice's funds arrive as three separate genesis outputs so selection
@@ -46,7 +52,7 @@ TEST_F(WalletTest, TransferValueBalanceHolds) {
   for (const OutPoint& in : tx->inputs()) {
     input_total += State().utxos.at(in).value;
   }
-  EXPECT_EQ(input_total, tx->TotalOutput() + tx->fee());
+  EXPECT_EQ(input_total, OutputTotal(*tx) + tx->fee());
   // Bob receives exactly the amount; change (if any) returns to Alice.
   Amount to_bob = 0, to_alice = 0;
   for (const TxOutput& out : tx->outputs()) {
@@ -111,7 +117,7 @@ TEST_F(WalletTest, DeployLocksContractValueSeparately) {
   for (const OutPoint& in : tx->inputs()) {
     input_total += State().utxos.at(in).value;
   }
-  EXPECT_EQ(input_total, tx->TotalOutput() + tx->fee() + tx->contract_value());
+  EXPECT_EQ(input_total, OutputTotal(*tx) + tx->fee() + tx->contract_value());
 }
 
 TEST_F(WalletTest, CallSpendsOnlyTheFee) {
@@ -123,7 +129,7 @@ TEST_F(WalletTest, CallSpendsOnlyTheFee) {
   for (const OutPoint& in : tx->inputs()) {
     input_total += State().utxos.at(in).value;
   }
-  EXPECT_EQ(input_total - tx->TotalOutput(), 2u);
+  EXPECT_EQ(input_total - OutputTotal(*tx), 2u);
 }
 
 TEST_F(WalletTest, BuiltTransactionsCarryValidSignatures) {
@@ -161,7 +167,7 @@ TEST_P(WalletBalanceSweep, ValueConservation) {
   for (const OutPoint& in : tx->inputs()) {
     input_total += world.chain().StateAtHead().utxos.at(in).value;
   }
-  EXPECT_EQ(input_total, tx->TotalOutput() + fee);
+  EXPECT_EQ(input_total, OutputTotal(*tx) + fee);
   // And the ledger accepts it.
   ASSERT_TRUE(world.MineBlock({*tx}).ok());
   EXPECT_TRUE(world.chain().FindTx(tx->Id()).has_value());
