@@ -28,6 +28,14 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(32)->Arg(256)->Arg(4096)->Arg(65536);
 
+void BM_KeyPairFromSeed(benchmark::State& state) {
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KeyPair::FromSeed(seed++));
+  }
+}
+BENCHMARK(BM_KeyPairFromSeed);
+
 void BM_SchnorrSign(benchmark::State& state) {
   KeyPair key = KeyPair::FromSeed(7);
   Rng rng(2);

@@ -78,7 +78,7 @@ Transaction::Transaction() {
 Transaction::Transaction(MutableTransaction tx) {
   // The one place a transaction id is computed.
   const crypto::Hash256 id = crypto::Hash256::Of(tx.Encode());
-  rep_ = std::make_shared<const Rep>(Rep{std::move(tx), id});
+  rep_ = std::make_shared<const Rep>(std::move(tx), id);
 }
 
 Result<Transaction> Transaction::Decode(const Bytes& encoded) {
@@ -121,7 +121,11 @@ Result<Transaction> Transaction::Decode(const Bytes& encoded) {
 
 bool Transaction::VerifySignature() const {
   if (type() == TxType::kCoinbase) return true;
-  return crypto::Verify(signer(), SigningPayload(), signature());
+  const uint8_t known = rep_->verdict.load();
+  if (known != kUnknown) return known == kValid;
+  const bool valid = crypto::Verify(signer(), SigningPayload(), signature());
+  rep_->verdict.store(valid ? kValid : kInvalid);
+  return valid;
 }
 
 }  // namespace ac3::chain

@@ -13,10 +13,12 @@
 #ifndef AC3_CHAIN_TRANSACTION_H_
 #define AC3_CHAIN_TRANSACTION_H_
 
+#include <atomic>
 #include <compare>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/chain/params.h"
@@ -96,6 +98,15 @@ struct MutableTransaction {
 /// Transaction (into the mempool, into each racing miner's block, into the
 /// stored BlockEntry) is a reference-count increment. It has no move
 /// operations, so a move copies and the source stays a valid transaction.
+///
+/// The representation also memoizes the signature verdict, so a
+/// transaction verifies once however many copies check it: block
+/// validation skips the Verify that selection from the mempool already
+/// ran on the same rep (Bitcoin Core's signature cache, within one
+/// process). The memo belongs to the rep, not to the id: a decoded
+/// transaction, or one sealed from a ToMutable edit, is a new rep and
+/// verifies again, so bytes from outside are never trusted on an id
+/// match.
 class Transaction {
  public:
   /// The sealed default MutableTransaction, one instance shared by every
@@ -129,16 +140,26 @@ class Transaction {
 
   Bytes SigningPayload() const { return rep_->tx.SigningPayload(); }
   Bytes Encode() const { return rep_->tx.Encode(); }
-  /// Verifies the signature against `signer`. Coinbases are unsigned.
+  /// Verifies the signature against `signer` on the first call on this
+  /// rep and returns the stored verdict after. Coinbases are unsigned.
+  /// Safe to call from several threads at once.
   bool VerifySignature() const;
 
   /// A copy to edit; sealing the edit yields a new transaction.
   MutableTransaction ToMutable() const { return rep_->tx; }
 
  private:
+  enum Verdict : uint8_t { kUnknown, kValid, kInvalid };
+
   struct Rep {
+    Rep(MutableTransaction tx_in, const crypto::Hash256& id_in)
+        : tx(std::move(tx_in)), id(id_in) {}
+
     MutableTransaction tx;
     crypto::Hash256 id;
+    /// VerifySignature's memo. Racing first calls each verify and store
+    /// the same verdict.
+    mutable std::atomic<uint8_t> verdict{kUnknown};
   };
   std::shared_ptr<const Rep> rep_;
 };

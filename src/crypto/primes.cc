@@ -1,6 +1,8 @@
 #include "src/crypto/primes.h"
 
+#include <array>
 #include <cassert>
+#include <stdexcept>
 
 #include "src/common/random.h"
 
@@ -101,6 +103,69 @@ const GroupParams& DefaultGroup() {
   // Any fixed seed works; this one is the project name in ASCII-ish.
   static const GroupParams params = GenerateGroup(0xAC3'AC3'AC3ULL);
   return params;
+}
+
+Montgomery::Montgomery(uint64_t m) : m_(m) {
+  if (m % 2 == 0 || m >= (1ULL << 62)) {
+    throw std::invalid_argument("Montgomery modulus must be odd and < 2^62");
+  }
+  // Newton's iteration doubles the correct low bits of m^-1 mod 2^64; an
+  // odd m is its own inverse mod 8, so five steps reach 96 >= 64 bits.
+  m_inv_ = m;
+  for (int i = 0; i < 5; ++i) m_inv_ *= 2 - m * m_inv_;
+  one_ = (0 - m) % m;  // 2^64 mod m.
+  r2_ = MulMod(one_, one_, m);
+}
+
+uint64_t Montgomery::Pow(uint64_t a, uint64_t exp) const {
+  uint64_t result = one_;
+  while (exp > 0) {
+    if (exp & 1) result = Mul(result, a);
+    a = Mul(a, a);
+    exp >>= 1;
+  }
+  return result;
+}
+
+namespace {
+
+/// DefaultGroup()'s arithmetic: the Montgomery context for p and the
+/// fixed-base table for g, windows[w][d] = g^(d·2^(8w)) in Montgomery form.
+struct GroupArith {
+  Montgomery mont;
+  std::array<std::array<uint64_t, 256>, 4> windows;
+
+  explicit GroupArith(const GroupParams& grp) : mont(grp.p), windows{} {
+    uint64_t base = mont.ToMont(grp.g);  // g^(2^(8w)) for the current w.
+    for (auto& window : windows) {
+      window[0] = mont.One();
+      for (size_t d = 1; d < window.size(); ++d) {
+        window[d] = mont.Mul(window[d - 1], base);
+      }
+      base = mont.Mul(window.back(), base);
+    }
+  }
+};
+
+const GroupArith& DefaultGroupArith() {
+  static const GroupArith arith(DefaultGroup());
+  return arith;
+}
+
+}  // namespace
+
+const Montgomery& GroupMont() { return DefaultGroupArith().mont; }
+
+uint64_t PowG(uint64_t x) {
+  const GroupArith& arith = DefaultGroupArith();
+  if (x >> 32 != 0) {
+    return arith.mont.Pow(arith.windows[0][1], x);
+  }
+  const Montgomery& mont = arith.mont;
+  return mont.Mul(mont.Mul(arith.windows[0][x & 0xFF],
+                           arith.windows[1][(x >> 8) & 0xFF]),
+                  mont.Mul(arith.windows[2][(x >> 16) & 0xFF],
+                           arith.windows[3][x >> 24]));
 }
 
 }  // namespace ac3::crypto

@@ -23,6 +23,8 @@ uint64_t ChallengeE(uint64_t r, const PublicKey& pk, const Bytes& message) {
 
 }  // namespace
 
+bool PublicKey::IsValid() const { return y_ > 1 && y_ < DefaultGroup().p; }
+
 Bytes PublicKey::Encode() const {
   ByteWriter w;
   w.PutU64(y_);
@@ -59,7 +61,7 @@ KeyPair KeyPair::FromSeed(uint64_t seed) {
   w.PutString("ac3wn/keygen");
   w.PutU64(seed);
   uint64_t x = HashToU64(w.bytes()) % (grp.q - 1) + 1;  // x in [1, q).
-  PublicKey pk(PowMod(grp.g, x, grp.p));
+  PublicKey pk(GroupMont().FromMont(PowG(x)));
   return KeyPair(x, pk);
 }
 
@@ -74,7 +76,7 @@ Signature KeyPair::Sign(const Bytes& message) const {
   nonce_input.PutBytes(message);
   uint64_t k = HashToU64(nonce_input.bytes()) % (grp.q - 1) + 1;
 
-  uint64_t r = PowMod(grp.g, k, grp.p);
+  uint64_t r = GroupMont().FromMont(PowG(k));
   uint64_t e = ChallengeE(r, public_key_, message);
   uint64_t s = (k + MulMod(e, secret_, grp.q)) % grp.q;
   return Signature{e, s};
@@ -88,12 +90,13 @@ bool Verify(const PublicKey& pk, const Bytes& message, const Signature& sig) {
   const GroupParams& grp = DefaultGroup();
   if (!pk.IsValid()) return false;
   if (sig.e >= grp.q || sig.s >= grp.q) return false;
+  const Montgomery& mont = GroupMont();
+  const uint64_t y = mont.ToMont(pk.y());
   // y must lie in the order-q subgroup; otherwise y^(q-e) is not y^{-e}.
-  if (PowMod(pk.y(), grp.q, grp.p) != 1) return false;
+  if (mont.Pow(y, grp.q) != mont.One()) return false;
   // r' = g^s * y^{-e} = g^s * y^{q-e} (y has order q).
-  uint64_t gs = PowMod(grp.g, sig.s, grp.p);
-  uint64_t ye = PowMod(pk.y(), (grp.q - sig.e) % grp.q, grp.p);
-  uint64_t r_prime = MulMod(gs, ye, grp.p);
+  uint64_t ye = mont.Pow(y, (grp.q - sig.e) % grp.q);
+  uint64_t r_prime = mont.FromMont(mont.Mul(PowG(sig.s), ye));
   return ChallengeE(r_prime, pk, message) == sig.e;
 }
 

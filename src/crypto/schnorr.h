@@ -11,6 +11,14 @@
 //             e = H(r || y || m) mod q,     s = (k + e*x) mod q
 //   verify:   r' = g^s * y^(q - e) mod p,   accept iff H(r' || y || m) ≡ e
 //
+// Verify accepts only a valid key, 1 < y < p, that lies in the order-q
+// subgroup (y^q = 1, checked on every call), and only e, s < q.
+//
+// The arithmetic modulo p is Montgomery multiplication (primes.h). g^x,
+// for keys, nonces and Verify's g^s, reads a fixed-base table of g's
+// powers built once per process, so it costs three multiplications; y^q
+// and y^(q-e) are square-and-multiply.
+//
 // Parameter sizes are toy (see primes.h); the code paths are real.
 
 #ifndef AC3_CRYPTO_SCHNORR_H_
@@ -34,7 +42,10 @@ class PublicKey {
   explicit PublicKey(uint64_t y) : y_(y) {}
 
   uint64_t y() const { return y_; }
-  bool IsValid() const { return y_ != 0; }
+  /// 1 < y < p. Under any y ≡ 1 (mod p), y^(q-e) = 1 and r' = g^s, so
+  /// anyone could pick s, solve for e and sign any message; a y >= p would
+  /// alias y mod p, so one secret would sign for several addresses.
+  bool IsValid() const;
 
   /// Canonical encoding (8 bytes LE), the input to addresses and hashes.
   Bytes Encode() const;

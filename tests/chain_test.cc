@@ -10,6 +10,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -128,6 +129,15 @@ TEST(TransactionTest, DecodedIdIsHashOfAcceptedBytes) {
     EXPECT_EQ(decoded->Id(), crypto::Hash256::Of(encoded))
         << TxTypeName(m.type);
     EXPECT_EQ(decoded->Encode(), encoded) << TxTypeName(m.type);
+    EXPECT_TRUE(decoded->VerifySignature()) << TxTypeName(m.type);
+    if (m.type == TxType::kCoinbase) continue;  // Unsigned.
+    // A flipped signature byte still decodes, into a new rep that verifies
+    // afresh and fails.
+    Bytes flipped = encoded;
+    flipped[flipped.size() - 16] ^= 0x01;  // Low byte of e.
+    auto tampered = Transaction::Decode(flipped);
+    ASSERT_TRUE(tampered.ok()) << TxTypeName(m.type);
+    EXPECT_FALSE(tampered->VerifySignature()) << TxTypeName(m.type);
   }
 }
 
@@ -159,9 +169,29 @@ TEST(TransactionTest, EditedCopyGetsANewIdAndFailsVerification) {
   const Transaction edited(std::move(edit));
   EXPECT_NE(edited.Id(), original.Id());
   EXPECT_FALSE(edited.VerifySignature());
+  EXPECT_FALSE(edited.VerifySignature());  // The memoized verdict.
   // The original is untouched.
   EXPECT_EQ(original.fee(), 2u);
   EXPECT_TRUE(original.VerifySignature());
+}
+
+TEST(TransactionTest, ConcurrentFirstVerificationsAgree) {
+  MutableTransaction bad = OneOfEachType()[1];
+  bad.fee += 1;
+  for (const MutableTransaction& m : {OneOfEachType()[1], bad}) {
+    const Transaction tx(m);  // Fresh: no verdict stored yet.
+    std::array<bool, 4> verdicts{};
+    std::vector<std::thread> threads;
+    for (bool& verdict : verdicts) {
+      threads.emplace_back(
+          [&tx, &verdict] { verdict = tx.VerifySignature(); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const bool expected = crypto::Verify(m.signer, m.SigningPayload(),
+                                         m.signature);
+    for (bool verdict : verdicts) EXPECT_EQ(verdict, expected);
+    EXPECT_EQ(tx.VerifySignature(), expected);
+  }
 }
 
 // ---------------------------------------------------------------- receipts
@@ -325,6 +355,26 @@ TEST(LedgerTest, ForeignInputsRejected) {
   auto receipt = ApplyTransaction(&state, Transaction(theft), env);
   EXPECT_FALSE(receipt.ok());
   EXPECT_EQ(receipt.status().code(), StatusCode::kVerificationFailed);
+}
+
+TEST(LedgerTest, ForgedSignatureUnderUnitKeyRejected) {
+  // Genesis pays y = 1, a key anyone could sign for if Verify accepted it.
+  const crypto::PublicKey unit(1);
+  TestChain tc(FastParams(), Fund({unit}, 500));
+  MutableTransaction theft;
+  theft.type = TxType::kTransfer;
+  theft.chain_id = 0;
+  theft.inputs.push_back(OutPoint{tc.chain().genesis_tx().Id(), 0});
+  theft.outputs.push_back(TxOutput{499, Bob().public_key()});
+  theft.fee = 1;
+  theft.signer = unit;
+  theft.signature = testutil::ForgeUnderUnitKey(unit, theft.SigningPayload());
+
+  LedgerState state = tc.chain().StateAtHead();
+  auto receipt =
+      ApplyTransaction(&state, Transaction(theft), BlockEnv{0, 1, 100});
+  EXPECT_EQ(receipt.status().code(), StatusCode::kVerificationFailed);
+  EXPECT_EQ(state.BalanceOf(Bob().public_key()), 0u);
 }
 
 TEST(LedgerTest, DuplicateInputOutpointRejected) {

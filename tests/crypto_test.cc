@@ -3,6 +3,7 @@
 // commitment schemes.
 
 #include <array>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
 #include "tests/dispatch_test_util.h"
+#include "tests/test_util.h"
 
 namespace ac3::crypto {
 namespace {
@@ -290,7 +292,99 @@ TEST(PrimesTest, GenerateGroupDeterministic) {
   EXPECT_EQ(a.g, b.g);
 }
 
+TEST(PrimesTest, MontgomeryRequiresAnOddModulusBelow2To62) {
+  EXPECT_THROW(Montgomery(1000000008ULL), std::invalid_argument);
+  EXPECT_THROW(Montgomery(1ULL << 62), std::invalid_argument);
+  EXPECT_THROW(Montgomery((1ULL << 62) + 1), std::invalid_argument);
+  EXPECT_NO_THROW(Montgomery((1ULL << 62) - 1));
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    EXPECT_NO_THROW(Montgomery(GenerateGroup(seed).p)) << seed;
+  }
+}
+
+// Differential tests: the Montgomery path and the g table against the
+// `%`-based MulMod/PowMod. Bases may exceed p (ToMont reduces them);
+// exponents cover the table's range and its Pow fallback (>= 2^32).
+
+TEST(PrimesTest, MontgomeryMatchesPercentPathOnEdgeInputs) {
+  const GroupParams& grp = DefaultGroup();
+  const Montgomery& mont = GroupMont();
+  const uint64_t bases[] = {0,     1,         grp.g, grp.p - 1,
+                            grp.p, grp.p + 1, ~0ULL};
+  const uint64_t exponents[] = {
+      0, 1, grp.q - 1, grp.q, (1ULL << 32) - 1, 1ULL << 32, ~0ULL};
+  for (uint64_t a : bases) {
+    EXPECT_EQ(mont.FromMont(mont.ToMont(a)), a % grp.p) << a;
+    for (uint64_t b : bases) {
+      EXPECT_EQ(mont.FromMont(mont.Mul(mont.ToMont(a), mont.ToMont(b))),
+                MulMod(a, b, grp.p))
+          << a << " * " << b;
+    }
+    for (uint64_t x : exponents) {
+      EXPECT_EQ(mont.FromMont(mont.Pow(mont.ToMont(a), x)),
+                PowMod(a, x, grp.p))
+          << a << " ^ " << x;
+    }
+  }
+  for (uint64_t x : exponents) {
+    EXPECT_EQ(mont.FromMont(PowG(x)), PowMod(grp.g, x, grp.p)) << x;
+  }
+}
+
+TEST(PrimesTest, MontgomeryMatchesPercentPathOnRandomInputs) {
+  Rng rng(2024);
+  const GroupParams& grp = DefaultGroup();
+  // Exponents of every bit width, 1 to 64.
+  auto exponent = [&rng] { return rng.NextU64() >> rng.NextBelow(64); };
+  // The group's modulus and three other GenerateGroup moduli: 120k
+  // products and 8k powers.
+  std::vector<uint64_t> moduli = {grp.p};
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    moduli.push_back(GenerateGroup(seed).p);
+  }
+  for (uint64_t m : moduli) {
+    const Montgomery mont(m);
+    for (int i = 0; i < 30'000; ++i) {
+      const uint64_t a = rng.NextU64();
+      const uint64_t b = rng.NextU64();
+      ASSERT_EQ(mont.FromMont(mont.Mul(mont.ToMont(a), mont.ToMont(b))),
+                MulMod(a, b, m))
+          << a << " * " << b << " mod " << m;
+    }
+    for (int i = 0; i < 2'000; ++i) {
+      const uint64_t a = rng.NextU64();
+      const uint64_t x = exponent();
+      ASSERT_EQ(mont.FromMont(mont.Pow(mont.ToMont(a), x)), PowMod(a, x, m))
+          << a << " ^ " << x << " mod " << m;
+    }
+  }
+  // 20k powers of g through the table.
+  for (int i = 0; i < 20'000; ++i) {
+    const uint64_t x = exponent();
+    ASSERT_EQ(GroupMont().FromMont(PowG(x)), PowMod(grp.g, x, grp.p)) << x;
+  }
+}
+
 // ---------------------------------------------------------------- Schnorr
+
+TEST(SchnorrTest, KeysAndSignaturesArePinned) {
+  // Computed with the `%`-based PowMod arithmetic, before Montgomery form
+  // and the g table: both must reproduce every key and signature bit.
+  struct Pin {
+    uint64_t seed, y, e, s;
+  };
+  for (const Pin& pin :
+       {Pin{1, 32776130385685586ULL, 673818445, 1726895323},
+        Pin{7, 2088838051091341077ULL, 392776806, 974308895},
+        Pin{1001, 1414504452428585591ULL, 511376967, 995092691},
+        Pin{~0ULL, 701404707402843426ULL, 1201147220, 371947075}}) {
+    const KeyPair key = KeyPair::FromSeed(pin.seed);
+    EXPECT_EQ(key.public_key().y(), pin.y) << pin.seed;
+    const Signature sig = key.SignString("pinned message");
+    EXPECT_EQ(sig, (Signature{pin.e, pin.s})) << pin.seed;
+    EXPECT_TRUE(VerifyString(key.public_key(), "pinned message", sig));
+  }
+}
 
 TEST(SchnorrTest, SignVerifyRoundTrip) {
   KeyPair key = KeyPair::FromSeed(1);
@@ -339,6 +433,27 @@ TEST(SchnorrTest, DistinctSeedsDistinctKeys) {
 TEST(SchnorrTest, InvalidPublicKeyRejected) {
   Signature sig{1, 1};
   EXPECT_FALSE(Verify(PublicKey(), StrBytes("m"), sig));
+  // Valid means 1 < y < p.
+  const GroupParams& grp = DefaultGroup();
+  for (uint64_t y :
+       {uint64_t{0}, uint64_t{1}, grp.p, grp.p + 1, ~uint64_t{0}}) {
+    EXPECT_FALSE(PublicKey(y).IsValid()) << y;
+  }
+  for (uint64_t y : {uint64_t{2}, grp.g, grp.p - 1}) {
+    EXPECT_TRUE(PublicKey(y).IsValid()) << y;
+  }
+  // A real key plus p is the same group element, but not a second address.
+  const PublicKey key = KeyPair::FromSeed(11).public_key();
+  EXPECT_TRUE(key.IsValid());
+  EXPECT_FALSE(PublicKey(key.y() + grp.p).IsValid());
+}
+
+TEST(SchnorrTest, RejectsForgeriesUnderKeysCongruentToOne) {
+  const Bytes msg = StrBytes("pay the forger");
+  for (const PublicKey pk : {PublicKey(1), PublicKey(DefaultGroup().p + 1)}) {
+    const Signature forged = testutil::ForgeUnderUnitKey(pk, msg);
+    EXPECT_FALSE(Verify(pk, msg, forged)) << pk.y();
+  }
 }
 
 TEST(SchnorrTest, EncodeDecodeRoundTrip) {

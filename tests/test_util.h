@@ -13,6 +13,7 @@
 #include "src/chain/wallet.h"
 #include "src/common/random.h"
 #include "src/core/scenario.h"
+#include "src/crypto/primes.h"
 
 namespace ac3::testutil {
 
@@ -79,6 +80,21 @@ inline std::vector<chain::TxOutput> Fund(
     out.push_back(chain::TxOutput{each, pk});
   }
   return out;
+}
+
+/// A signature anyone can make for `message` under a key y ≡ 1 (mod p):
+/// y^(q-e) = 1, so r' = g^s whatever e is; pick s and solve for e. Verify
+/// must reject it because the key is not valid.
+inline crypto::Signature ForgeUnderUnitKey(const crypto::PublicKey& pk,
+                                           const Bytes& message) {
+  const crypto::GroupParams& grp = crypto::DefaultGroup();
+  const uint64_t s = 123456789;
+  ByteWriter w;
+  w.PutU64(crypto::PowMod(grp.g, s, grp.p));
+  w.PutU64(pk.y());
+  w.PutBytes(message);
+  return crypto::Signature{crypto::Hash256::Of(w.bytes()).Prefix64() % grp.q,
+                           s};
 }
 
 /// Protocol-test world: an alias of the library's public scenario facade
