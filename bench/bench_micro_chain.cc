@@ -1,8 +1,16 @@
 // Engineering micro-benchmarks (google-benchmark): the blockchain
 // substrate — proof-of-work mining/verification, block assembly and full
-// validation, and Section 4.3 evidence construction/verification.
+// validation, block selection and body validation at open-world UTXO-set
+// sizes, and Section 4.3 evidence construction/verification.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <fstream>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/gbench_main.h"
 
@@ -64,8 +72,9 @@ void BM_AssembleAndSubmitBlock(benchmark::State& state) {
                                     static_cast<uint64_t>(i));
       if (tx.ok()) {
         // Apply to scratch so subsequent transfers chain on change outputs.
-        (void)ApplyTransaction(&scratch, *tx,
-                               BlockEnv{chain.id(), 1, 100});
+        LedgerDelta delta(scratch);
+        (void)ApplyTransaction(&delta, *tx, BlockEnv{chain.id(), 1, 100});
+        delta.CommitTo(&scratch);
         batch.push_back(*tx);
       }
     }
@@ -80,6 +89,188 @@ void BM_AssembleAndSubmitBlock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AssembleAndSubmitBlock)->Arg(1)->Arg(8)->Arg(32);
+
+// Block selection and body validation at the UTXO-set sizes the
+// open-world workloads reach per chain (24k-28k outputs where the checked
+// prefix ends, 76k-142k after a 5 s run). BM_AssembleAndSubmitBlock's
+// transfers chain on one change output, so its ledger writes never reach
+// a tree of any size.
+constexpr int kWideBlockTxs = 512;
+/// Outputs per fan-out transaction of the setup block.
+constexpr uint32_t kFanOut = 16;
+
+/// A chain of about N unspent outputs and kWideBlockTxs independent
+/// signed one-input, two-output transfers spending distinct ones. A
+/// genesis's outputs share one id and so sit side by side in key order,
+/// where every new key would land beside them; one setup block fans them
+/// out, kFanOut outputs under each of N / kFanOut ids, so keys spread over
+/// the key space as a workload's do. Selection builds the setup block and
+/// validation keeps every node it writes, so no freed tree node waits in
+/// NodePool for the retained-bytes measurement to reuse.
+struct WideUtxoFixture {
+  static ChainParams Params(size_t outputs) {
+    ChainParams params = ParamsWithDifficulty(4);
+    params.max_block_txs = outputs / kFanOut;
+    return params;
+  }
+
+  explicit WideUtxoFixture(size_t outputs)
+      : chain(Params(outputs),
+              std::vector<TxOutput>(outputs / kFanOut,
+                                    TxOutput{kFanOut * 1000 + 1,
+                                             kAlice.public_key()})) {
+    const crypto::Hash256& genesis = chain.genesis_tx().Id();
+    std::vector<Transaction> fan;
+    for (uint32_t i = 0; i < outputs / kFanOut; ++i) {
+      fan.push_back(Signed(OutPoint{genesis, i},
+                           std::vector<TxOutput>(
+                               kFanOut, TxOutput{1000, kAlice.public_key()}),
+                           i));
+    }
+    Rng rng(15);
+    auto setup = chain.AssembleBlock(chain.head()->hash, fan,
+                                     kAlice.public_key(), 100, &rng);
+    if (!setup.ok() || !chain.SubmitBlock(*setup, 100).ok()) return;
+    for (int i = 0; i < kWideBlockTxs; ++i) {
+      const Transaction& source = fan[i * fan.size() / kWideBlockTxs];
+      const OutPoint spent{source.Id(),
+                           static_cast<uint32_t>(rng.NextU64() % kFanOut)};
+      txs.push_back(Signed(spent,
+                           {TxOutput{600, kBob.public_key()},
+                            TxOutput{399, kAlice.public_key()}},
+                           fan.size() + i));
+    }
+    for (const Transaction& tx : txs) candidates.push_back(&tx);
+
+    block.header.chain_id = chain.id();
+    block.header.height = chain.height() + 1;
+    block.header.prev_hash = chain.head()->hash;
+    MutableTransaction coinbase;
+    coinbase.type = TxType::kCoinbase;
+    coinbase.chain_id = chain.id();
+    coinbase.outputs.push_back(TxOutput{
+        chain.params().block_reward + kWideBlockTxs, kAlice.public_key()});
+    block.txs.emplace_back(std::move(coinbase));
+    block.txs.insert(block.txs.end(), txs.begin(), txs.end());
+    retained_bytes_per_state = RetainedBytesPerState();
+  }
+
+  static const WideUtxoFixture& For(size_t outputs) {
+    // Kept until exit: a freed fixture's nodes would wait in NodePool's
+    // free lists, and a later fixture reusing them would show no
+    // resident-set growth.
+    static std::map<size_t, std::unique_ptr<WideUtxoFixture>> fixtures;
+    std::unique_ptr<WideUtxoFixture>& fixture = fixtures[outputs];
+    if (fixture == nullptr) {
+      fixture = std::make_unique<WideUtxoFixture>(outputs);
+    }
+    return *fixture;
+  }
+
+  Transaction Signed(const OutPoint& input, std::vector<TxOutput> outputs,
+                     uint64_t nonce) const {
+    MutableTransaction tx;
+    tx.type = TxType::kTransfer;
+    tx.chain_id = chain.id();
+    tx.inputs.push_back(input);
+    tx.outputs = std::move(outputs);
+    tx.fee = 1;
+    tx.nonce = nonce;
+    tx.SignWith(kAlice);
+    return Transaction(std::move(tx));
+  }
+
+  /// Bytes one kept post-state of `block` holds beyond its parent's: the
+  /// resident-set growth of committing the block into 32 copies of the
+  /// head state and keeping them all, per copy. Also verifies every
+  /// signature once; the memo serves the timed runs.
+  double RetainedBytesPerState() {
+    kept.assign(32, chain.head()->state);
+    // Heap memory the setup freed is still resident; new slabs carved from
+    // it would grow no RSS. Hand it back to the kernel first.
+    malloc_trim(0);
+    const size_t before = ResidentBytes();
+    for (LedgerState& post : kept) {
+      if (!ApplyBlockBody(&post, block, chain.params()).ok()) return 0;
+    }
+    const size_t after = ResidentBytes();
+    return after > before ? static_cast<double>(after - before) / kept.size()
+                          : 0.0;
+  }
+
+  /// This process's resident set (VmRSS) in bytes; 0 without /proc.
+  static size_t ResidentBytes() {
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+      if (line.rfind("VmRSS:", 0) == 0) {
+        return std::stoul(line.substr(6)) * 1024;  // Reported in kB.
+      }
+    }
+    return 0;
+  }
+
+  Blockchain chain;
+  std::vector<Transaction> txs;
+  std::vector<const Transaction*> candidates;
+  /// Coinbase and txs on the head, without roots, receipts or PoW: what
+  /// ApplyBlockBody reads.
+  Block block;
+  std::vector<LedgerState> kept;
+  double retained_bytes_per_state = 0;
+};
+
+/// Reports the time per transaction over the run.
+void SetTimePerTx(benchmark::State& state) {
+  state.counters["time_per_tx"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kWideBlockTxs,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_ValidateBlock(benchmark::State& state) {
+  const WideUtxoFixture& fixture =
+      WideUtxoFixture::For(static_cast<size_t>(state.range(0)));
+  if (fixture.retained_bytes_per_state == 0) {
+    state.SkipWithError("the block did not apply");
+    return;
+  }
+  const LedgerState& parent = fixture.chain.head()->state;
+  for (auto _ : state) {
+    LedgerState post = parent;
+    benchmark::DoNotOptimize(
+        ApplyBlockBody(&post, fixture.block, fixture.chain.params()).ok());
+  }
+  SetTimePerTx(state);
+  state.counters["retained_kib_per_state"] =
+      fixture.retained_bytes_per_state / 1024;
+}
+BENCHMARK(BM_ValidateBlock)
+    ->Arg(25000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_SelectBlock(benchmark::State& state) {
+  const WideUtxoFixture& fixture =
+      WideUtxoFixture::For(static_cast<size_t>(state.range(0)));
+  Rng rng(17);
+  TimePoint now = 1000;
+  auto assemble = [&] {
+    // A new `now` each call: the template misses, so selection runs.
+    return fixture.chain.AssembleBlock(fixture.chain.head()->hash,
+                                       fixture.candidates,
+                                       kAlice.public_key(), ++now, &rng,
+                                       /*mine=*/false);
+  };
+  if (assemble()->txs.size() != kWideBlockTxs + 1u) {
+    state.SkipWithError("selection skipped a transfer");
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(assemble());
+  SetTimePerTx(state);
+}
+BENCHMARK(BM_SelectBlock)
+    ->Arg(25000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 struct EvidenceFixture {
   Blockchain chain;

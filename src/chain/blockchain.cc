@@ -141,14 +141,16 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
   if (header.receipt_root != block.ComputeReceiptRoot()) {
     return Status::VerificationFailed("receipt merkle root mismatch");
   }
-  // No transaction may repeat on this branch.
-  for (size_t i = 1; i < block.txs.size(); ++i) {
+  // No transaction may repeat on this branch, the coinbase included: a
+  // repeated coinbase would re-create the earlier one's outputs over them,
+  // unspent or not, and count their value twice (Bitcoin's BIP30).
+  for (size_t i = 0; i < block.txs.size(); ++i) {
     if (TxOnBranch(parent, block.txs[i].Id())) {
       return Status::InvalidArgument("transaction already included on branch");
     }
   }
 
-  *post_state = parent.state;  // Copy-on-apply snapshot.
+  *post_state = parent.state;  // O(1); the body's commit path-copies.
   AC3_ASSIGN_OR_RETURN(*receipts,
                        ApplyBlockBody(post_state, block, params_));
 
@@ -481,12 +483,13 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
 
   // Selection pass: FIFO, skip invalid / duplicate transactions. A
   // rejected ApplyTransaction leaves `working` untouched, so candidates
-  // apply to it directly.
+  // stage into it directly; it is dropped at the end, and no tree node of
+  // the parent's state is copied.
   auto fresh = std::make_shared<BlockTemplate>();
   fresh->parent_hash = parent.hash;
   fresh->now = now;
   const BlockEnv env{params_.id, parent.block.header.height + 1, now};
-  LedgerState working = parent.state;
+  LedgerDelta working(parent.state);
   std::unordered_set<crypto::Hash256> chosen_ids;
   // Leaf 0 is the coinbase's slot; its value never enters the paths.
   std::vector<crypto::Hash256> tx_leaves(1);
@@ -552,7 +555,7 @@ Result<Block> Blockchain::AssembleBlock(
 
   // Declared receipts come straight from the selection pass: each chosen
   // transaction's receipt was produced by the same ApplyTransaction call
-  // sequence, against the same evolving state, that ApplyBlockBody runs
+  // sequence, staged over the same parent state, that ApplyBlockBody runs
   // for validators (the serial loop creates the coinbase outputs *after*
   // the body, so body transactions never observe them).
   // ValidateAgainstParent's receipt-equality check still re-derives them,

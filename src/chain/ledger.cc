@@ -1,6 +1,6 @@
 #include "src/chain/ledger.h"
 
-#include <cassert>
+#include <algorithm>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -27,18 +27,6 @@ Amount LedgerState::BalanceOf(const crypto::PublicKey& owner) const {
   return total;
 }
 
-void LedgerState::AddUtxo(const OutPoint& outpoint, const TxOutput& output) {
-  utxos.Put(outpoint, output);
-  liquid_total += output.value;
-}
-
-void LedgerState::SpendUtxo(const OutPoint& outpoint) {
-  const TxOutput* output = utxos.Find(outpoint);
-  assert(output != nullptr && "SpendUtxo: outpoint not in UTXO set");
-  liquid_total -= output->value;
-  utxos.Erase(outpoint);
-}
-
 Result<contracts::ContractPtr> LedgerState::GetContract(
     const crypto::Hash256& id) const {
   const contracts::ContractPtr* contract = contracts.Find(id);
@@ -46,6 +34,73 @@ Result<contracts::ContractPtr> LedgerState::GetContract(
     return Status::NotFound("no contract " + id.ShortHex());
   }
   return *contract;
+}
+
+const TxOutput* LedgerDelta::FindUtxo(const OutPoint& outpoint) const {
+  const auto it = utxos_.find(outpoint);
+  if (it == utxos_.end()) return base_.utxos.Find(outpoint);
+  return it->second ? &*it->second : nullptr;
+}
+
+Result<contracts::ContractPtr> LedgerDelta::GetContract(
+    const crypto::Hash256& id) const {
+  const auto it = contracts_.find(id);
+  if (it != contracts_.end()) return it->second;
+  return base_.GetContract(id);
+}
+
+void LedgerDelta::CreateOutputs(const crypto::Hash256& tx_id,
+                                const std::vector<TxOutput>& outputs,
+                                uint32_t first_index) {
+  for (uint32_t i = 0; i < outputs.size(); ++i) {
+    utxos_.insert_or_assign(OutPoint{tx_id, first_index + i}, outputs[i]);
+    liquid_total_ += outputs[i].value;
+  }
+}
+
+void LedgerDelta::Spend(const std::vector<OutPoint>& inputs, Amount value) {
+  for (const OutPoint& in : inputs) {
+    // A new entry is a spent mark on a base output. An existing one is an
+    // output this run created: it never reaches the base, so it goes.
+    const auto [it, marked] = utxos_.try_emplace(in);
+    if (!marked) utxos_.erase(it);
+  }
+  liquid_total_ -= value;
+}
+
+void LedgerDelta::PutContract(const crypto::Hash256& id,
+                              contracts::ContractPtr contract) {
+  contracts_.insert_or_assign(id, std::move(contract));
+}
+
+namespace {
+
+/// `map`'s entries sorted by key: the commit writes in key order, so the
+/// trees it builds do not depend on the hash maps' iteration order.
+template <typename Map>
+std::vector<const typename Map::value_type*> ByKey(const Map& map) {
+  std::vector<const typename Map::value_type*> entries;
+  entries.reserve(map.size());
+  for (const auto& entry : map) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
+
+}  // namespace
+
+void LedgerDelta::CommitTo(LedgerState* state) const {
+  for (const auto* write : ByKey(utxos_)) {
+    if (write->second) {
+      state->utxos.Put(write->first, *write->second);
+    } else {
+      state->utxos.Erase(write->first);
+    }
+  }
+  for (const auto* write : ByKey(contracts_)) {
+    state->contracts.Put(write->first, write->second);
+  }
+  state->liquid_total = liquid_total_;
 }
 
 namespace {
@@ -69,12 +124,12 @@ Status AddValue(Amount value, Amount* sum) {
   return Status::OK();
 }
 
-/// The value check every non-coinbase kind shares, reading `state` only:
+/// The value check every non-coinbase kind shares, reading `view` only:
 /// the inputs are present, distinct and owned by the signer, and their
 /// total equals the outputs plus the fee plus `locked` (what a deploy
-/// moves into its contract).
-Status CheckValue(const LedgerState& state, const Transaction& tx,
-                  Amount locked, const char* kind) {
+/// moves into its contract). Returns the inputs' total.
+Result<Amount> CheckValue(const LedgerDelta& view, const Transaction& tx,
+                          Amount locked, const char* kind) {
   const std::vector<OutPoint>& inputs = tx.inputs();
   if (inputs.empty()) {
     return Status::InvalidArgument("non-coinbase transaction needs inputs");
@@ -89,7 +144,7 @@ Status CheckValue(const LedgerState& state, const Transaction& tx,
         return Status::InvalidArgument("duplicate input outpoint");
       }
     }
-    const TxOutput* output = state.utxos.Find(in);
+    const TxOutput* output = view.FindUtxo(in);
     if (output == nullptr) {
       return Status::InvalidArgument("input not in UTXO set (double spend?)");
     }
@@ -108,22 +163,15 @@ Status CheckValue(const LedgerState& state, const Transaction& tx,
   if (in_total != out_total) {
     return Status::InvalidArgument(std::string(kind) + " value not conserved");
   }
-  return Status::OK();
+  return in_total;
 }
 
-void CreateOutputs(LedgerState* state, const crypto::Hash256& tx_id,
-                   const std::vector<TxOutput>& outputs,
-                   uint32_t first_index = 0) {
-  for (uint32_t i = 0; i < outputs.size(); ++i) {
-    state->AddUtxo(OutPoint{tx_id, first_index + i}, outputs[i]);
-  }
-}
-
-/// The mutation every kind shares once its checks have passed: spends the
-/// inputs, then creates the declared outputs.
-void SpendAndCreate(LedgerState* state, const Transaction& tx) {
-  for (const OutPoint& in : tx.inputs()) state->SpendUtxo(in);
-  CreateOutputs(state, tx.Id(), tx.outputs());
+/// The writes every kind shares once its checks have passed: spends the
+/// inputs, which hold `in_total`, then creates the declared outputs.
+void SpendAndCreate(LedgerDelta* delta, const Transaction& tx,
+                    Amount in_total) {
+  delta->Spend(tx.inputs(), in_total);
+  delta->CreateOutputs(tx.Id(), tx.outputs());
 }
 
 /// True when a contract-call failure should be recorded as a reverted
@@ -136,7 +184,7 @@ bool IsRevert(const Status& status) {
 
 }  // namespace
 
-Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
+Result<Receipt> ApplyTransaction(LedgerDelta* delta, const Transaction& tx,
                                  const BlockEnv& env) {
   EnsureBuiltinContracts();
   if (tx.chain_id() != env.chain_id) {
@@ -150,21 +198,23 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
   Receipt receipt;
   receipt.tx_id = tx_id;
 
-  // Each case checks everything before its first write to `state`.
+  // Each case checks everything before its first write to `delta`.
   switch (tx.type()) {
     case TxType::kCoinbase:
       return Status::InvalidArgument("coinbase outside block head position");
 
     case TxType::kTransfer: {
-      AC3_RETURN_IF_ERROR(CheckValue(*state, tx, 0, "transfer"));
-      SpendAndCreate(state, tx);
+      AC3_ASSIGN_OR_RETURN(const Amount in_total,
+                           CheckValue(*delta, tx, 0, "transfer"));
+      SpendAndCreate(delta, tx, in_total);
       receipt.note = "transfer";
       return receipt;
     }
 
     case TxType::kDeploy: {
-      AC3_RETURN_IF_ERROR(
-          CheckValue(*state, tx, tx.contract_value(), "deploy"));
+      AC3_ASSIGN_OR_RETURN(
+          const Amount in_total,
+          CheckValue(*delta, tx, tx.contract_value(), "deploy"));
       contracts::DeployContext ctx;
       ctx.chain_id = env.chain_id;
       ctx.tx_id = tx_id;
@@ -178,8 +228,8 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
         // Malformed deployments never make it into a block.
         return deployed.status();
       }
-      SpendAndCreate(state, tx);
-      state->contracts.Put(tx_id, *deployed);
+      SpendAndCreate(delta, tx, in_total);
+      delta->PutContract(tx_id, *deployed);
       receipt.contract_id = tx_id;
       receipt.state_digest = (*deployed)->StateDigest();
       receipt.note = "deployed " + tx.contract_kind();
@@ -188,8 +238,9 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
 
     case TxType::kCall: {
       AC3_ASSIGN_OR_RETURN(contracts::ContractPtr contract,
-                           state->GetContract(tx.contract_id()));
-      AC3_RETURN_IF_ERROR(CheckValue(*state, tx, 0, "call"));
+                           delta->GetContract(tx.contract_id()));
+      AC3_ASSIGN_OR_RETURN(const Amount in_total,
+                           CheckValue(*delta, tx, 0, "call"));
 
       std::vector<contracts::Payout> payouts;
       contracts::CallContext ctx;
@@ -205,7 +256,7 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
       if (!outcome.ok()) {
         if (!IsRevert(outcome.status())) return outcome.status();
         // Reverted: fee consumed, contract unchanged.
-        SpendAndCreate(state, tx);
+        SpendAndCreate(delta, tx, in_total);
         receipt.success = false;
         receipt.state_digest = contract->StateDigest();
         receipt.note = outcome.status().ToString();
@@ -224,10 +275,10 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
       for (const contracts::Payout& payout : payouts) {
         payout_outputs.push_back(TxOutput{payout.value, payout.recipient});
       }
-      SpendAndCreate(state, tx);
-      CreateOutputs(state, tx_id, payout_outputs,
-                    static_cast<uint32_t>(tx.outputs().size()));
-      state->contracts.Put(tx.contract_id(), outcome->next);
+      SpendAndCreate(delta, tx, in_total);
+      delta->CreateOutputs(tx_id, payout_outputs,
+                           static_cast<uint32_t>(tx.outputs().size()));
+      delta->PutContract(tx.contract_id(), outcome->next);
       receipt.state_digest = outcome->next->StateDigest();
       receipt.note = outcome->note;
       return receipt;
@@ -236,7 +287,11 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
   return Status::Internal("unreachable transaction type");
 }
 
-Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
+namespace {
+
+/// ApplyBlockBody's serial loop, staged in `delta`. On an invalid body it
+/// returns at the offending transaction with the ones before it staged.
+Result<std::vector<Receipt>> StageBlockBody(LedgerDelta* delta,
                                             const Block& block,
                                             const ChainParams& params) {
   if (block.txs.empty()) {
@@ -263,7 +318,7 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
     if (tx.type() == TxType::kCoinbase) {
       return Status::InvalidArgument("duplicate coinbase");
     }
-    AC3_ASSIGN_OR_RETURN(Receipt receipt, ApplyTransaction(state, tx, env));
+    AC3_ASSIGN_OR_RETURN(Receipt receipt, ApplyTransaction(delta, tx, env));
     AC3_RETURN_IF_ERROR(AddValue(tx.fee(), &allowed));
     receipts.push_back(std::move(receipt));
   }
@@ -275,7 +330,18 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
   if (paid > allowed) {
     return Status::InvalidArgument("coinbase exceeds reward plus fees");
   }
-  CreateOutputs(state, coinbase.Id(), coinbase.outputs());
+  delta->CreateOutputs(coinbase.Id(), coinbase.outputs());
+  return receipts;
+}
+
+}  // namespace
+
+Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
+                                            const Block& block,
+                                            const ChainParams& params) {
+  LedgerDelta delta(*state);
+  Result<std::vector<Receipt>> receipts = StageBlockBody(&delta, block, params);
+  delta.CommitTo(state);  // An invalid body's applied prefix too.
   return receipts;
 }
 
@@ -283,7 +349,9 @@ LedgerState GenesisState(const Transaction& genesis_tx) {
   LedgerState state;
   const crypto::Hash256& id = genesis_tx.Id();
   for (uint32_t i = 0; i < genesis_tx.outputs().size(); ++i) {
-    state.AddUtxo(OutPoint{id, i}, genesis_tx.outputs()[i]);
+    const TxOutput& output = genesis_tx.outputs()[i];
+    state.utxos.Put(OutPoint{id, i}, output);
+    state.liquid_total += output.value;
   }
   return state;
 }

@@ -3,9 +3,9 @@
 // This is the structure behind the engine's O(1) ledger snapshots: every
 // BlockEntry keeps the full post-state of its branch. With std::map each
 // snapshot would cost O(state size) — quadratic over a growing chain. Here
-// a copy is a shared root pointer, and divergent snapshots (forks, the
-// block template's working state) share all unmodified structure of a
-// weight-balanced search tree.
+// a copy is a shared root pointer, and divergent snapshots (a block's
+// post-state and its parent's, sibling forks) share all unmodified
+// structure of a weight-balanced search tree.
 //
 // Mutation updates a node in place when this handle owns it alone: its
 // count is 1 and every node above it on the path is owned alone too (a

@@ -7,11 +7,17 @@
 // accept it. The template cases below cover the calls that should reuse
 // the cached selection and the ones that must not; the serial-execution
 // cases pin ApplyBlockBody's mid-block failure statuses, receipts and
-// catch-up replay, and the validation-order cases pin which status an
-// over-capacity block or a short receipt list gets.
+// catch-up replay, and that staging a block's writes in one delta equals
+// committing them one transaction at a time; the validation-order cases
+// pin which status an over-capacity block or a short receipt list gets,
+// and the repeated-transaction cases that a coinbase may not repeat on
+// its branch.
 
+#include <map>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +33,8 @@ namespace {
 using chain::Amount;
 using chain::ApplyBlockBody;
 using chain::Block;
+using chain::BlockEntry;
+using chain::BlockEnv;
 using chain::Blockchain;
 using chain::ChainParams;
 using chain::LedgerState;
@@ -179,6 +187,34 @@ class ChainFixture : public ::testing::Test {
     block.txs.emplace_back(std::move(coinbase));
     block.txs.insert(block.txs.end(), body.begin(), body.end());
     return block;
+  }
+
+  /// Completes a RawBlock that should validate: receipts from executing
+  /// it on its parent, both roots and a proof of work.
+  void Seal(Block* block) {
+    LedgerState scratch = chain().Get(block->header.prev_hash)->state;
+    auto receipts = ApplyBlockBody(&scratch, *block, params());
+    ASSERT_TRUE(receipts.ok()) << receipts.status().ToString();
+    block->receipts = std::move(*receipts);
+    block->header.tx_root = block->ComputeTxRoot();
+    block->header.receipt_root = block->ComputeReceiptRoot();
+    Rng rng(block->header.height);
+    chain::MineHeader(&block->header, &rng);
+  }
+
+  /// Key `signer` moves the whole of `outpoint`, worth `value`, to key
+  /// `to`, less a fee of 1.
+  Transaction SpendWhole(const OutPoint& outpoint, Amount value,
+                         size_t signer, size_t to, uint64_t nonce) {
+    MutableTransaction m;
+    m.type = TxType::kTransfer;
+    m.chain_id = chain().id();
+    m.inputs.push_back(outpoint);
+    m.outputs.push_back(TxOutput{value - 1, keys_[to].public_key()});
+    m.fee = 1;
+    m.nonce = nonce;
+    m.SignWith(keys_[signer]);
+    return Transaction(std::move(m));
   }
 
   ChainParams params_;
@@ -584,6 +620,108 @@ TEST_F(SerialExecTest, RandomizedChurnKeepsAggregatesExact) {
   EXPECT_EQ(head.LiquidValue(), head.LiquidValueScan());
 }
 
+/// A state's contents in key order: UTXOs, and each contract's digest.
+struct Contents {
+  std::vector<std::pair<OutPoint, TxOutput>> utxos;
+  std::vector<std::pair<crypto::Hash256, Bytes>> contracts;
+
+  bool operator==(const Contents&) const = default;
+};
+
+Contents ContentsOf(const LedgerState& state) {
+  Contents contents;
+  for (const auto& [op, out] : state.utxos) {
+    contents.utxos.emplace_back(op, out);
+  }
+  for (const auto& [id, contract] : state.contracts) {
+    contents.contracts.emplace_back(id, contract->StateDigest());
+  }
+  return contents;
+}
+
+TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
+  // Each block holds three spend chains two deep: a transfer from a head
+  // output, a spend of its payment, and a spend of that. The payments in
+  // between are created and spent inside the block's delta and never
+  // reach a tree. The first block also deploys an HTLC, redeems it, and
+  // spends the redeem's payout. Each committed head must equal a replay
+  // that commits after every transaction, and the parent must not move.
+  const Bytes secret{2, 7, 1, 8};
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const BlockEntry& parent = *chain().head();
+    const Contents parent_before = ContentsOf(parent.state);
+    const uint64_t nonce = 1000 * (round + 1);
+    std::vector<Transaction> txs;
+    std::vector<OutPoint> passed_through;
+    for (size_t c = 0; c < 3; ++c) {
+      const size_t from = (3 * round + c) % 10;  // Keys 10 and 11: HTLC.
+      const Transaction head = Transfer(from, 100, nonce + 10 * c);
+      const Transaction hop =
+          SpendWhole(OutPoint{head.Id(), 0}, 100, (from + 1) % 16,
+                     (from + 2) % 16, nonce + 10 * c + 1);
+      const Transaction last =
+          SpendWhole(OutPoint{hop.Id(), 0}, 99, (from + 2) % 16,
+                     (from + 3) % 16, nonce + 10 * c + 2);
+      passed_through.push_back(OutPoint{head.Id(), 0});
+      passed_through.push_back(OutPoint{hop.Id(), 0});
+      txs.insert(txs.end(), {head, hop, last});
+    }
+    if (round == 0) {
+      const Bytes payload = contracts::HtlcContract::MakeInitPayload(
+          keys_[11].public_key(), crypto::Hash256::Of(secret), 10'000);
+      auto deploy = WalletFor(10).BuildDeploy(
+          parent.state, contracts::kHtlcKind, payload, 300, 4, nonce + 100);
+      ASSERT_TRUE(deploy.ok());
+      auto redeem =
+          WalletFor(11).BuildCall(parent.state, deploy->Id(),
+                                  contracts::kRedeemFunction, secret, 2,
+                                  nonce + 101);
+      ASSERT_TRUE(redeem.ok());
+      const OutPoint payout{redeem->Id(),
+                            static_cast<uint32_t>(redeem->outputs().size())};
+      passed_through.push_back(payout);
+      txs.insert(txs.end(), {*deploy, *redeem,
+                             SpendWhole(payout, 300, 11, 12, nonce + 102)});
+    }
+
+    const Block block =
+        RaceAndSubmit(Pointers(txs), /*miners=*/1, 100 * (round + 1));
+    ASSERT_EQ(block.txs.size(), txs.size() + 1);  // Nothing was skipped.
+    ASSERT_EQ(chain().head()->hash, block.header.Hash());
+    const LedgerState& head = chain().head()->state;
+    for (const OutPoint& op : passed_through) {
+      EXPECT_EQ(head.utxos.Find(op), nullptr);
+    }
+
+    LedgerState replay = parent.state;
+    const BlockEnv env{chain().id(), block.header.height, block.header.time};
+    for (size_t i = 1; i < block.txs.size(); ++i) {
+      const auto receipt =
+          testutil::ApplyAndCommit(&replay, block.txs[i], env);
+      ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+      EXPECT_EQ(receipt->Encode(), block.receipts[i].Encode());
+    }
+    // The replay lacks only the coinbase's outputs.
+    std::map<OutPoint, TxOutput> expected;
+    for (const auto& [op, out] : replay.utxos) expected.emplace(op, out);
+    const Transaction& coinbase = block.txs[0];
+    Amount reward = 0;
+    for (uint32_t i = 0; i < coinbase.outputs().size(); ++i) {
+      expected.emplace(OutPoint{coinbase.Id(), i}, coinbase.outputs()[i]);
+      reward += coinbase.outputs()[i].value;
+    }
+    Contents replayed = ContentsOf(replay);
+    replayed.utxos.assign(expected.begin(), expected.end());
+    EXPECT_TRUE(ContentsOf(head) == replayed);
+    EXPECT_EQ(head.LiquidValue(), head.LiquidValueScan());
+    EXPECT_EQ(head.LiquidValue(), replay.LiquidValue() + reward);
+    EXPECT_TRUE(ContentsOf(parent.state) == parent_before);
+    EXPECT_EQ(parent.state.LiquidValue(), parent.state.LiquidValueScan());
+  }
+  EXPECT_EQ(chain().head()->state.contracts.size(), 1u);
+}
+
 TEST_F(SerialExecTest, DeepCatchupHeadHashAtOneAndFourThreads) {
   // Grow a 10-block linear chain of 8-transfer blocks, then replay it into
   // fresh chains through SubmitBlocks: head hash and post-state must not
@@ -648,6 +786,42 @@ TEST_F(ValidationOrderTest, ShortReceiptListRejectedBeforeRootsAreHashed) {
   const Status status = chain().SubmitBlock(block, 100);
   EXPECT_EQ(status.code(), StatusCode::kVerificationFailed);
   EXPECT_EQ(status.message(), "receipt count mismatch");
+}
+
+// ------------------------------------------------------ repeated transactions
+
+using RepeatedTxTest = ChainFixture;
+
+TEST_F(RepeatedTxTest, CoinbaseRepeatRejectedOnItsBranchOnly) {
+  // RawBlock's coinbase pays reward + fees to keys_[0] with a fixed nonce,
+  // so two raw blocks with equal fees carry one coinbase id. Accepted, the
+  // second would re-create the first one's unspent reward over itself and
+  // count its value twice (Bitcoin's BIP30).
+  const crypto::Hash256 genesis = chain().head()->hash;
+  Block first = RawBlock({Transfer(1, 25, 1)}, /*fees=*/1);
+  Seal(&first);
+  ASSERT_TRUE(chain().SubmitBlock(first, 100).ok());
+
+  Block repeat = RawBlock({Transfer(2, 25, 2)}, /*fees=*/1);
+  ASSERT_EQ(repeat.txs[0].Id(), first.txs[0].Id());
+  Seal(&repeat);
+  const Status status = chain().SubmitBlock(repeat, 200);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "transaction already included on branch");
+  EXPECT_EQ(chain().head()->hash, first.header.Hash());
+  const LedgerState& head = chain().head()->state;
+  EXPECT_EQ(head.LiquidValue(), head.LiquidValueScan());
+
+  // On a sibling of `first` the same coinbase is new: its outputs live in
+  // the sibling's own state.
+  Block sibling = repeat;
+  sibling.header.prev_hash = genesis;
+  sibling.header.height = 1;
+  Seal(&sibling);
+  ASSERT_TRUE(chain().SubmitBlock(sibling, 300).ok());
+  const LedgerState& fork = chain().Get(sibling.header.Hash())->state;
+  EXPECT_NE(fork.utxos.Find(OutPoint{first.txs[0].Id(), 0}), nullptr);
+  EXPECT_EQ(fork.LiquidValue(), fork.LiquidValueScan());
 }
 
 }  // namespace

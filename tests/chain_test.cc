@@ -31,6 +31,7 @@ namespace {
 // call sites ({} binds to both).
 const std::vector<Transaction> kNoCandidates;
 
+using testutil::ApplyAndCommit;
 using testutil::Fund;
 using testutil::TestChain;
 
@@ -352,7 +353,7 @@ TEST(LedgerTest, ForeignInputsRejected) {
 
   LedgerState state = tc.chain().StateAtHead();
   BlockEnv env{0, 1, 100};
-  auto receipt = ApplyTransaction(&state, Transaction(theft), env);
+  auto receipt = ApplyAndCommit(&state, Transaction(theft), env);
   EXPECT_FALSE(receipt.ok());
   EXPECT_EQ(receipt.status().code(), StatusCode::kVerificationFailed);
 }
@@ -372,7 +373,7 @@ TEST(LedgerTest, ForgedSignatureUnderUnitKeyRejected) {
 
   LedgerState state = tc.chain().StateAtHead();
   auto receipt =
-      ApplyTransaction(&state, Transaction(theft), BlockEnv{0, 1, 100});
+      ApplyAndCommit(&state, Transaction(theft), BlockEnv{0, 1, 100});
   EXPECT_EQ(receipt.status().code(), StatusCode::kVerificationFailed);
   EXPECT_EQ(state.BalanceOf(Bob().public_key()), 0u);
 }
@@ -392,7 +393,7 @@ TEST(LedgerTest, DuplicateInputOutpointRejected) {
 
   LedgerState state = tc.chain().StateAtHead();
   BlockEnv env{0, 1, 100};
-  auto receipt = ApplyTransaction(&state, Transaction(tx), env);
+  auto receipt = ApplyAndCommit(&state, Transaction(tx), env);
   EXPECT_FALSE(receipt.ok());
   EXPECT_EQ(receipt.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(state.TotalValue(), 500u);
@@ -410,7 +411,7 @@ TEST(LedgerTest, ValueImbalanceRejected) {
 
   LedgerState state = tc.chain().StateAtHead();
   BlockEnv env{0, 1, 100};
-  EXPECT_FALSE(ApplyTransaction(&state, Transaction(tx), env).ok());
+  EXPECT_FALSE(ApplyAndCommit(&state, Transaction(tx), env).ok());
 }
 
 TEST(LedgerTest, MergeAndSplitSemantics) {
@@ -464,7 +465,7 @@ TEST(LedgerTest, WrappingTransferRejected) {
   const Transaction wrapping(tx);
 
   LedgerState state = tc.chain().StateAtHead();
-  auto receipt = ApplyTransaction(&state, wrapping, BlockEnv{0, 1, 100});
+  auto receipt = ApplyAndCommit(&state, wrapping, BlockEnv{0, 1, 100});
   EXPECT_EQ(receipt.status().code(), StatusCode::kInvalidArgument);
   // Nor does a miner include it.
   ASSERT_TRUE(tc.MineBlock({wrapping}).ok());
@@ -487,7 +488,7 @@ TEST(LedgerTest, WrappingDeployValueRejected) {
   tx.SignWith(Alice());
 
   LedgerState state = tc.chain().StateAtHead();
-  auto receipt = ApplyTransaction(&state, Transaction(tx), BlockEnv{0, 1, 100});
+  auto receipt = ApplyAndCommit(&state, Transaction(tx), BlockEnv{0, 1, 100});
   EXPECT_EQ(receipt.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(state.LockedValue(), 0u);
   EXPECT_EQ(state.LiquidValue(), 100u);
@@ -552,7 +553,7 @@ TEST(LedgerTest, RejectedTransactionsLeaveStateUnchanged) {
   htlc.payload = htlc_payload;
   htlc.contract_value = 100;
   const Transaction deploy = signed_by_alice(htlc);
-  ASSERT_TRUE(ApplyTransaction(&state, deploy, env).ok());
+  ASSERT_TRUE(ApplyAndCommit(&state, deploy, env).ok());
 
   struct Case {
     const char* name;
@@ -619,7 +620,7 @@ TEST(LedgerTest, RejectedTransactionsLeaveStateUnchanged) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const StateImage before = ImageOf(state);
-    auto receipt = ApplyTransaction(&state, c.tx, env);
+    auto receipt = ApplyAndCommit(&state, c.tx, env);
     ASSERT_FALSE(receipt.ok());
     EXPECT_EQ(receipt.status().code(), c.code) << receipt.status();
     EXPECT_TRUE(ImageOf(state) == before);
@@ -627,10 +628,10 @@ TEST(LedgerTest, RejectedTransactionsLeaveStateUnchanged) {
 
   // The same state still accepts a valid spend of the contested output.
   const StateImage before = ImageOf(state);
-  ASSERT_TRUE(ApplyTransaction(&state,
-                               signed_by_alice(make(TxType::kTransfer,
-                                                    {alice500}, 499, 1)),
-                               env)
+  ASSERT_TRUE(ApplyAndCommit(&state,
+                             signed_by_alice(make(TxType::kTransfer,
+                                                  {alice500}, 499, 1)),
+                             env)
                   .ok());
   EXPECT_FALSE(ImageOf(state) == before);
   EXPECT_EQ(state.TotalValue(), 1000u - 4u - 1u);

@@ -526,7 +526,7 @@ TEST(LedgerStateTest, CopyOnWriteSemantics) {
                                  100, 1, 1);
   ASSERT_TRUE(tx.ok());
   chain::BlockEnv env{tc.chain().id(), 1, 100};
-  ASSERT_TRUE(chain::ApplyTransaction(&copy, *tx, env).ok());
+  ASSERT_TRUE(testutil::ApplyAndCommit(&copy, *tx, env).ok());
 
   // The head state is untouched by mutations of its copy.
   EXPECT_EQ(head_state.BalanceOf(crypto::KeyPair::FromSeed(1).public_key()),

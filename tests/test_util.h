@@ -82,6 +82,18 @@ inline std::vector<chain::TxOutput> Fund(
   return out;
 }
 
+/// Applies `tx` to `state` through a LedgerDelta of its own and commits
+/// what the delta staged, rejected or not, so a test sees exactly what
+/// ApplyTransaction wrote.
+inline Result<chain::Receipt> ApplyAndCommit(chain::LedgerState* state,
+                                             const chain::Transaction& tx,
+                                             const chain::BlockEnv& env) {
+  chain::LedgerDelta delta(*state);
+  Result<chain::Receipt> receipt = chain::ApplyTransaction(&delta, tx, env);
+  delta.CommitTo(state);
+  return receipt;
+}
+
 /// A signature anyone can make for `message` under a key y ≡ 1 (mod p):
 /// y^(q-e) = 1, so r' = g^s whatever e is; pick s and solve for e. Verify
 /// must reject it because the key is not valid.
