@@ -2,10 +2,9 @@
 // itself, independent of any swap protocol. This is the trajectory anchor
 // for perf PRs — it measures the per-block hot paths (block
 // assembly/validation with a growing ledger, visible-head selection under
-// Poisson mining, mempool drain, batch fork validation, and PoW nonce
-// search) and reports blocks/sec and nonce-evals/sec across chain lengths,
-// so a regression to O(chain-length) per-block cost is visible as a
-// falling segment rate.
+// Poisson mining, mempool drain, and PoW nonce search) and reports
+// blocks/sec and nonce-evals/sec across chain lengths, so a regression to
+// O(chain-length) per-block cost is visible as a falling segment rate.
 //
 // Determinism contract: everything under "results" (head hashes, heights,
 // per-segment tx counts, nonce evaluation counts) is a pure function of the
@@ -23,7 +22,6 @@
 #include "src/chain/mempool.h"
 #include "src/chain/pow.h"
 #include "src/chain/wallet.h"
-#include "src/common/worker_pool.h"
 #include "src/core/environment.h"
 #include "src/crypto/sha256.h"
 #include "src/runner/bench_output.h"
@@ -230,205 +228,6 @@ MempoolDrainRun RunMempoolDrain(int users) {
   return run;
 }
 
-// ---- section 2c: parallel fork validation ---------------------------------
-//
-// F forks of depth D (funded transfers in every block) are mined off one
-// chain, then replayed into fresh chains through Blockchain::SubmitBlocks
-// in level order — every round presents F independent sibling blocks, the
-// workload the parallel validator spreads across threads. The replay runs
-// once with 1 thread and once with the full thread count; both must accept
-// every block and land on the same head (the batch API's serial-equivalence
-// contract), so the parallel numbers are self-checking.
-
-struct ForkValidationRun {
-  int forks = 0;
-  int depth = 0;
-  int threads = 0;
-  size_t blocks = 0;        ///< Batch size (deterministic).
-  size_t accepted = 0;      ///< Blocks accepted by the replay (deterministic).
-  std::string head_hash;    ///< Deterministic, identical serial/parallel.
-  bool thread_invariant = false;
-  double serial_wall_ms = 0;
-  double serial_blocks_per_sec = 0;
-  double parallel_wall_ms = 0;
-  double parallel_blocks_per_sec = 0;
-};
-
-ForkValidationRun RunForkValidation(int forks, int depth, int txs_per_block,
-                                    int threads) {
-  constexpr int kUsersPerFork = 4;
-  chain::ChainParams params = chain::TestChainParams();
-  params.difficulty_bits = 4;
-  params.max_block_txs = 64;
-
-  std::vector<crypto::KeyPair> keys;
-  std::vector<chain::TxOutput> allocations;
-  for (int i = 0; i < forks * kUsersPerFork; ++i) {
-    keys.push_back(crypto::KeyPair::FromSeed(9000 + static_cast<uint64_t>(i)));
-    allocations.push_back(chain::TxOutput{1'000'000, keys.back().public_key()});
-  }
-  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(8999);
-
-  // Mine the fork flood off a source chain: every fork branches at genesis
-  // and carries its own users' transfers, so sibling levels are mutually
-  // independent.
-  chain::Blockchain source(params, allocations);
-  Rng rng(777);
-  uint64_t nonce = 1;
-  TimePoint now = 0;
-  std::vector<std::vector<chain::Block>> fork_blocks(
-      static_cast<size_t>(forks));
-  for (int f = 0; f < forks; ++f) {
-    std::vector<chain::Wallet> wallets;
-    for (int u = 0; u < kUsersPerFork; ++u) {
-      wallets.emplace_back(keys[static_cast<size_t>(f * kUsersPerFork + u)],
-                           source.id());
-    }
-    crypto::Hash256 tip = source.genesis()->hash;
-    for (int d = 0; d < depth; ++d) {
-      now += 100;
-      const chain::LedgerState& tip_state = source.Get(tip)->state;
-      std::vector<chain::Transaction> txs;
-      for (int j = 0; j < txs_per_block; ++j) {
-        const size_t from = static_cast<size_t>((d + j) % kUsersPerFork);
-        auto tx = wallets[from].BuildTransfer(
-            tip_state,
-            keys[static_cast<size_t>(f * kUsersPerFork) +
-                 (from + 1) % kUsersPerFork]
-                .public_key(),
-            /*amount=*/10, /*fee=*/1, nonce++);
-        if (tx.ok()) txs.push_back(*tx);
-      }
-      auto block =
-          source.AssembleBlock(tip, txs, miner.public_key(), now, &rng);
-      if (!block.ok() || !source.SubmitBlock(*block, now).ok()) {
-        std::fprintf(stderr, "fork validation: mining failed (fork %d)\n", f);
-        break;
-      }
-      tip = block->header.Hash();
-      fork_blocks[static_cast<size_t>(f)].push_back(*block);
-    }
-  }
-
-  // Level order: round d presents one independent block per fork.
-  std::vector<chain::Block> batch;
-  for (int d = 0; d < depth; ++d) {
-    for (int f = 0; f < forks; ++f) {
-      const auto& fork = fork_blocks[static_cast<size_t>(f)];
-      if (d < static_cast<int>(fork.size())) {
-        batch.push_back(fork[static_cast<size_t>(d)]);
-      }
-    }
-  }
-
-  ForkValidationRun run;
-  run.forks = forks;
-  run.depth = depth;
-  run.threads = threads;
-  run.blocks = batch.size();
-
-  auto replay = [&](int replay_threads, double* wall_ms,
-                    size_t* accepted) -> std::string {
-    chain::Blockchain replica(params, allocations);
-    const Clock::time_point t0 = Clock::now();
-    auto result = replica.SubmitBlocks(batch, now, replay_threads);
-    *wall_ms = ElapsedMs(t0);
-    *accepted = result.accepted;
-    return replica.head()->hash.ToHex();
-  };
-  size_t accepted_parallel = 0;
-  const std::string serial_head =
-      replay(1, &run.serial_wall_ms, &run.accepted);
-  const std::string parallel_head =
-      replay(threads, &run.parallel_wall_ms, &accepted_parallel);
-  run.head_hash = serial_head;
-  run.thread_invariant =
-      serial_head == parallel_head && accepted_parallel == run.accepted &&
-      run.accepted == run.blocks;
-  run.serial_blocks_per_sec =
-      run.serial_wall_ms > 0 ? static_cast<double>(run.blocks) /
-                                   (run.serial_wall_ms / 1000.0)
-                             : 0;
-  run.parallel_blocks_per_sec =
-      run.parallel_wall_ms > 0 ? static_cast<double>(run.blocks) /
-                                     (run.parallel_wall_ms / 1000.0)
-                               : 0;
-  return run;
-}
-
-// ---- section 2d: deep-chain catch-up --------------------------------------
-//
-// A purely linear chain (the worst case for SubmitBlocks' cross-fork
-// parallelism: every round is one block wide) with wide transfer bodies,
-// replayed into a fresh chain in one batch. Each block executes serially;
-// acceptance and the head hash are the deterministic self-check.
-
-struct CatchupRun {
-  int depth = 0;
-  int txs_per_block = 0;
-  size_t blocks = 0;
-  std::string head_hash;
-  bool replay_matches = false;
-  double wall_ms = 0;
-  double blocks_per_sec = 0;
-};
-
-CatchupRun RunDeepCatchup(int depth, int txs_per_block, int threads) {
-  chain::ChainParams params = chain::TestChainParams();
-  params.difficulty_bits = 4;
-  params.max_block_txs = static_cast<size_t>(txs_per_block);
-
-  std::vector<crypto::KeyPair> keys;
-  std::vector<chain::TxOutput> allocations;
-  for (int i = 0; i < txs_per_block; ++i) {
-    keys.push_back(crypto::KeyPair::FromSeed(15'000 + static_cast<uint64_t>(i)));
-    allocations.push_back(chain::TxOutput{1'000'000, keys.back().public_key()});
-  }
-  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(14'999);
-
-  chain::Blockchain source(params, allocations);
-  Rng rng(2718);
-  TimePoint now = 0;
-  uint64_t nonce = 1;
-  std::vector<chain::Block> batch;
-  for (int d = 0; d < depth; ++d) {
-    now += 100;
-    std::vector<chain::Transaction> txs;
-    for (int j = 0; j < txs_per_block; ++j) {
-      chain::Wallet wallet(keys[static_cast<size_t>(j)], source.id());
-      auto tx = wallet.BuildTransfer(
-          source.StateAtHead(),
-          keys[static_cast<size_t>((j + 1) % txs_per_block)].public_key(),
-          /*amount=*/10, /*fee=*/1, nonce++);
-      if (tx.ok()) txs.push_back(*tx);
-    }
-    auto block = source.AssembleBlock(source.head()->hash, txs,
-                                      miner.public_key(), now, &rng);
-    if (!block.ok() || !source.SubmitBlock(*block, now).ok()) {
-      std::fprintf(stderr, "deep catchup: mining failed at depth %d\n", d);
-      break;
-    }
-    batch.push_back(*block);
-  }
-
-  CatchupRun run;
-  run.depth = depth;
-  run.txs_per_block = txs_per_block;
-  run.blocks = batch.size();
-  run.head_hash = source.head()->hash.ToHex();
-
-  chain::Blockchain replica(params, allocations);
-  const Clock::time_point t0 = Clock::now();
-  auto result = replica.SubmitBlocks(batch, now, threads);
-  run.wall_ms = ElapsedMs(t0);
-  run.replay_matches = result.accepted == batch.size() &&
-                       replica.head()->hash.ToHex() == run.head_hash;
-  run.blocks_per_sec = run.wall_ms > 0 ? static_cast<double>(run.blocks) /
-                                             (run.wall_ms / 1000.0)
-                                       : 0;
-  return run;
-}
-
 // ---- section 3: PoW nonce search ------------------------------------------
 
 struct PowRun {
@@ -472,13 +271,8 @@ int main(int argc, char** argv) {
   const int txs_per_block = 4;
   const uint64_t sim_height = context.smoke ? 150 : 1200;
   const int drain_users = context.smoke ? 500 : 3000;
-  const int fork_count = context.smoke ? 4 : 8;
-  const int fork_depth = context.smoke ? 12 : 60;
-  const int fork_threads = common::WorkerPool::ResolveThreads(context.threads);
   const uint32_t pow_bits = context.smoke ? 12 : 16;
   const uint64_t pow_headers = context.smoke ? 4 : 16;
-  const int catchup_depth = context.smoke ? 15 : 100;
-  const int catchup_txs = 24;
 
   benchutil::PrintHeader(
       "Engine hot paths — blocks/sec vs chain length, mining-sim rate,\n"
@@ -518,33 +312,6 @@ int main(int argc, char** argv) {
               "%.1f ms — %.0f txs/s\n",
               drain.submitted, static_cast<unsigned long long>(drain.height),
               drain.pool_left, drain.wall_ms, drain.txs_per_sec);
-
-  ForkValidationRun fork = RunForkValidation(fork_count, fork_depth,
-                                             txs_per_block, fork_threads);
-  std::printf("fork validation: %zu blocks (%d forks x %d deep) — serial "
-              "%.1f ms (%.0f blocks/s), %d threads %.1f ms (%.0f blocks/s), "
-              "heads %s\n",
-              fork.blocks, fork.forks, fork.depth, fork.serial_wall_ms,
-              fork.serial_blocks_per_sec, fork.threads, fork.parallel_wall_ms,
-              fork.parallel_blocks_per_sec,
-              fork.thread_invariant ? "identical" : "DIVERGED");
-  if (!fork.thread_invariant) {
-    std::fprintf(stderr,
-                 "fork validation: parallel replay diverged from serial\n");
-    return 1;
-  }
-
-  CatchupRun catchup =
-      RunDeepCatchup(catchup_depth, catchup_txs, fork_threads);
-  std::printf("deep catchup: %zu blocks x %d txs — %.1f ms (%.0f blocks/s), "
-              "head %s\n",
-              catchup.blocks, catchup.txs_per_block, catchup.wall_ms,
-              catchup.blocks_per_sec,
-              catchup.replay_matches ? "identical" : "DIVERGED");
-  if (!catchup.replay_matches) {
-    std::fprintf(stderr, "deep catchup: replay diverged from the source\n");
-    return 1;
-  }
 
   PowRun pow = RunPow(pow_bits, pow_headers);
   std::printf("pow: %llu headers at %u bits, %llu evals in %.1f ms — "
@@ -607,20 +374,6 @@ int main(int argc, char** argv) {
   drain_json.Set("pool_left", drain.pool_left);
   drain_json.Set("head_hash", drain.head_hash);
   results.Set("mempool_drain", std::move(drain_json));
-  runner::Json fork_json = runner::Json::Object();
-  fork_json.Set("forks", fork.forks);
-  fork_json.Set("depth", fork.depth);
-  fork_json.Set("blocks", fork.blocks);
-  fork_json.Set("accepted", fork.accepted);
-  fork_json.Set("head_hash", fork.head_hash);
-  fork_json.Set("thread_invariant", fork.thread_invariant);
-  results.Set("fork_validation", std::move(fork_json));
-  runner::Json catchup_json = runner::Json::Object();
-  catchup_json.Set("depth", catchup.depth);
-  catchup_json.Set("txs_per_block", catchup.txs_per_block);
-  catchup_json.Set("blocks", catchup.blocks);
-  catchup_json.Set("head_hash", catchup.head_hash);
-  results.Set("deep_catchup", std::move(catchup_json));
   runner::Json pow_json = runner::Json::Object();
   pow_json.Set("difficulty_bits", pow_bits);
   pow_json.Set("headers", pow.headers);
@@ -642,18 +395,6 @@ int main(int argc, char** argv) {
   drain_wall.Set("wall_ms", drain.wall_ms);
   drain_wall.Set("txs_per_sec", drain.txs_per_sec);
   wall.Set("mempool_drain", std::move(drain_wall));
-  runner::Json fork_wall = runner::Json::Object();
-  fork_wall.Set("threads", fork.threads);
-  fork_wall.Set("serial_wall_ms", fork.serial_wall_ms);
-  fork_wall.Set("serial_blocks_per_sec", fork.serial_blocks_per_sec);
-  fork_wall.Set("parallel_wall_ms", fork.parallel_wall_ms);
-  fork_wall.Set("parallel_blocks_per_sec", fork.parallel_blocks_per_sec);
-  wall.Set("fork_validation", std::move(fork_wall));
-  runner::Json catchup_wall = runner::Json::Object();
-  catchup_wall.Set("threads", fork.threads);
-  catchup_wall.Set("wall_ms", catchup.wall_ms);
-  catchup_wall.Set("blocks_per_sec", catchup.blocks_per_sec);
-  wall.Set("deep_catchup", std::move(catchup_wall));
   runner::Json pow_wall = runner::Json::Object();
   pow_wall.Set("wall_ms", pow.wall_ms);
   pow_wall.Set("evals_per_sec", pow.evals_per_sec);

@@ -50,10 +50,10 @@ namespace ac3::chain {
 /// writing a copy never affects the state it was copied from.
 ///
 /// The UTXO set carries one incrementally maintained aggregate, the total
-/// liquid value, so the per-step engine queries (protocol funding checks,
-/// bench assertions) are O(1) instead of a full-set scan. GenesisState and
-/// LedgerDelta::CommitTo, the only writers, keep it exact; LiquidValueScan
-/// recomputes it from the set and is kept as the test oracle.
+/// liquid value, so reading it (the tests' value-conservation checks) is
+/// O(1) instead of a full-set scan. GenesisState and LedgerDelta::CommitTo,
+/// the only writers, keep it exact; LiquidValueScan recomputes it from the
+/// set and is kept as the test oracle.
 struct LedgerState {
   /// Unspent outputs: the current ownership of every liquid asset.
   PersistentMap<OutPoint, TxOutput> utxos;

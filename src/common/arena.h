@@ -11,17 +11,16 @@
 //     allocation is a thread-local free-list pop (no lock, no size-class
 //     lookup) and release is a push;
 //   * freed nodes go to the *freeing* thread's cache — a node may be
-//     allocated on one thread and released on another (exactly what the
-//     parallel sweep and fork-validation paths do with shared snapshot
-//     structure);
+//     allocated on one thread and released on another (a snapshot whose
+//     last copy dies on a thread other than the one that built it);
 //   * caches exchange memory with a global overflow list in bounded
 //     batches: a cache that grows past two slabs spills one slab's worth,
 //     an empty cache refills at most one slab's worth, and a dying
 //     thread's cache is spliced over whole — so no single thread hoards
 //     the free memory, and worker threads that come and go (a
-//     common::WorkerPool gang rebuilt to a wider round, a one-shot
-//     runner::ParallelFor pool) keep reusing the same nodes instead of
-//     stranding them;
+//     common::WorkerPool gang rebuilt to a wider round, a SweepRunner
+//     destroyed at the end of its sweep) keep reusing the same nodes
+//     instead of stranding them;
 //   * slabs are never returned to the OS: the pool is process-lifetime by
 //     design, matching the repo's batch benchmark/test processes.
 //

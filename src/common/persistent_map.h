@@ -31,11 +31,14 @@
 // NodePool slabs (src/common/arena.h) instead of shared_ptr control
 // blocks, so the path-copy hot loop costs a free-list pop per node rather
 // than a malloc of node + control block, and a release never touches a
-// separate control-block cache line. The count is atomic because divergent
-// snapshots *share structure across threads*: parallel fork validation
-// (Blockchain::SubmitBlocks) and the sweep's worker pool both copy and
-// mutate sibling snapshots concurrently, and every path copy re-references
-// the untouched subtrees of the shared original. Increments are relaxed
+// separate control-block cache line. The count is atomic so that a
+// snapshot, like any value, may cross threads: copies of one map may be
+// taken, mutated and released on several threads at once, and every path
+// copy re-references the untouched subtrees of the shared original. The
+// library keeps each state on one thread (a sweep builds, runs and drops
+// each world inside one worker task); tests share a tree across threads
+// (arena_test.cc, run under ThreadSanitizer in CI), and plain counts
+// measured no faster in the end-to-end benchmark. Increments are relaxed
 // (publication of the nodes themselves happens-before any handoff);
 // decrements are acq_rel so the destroying thread observes all writes, and
 // the in-place test is an acquire load for the same reason: a count that

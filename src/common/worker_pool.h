@@ -1,15 +1,12 @@
-// WorkerPool: the one shared fan-out primitive.
+// WorkerPool: the fan-out primitive behind the sweep runner.
 //
-// Both parallel substrates in the system — the chain's batch fork
-// validation (Blockchain::SubmitBlocks) and the sweep grid executor
-// (runner::SweepRunner / runner::ParallelFor) — have the same shape: a
-// round of `n` independent tasks, workers claiming indices from a shared
-// counter, with the caller blocked until the round fully drains. They used
-// to carry two separate implementations (a barrier pool in blockchain.cc,
-// a spawn-and-join loop in sweep_runner.cc); this class is the single
-// primitive both now run on.
+// runner::SweepRunner runs a grid of independent seeded worlds as rounds
+// of `n` independent tasks: workers claim indices from a shared counter,
+// and the caller blocks until the round fully drains. This class is that
+// round, kept out of the runner so its thread policy lives in one place
+// and is tested on its own (WorkerPoolTest in tests/common_test.cc).
 //
-// Design points, inherited from the proven ValidationPool:
+// Design points:
 //
 //   * **Persistent + lazily spawned.** No thread is created until the
 //     first round that actually has parallel work (>= 2 indices and >= 2
@@ -23,15 +20,15 @@
 //     it (publishing every worker's writes back to the caller), so the
 //     round body needs no further synchronization beyond the index
 //     counter.
-//   * **Exceptions surface on the caller.** A throwing task no longer
-//     escapes a worker thread into std::terminate: the first exception is
+//   * **Exceptions surface on the caller.** A throwing task does not
+//     escape a worker thread into std::terminate: the first exception is
 //     captured, the round stops claiming further indices, and the
 //     exception is rethrown from ParallelFor on the calling thread —
 //     matching what an inline serial loop would have done.
 //   * **One thread-count policy.** `threads <= 0` resolves to
 //     hardware_concurrency() clamped to >= 1 in exactly one place
-//     (ResolveThreads), fixing the historical `hardware_concurrency() ==
-//     0` hole that left SubmitBlocks with zero workers.
+//     (ResolveThreads); the standard lets hardware_concurrency() report
+//     0, which would otherwise leave a pool with no threads.
 
 #ifndef AC3_COMMON_WORKER_POOL_H_
 #define AC3_COMMON_WORKER_POOL_H_

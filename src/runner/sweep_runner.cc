@@ -16,15 +16,6 @@
 
 namespace ac3::runner {
 
-void ParallelFor(int n, int threads, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  // One-shot round on the shared pool primitive (callers that issue many
-  // rounds should hold a common::WorkerPool — SweepRunner does).
-  common::WorkerPool pool(threads);
-  pool.ParallelFor(static_cast<size_t>(n),
-                   [&fn](size_t i) { fn(static_cast<int>(i)); });
-}
-
 namespace {
 
 /// One shared name table per enum: the printers and the Parse* round-trips

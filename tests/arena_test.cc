@@ -140,10 +140,10 @@ TEST(ArenaReclamationTest, InterleavedSnapshotMutateChurn) {
 
 TEST(ArenaReclamationTest, CrossThreadSharedStructureMutation) {
   // Divergent snapshots sharing one base tree are copied, mutated, and
-  // released on several threads at once — the access pattern parallel fork
-  // validation produces. The intrusive refcounts must be atomic for this
-  // to be sound; a torn count shows up as a leak or use-after-free under
-  // the sanitizer job and as corruption here.
+  // released on several threads at once, as any caller that hands a
+  // snapshot to another thread may do. The intrusive refcounts must be
+  // atomic for this to be sound; a torn count shows up as a leak or
+  // use-after-free under the sanitizer jobs and as corruption here.
   PersistentMap<uint64_t, uint64_t> base;
   for (uint64_t i = 0; i < 4000; ++i) base.Put(i, i);
   constexpr int kThreads = 4;

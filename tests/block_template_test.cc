@@ -118,12 +118,11 @@ class ChainFixture : public ::testing::Test {
   /// template is empty, so its assembly is a fresh selection.
   std::unique_ptr<Blockchain> Twin() {
     auto twin = std::make_unique<Blockchain>(params_, allocations_);
-    std::vector<Block> blocks;
     for (const chain::BlockEntry* entry : chain().arrival_order()) {
-      if (entry->height() > 0) blocks.push_back(entry->block);
+      if (entry->height() == 0) continue;
+      const Status status = twin->SubmitBlock(entry->block, /*arrival_time=*/0);
+      EXPECT_TRUE(status.ok()) << status.ToString();
     }
-    const auto result = twin->SubmitBlocks(blocks, /*arrival_time=*/0);
-    EXPECT_EQ(result.accepted, blocks.size());
     return twin;
   }
 
@@ -722,10 +721,10 @@ TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
   EXPECT_EQ(chain().head()->state.contracts.size(), 1u);
 }
 
-TEST_F(SerialExecTest, DeepCatchupHeadHashAtOneAndFourThreads) {
+TEST_F(SerialExecTest, DeepCatchupReplaysHeadHash) {
   // Grow a 10-block linear chain of 8-transfer blocks, then replay it into
-  // fresh chains through SubmitBlocks: head hash and post-state must not
-  // depend on the thread count.
+  // a fresh chain one SubmitBlock at a time (Twin): the replica must land
+  // on the same head hash and post-state.
   for (int round = 0; round < 10; ++round) {
     std::vector<Transaction> txs;
     for (size_t i = 0; i < 8; ++i) {
@@ -738,24 +737,11 @@ TEST_F(SerialExecTest, DeepCatchupHeadHashAtOneAndFourThreads) {
     }
     RaceAndSubmit(Pointers(txs), /*miners=*/1, 100 * (round + 1));
   }
-  std::vector<Block> batch;
-  for (const auto* entry : chain().arrival_order()) {
-    if (entry->height() > 0) batch.push_back(entry->block);
-  }
-  ASSERT_EQ(batch.size(), 10u);
+  ASSERT_EQ(chain().arrival_order().size(), 11u);  // Genesis + 10 blocks.
 
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Blockchain replica(params_, allocations_);
-    const auto result =
-        replica.SubmitBlocks(batch, /*arrival_time=*/1, threads);
-    EXPECT_EQ(result.accepted, batch.size());
-    for (const Status& status : result.statuses) {
-      EXPECT_TRUE(status.ok()) << status.ToString();
-    }
-    ASSERT_EQ(replica.head()->hash, chain().head()->hash);
-    ExpectStatesEqual(replica.head()->state, chain().head()->state);
-  }
+  const std::unique_ptr<Blockchain> replica = Twin();
+  ASSERT_EQ(replica->head()->hash, chain().head()->hash);
+  ExpectStatesEqual(replica->head()->state, chain().head()->state);
 }
 
 // ------------------------------------------------------------ validation order

@@ -832,8 +832,9 @@ TEST(BlockchainTest, ArrivalOrderListsEveryStoredEntryOnce) {
   EXPECT_EQ(bc.arrival_order()[1]->hash, b1->header.Hash());
   EXPECT_EQ(bc.arrival_order()[2]->hash, a1->header.Hash());
 
-  // A SubmitBlocks batch appends its accepted blocks in input order,
-  // skipping the stored duplicate and the rejected block it carries.
+  // Siblings on two forks append in the order they arrive, whichever
+  // parent they extend; a stored duplicate and a rejected block arriving
+  // between them append nothing.
   auto c1 = bc.AssembleBlock(a1->header.Hash(), kNoCandidates,
                              Alice().public_key(), 200, &rng);
   auto c2 = bc.AssembleBlock(b1->header.Hash(), kNoCandidates,
@@ -841,11 +842,16 @@ TEST(BlockchainTest, ArrivalOrderListsEveryStoredEntryOnce) {
   auto c3 = bc.AssembleBlock(a1->header.Hash(), kNoCandidates,
                              Bob().public_key(), 200, &rng);
   ASSERT_TRUE(c1.ok() && c2.ok() && c3.ok());
-  const auto batch =
-      bc.SubmitBlocks({*c2, *b1, bad, *c3, *c1}, 200, /*threads=*/2);
-  EXPECT_EQ(batch.accepted, 3u);
-  EXPECT_EQ(batch.statuses[1].code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(batch.statuses[2].code(), StatusCode::kVerificationFailed);
+  const std::vector<std::pair<Block, StatusCode>> arrivals = {
+      {*c2, StatusCode::kOk},
+      {*b1, StatusCode::kAlreadyExists},
+      {bad, StatusCode::kVerificationFailed},
+      {*c3, StatusCode::kOk},
+      {*c1, StatusCode::kOk},
+  };
+  for (const auto& [block, code] : arrivals) {
+    EXPECT_EQ(bc.SubmitBlock(block, 200).code(), code);
+  }
 
   const std::vector<const BlockEntry*>& order = bc.arrival_order();
   ASSERT_EQ(order.size(), 6u);
@@ -861,6 +867,149 @@ TEST(BlockchainTest, ArrivalOrderListsEveryStoredEntryOnce) {
   for (size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(bc.Get(order[i]->hash), order[i]);
     EXPECT_EQ(order[i]->arrival_seq, i);
+  }
+}
+
+TEST(BlockchainTest, RejectedBlocksStoreNothingAndMoveNoHead) {
+  // Each way SubmitBlock turns a block away returns its own code and
+  // leaves the chain as it was: no entry, no arrival slot, no head move,
+  // no listener call.
+  TestChain tc(FastParams(), Fund({Alice().public_key()}, 100));
+  ASSERT_TRUE(tc.MineEmpty(2).ok());
+  Blockchain& bc = tc.chain();
+  Rng rng(29);
+  Wallet wallet(Alice(), 0);
+  auto tx = wallet.BuildTransfer(bc.StateAtHead(), Bob().public_key(), 10, 1,
+                                 1);
+  ASSERT_TRUE(tx.ok());
+  auto next = bc.AssembleBlock(bc.head()->hash, {*tx}, Alice().public_key(),
+                               300, &rng);
+  ASSERT_TRUE(next.ok());
+
+  Block orphan = *next;
+  orphan.header.prev_hash = crypto::Hash256::OfString("nowhere");
+  Block bad_pow = *next;
+  do {
+    ++bad_pow.header.nonce;
+  } while (CheckProofOfWork(bad_pow.header));
+  // Same header as `next`, but the receipts no longer hash to its root.
+  Block bad_receipts = *next;
+  bad_receipts.receipts[1].note = "tampered";
+
+  int fired = 0;
+  bc.SubscribeHead([&](const BlockEntry&) { ++fired; });
+  const BlockEntry* head = bc.head();
+  const StateImage head_state = ImageOf(head->state);
+  const size_t stored = bc.block_count();
+
+  struct Case {
+    const char* name;
+    Block block;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      {"unknown parent", orphan, StatusCode::kNotFound},
+      {"stored duplicate", head->block, StatusCode::kAlreadyExists},
+      {"bad proof of work", bad_pow, StatusCode::kVerificationFailed},
+      {"receipt root mismatch", bad_receipts,
+       StatusCode::kVerificationFailed},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(bc.SubmitBlock(c.block, 300).code(), c.code);
+    EXPECT_EQ(bc.block_count(), stored);
+    EXPECT_EQ(bc.arrival_order().size(), stored);
+    EXPECT_EQ(bc.head(), head);
+    EXPECT_EQ(fired, 0);
+    EXPECT_TRUE(ImageOf(bc.head()->state) == head_state);
+  }
+
+  // A rejection leaves no mark on its header hash: the untampered block
+  // sharing `bad_receipts`'s header is accepted and moves the head once.
+  ASSERT_TRUE(bc.SubmitBlock(*next, 300).ok());
+  EXPECT_EQ(bc.head()->hash, next->header.Hash());
+  EXPECT_EQ(bc.block_count(), stored + 1);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(BlockchainTest, ChildBeforeItsParentIsAcceptedOnceTheParentLands) {
+  // The chain keeps no orphan pool: a child arriving before its parent is
+  // turned away as unknown and stores nothing, and the same block
+  // submitted again after its parent is accepted on top of it.
+  const auto allocations = Fund({Alice().public_key()}, 100);
+  TestChain source(FastParams(), allocations);
+  Wallet wallet(Alice(), 0);
+  auto tx = wallet.BuildTransfer(source.chain().StateAtHead(),
+                                 Bob().public_key(), 10, 1, 1);
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(source.MineBlock({*tx}).ok());
+  ASSERT_TRUE(source.MineEmpty(1).ok());
+  const BlockEntry* child = source.chain().head();
+  const BlockEntry* parent = child->parent;
+
+  Blockchain replica(FastParams(), allocations);
+  EXPECT_EQ(replica.SubmitBlock(child->block, 10).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(replica.block_count(), 1u);
+  EXPECT_EQ(replica.head(), replica.genesis());
+
+  ASSERT_TRUE(replica.SubmitBlock(parent->block, 11).ok());
+  ASSERT_TRUE(replica.SubmitBlock(child->block, 12).ok());
+  EXPECT_EQ(replica.head()->hash, child->hash);
+  EXPECT_EQ(replica.head()->parent->hash, parent->hash);
+  EXPECT_TRUE(ImageOf(replica.head()->state) == ImageOf(child->state));
+  EXPECT_EQ(replica.StateAtHead().BalanceOf(Bob().public_key()), 10u);
+  ASSERT_EQ(replica.arrival_order().size(), 3u);
+  EXPECT_EQ(replica.arrival_order()[1]->hash, parent->hash);
+  EXPECT_EQ(replica.arrival_order()[2]->hash, child->hash);
+}
+
+TEST(BlockchainTest, ReplayInArrivalOrderReproducesTheForkTree) {
+  // A fresh chain fed a fork tree one SubmitBlock at a time, in the
+  // source's arrival order, stores the same entries in the same order,
+  // breaks equal-work ties the same way (first seen wins) and moves its
+  // head on the same arrivals.
+  TestChain source(FastParams(), {});
+  std::vector<crypto::Hash256> source_moves;
+  source.chain().SubscribeHead([&](const BlockEntry& old_head) {
+    source_moves.push_back(old_head.hash);
+  });
+  const crypto::Hash256 root = source.chain().genesis()->hash;
+  auto mine_on = [&](const crypto::Hash256& parent) {
+    EXPECT_TRUE(source.MineBlockOn(parent, {}).ok());
+    return source.chain().arrival_order().back()->hash;
+  };
+  const crypto::Hash256 a1 = mine_on(root);
+  const crypto::Hash256 b1 = mine_on(root);  // Tie: a1 stays head.
+  const crypto::Hash256 b2 = mine_on(b1);    // Heavier: reorg to b.
+  const crypto::Hash256 a2 = mine_on(a1);    // Tie: b2 stays head.
+  const crypto::Hash256 a3 = mine_on(a2);    // Heavier: reorg back to a.
+  mine_on(b1);                               // Lighter sibling of b2.
+  ASSERT_EQ(source.chain().head()->hash, a3);
+  ASSERT_EQ(source_moves,
+            (std::vector<crypto::Hash256>{root, a1, b2}));
+
+  Blockchain replica(FastParams(), {});
+  std::vector<crypto::Hash256> replica_moves;
+  replica.SubscribeHead([&](const BlockEntry& old_head) {
+    replica_moves.push_back(old_head.hash);
+  });
+  for (const BlockEntry* entry : source.chain().arrival_order()) {
+    if (entry->height() == 0) continue;
+    const Status status = replica.SubmitBlock(entry->block, entry->arrival_time);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+
+  EXPECT_EQ(replica_moves, source_moves);
+  EXPECT_EQ(replica.head()->hash, source.chain().head()->hash);
+  ASSERT_EQ(replica.block_count(), source.chain().block_count());
+  for (size_t i = 0; i < replica.arrival_order().size(); ++i) {
+    const BlockEntry* copy = replica.arrival_order()[i];
+    const BlockEntry* original = source.chain().arrival_order()[i];
+    EXPECT_EQ(copy->hash, original->hash) << i;
+    EXPECT_EQ(replica.IsCanonical(copy->hash),
+              source.chain().IsCanonical(original->hash))
+        << i;
   }
 }
 

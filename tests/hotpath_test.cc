@@ -4,7 +4,6 @@
 // visible-head tracker, and the indexed mempool. Each test checks the fast
 // path against the straightforward reference computation.
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -28,10 +27,6 @@
 
 namespace ac3 {
 namespace {
-
-// Disambiguates the vector/span AssembleBlock overloads at empty-candidate
-// call sites ({} binds to both).
-const std::vector<chain::Transaction> kNoCandidates;
 
 // ---- HeaderHasher ----------------------------------------------------------
 
@@ -583,137 +578,6 @@ TEST(AncestryTest, TxOnBranchDistinguishesForks) {
   EXPECT_TRUE(tc.chain().TxOnBranch(*tip_a, genesis_tx_id));
   EXPECT_TRUE(tc.chain().TxOnBranch(*tip_b, genesis_tx_id));
   EXPECT_FALSE(tc.chain().TxOnBranch(*tip_a, crypto::Hash256()));
-}
-
-// ---- batch submission (parallel fork validation) ---------------------------
-
-// SubmitBlocks must be observationally identical to a serial SubmitBlock
-// loop over the same sequence — statuses, stored blocks, head movements —
-// whatever the thread count. The batch deliberately mixes the serial
-// loop's edge cases: fork siblings, a child ordered before its parent, a
-// duplicate, an unknown parent, and a validation failure.
-TEST(SubmitBlocksTest, BatchMatchesSerialSubmission) {
-  const chain::ChainParams params = chain::TestChainParams();
-  const crypto::KeyPair alice = crypto::KeyPair::FromSeed(1);
-  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(2);
-  const auto allocations = testutil::Fund({alice.public_key()}, 500);
-
-  chain::Blockchain source(params, allocations);
-  Rng rng(31337);
-  TimePoint now = 0;
-  auto mine_on = [&](const crypto::Hash256& parent,
-                     const std::vector<chain::Transaction>& txs) {
-    now += 100;
-    auto block =
-        source.AssembleBlock(parent, txs, miner.public_key(), now, &rng);
-    EXPECT_TRUE(block.ok()) << block.status().ToString();
-    Status submitted = source.SubmitBlock(*block, now);
-    EXPECT_TRUE(submitted.ok()) << submitted.ToString();
-    return *block;
-  };
-
-  const crypto::Hash256 genesis = source.genesis()->hash;
-  const chain::Block base = mine_on(genesis, {});
-  chain::Wallet wallet(alice, source.id());
-  auto tx = wallet.BuildTransfer(source.Get(base.header.Hash())->state,
-                                 miner.public_key(), 50, 1, 1);
-  ASSERT_TRUE(tx.ok());
-  const chain::Block child1 = mine_on(base.header.Hash(), {*tx});
-  const chain::Block child2 = mine_on(child1.header.Hash(), {});
-  const chain::Block fork = mine_on(genesis, {});  // Sibling of `base`.
-
-  chain::Block orphan = base;
-  orphan.header.prev_hash = crypto::Hash256::OfString("nowhere");
-
-  // A valid unsubmitted block with tampered receipts: unique header hash,
-  // fails re-execution equality (receipt merkle root mismatch).
-  now += 100;
-  auto extra = source.AssembleBlock(child1.header.Hash(), kNoCandidates,
-                                    miner.public_key(), now, &rng);
-  ASSERT_TRUE(extra.ok());
-  chain::Block bad_receipts = *extra;
-  bad_receipts.receipts[0].note = "tampered";
-
-  const std::vector<chain::Block> batch = {
-      base,          // 0: accepted.
-      orphan,        // 1: unknown parent.
-      child2,        // 2: parent appears later in the batch -> orphan.
-      child1,        // 3: accepted (parent committed at index 0).
-      base,          // 4: duplicate -> AlreadyExists.
-      bad_receipts,  // 5: VerificationFailed.
-      fork,          // 6: accepted fork sibling.
-  };
-
-  chain::Blockchain serial_replica(params, allocations);
-  int serial_head_moves = 0;
-  serial_replica.SubscribeHead([&](const chain::BlockEntry&) {
-    ++serial_head_moves;
-  });
-  std::vector<Status> serial_statuses;
-  size_t serial_accepted = 0;
-  for (const chain::Block& block : batch) {
-    serial_statuses.push_back(serial_replica.SubmitBlock(block, 999));
-    if (serial_statuses.back().ok()) ++serial_accepted;
-  }
-
-  chain::Blockchain batch_replica(params, allocations);
-  int batch_head_moves = 0;
-  batch_replica.SubscribeHead([&](const chain::BlockEntry&) {
-    ++batch_head_moves;
-  });
-  const auto result = batch_replica.SubmitBlocks(batch, 999, /*threads=*/4);
-
-  ASSERT_EQ(result.statuses.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(result.statuses[i].code(), serial_statuses[i].code())
-        << "block " << i << ": batch '" << result.statuses[i]
-        << "' vs serial '" << serial_statuses[i] << "'";
-  }
-  EXPECT_EQ(result.accepted, serial_accepted);
-  EXPECT_EQ(batch_replica.head()->hash, serial_replica.head()->hash);
-  EXPECT_EQ(batch_replica.block_count(), serial_replica.block_count());
-  EXPECT_EQ(batch_head_moves, serial_head_moves);
-
-  // A second pass over the same batch still matches serial: everything is
-  // a duplicate except child2, whose parent landed in pass one.
-  const auto again = batch_replica.SubmitBlocks(batch, 1999, /*threads=*/4);
-  std::vector<Status> serial_again;
-  size_t serial_again_accepted = 0;
-  for (const chain::Block& block : batch) {
-    serial_again.push_back(serial_replica.SubmitBlock(block, 1999));
-    if (serial_again.back().ok()) ++serial_again_accepted;
-  }
-  EXPECT_EQ(again.accepted, serial_again_accepted);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(again.statuses[i].code(), serial_again[i].code()) << i;
-  }
-  EXPECT_EQ(batch_replica.head()->hash, serial_replica.head()->hash);
-}
-
-// The pure catch-up shape: one linear chain submitted in order. Every
-// round resolves exactly one block (each block waits on its predecessor),
-// so this exercises the prefix-scan frontier logic end to end.
-TEST(SubmitBlocksTest, LinearChainCatchUp) {
-  const chain::ChainParams params = chain::TestChainParams();
-  const crypto::KeyPair alice = crypto::KeyPair::FromSeed(1);
-  const auto allocations = testutil::Fund({alice.public_key()}, 500);
-  testutil::TestChain source(params, allocations);
-  std::vector<chain::Block> batch;
-  ASSERT_TRUE(source.MineEmpty(40).ok());
-  for (const chain::BlockEntry* walk = source.chain().head();
-       walk->parent != nullptr; walk = walk->parent) {
-    batch.push_back(walk->block);
-  }
-  std::reverse(batch.begin(), batch.end());  // Genesis-outward order.
-
-  chain::Blockchain replica(params, allocations);
-  const auto result = replica.SubmitBlocks(batch, 7, /*threads=*/4);
-  EXPECT_EQ(result.accepted, batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_TRUE(result.statuses[i].ok()) << i << ": " << result.statuses[i];
-  }
-  EXPECT_EQ(replica.head()->hash, source.chain().head()->hash);
-  EXPECT_EQ(replica.height(), source.chain().height());
 }
 
 // ---- incremental visible head ----------------------------------------------

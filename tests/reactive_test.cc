@@ -94,6 +94,40 @@ TEST(HeadSubscriptionTest, UnsubscribeStopsDelivery) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(HeadSubscriptionTest, LinearCatchUpFiresOncePerBlockInChainOrder) {
+  // A node catching up on a 40-block chain, one SubmitBlock per block in
+  // chain order: every block extends the head, so the listener fires once
+  // per block and each call carries the block just below the new head.
+  const auto allocations = Fund({crypto::KeyPair::FromSeed(1).public_key()},
+                                500);
+  TestChain source(chain::TestChainParams(), allocations);
+  ASSERT_TRUE(source.MineEmpty(40).ok());
+  std::vector<const chain::BlockEntry*> path;
+  for (const chain::BlockEntry* walk = source.chain().head(); walk != nullptr;
+       walk = walk->parent) {
+    path.insert(path.begin(), walk);
+  }
+  ASSERT_EQ(path.size(), 41u);  // Genesis + 40 blocks.
+
+  chain::Blockchain replica(chain::TestChainParams(), allocations);
+  std::vector<crypto::Hash256> old_heads;
+  replica.SubscribeHead([&](const chain::BlockEntry& old_head) {
+    old_heads.push_back(old_head.hash);
+  });
+  for (size_t h = 1; h < path.size(); ++h) {
+    const Status status = replica.SubmitBlock(path[h]->block, 7);
+    ASSERT_TRUE(status.ok()) << "height " << h << ": " << status.ToString();
+    ASSERT_EQ(replica.head()->hash, path[h]->hash);
+  }
+
+  ASSERT_EQ(old_heads.size(), 40u);
+  for (size_t h = 0; h < old_heads.size(); ++h) {
+    EXPECT_EQ(old_heads[h], path[h]->hash) << "move " << h;
+  }
+  EXPECT_EQ(replica.height(), source.chain().height());
+  EXPECT_EQ(replica.block_count(), source.chain().block_count());
+}
+
 // ---- Network::SubscribeConnectivity ---------------------------------------
 
 TEST(ConnectivitySubscriptionTest, FiresOnCrashRecoverAndPartition) {

@@ -153,37 +153,10 @@ TEST(BenchOutputTest, WriteBenchJsonRoundTripsThroughDisk) {
 
 // ---- worker pool ----------------------------------------------------------
 
-TEST(ParallelMapTest, CoversEveryIndexExactlyOnce) {
-  for (int threads : {1, 2, 7}) {
-    std::vector<int> out = ParallelMap<int>(100, threads,
-                                            [](int i) { return i * i; });
-    ASSERT_EQ(out.size(), 100u);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i * i);
-  }
-}
-
-TEST(ParallelMapTest, HandlesEmptyAndSingleton) {
-  EXPECT_TRUE(ParallelMap<int>(0, 4, [](int) { return 1; }).empty());
-  EXPECT_EQ(ParallelMap<int>(1, 4, [](int i) { return i + 5; })[0], 5);
-}
-
 // Regression: a throwing grid cell used to escape its worker thread and
-// take the whole process down with std::terminate. The unified
+// take the whole process down with std::terminate. The runner's
 // common::WorkerPool captures the first exception and rethrows it on the
-// caller — from ParallelFor/ParallelMap and from a SweepRunner alike.
-TEST(ParallelMapTest, MidGridThrowRethrowsOnCaller) {
-  for (int threads : {1, 4}) {
-    EXPECT_THROW(ParallelMap<int>(64, threads,
-                                  [](int i) -> int {
-                                    if (i == 23) {
-                                      throw std::runtime_error("mid-grid");
-                                    }
-                                    return i;
-                                  }),
-                 std::runtime_error);
-  }
-}
-
+// caller.
 TEST(SweepRunnerTest, MapRethrowsWorldFailureAndSurvives) {
   SweepRunner runner(3);
   EXPECT_THROW(runner.Map<int>(16,
@@ -198,6 +171,36 @@ TEST(SweepRunnerTest, MapRethrowsWorldFailureAndSurvives) {
   std::vector<int> out = runner.Map<int>(8, [](int i) { return i * 2; });
   ASSERT_EQ(out.size(), 8u);
   EXPECT_EQ(out[7], 14);
+}
+
+TEST(SweepRunnerTest, MapCoversEveryIndexAtAnyThreadCount) {
+  // out[i] = fn(i) whatever the width, on the inline 1-thread path and on
+  // pools both narrower and wider than the grid; one runner serves grids
+  // of different sizes in turn.
+  for (int threads : {1, 2, 7}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SweepRunner runner(threads);
+    for (int n : {3, 100}) {
+      std::vector<int> out = runner.Map<int>(n, [](int i) { return i * i; });
+      ASSERT_EQ(out.size(), static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(out[static_cast<size_t>(i)], i * i) << "index " << i;
+      }
+    }
+  }
+}
+
+TEST(SweepRunnerTest, MapHandlesEmptyAndSingletonGrids) {
+  // Degenerate grids call fn for exactly the indices they have: none for
+  // n = 0 (or a negative n), index 0 alone for n = 1.
+  SweepRunner runner(4);
+  int calls = 0;
+  EXPECT_TRUE(runner.Map<int>(0, [&](int) { return ++calls; }).empty());
+  EXPECT_TRUE(runner.Map<int>(-3, [&](int) { return ++calls; }).empty());
+  EXPECT_EQ(calls, 0);
+  const std::vector<int> one = runner.Map<int>(1, [](int i) { return i + 5; });
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0], 5);
 }
 
 // ---- grid + aggregation ---------------------------------------------------
