@@ -86,7 +86,7 @@ TechniqueCosts RunAt(uint64_t chain_length, uint64_t seed) {
   for (const chain::BlockEntry* entry : validated.arrival_order()) {
     costs.full_bytes += entry->block.header.Encode().size();
     for (const chain::Transaction& body_tx : entry->block.txs) {
-      costs.full_bytes += body_tx.Encode().size();
+      costs.full_bytes += body_tx.EncodedSize();
     }
     for (const chain::Receipt& receipt : entry->block.receipts) {
       costs.full_bytes += receipt.Encode().size();

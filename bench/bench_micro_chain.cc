@@ -1,5 +1,6 @@
 // Engineering micro-benchmarks (google-benchmark): the blockchain
-// substrate — proof-of-work mining/verification, block assembly and full
+// substrate — proof-of-work mining/verification, a transfer's sign, seal
+// and first verify and a receipt's Merkle leaf, block assembly and full
 // validation, block selection and body validation at open-world UTXO-set
 // sizes, and Section 4.3 evidence construction/verification.
 
@@ -57,6 +58,82 @@ void BM_VerifyPow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerifyPow);
+
+/// The one-input, two-output transfer the workload generator builds,
+/// signed.
+MutableTransaction SignedTransfer() {
+  MutableTransaction tx;
+  tx.type = TxType::kTransfer;
+  tx.inputs.push_back(OutPoint{crypto::Hash256::OfString("input"), 1});
+  tx.outputs = {TxOutput{600, kBob.public_key()},
+                TxOutput{399, kAlice.public_key()}};
+  tx.fee = 1;
+  tx.nonce = 7;
+  tx.SignWith(kAlice);
+  return tx;
+}
+
+/// Per-iteration inputs are made this many at a time with the timer
+/// paused, so that every timed iteration gets one no earlier iteration
+/// has touched.
+constexpr size_t kFreshBatch = 1024;
+
+void BM_SignTransfer(benchmark::State& state) {
+  MutableTransaction tx = SignedTransfer();
+  for (auto _ : state) {
+    ++tx.nonce;  // A new payload, so a new nonce hash, every time.
+    tx.SignWith(kAlice);
+    benchmark::DoNotOptimize(tx.signature);
+  }
+}
+BENCHMARK(BM_SignTransfer);
+
+/// Sealing: encode, hash, and allocate the shared representation.
+void BM_SealTransfer(benchmark::State& state) {
+  const MutableTransaction signed_tx = SignedTransfer();
+  std::vector<MutableTransaction> fresh;
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next == fresh.size()) {
+      state.PauseTiming();
+      fresh.assign(kFreshBatch, signed_tx);
+      next = 0;
+      state.ResumeTiming();
+    }
+    const Transaction sealed(std::move(fresh[next++]));
+    benchmark::DoNotOptimize(sealed.Id());
+  }
+}
+BENCHMARK(BM_SealTransfer);
+
+/// The first VerifySignature on a rep, the one that runs Verify (later
+/// calls read the memo).
+void BM_VerifyTransferFirst(benchmark::State& state) {
+  const MutableTransaction signed_tx = SignedTransfer();
+  std::vector<Transaction> fresh;
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next == fresh.size()) {
+      state.PauseTiming();
+      fresh.clear();
+      for (size_t i = 0; i < kFreshBatch; ++i) fresh.emplace_back(signed_tx);
+      next = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(fresh[next++].VerifySignature());
+  }
+}
+BENCHMARK(BM_VerifyTransferFirst);
+
+/// A transfer's receipt as ApplyTransaction writes it, hashed into its
+/// Merkle leaf.
+void BM_ReceiptLeafHash(benchmark::State& state) {
+  Receipt receipt;
+  receipt.tx_id = Transaction(SignedTransfer()).Id();
+  receipt.note = "transfer";
+  for (auto _ : state) benchmark::DoNotOptimize(receipt.LeafHash());
+}
+BENCHMARK(BM_ReceiptLeafHash);
 
 void BM_AssembleAndSubmitBlock(benchmark::State& state) {
   const int txs = static_cast<int>(state.range(0));

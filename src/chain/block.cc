@@ -16,30 +16,19 @@ Result<crypto::Hash256> ReadHash(ByteReader* r) {
 }
 }  // namespace
 
-namespace {
-inline uint8_t* PutLe32(uint8_t* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) *out++ = static_cast<uint8_t>(v >> (8 * i));
-  return out;
-}
-inline uint8_t* PutLe64(uint8_t* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) *out++ = static_cast<uint8_t>(v >> (8 * i));
-  return out;
-}
-}  // namespace
-
 void BlockHeader::EncodeTo(uint8_t (&out)[kEncodedSize]) const {
   uint8_t* p = out;
-  p = PutLe32(p, chain_id);
-  p = PutLe64(p, height);
+  p = StoreLe(p, chain_id);
+  p = StoreLe(p, height);
   std::memcpy(p, prev_hash.bytes(), crypto::Hash256::kSize);
   p += crypto::Hash256::kSize;
   std::memcpy(p, tx_root.bytes(), crypto::Hash256::kSize);
   p += crypto::Hash256::kSize;
   std::memcpy(p, receipt_root.bytes(), crypto::Hash256::kSize);
   p += crypto::Hash256::kSize;
-  p = PutLe64(p, static_cast<uint64_t>(time));
-  p = PutLe32(p, difficulty_bits);
-  p = PutLe64(p, nonce);
+  p = StoreLe(p, static_cast<uint64_t>(time));
+  p = StoreLe(p, difficulty_bits);
+  p = StoreLe(p, nonce);
   assert(p == out + kEncodedSize);
 }
 

@@ -155,9 +155,10 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
 
   // The block's declared receipts must match deterministic re-execution
   // (a successful body yields one receipt per transaction, so the counts
-  // already agree).
+  // already agree). Receipts compare by value, which equals comparing
+  // their encodings (receipt.h).
   for (size_t i = 0; i < receipts->size(); ++i) {
-    if ((*receipts)[i].Encode() != block.receipts[i].Encode()) {
+    if ((*receipts)[i] != block.receipts[i]) {
       return Status::VerificationFailed("receipt mismatch at index " +
                                         std::to_string(i));
     }

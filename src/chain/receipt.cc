@@ -4,6 +4,8 @@ namespace ac3::chain {
 
 Bytes Receipt::Encode() const {
   ByteWriter w;
+  w.Reserve(2 * crypto::Hash256::kSize + 1 + 4 + state_digest.size() + 4 +
+            note.size());
   w.PutRaw(tx_id.bytes(), crypto::Hash256::kSize);
   w.PutU8(success ? 1 : 0);
   w.PutRaw(contract_id.bytes(), crypto::Hash256::kSize);

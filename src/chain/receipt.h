@@ -6,6 +6,13 @@
 // Receipts are what cross-chain evidence proves (Section 4.3): "SCw's state
 // is RDauth" becomes "a successful receipt whose state digest encodes
 // RDauth is included in a witness-chain block buried under d blocks".
+//
+// Block validation checks each declared receipt against the one
+// re-execution derives by value (operator==), not by encoding both. The
+// two checks agree: Encode writes all five fields, fixed-width or
+// length-prefixed, so two receipts encode equally exactly when every
+// field is equal (tests/chain_test.cc and tests/encoding_test.cc pin
+// both the equivalence and the bytes).
 
 #ifndef AC3_CHAIN_RECEIPT_H_
 #define AC3_CHAIN_RECEIPT_H_
@@ -29,6 +36,11 @@ struct Receipt {
   /// Human-readable note for logs ("redeemed", "guard failed: ...").
   std::string note;
 
+  /// Field-wise; equal exactly when the encodings are equal.
+  bool operator==(const Receipt&) const = default;
+
+  /// The fields in declaration order: the hashes raw, `success` as one
+  /// byte, `state_digest` and `note` length-prefixed.
   Bytes Encode() const;
   /// Canonical: rejects trailing bytes and a flag byte other than 0 or 1.
   static Result<Receipt> Decode(const Bytes& encoded);

@@ -18,6 +18,23 @@ const char* TxTypeName(TxType type) {
 
 namespace {
 
+/// The signing payload's domain tag, and the bytes PutString writes for
+/// it.
+constexpr char kSigningTag[] = "ac3/tx";
+constexpr size_t kSigningTagSize = 4 + sizeof(kSigningTag) - 1;
+
+/// Bytes EncodeCore writes for `tx`.
+size_t CoreSize(const MutableTransaction& tx) {
+  constexpr size_t kInput = crypto::Hash256::kSize + 4;
+  constexpr size_t kOutput = 8 + crypto::PublicKey::kEncodedSize;
+  return 1 + 4 + 4 + tx.inputs.size() * kInput + 4 +
+         tx.outputs.size() * kOutput + 8 + crypto::PublicKey::kEncodedSize +
+         8 + 4 + tx.contract_kind.size() + crypto::Hash256::kSize + 4 +
+         tx.function.size() + 4 + tx.payload.size() + 8;
+}
+
+/// Everything but the signature. The caller reserves CoreSize(tx) plus
+/// whatever it writes around it, so the buffer is allocated once.
 void EncodeCore(const MutableTransaction& tx, ByteWriter* w) {
   w->PutU8(static_cast<uint8_t>(tx.type));
   w->PutU32(tx.chain_id);
@@ -29,10 +46,10 @@ void EncodeCore(const MutableTransaction& tx, ByteWriter* w) {
   w->PutU32(static_cast<uint32_t>(tx.outputs.size()));
   for (const TxOutput& out : tx.outputs) {
     w->PutU64(out.value);
-    w->PutRaw(out.owner.Encode());
+    out.owner.EncodeTo(w);
   }
   w->PutU64(tx.fee);
-  w->PutRaw(tx.signer.Encode());
+  tx.signer.EncodeTo(w);
   w->PutU64(tx.nonce);
   w->PutString(tx.contract_kind);
   w->PutRaw(tx.contract_id.bytes(), crypto::Hash256::kSize);
@@ -52,15 +69,17 @@ Result<crypto::Hash256> ReadHash(ByteReader* r) {
 
 Bytes MutableTransaction::SigningPayload() const {
   ByteWriter w;
-  w.PutString("ac3/tx");
+  w.Reserve(kSigningTagSize + CoreSize(*this));
+  w.PutString(kSigningTag);
   EncodeCore(*this, &w);
   return w.Take();
 }
 
 Bytes MutableTransaction::Encode() const {
   ByteWriter w;
+  w.Reserve(CoreSize(*this) + crypto::Signature::kEncodedSize);
   EncodeCore(*this, &w);
-  w.PutRaw(signature.Encode());
+  signature.EncodeTo(&w);
   return w.Take();
 }
 
@@ -76,9 +95,12 @@ Transaction::Transaction() {
 }
 
 Transaction::Transaction(MutableTransaction tx) {
-  // The one place a transaction id is computed.
-  const crypto::Hash256 id = crypto::Hash256::Of(tx.Encode());
-  rep_ = std::make_shared<const Rep>(std::move(tx), id);
+  // The one place a transaction is encoded whole to be hashed: its id and
+  // encoded size are stored.
+  const Bytes encoded = tx.Encode();
+  rep_ = std::make_shared<const Rep>(std::move(tx),
+                                     crypto::Hash256::Of(encoded),
+                                     static_cast<uint32_t>(encoded.size()));
 }
 
 Result<Transaction> Transaction::Decode(const Bytes& encoded) {

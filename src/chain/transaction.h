@@ -93,7 +93,8 @@ struct MutableTransaction {
 };
 
 /// A sealed, immutable transaction (Bitcoin Core's CTransaction). The
-/// constructor encodes and hashes once, so Id() reads a stored value.
+/// constructor encodes and hashes once, so Id() and EncodedSize() read
+/// stored values.
 /// Fields and id sit behind one shared const representation: copying a
 /// Transaction (into the mempool, into each racing miner's block, into the
 /// stored BlockEntry) is a reference-count increment. It has no move
@@ -137,6 +138,9 @@ class Transaction {
 
   /// Transaction id: SHA-256 of the full encoding, computed at sealing.
   const crypto::Hash256& Id() const { return rep_->id; }
+  /// Encode().size(), recorded at sealing: the wire size, without
+  /// encoding again.
+  size_t EncodedSize() const { return rep_->encoded_size; }
 
   Bytes SigningPayload() const { return rep_->tx.SigningPayload(); }
   Bytes Encode() const { return rep_->tx.Encode(); }
@@ -152,11 +156,15 @@ class Transaction {
   enum Verdict : uint8_t { kUnknown, kValid, kInvalid };
 
   struct Rep {
-    Rep(MutableTransaction tx_in, const crypto::Hash256& id_in)
-        : tx(std::move(tx_in)), id(id_in) {}
+    Rep(MutableTransaction tx_in, const crypto::Hash256& id_in,
+        uint32_t encoded_size_in)
+        : tx(std::move(tx_in)), id(id_in), encoded_size(encoded_size_in) {}
 
     MutableTransaction tx;
     crypto::Hash256 id;
+    /// 32 bits, like the gossip payload's tx_bytes; it fills padding the
+    /// verdict leaves, so the rep is no larger than without it.
+    uint32_t encoded_size;
     /// VerifySignature's memo. Racing first calls each verify and store
     /// the same verdict.
     mutable std::atomic<uint8_t> verdict{kUnknown};

@@ -46,39 +46,6 @@ void AppendBytes(Bytes* dst, const Bytes& suffix) {
   dst->insert(dst->end(), suffix.begin(), suffix.end());
 }
 
-void ByteWriter::PutU8(uint8_t v) { buf_.push_back(v); }
-
-void ByteWriter::PutU16(uint16_t v) {
-  buf_.push_back(static_cast<uint8_t>(v));
-  buf_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-
-void ByteWriter::PutBytes(const Bytes& b) {
-  PutU32(static_cast<uint32_t>(b.size()));
-  PutRaw(b);
-}
-
-void ByteWriter::PutString(const std::string& s) {
-  PutU32(static_cast<uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::PutRaw(const uint8_t* data, size_t len) {
-  buf_.insert(buf_.end(), data, data + len);
-}
-
-void ByteWriter::PutRaw(const Bytes& b) { PutRaw(b.data(), b.size()); }
-
 Status ByteReader::Need(size_t n) const {
   if (pos_ + n > data_.size()) {
     return Status::OutOfRange("buffer underrun while decoding");

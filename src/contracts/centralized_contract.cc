@@ -6,9 +6,9 @@ Bytes CentralizedContract::MakeInitPayload(const crypto::PublicKey& recipient,
                                            const crypto::Hash256& ms_id,
                                            const crypto::PublicKey& trent) {
   ByteWriter w;
-  w.PutRaw(recipient.Encode());
+  recipient.EncodeTo(&w);
   w.PutRaw(ms_id.bytes(), crypto::Hash256::kSize);
-  w.PutRaw(trent.Encode());
+  trent.EncodeTo(&w);
   return w.Take();
 }
 
@@ -23,6 +23,9 @@ Result<ContractPtr> CentralizedContract::Create(const Bytes& payload,
   std::copy(ms_raw.begin(), ms_raw.end(), arr.begin());
   crypto::Hash256 ms_id(arr);
   AC3_ASSIGN_OR_RETURN(crypto::PublicKey trent, crypto::PublicKey::Decode(&r));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after CentralizedSC init");
+  }
   if (!recipient.IsValid() || !trent.IsValid()) {
     return Status::InvalidArgument("CentralizedSC keys invalid");
   }
@@ -44,7 +47,7 @@ bool CentralizedContract::VerifySecret(
     const crypto::SignatureCommitment& commitment, const Bytes& args) {
   ByteReader r(args);
   auto signature = crypto::Signature::Decode(&r);
-  if (!signature.ok()) return false;
+  if (!signature.ok() || !r.AtEnd()) return false;
   return commitment.VerifySecret(*signature);
 }
 

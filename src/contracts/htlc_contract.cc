@@ -6,7 +6,7 @@ Bytes HtlcContract::MakeInitPayload(const crypto::PublicKey& recipient,
                                     const crypto::Hash256& hashlock,
                                     TimePoint timelock) {
   ByteWriter w;
-  w.PutRaw(recipient.Encode());
+  recipient.EncodeTo(&w);
   w.PutRaw(hashlock.bytes(), crypto::Hash256::kSize);
   w.PutI64(timelock);
   return w.Take();
@@ -22,6 +22,9 @@ Result<ContractPtr> HtlcContract::Create(const Bytes& payload,
   std::array<uint8_t, crypto::Hash256::kSize> arr{};
   std::copy(lock_raw.begin(), lock_raw.end(), arr.begin());
   AC3_ASSIGN_OR_RETURN(TimePoint timelock, r.GetI64());
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after HTLC init");
+  }
   if (!recipient.IsValid()) {
     return Status::InvalidArgument("HTLC recipient key invalid");
   }

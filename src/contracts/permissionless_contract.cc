@@ -6,7 +6,7 @@ namespace ac3::contracts {
 
 Bytes PermissionlessInit::Encode() const {
   ByteWriter w;
-  w.PutRaw(recipient.Encode());
+  recipient.EncodeTo(&w);
   w.PutU32(witness_chain_id);
   w.PutRaw(scw_id.bytes(), crypto::Hash256::kSize);
   w.PutU32(depth);
@@ -29,7 +29,13 @@ Result<PermissionlessInit> PermissionlessInit::Decode(const Bytes& payload) {
   ByteReader cr(checkpoint_bytes);
   AC3_ASSIGN_OR_RETURN(init.witness_checkpoint,
                        chain::BlockHeader::Decode(&cr));
+  if (!cr.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after witness checkpoint");
+  }
   AC3_ASSIGN_OR_RETURN(init.witness_difficulty_bits, r.GetU32());
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after permissionless init");
+  }
   return init;
 }
 

@@ -19,12 +19,18 @@ Result<RelayInit> RelayInit::Decode(const Bytes& payload) {
   AC3_ASSIGN_OR_RETURN(Bytes checkpoint_bytes, r.GetBytes());
   ByteReader cr(checkpoint_bytes);
   AC3_ASSIGN_OR_RETURN(init.checkpoint, chain::BlockHeader::Decode(&cr));
+  if (!cr.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after relay checkpoint");
+  }
   AC3_ASSIGN_OR_RETURN(init.validated_difficulty_bits, r.GetU32());
   AC3_ASSIGN_OR_RETURN(Bytes tx_raw, r.GetRaw(crypto::Hash256::kSize));
   std::array<uint8_t, crypto::Hash256::kSize> arr{};
   std::copy(tx_raw.begin(), tx_raw.end(), arr.begin());
   init.interesting_tx = crypto::Hash256(arr);
   AC3_ASSIGN_OR_RETURN(init.required_depth, r.GetU32());
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after relay init");
+  }
   return init;
 }
 

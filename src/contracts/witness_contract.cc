@@ -7,8 +7,8 @@ namespace ac3::contracts {
 Bytes EdgeSpec::Encode() const {
   ByteWriter w;
   w.PutU32(chain_id);
-  w.PutRaw(sender.Encode());
-  w.PutRaw(recipient.Encode());
+  sender.EncodeTo(&w);
+  recipient.EncodeTo(&w);
   w.PutU64(amount);
   w.PutU32(min_evidence_depth);
   w.PutBytes(asset_checkpoint.Encode());
@@ -27,6 +27,9 @@ Result<EdgeSpec> EdgeSpec::Decode(ByteReader* reader) {
   ByteReader cr(checkpoint_bytes);
   AC3_ASSIGN_OR_RETURN(spec.asset_checkpoint,
                        chain::BlockHeader::Decode(&cr));
+  if (!cr.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after edge checkpoint");
+  }
   AC3_ASSIGN_OR_RETURN(spec.asset_difficulty_bits, reader->GetU32());
   return spec;
 }
@@ -34,7 +37,7 @@ Result<EdgeSpec> EdgeSpec::Decode(ByteReader* reader) {
 Bytes WitnessInit::Encode() const {
   ByteWriter w;
   w.PutU32(static_cast<uint32_t>(participants.size()));
-  for (const crypto::PublicKey& pk : participants) w.PutRaw(pk.Encode());
+  for (const crypto::PublicKey& pk : participants) pk.EncodeTo(&w);
   w.PutBytes(ms_encoded);
   w.PutU32(static_cast<uint32_t>(edges.size()));
   for (const EdgeSpec& edge : edges) w.PutBytes(edge.Encode());
@@ -55,7 +58,13 @@ Result<WitnessInit> WitnessInit::Decode(const Bytes& payload) {
     AC3_ASSIGN_OR_RETURN(Bytes edge_bytes, r.GetBytes());
     ByteReader er(edge_bytes);
     AC3_ASSIGN_OR_RETURN(EdgeSpec spec, EdgeSpec::Decode(&er));
+    if (!er.AtEnd()) {
+      return Status::InvalidArgument("trailing bytes after edge spec");
+    }
     init.edges.push_back(std::move(spec));
+  }
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after SCw init");
   }
   return init;
 }
@@ -77,6 +86,9 @@ Result<std::vector<HeaderChainEvidence>> DecodeEdgeEvidence(
     AC3_ASSIGN_OR_RETURN(HeaderChainEvidence ev,
                          HeaderChainEvidence::Decode(ev_bytes));
     out.push_back(std::move(ev));
+  }
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after edge evidence");
   }
   return out;
 }

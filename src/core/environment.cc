@@ -127,13 +127,13 @@ void Environment::SubmitTransaction(sim::NodeId from, chain::ChainId id,
   // traffic, not only to the engines' off-chain exchanges. The payload
   // carries the wire size, not the transaction itself — the handler
   // closure holds the real object, exactly like the old closure path.
-  proto::Message msg;
-  msg.swap_id = tx.Id();
-  msg.seq = next_gossip_seq_++;
-  msg.sender = from;
-  msg.receiver = chains_[id].gateway;
-  msg.payload = proto::TxSubmitPayload{
-      id, static_cast<uint32_t>(tx.Encode().size())};
+  const proto::Message msg{
+      .swap_id = tx.Id(),
+      .seq = next_gossip_seq_++,
+      .sender = from,
+      .receiver = chains_[id].gateway,
+      .payload = proto::TxSubmitPayload{
+          id, static_cast<uint32_t>(tx.EncodedSize())}};
   network_.SendMessage(msg, [pool, sim, tx](const proto::Message&) {
     // Ignore duplicate-submission errors: gossip is at-least-once, and a
     // fault-duplicated delivery is rejected by transaction id.

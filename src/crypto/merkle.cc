@@ -20,11 +20,9 @@ std::vector<Hash256> NextLevel(const std::vector<Hash256>& prev) {
 
 }  // namespace
 
-Bytes MerkleStep::Encode() const {
-  ByteWriter w;
-  w.PutRaw(sibling.bytes(), Hash256::kSize);
-  w.PutU8(sibling_on_left ? 1 : 0);
-  return w.Take();
+void MerkleStep::EncodeTo(ByteWriter* w) const {
+  w->PutRaw(sibling.bytes(), Hash256::kSize);
+  w->PutU8(sibling_on_left ? 1 : 0);
 }
 
 Result<MerkleStep> MerkleStep::Decode(ByteReader* reader) {
@@ -43,7 +41,7 @@ Bytes MerkleProof::Encode() const {
   ByteWriter w;
   w.PutU32(leaf_index);
   w.PutU32(static_cast<uint32_t>(path.size()));
-  for (const MerkleStep& step : path) w.PutRaw(step.Encode());
+  for (const MerkleStep& step : path) step.EncodeTo(&w);
   return w.Take();
 }
 

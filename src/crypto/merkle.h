@@ -22,7 +22,8 @@ struct MerkleStep {
   Hash256 sibling;
   bool sibling_on_left = false;
 
-  Bytes Encode() const;
+  /// Appends the encoding (sibling, then the side byte) to `w`.
+  void EncodeTo(ByteWriter* w) const;
   /// Rejects a side byte other than 0 or 1.
   static Result<MerkleStep> Decode(ByteReader* reader);
 };

@@ -46,8 +46,8 @@ Bytes Multisignature::Encode() const {
   w.PutBytes(message_);
   w.PutU32(static_cast<uint32_t>(parts_.size()));
   for (const MultisigPart& part : parts_) {
-    w.PutRaw(part.signer.Encode());
-    w.PutRaw(part.signature.Encode());
+    part.signer.EncodeTo(&w);
+    part.signature.EncodeTo(&w);
   }
   return w.Take();
 }
@@ -62,6 +62,9 @@ Result<Multisignature> Multisignature::Decode(const Bytes& encoded) {
     AC3_ASSIGN_OR_RETURN(part.signer, PublicKey::Decode(&reader));
     AC3_ASSIGN_OR_RETURN(part.signature, Signature::Decode(&reader));
     AC3_RETURN_IF_ERROR(ms.AddPart(std::move(part)));
+  }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after multisignature");
   }
   return ms;
 }

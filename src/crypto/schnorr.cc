@@ -1,5 +1,8 @@
 #include "src/crypto/schnorr.h"
 
+#include <cstring>
+#include <span>
+
 #include "src/crypto/primes.h"
 #include "src/crypto/sha256.h"
 
@@ -7,18 +10,29 @@ namespace ac3::crypto {
 
 namespace {
 
-/// Hash arbitrary byte fields into a uint64 (first 8 digest bytes, BE).
-uint64_t HashToU64(const Bytes& data) {
-  return Hash256::Of(data).Prefix64();
+/// ByteWriter::PutString's bytes for `tag`, at `out`.
+template <size_t N>
+uint8_t* StoreTag(uint8_t* out, const char (&tag)[N]) {
+  out = StoreLe(out, static_cast<uint32_t>(N - 1));
+  std::memcpy(out, tag, N - 1);
+  return out + (N - 1);
 }
 
+/// SHA-256 of `prefix` and then `message`, read in place, as a number: the
+/// digest's first 8 bytes, big-endian.
+uint64_t HashToU64(std::span<const uint8_t> prefix, const Bytes& message) {
+  Sha256 h;
+  h.Update(prefix);
+  h.Update(message);
+  return Hash256(h.Finish()).Prefix64();
+}
+
+/// e = H(r || y || m) mod q, over PutU64(r), PutU64(y), PutBytes(m).
 uint64_t ChallengeE(uint64_t r, const PublicKey& pk, const Bytes& message) {
-  const GroupParams& grp = DefaultGroup();
-  ByteWriter w;
-  w.PutU64(r);
-  w.PutU64(pk.y());
-  w.PutBytes(message);
-  return HashToU64(w.bytes()) % grp.q;
+  uint8_t prefix[8 + 8 + 4];
+  StoreLe(StoreLe(StoreLe(prefix, r), pk.y()),
+          static_cast<uint32_t>(message.size()));
+  return HashToU64(prefix, message) % DefaultGroup().q;
 }
 
 }  // namespace
@@ -27,7 +41,8 @@ bool PublicKey::IsValid() const { return y_ > 1 && y_ < DefaultGroup().p; }
 
 Bytes PublicKey::Encode() const {
   ByteWriter w;
-  w.PutU64(y_);
+  w.Reserve(kEncodedSize);
+  EncodeTo(&w);
   return w.Take();
 }
 
@@ -42,8 +57,8 @@ std::string PublicKey::ToHexShort() const { return ToAddress().ShortHex(); }
 
 Bytes Signature::Encode() const {
   ByteWriter w;
-  w.PutU64(e);
-  w.PutU64(s);
+  w.Reserve(kEncodedSize);
+  EncodeTo(&w);
   return w.Take();
 }
 
@@ -56,11 +71,12 @@ Result<Signature> Signature::Decode(ByteReader* reader) {
 
 KeyPair KeyPair::FromSeed(uint64_t seed) {
   const GroupParams& grp = DefaultGroup();
-  // Map the seed through SHA-256 so nearby seeds give unrelated keys.
-  ByteWriter w;
-  w.PutString("ac3wn/keygen");
-  w.PutU64(seed);
-  uint64_t x = HashToU64(w.bytes()) % (grp.q - 1) + 1;  // x in [1, q).
+  // Map the seed through SHA-256 so nearby seeds give unrelated keys:
+  // PutString("ac3wn/keygen"), PutU64(seed).
+  uint8_t input[4 + 12 + 8];
+  StoreLe(StoreTag(input, "ac3wn/keygen"), seed);
+  const uint64_t x =
+      Hash256::Of(input).Prefix64() % (grp.q - 1) + 1;  // x in [1, q).
   PublicKey pk(GroupMont().FromMont(PowG(x)));
   return KeyPair(x, pk);
 }
@@ -69,12 +85,12 @@ KeyPair KeyPair::Generate(Rng* rng) { return FromSeed(rng->NextU64()); }
 
 Signature KeyPair::Sign(const Bytes& message) const {
   const GroupParams& grp = DefaultGroup();
-  // Deterministic nonce: k = H(x || m), nonzero mod q.
-  ByteWriter nonce_input;
-  nonce_input.PutString("ac3wn/nonce");
-  nonce_input.PutU64(secret_);
-  nonce_input.PutBytes(message);
-  uint64_t k = HashToU64(nonce_input.bytes()) % (grp.q - 1) + 1;
+  // Deterministic nonce: k = H(x || m), nonzero mod q, over
+  // PutString("ac3wn/nonce"), PutU64(x), PutBytes(m).
+  uint8_t prefix[4 + 11 + 8 + 4];
+  StoreLe(StoreLe(StoreTag(prefix, "ac3wn/nonce"), secret_),
+          static_cast<uint32_t>(message.size()));
+  const uint64_t k = HashToU64(prefix, message) % (grp.q - 1) + 1;
 
   uint64_t r = GroupMont().FromMont(PowG(k));
   uint64_t e = ChallengeE(r, public_key_, message);

@@ -14,6 +14,14 @@
 // Verify accepts only a valid key, 1 < y < p, that lies in the order-q
 // subgroup (y^q = 1, checked on every call), and only e, s < q.
 //
+// The three hashes (key derivation, nonce, challenge) hash exactly the
+// bytes ByteWriter would write for their fields: a length-prefixed tag or
+// the fixed-width values, then the u32 length and the message. They take
+// the fixed-width part from a stack buffer and read the message in place
+// through Sha256::Update, so signing and verifying copy no message, and
+// every key and signature equals the one a copied encoding would give
+// (tests/encoding_test.cc pins them).
+//
 // The arithmetic modulo p is Montgomery multiplication (primes.h). g^x,
 // for keys, nonces and Verify's g^s, reads a fixed-base table of g's
 // powers built once per process, so it costs three multiplications; y^q
@@ -47,8 +55,12 @@ class PublicKey {
   /// alias y mod p, so one secret would sign for several addresses.
   bool IsValid() const;
 
+  static constexpr size_t kEncodedSize = 8;
+
   /// Canonical encoding (8 bytes LE), the input to addresses and hashes.
   Bytes Encode() const;
+  /// Appends the canonical encoding to `w`.
+  void EncodeTo(ByteWriter* w) const { w->PutU64(y_); }
   static Result<PublicKey> Decode(ByteReader* reader);
 
   /// Address = SHA-256 of the encoded key. Used in logs and asset ownership.
@@ -66,8 +78,16 @@ struct Signature {
   uint64_t e = 0;
   uint64_t s = 0;
 
+  static constexpr size_t kEncodedSize = 16;
+
   bool IsValid() const { return e != 0 || s != 0; }
+  /// e then s, 8 bytes LE each.
   Bytes Encode() const;
+  /// Appends the canonical encoding to `w`.
+  void EncodeTo(ByteWriter* w) const {
+    w->PutU64(e);
+    w->PutU64(s);
+  }
   static Result<Signature> Decode(ByteReader* reader);
   auto operator<=>(const Signature&) const = default;
 };

@@ -43,7 +43,7 @@ Bytes Ac2tGraph::Encode() const {
   w.PutString("ac3/graph");
   w.PutI64(timestamp_);
   w.PutU32(static_cast<uint32_t>(participants_.size()));
-  for (const crypto::PublicKey& pk : participants_) w.PutRaw(pk.Encode());
+  for (const crypto::PublicKey& pk : participants_) pk.EncodeTo(&w);
   w.PutU32(static_cast<uint32_t>(edges_.size()));
   for (const Ac2tEdge& e : edges_) {
     w.PutU32(e.from);
@@ -75,6 +75,9 @@ Result<Ac2tGraph> Ac2tGraph::Decode(const Bytes& encoded) {
     AC3_ASSIGN_OR_RETURN(e.chain_id, r.GetU32());
     AC3_ASSIGN_OR_RETURN(e.amount, r.GetU64());
     graph.edges_.push_back(e);
+  }
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after graph");
   }
   return graph;
 }

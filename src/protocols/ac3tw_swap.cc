@@ -167,7 +167,7 @@ void Ac3twSwapEngine::OnMessage(const proto::Message& msg) {
       const auto& d = std::get<proto::DecisionPayload>(msg.payload);
       ByteReader reader(d.signature_encoded);
       Result<crypto::Signature> sig = crypto::Signature::Decode(&reader);
-      if (!sig.ok()) return;
+      if (!sig.ok() || !reader.AtEnd()) return;
       decision_ =
           TrentDecision{static_cast<crypto::CommitmentTag>(d.tag), *sig};
       mutable_report()->decision_time = env()->sim()->Now();

@@ -122,7 +122,7 @@ struct RedeemNotifyPayload {
 /// wire size so message/byte accounting reflects the real cost.
 struct TxSubmitPayload {
   chain::ChainId chain_id = 0;  ///< Destination chain.
-  uint32_t tx_bytes = 0;        ///< Transaction::Encode().size().
+  uint32_t tx_bytes = 0;        ///< Transaction::EncodedSize().
 };
 
 /// A typed protocol message (see the file comment for the field contract).

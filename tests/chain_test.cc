@@ -150,6 +150,17 @@ TEST(TransactionTest, DecodeRejectsTrailingBytes) {
   }
 }
 
+TEST(TransactionTest, EncodedSizeIsTheEncodingsSize) {
+  for (const MutableTransaction& m : OneOfEachType()) {
+    const Transaction tx(m);
+    EXPECT_EQ(tx.EncodedSize(), tx.Encode().size()) << TxTypeName(m.type);
+    auto decoded = Transaction::Decode(tx.Encode());
+    ASSERT_TRUE(decoded.ok()) << TxTypeName(m.type);
+    EXPECT_EQ(decoded->EncodedSize(), tx.Encode().size())
+        << TxTypeName(m.type);
+  }
+}
+
 TEST(TransactionTest, CopiesShareTheId) {
   Transaction tx(OneOfEachType()[1]);
   const Transaction copy = tx;
@@ -219,6 +230,27 @@ TEST(ReceiptTest, DecodeRejectsTrailingBytes) {
   Bytes encoded = SampleReceipt().Encode();
   encoded.push_back(0);
   EXPECT_FALSE(Receipt::Decode(encoded).ok());
+}
+
+TEST(ReceiptTest, EqualityIsEqualEncoding) {
+  const Receipt receipt = SampleReceipt();
+  const Receipt copy = receipt;
+  EXPECT_TRUE(copy == receipt);
+  EXPECT_EQ(copy.Encode(), receipt.Encode());
+  // Changing any one of the five fields breaks both.
+  const std::vector<void (*)(Receipt*)> edits = {
+      [](Receipt* r) { r->tx_id = crypto::Hash256::OfString("other tx"); },
+      [](Receipt* r) { r->success = !r->success; },
+      [](Receipt* r) { r->contract_id = crypto::Hash256(); },
+      [](Receipt* r) { r->state_digest.push_back(7); },
+      [](Receipt* r) { r->note = "redeemed"; },
+  };
+  for (size_t i = 0; i < edits.size(); ++i) {
+    Receipt edited = receipt;
+    edits[i](&edited);
+    EXPECT_FALSE(edited == receipt) << "field " << i;
+    EXPECT_NE(edited.Encode(), receipt.Encode()) << "field " << i;
+  }
 }
 
 TEST(ReceiptTest, DecodeRejectsNonBooleanSuccess) {

@@ -11,6 +11,8 @@
 #include "src/contracts/contract.h"
 #include "src/contracts/htlc_contract.h"
 #include "src/contracts/permissionless_contract.h"
+#include "src/contracts/relay_contract.h"
+#include "src/contracts/witness_contract.h"
 #include "tests/test_util.h"
 
 namespace ac3::contracts {
@@ -156,6 +158,13 @@ TEST(HtlcContractTest, RejectsZeroValueDeploy) {
   EXPECT_EQ(contract.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(HtlcContractTest, CreateRejectsTrailingBytes) {
+  Bytes payload = HtlcContract::MakeInitPayload(
+      kBob.public_key(), crypto::Hash256::Of(Bytes{1}), 1000);
+  payload.push_back(0);
+  EXPECT_FALSE(HtlcContract::Create(payload, MakeDeployCtx(500)).ok());
+}
+
 // ------------------------------------------------- Algorithm 2 (AC3TW SC)
 
 class CentralizedContractTest : public ::testing::Test {
@@ -222,10 +231,154 @@ TEST_F(CentralizedContractTest, RejectsSignatureForOtherSwap) {
   EXPECT_FALSE(contract_->Call(kRedeemFunction, other, env.ctx).ok());
 }
 
+TEST_F(CentralizedContractTest, CreateRejectsTrailingBytes) {
+  Bytes payload = CentralizedContract::MakeInitPayload(
+      kBob.public_key(), ms_id_, kTrent.public_key());
+  payload.push_back(0);
+  EXPECT_FALSE(CentralizedContract::Create(payload, MakeDeployCtx(500)).ok());
+}
+
+TEST_F(CentralizedContractTest, SecretWithTrailingBytesDoesNotRedeem) {
+  CallEnv env;
+  Bytes secret =
+      SignCommitment(crypto::CommitmentTag::kRedeem, kTrent).Encode();
+  secret.push_back(0);
+  EXPECT_FALSE(contract_->Call(kRedeemFunction, secret, env.ctx).ok());
+}
+
 TEST_F(CentralizedContractTest, RejectsGarbageArgs) {
   CallEnv env;
   EXPECT_FALSE(contract_->Call(kRedeemFunction, Bytes{1, 2}, env.ctx).ok());
   EXPECT_FALSE(contract_->Call(kRedeemFunction, {}, env.ctx).ok());
+}
+
+// ---------------------------------------------- AC3WN contract encodings
+
+/// `encoded` with a zero byte added inside the length-prefixed field whose
+/// u32 prefix starts at `prefix_at`: the prefix grows by one and the byte
+/// follows the field's old end, so only the field's own decoder sees it.
+Bytes WithByteInsideField(Bytes encoded, size_t prefix_at) {
+  Bytes prefix(encoded.begin() + static_cast<ptrdiff_t>(prefix_at),
+               encoded.begin() + static_cast<ptrdiff_t>(prefix_at + 4));
+  ByteReader reader(prefix);
+  const uint32_t length = *reader.GetU32();
+  StoreLe(encoded.data() + prefix_at, length + 1);
+  encoded.insert(
+      encoded.begin() + static_cast<ptrdiff_t>(prefix_at + 4 + length), 0);
+  return encoded;
+}
+
+chain::BlockHeader SampleCheckpoint() {
+  chain::BlockHeader header;
+  header.height = 3;
+  header.prev_hash = crypto::Hash256::Of(Bytes{3});
+  header.difficulty_bits = 4;
+  return header;
+}
+
+EdgeSpec SampleEdge() {
+  EdgeSpec edge;
+  edge.chain_id = 0;
+  edge.sender = kAlice.public_key();
+  edge.recipient = kBob.public_key();
+  edge.amount = 400;
+  edge.min_evidence_depth = 2;
+  edge.asset_checkpoint = SampleCheckpoint();
+  edge.asset_difficulty_bits = 4;
+  return edge;
+}
+
+WitnessInit SampleWitnessInit() {
+  WitnessInit init;
+  init.participants = {kAlice.public_key(), kBob.public_key()};
+  init.ms_encoded = Bytes{1, 2, 3};
+  init.edges = {SampleEdge()};
+  return init;
+}
+
+PermissionlessInit SamplePermissionlessInit() {
+  PermissionlessInit init;
+  init.recipient = kBob.public_key();
+  init.witness_chain_id = 1;
+  init.scw_id = crypto::Hash256::Of(Bytes{5});
+  init.depth = 2;
+  init.witness_checkpoint = SampleCheckpoint();
+  init.witness_difficulty_bits = 4;
+  return init;
+}
+
+RelayInit SampleRelayInit() {
+  RelayInit init;
+  init.checkpoint = SampleCheckpoint();
+  init.validated_difficulty_bits = 4;
+  init.interesting_tx = crypto::Hash256::Of(Bytes{6});
+  init.required_depth = 2;
+  return init;
+}
+
+TEST(WitnessInitTest, DecodeRejectsTrailingBytes) {
+  Bytes encoded = SampleWitnessInit().Encode();
+  ASSERT_TRUE(WitnessInit::Decode(encoded).ok());
+  encoded.push_back(0);
+  EXPECT_FALSE(WitnessInit::Decode(encoded).ok());
+}
+
+TEST(WitnessInitTest, DecodeRejectsTrailingBytesInsideAnEdge) {
+  const Bytes encoded = SampleWitnessInit().Encode();
+  // The one edge is the last field.
+  const size_t edge_prefix_at =
+      encoded.size() - SampleEdge().Encode().size() - 4;
+  EXPECT_FALSE(
+      WitnessInit::Decode(WithByteInsideField(encoded, edge_prefix_at)).ok());
+}
+
+TEST(EdgeSpecTest, DecodeRejectsTrailingBytesInsideTheCheckpoint) {
+  // chain_id, sender, recipient, amount, min_evidence_depth, checkpoint.
+  const size_t checkpoint_prefix_at = 4 + 8 + 8 + 8 + 4;
+  const Bytes encoded =
+      WithByteInsideField(SampleEdge().Encode(), checkpoint_prefix_at);
+  ByteReader reader(encoded);
+  EXPECT_FALSE(EdgeSpec::Decode(&reader).ok());
+}
+
+TEST(PermissionlessInitTest, DecodeRejectsTrailingBytes) {
+  Bytes encoded = SamplePermissionlessInit().Encode();
+  ASSERT_TRUE(PermissionlessInit::Decode(encoded).ok());
+  encoded.push_back(0);
+  EXPECT_FALSE(PermissionlessInit::Decode(encoded).ok());
+}
+
+TEST(PermissionlessInitTest, DecodeRejectsTrailingBytesInsideTheCheckpoint) {
+  // recipient, witness_chain_id, scw_id, depth, checkpoint.
+  const size_t checkpoint_prefix_at = 8 + 4 + 32 + 4;
+  EXPECT_FALSE(PermissionlessInit::Decode(
+                   WithByteInsideField(SamplePermissionlessInit().Encode(),
+                                       checkpoint_prefix_at))
+                   .ok());
+}
+
+TEST(RelayInitTest, DecodeRejectsTrailingBytes) {
+  Bytes encoded = SampleRelayInit().Encode();
+  ASSERT_TRUE(RelayInit::Decode(encoded).ok());
+  encoded.push_back(0);
+  EXPECT_FALSE(RelayInit::Decode(encoded).ok());
+}
+
+TEST(RelayInitTest, DecodeRejectsTrailingBytesInsideTheCheckpoint) {
+  // The checkpoint is the first field.
+  EXPECT_FALSE(
+      RelayInit::Decode(WithByteInsideField(SampleRelayInit().Encode(), 0))
+          .ok());
+}
+
+TEST(EdgeEvidenceTest, DecodeRejectsTrailingBytes) {
+  HeaderChainEvidence evidence;
+  evidence.headers = {SampleCheckpoint()};
+  evidence.leaf = Bytes{7};
+  Bytes encoded = EncodeEdgeEvidence({evidence});
+  ASSERT_TRUE(DecodeEdgeEvidence(encoded).ok());
+  encoded.push_back(0);
+  EXPECT_FALSE(DecodeEdgeEvidence(encoded).ok());
 }
 
 // ----------------------------------------------------------------- factory
@@ -289,6 +442,53 @@ TEST(ContractOnLedgerTest, DeployLocksValueAndCallPaysOut) {
   EXPECT_EQ(world.chain().StateAtHead().BalanceOf(kBob.public_key()),
             1000u - 2u + 400u);
   EXPECT_EQ(world.chain().StateAtHead().LockedValue(), 0u);
+}
+
+TEST(ContractOnLedgerTest, DeployWithTrailingPayloadByteFails) {
+  testutil::TestChain world(chain::TestChainParams(),
+                            testutil::Fund({kAlice.public_key()}, 1000));
+  chain::Wallet alice(kAlice, world.chain().id());
+  Bytes payload = HtlcContract::MakeInitPayload(
+      kBob.public_key(), crypto::Hash256::Of(Bytes{1}), 60'000);
+  payload.push_back(0);
+  auto deploy = alice.BuildDeploy(world.chain().StateAtHead(), kHtlcKind,
+                                  payload, 400, 4, 1);
+  ASSERT_TRUE(deploy.ok());
+  chain::LedgerDelta delta(world.chain().StateAtHead());
+  EXPECT_FALSE(chain::ApplyTransaction(&delta, *deploy,
+                                       chain::BlockEnv{world.chain().id(), 1,
+                                                       100})
+                   .ok());
+}
+
+TEST(ContractOnLedgerTest, CallWithTrailingArgByteFails) {
+  testutil::TestChain world(
+      chain::TestChainParams(),
+      testutil::Fund({kAlice.public_key(), kBob.public_key()}, 1000));
+  chain::Wallet alice(kAlice, world.chain().id());
+  chain::Wallet bob(kBob, world.chain().id());
+  const crypto::Hash256 ms_id = crypto::Hash256::Of(Bytes{0xAA});
+  auto deploy = alice.BuildDeploy(
+      world.chain().StateAtHead(), kCentralizedKind,
+      CentralizedContract::MakeInitPayload(kBob.public_key(), ms_id,
+                                           kTrent.public_key()),
+      400, 4, 1);
+  ASSERT_TRUE(deploy.ok());
+  ASSERT_TRUE(world.MineBlock({*deploy}).ok());
+
+  Bytes secret = kTrent
+                     .Sign(crypto::SignatureCommitmentMessage(
+                         ms_id, crypto::CommitmentTag::kRedeem))
+                     .Encode();
+  secret.push_back(0);
+  auto call = bob.BuildCall(world.chain().StateAtHead(), deploy->Id(),
+                            kRedeemFunction, secret, 2, 1);
+  ASSERT_TRUE(call.ok());
+  ASSERT_TRUE(world.MineBlock({*call}).ok());
+  auto location = world.chain().FindTx(call->Id());
+  ASSERT_TRUE(location.has_value());
+  EXPECT_FALSE(location->entry->block.receipts[location->index].success);
+  EXPECT_EQ(world.chain().StateAtHead().LockedValue(), 400u);
 }
 
 TEST(ContractOnLedgerTest, FailedGuardRecordsUnsuccessfulReceipt) {

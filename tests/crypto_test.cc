@@ -532,6 +532,14 @@ TEST(MultisigTest, IdStableUnderSignerOrder) {
   EXPECT_TRUE(decoded->VerifyAll({a.public_key(), b.public_key()}));
 }
 
+TEST(MultisigTest, DecodeRejectsTrailingBytes) {
+  Multisignature ms(StrBytes("trailing"));
+  ASSERT_TRUE(ms.AddSignature(KeyPair::FromSeed(16)).ok());
+  Bytes encoded = ms.Encode();
+  encoded.push_back(0);
+  EXPECT_FALSE(Multisignature::Decode(encoded).ok());
+}
+
 TEST(MultisigTest, SignatureOrderDoesNotAffectValidity) {
   // The paper: "The order of participant signatures in ms(D) is not
   // important."  Both orders must verify.

@@ -74,6 +74,12 @@ TEST(Ac2tGraphTest, EncodeDecodeRoundTrips) {
   EXPECT_EQ(decoded->Encode(), graph.Encode());
 }
 
+TEST(Ac2tGraphTest, DecodeRejectsTrailingBytes) {
+  Bytes encoded = MakeRing(Keys(3), Chains(3), 120, 77).Encode();
+  encoded.push_back(0);
+  EXPECT_FALSE(Ac2tGraph::Decode(encoded).ok());
+}
+
 TEST(Ac2tGraphTest, TimestampDistinguishesIdenticalSwaps) {
   // "The timestamp t is important to distinguish between identical AC2Ts
   //  among the same participants."
