@@ -197,7 +197,8 @@ MempoolDrainRun RunMempoolDrain(int users) {
   mining.max_propagation_delay = Milliseconds(2);
   const chain::ChainId id = env.AddChain(params, allocations, mining);
   chain::Mempool* mempool = env.mempool(id);
-  const chain::LedgerState& genesis_state = env.blockchain(id)->genesis()->state;
+  const chain::LedgerState genesis_state =
+      env.blockchain(id)->StateAt(*env.blockchain(id)->genesis());
   for (int i = 0; i < users; ++i) {
     chain::Wallet wallet(keys[static_cast<size_t>(i)], id);
     auto tx = wallet.BuildTransfer(

@@ -53,8 +53,8 @@ double MeasureChainTps(const chain::ChainParams& params, uint64_t seed,
     mining.max_propagation_delay = Milliseconds(2);
     chain::ChainId id = env.AddChain(params, allocations, mining);
     chain::Mempool* mempool = env.mempool(id);
-    const chain::LedgerState& genesis_state =
-        env.blockchain(id)->genesis()->state;
+    const chain::LedgerState genesis_state =
+        env.blockchain(id)->StateAt(*env.blockchain(id)->genesis());
     for (int i = 0; i < users; ++i) {
       chain::Wallet wallet(keys[i], id);
       auto tx = wallet.BuildTransfer(genesis_state,

@@ -35,19 +35,18 @@ Blockchain::Blockchain(ChainParams params, std::vector<TxOutput> allocations)
   genesis_block.header.receipt_root = genesis_block.ComputeReceiptRoot();
 
   BlockEntry entry;
-  entry.block = genesis_block;
   entry.hash = genesis_block.header.Hash();
+  entry.block = std::move(genesis_block);
   entry.total_work = 0;
   entry.arrival_time = 0;
   entry.arrival_seq = next_arrival_seq_++;
-  entry.state = GenesisState(genesis_tx);
   entry.included_tx_count = 1;
-  entry.tx_index[genesis_tx.Id()] = 0;
 
   const crypto::Hash256 genesis_hash = entry.hash;
   genesis_ = index_.Store(genesis_hash, std::move(entry));
   head_ = genesis_;
   arrival_order_.push_back(genesis_);
+  states_.emplace(genesis_, GenesisState(genesis_tx));
 }
 
 namespace {
@@ -62,6 +61,11 @@ uint64_t SkipHeightFor(uint64_t height) {
   if (height < 2) return 0;
   return (height & 1) ? InvertLowestOne(InvertLowestOne(height - 1)) + 1
                       : InvertLowestOne(height);
+}
+
+/// True when the chain keeps `entry`'s state whatever extends it.
+bool IsCheckpoint(const BlockEntry& entry) {
+  return entry.height() % Blockchain::kStateCheckpointInterval == 0;
 }
 
 }  // namespace
@@ -110,10 +114,32 @@ const BlockEntry* Blockchain::Get(const crypto::Hash256& hash) const {
   return index_.FindEntry(hash);
 }
 
+LedgerState Blockchain::StateAt(const BlockEntry& entry) const {
+  // Only tips and checkpoints are kept, and an ancestor is no tip: the
+  // walk ends at the checkpoint above `entry` (genesis at the latest).
+  std::vector<const BlockEntry*> replay;
+  auto kept = states_.find(&entry);
+  for (const BlockEntry* walk = &entry; kept == states_.end();) {
+    replay.push_back(walk);
+    walk = walk->parent;
+    kept = states_.find(walk);
+  }
+  LedgerState state = kept->second;
+  for (auto it = replay.rbegin(); it != replay.rend(); ++it) {
+    const Block& block = (*it)->block;
+    const Result<std::vector<Receipt>> receipts =
+        ApplyBlockBody(&state, block, params_);
+    // The block passed validation on exactly this state.
+    assert(receipts.ok() && *receipts == block.receipts);
+    (void)receipts;
+  }
+  return state;
+}
+
 Status Blockchain::ValidateAgainstParent(const Block& block,
                                          const BlockEntry& parent,
-                                         std::vector<Receipt>* receipts,
-                                         LedgerState* post_state) const {
+                                         LedgerDelta* delta,
+                                         std::vector<Receipt>* receipts) const {
   const BlockHeader& header = block.header;
   if (header.chain_id != params_.id) {
     return Status::InvalidArgument("block for another chain");
@@ -149,9 +175,7 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
     }
   }
 
-  *post_state = parent.state;  // O(1); the body's commit path-copies.
-  AC3_ASSIGN_OR_RETURN(*receipts,
-                       ApplyBlockBody(post_state, block, params_));
+  AC3_ASSIGN_OR_RETURN(*receipts, StageBlockBody(delta, block, params_));
 
   // The block's declared receipts must match deterministic re-execution
   // (a successful body yields one receipt per transaction, so the counts
@@ -166,7 +190,7 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
   return Status::OK();
 }
 
-Status Blockchain::SubmitBlock(const Block& block, TimePoint arrival_time) {
+Status Blockchain::SubmitBlock(Block block, TimePoint arrival_time) {
   const crypto::Hash256 hash = block.header.Hash();
   if (index_.Contains(hash)) {
     return Status::AlreadyExists("block already known");
@@ -176,52 +200,67 @@ Status Blockchain::SubmitBlock(const Block& block, TimePoint arrival_time) {
     return Status::NotFound("parent block unknown (orphan)");
   }
 
+  // The body stages over the parent's state: a kept one where it lies,
+  // any other replayed once into `state`, which is then the block's.
+  const auto kept = states_.find(parent);
+  LedgerState state;
+  if (kept == states_.end()) state = StateAt(*parent);
+  LedgerDelta delta(kept == states_.end() ? state : kept->second);
   std::vector<Receipt> receipts;
-  LedgerState post_state;
   AC3_RETURN_IF_ERROR(
-      ValidateAgainstParent(block, *parent, &receipts, &post_state));
-  CommitValidated(block, hash, parent, std::move(receipts),
-                  std::move(post_state), arrival_time);
+      ValidateAgainstParent(block, *parent, &delta, &receipts));
+
+  // Every check passed: the parent's state becomes the block's. A tip
+  // hands its state over and keeps none, so the commit writes the nodes
+  // it owns alone in place. A checkpoint keeps its own, and the block
+  // commits into an O(1) copy, path-copying what the two share.
+  const bool hand_over = kept != states_.end() && !IsCheckpoint(*parent);
+  if (hand_over) {
+    state = std::move(kept->second);
+  } else if (kept != states_.end()) {
+    state = kept->second;
+  }
+  delta.CommitTo(&state);
+  if (hand_over) states_.erase(kept);
+  CommitValidated(std::move(block), hash, parent, std::move(state), receipts,
+                  arrival_time);
   return Status::OK();
 }
 
-void Blockchain::CommitValidated(const Block& block,
-                                 const crypto::Hash256& hash,
+void Blockchain::CommitValidated(Block block, const crypto::Hash256& hash,
                                  const BlockEntry* parent,
-                                 std::vector<Receipt> receipts,
                                  LedgerState post_state,
+                                 const std::vector<Receipt>& receipts,
                                  TimePoint arrival_time) {
   BlockEntry entry;
-  entry.block = block;
   entry.hash = hash;
   entry.total_work =
       parent->total_work + WorkForDifficulty(block.header.difficulty_bits);
   entry.arrival_time = arrival_time;
   entry.arrival_seq = next_arrival_seq_++;
-  entry.state = std::move(post_state);
   entry.parent = parent;
   entry.skip = GetAncestor(parent, SkipHeightFor(block.header.height));
   entry.included_tx_count = parent->included_tx_count + block.txs.size();
   for (uint32_t i = 0; i < block.txs.size(); ++i) {
     const Transaction& tx = block.txs[i];
-    entry.tx_index[tx.Id()] = i;
     if (tx.type() == TxType::kCall) {
       entry.calls.push_back(
           CallRecord{tx.contract_id(), tx.function(), i, receipts[i].success});
     }
   }
+  entry.block = std::move(block);
 
   const BlockEntry* stored = index_.Store(hash, std::move(entry));
   arrival_order_.push_back(stored);
+  states_.emplace(stored, std::move(post_state));
 
   // Longest-chain rule: adopt strictly heavier branches only, so the
   // first-seen block wins ties (Section 2.1: "miners accept the first
   // received mined block").
   if (stored->total_work > head_->total_work) {
-    if (head_->hash != block.header.prev_hash) {
+    if (head_ != parent) {
       AC3_LOG(kInfo) << params_.name << ": reorg to "
-                     << hash.ShortHex() << " at height "
-                     << block.header.height;
+                     << hash.ShortHex() << " at height " << stored->height();
     }
     const BlockEntry* old_head = head_;
     head_ = stored;
@@ -298,7 +337,7 @@ std::optional<Blockchain::TxLocation> Blockchain::FindCall(
 
 Result<contracts::ContractPtr> Blockchain::ContractAtHead(
     const crypto::Hash256& id) const {
-  return head_->state.GetContract(id);
+  return StateAtHead().GetContract(id);
 }
 
 Result<Block> Blockchain::AssembleBlock(
@@ -367,7 +406,8 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
   fresh->parent_hash = parent.hash;
   fresh->now = now;
   const BlockEnv env{params_.id, parent.block.header.height + 1, now};
-  LedgerDelta working(parent.state);
+  const LedgerState base = StateAt(parent);
+  LedgerDelta working(base);
   std::unordered_set<crypto::Hash256> chosen_ids;
   // Leaf 0 is the coinbase's slot; its value never enters the paths.
   std::vector<crypto::Hash256> tx_leaves(1);

@@ -1,12 +1,19 @@
 // The blockchain: a fork tree of validated blocks with the longest-chain
 // (most cumulative work) rule.
 //
-// Every validated block keeps its own post-state snapshot, so contract
-// state is a pure function of the branch — a reorg "reverts" contract state
-// simply by the head moving (docs/architecture.md, "The three load-bearing
-// design decisions", decision 1). This is the machinery behind the paper's
-// fork discussion (Section 4.2): two conflicting SCw states can transiently
-// live on two forks, and the chain converges to one of them.
+// A block's ledger state is a pure function of its branch, so a reorg
+// "reverts" contract state simply by the head moving (docs/architecture.md,
+// "The three load-bearing design decisions", decision 1). This is the
+// machinery behind the paper's fork discussion (Section 4.2): two
+// conflicting SCw states can transiently live on two forks, and the chain
+// converges to one of them.
+//
+// The chain keeps a block's state only while the block is a tip of the
+// fork tree (the head among them) and at every kStateCheckpointInterval-th
+// height, genesis included. A block extending a tip takes the tip's state
+// over, so its commit writes the nodes that state owns alone in place; any
+// other state is replayed on demand from the nearest checkpoint above it
+// (StateAt).
 
 #ifndef AC3_CHAIN_BLOCKCHAIN_H_
 #define AC3_CHAIN_BLOCKCHAIN_H_
@@ -16,6 +23,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,9 +47,9 @@ class Blockchain {
   // ----------------------------------------------------------- block store
 
   /// Fully validates `block` (PoW, linkage, roots, transaction execution,
-  /// receipt equality) and stores it. The canonical head moves only when
-  /// the new branch has strictly more work.
-  Status SubmitBlock(const Block& block, TimePoint arrival_time);
+  /// receipt equality) and stores it, moving it into its entry. The
+  /// canonical head moves only when the new branch has strictly more work.
+  Status SubmitBlock(Block block, TimePoint arrival_time);
 
   const BlockEntry* genesis() const { return genesis_; }
   /// Canonical tip.
@@ -116,7 +124,19 @@ class Blockchain {
   Result<contracts::ContractPtr> ContractAtHead(
       const crypto::Hash256& id) const;
 
-  const LedgerState& StateAtHead() const { return head_->state; }
+  /// Kept states sit at every height that is a multiple of this, genesis
+  /// included, so StateAt replays at most this many blocks less one.
+  static constexpr uint64_t kStateCheckpointInterval = 32;
+
+  /// The ledger state after `entry`'s block. O(1) for a kept state (a tip
+  /// or a checkpoint); any other is a copy of the nearest checkpoint above
+  /// it with the stored blocks after that replayed. The copy is
+  /// independent: later submissions never change it.
+  LedgerState StateAt(const BlockEntry& entry) const;
+
+  /// The state at the canonical head (a tip, so O(1)). By value, so no
+  /// caller holds a reference into a state a later block takes over.
+  LedgerState StateAtHead() const { return StateAt(*head_); }
 
   /// The synthetic genesis transaction (its outputs fund the allocations).
   const Transaction& genesis_tx() const { return genesis_->block.txs[0]; }
@@ -158,11 +178,12 @@ class Blockchain {
  private:
   /// Full validation of `block` against its parent entry: linkage, PoW,
   /// the O(1) size checks (capacity, one receipt per transaction), roots,
-  /// branch-duplicate checks, then serial transaction execution
-  /// (ApplyBlockBody) and declared-receipt equality.
+  /// branch-duplicate checks, then serial transaction execution staged in
+  /// `delta`, which lies over the parent's state (StageBlockBody), and
+  /// declared-receipt equality. Writes no state.
   Status ValidateAgainstParent(const Block& block, const BlockEntry& parent,
-                               std::vector<Receipt>* receipts,
-                               LedgerState* post_state) const;
+                               LedgerDelta* delta,
+                               std::vector<Receipt>* receipts) const;
 
   /// One selection's outcome: everything of an assembled block but the
   /// coinbase. Defined in blockchain.cc.
@@ -175,12 +196,15 @@ class Blockchain {
       const BlockEntry& parent, std::span<const Transaction* const> candidates,
       TimePoint now) const;
 
-  /// Stores a block that already passed ValidateAgainstParent: builds the
-  /// BlockEntry, indexes it, and applies the longest-chain rule (head
-  /// listeners fire from here). SubmitBlock's commit half.
-  void CommitValidated(const Block& block, const crypto::Hash256& hash,
-                       const BlockEntry* parent, std::vector<Receipt> receipts,
-                       LedgerState post_state, TimePoint arrival_time);
+  /// Stores a block that already passed ValidateAgainstParent, with its
+  /// `post_state` (the parent's state, taken over or copied, with the
+  /// staged body committed): builds the BlockEntry, indexes it, keeps the
+  /// post-state as a tip's, and applies the longest-chain rule (head
+  /// listeners fire from here). SubmitBlock's store half.
+  void CommitValidated(Block block, const crypto::Hash256& hash,
+                       const BlockEntry* parent, LedgerState post_state,
+                       const std::vector<Receipt>& receipts,
+                       TimePoint arrival_time);
 
   /// True when `entry` lies on the branch ending at `tip`.
   bool OnBranch(const BlockEntry& tip, const BlockEntry* entry) const;
@@ -188,6 +212,9 @@ class Blockchain {
   ChainParams params_;
   /// Entry store + tx/contract query indexes (see chain_index.h).
   ChainIndex index_;
+  /// The kept states: every tip's (no child has extended it yet) and every
+  /// checkpoint's (height a multiple of kStateCheckpointInterval).
+  std::unordered_map<const BlockEntry*, LedgerState> states_;
   std::vector<std::pair<SubscriptionId, HeadListener>> head_listeners_;
   SubscriptionId next_subscription_id_ = 1;
   const BlockEntry* genesis_ = nullptr;

@@ -11,8 +11,9 @@ BlockEntry* ChainIndex::Store(const crypto::Hash256& hash, BlockEntry entry) {
   assert(inserted && "Store() requires an unseen block hash");
   (void)inserted;
   BlockEntry* stored = &it->second;
-  for (const auto& [tx_id, index] : stored->tx_index) {
-    tx_occurrences_[tx_id].push_back(TxLocation{stored, index});
+  const std::vector<Transaction>& txs = stored->block.txs;
+  for (uint32_t i = 0; i < txs.size(); ++i) {
+    tx_occurrences_[txs[i].Id()].push_back(TxLocation{stored, i});
   }
   for (const CallRecord& call : stored->calls) {
     // One occurrence per contract even with several calls in the block.

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/chain/block.h"
-#include "src/chain/ledger.h"
 
 namespace ac3::chain {
 
@@ -47,11 +46,12 @@ struct CallRecord {
 /// A validated block plus branch-local derived data.
 ///
 /// Branch-cumulative data is chained, not materialized: each entry keeps
-/// only its own block's transaction ids (`tx_index`) plus a `parent` link
-/// and a skip pointer for O(log height) ancestor jumps, so storing a block
-/// costs O(block size) instead of O(chain length). "Is this transaction
-/// already on the branch?" is answered by Blockchain::TxOnBranch through
-/// the ChainIndex occurrence lists.
+/// only its own block plus a `parent` link and a skip pointer for
+/// O(log height) ancestor jumps, so storing a block costs O(block size)
+/// instead of O(chain length). "Is this transaction already on the
+/// branch?" is answered by Blockchain::TxOnBranch through the ChainIndex
+/// occurrence lists. An entry holds no ledger state: the Blockchain keeps
+/// the states of some entries and replays the rest (Blockchain::StateAt).
 struct BlockEntry {
   /// The validated block itself.
   Block block;
@@ -63,17 +63,12 @@ struct BlockEntry {
   TimePoint arrival_time = 0;
   /// First-seen order; ties in total work keep the earlier block.
   uint64_t arrival_seq = 0;
-  /// State after applying this block to its parent's state (a persistent
-  /// snapshot sharing all unmodified structure with the parent's state).
-  LedgerState state;
   /// Parent entry (nullptr for genesis). Entry pointers are stable.
   const BlockEntry* parent = nullptr;
   /// Ancestor jump pointer (Bitcoin's pskip scheme) for GetAncestor.
   const BlockEntry* skip = nullptr;
   /// Number of transactions included on this branch, genesis..this block.
   uint64_t included_tx_count = 0;
-  /// Transaction id -> index within THIS block only (the per-entry delta).
-  std::unordered_map<crypto::Hash256, uint32_t> tx_index;
   /// Contract calls in this block (for watching redeem/refund events).
   std::vector<CallRecord> calls;
 
@@ -105,8 +100,8 @@ class ChainIndex {
   ChainIndex& operator=(const ChainIndex&) = delete;
 
   /// Stores `entry` under `hash` (which must be new) and records its
-  /// transactions and contract calls in the query indexes. Returns the
-  /// stable stored entry.
+  /// block's transactions (by position in `block.txs`) and its contract
+  /// calls in the query indexes. Returns the stable stored entry.
   BlockEntry* Store(const crypto::Hash256& hash, BlockEntry entry);
 
   /// The stored entry for `hash`, or nullptr.

@@ -7,12 +7,6 @@
 
 namespace ac3::chain {
 
-Amount LedgerState::LiquidValueScan() const {
-  Amount total = 0;
-  for (const auto& [outpoint, output] : utxos) total += output.value;
-  return total;
-}
-
 Amount LedgerState::LockedValue() const {
   Amount total = 0;
   for (const auto& [id, contract] : contracts) total += contract->locked_value();
@@ -287,10 +281,6 @@ Result<Receipt> ApplyTransaction(LedgerDelta* delta, const Transaction& tx,
   return Status::Internal("unreachable transaction type");
 }
 
-namespace {
-
-/// ApplyBlockBody's serial loop, staged in `delta`. On an invalid body it
-/// returns at the offending transaction with the ones before it staged.
 Result<std::vector<Receipt>> StageBlockBody(LedgerDelta* delta,
                                             const Block& block,
                                             const ChainParams& params) {
@@ -333,8 +323,6 @@ Result<std::vector<Receipt>> StageBlockBody(LedgerDelta* delta,
   delta->CreateOutputs(coinbase.Id(), coinbase.outputs());
   return receipts;
 }
-
-}  // namespace
 
 Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
                                             const Block& block,

@@ -2,8 +2,10 @@
 //
 // A LedgerState is the materialized state of one branch of a blockchain:
 // the UTXO set (the paper's asset ownership model, Section 2.2) plus the
-// deployed contract snapshots. States are value types; the blockchain keeps
-// one per block, so forks naturally own divergent contract states.
+// deployed contract snapshots. States are value types, so forks naturally
+// own divergent contract states. The blockchain keeps one at each fork tip
+// and at every 32nd height, and replays stored blocks onto the nearest
+// kept one for any other block (blockchain.h).
 //
 // Both maps are persistent (copy-on-write) trees: copying a LedgerState is
 // O(1), and a mutation updates the nodes this state owns alone in place
@@ -16,8 +18,9 @@
 // LedgerDelta: hash maps of the outputs it created, the base outputs it
 // spent and the contract snapshots it put, read through to a read-only
 // parent state. Block selection stages each candidate into a delta it then
-// drops, so it copies no tree node; validation commits the block's net
-// changes into the block's post-state once. After genesis,
+// drops, so it copies no tree node; validation stages the block the same
+// way and, once every check has passed, commits its net changes into the
+// parent's state, which becomes the block's. After genesis,
 // LedgerDelta::CommitTo is the only code that writes a LedgerState's maps.
 // The delta rests on one rule: an outpoint is created once per branch. A
 // transaction id appears at most once on a branch (block validation checks
@@ -52,8 +55,8 @@ namespace ac3::chain {
 /// The UTXO set carries one incrementally maintained aggregate, the total
 /// liquid value, so reading it (the tests' value-conservation checks) is
 /// O(1) instead of a full-set scan. GenesisState and LedgerDelta::CommitTo,
-/// the only writers, keep it exact; LiquidValueScan recomputes it from the
-/// set and is kept as the test oracle.
+/// the only writers, keep it exact; the tests recompute it from the set
+/// (testutil::LiquidValueScan).
 struct LedgerState {
   /// Unspent outputs: the current ownership of every liquid asset.
   PersistentMap<OutPoint, TxOutput> utxos;
@@ -64,8 +67,6 @@ struct LedgerState {
 
   /// Sum of all liquid (UTXO) value — the maintained total, O(1).
   Amount LiquidValue() const { return liquid_total; }
-  /// Full-scan recomputation of LiquidValue (test oracle).
-  Amount LiquidValueScan() const;
   /// Sum of all value locked inside contracts.
   Amount LockedValue() const;
   /// Liquid + locked: conserved by every non-coinbase transaction.
@@ -90,12 +91,17 @@ struct OutPointHash {
 
 /// A run of ledger writes (one block's, or one selection's) staged over a
 /// read-only base state. Reads see the base with the staged writes on top.
-/// The base must outlive the delta and stay unchanged until CommitTo.
+/// The base must outlive every read and stay unchanged until CommitTo.
+/// CommitTo reads only the staged writes, so it may go into the base's
+/// contents moved out of the base (how a block takes its parent's state).
 class LedgerDelta {
  public:
   /// An empty delta over `base`.
   explicit LedgerDelta(const LedgerState& base)
       : base_(base), liquid_total_(base.liquid_total) {}
+  /// A temporary base (say, Blockchain::StateAtHead()) would be gone
+  /// before the first read.
+  explicit LedgerDelta(const LedgerState&& base) = delete;
 
   /// The unspent output at `outpoint`, or nullptr when it was spent or
   /// never existed. Valid until the next write to this delta.
@@ -116,9 +122,10 @@ class LedgerDelta {
   void PutContract(const crypto::Hash256& id, contracts::ContractPtr contract);
 
   /// Writes the staged net changes into `state`, which must hold the
-  /// base's contents (the base itself, or a copy of it), in key order, and
-  /// sets its liquid total. Committing into the base itself leaves this
-  /// delta describing a base it no longer has: drop it afterwards.
+  /// base's contents (the base itself, a copy of it, or the contents moved
+  /// out of it), in key order, and sets its liquid total. Committing into
+  /// the base's contents leaves this delta describing a base it no longer
+  /// has: drop it afterwards.
   void CommitTo(LedgerState* state) const;
 
  private:
@@ -157,6 +164,13 @@ struct BlockEnv {
 ///                                  appear in a valid block at all.
 Result<Receipt> ApplyTransaction(LedgerDelta* delta, const Transaction& tx,
                                  const BlockEnv& env);
+
+/// ApplyBlockBody's serial loop, staged in `delta` and not committed: the
+/// validator's read-only half. On an invalid body it returns at the
+/// offending transaction with the ones before it staged.
+Result<std::vector<Receipt>> StageBlockBody(LedgerDelta* delta,
+                                            const Block& block,
+                                            const ChainParams& params);
 
 /// Applies a full block body (coinbase included) to `state`, returning the
 /// receipts in transaction order. Enforces the coinbase value rule

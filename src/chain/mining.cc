@@ -128,14 +128,15 @@ void MiningNetwork::ProduceBlock() {
       miner_keys_[miner].public_key(), now, &rng_);
   if (block.ok()) {
     const crypto::Hash256 hash = block->header.Hash();
-    Status submitted = chain_->SubmitBlock(*block, now);
+    const uint64_t height = block->header.height;
+    const size_t tx_count = block->txs.size() - 1;
+    Status submitted = chain_->SubmitBlock(std::move(*block), now);
     if (submitted.ok()) {
       producer_[hash] = miner;
       ++blocks_mined_;
       AC3_LOG(kDebug) << chain_->params().name << ": miner " << miner
-                      << " mined " << hash.ShortHex() << " h="
-                      << block->header.height << " txs="
-                      << block->txs.size() - 1;
+                      << " mined " << hash.ShortHex() << " h=" << height
+                      << " txs=" << tx_count;
     } else {
       AC3_LOG(kWarn) << chain_->params().name
                      << ": submit failed: " << submitted.ToString();

@@ -60,23 +60,6 @@ std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
   return evals;
 }
 
-uint64_t MineHeaderScalar(BlockHeader* header, Rng* rng) {
-  uint8_t preimage[BlockHeader::kEncodedSize];
-  header->EncodeTo(preimage);
-  crypto::HeaderHasher hasher(preimage);
-  uint64_t nonce = rng->NextU64();
-  uint64_t evaluations = 0;
-  for (;;) {
-    ++evaluations;
-    if (HashMeetsDifficulty(hasher.HashWithNonce(nonce),
-                            header->difficulty_bits)) {
-      header->nonce = nonce;
-      return evaluations;
-    }
-    ++nonce;
-  }
-}
-
 double WorkForDifficulty(uint32_t difficulty_bits) {
   return std::pow(2.0, static_cast<double>(difficulty_bits));
 }

@@ -38,14 +38,10 @@ bool CheckProofOfWork(const BlockHeader& header);
 /// nonces whose digest passes a pre-filter on its first 32 bits. The
 /// candidates are confirmed in ascending nonce order with
 /// HashMeetsDifficulty(HashWithNonce(nonce)), so the winning nonce and the
-/// returned count are identical to MineHeaderScalar on every dispatch
-/// level — only the wall-clock per nonce changes.
+/// returned count are identical to a one-nonce-at-a-time search on every
+/// dispatch level (testutil::MineHeaderScalar, the tests' oracle) — only
+/// the wall-clock per nonce changes.
 uint64_t MineHeader(BlockHeader* header, Rng* rng);
-
-/// The one-nonce-at-a-time reference search. Kept as the equivalence
-/// oracle for MineHeader (tests assert identical winning nonces and eval
-/// counts across a seed/difficulty grid); not used on the hot path.
-uint64_t MineHeaderScalar(BlockHeader* header, Rng* rng);
 
 /// Mines every header in `headers` — multi-miner contention in one call.
 /// Returns the per-header eval counts, index-aligned with `headers`:

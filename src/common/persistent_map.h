@@ -1,11 +1,14 @@
 // PersistentMap: a copy-on-write ordered map with O(1) snapshots.
 //
-// This is the structure behind the engine's O(1) ledger snapshots: every
-// BlockEntry keeps the full post-state of its branch. With std::map each
-// snapshot would cost O(state size) — quadratic over a growing chain. Here
-// a copy is a shared root pointer, and divergent snapshots (a block's
-// post-state and its parent's, sibling forks) share all unmodified
-// structure of a weight-balanced search tree.
+// This is the structure behind the engine's O(1) ledger snapshots: the
+// chain keeps the full state of every fork tip and of every 32nd block
+// (Blockchain::StateAt), and callers take copies of the head's. With
+// std::map each of them would cost O(state size). Here a copy is a shared
+// root pointer, and divergent snapshots (sibling forks, a checkpoint and
+// the block built on it, a caller's copy and the head it came from) share
+// all unmodified structure of a weight-balanced search tree. A block that
+// extends a tip takes over the tip's handle, so its commit rewrites the
+// nodes that handle owns alone in place.
 //
 // Mutation updates a node in place when this handle owns it alone: its
 // count is 1 and every node above it on the path is owned alone too (a

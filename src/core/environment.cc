@@ -37,7 +37,9 @@ void PruneIncludedOnHeadMove(const chain::Blockchain* chain,
   std::vector<crypto::Hash256> included;
   for (const chain::BlockEntry* walk = chain->head(); walk != fork;
        walk = walk->parent) {
-    for (const auto& [tx_id, index] : walk->tx_index) included.push_back(tx_id);
+    for (const chain::Transaction& tx : walk->block.txs) {
+      included.push_back(tx.Id());
+    }
   }
   if (!included.empty()) {
     pool->Prune(std::span<const crypto::Hash256>(included));

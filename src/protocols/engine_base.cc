@@ -47,6 +47,13 @@ Status SwapEngineBase::Start() {
   if (participants_.size() != graph_.participant_count()) {
     return Status::InvalidArgument("participant list does not match graph");
   }
+  // A graph may name any chain id; the engines read each edge's chain from
+  // OnStart() on, so one this world lacks is turned away here.
+  for (const graph::Ac2tEdge& e : graph_.edges()) {
+    if (env_->blockchain(e.chain_id) == nullptr) {
+      return Status::InvalidArgument("edge references an unknown blockchain");
+    }
+  }
 
   start_time_ = env_->sim()->Now();
   report_.start_time = start_time_;

@@ -92,9 +92,10 @@ class SwapEngineBase {
   /// Cancels every chain/connectivity subscription the engine holds.
   virtual ~SwapEngineBase();
 
-  /// Validates the graph, runs the engine-specific `OnStart()`, then wires
-  /// the reactive wake sources (every edge chain's head, connectivity) and
-  /// schedules the first step; returns immediately.
+  /// Validates the graph and that every edge names a chain of this world
+  /// (InvalidArgument otherwise), runs the engine-specific `OnStart()`,
+  /// then wires the reactive wake sources (every edge chain's head,
+  /// connectivity) and schedules the first step; returns immediately.
   Status Start();
 
   /// True once the engine reached its verdict and finalized the report.

@@ -52,7 +52,8 @@ Status TrustedWitness::VerifyAllContractsDeployed(const Entry& entry) const {
 
     // Scan the canonical head state for the matching CentralizedSC.
     bool found = false;
-    for (const auto& [id, contract] : chain->StateAtHead().contracts) {
+    const chain::LedgerState head_state = chain->StateAtHead();
+    for (const auto& [id, contract] : head_state.contracts) {
       const auto* sc =
           dynamic_cast<const contracts::CentralizedContract*>(contract.get());
       if (sc == nullptr) continue;

@@ -142,6 +142,19 @@ TEST_F(Ac3twSwapTest, HandlesCyclicGraph) {
   EXPECT_FALSE(report->AtomicityViolated());
 }
 
+TEST_F(Ac3twSwapTest, RejectsAnEdgeOnAChainTheWorldLacks) {
+  // Chain 7 passes the graph's own checks, but this world has two chains:
+  // Start() must turn the graph away before a step reads the chain.
+  graph::Ac2tGraph graph = graph::MakeTwoPartySwap(
+      world_.participant(0)->pk(), world_.participant(1)->pk(),
+      world_.asset_chain(0), 300, /*chain_ba=*/7, 200,
+      world_.env()->sim()->Now());
+  Ac3twSwapEngine engine(world_.env(), graph, world_.all_participants(),
+                         &trent_, FastConfig());
+  EXPECT_EQ(engine.Run(kDeadline).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ---- Trent unit behaviour (the key/value store rules of Section 4.1) ----
 
 class TrentStoreTest : public ::testing::Test {

@@ -233,6 +233,22 @@ TEST(Ac3wnSwapTest, RejectsMismatchedParticipants) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(Ac3wnSwapTest, RejectsAnEdgeOnAChainTheWorldLacks) {
+  // Chain 7 passes the graph's own checks, but this world has two chains
+  // (chain 0 witnesses): Start() must turn the graph away.
+  SwapWorldOptions options;
+  options.witness_chain = false;
+  SwapWorld world(options);
+  graph::Ac2tGraph graph = graph::MakeTwoPartySwap(
+      world.participant(0)->pk(), world.participant(1)->pk(),
+      world.asset_chain(0), 300, /*chain_ba=*/7, 200,
+      world.env()->sim()->Now());
+  Ac3wnSwapEngine engine(world.env(), graph, world.all_participants(),
+                         world.asset_chain(0), FastConfig());
+  EXPECT_EQ(engine.Run(kDeadline).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(Ac3wnSwapTest, RejectsUnknownWitnessChain) {
   SwapWorld world;
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),

@@ -109,7 +109,7 @@ class ChainFixture : public ::testing::Test {
     Wallet wallet = WalletFor(from);
     const crypto::PublicKey& to = keys_[(from + 1) % keys_.size()].public_key();
     auto tx =
-        wallet.BuildTransfer(chain().head()->state, to, amount, 1, nonce);
+        wallet.BuildTransfer(chain().StateAtHead(), to, amount, 1, nonce);
     EXPECT_TRUE(tx.ok()) << tx.status().ToString();
     return *tx;
   }
@@ -191,7 +191,8 @@ class ChainFixture : public ::testing::Test {
   /// Completes a RawBlock that should validate: receipts from executing
   /// it on its parent, both roots and a proof of work.
   void Seal(Block* block) {
-    LedgerState scratch = chain().Get(block->header.prev_hash)->state;
+    LedgerState scratch =
+        chain().StateAt(*chain().Get(block->header.prev_hash));
     auto receipts = ApplyBlockBody(&scratch, *block, params());
     ASSERT_TRUE(receipts.ok()) << receipts.status().ToString();
     block->receipts = std::move(*receipts);
@@ -264,7 +265,7 @@ TEST_F(BlockTemplateTest, RacingMinersMatchFreshWithContractCallsAndReverts) {
   const Bytes wrong{6, 6, 6};
   Wallet alice = WalletFor(1);
   Wallet dave = WalletFor(3);
-  const LedgerState s0 = chain().head()->state;
+  const LedgerState s0 = chain().StateAtHead();
   const Bytes payload = contracts::HtlcContract::MakeInitPayload(
       keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000);
   auto deploy_a =
@@ -278,7 +279,7 @@ TEST_F(BlockTemplateTest, RacingMinersMatchFreshWithContractCallsAndReverts) {
 
   // Block 2: a successful redeem, a wrong-secret revert, and a same-block
   // spend chain: a transfer whose output a second transfer consumes.
-  const LedgerState s1 = chain().head()->state;
+  const LedgerState s1 = chain().StateAtHead();
   Wallet bob = WalletFor(2);
   Wallet eve = WalletFor(15);
   auto redeem = bob.BuildCall(s1, deploy_a->Id(), contracts::kRedeemFunction,
@@ -405,12 +406,12 @@ TEST_F(BlockTemplateTest, MissesOnDifferentNowForTimeReadingCall) {
   Wallet alice = WalletFor(1);
   const Bytes payload = contracts::HtlcContract::MakeInitPayload(
       keys_[2].public_key(), crypto::Hash256::Of(Bytes{1}), /*timelock=*/1'000);
-  auto deploy = alice.BuildDeploy(chain().head()->state, contracts::kHtlcKind,
+  auto deploy = alice.BuildDeploy(chain().StateAtHead(), contracts::kHtlcKind,
                                   payload, 300, 4, 1);
   ASSERT_TRUE(deploy.ok());
   RaceAndSubmit(std::vector<const Transaction*>{&*deploy}, /*miners=*/1, 100);
 
-  auto refund = alice.BuildCall(chain().head()->state, deploy->Id(),
+  auto refund = alice.BuildCall(chain().StateAtHead(), deploy->Id(),
                                 contracts::kRefundFunction, {}, 2, 2);
   ASSERT_TRUE(refund.ok());
   const std::vector<const Transaction*> candidates{&*refund};
@@ -467,7 +468,7 @@ TEST_F(SerialExecTest, MidBlockFailureStopsAtTheBadTransaction) {
   body.push_back(Transfer(4, 25, 4));
   const Block block = RawBlock(body, /*fees=*/4);
 
-  LedgerState state = chain().head()->state;
+  LedgerState state = chain().StateAtHead();
   const auto receipts = ApplyBlockBody(&state, block, params());
   ASSERT_FALSE(receipts.ok());
   EXPECT_EQ(receipts.status().code(), StatusCode::kInvalidArgument);
@@ -490,7 +491,7 @@ TEST_F(SerialExecTest, DuplicateCoinbaseRejected) {
   body.push_back(Transfer(4, 25, 4));
   const Block block = RawBlock(std::move(body), /*fees=*/2);
 
-  LedgerState state = chain().head()->state;
+  LedgerState state = chain().StateAtHead();
   const auto receipts = ApplyBlockBody(&state, block, params());
   ASSERT_FALSE(receipts.ok());
   EXPECT_EQ(receipts.status().code(), StatusCode::kInvalidArgument);
@@ -505,7 +506,7 @@ TEST_F(SerialExecTest, BadSignatureRejected) {
   body[2] = Transaction(std::move(corrupted));
   const Block block = RawBlock(std::move(body), /*fees=*/4);
 
-  LedgerState state = chain().head()->state;
+  LedgerState state = chain().StateAtHead();
   const auto receipts = ApplyBlockBody(&state, block, params());
   ASSERT_FALSE(receipts.ok());
   EXPECT_EQ(receipts.status().code(), StatusCode::kVerificationFailed);
@@ -528,7 +529,7 @@ TEST_F(SerialExecTest, SpendOfLaterOutputFollowsBlockOrder) {
   const Transaction spend(std::move(m));
 
   const Block raw = RawBlock({spend, source}, /*fees=*/2);
-  LedgerState state = chain().head()->state;
+  LedgerState state = chain().StateAtHead();
   const auto receipts = ApplyBlockBody(&state, raw, params());
   ASSERT_FALSE(receipts.ok());
   EXPECT_EQ(receipts.status().message(),
@@ -544,7 +545,7 @@ TEST_F(SerialExecTest, SpendOfLaterOutputFollowsBlockOrder) {
       std::vector<const Transaction*>{&source, &spend}, /*miners=*/2, 200);
   ASSERT_EQ(both.txs.size(), 3u);
   EXPECT_EQ(both.txs[2].Id(), spend.Id());
-  EXPECT_NE(chain().head()->state.utxos.Find(OutPoint{spend.Id(), 0}),
+  EXPECT_NE(chain().StateAtHead().utxos.Find(OutPoint{spend.Id(), 0}),
             nullptr);
 }
 
@@ -554,7 +555,7 @@ TEST_F(SerialExecTest, CallFollowsSameBlockDeploy) {
   const Bytes secret{3, 1, 4};
   Wallet alice = WalletFor(1);
   Wallet bob = WalletFor(2);
-  const LedgerState& s0 = chain().head()->state;
+  const LedgerState s0 = chain().StateAtHead();
   const Bytes payload = contracts::HtlcContract::MakeInitPayload(
       keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000);
   auto deploy = alice.BuildDeploy(s0, contracts::kHtlcKind, payload, 300, 4, 1);
@@ -564,7 +565,7 @@ TEST_F(SerialExecTest, CallFollowsSameBlockDeploy) {
   ASSERT_TRUE(redeem.ok());
 
   const Block raw = RawBlock({*redeem, *deploy}, /*fees=*/6);
-  LedgerState state = chain().head()->state;
+  LedgerState state = chain().StateAtHead();
   const auto receipts = ApplyBlockBody(&state, raw, params());
   ASSERT_FALSE(receipts.ok());
   EXPECT_EQ(receipts.status().code(), StatusCode::kNotFound);
@@ -589,7 +590,7 @@ TEST_F(SerialExecTest, AssembledReceiptsMatchFullReExecution) {
   for (size_t i = 0; i < 8; ++i) txs.push_back(Transfer(i, 60, i));
   const Block block =
       Assemble(chain(), chain().head()->hash, Pointers(txs), Miner(0), 100);
-  LedgerState replay = chain().head()->state;
+  LedgerState replay = chain().StateAtHead();
   const auto receipts = ApplyBlockBody(&replay, block, params());
   ASSERT_TRUE(receipts.ok());
   ASSERT_EQ(receipts->size(), block.receipts.size());
@@ -609,33 +610,14 @@ TEST_F(SerialExecTest, RandomizedChurnKeepsAggregatesExact) {
       Wallet w = WalletFor(i);
       const size_t to = rng.NextU64() % keys_.size();
       const Amount amount = 10 + static_cast<Amount>(rng.NextU64() % 50);
-      auto tx = w.BuildTransfer(chain().head()->state, keys_[to].public_key(),
+      auto tx = w.BuildTransfer(chain().StateAtHead(), keys_[to].public_key(),
                                 amount, 1, rng.NextU64());
       if (tx.ok()) txs.push_back(std::move(*tx));
     }
     RaceAndSubmit(Pointers(txs), /*miners=*/2, 100 * (round + 1));
   }
-  const LedgerState& head = chain().head()->state;
-  EXPECT_EQ(head.LiquidValue(), head.LiquidValueScan());
-}
-
-/// A state's contents in key order: UTXOs, and each contract's digest.
-struct Contents {
-  std::vector<std::pair<OutPoint, TxOutput>> utxos;
-  std::vector<std::pair<crypto::Hash256, Bytes>> contracts;
-
-  bool operator==(const Contents&) const = default;
-};
-
-Contents ContentsOf(const LedgerState& state) {
-  Contents contents;
-  for (const auto& [op, out] : state.utxos) {
-    contents.utxos.emplace_back(op, out);
-  }
-  for (const auto& [id, contract] : state.contracts) {
-    contents.contracts.emplace_back(id, contract->StateDigest());
-  }
-  return contents;
+  const LedgerState head = chain().StateAtHead();
+  EXPECT_EQ(head.LiquidValue(), testutil::LiquidValueScan(head));
 }
 
 TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
@@ -644,12 +626,17 @@ TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
   // between are created and spent inside the block's delta and never
   // reach a tree. The first block also deploys an HTLC, redeems it, and
   // spends the redeem's payout. Each committed head must equal a replay
-  // that commits after every transaction, and the parent must not move.
+  // that commits after every transaction, and the parent must not move:
+  // from round 1 on, the block takes its parent's state and commits into
+  // it in place, so the parent's state read afterwards is a rebuilt one.
+  // No copy of the parent's state is held across a submission, which
+  // would make the commit path-copy instead.
   const Bytes secret{2, 7, 1, 8};
   for (int round = 0; round < 4; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     const BlockEntry& parent = *chain().head();
-    const Contents parent_before = ContentsOf(parent.state);
+    const testutil::ValueImage parent_before =
+        testutil::ValuesOf(chain().StateAt(parent));
     const uint64_t nonce = 1000 * (round + 1);
     std::vector<Transaction> txs;
     std::vector<OutPoint> passed_through;
@@ -670,10 +657,11 @@ TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
       const Bytes payload = contracts::HtlcContract::MakeInitPayload(
           keys_[11].public_key(), crypto::Hash256::Of(secret), 10'000);
       auto deploy = WalletFor(10).BuildDeploy(
-          parent.state, contracts::kHtlcKind, payload, 300, 4, nonce + 100);
+          chain().StateAt(parent), contracts::kHtlcKind, payload, 300, 4,
+          nonce + 100);
       ASSERT_TRUE(deploy.ok());
       auto redeem =
-          WalletFor(11).BuildCall(parent.state, deploy->Id(),
+          WalletFor(11).BuildCall(chain().StateAt(parent), deploy->Id(),
                                   contracts::kRedeemFunction, secret, 2,
                                   nonce + 101);
       ASSERT_TRUE(redeem.ok());
@@ -688,12 +676,12 @@ TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
         RaceAndSubmit(Pointers(txs), /*miners=*/1, 100 * (round + 1));
     ASSERT_EQ(block.txs.size(), txs.size() + 1);  // Nothing was skipped.
     ASSERT_EQ(chain().head()->hash, block.header.Hash());
-    const LedgerState& head = chain().head()->state;
+    const LedgerState head = chain().StateAtHead();
     for (const OutPoint& op : passed_through) {
       EXPECT_EQ(head.utxos.Find(op), nullptr);
     }
 
-    LedgerState replay = parent.state;
+    LedgerState replay = chain().StateAt(parent);
     const BlockEnv env{chain().id(), block.header.height, block.header.time};
     for (size_t i = 1; i < block.txs.size(); ++i) {
       const auto receipt =
@@ -710,15 +698,18 @@ TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
       expected.emplace(OutPoint{coinbase.Id(), i}, coinbase.outputs()[i]);
       reward += coinbase.outputs()[i].value;
     }
-    Contents replayed = ContentsOf(replay);
+    testutil::ValueImage replayed = testutil::ValuesOf(replay);
     replayed.utxos.assign(expected.begin(), expected.end());
-    EXPECT_TRUE(ContentsOf(head) == replayed);
-    EXPECT_EQ(head.LiquidValue(), head.LiquidValueScan());
+    replayed.liquid_total += reward;
+    EXPECT_TRUE(testutil::ValuesOf(head) == replayed);
+    EXPECT_EQ(head.LiquidValue(), testutil::LiquidValueScan(head));
     EXPECT_EQ(head.LiquidValue(), replay.LiquidValue() + reward);
-    EXPECT_TRUE(ContentsOf(parent.state) == parent_before);
-    EXPECT_EQ(parent.state.LiquidValue(), parent.state.LiquidValueScan());
+    const LedgerState parent_after = chain().StateAt(parent);
+    EXPECT_TRUE(testutil::ValuesOf(parent_after) == parent_before);
+    EXPECT_EQ(parent_after.LiquidValue(),
+              testutil::LiquidValueScan(parent_after));
   }
-  EXPECT_EQ(chain().head()->state.contracts.size(), 1u);
+  EXPECT_EQ(chain().StateAtHead().contracts.size(), 1u);
 }
 
 TEST_F(SerialExecTest, DeepCatchupReplaysHeadHash) {
@@ -729,7 +720,7 @@ TEST_F(SerialExecTest, DeepCatchupReplaysHeadHash) {
     std::vector<Transaction> txs;
     for (size_t i = 0; i < 8; ++i) {
       Wallet w = WalletFor(i + (round % 2 == 0 ? 0 : 8));
-      auto tx = w.BuildTransfer(chain().head()->state,
+      auto tx = w.BuildTransfer(chain().StateAtHead(),
                                 keys_[(i + 3) % keys_.size()].public_key(), 20,
                                 1, static_cast<uint64_t>(round) * 100 + i);
       ASSERT_TRUE(tx.ok());
@@ -741,7 +732,7 @@ TEST_F(SerialExecTest, DeepCatchupReplaysHeadHash) {
 
   const std::unique_ptr<Blockchain> replica = Twin();
   ASSERT_EQ(replica->head()->hash, chain().head()->hash);
-  ExpectStatesEqual(replica->head()->state, chain().head()->state);
+  ExpectStatesEqual(replica->StateAtHead(), chain().StateAtHead());
 }
 
 // ------------------------------------------------------------ validation order
@@ -795,8 +786,8 @@ TEST_F(RepeatedTxTest, CoinbaseRepeatRejectedOnItsBranchOnly) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(status.message(), "transaction already included on branch");
   EXPECT_EQ(chain().head()->hash, first.header.Hash());
-  const LedgerState& head = chain().head()->state;
-  EXPECT_EQ(head.LiquidValue(), head.LiquidValueScan());
+  const LedgerState head = chain().StateAtHead();
+  EXPECT_EQ(head.LiquidValue(), testutil::LiquidValueScan(head));
 
   // On a sibling of `first` the same coinbase is new: its outputs live in
   // the sibling's own state.
@@ -805,9 +796,9 @@ TEST_F(RepeatedTxTest, CoinbaseRepeatRejectedOnItsBranchOnly) {
   sibling.header.height = 1;
   Seal(&sibling);
   ASSERT_TRUE(chain().SubmitBlock(sibling, 300).ok());
-  const LedgerState& fork = chain().Get(sibling.header.Hash())->state;
+  const LedgerState fork = chain().StateAt(*chain().Get(sibling.header.Hash()));
   EXPECT_NE(fork.utxos.Find(OutPoint{first.txs[0].Id(), 0}), nullptr);
-  EXPECT_EQ(fork.LiquidValue(), fork.LiquidValueScan());
+  EXPECT_EQ(fork.LiquidValue(), testutil::LiquidValueScan(fork));
 }
 
 }  // namespace

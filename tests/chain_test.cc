@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -34,6 +35,8 @@ const std::vector<Transaction> kNoCandidates;
 using testutil::ApplyAndCommit;
 using testutil::Fund;
 using testutil::TestChain;
+using testutil::ValueImage;
+using testutil::ValuesOf;
 
 ChainParams FastParams(ChainId id = 0) {
   ChainParams p = TestChainParams();
@@ -905,7 +908,9 @@ TEST(BlockchainTest, ArrivalOrderListsEveryStoredEntryOnce) {
 TEST(BlockchainTest, RejectedBlocksStoreNothingAndMoveNoHead) {
   // Each way SubmitBlock turns a block away returns its own code and
   // leaves the chain as it was: no entry, no arrival slot, no head move,
-  // no listener call.
+  // no listener call, and the head's state unchanged. The last two cases
+  // fail after the body was staged over the head's state, which the next
+  // valid child then takes over.
   TestChain tc(FastParams(), Fund({Alice().public_key()}, 100));
   ASSERT_TRUE(tc.MineEmpty(2).ok());
   Blockchain& bc = tc.chain();
@@ -927,11 +932,36 @@ TEST(BlockchainTest, RejectedBlocksStoreNothingAndMoveNoHead) {
   // Same header as `next`, but the receipts no longer hash to its root.
   Block bad_receipts = *next;
   bad_receipts.receipts[1].note = "tampered";
+  // Receipts that differ from re-execution, under a root and a proof of
+  // work that match them.
+  Block forged_receipts = *next;
+  forged_receipts.receipts[1].note = "forged";
+  forged_receipts.header.receipt_root = forged_receipts.ComputeReceiptRoot();
+  MineHeader(&forged_receipts.header, &rng);
+  // A second transfer of the output `tx` spends, built by a wallet that
+  // has not reserved it: the body fails at it with `tx` staged.
+  auto respend = Wallet(Alice(), 0).BuildTransfer(
+      bc.StateAtHead(), Bob().public_key(), 20, 1, 2);
+  ASSERT_TRUE(respend.ok());
+  ASSERT_EQ(respend->inputs(), tx->inputs());
+  Block double_spend = *next;
+  double_spend.txs.push_back(*respend);
+  double_spend.receipts.push_back(next->receipts[1]);
+  double_spend.header.tx_root = double_spend.ComputeTxRoot();
+  double_spend.header.receipt_root = double_spend.ComputeReceiptRoot();
+  MineHeader(&double_spend.header, &rng);
 
   int fired = 0;
   bc.SubscribeHead([&](const BlockEntry&) { ++fired; });
   const BlockEntry* head = bc.head();
-  const StateImage head_state = ImageOf(head->state);
+  const StateImage head_state = ImageOf(bc.StateAtHead());
+  const ValueImage head_values = ValuesOf(bc.StateAtHead());
+  ValueImage next_values;
+  {
+    LedgerState scratch = bc.StateAtHead();
+    ASSERT_TRUE(ApplyBlockBody(&scratch, *next, bc.params()).ok());
+    next_values = ValuesOf(scratch);
+  }
   const size_t stored = bc.block_count();
 
   struct Case {
@@ -945,6 +975,9 @@ TEST(BlockchainTest, RejectedBlocksStoreNothingAndMoveNoHead) {
       {"bad proof of work", bad_pow, StatusCode::kVerificationFailed},
       {"receipt root mismatch", bad_receipts,
        StatusCode::kVerificationFailed},
+      {"receipts differ from execution", forged_receipts,
+       StatusCode::kVerificationFailed},
+      {"double spend in the body", double_spend, StatusCode::kInvalidArgument},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -953,15 +986,18 @@ TEST(BlockchainTest, RejectedBlocksStoreNothingAndMoveNoHead) {
     EXPECT_EQ(bc.arrival_order().size(), stored);
     EXPECT_EQ(bc.head(), head);
     EXPECT_EQ(fired, 0);
-    EXPECT_TRUE(ImageOf(bc.head()->state) == head_state);
+    EXPECT_TRUE(ImageOf(bc.StateAtHead()) == head_state);
   }
 
   // A rejection leaves no mark on its header hash: the untampered block
-  // sharing `bad_receipts`'s header is accepted and moves the head once.
+  // sharing `bad_receipts`'s header is accepted and moves the head once,
+  // and its state is the unchanged head state with its body applied.
   ASSERT_TRUE(bc.SubmitBlock(*next, 300).ok());
   EXPECT_EQ(bc.head()->hash, next->header.Hash());
   EXPECT_EQ(bc.block_count(), stored + 1);
   EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(ValuesOf(bc.StateAtHead()) == next_values);
+  EXPECT_TRUE(ValuesOf(bc.StateAt(*head)) == head_values);
 }
 
 TEST(BlockchainTest, ChildBeforeItsParentIsAcceptedOnceTheParentLands) {
@@ -989,7 +1025,8 @@ TEST(BlockchainTest, ChildBeforeItsParentIsAcceptedOnceTheParentLands) {
   ASSERT_TRUE(replica.SubmitBlock(child->block, 12).ok());
   EXPECT_EQ(replica.head()->hash, child->hash);
   EXPECT_EQ(replica.head()->parent->hash, parent->hash);
-  EXPECT_TRUE(ImageOf(replica.head()->state) == ImageOf(child->state));
+  EXPECT_TRUE(ValuesOf(replica.StateAtHead()) ==
+              ValuesOf(source.chain().StateAt(*child)));
   EXPECT_EQ(replica.StateAtHead().BalanceOf(Bob().public_key()), 10u);
   ASSERT_EQ(replica.arrival_order().size(), 3u);
   EXPECT_EQ(replica.arrival_order()[1]->hash, parent->hash);
@@ -1043,6 +1080,139 @@ TEST(BlockchainTest, ReplayInArrivalOrderReproducesTheForkTree) {
               source.chain().IsCanonical(original->hash))
         << i;
   }
+}
+
+TEST(BlockchainTest, StatesOnDemandMatchRecordsAndGenesisReplays) {
+  // Seeded fork trees of 240 blocks carrying transfers, HTLC deploys and
+  // redeems. Most blocks extend the head; one in four forks 1-40 blocks
+  // below a random tip, so its parent's state has often been handed to a
+  // child and is rebuilt from a checkpoint, some of them an interval or
+  // more up. Every entry's StateAt must equal both the state recorded
+  // right after the entry was accepted and a replay of its branch from
+  // genesis, by value: every output, every contract's fields and the
+  // liquid and locked totals.
+  contracts::RegisterBuiltinContracts();
+  ChainParams params = FastParams();
+  params.difficulty_bits = 4;
+  std::vector<crypto::KeyPair> keys;
+  std::vector<crypto::PublicKey> owners;
+  for (int i = 0; i < 4; ++i) {
+    keys.push_back(crypto::KeyPair::FromSeed(2100 + i));
+    owners.push_back(keys.back().public_key());
+  }
+  const crypto::PublicKey miner = crypto::KeyPair::FromSeed(2199).public_key();
+  const Bytes secret{3, 1, 4};
+  const uint64_t interval = Blockchain::kStateCheckpointInterval;
+
+  for (const uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Blockchain bc(params, Fund(owners, 10'000));
+    Rng rng(seed);
+    std::unordered_map<const BlockEntry*, ValueImage> recorded;
+    recorded.emplace(bc.genesis(), ValuesOf(bc.StateAt(*bc.genesis())));
+    std::unordered_set<const BlockEntry*> tips = {bc.genesis()};
+    TimePoint now = 0;
+    uint64_t nonce = 1;
+    size_t deep_forks = 0;
+    for (int i = 0; i < 240; ++i) {
+      const BlockEntry* parent = bc.head();
+      if (rng.NextU64() % 4 == 0) {
+        std::vector<const BlockEntry*> tip_list;
+        for (const BlockEntry* entry : bc.arrival_order()) {
+          if (tips.contains(entry)) tip_list.push_back(entry);
+        }
+        const BlockEntry* tip = tip_list[rng.NextU64() % tip_list.size()];
+        const uint64_t depth = 1 + rng.NextU64() % 40;
+        parent = bc.GetAncestor(
+            tip, tip->height() > depth ? tip->height() - depth : 0);
+        if (depth >= interval) ++deep_forks;
+      }
+
+      // Built on the parent's state, which is dropped before submission
+      // so that a tip's state is handed over unshared.
+      std::vector<Transaction> txs;
+      {
+        const LedgerState base = bc.StateAt(*parent);
+        std::vector<Wallet> wallets;
+        for (const crypto::KeyPair& key : keys) wallets.emplace_back(key, 0);
+        for (int k = 0; k < 3; ++k) {
+          const size_t from = rng.NextU64() % keys.size();
+          const uint64_t kind = rng.NextU64() % 6;
+          Result<Transaction> tx = Status::NotFound("no transaction");
+          if (kind == 0) {
+            tx = wallets[from].BuildDeploy(
+                base, contracts::kHtlcKind,
+                contracts::HtlcContract::MakeInitPayload(
+                    owners[0], crypto::Hash256::Of(secret), Minutes(60)),
+                50, params.deploy_fee, nonce++);
+          } else if (kind == 1 && base.contracts.size() > 0) {
+            // Redeems the first HTLC, or reverts once it is redeemed.
+            tx = wallets[0].BuildCall(base, (*base.contracts.begin()).first,
+                                      contracts::kRedeemFunction, secret, 1,
+                                      nonce++);
+          } else {
+            tx = wallets[from].BuildTransfer(
+                base, owners[rng.NextU64() % owners.size()],
+                1 + rng.NextU64() % 50, 1, nonce++);
+          }
+          if (tx.ok()) txs.push_back(*tx);
+        }
+      }
+      now += 100;
+      auto block = bc.AssembleBlock(parent->hash, txs, miner, now, &rng);
+      ASSERT_TRUE(block.ok()) << block.status().ToString();
+      const crypto::Hash256 hash = block->header.Hash();
+      ASSERT_TRUE(bc.SubmitBlock(std::move(*block), now).ok());
+      const BlockEntry* entry = bc.Get(hash);
+      tips.erase(parent);
+      tips.insert(entry);
+      recorded.emplace(entry, ValuesOf(bc.StateAt(*entry)));
+    }
+    EXPECT_GT(deep_forks, 0u);
+    EXPECT_GT(bc.StateAtHead().LockedValue(), 0u);
+    EXPECT_GT(bc.height(), 2 * interval);
+    EXPECT_GT(tips.size(), 10u);
+
+    // Each branch replayed from genesis, parents before children.
+    std::unordered_map<const BlockEntry*, LedgerState> replayed;
+    replayed.emplace(bc.genesis(), GenesisState(bc.genesis_tx()));
+    for (const BlockEntry* entry : bc.arrival_order()) {
+      if (entry != bc.genesis()) {
+        LedgerState state = replayed.at(entry->parent);
+        ASSERT_TRUE(ApplyBlockBody(&state, entry->block, params).ok());
+        replayed.emplace(entry, std::move(state));
+      }
+      const LedgerState state = bc.StateAt(*entry);
+      const ValueImage image = ValuesOf(state);
+      EXPECT_TRUE(image == recorded.at(entry)) << "height " << entry->height();
+      EXPECT_TRUE(image == ValuesOf(replayed.at(entry)))
+          << "height " << entry->height();
+      EXPECT_EQ(state.TotalValue(), replayed.at(entry).TotalValue());
+      EXPECT_EQ(state.LiquidValue(), testutil::LiquidValueScan(state));
+    }
+  }
+}
+
+TEST(BlockchainTest, HeldHeadStateIsUnchangedByLaterBlocks) {
+  // A copy of the head's state shares its trees with the state the next
+  // block takes over: the commit must path-copy what the copy holds, not
+  // write it in place.
+  TestChain tc(FastParams(), Fund({Alice().public_key()}, 1000));
+  Blockchain& bc = tc.chain();
+  ASSERT_TRUE(tc.MineEmpty(1).ok());  // Height 1 is no checkpoint.
+  const LedgerState held = bc.StateAtHead();
+  const StateImage image = ImageOf(held);
+  Wallet alice(Alice(), 0);
+  for (uint64_t nonce = 1; nonce <= 5; ++nonce) {
+    auto tx = alice.BuildTransfer(bc.StateAtHead(), Bob().public_key(), 10, 1,
+                                  nonce);
+    ASSERT_TRUE(tx.ok());
+    ASSERT_TRUE(tc.MineBlock({*tx}).ok());
+  }
+  EXPECT_TRUE(ImageOf(held) == image);
+  EXPECT_EQ(held.LiquidValue(), testutil::LiquidValueScan(held));
+  EXPECT_EQ(held.BalanceOf(Bob().public_key()), 0u);
+  EXPECT_EQ(bc.StateAtHead().BalanceOf(Bob().public_key()), 50u);
 }
 
 TEST(BlockchainTest, FindTxFollowsAReorgToTheOtherInclusion) {
@@ -1164,11 +1334,21 @@ ChainParams ChurnParams() {
 // Reference answers, computed by walking parent links from a tip: what
 // the ChainIndex occurrence and call lists must reproduce.
 
+/// Where `tx_id` sits in `entry`'s block, found by a scan of its
+/// transactions.
+std::optional<uint32_t> PositionIn(const BlockEntry& entry,
+                                   const crypto::Hash256& tx_id) {
+  for (uint32_t i = 0; i < entry.block.txs.size(); ++i) {
+    if (entry.block.txs[i].Id() == tx_id) return i;
+  }
+  return std::nullopt;
+}
+
 std::optional<TxLocation> WalkFindTx(const BlockEntry* tip,
                                      const crypto::Hash256& tx_id) {
   for (const BlockEntry* entry = tip; entry != nullptr; entry = entry->parent) {
-    auto it = entry->tx_index.find(tx_id);
-    if (it != entry->tx_index.end()) return TxLocation{entry, it->second};
+    const std::optional<uint32_t> position = PositionIn(*entry, tx_id);
+    if (position.has_value()) return TxLocation{entry, *position};
   }
   return std::nullopt;
 }
@@ -1301,29 +1481,41 @@ TEST(ChainIndexTest, EntrySnapshotsAreIndependentOfLaterChurn) {
   ASSERT_TRUE(tc.MineBlock({*tx}).ok());
   const chain::BlockEntry* snapshot_entry = tc.chain().head();
   const chain::Amount bob_then =
-      snapshot_entry->state.BalanceOf(kBob.public_key());
+      tc.chain().StateAt(*snapshot_entry).BalanceOf(kBob.public_key());
   EXPECT_EQ(bob_then, 100);
 
   // Later blocks (including a fork off the snapshot's parent) must not
-  // disturb the stored entry's state snapshot.
+  // disturb the entry's state: its child takes it over, and StateAt
+  // replays it.
   auto tx2 = alice.BuildTransfer(tc.chain().StateAtHead(), kBob.public_key(),
                                  25, 1, 2);
   ASSERT_TRUE(tx2.ok());
   ASSERT_TRUE(tc.MineBlock({*tx2}).ok());
   ASSERT_TRUE(tc.MineBlockOn(snapshot_entry->block.header.prev_hash, {}).ok());
   ASSERT_TRUE(tc.MineEmpty(5).ok());
-  EXPECT_EQ(snapshot_entry->state.BalanceOf(kBob.public_key()), bob_then);
+  EXPECT_EQ(tc.chain().StateAt(*snapshot_entry).BalanceOf(kBob.public_key()),
+            bob_then);
   EXPECT_EQ(tc.chain().StateAtHead().BalanceOf(kBob.public_key()), 125);
 }
 
 // Hand-built entries for driving a ChainIndex directly. The index reads
-// only an entry's hash, height, parent, tx_index and calls, so no block
-// has to be mined or validated.
+// only an entry's hash, height, parent, transactions and calls, so no
+// block has to be mined or validated.
 
-using TxSlots = std::vector<std::pair<crypto::Hash256, uint32_t>>;
+/// Transactions placed at positions of an entry's block.
+using TxSlots = std::vector<std::pair<Transaction, uint32_t>>;
 
 crypto::Hash256 Key(const std::string& label) {
   return crypto::Hash256::OfString(label);
+}
+
+/// A transaction of its own for each label: a coinbase whose nonce is the
+/// label's hash.
+Transaction Tx(const std::string& label) {
+  MutableTransaction coinbase;
+  coinbase.type = TxType::kCoinbase;
+  coinbase.nonce = Key(label).Prefix64();
+  return Transaction(std::move(coinbase));
 }
 
 // `prefix` followed by `n` in decimal.
@@ -1344,8 +1536,13 @@ const BlockEntry* StoreEntry(ChainIndex* index, const std::string& label,
     entry.block.header.height = parent->height() + 1;
     entry.block.header.prev_hash = parent->hash;
   }
-  for (const auto& [tx_id, tx_index] : txs) {
-    entry.tx_index.emplace(tx_id, tx_index);
+  // Positions no slot names hold fillers of this entry's own.
+  for (const auto& [tx, position] : txs) {
+    while (entry.block.txs.size() <= position) {
+      entry.block.txs.push_back(
+          Tx(label + "/filler" + std::to_string(entry.block.txs.size())));
+    }
+    entry.block.txs[position] = tx;
   }
   entry.calls = std::move(calls);
   const crypto::Hash256 hash = entry.hash;
@@ -1386,7 +1583,7 @@ TEST(ChainIndexTest, StoreFindsEntriesByHash) {
 
 TEST(ChainIndexTest, StoredEntriesStayPutAcrossRehash) {
   ChainIndex index;
-  const crypto::Hash256 tx = Key("tx");
+  const Transaction tx = Tx("tx");
   const crypto::Hash256 contract = Key("contract");
   const BlockEntry* genesis =
       StoreEntry(&index, "genesis", nullptr, {{tx, 0}},
@@ -1398,7 +1595,7 @@ TEST(ChainIndexTest, StoredEntriesStayPutAcrossRehash) {
   for (int i = 0; i < 2000; ++i) {
     const std::string label = Numbered("e", i);
     stored.push_back(
-        StoreEntry(&index, label, stored.back(), {{Key("tx" + label), 0}},
+        StoreEntry(&index, label, stored.back(), {{Tx("tx" + label), 0}},
                    {CallRecord{Key("c" + label), "redeem", 0, true}}));
   }
   EXPECT_EQ(index.EntryCount(), stored.size());
@@ -1407,9 +1604,9 @@ TEST(ChainIndexTest, StoredEntriesStayPutAcrossRehash) {
   }
   // The occurrence and call lists still point at the first entry, whose
   // contents are intact.
-  ASSERT_EQ(index.OccurrencesOf(tx).size(), 1u);
-  EXPECT_EQ(index.OccurrencesOf(tx)[0].entry, genesis);
-  EXPECT_EQ(genesis->tx_index.at(tx), 0u);
+  ASSERT_EQ(index.OccurrencesOf(tx.Id()).size(), 1u);
+  EXPECT_EQ(index.OccurrencesOf(tx.Id())[0].entry, genesis);
+  EXPECT_EQ(PositionIn(*genesis, tx.Id()), 0u);
   const auto call =
       index.FindCall(contract, "redeem", true, BranchOf(stored.back()));
   ASSERT_TRUE(call.has_value());
@@ -1418,8 +1615,8 @@ TEST(ChainIndexTest, StoredEntriesStayPutAcrossRehash) {
 
 TEST(ChainIndexTest, OccurrencesListForkSiblingsInStoreOrder) {
   ChainIndex index;
-  const crypto::Hash256 tx = Key("shared");
-  const crypto::Hash256 other = Key("other");
+  const Transaction tx = Tx("shared");
+  const Transaction other = Tx("other");
   const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
   // One transaction mined into three sibling blocks, at a different index
   // in each, and into a grandchild on a fourth branch.
@@ -1431,34 +1628,34 @@ TEST(ChainIndexTest, OccurrencesListForkSiblingsInStoreOrder) {
   const BlockEntry* d = StoreEntry(&index, "d", empty, {{tx, 3}});
 
   const std::vector<TxLocation> want = {{c, 2}, {a, 0}, {b, 1}, {d, 3}};
-  const std::span<const TxLocation> got = index.OccurrencesOf(tx);
+  const std::span<const TxLocation> got = index.OccurrencesOf(tx.Id());
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].entry, want[i].entry) << "occurrence " << i;
     EXPECT_EQ(got[i].index, want[i].index) << "occurrence " << i;
   }
-  ASSERT_EQ(index.OccurrencesOf(other).size(), 1u);
-  EXPECT_EQ(index.OccurrencesOf(other)[0].entry, b);
-  EXPECT_EQ(index.OccurrencesOf(other)[0].index, 0u);
+  ASSERT_EQ(index.OccurrencesOf(other.Id()).size(), 1u);
+  EXPECT_EQ(index.OccurrencesOf(other.Id())[0].entry, b);
+  EXPECT_EQ(index.OccurrencesOf(other.Id())[0].index, 0u);
 }
 
 TEST(ChainIndexTest, UnknownKeysAnswerEmpty) {
   ChainIndex index;
   const auto any_branch = [](const BlockEntry&) { return true; };
-  EXPECT_TRUE(index.OccurrencesOf(Key("tx")).empty());
-  EXPECT_FALSE(index.FindTx(Key("tx"), any_branch).has_value());
+  EXPECT_TRUE(index.OccurrencesOf(Tx("tx").Id()).empty());
+  EXPECT_FALSE(index.FindTx(Tx("tx").Id(), any_branch).has_value());
   EXPECT_FALSE(
       index.FindCall(Key("contract"), "redeem", false, any_branch).has_value());
 
-  StoreEntry(&index, "genesis", nullptr, {{Key("tx"), 0}},
+  StoreEntry(&index, "genesis", nullptr, {{Tx("tx"), 0}},
              {CallRecord{Key("contract"), "redeem", 0, true}});
-  EXPECT_TRUE(index.FindTx(Key("tx"), any_branch).has_value());
+  EXPECT_TRUE(index.FindTx(Tx("tx").Id(), any_branch).has_value());
   EXPECT_TRUE(
       index.FindCall(Key("contract"), "redeem", false, any_branch).has_value());
   // A stored key answers only for itself: not for another transaction,
   // another contract, or another function on the same contract.
-  EXPECT_TRUE(index.OccurrencesOf(Key("tx2")).empty());
-  EXPECT_FALSE(index.FindTx(Key("tx2"), any_branch).has_value());
+  EXPECT_TRUE(index.OccurrencesOf(Tx("tx2").Id()).empty());
+  EXPECT_FALSE(index.FindTx(Tx("tx2").Id(), any_branch).has_value());
   EXPECT_FALSE(index.FindCall(Key("contract2"), "redeem", false, any_branch)
                    .has_value());
   EXPECT_FALSE(
@@ -1467,11 +1664,13 @@ TEST(ChainIndexTest, UnknownKeysAnswerEmpty) {
 
 TEST(ChainIndexTest, FindTxReturnsTheOccurrenceOnTheSelectedBranch) {
   ChainIndex index;
-  const crypto::Hash256 tx = Key("tx");
+  const Transaction tx_in_blocks = Tx("tx");
+  const crypto::Hash256& tx = tx_in_blocks.Id();
   const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
-  const BlockEntry* a1 = StoreEntry(&index, "a1", genesis, {{tx, 0}});
+  const BlockEntry* a1 =
+      StoreEntry(&index, "a1", genesis, {{tx_in_blocks, 0}});
   const BlockEntry* b1 = StoreEntry(&index, "b1", genesis);
-  const BlockEntry* b2 = StoreEntry(&index, "b2", b1, {{tx, 1}});
+  const BlockEntry* b2 = StoreEntry(&index, "b2", b1, {{tx_in_blocks, 1}});
   const BlockEntry* c1 = StoreEntry(&index, "c1", genesis);
 
   ExpectSameLocation(index.FindTx(tx, BranchOf(a1)), TxLocation{a1, 0});
@@ -1573,8 +1772,8 @@ TEST(ChainIndexTest, RandomForkTreeMatchesParentWalk) {
   Rng rng(4242);
   // Pools small enough that each transaction and contract recurs across
   // many forks.
-  std::vector<crypto::Hash256> txs;
-  for (int i = 0; i < 24; ++i) txs.push_back(Key(Numbered("tx", i)));
+  std::vector<Transaction> txs;
+  for (int i = 0; i < 24; ++i) txs.push_back(Tx(Numbered("tx", i)));
   std::vector<crypto::Hash256> contracts;
   for (int i = 0; i < 4; ++i) {
     contracts.push_back(Key(Numbered("contract", i)));
@@ -1591,12 +1790,12 @@ TEST(ChainIndexTest, RandomForkTreeMatchesParentWalk) {
     std::vector<CallRecord> calls;
     const uint64_t attempts = rng.NextU64() % 4;
     for (uint64_t k = 0; k < attempts; ++k) {
-      const crypto::Hash256& tx = txs[rng.NextU64() % txs.size()];
+      const Transaction& tx = txs[rng.NextU64() % txs.size()];
       // At most once per branch, as block validation guarantees.
-      const bool in_block =
-          std::any_of(slots.begin(), slots.end(),
-                      [&](const auto& slot) { return slot.first == tx; });
-      if (in_block || WalkFindTx(parent, tx).has_value()) continue;
+      const bool in_block = std::any_of(
+          slots.begin(), slots.end(),
+          [&](const auto& slot) { return slot.first.Id() == tx.Id(); });
+      if (in_block || WalkFindTx(parent, tx.Id()).has_value()) continue;
       const uint32_t tx_index = static_cast<uint32_t>(slots.size());
       slots.emplace_back(tx, tx_index);
       if (rng.NextU64() % 2 == 0) {
@@ -1612,14 +1811,14 @@ TEST(ChainIndexTest, RandomForkTreeMatchesParentWalk) {
 
   // Occurrence lists hold exactly the including entries, in store order.
   size_t repeated = 0;
-  for (const crypto::Hash256& tx : txs) {
+  for (const Transaction& tx : txs) {
     std::vector<TxLocation> want;
     for (const BlockEntry* entry : stored) {
-      auto it = entry->tx_index.find(tx);
-      if (it != entry->tx_index.end()) want.push_back({entry, it->second});
+      const std::optional<uint32_t> position = PositionIn(*entry, tx.Id());
+      if (position.has_value()) want.push_back({entry, *position});
     }
     if (want.size() > 1) ++repeated;
-    const std::span<const TxLocation> got = index.OccurrencesOf(tx);
+    const std::span<const TxLocation> got = index.OccurrencesOf(tx.Id());
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].entry, want[i].entry);
@@ -1633,8 +1832,9 @@ TEST(ChainIndexTest, RandomForkTreeMatchesParentWalk) {
   // From every tip, FindTx and FindCall answer like the parent-link walk.
   for (const BlockEntry* tip : stored) {
     const auto on_branch = BranchOf(tip);
-    for (const crypto::Hash256& tx : txs) {
-      ExpectSameLocation(index.FindTx(tx, on_branch), WalkFindTx(tip, tx));
+    for (const Transaction& tx : txs) {
+      ExpectSameLocation(index.FindTx(tx.Id(), on_branch),
+                         WalkFindTx(tip, tx.Id()));
     }
     for (const crypto::Hash256& contract : contracts) {
       for (const std::string& function : functions) {

@@ -454,7 +454,8 @@ TEST(ContractOnLedgerTest, DeployWithTrailingPayloadByteFails) {
   auto deploy = alice.BuildDeploy(world.chain().StateAtHead(), kHtlcKind,
                                   payload, 400, 4, 1);
   ASSERT_TRUE(deploy.ok());
-  chain::LedgerDelta delta(world.chain().StateAtHead());
+  const chain::LedgerState head = world.chain().StateAtHead();
+  chain::LedgerDelta delta(head);
   EXPECT_FALSE(chain::ApplyTransaction(&delta, *deploy,
                                        chain::BlockEnv{world.chain().id(), 1,
                                                        100})

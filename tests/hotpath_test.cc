@@ -194,7 +194,7 @@ TEST(MineHeaderTest, ScanMatchesScalarOracleAtDifficultiesUpTo16) {
     std::vector<uint64_t> mine_evals;
     for (size_t i = 0; i < oracle.size(); ++i) {
       oracle_evals.push_back(
-          chain::MineHeaderScalar(&oracle[i], &oracle_rng));
+          testutil::MineHeaderScalar(&oracle[i], &oracle_rng));
       mine_evals.push_back(chain::MineHeader(&mined[i], &mine_rng));
     }
     const std::vector<uint64_t> batch_evals = chain::MineHeaderBatch(
@@ -233,7 +233,7 @@ TEST(MineHeaderTest, InterleavedVisitsSameNoncesAsScalar) {
         scalar_header.difficulty_bits = bits;
         fast_header.difficulty_bits = bits;
         const uint64_t scalar_evals =
-            chain::MineHeaderScalar(&scalar_header, &scalar_rng);
+            testutil::MineHeaderScalar(&scalar_header, &scalar_rng);
         const uint64_t fast_evals = chain::MineHeader(&fast_header, &fast_rng);
         EXPECT_EQ(fast_header.nonce, scalar_header.nonce)
             << "level " << crypto::Sha256::DispatchName(level) << " seed "
@@ -269,7 +269,7 @@ TEST(MineHeaderTest, GoldenEvalCountMatchesBenchWitness) {
         header.time = static_cast<TimePoint>(i * 100);
         header.difficulty_bits = 12;
         evals += interleaved ? chain::MineHeader(&header, &rng)
-                             : chain::MineHeaderScalar(&header, &rng);
+                             : testutil::MineHeaderScalar(&header, &rng);
       }
       EXPECT_EQ(evals, kGoldenEvals)
           << "level " << crypto::Sha256::DispatchName(level)

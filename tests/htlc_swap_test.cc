@@ -217,6 +217,20 @@ TEST(HerlihySwapTest, RejectsDisconnectedFigure7bGraph) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(HerlihySwapTest, RejectsAnEdgeOnAChainTheWorldLacks) {
+  // Chain 7 passes the graph's own checks, but this world has two chains:
+  // Start() must turn the graph away before a step reads the chain.
+  SwapWorld world(NoWitness());
+  graph::Ac2tGraph graph = graph::MakeTwoPartySwap(
+      world.participant(0)->pk(), world.participant(1)->pk(),
+      world.asset_chain(0), 300, /*chain_ba=*/7, 200,
+      world.env()->sim()->Now());
+  HerlihySwapEngine engine(world.env(), graph, world.all_participants(),
+                           FastConfig());
+  EXPECT_EQ(engine.Run(kDeadline).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(HerlihySwapTest, TimelocksDecreaseAlongPublishOrder) {
   // t1 > t2 in the two-party walkthrough: the first-published contract
   // carries the later timelock, giving downstream redeemers room.

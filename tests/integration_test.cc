@@ -309,11 +309,9 @@ TEST(ConservationTest, WorldValueConservedUpToMiningRewards) {
   world.StartMining();
   std::vector<chain::Amount> genesis_totals;
   for (size_t c = 0; c < world.env()->chain_count(); ++c) {
-    genesis_totals.push_back(
-        world.env()
-            ->blockchain(static_cast<chain::ChainId>(c))
-            ->genesis()
-            ->state.TotalValue());
+    const chain::Blockchain* chain =
+        world.env()->blockchain(static_cast<chain::ChainId>(c));
+    genesis_totals.push_back(chain->StateAt(*chain->genesis()).TotalValue());
   }
   graph::Ac2tGraph graph = graph::MakeTwoPartySwap(
       world.participant(0)->pk(), world.participant(1)->pk(),

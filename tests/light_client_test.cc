@@ -41,8 +41,7 @@ class LightClientTest : public ::testing::Test {
     const BlockEntry* entry = full_.chain().Get(block_hash);
     EXPECT_NE(entry, nullptr);
     crypto::MerkleTree tree(entry->block.TxLeaves());
-    uint32_t index = entry->tx_index.at(tx_id);
-    auto proof = tree.Prove(index);
+    auto proof = tree.Prove(full_.chain().FindTx(tx_id)->index);
     EXPECT_TRUE(proof.ok());
     return *proof;
   }
@@ -127,7 +126,7 @@ TEST_F(LightClientTest, ReceiptInclusionUsesReceiptRoot) {
   auto [tx, block_hash] = IncludeTransfer(/*depth=*/2);
   ASSERT_TRUE(client_.SyncFrom(full_.chain()).ok());
   const BlockEntry* entry = full_.chain().Get(block_hash);
-  const uint32_t index = entry->tx_index.at(tx.Id());
+  const uint32_t index = full_.chain().FindTx(tx.Id())->index;
   crypto::MerkleTree tree(entry->block.ReceiptLeaves());
   auto proof = tree.Prove(index);
   ASSERT_TRUE(proof.ok());

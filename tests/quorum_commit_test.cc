@@ -219,6 +219,20 @@ TEST(QuorumCommitTest, TwoPartyLoneSurvivorBlocksBelowQuorum) {
   EXPECT_FALSE(report->AtomicityViolated());
 }
 
+TEST(QuorumCommitTest, RejectsAnEdgeOnAChainTheWorldLacks) {
+  // Chain 7 passes the graph's own checks, but this world has two chains:
+  // Start() must turn the graph away before a step reads the chain.
+  SwapWorld world(RingWorldOptions(2));
+  graph::Ac2tGraph graph = graph::MakeTwoPartySwap(
+      world.participant(0)->pk(), world.participant(1)->pk(),
+      world.asset_chain(0), 300, /*chain_ba=*/7, 200,
+      world.env()->sim()->Now());
+  QuorumCommitEngine engine(world.env(), graph, world.all_participants(),
+                            FastConfig());
+  EXPECT_EQ(engine.Run(kDeadline).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ---- crash-at-each-phase across every topology family ---------------------
 
 TEST(QuorumTopologySweep, CoordinatorCrashCommitsOnEveryFamily) {

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/chain/blockchain.h"
@@ -13,6 +14,7 @@
 #include "src/chain/wallet.h"
 #include "src/common/random.h"
 #include "src/core/scenario.h"
+#include "src/crypto/header_hasher.h"
 #include "src/crypto/primes.h"
 
 namespace ac3::testutil {
@@ -92,6 +94,74 @@ inline Result<chain::Receipt> ApplyAndCommit(chain::LedgerState* state,
   Result<chain::Receipt> receipt = chain::ApplyTransaction(&delta, tx, env);
   delta.CommitTo(state);
   return receipt;
+}
+
+/// Full-scan recomputation of `state`'s liquid total: the oracle for the
+/// maintained LedgerState::LiquidValue.
+inline chain::Amount LiquidValueScan(const chain::LedgerState& state) {
+  chain::Amount total = 0;
+  for (const auto& [outpoint, output] : state.utxos) total += output.value;
+  return total;
+}
+
+/// A contract by value: what two states that hold contract objects of
+/// their own (a replayed one, a second chain's) must agree on.
+struct ContractImage {
+  std::string kind;
+  Bytes state;
+  chain::Amount locked_value = 0;
+  crypto::PublicKey deployer;
+  chain::ChainId chain_id = 0;
+  uint64_t deploy_height = 0;
+
+  bool operator==(const ContractImage&) const = default;
+};
+
+/// A ledger state by value, with its liquid and locked totals, copied out
+/// of the trees.
+struct ValueImage {
+  std::vector<std::pair<chain::OutPoint, chain::TxOutput>> utxos;
+  std::vector<std::pair<crypto::Hash256, ContractImage>> contracts;
+  chain::Amount liquid_total = 0;
+  chain::Amount locked_total = 0;
+
+  bool operator==(const ValueImage&) const = default;
+};
+
+inline ValueImage ValuesOf(const chain::LedgerState& state) {
+  ValueImage image;
+  for (const auto& [outpoint, output] : state.utxos) {
+    image.utxos.emplace_back(outpoint, output);
+  }
+  for (const auto& [id, contract] : state.contracts) {
+    image.contracts.emplace_back(
+        id, ContractImage{contract->Kind(), contract->StateDigest(),
+                          contract->locked_value(), contract->deployer(),
+                          contract->chain_id(), contract->deploy_height()});
+  }
+  image.liquid_total = state.liquid_total;
+  image.locked_total = state.LockedValue();
+  return image;
+}
+
+/// The one-nonce-at-a-time reference search: chain::MineHeader must find
+/// the same nonce after the same number of evaluations on every dispatch
+/// level.
+inline uint64_t MineHeaderScalar(chain::BlockHeader* header, Rng* rng) {
+  uint8_t preimage[chain::BlockHeader::kEncodedSize] = {};
+  header->EncodeTo(preimage);
+  crypto::HeaderHasher hasher(preimage);
+  uint64_t nonce = rng->NextU64();
+  uint64_t evaluations = 0;
+  for (;;) {
+    ++evaluations;
+    if (chain::HashMeetsDifficulty(hasher.HashWithNonce(nonce),
+                                   header->difficulty_bits)) {
+      header->nonce = nonce;
+      return evaluations;
+    }
+    ++nonce;
+  }
 }
 
 /// A signature anyone can make for `message` under a key y ≡ 1 (mod p):

@@ -34,7 +34,7 @@ class WalletTest : public ::testing::Test {
                /*seed=*/501),
         alice_(kAlice, world_.chain().id()) {}
 
-  const LedgerState& State() { return world_.chain().StateAtHead(); }
+  LedgerState State() { return world_.chain().StateAtHead(); }
 
   testutil::TestChain world_;
   Wallet alice_;
