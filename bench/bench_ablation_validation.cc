@@ -22,8 +22,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 #include "src/chain/light_client.h"
 #include "src/chain/wallet.h"
 #include "src/contracts/evidence_builder.h"
@@ -125,13 +124,10 @@ TechniqueCosts RunAt(uint64_t chain_length, uint64_t seed) {
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
+StudyRun AblationValidation(const Options& context) {
   benchutil::PrintHeader(
       "Section 4.3 ablation — validator cost of the three cross-chain\n"
       "validation techniques (inclusion query at depth 6)");
@@ -171,15 +167,14 @@ int main(int argc, char** argv) {
   results.Set("storage", std::move(storage_rows));
   runner::Json wall = runner::Json::Object();
   wall.Set("queries", std::move(query_rows));
-  if (!bench::WriteEnvelope(context, "ablation_validation",
-                            std::move(results), std::move(wall))) {
-    return 1;
-  }
   std::printf(
       "\nshape check: full-replication storage grows with block bodies and\n"
       "light-node storage with headers, while the relay stores one header\n"
       "regardless of chain length; per query the relay pays the most (it\n"
       "re-verifies the whole header chain) — the paper accepts that trade\n"
       "to keep validators stateless and put the burden on the submitter.\n");
-  return 0;
+  return {std::move(results), std::move(wall)};
 }
+
+}  // namespace bench
+}  // namespace ac3

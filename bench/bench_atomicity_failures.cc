@@ -14,8 +14,7 @@
 #include <functional>
 #include <string>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 
 namespace ac3 {
 namespace {
@@ -129,13 +128,10 @@ void CrashRecipientAtDecisionPoint(core::ScenarioWorld* world, Duration down) {
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
+StudyRun AtomicityFailures(const Options& context) {
   benchutil::PrintHeader(
       "Sections 1 / 5.1 — atomicity under failures, protocol x schedule\n"
       "(HTLC = Nolan/Herlihy hashlock+timelock baseline)");
@@ -217,9 +213,8 @@ int main(int argc, char** argv) {
   results.Set("matrix", std::move(matrix));
   results.Set("htlc_violations", htlc_violations);
   results.Set("witnessed_violations", witnessed_violations);
-  if (!bench::WriteEnvelope(context, "atomicity_failures",
-                            std::move(results))) {
-    return 1;
-  }
-  return witnessed_violations == 0 ? 0 : 1;
+  return {std::move(results), runner::Json(), witnessed_violations == 0};
 }
+
+}  // namespace bench
+}  // namespace ac3

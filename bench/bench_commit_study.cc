@@ -20,23 +20,19 @@
 // it exits nonzero unless the separation reproduced AND a single-threaded
 // re-run of the grid is bit-for-bit identical to the pooled run.
 //
-// Published as BENCH_commit_study.json; CI holds smoke runs to the floor
-// via scripts/check_bench_floor.py --commit-study.
+// Published as BENCH_commit_study.json; CI holds smoke runs to its
+// worlds/sec floor (`ac3_study commit_study --smoke --baseline .`).
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 #include "src/runner/sweep_runner.h"
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace ac3::bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
-
+StudyRun CommitStudy(const Options& context) {
   runner::SweepGridConfig grid;
   grid.protocols = {runner::Protocol::kHerlihy, runner::Protocol::kAc3tw,
                     runner::Protocol::kAc3wn, runner::Protocol::kQuorum};
@@ -138,10 +134,6 @@ int main(int argc, char** argv) {
   results.Set("rows", std::move(rows));
   results.Set("outcomes", bench::OutcomesJson(run.outcomes, false));
 
-  if (!bench::WriteEnvelope(context, "commit_study", std::move(results),
-                            run.WallJson())) {
-    return 1;
-  }
   std::printf(
       "\nshape check: Herlihy/AC3TW stall or strand in every coordinator-\n"
       "crash cell while QuorumCommit reaches an atomic verdict everywhere.\n"
@@ -150,5 +142,8 @@ int main(int argc, char** argv) {
       blocking_reproduced ? "true" : "false",
       quorum_atomic ? "true" : "false", violations,
       thread_invariant ? "true" : "false");
-  return separation_reproduced && thread_invariant ? 0 : 1;
+  return {std::move(results), run.WallJson(),
+          separation_reproduced && thread_invariant};
 }
+
+}  // namespace ac3::bench

@@ -17,14 +17,13 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/study.h"
 #include "src/chain/blockchain.h"
 #include "src/chain/mempool.h"
 #include "src/chain/pow.h"
 #include "src/chain/wallet.h"
 #include "src/core/environment.h"
 #include "src/crypto/sha256.h"
-#include "src/runner/bench_output.h"
 
 namespace ac3 {
 namespace {
@@ -259,14 +258,10 @@ PowRun RunPow(uint32_t difficulty_bits, uint64_t headers) {
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
-
+StudyRun EngineHotpaths(const Options& context) {
   const uint64_t growth_blocks = context.smoke ? 400 : 2500;
   const uint64_t growth_segment = context.smoke ? 100 : 250;
   const int txs_per_block = 4;
@@ -348,7 +343,6 @@ int main(int argc, char** argv) {
   if (!dispatch_invariant) {
     std::fprintf(stderr,
                  "pow dispatch: eval counts diverged across SHA-256 paths\n");
-    return 1;
   }
 
   // Deterministic witnesses: pure functions of the seeds. The golden
@@ -403,10 +397,8 @@ int main(int argc, char** argv) {
                crypto::Sha256::DispatchName(entry_level));
   wall.Set("pow", std::move(pow_wall));
   wall.Set("pow_dispatch", std::move(pow_dispatch_wall));
-
-  if (!bench::WriteEnvelope(context, "engine_hotpaths",
-                            std::move(results), std::move(wall))) {
-    return 1;
-  }
-  return 0;
+  return {std::move(results), std::move(wall), dispatch_invariant};
 }
+
+}  // namespace bench
+}  // namespace ac3

@@ -15,17 +15,13 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/study.h"
 #include "src/analysis/latency_model.h"
-#include "src/runner/bench_output.h"
 #include "src/runner/sweep_runner.h"
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace ac3::bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
-
+StudyRun Fig10LatencyVsDiameter(const Options& context) {
   const int max_diameter = context.smoke ? 4 : 12;
   const int seeds_per_point = context.smoke ? 1 : 5;
 
@@ -107,13 +103,11 @@ int main(int argc, char** argv) {
   results.Set("rows", std::move(rows));
   results.Set("protocols", std::move(protocols));
 
-  if (!bench::WriteEnvelope(context, "fig10_latency_vs_diameter",
-                            std::move(results), run.WallJson())) {
-    return 1;
-  }
   std::printf(
       "shape check: Herlihy grows ~linearly in Diam while AC3WN stays flat;\n"
       "the paper's crossover at Diam = 2 (both 4 deltas) holds analytically\n"
       "and the simulated AC3WN column is diameter-independent.\n");
-  return 0;
+  return {std::move(results), run.WallJson()};
 }
+
+}  // namespace ac3::bench

@@ -10,8 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 
 namespace ac3 {
 namespace {
@@ -27,7 +26,7 @@ runner::Json RunTimeline(int diameter) {
   options.seed = 4900 + static_cast<uint64_t>(diameter);
   core::ScenarioWorld world(options);
   world.StartMining();
-  graph::Ac2tGraph ring = benchutil::MakeRingOverWorld(&world, diameter);
+  graph::Ac2tGraph ring = runner::RingOverWorld(&world, diameter);
   protocols::Ac3wnSwapEngine engine(world.env(), ring,
                                     world.all_participants(),
                                     world.witness_chain(),
@@ -70,25 +69,23 @@ runner::Json RunTimeline(int diameter) {
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  ac3::bench::Options context = ac3::bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
-  ac3::benchutil::PrintHeader(
+namespace bench {
+
+StudyRun Fig9Ac3wnTimeline(const Options& context) {
+  benchutil::PrintHeader(
       "Figure 9 — AC3WN timeline: four constant phases (SCw deploy,\n"
       "parallel deploy, SCw state change, parallel redeem) = 4 deltas");
   const std::vector<int> diameters =
       context.smoke ? std::vector<int>{2, 3} : std::vector<int>{2, 3, 4, 6};
-  ac3::runner::Json rows = ac3::runner::Json::Array();
+  runner::Json rows = runner::Json::Array();
   for (int diam : diameters) {
-    rows.Push(ac3::RunTimeline(diam));
+    rows.Push(RunTimeline(diam));
   }
-  ac3::runner::Json results = ac3::runner::Json::Object();
+  runner::Json results = runner::Json::Object();
   results.Set("rows", std::move(rows));
-  if (!ac3::bench::WriteEnvelope(context, "fig9_ac3wn_timeline",
-                                 std::move(results))) {
-    return 1;
-  }
-  return 0;
+  return {std::move(results), runner::Json()};
 }
+
+}  // namespace bench
+}  // namespace ac3

@@ -13,8 +13,7 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 #include "src/analysis/witness_selection.h"
 #include "src/chain/wallet.h"
 #include "src/contracts/evidence_builder.h"
@@ -129,13 +128,10 @@ bool DecisionSurvives(uint32_t d, uint32_t attack, uint64_t seed) {
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
+StudyRun ForkResolution(const Options& context) {
   benchutil::PrintHeader(
       "Lemma 5.3 ablation — buried commit decision vs private-fork attack\n"
       "cell = does the RDauth decision (buried under d blocks) survive an\n"
@@ -182,9 +178,8 @@ int main(int argc, char** argv) {
   runner::Json results = runner::Json::Object();
   results.Set("matrix", std::move(matrix));
   results.Set("attack_pricing", std::move(pricing));
-  if (!bench::WriteEnvelope(context, "fork_resolution",
-                            std::move(results))) {
-    return 1;
-  }
-  return 0;
+  return {std::move(results), runner::Json()};
 }
+
+}  // namespace bench
+}  // namespace ac3

@@ -28,23 +28,19 @@
 // The bench is self-checking: it exits nonzero unless both properties
 // hold AND a single-threaded re-run of the grid is bit-for-bit identical
 // to the pooled run. Published as BENCH_message_overhead.json; CI holds
-// smoke runs to the floor via scripts/check_bench_floor.py
-// --message-overhead.
+// smoke runs to its worlds/sec floor
+// (`ac3_study message_overhead --smoke --baseline .`).
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 #include "src/runner/sweep_runner.h"
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace ac3::bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
-
+StudyRun MessageOverhead(const Options& context) {
   runner::SweepGridConfig grid;
   grid.protocols = {runner::Protocol::kHerlihy, runner::Protocol::kAc3tw,
                     runner::Protocol::kAc3wn, runner::Protocol::kQuorum};
@@ -176,10 +172,6 @@ int main(int argc, char** argv) {
   results.Set("rows", std::move(rows));
   results.Set("outcomes", bench::OutcomesJson(run.outcomes, true));
 
-  if (!bench::WriteEnvelope(context, "message_overhead", std::move(results),
-                            run.WallJson())) {
-    return 1;
-  }
   std::printf(
       "\nshape check: fault-free message counts equal the closed forms\n"
       "(herlihy=0, ac3tw=4, ac3wn=0, quorum=2(n-1)); every lossy cell\n"
@@ -189,5 +181,8 @@ int main(int argc, char** argv) {
       counts_match ? "true" : "false", loss_recovered ? "true" : "false",
       dup_recovered ? "true" : "false", violations,
       thread_invariant ? "true" : "false");
-  return overhead_reproduced && thread_invariant ? 0 : 1;
+  return {std::move(results), run.WallJson(),
+          overhead_reproduced && thread_invariant};
 }
+
+}  // namespace ac3::bench

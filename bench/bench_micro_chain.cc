@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/gbench_main.h"
-
 #include "src/chain/blockchain.h"
 #include "src/chain/pow.h"
 #include "src/chain/wallet.h"
@@ -383,6 +381,4 @@ BENCHMARK(BM_VerifyTxEvidence)->Arg(2)->Arg(8)->Arg(32);
 }  // namespace
 }  // namespace ac3::chain
 
-int main(int argc, char** argv) {
-  return ac3::benchutil::GBenchMain(argc, argv, "micro_chain");
-}
+BENCHMARK_MAIN();

@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/gbench_main.h"
-
 #include "src/common/random.h"
 #include "src/crypto/commitment.h"
 #include "src/crypto/merkle.h"
@@ -126,6 +124,4 @@ BENCHMARK(BM_SignatureCommitmentVerify);
 }  // namespace
 }  // namespace ac3::crypto
 
-int main(int argc, char** argv) {
-  return ac3::benchutil::GBenchMain(argc, argv, "micro_crypto");
-}
+BENCHMARK_MAIN();

@@ -24,8 +24,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 #include "src/runner/sweep_runner.h"
 
 namespace ac3 {
@@ -118,14 +117,10 @@ BatchResult RunBatch(int witness_networks, int swaps, uint64_t seed) {
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
-
+StudyRun Scalability(const Options& context) {
   const int swaps = context.smoke ? 6 : 12;
   const std::vector<int> witness_counts = {1, 2, 4, 8};
 
@@ -188,14 +183,13 @@ int main(int argc, char** argv) {
                ? static_cast<double>(batches.size()) /
                      (batches_wall_ms / 1000.0)
                : 0.0);
-  if (!bench::WriteEnvelope(context, "scalability", std::move(results),
-                            std::move(wall))) {
-    return 1;
-  }
   std::printf(
       "\nshape check: with one starved witness network the batch queues on\n"
       "SCw transactions; adding witness networks shrinks makespan and mean\n"
       "latency toward the asset-chain floor — coordination itself is\n"
       "embarrassingly parallel, exactly Section 5.2's argument.\n");
-  return 0;
+  return {std::move(results), std::move(wall)};
 }
+
+}  // namespace bench
+}  // namespace ac3

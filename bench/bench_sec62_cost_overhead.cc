@@ -9,8 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 #include "src/analysis/cost_model.h"
 
 namespace ac3 {
@@ -26,7 +25,7 @@ chain::Amount MeasuredHerlihyFee(int n, uint64_t seed) {
   options.seed = seed;
   core::ScenarioWorld world(options);
   world.StartMining();
-  graph::Ac2tGraph ring = benchutil::MakeRingOverWorld(&world, n);
+  graph::Ac2tGraph ring = runner::RingOverWorld(&world, n);
   protocols::HerlihySwapEngine engine(world.env(), ring,
                                       world.all_participants(),
                                       benchutil::FastHtlcConfig());
@@ -45,7 +44,7 @@ chain::Amount MeasuredAc3wnFee(int n, uint64_t seed) {
   options.witness_params.call_fee = options.asset_params.call_fee;
   core::ScenarioWorld world(options);
   world.StartMining();
-  graph::Ac2tGraph ring = benchutil::MakeRingOverWorld(&world, n);
+  graph::Ac2tGraph ring = runner::RingOverWorld(&world, n);
   protocols::Ac3wnSwapEngine engine(world.env(), ring,
                                     world.all_participants(),
                                     world.witness_chain(),
@@ -55,13 +54,10 @@ chain::Amount MeasuredAc3wnFee(int n, uint64_t seed) {
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
+StudyRun Sec62CostOverhead(const Options& context) {
   const chain::Amount fd = chain::TestChainParams().deploy_fee;
   const chain::Amount ffc = chain::TestChainParams().call_fee;
 
@@ -125,9 +121,8 @@ int main(int argc, char** argv) {
   results.Set("rows", std::move(rows));
   results.Set("scw_usd_at_300", analysis::ScwDollarCost(4.0, 300.0));
   results.Set("scw_usd_at_140", analysis::ScwDollarCost(4.0, 140.0));
-  if (!bench::WriteEnvelope(context, "sec62_cost_overhead",
-                            std::move(results))) {
-    return 1;
-  }
-  return 0;
+  return {std::move(results), runner::Json()};
 }
+
+}  // namespace bench
+}  // namespace ac3

@@ -11,8 +11,7 @@
 #include <cstdio>
 #include <map>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 #include "src/analysis/witness_selection.h"
 
 namespace ac3 {
@@ -74,13 +73,10 @@ std::map<uint32_t, double> MeasureReorgFrequency(uint64_t seed,
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
+StudyRun Sec63WitnessChoice(const Options& context) {
   benchutil::PrintHeader(
       "Section 6.3 — witness-network choice: d > Va*dh/Ch");
 
@@ -182,9 +178,8 @@ int main(int argc, char** argv) {
   results.Set("depth_by_value", std::move(depth_rows));
   results.Set("ranking_va_1m", std::move(ranking));
   results.Set("measured_reorg", std::move(reorg_rows));
-  if (!bench::WriteEnvelope(context, "sec63_witness_choice",
-                            std::move(results))) {
-    return 1;
-  }
-  return 0;
+  return {std::move(results), runner::Json()};
 }
+
+}  // namespace bench
+}  // namespace ac3

@@ -11,9 +11,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/study.h"
 #include "src/analysis/throughput_model.h"
-#include "src/runner/bench_output.h"
 #include "src/runner/sweep_runner.h"
 
 namespace ac3 {
@@ -101,14 +100,10 @@ double MeasureChainTps(const chain::ChainParams& params, uint64_t seed,
 }
 
 }  // namespace
-}  // namespace ac3
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
-
+StudyRun Table1Throughput(const Options& context) {
   TpsWindows windows;
   if (context.smoke) {
     windows.block_rate_window = Minutes(1);
@@ -247,12 +242,12 @@ int main(int argc, char** argv) {
   results.Set("paper_example", std::move(example));
   results.Set("protocols", std::move(protocols));
 
-  if (!bench::WriteEnvelope(context, "table1_throughput", std::move(results),
-                            runner::GridWallJson(wall_stats, outcomes))) {
-    return 1;
-  }
   std::printf(
       "\nshape check: per-chain ordering BTC < ETH < LTC < BCH matches Table 1\n"
       "and composite throughput is always the slowest involved chain.\n");
-  return 0;
+  return {std::move(results),
+          runner::GridWallJson(wall_stats, outcomes)};
 }
+
+}  // namespace bench
+}  // namespace ac3

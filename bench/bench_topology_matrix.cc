@@ -20,16 +20,12 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/runner/bench_output.h"
+#include "bench/study.h"
 #include "src/runner/sweep_runner.h"
 
-int main(int argc, char** argv) {
-  using namespace ac3;
+namespace ac3::bench {
 
-  bench::Options context = bench::Options::Parse(argc, argv);
-  if (context.exit_early) return context.exit_code;
-
+StudyRun TopologyMatrix(const Options& context) {
   runner::SweepGridConfig grid;
   grid.protocols = {runner::Protocol::kHerlihy, runner::Protocol::kAc3wn};
   grid.topologies = {
@@ -116,15 +112,14 @@ int main(int argc, char** argv) {
   results.Set("rows", std::move(rows));
   results.Set("outcomes", bench::OutcomesJson(run.outcomes, false));
 
-  if (!bench::WriteEnvelope(context, "topology_matrix", std::move(results),
-                            run.WallJson())) {
-    return 1;
-  }
   std::printf(
       "\nshape check: every single-leader-infeasible cell (complete, fig7a,\n"
       "fig7b) is rejected by Herlihy at Start() and driven to an atomic\n"
       "verdict by AC3WN — the paper's Figure 7 claim. gap_reproduced=%s,\n"
       "atomicity violations=%d.\n",
       gap_reproduced ? "true" : "false", violations);
-  return gap_reproduced && violations == 0 ? 0 : 1;
+  return {std::move(results), run.WallJson(),
+          gap_reproduced && violations == 0};
 }
+
+}  // namespace ac3::bench

@@ -1,8 +1,9 @@
-// Shared scaffolding for the experiment harnesses: the uniform bench CLI
-// (bench::Options), "fast profile" engine configurations, ring-graph
-// construction over a ScenarioWorld, fixed-width table printing, and the
-// grid-study helpers the sweep studies share. Measurement, parallel
-// sweeping, and machine-readable output live in src/runner/.
+// Shared scaffolding for the studies behind ac3_study: the uniform
+// study CLI (bench::Options), "fast profile" engine configurations,
+// fixed-width table printing, and the grid-study helpers the sweep
+// studies share. Measurement, parallel sweeping, and machine-readable
+// output live in src/runner/; the registry and StudyMain in
+// bench/study.{h,cc}.
 
 #ifndef AC3_BENCH_BENCH_UTIL_H_
 #define AC3_BENCH_BENCH_UTIL_H_
@@ -29,25 +30,27 @@ namespace internal {
 /// One row of the shared flag table — the single source for parsing AND
 /// the generated --help text, so the two cannot drift.
 struct FlagSpec {
-  const char* name;        ///< e.g. "--seed".
+  const char* name;        ///< e.g. "--out".
   const char* value_name;  ///< Operand placeholder; nullptr = boolean flag.
   const char* help;        ///< One usage line.
 };
 
 inline constexpr FlagSpec kFlags[] = {
+    {"--list", nullptr, "print the study names, one a line, and exit"},
     {"--smoke", nullptr, "tiny grid (<10s), for CI bit-rot checks"},
-    {"--out", "DIR", "directory for BENCH_*.json (default: .)"},
+    {"--out", "DIR", "directory for BENCH_<name>.json (default: .)"},
     {"--threads", "N", "sweep worker threads (default: all cores)"},
-    {"--protocols", "LIST", "e.g. herlihy,ac3tw,ac3wn (sweep benches)"},
+    {"--protocols", "LIST", "e.g. herlihy,ac3tw,ac3wn (sweep studies)"},
     {"--topologies", "LIST", "e.g. ring,path,star,complete,random_feasible"},
     {"--failures", "LIST", "e.g. none,crash_participant"},
-    {"--seed", "N", "override the bench's default base RNG seed"},
+    {"--baseline", "DIR", "check floors against DIR/BENCH_<name>.json"},
     {"--help", nullptr, "print this usage text and exit"},
 };
 
 /// Usage text generated from the flag table.
 inline void PrintUsage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [flags]\n", argv0);
+  std::fprintf(stderr, "usage: %s --list\n       %s NAME [flags]\n", argv0,
+               argv0);
   for (const FlagSpec& flag : kFlags) {
     char left[32];
     std::snprintf(left, sizeof(left), "%s%s%s", flag.name,
@@ -71,24 +74,20 @@ inline std::vector<std::string> SplitCommaList(const std::string& list) {
 
 }  // namespace internal
 
-/// The uniform bench CLI, parsed once by every harness in bench/ — the
-/// sweep benches, the timeline benches, and (through ParseKnown) the
-/// google-benchmark micro-harnesses. Extends runner::BenchContext (which
-/// the JSON envelope writer consumes) with the --seed override, and folds
-/// the old free-standing runner::ApplyAxisOverrides into a member.
+/// The ac3_study command line, parsed once by StudyMain.
+/// Extends runner::BenchContext (which the JSON envelope writer consumes)
+/// with the study name, --list and --baseline, and folds the old
+/// free-standing runner::ApplyAxisOverrides into a member.
 ///
 /// The axis flags parse through the same name tables the JSON output uses
 /// (runner::Parse*), so the CLI, the printers, and the files cannot drift.
 struct Options : runner::BenchContext {
-  /// --seed value; meaningful only when seed_set (see SeedOr).
-  uint64_t seed = 0;
-  /// True when --seed was passed.
-  bool seed_set = false;
-
-  /// The --seed override when given, `fallback` otherwise — how a bench
-  /// keeps its committed-golden default seed while staying re-runnable
-  /// under fresh randomness.
-  uint64_t SeedOr(uint64_t fallback) const { return seed_set ? seed : fallback; }
+  /// The positional NAME: which study to run.
+  std::string study;
+  /// --list: print the registered names instead of running a study.
+  bool list = false;
+  /// --baseline DIR; empty = check no floors.
+  std::string baseline_dir;
 
   /// Overwrites the grid's protocol/topology/failure axes with any
   /// non-empty override this CLI carried.
@@ -98,21 +97,75 @@ struct Options : runner::BenchContext {
     if (!failures.empty()) grid->failures = failures;
   }
 
-  /// Parses the shared CLI strictly: an unknown flag or a bad value prints
-  /// usage to stderr and sets exit_early with a non-zero exit_code; --help
-  /// sets exit_early with exit_code 0. main() starts with
-  ///   bench::Options options = bench::Options::Parse(argc, argv);
-  ///   if (options.exit_early) return options.exit_code;
+  /// Parses the CLI strictly: an unknown flag, a bad value or a second
+  /// positional argument prints usage to stderr and sets exit_early with a
+  /// non-zero exit_code; --help sets exit_early with exit_code 0.
   static Options Parse(int argc, char** argv) {
-    return ParseImpl(argc, argv, nullptr);
-  }
-
-  /// Like Parse, but forwards unknown flags to `passthrough` (argv[0]
-  /// first) instead of failing — for harnesses that wrap another flag
-  /// consumer, e.g. google-benchmark's --benchmark_* family.
-  static Options ParseKnown(int argc, char** argv,
-                            std::vector<char*>* passthrough) {
-    return ParseImpl(argc, argv, passthrough);
+    Options options;
+    for (int i = 1; i < argc; ++i) {
+      const char* arg =
+          std::strcmp(argv[i], "-h") == 0 ? "--help" : argv[i];
+      if (arg[0] != '-' && options.study.empty()) {
+        options.study = arg;
+        continue;
+      }
+      const internal::FlagSpec* spec = nullptr;
+      for (const internal::FlagSpec& flag : internal::kFlags) {
+        if (std::strcmp(arg, flag.name) == 0) {
+          spec = &flag;
+          break;
+        }
+      }
+      if (spec == nullptr) {
+        std::fprintf(stderr, "%s: %s\n",
+                     arg[0] == '-' ? "unknown flag" : "unexpected argument",
+                     arg);
+        internal::PrintUsage(argv[0]);
+        options.exit_early = true;
+        options.exit_code = 1;
+        return options;
+      }
+      if (std::strcmp(arg, "--help") == 0) {
+        internal::PrintUsage(argv[0]);
+        options.exit_early = true;
+        return options;
+      }
+      if (std::strcmp(arg, "--list") == 0) {
+        options.list = true;
+        continue;
+      }
+      if (std::strcmp(arg, "--smoke") == 0) {
+        options.smoke = true;
+        continue;
+      }
+      // Every remaining flag takes a value.
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s requires a value\n", arg);
+        internal::PrintUsage(argv[0]);
+        options.exit_early = true;
+        options.exit_code = 1;
+        return options;
+      }
+      const std::string value = argv[++i];
+      if (std::strcmp(arg, "--out") == 0) {
+        options.out_dir = value;
+      } else if (std::strcmp(arg, "--baseline") == 0) {
+        options.baseline_dir = value;
+      } else if (std::strcmp(arg, "--threads") == 0) {
+        options.threads = std::atoi(value.c_str());
+      } else if (std::strcmp(arg, "--protocols") == 0) {
+        ParseAxisList("--protocols", value, runner::ParseProtocol,
+                      &options.protocols, &options, argv[0]);
+      } else if (std::strcmp(arg, "--topologies") == 0) {
+        ParseAxisList("--topologies", value, runner::ParseTopology,
+                      &options.topologies, &options, argv[0]);
+      } else {
+        ParseAxisList("--failures", value, runner::ParseFailureMode,
+                      &options.failures, &options, argv[0]);
+      }
+      if (options.exit_early) return options;
+    }
+    return options;
   }
 
  private:
@@ -134,71 +187,6 @@ struct Options : runner::BenchContext {
       }
       out->push_back(*parsed);
     }
-  }
-
-  static Options ParseImpl(int argc, char** argv,
-                           std::vector<char*>* passthrough) {
-    Options options;
-    if (passthrough != nullptr && argc > 0) passthrough->push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-      const char* arg =
-          std::strcmp(argv[i], "-h") == 0 ? "--help" : argv[i];
-      const internal::FlagSpec* spec = nullptr;
-      for (const internal::FlagSpec& flag : internal::kFlags) {
-        if (std::strcmp(arg, flag.name) == 0) {
-          spec = &flag;
-          break;
-        }
-      }
-      if (spec == nullptr) {
-        if (passthrough != nullptr) {
-          passthrough->push_back(argv[i]);
-          continue;
-        }
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        internal::PrintUsage(argv[0]);
-        options.exit_early = true;
-        options.exit_code = 1;
-        return options;
-      }
-      if (std::strcmp(arg, "--help") == 0) {
-        internal::PrintUsage(argv[0]);
-        options.exit_early = true;
-        return options;
-      }
-      if (std::strcmp(arg, "--smoke") == 0) {
-        options.smoke = true;
-        continue;
-      }
-      // Every remaining flag takes a value.
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", arg);
-        internal::PrintUsage(argv[0]);
-        options.exit_early = true;
-        options.exit_code = 1;
-        return options;
-      }
-      const std::string value = argv[++i];
-      if (std::strcmp(arg, "--out") == 0) {
-        options.out_dir = value;
-      } else if (std::strcmp(arg, "--threads") == 0) {
-        options.threads = std::atoi(value.c_str());
-      } else if (std::strcmp(arg, "--seed") == 0) {
-        options.seed = std::strtoull(value.c_str(), nullptr, 10);
-        options.seed_set = true;
-      } else if (std::strcmp(arg, "--protocols") == 0) {
-        ParseAxisList("--protocols", value, runner::ParseProtocol,
-                      &options.protocols, &options, argv[0]);
-      } else if (std::strcmp(arg, "--topologies") == 0) {
-        ParseAxisList("--topologies", value, runner::ParseTopology,
-                      &options.topologies, &options, argv[0]);
-      } else {
-        ParseAxisList("--failures", value, runner::ParseFailureMode,
-                      &options.failures, &options, argv[0]);
-      }
-      if (options.exit_early) return options;
-    }
-    return options;
   }
 };
 
@@ -233,14 +221,6 @@ inline protocols::HtlcConfig FastHtlcConfig() {
   return config;
 }
 
-/// A directed ring over the world's participants (diameter = size) — the
-/// same topology the sweep runner builds, so timeline benches and sweeps
-/// agree by construction.
-inline graph::Ac2tGraph MakeRingOverWorld(core::ScenarioWorld* world, int n,
-                                          chain::Amount amount = 100) {
-  return runner::RingOverWorld(world, n, amount);
-}
-
 /// printf-style row helpers so every harness prints aligned tables.
 inline void PrintRule(int width = 72) {
   std::string rule(static_cast<size_t>(width), '-');
@@ -260,17 +240,14 @@ inline void PrintHeader(const std::string& title, int width = 72) {
 // The grid studies (fig10, topology_matrix, commit_study, message_overhead)
 // share one skeleton, spelled out once here:
 //
-//   bench::Options options = bench::Options::Parse(argc, argv);
-//   if (options.exit_early) return options.exit_code;
 //   runner::SweepGridConfig grid = ...;               // the study's grid
 //   const double delta_ms = bench::BeginStudy(options, &grid, "title");
 //   const bench::GridRun run = bench::RunStudyGrid(options, grid);
 //   ... bench::Select / bench::AggregateWhere per row, checks, table ...
-//   if (!bench::WriteEnvelope(options, "name", results, run.WallJson()))
-//     return 1;
+//   return {std::move(results), run.WallJson(), claims_held};
 //
-// Each bench keeps its own grid, acceptance checks, row fields, printed
-// table and exit code.
+// Each study keeps its own grid, acceptance checks, row fields, printed
+// table and verdict.
 
 namespace ac3::bench {
 
@@ -361,20 +338,6 @@ inline bool ThreadInvariant(const runner::SweepGridConfig& grid,
       runner::SweepRunner(1).RunGrid(grid);
   return OutcomesJson(outcomes, true).Serialize() ==
          OutcomesJson(rerun, true).Serialize();
-}
-
-/// runner::WriteBenchJson, printing the failure to stderr. Returns false
-/// when the envelope could not be written (main then exits 1).
-inline bool WriteEnvelope(const runner::BenchContext& context,
-                          const std::string& name, runner::Json results,
-                          runner::Json wall = runner::Json()) {
-  auto written = runner::WriteBenchJson(context, name, std::move(results),
-                                        std::move(wall));
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace ac3::bench

@@ -138,6 +138,10 @@ class NodePool {
       tail->next = global.overflow;
       global.overflow = head_;
       head_ = nullptr;
+      // Frees can still land here afterwards, from thread_local or static
+      // objects destroyed later on this thread; a stale count would send
+      // their Spill past the end of the shorter list.
+      count_ = 0;
     }
 
     void* Pop() {

@@ -84,6 +84,42 @@ TEST(NodePoolTest, FreeListSurvivesThreadExit) {
   }).join();
 }
 
+// A node type of its own, so no other case has touched its pool.
+struct LateFreeNode {
+  uint64_t payload[4];
+};
+
+/// Frees its nodes when the thread destroys it.
+struct LateFrees {
+  std::vector<void*> blocks;
+  ~LateFrees() {
+    for (void* p : blocks) NodePool<LateFreeNode>::Deallocate(p);
+  }
+};
+
+TEST(NodePoolTest, FreeAfterThreadCacheDestroyed) {
+  if (!NodePool<LateFreeNode>::kPoolingEnabled) {
+    GTEST_SKIP() << "pooling disabled under sanitizers";
+  }
+  // thread_local objects die in the reverse order of their construction,
+  // so a holder built before the thread's first allocation outlives the
+  // thread's cache, as a function-local static map of fixtures outlives
+  // the main thread's. Its frees then land in the spliced-out cache: 1572
+  // of them cross the 2-slab spill mark only if the cache still counts the
+  // 1500 it handed to the overflow.
+  std::thread([] {
+    thread_local LateFrees late;
+    std::vector<void*> blocks;
+    for (size_t i = 0; i < 3 * NodePool<LateFreeNode>::kSlabNodes; ++i) {
+      blocks.push_back(NodePool<LateFreeNode>::Allocate());
+    }
+    for (size_t i = 0; i < 1500; ++i) {
+      NodePool<LateFreeNode>::Deallocate(blocks[i]);
+    }
+    late.blocks.assign(blocks.begin() + 1500, blocks.end());
+  }).join();
+}
+
 // ---- lifetime corners through PersistentMap --------------------------------
 
 TEST(ArenaReclamationTest, SnapshotOutlivesOriginMap) {

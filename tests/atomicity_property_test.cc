@@ -221,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(Onsets, CrashOnsetSweepTest,
 //  * Separation pins: the quorum engine finishes atomically with nothing
 //    stranded under EVERY mode, while the blocking baselines demonstrably
 //    stall or strand under a phase-precise coordinator crash — the exact
-//    gap bench_commit_study measures.
+//    gap the commit_study study measures.
 
 struct FaultCell {
   runner::Protocol protocol;

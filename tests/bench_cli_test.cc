@@ -1,11 +1,11 @@
-// The uniform bench CLI (bench::Options): one table-driven parser shared
-// by every harness in bench/. These tests pin the contract the benches
-// and CI rely on — shared flags fill the BenchContext the envelope writer
-// consumes, axis lists go through the same name tables as the JSON
-// output, unknown flags exit non-zero, and ParseKnown forwards foreign
-// flags (google-benchmark's) instead of failing. The grid-study helpers
+// The study CLI (bench::Options): one table-driven parser behind
+// ac3_study. These tests pin the contract the studies and CI rely on —
+// the study name and shared flags fill the BenchContext the envelope
+// writer consumes, axis lists go through the same name tables as the
+// JSON output, and unknown flags exit non-zero. The grid-study helpers
 // the sweep studies share (selection, the outcomes array, the 1-thread
-// determinism witness) are pinned here too.
+// determinism witness) are pinned here too; StudyMain itself is tested in
+// study_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +19,16 @@ namespace {
 using bench::Options;
 
 TEST(BenchCliTest, ParsesSharedFlags) {
-  const char* argv[] = {"bench", "--smoke", "--out", "/tmp/x", "--threads",
-                        "3"};
-  Options options = Options::Parse(6, const_cast<char**>(argv));
+  const char* argv[] = {"bench",  "--smoke",    "commit_study",
+                        "--out",  "/tmp/x",     "--threads",
+                        "3",      "--baseline", "/tmp/base"};
+  Options options = Options::Parse(9, const_cast<char**>(argv));
+  EXPECT_EQ(options.study, "commit_study");
   EXPECT_TRUE(options.smoke);
   EXPECT_EQ(options.out_dir, "/tmp/x");
   EXPECT_EQ(options.threads, 3);
+  EXPECT_EQ(options.baseline_dir, "/tmp/base");
+  EXPECT_FALSE(options.list);
   EXPECT_FALSE(options.exit_early);
 }
 
@@ -34,7 +38,9 @@ TEST(BenchCliTest, DefaultsWhenNoFlags) {
   EXPECT_FALSE(options.smoke);
   EXPECT_EQ(options.out_dir, ".");
   EXPECT_EQ(options.threads, 0);
-  EXPECT_FALSE(options.seed_set);
+  EXPECT_TRUE(options.study.empty());
+  EXPECT_TRUE(options.baseline_dir.empty());
+  EXPECT_FALSE(options.list);
   EXPECT_FALSE(options.exit_early);
 }
 
@@ -57,19 +63,6 @@ TEST(BenchCliTest, HelpExitsZero) {
   Options options = Options::Parse(2, const_cast<char**>(argv));
   EXPECT_TRUE(options.exit_early);
   EXPECT_EQ(options.exit_code, 0);
-}
-
-TEST(BenchCliTest, SeedOverridesOnlyWhenGiven) {
-  const char* with[] = {"bench", "--seed", "1234"};
-  Options given = Options::Parse(3, const_cast<char**>(with));
-  ASSERT_FALSE(given.exit_early);
-  EXPECT_TRUE(given.seed_set);
-  EXPECT_EQ(given.SeedOr(7), 1234u);
-
-  const char* without[] = {"bench"};
-  Options absent = Options::Parse(1, const_cast<char**>(without));
-  EXPECT_FALSE(absent.seed_set);
-  EXPECT_EQ(absent.SeedOr(7), 7u);
 }
 
 TEST(BenchCliTest, ParsesAxisListsThroughTheSharedTables) {
@@ -137,20 +130,6 @@ TEST(BenchCliTest, RejectsUnknownAxisNames) {
   Options options = Options::Parse(3, const_cast<char**>(argv));
   EXPECT_TRUE(options.exit_early);
   EXPECT_EQ(options.exit_code, 1);
-}
-
-TEST(BenchCliTest, ParseKnownForwardsForeignFlags) {
-  const char* argv[] = {"bench", "--smoke", "--benchmark_filter=Pow",
-                        "--out", "/tmp/y"};
-  std::vector<char*> rest;
-  Options options = Options::ParseKnown(5, const_cast<char**>(argv), &rest);
-  ASSERT_FALSE(options.exit_early);
-  EXPECT_TRUE(options.smoke);
-  EXPECT_EQ(options.out_dir, "/tmp/y");
-  // argv[0] plus the one foreign flag survive for the wrapped consumer.
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_STREQ(rest[0], "bench");
-  EXPECT_STREQ(rest[1], "--benchmark_filter=Pow");
 }
 
 // ---- the grid-study helpers -----------------------------------------------

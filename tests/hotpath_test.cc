@@ -248,7 +248,7 @@ TEST(MineHeaderTest, InterleavedVisitsSameNoncesAsScalar) {
 }
 
 // Golden re-pin of the deterministic PoW witness, mirroring the bench's
-// --smoke pow parameters (bench_engine_hotpaths RunPow: 4 headers at 12
+// --smoke pow parameters (engine_hotpaths study, RunPow: 4 headers at 12
 // bits from Rng seed 99; the committed full-run envelope pins the
 // analogous 836367-eval witness at 16 bits). The scanning search
 // reproduces the scalar count by construction on every dispatch level;

@@ -176,7 +176,7 @@ TEST_F(LightClientTest, StoresOnlyHeaders) {
   ASSERT_TRUE(full_.MineEmpty(10).ok());
   ASSERT_TRUE(client_.SyncFrom(full_.chain()).ok());
   EXPECT_EQ(client_.header_count(), full_.chain().block_count());
-  // (The size comparison is quantified by bench_ablation_validation.)
+  // (The size comparison is quantified by the ablation_validation study.)
 }
 
 }  // namespace
