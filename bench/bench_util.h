@@ -194,32 +194,24 @@ struct Options : runner::BenchContext {
 
 namespace ac3::benchutil {
 
+/// The fast worlds' shared engine knobs; the three configs below add only
+/// their own.
+inline protocols::VerdictConfig FastEngineConfig() {
+  protocols::VerdictConfig config;
+  config.delta = Seconds(2);
+  config.confirm_depth = 1;
+  config.resubmit_interval = Milliseconds(800);
+  config.publish_patience = Seconds(20);
+  return config;
+}
+
 inline protocols::Ac3wnConfig FastAc3wnConfig() {
-  protocols::Ac3wnConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.witness_depth_d = 2;
-  config.resubmit_interval = Milliseconds(800);
-  config.publish_patience = Seconds(20);
-  return config;
+  return {FastEngineConfig(), /*witness_depth_d=*/2};
 }
 
-inline protocols::Ac3twConfig FastAc3twConfig() {
-  protocols::Ac3twConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.resubmit_interval = Milliseconds(800);
-  config.publish_patience = Seconds(20);
-  return config;
-}
+inline protocols::Ac3twConfig FastAc3twConfig() { return FastEngineConfig(); }
 
-inline protocols::HtlcConfig FastHtlcConfig() {
-  protocols::HtlcConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.resubmit_interval = Milliseconds(800);
-  return config;
-}
+inline protocols::HtlcConfig FastHtlcConfig() { return FastEngineConfig(); }
 
 /// printf-style row helpers so every harness prints aligned tables.
 inline void PrintRule(int width = 72) {

@@ -62,8 +62,8 @@ int main() {
     graph::Ac2tGraph graph = graph::MakeTwoPartySwap(
         world.participant(0)->pk(), world.participant(1)->pk(),
         world.asset_chain(0), x, world.asset_chain(1), y, 0);
-    protocols::HerlihySwapEngine engine = protocols::MakeNolanTwoPartySwap(
-        world.env(), graph, world.participant(0), world.participant(1),
+    protocols::HerlihySwapEngine engine(
+        world.env(), graph, {world.participant(0), world.participant(1)},
         protocols::HtlcConfig{});
     if (!engine.Start().ok()) return 1;
     CrashBobAtDecisionPoint(&world, Seconds(60));

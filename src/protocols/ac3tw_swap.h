@@ -26,7 +26,6 @@
 #ifndef AC3_PROTOCOLS_AC3TW_SWAP_H_
 #define AC3_PROTOCOLS_AC3TW_SWAP_H_
 
-#include <optional>
 #include <vector>
 
 #include "src/core/environment.h"
@@ -38,29 +37,17 @@
 
 namespace ac3::protocols {
 
-struct Ac3twConfig {
-  /// Δ of Section 6.1 — publish/recognize granularity used for patience.
-  Duration delta = Seconds(3);
-  /// Confirmations before a contract counts as publicly recognized.
-  uint32_t confirm_depth = 1;
-  /// Re-gossip an unconfirmed transaction / unanswered request.
-  Duration resubmit_interval = Seconds(2);
-  /// Give up waiting for missing contracts and ask Trent for the refund
-  /// secret after this long (measured from registration).
-  Duration publish_patience = Seconds(30);
-  /// When true, a participant "changes her mind": request the refund secret
-  /// immediately after registration (abort path, paper step 6).
-  bool request_abort = false;
-  /// Phase-precise crash schedule for Trent (the AC3TW coordinator):
-  /// kAtPrepare fires the moment the swap registers (participants then
-  /// lock funds into contracts whose only decision point is dead);
-  /// kAtCommit fires as the first decision request is sent, before Trent
-  /// can sign either secret. Without a recovery, no decision ever exists
-  /// and every published contract strands — the blocking behavior the
-  /// quorum-commit study measures.
-  CoordinatorCrashPlan coordinator_crash;
-};
+/// AC3TW reads the shared knobs and the verdict rule's abort triggers; its
+/// patience clock starts at registration.
+using Ac3twConfig = VerdictConfig;
 
+/// The Trent-witnessed engine. Its coordinator-crash anchors: kAtPrepare
+/// fires the moment the swap registers (participants then lock funds into
+/// contracts whose only decision point is dead); kAtCommit fires as the
+/// first decision request is sent, before Trent can sign either secret.
+/// Without a recovery, no decision ever exists and every published
+/// contract strands — the blocking behavior the quorum-commit study
+/// measures.
 class Ac3twSwapEngine : public SwapEngineBase {
  public:
   Ac3twSwapEngine(core::Environment* env, graph::Ac2tGraph graph,
@@ -72,10 +59,9 @@ class Ac3twSwapEngine : public SwapEngineBase {
  protected:
   Status OnStart() override;
   void Step() override;
-  bool IsComplete() const override;
   size_t EdgeCount() const override { return edges_.size(); }
   EdgeState* Edge(size_t i) override { return &edges_[i]; }
-  void FillVerdict(SwapReport* report) const override;
+  Bytes ContractInit(EdgeState* edge) override;
   /// The four typed exchanges of steps 2 and 5/6: kPrepare (register at
   /// Trent) answered by kAck, and kRedeemNotify (secret request) answered
   /// by kDecision carrying Trent's signature.
@@ -85,11 +71,9 @@ class Ac3twSwapEngine : public SwapEngineBase {
   using EdgeRt = EdgeState;
 
   void TryRegister();
-  void TryPublish(EdgeRt* rt);
   /// Sends a redeem- or refund-secret request from the first live
   /// participant; the response arrives via the network (or is lost).
   void RequestDecision(crypto::CommitmentTag tag);
-  void TrySettle(EdgeRt* rt);
 
   TrustedWitness* trent_;
   Ac3twConfig config_;
@@ -101,8 +85,6 @@ class Ac3twSwapEngine : public SwapEngineBase {
   TimePoint registered_at_ = 0;
   TimePoint last_register_attempt_ = -1;
   TimePoint last_request_attempt_ = -1;
-  /// Trent's answer once it reaches a live participant.
-  std::optional<TrentDecision> decision_;
   std::vector<EdgeRt> edges_;
 };
 

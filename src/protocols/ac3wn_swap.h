@@ -30,7 +30,6 @@
 #ifndef AC3_PROTOCOLS_AC3WN_SWAP_H_
 #define AC3_PROTOCOLS_AC3WN_SWAP_H_
 
-#include <optional>
 #include <vector>
 
 #include "src/contracts/permissionless_contract.h"
@@ -43,30 +42,20 @@
 
 namespace ac3::protocols {
 
-struct Ac3wnConfig {
-  /// Δ of Section 6.1.
-  Duration delta = Seconds(3);
-  /// Confirmations for a deployment to count as publicly recognized.
-  uint32_t confirm_depth = 1;
+/// AC3WN's knobs: the shared ones, the verdict rule's abort triggers (its
+/// patience clock starts when SCw confirms), and the burial depth d.
+struct Ac3wnConfig : VerdictConfig {
   /// d: burial depth required of the SCw state change before anyone acts on
   /// it (Section 4.2 / Section 6.3's d > Va*dh/Ch rule).
   uint32_t witness_depth_d = 2;
-  Duration resubmit_interval = Seconds(2);
-  /// Request AuthorizeRefund when contracts are still missing this long
-  /// after SCw confirmed.
-  Duration publish_patience = Seconds(30);
-  /// A participant "changes her mind": request AuthorizeRefund immediately
-  /// after SCw is published (abort path, protocol step 6).
-  bool request_abort = false;
-  /// Phase-precise crash schedule for the coordinating participant:
-  /// kAtPrepare crashes the registrar the moment SCw confirms; kAtCommit
-  /// crashes the requester as it is about to submit the SCw state change.
-  /// AC3WN survives both — any live participant takes over the role (the
-  /// `*_builder_` rebuild discipline) — which is exactly the contrast the
-  /// quorum-commit study draws against the blocking baselines.
-  CoordinatorCrashPlan coordinator_crash;
 };
 
+/// The witness-network engine. Its coordinator-crash anchors: kAtPrepare
+/// crashes the registrar the moment SCw confirms; kAtCommit crashes the
+/// requester as it is about to submit the SCw state change. AC3WN survives
+/// both — any live participant takes the role over and rebuilds the call
+/// with its own funds — which is exactly the contrast the quorum-commit
+/// study draws against the blocking baselines.
 class Ac3wnSwapEngine : public SwapEngineBase {
  public:
   /// `witness_chain` selects which permissionless network coordinates this
@@ -78,18 +67,16 @@ class Ac3wnSwapEngine : public SwapEngineBase {
   chain::ChainId witness_chain() const { return witness_chain_; }
   const crypto::Hash256& scw_id() const { return scw_id_; }
 
-  /// The SCw state this engine has *acted on* (buried >= d), if any.
-  std::optional<contracts::WitnessState> decided_state() const {
-    return decided_state_;
-  }
-
  protected:
   Status OnStart() override;
   void Step() override;
-  bool IsComplete() const override;
   size_t EdgeCount() const override { return edges_.size(); }
   EdgeState* Edge(size_t i) override { return &edges_[i]; }
-  void FillVerdict(SwapReport* report) const override;
+  /// Algorithm 4's constructor arguments, conditioned on this SCw at depth d.
+  Bytes ContractInit(EdgeState* edge) override;
+  /// Receipt evidence of the buried SCw state change, proven against the
+  /// witness checkpoint the edge's contract stores.
+  Result<Bytes> SettleArgs(const EdgeState& edge) const override;
   chain::Amount ExtraFees() const override;
 
  private:
@@ -101,15 +88,11 @@ class Ac3wnSwapEngine : public SwapEngineBase {
   /// Phase 1: build + deploy SCw from the first live participant.
   void TryDeployWitnessContract();
   void TrackWitnessDeployment();
-  /// Phase 2: parallel PermissionlessSC deployments.
-  void TryPublish(EdgeRt* rt);
-  /// Phase 3: submit the SCw state-change request.
-  void TryAuthorizeRedeem();
-  void TryAuthorizeRefund();
-  /// Detects the canonical, buried SCw state change (sets decided_state_).
+  /// Phase 3: submit the SCw state change toward `tag` (AuthorizeRedeem
+  /// with Section 4.3 evidence of every deployment, or AuthorizeRefund).
+  void TryAuthorize(crypto::CommitmentTag tag);
+  /// Detects the canonical, buried SCw state change and decides on it.
   void TrackDecision();
-  /// Phase 4: settle one edge with receipt evidence of the SCw change.
-  void TrySettle(EdgeRt* rt);
 
   chain::ChainId witness_chain_;
   Ac3wnConfig config_;
@@ -117,28 +100,19 @@ class Ac3wnSwapEngine : public SwapEngineBase {
   crypto::Multisignature ms_;
 
   // Phase-1 state.
-  chain::Transaction scw_deploy_tx_;
-  bool scw_deploy_built_ = false;
-  TimePoint scw_last_submit_ = -1;
+  GossipedTx scw_deploy_;
   crypto::Hash256 scw_id_;
   bool scw_confirmed_ = false;
   /// When SCw confirmed — the publish-patience clock starts here.
   TimePoint scw_confirmed_at_ = 0;
 
-  // Phase-3 state. The state-change calls are built once (per builder) and
-  // re-gossiped; `*_builder_` tracks who funded the cached transaction so a
-  // crashed requester's call can be rebuilt by a live participant.
-  chain::Transaction authorize_tx_;
-  bool authorize_built_ = false;
-  Participant* authorize_builder_ = nullptr;
-  TimePoint authorize_last_submit_ = -1;
-  bool abort_authorize_built_ = false;
-  Participant* abort_builder_ = nullptr;
-  chain::Transaction abort_authorize_tx_;
-  TimePoint abort_last_submit_ = -1;
+  // Phase-3 state: one state-change call per verdict. A call is rebuilt
+  // whenever the first live participant changes, so a crashed requester's
+  // call is taken over by a live one.
+  GossipedTx authorize_redeem_;
+  GossipedTx authorize_refund_;
 
   /// The decision transaction once observed canonical + buried >= d.
-  std::optional<contracts::WitnessState> decided_state_;
   crypto::Hash256 decision_tx_id_;
 
   std::vector<EdgeRt> edges_;

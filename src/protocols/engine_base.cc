@@ -1,8 +1,11 @@
 #include "src/protocols/engine_base.h"
 
 #include <algorithm>
+#include <string>
 
+#include "src/common/logging.h"
 #include "src/contracts/atomic_swap_contract.h"
+#include "src/graph/multisig_graph.h"
 
 namespace ac3::protocols {
 
@@ -20,11 +23,14 @@ const char* CoordinatorCrashPhaseName(CoordinatorCrashPhase phase) {
 
 SwapEngineBase::SwapEngineBase(core::Environment* env, graph::Ac2tGraph graph,
                                std::vector<Participant*> participants,
-                               WatchConfig watch, std::string protocol_name)
+                               const EngineConfig& config,
+                               std::string protocol_name,
+                               std::string contract_kind)
     : env_(env),
       graph_(std::move(graph)),
       participants_(std::move(participants)),
-      watch_(watch) {
+      config_(config),
+      contract_kind_(std::move(contract_kind)) {
   report_.protocol = std::move(protocol_name);
 }
 
@@ -63,7 +69,9 @@ Status SwapEngineBase::Start() {
   // Wake sources: every chain an edge lives on, plus connectivity changes
   // (a recovered participant must act on what it missed). Engines add
   // extra chains (e.g. the witness chain) from OnStart().
-  for (const graph::Ac2tEdge& e : graph_.edges()) WatchChain(e.chain_id);
+  for (const graph::Ac2tEdge& e : graph_.edges()) {
+    AC3_RETURN_IF_ERROR(WatchChain(e.chain_id));
+  }
   connectivity_subscription_ = env_->network()->SubscribeConnectivity(
       [this](sim::NodeId) { ScheduleStep(); });
   connectivity_subscribed_ = true;
@@ -73,14 +81,17 @@ Status SwapEngineBase::Start() {
   return Status::OK();
 }
 
-void SwapEngineBase::WatchChain(chain::ChainId id) {
-  if (watched_chains_.count(id) > 0) return;
+Status SwapEngineBase::WatchChain(chain::ChainId id) {
   chain::Blockchain* chain = env_->blockchain(id);
-  if (chain == nullptr) return;
-  watched_chains_.insert(id);
+  if (chain == nullptr) {
+    return Status::InvalidArgument("watched chain " + std::to_string(id) +
+                                   " is not in this world");
+  }
+  if (!watched_chains_.insert(id).second) return Status::OK();
   head_subscriptions_.emplace_back(
       id, chain->SubscribeHead(
               [this](const chain::BlockEntry&) { ScheduleStep(); }));
+  return Status::OK();
 }
 
 void SwapEngineBase::ScheduleStep() {
@@ -108,7 +119,7 @@ void SwapEngineBase::RequestWakeAt(TimePoint at) {
 }
 
 void SwapEngineBase::RequestResubmitWake() {
-  RequestWakeAt(env_->sim()->Now() + watch_.resubmit_interval);
+  RequestWakeAt(env_->sim()->Now() + config_.resubmit_interval);
 }
 
 void SwapEngineBase::SendProtocolMessage(proto::Message msg) {
@@ -143,15 +154,152 @@ void SwapEngineBase::HandleMessage(const proto::Message& msg) {
   OnMessage(msg);
 }
 
+bool SwapEngineBase::ResendDue(TimePoint last_sent) const {
+  return last_sent < 0 ||
+         env_->sim()->Now() - last_sent >= config_.resubmit_interval;
+}
+
 bool SwapEngineBase::PaceResend(TimePoint* last_attempt) {
-  const TimePoint now = env_->sim()->Now();
-  if (*last_attempt >= 0 &&
-      now - *last_attempt < watch_.resubmit_interval) {
-    return false;
-  }
-  *last_attempt = now;
+  if (!ResendDue(*last_attempt)) return false;
+  *last_attempt = env_->sim()->Now();
   RequestResubmitWake();
   return true;
+}
+
+void SwapEngineBase::GossipTx(GossipedTx* record, Participant* from,
+                              chain::ChainId chain) {
+  env_->SubmitTransaction(from->node(), chain, record->tx);
+  record->last_sent = env_->sim()->Now();
+  RequestResubmitWake();
+}
+
+Result<crypto::Multisignature> SwapEngineBase::MultisignGraph() const {
+  // Even a participant that will later decline to publish signs here:
+  // agreeing on D is how the swap is proposed; declining to fund it is the
+  // abort trigger.
+  std::vector<crypto::KeyPair> keys;
+  keys.reserve(participants_.size());
+  for (Participant* p : participants_) keys.push_back(p->key());
+  return graph::SignGraph(graph_, keys);
+}
+
+void SwapEngineBase::TryPublish(EdgeState* edge) {
+  Participant* sender = participant(edge->edge.from);
+  if (sender->behavior().decline_publish || !sender->IsUp() ||
+      !MayPublish(edge->edge.from)) {
+    return;
+  }
+  const TimePoint now = env_->sim()->Now();
+  if (!edge->deploy.built()) {
+    const chain::Blockchain* chain = env_->blockchain(edge->edge.chain_id);
+    const Bytes init = ContractInit(edge);
+    auto tx = sender->WalletFor(edge->edge.chain_id)
+                  ->BuildDeploy(chain->StateAtHead(), contract_kind_, init,
+                                edge->edge.amount, chain->params().deploy_fee,
+                                static_cast<uint64_t>(now) ^ edge->edge.to);
+    if (!tx.ok()) {
+      AC3_LOG(kWarn) << sender->name() << " cannot fund " << contract_kind_
+                     << ": " << tx.status().ToString();
+      return;
+    }
+    edge->deploy.tx = *tx;
+    edge->deploy.builder = sender;
+    edge->contract_id = tx->Id();
+    edge->publish_submitted_at = now;
+    edge->outcome = EdgeOutcome::kPublished;
+  }
+  if (ResendDue(edge->deploy.last_sent)) {
+    GossipTx(&edge->deploy, sender, edge->edge.chain_id);
+  }
+}
+
+bool SwapEngineBase::PublishEdges() {
+  const bool was_all_published = AllPublished();
+  for (size_t i = 0; i < EdgeCount(); ++i) {
+    EdgeState* edge = Edge(i);
+    if (edge->publish_confirmed) continue;
+    TryPublish(edge);
+    if (edge->deploy.built()) TrackPublishConfirmation(edge);
+  }
+  return !was_all_published && AllPublished();
+}
+
+void SwapEngineBase::Decide(crypto::CommitmentTag tag, Bytes secret) {
+  decision_tag_ = tag;
+  decision_secret_ = std::move(secret);
+  report_.decision_time = env_->sim()->Now();
+}
+
+std::optional<crypto::CommitmentTag> SwapEngineBase::ProposedVerdict(
+    const VerdictConfig& config, TimePoint patience_from) const {
+  if (config.request_abort) return crypto::CommitmentTag::kRefund;
+  if (AllPublished()) return crypto::CommitmentTag::kRedeem;
+  if (env_->sim()->Now() - patience_from >= config.publish_patience) {
+    return crypto::CommitmentTag::kRefund;
+  }
+  return std::nullopt;
+}
+
+Participant* SwapEngineBase::SettleActor(const EdgeState& edge) const {
+  Participant* actor = *decision_tag_ == crypto::CommitmentTag::kRedeem
+                           ? participant(edge.edge.to)
+                           : participant(edge.edge.from);
+  return actor->IsUp() ? actor : nullptr;
+}
+
+void SwapEngineBase::TrySettle(EdgeState* edge) {
+  if (!decision_tag_.has_value() || !ResendDue(edge->settle.last_sent)) {
+    return;
+  }
+  Participant* actor = SettleActor(*edge);
+  if (actor == nullptr) return;
+  Result<Bytes> args = SettleArgs(*edge);
+  if (!args.ok()) {
+    AC3_LOG(kDebug) << "settle call not ready: " << args.status().ToString();
+    return;
+  }
+  GossipedTx& call = edge->settle;
+  if (!call.built() || (call.builder != actor && !call.builder->IsUp())) {
+    const chain::Blockchain* chain = env_->blockchain(edge->edge.chain_id);
+    auto tx = actor->WalletFor(edge->edge.chain_id)
+                  ->BuildCall(chain->StateAtHead(), edge->contract_id,
+                              *decision_tag_ == crypto::CommitmentTag::kRedeem
+                                  ? contracts::kRedeemFunction
+                                  : contracts::kRefundFunction,
+                              *args, chain->params().call_fee,
+                              static_cast<uint64_t>(env_->sim()->Now()) ^
+                                  edge->edge.from);
+    if (!tx.ok()) {
+      AC3_LOG(kDebug) << "cannot build settle call: " << tx.status().ToString();
+      return;
+    }
+    call.tx = *tx;
+    call.builder = actor;
+  }
+  GossipTx(&call, actor, edge->edge.chain_id);
+}
+
+bool SwapEngineBase::IsComplete() const {
+  if (!decision_tag_.has_value()) return false;
+  for (size_t i = 0; i < EdgeCount(); ++i) {
+    const EdgeState* edge = Edge(i);
+    if (edge->settled || !edge->deploy.built()) continue;
+    // A refund verdict gives up on a deploy that never reached a chain
+    // (nothing is locked); one that landed, even unconfirmed, is waited for.
+    if (*decision_tag_ == crypto::CommitmentTag::kRefund &&
+        !env_->blockchain(edge->edge.chain_id)
+             ->FindTx(edge->contract_id)
+             .has_value()) {
+      continue;
+    }
+    return false;
+  }
+  return true;
+}
+
+void SwapEngineBase::FillVerdict(SwapReport* report) const {
+  report->committed = decision_tag_ == crypto::CommitmentTag::kRedeem;
+  report->aborted = decision_tag_ == crypto::CommitmentTag::kRefund;
 }
 
 void SwapEngineBase::RunStep() {
@@ -171,7 +319,7 @@ bool SwapEngineBase::TxConfirmedAtDepth(const chain::Blockchain* chain,
 
 void SwapEngineBase::TrackPublishConfirmation(EdgeState* edge) {
   const chain::Blockchain* chain = env_->blockchain(edge->edge.chain_id);
-  if (!TxConfirmedAtDepth(chain, edge->contract_id, watch_.confirm_depth)) {
+  if (!TxConfirmedAtDepth(chain, edge->contract_id, config_.confirm_depth)) {
     return;
   }
   edge->publish_confirmed = true;
@@ -187,7 +335,7 @@ void SwapEngineBase::TrackSettlement(EdgeState* edge) {
     if (!call.has_value()) continue;
     auto confirmations = chain->ConfirmationsOf(call->entry->hash);
     if (!confirmations.has_value() ||
-        *confirmations < watch_.confirm_depth) {
+        *confirmations < config_.confirm_depth) {
       continue;
     }
     edge->settled = true;
@@ -198,18 +346,6 @@ void SwapEngineBase::TrackSettlement(EdgeState* edge) {
     OnEdgeSettled(edge);
     return;
   }
-}
-
-void SwapEngineBase::GossipDeploy(EdgeState* edge, Participant* sender) {
-  const TimePoint now = env_->sim()->Now();
-  if (edge->last_submit >= 0 &&
-      now - edge->last_submit < watch_.resubmit_interval) {
-    return;
-  }
-  env_->SubmitTransaction(sender->node(), edge->edge.chain_id,
-                          edge->deploy_tx);
-  edge->last_submit = now;
-  RequestResubmitWake();
 }
 
 bool SwapEngineBase::AllPublished() const {
@@ -228,8 +364,9 @@ Participant* SwapEngineBase::FirstLiveParticipant() const {
 
 bool SwapEngineBase::MaybeCrashCoordinator(CoordinatorCrashPhase phase,
                                            sim::NodeId node) {
+  const CoordinatorCrashPlan& plan = config_.coordinator_crash;
   if (coordinator_crash_fired_ || phase == CoordinatorCrashPhase::kNone ||
-      coordinator_crash_plan_.phase != phase) {
+      plan.phase != phase) {
     return false;
   }
   coordinator_crash_fired_ = true;
@@ -237,11 +374,11 @@ bool SwapEngineBase::MaybeCrashCoordinator(CoordinatorCrashPhase phase,
       std::string("coordinator_crash_") + CoordinatorCrashPhaseName(phase),
       env_->sim()->Now());
   env_->network()->Crash(node);
-  if (coordinator_crash_plan_.recover_after >= 0) {
+  if (plan.recover_after >= 0) {
     // The recovery event captures the world, not the engine — the engine
     // may be destroyed before a long recovery fires.
     core::Environment* env = env_;
-    env_->sim()->After(coordinator_crash_plan_.recover_after,
+    env_->sim()->After(plan.recover_after,
                        [env, node]() { env->network()->Recover(node); });
   }
   return true;

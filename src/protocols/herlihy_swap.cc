@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "src/common/logging.h"
 #include "src/contracts/atomic_swap_contract.h"
 #include "src/contracts/htlc_contract.h"
 
@@ -39,15 +38,13 @@ HerlihySwapEngine::HerlihySwapEngine(core::Environment* env,
                                      graph::Ac2tGraph graph,
                                      std::vector<Participant*> participants,
                                      HtlcConfig config)
-    : SwapEngineBase(
-          env, std::move(graph), std::move(participants),
-          WatchConfig{config.confirm_depth, config.resubmit_interval},
-          /*protocol_name=*/""),
-      config_(config) {
+    : SwapEngineBase(env, std::move(graph), std::move(participants), config,
+                     /*protocol_name=*/"", contracts::kHtlcKind) {
+  // Nolan's two-party swap is this engine at |V| = 2 (the paper presents
+  // them separately; the mechanics coincide).
   mutable_report()->protocol = this->graph().participant_count() == 2
                                    ? "Nolan-HTLC"
                                    : "Herlihy-HTLC";
-  SetCoordinatorCrashPlan(config.coordinator_crash);
 }
 
 Status HerlihySwapEngine::OnStart() {
@@ -85,7 +82,7 @@ Status HerlihySwapEngine::OnStart() {
     rt.publish_step = dist[e.from];
     const uint32_t redeem_slack = max_step - rt.publish_step;
     rt.timelock = start_time() +
-                  config_.delta * (publish_rounds + redeem_slack + 2);
+                  engine_config().delta * (publish_rounds + redeem_slack + 2);
     max_timelock_ = std::max(max_timelock_, rt.timelock);
     edges_.push_back(std::move(rt));
   }
@@ -94,7 +91,7 @@ Status HerlihySwapEngine::OnStart() {
 
   // Past this point nobody waits for a never-published contract; the wake
   // guarantees the terminal check runs even if every chain has gone quiet.
-  give_up_time_ = max_timelock_ + 2 * config_.delta;
+  give_up_time_ = max_timelock_ + 2 * engine_config().delta;
   RequestWakeAt(give_up_time_ + 1);
   return Status::OK();
 }
@@ -108,37 +105,13 @@ bool HerlihySwapEngine::MayPublish(uint32_t u) const {
   return true;
 }
 
-void HerlihySwapEngine::TryPublish(EdgeRt* rt) {
-  Participant* sender = participant(rt->edge.from);
-  if (sender->behavior().decline_publish) return;
-  if (!sender->IsUp()) return;
-  if (!MayPublish(rt->edge.from)) return;
-  const TimePoint now = env()->sim()->Now();
-
-  if (!rt->deploy_built) {
-    const chain::Blockchain* chain = env()->blockchain(rt->edge.chain_id);
-    Bytes payload = contracts::HtlcContract::MakeInitPayload(
-        participant(rt->edge.to)->pk(), hashlock_, rt->timelock);
-    auto tx = sender->WalletFor(rt->edge.chain_id)
-                  ->BuildDeploy(chain->StateAtHead(), contracts::kHtlcKind,
-                                payload, rt->edge.amount,
-                                chain->params().deploy_fee,
-                                static_cast<uint64_t>(now) ^ rt->edge.to);
-    if (!tx.ok()) {
-      AC3_LOG(kWarn) << sender->name()
-                     << " cannot fund HTLC: " << tx.status().ToString();
-      return;
-    }
-    rt->deploy_tx = *tx;
-    rt->contract_id = tx->Id();
-    rt->deploy_built = true;
-    rt->publish_submitted_at = now;
-    rt->outcome = EdgeOutcome::kPublished;
-  }
-  GossipDeploy(rt, sender);
+Bytes HerlihySwapEngine::ContractInit(EdgeState* edge) {
+  return contracts::HtlcContract::MakeInitPayload(
+      participant(edge->edge.to)->pk(), hashlock_,
+      static_cast<EdgeRt*>(edge)->timelock);
 }
 
-void HerlihySwapEngine::TrySettle(EdgeRt* rt) {
+void HerlihySwapEngine::SettleByTimelock(EdgeRt* rt) {
   const TimePoint now = env()->sim()->Now();
   const chain::Blockchain* chain = env()->blockchain(rt->edge.chain_id);
 
@@ -198,7 +171,7 @@ void HerlihySwapEngine::ObserveSecrets() {
   // A participant learns s when one of its outgoing contracts is redeemed
   // (the redeem call's payload carries the preimage).
   for (const EdgeRt& rt : edges_) {
-    if (!rt.deploy_built || knows_secret_[rt.edge.from]) continue;
+    if (!rt.deploy.built() || knows_secret_[rt.edge.from]) continue;
     const chain::Blockchain* chain = env()->blockchain(rt.edge.chain_id);
     auto call = chain->FindCall(rt.contract_id, contracts::kRedeemFunction,
                                 /*require_success=*/true);
@@ -217,7 +190,7 @@ bool HerlihySwapEngine::IsComplete() const {
   const TimePoint now = env()->sim()->Now();
   for (const EdgeRt& rt : edges_) {
     if (rt.settled) continue;
-    if (!rt.deploy_built && now > give_up_time_) {
+    if (!rt.deploy.built() && now > give_up_time_) {
       continue;  // Never published and nobody is waiting any more.
     }
     return false;  // Something can still move.
@@ -232,7 +205,7 @@ void HerlihySwapEngine::MaybeCrashLeader() {
   // contracts strand: refunds require the SENDER to submit the call.
   bool leader_prepared = true;
   for (const EdgeRt& rt : edges_) {
-    if (rt.edge.from == leader_ && !rt.deploy_built) leader_prepared = false;
+    if (rt.edge.from == leader_ && !rt.deploy.built()) leader_prepared = false;
   }
   if (leader_prepared) {
     MaybeCrashCoordinator(CoordinatorCrashPhase::kAtPrepare,
@@ -245,14 +218,14 @@ void HerlihySwapEngine::Step() {
   ObserveSecrets();
   for (EdgeRt& rt : edges_) {
     if (rt.settled) continue;
-    if (!rt.deploy_built || !rt.publish_confirmed) {
+    if (!rt.publish_confirmed) {
       TryPublish(&rt);
-      if (rt.deploy_built) TrackPublishConfirmation(&rt);
+      if (rt.deploy.built()) TrackPublishConfirmation(&rt);
       // Fall through when the confirmation landed this very wake: the next
       // protocol action should not wait for another block arrival.
       if (!rt.publish_confirmed) continue;
     }
-    TrySettle(&rt);
+    SettleByTimelock(&rt);
     TrackSettlement(&rt);
   }
 }
@@ -260,13 +233,6 @@ void HerlihySwapEngine::Step() {
 void HerlihySwapEngine::FillVerdict(SwapReport* report) const {
   report->committed = report->AllRedeemed();
   report->aborted = !report->committed && report->AllRefunded();
-}
-
-HerlihySwapEngine MakeNolanTwoPartySwap(core::Environment* env,
-                                        const graph::Ac2tGraph& graph,
-                                        Participant* alice, Participant* bob,
-                                        HtlcConfig config) {
-  return HerlihySwapEngine(env, graph, {alice, bob}, config);
 }
 
 }  // namespace ac3::protocols

@@ -37,24 +37,15 @@
 
 namespace ac3::protocols {
 
-struct HtlcConfig {
-  /// Δ: "enough time for any participant to publish a smart contract ...
-  /// and for this change to be publicly recognized" (Section 6.1).
-  Duration delta = Seconds(3);
-  /// Confirmations before a contract counts as publicly recognized.
-  uint32_t confirm_depth = 1;
-  /// Re-gossip an unconfirmed transaction after this long.
-  Duration resubmit_interval = Seconds(2);
-  /// Phase-precise crash schedule for the leader (the HTLC coordinator):
-  /// kAtPrepare fires once the leader's outgoing contracts are all handed
-  /// to the network (its funds are committed); kAtCommit fires when every
-  /// contract is publicly recognized, before the leader redeems (so the
-  /// secret s is never revealed). Either strands the leader's outgoing
-  /// contracts when it never recovers — the blocking behavior the
-  /// quorum-commit study measures.
-  CoordinatorCrashPlan coordinator_crash;
-};
+/// Herlihy reads only the shared knobs: delta sets its timelocks.
+using HtlcConfig = EngineConfig;
 
+/// The leader-driven HTLC swap. Its coordinator-crash anchors: kAtPrepare
+/// fires once the leader's outgoing contracts are all handed to the
+/// network (its funds are committed); kAtCommit fires when every contract
+/// is publicly recognized, before the leader redeems (so the secret s is
+/// never revealed). Either strands the leader's outgoing contracts when it
+/// never recovers — the blocking behavior the quorum-commit study measures.
 class HerlihySwapEngine : public SwapEngineBase {
  public:
   /// `participants[i]` plays graph vertex i.
@@ -71,6 +62,10 @@ class HerlihySwapEngine : public SwapEngineBase {
   size_t EdgeCount() const override { return edges_.size(); }
   EdgeState* Edge(size_t i) override { return &edges_[i]; }
   void FillVerdict(SwapReport* report) const override;
+  Bytes ContractInit(EdgeState* edge) override;
+  /// The leader publishes first; anyone else once all of its incoming
+  /// contracts are publicly recognized.
+  bool MayPublish(uint32_t u) const override;
   void OnEdgeSettled(EdgeState* edge) override;
 
  private:
@@ -81,15 +76,13 @@ class HerlihySwapEngine : public SwapEngineBase {
     bool refund_submitted = false;
   };
 
-  /// True when vertex u may publish its outgoing contracts.
-  bool MayPublish(uint32_t u) const;
-  void TryPublish(EdgeRt* rt);
-  void TrySettle(EdgeRt* rt);
+  /// Redeems while the timelock is live, refunds after it expires; each
+  /// call is submitted once.
+  void SettleByTimelock(EdgeRt* rt);
   void ObserveSecrets();
   /// Fires the configured coordinator-crash schedule at its phase anchor.
   void MaybeCrashLeader();
 
-  HtlcConfig config_;
   uint32_t leader_ = 0;
   Bytes secret_;
   crypto::Hash256 hashlock_;
@@ -100,13 +93,6 @@ class HerlihySwapEngine : public SwapEngineBase {
   TimePoint give_up_time_ = 0;
   bool reveal_marked_ = false;
 };
-
-/// Nolan's protocol is the two-party instance of the engine (the paper
-/// presents them separately; the mechanics coincide for |V| = 2).
-HerlihySwapEngine MakeNolanTwoPartySwap(core::Environment* env,
-                                        const graph::Ac2tGraph& graph,
-                                        Participant* alice, Participant* bob,
-                                        HtlcConfig config);
 
 }  // namespace ac3::protocols
 

@@ -35,18 +35,6 @@ Result<crypto::Hash256> Participant::SubmitTransfer(
   return tx.Id();
 }
 
-Result<crypto::Hash256> Participant::SubmitDeploy(
-    chain::ChainId id, const std::string& kind, const Bytes& payload,
-    chain::Amount locked_value, chain::Amount fee) {
-  if (!IsUp()) return Status::Unavailable(name_ + " is crashed");
-  AC3_ASSIGN_OR_RETURN(
-      chain::Transaction tx,
-      WalletFor(id)->BuildDeploy(env_->blockchain(id)->StateAtHead(), kind,
-                                 payload, locked_value, fee, NextNonce()));
-  env_->SubmitTransaction(node_, id, tx);
-  return tx.Id();
-}
-
 Result<crypto::Hash256> Participant::SubmitCall(
     chain::ChainId id, const crypto::Hash256& contract_id,
     const std::string& function, const Bytes& args, chain::Amount fee) {

@@ -50,11 +50,6 @@ class Participant {
                                          const crypto::PublicKey& to,
                                          chain::Amount amount,
                                          chain::Amount fee);
-  Result<crypto::Hash256> SubmitDeploy(chain::ChainId id,
-                                       const std::string& kind,
-                                       const Bytes& payload,
-                                       chain::Amount locked_value,
-                                       chain::Amount fee);
   Result<crypto::Hash256> SubmitCall(chain::ChainId id,
                                      const crypto::Hash256& contract_id,
                                      const std::string& function,

@@ -1,12 +1,8 @@
 #include "src/protocols/quorum_commit.h"
 
-#include <algorithm>
 #include <string>
 
-#include "src/common/logging.h"
-#include "src/contracts/atomic_swap_contract.h"
 #include "src/contracts/centralized_contract.h"
-#include "src/graph/multisig_graph.h"
 
 namespace ac3::protocols {
 
@@ -14,13 +10,9 @@ QuorumCommitEngine::QuorumCommitEngine(core::Environment* env,
                                        graph::Ac2tGraph graph,
                                        std::vector<Participant*> participants,
                                        QuorumConfig config)
-    : SwapEngineBase(
-          env, std::move(graph), std::move(participants),
-          WatchConfig{config.confirm_depth, config.resubmit_interval},
-          "QuorumCommit"),
-      config_(config) {
-  SetCoordinatorCrashPlan(config.coordinator_crash);
-}
+    : SwapEngineBase(env, std::move(graph), std::move(participants), config,
+                     "QuorumCommit", contracts::kCentralizedKind),
+      config_(config) {}
 
 uint32_t QuorumCommitEngine::VertexCount() const {
   return graph().participant_count();
@@ -34,17 +26,9 @@ int QuorumCommitEngine::quorum() const {
   return static_cast<int>(VertexCount()) / 2 + 1;
 }
 
-std::optional<crypto::CommitmentTag> QuorumCommitEngine::decision_tag() const {
-  if (!decision_.has_value()) return std::nullopt;
-  return decision_->tag;
-}
-
 Status QuorumCommitEngine::OnStart() {
   // Every participant multisigns (D, t) — the swap proposal.
-  std::vector<crypto::KeyPair> keys;
-  keys.reserve(participants().size());
-  for (Participant* p : participants()) keys.push_back(p->key());
-  AC3_ASSIGN_OR_RETURN(ms_, graph::SignGraph(graph(), keys));
+  AC3_ASSIGN_OR_RETURN(ms_, MultisignGraph());
   ms_id_ = ms_.Id();
 
   // The shared quorum decision key, deterministically derived from ms(D)
@@ -66,36 +50,12 @@ Status QuorumCommitEngine::OnStart() {
   return Status::OK();
 }
 
-void QuorumCommitEngine::TryPublish(EdgeRt* rt) {
-  Participant* sender = participant(rt->edge.from);
-  if (sender->behavior().decline_publish) return;
-  if (!sender->IsUp()) return;
-  const TimePoint now = env()->sim()->Now();
-
-  if (!rt->deploy_built) {
-    // The contract's decision commitment is (ms(D), quorum pk): redeem and
-    // refund secrets are quorum-key signatures over (ms(D), RD) / (ms(D),
-    // RF), so ANY holder of the signed decision can settle the edge.
-    const chain::Blockchain* chain = env()->blockchain(rt->edge.chain_id);
-    Bytes payload = contracts::CentralizedContract::MakeInitPayload(
-        participant(rt->edge.to)->pk(), ms_id_, quorum_key_->public_key());
-    auto tx = sender->WalletFor(rt->edge.chain_id)
-                  ->BuildDeploy(chain->StateAtHead(),
-                                contracts::kCentralizedKind, payload,
-                                rt->edge.amount, chain->params().deploy_fee,
-                                static_cast<uint64_t>(now) ^ rt->edge.to);
-    if (!tx.ok()) {
-      AC3_LOG(kWarn) << sender->name() << " cannot fund quorum contract: "
-                     << tx.status().ToString();
-      return;
-    }
-    rt->deploy_tx = *tx;
-    rt->contract_id = tx->Id();
-    rt->deploy_built = true;
-    rt->publish_submitted_at = now;
-    rt->outcome = EdgeOutcome::kPublished;
-  }
-  GossipDeploy(rt, sender);
+Bytes QuorumCommitEngine::ContractInit(EdgeState* edge) {
+  // The contract's decision commitment is (ms(D), quorum pk): redeem and
+  // refund secrets are quorum-key signatures over (ms(D), RD) / (ms(D),
+  // RF).
+  return contracts::CentralizedContract::MakeInitPayload(
+      participant(edge->edge.to)->pk(), ms_id_, quorum_key_->public_key());
 }
 
 Participant* QuorumCommitEngine::FirstLiveKnower(uint32_t* vertex_out) const {
@@ -112,16 +72,6 @@ bool QuorumCommitEngine::DecisionKnownToLiveMember() const {
   return FirstLiveKnower(nullptr) != nullptr;
 }
 
-bool QuorumCommitEngine::PaceBroadcast(TimePoint now) {
-  if (last_broadcast_ >= 0 &&
-      now - last_broadcast_ < config_.resubmit_interval) {
-    return false;
-  }
-  last_broadcast_ = now;
-  RequestResubmitWake();
-  return true;
-}
-
 bool QuorumCommitEngine::ApplyPreCommit(uint32_t v, uint64_t epoch,
                                         crypto::CommitmentTag tag) {
   MemberState& m = members_[v];
@@ -136,9 +86,8 @@ bool QuorumCommitEngine::ApplyPreCommit(uint32_t v, uint64_t epoch,
   return true;
 }
 
-void QuorumCommitEngine::BroadcastStateReq(uint32_t coordinator,
-                                           TimePoint now) {
-  if (!PaceBroadcast(now)) return;
+void QuorumCommitEngine::BroadcastStateReq(uint32_t coordinator) {
+  if (!PaceResend(&last_broadcast_)) return;
   for (uint32_t v = 0; v < VertexCount(); ++v) {
     if (v == coordinator || state_replies_.count(v) > 0) continue;
     SendProtocolMessage(proto::Message{
@@ -150,9 +99,8 @@ void QuorumCommitEngine::BroadcastStateReq(uint32_t coordinator,
   }
 }
 
-void QuorumCommitEngine::BroadcastPreCommit(uint32_t coordinator,
-                                            TimePoint now) {
-  if (!PaceBroadcast(now)) return;
+void QuorumCommitEngine::BroadcastPreCommit(uint32_t coordinator) {
+  if (!PaceResend(&last_broadcast_)) return;
   for (uint32_t v = 0; v < VertexCount(); ++v) {
     if (v == coordinator || acks_.count(v) > 0) continue;
     SendProtocolMessage(proto::Message{
@@ -165,8 +113,8 @@ void QuorumCommitEngine::BroadcastPreCommit(uint32_t coordinator,
   }
 }
 
-void QuorumCommitEngine::BroadcastDecision(uint32_t sender, TimePoint now) {
-  if (!PaceBroadcast(now)) return;
+void QuorumCommitEngine::BroadcastDecision(uint32_t sender) {
+  if (!PaceResend(&last_broadcast_)) return;
   for (uint32_t v = 0; v < VertexCount(); ++v) {
     if (v == sender || members_[v].knows_decision) continue;
     SendProtocolMessage(proto::Message{
@@ -175,8 +123,7 @@ void QuorumCommitEngine::BroadcastDecision(uint32_t sender, TimePoint now) {
         .sender = participant(sender)->node(),
         .receiver = participant(v)->node(),
         .payload = proto::DecisionPayload{
-            v, static_cast<uint8_t>(decision_->tag),
-            decision_->secret.Encode()}});
+            v, static_cast<uint8_t>(*decision_tag()), decision_secret()}});
   }
 }
 
@@ -201,12 +148,11 @@ void QuorumCommitEngine::OnMessage(const proto::Message& msg) {
     case proto::MessageKind::kStateReply: {
       if (msg.epoch != epoch_) return;  // Fenced: takeover moved on.
       const auto& rep = std::get<proto::StateReplyPayload>(msg.payload);
-      ReplyInfo info;
-      info.epoch = rep.recorded_epoch;
-      info.phase = static_cast<MemberPhase>(rep.phase);
-      info.tag = static_cast<crypto::CommitmentTag>(rep.tag);
-      info.knows_decision = rep.knows_decision;
-      state_replies_.emplace(rep.vertex, info);
+      state_replies_.emplace(
+          rep.vertex,
+          MemberState{rep.recorded_epoch, static_cast<MemberPhase>(rep.phase),
+                      static_cast<crypto::CommitmentTag>(rep.tag),
+                      rep.knows_decision});
       ScheduleStep();
       return;
     }
@@ -250,13 +196,12 @@ void QuorumCommitEngine::OnMessage(const proto::Message& msg) {
 }
 
 void QuorumCommitEngine::SignDecision(uint32_t coordinator, TimePoint now) {
-  if (!decision_.has_value()) {
-    Decision d;
-    d.tag = round_tag_;
-    d.secret = quorum_key_->Sign(
-        crypto::SignatureCommitmentMessage(ms_id_, round_tag_));
-    decision_ = d;
-    mutable_report()->decision_time = now;
+  if (!decision_tag().has_value()) {
+    // The secret is quorum_key.Sign((ms(D), tag)).
+    Decide(round_tag_,
+           quorum_key_
+               ->Sign(crypto::SignatureCommitmentMessage(ms_id_, round_tag_))
+               .Encode());
     mutable_report()->MarkPhase(
         round_tag_ == crypto::CommitmentTag::kRedeem
             ? "quorum_commit_decided"
@@ -266,7 +211,7 @@ void QuorumCommitEngine::SignDecision(uint32_t coordinator, TimePoint now) {
   MemberState& m = members_[coordinator];
   m.knows_decision = true;
   m.phase = MemberPhase::kDecided;
-  m.tag = decision_->tag;
+  m.tag = *decision_tag();
 }
 
 void QuorumCommitEngine::StartEpoch(uint64_t epoch, TimePoint now) {
@@ -289,21 +234,16 @@ void QuorumCommitEngine::DriveCoordinator(TimePoint now) {
   if (!coordinator->IsUp()) return;
 
   if (members_[c].knows_decision) {
-    BroadcastDecision(c, now);
+    BroadcastDecision(c);
     return;
   }
 
   // Recovery epochs first collect a quorum of member states and apply the
   // termination rule; epoch 0 needs neither (everyone starts kWaiting).
   if (epoch_ > 0 && !recovery_resolved_) {
-    ReplyInfo own;
-    own.epoch = members_[c].epoch;
-    own.phase = members_[c].phase;
-    own.tag = members_[c].tag;
-    own.knows_decision = members_[c].knows_decision;
-    state_replies_.insert_or_assign(c, own);
+    state_replies_.insert_or_assign(c, members_[c]);
     if (static_cast<int>(state_replies_.size()) < quorum()) {
-      BroadcastStateReq(c, now);
+      BroadcastStateReq(c);
       return;
     }
     // Termination rule over the collected quorum: a known decision wins;
@@ -313,10 +253,10 @@ void QuorumCommitEngine::DriveCoordinator(TimePoint now) {
     uint64_t best_epoch = 0;
     for (const auto& [v, info] : state_replies_) {
       if (info.knows_decision) {
-        // decision_ exists iff any member holds the secret (engine-global
+        // A decision exists iff any member holds the secret (engine-global
         // by construction), so adopting it here is the re-broadcast path.
         SignDecision(c, now);
-        BroadcastDecision(c, now);
+        BroadcastDecision(c);
         return;
       }
       if (info.phase == MemberPhase::kPreCommitted &&
@@ -333,18 +273,14 @@ void QuorumCommitEngine::DriveCoordinator(TimePoint now) {
     // Choose the verdict to drive: a resumed pre-commit first, else commit
     // when every contract is publicly recognized, else abort on request or
     // expired patience.
-    if (forced_tag_.has_value()) {
-      round_tag_ = *forced_tag_;
-    } else if (config_.request_abort) {
-      round_tag_ = crypto::CommitmentTag::kRefund;
-    } else if (AllPublished()) {
-      round_tag_ = crypto::CommitmentTag::kRedeem;
-    } else if (now - start_time() >= config_.publish_patience) {
-      round_tag_ = crypto::CommitmentTag::kRefund;
-    } else {
+    std::optional<crypto::CommitmentTag> tag =
+        forced_tag_.has_value() ? forced_tag_
+                                : ProposedVerdict(config_, start_time());
+    if (!tag.has_value()) {
       RequestWakeAt(start_time() + config_.publish_patience);
       return;
     }
+    round_tag_ = *tag;
     // kAtPrepare anchor: the coordinator dies the instant the prepare
     // outcome is determined, before any other member learns the verdict.
     if (MaybeCrashCoordinator(CoordinatorCrashPhase::kAtPrepare,
@@ -360,7 +296,7 @@ void QuorumCommitEngine::DriveCoordinator(TimePoint now) {
     }
   }
   if (static_cast<int>(acks_.size()) < quorum()) {
-    BroadcastPreCommit(c, now);
+    BroadcastPreCommit(c);
     return;
   }
 
@@ -372,7 +308,7 @@ void QuorumCommitEngine::DriveCoordinator(TimePoint now) {
     return;
   }
   SignDecision(c, now);
-  BroadcastDecision(c, now);
+  BroadcastDecision(c);
 }
 
 void QuorumCommitEngine::MaybeTakeOver(TimePoint now) {
@@ -403,61 +339,9 @@ void QuorumCommitEngine::MaybeTakeOver(TimePoint now) {
   StartEpoch(epoch, now);
 }
 
-void QuorumCommitEngine::TrySettle(EdgeRt* rt, TimePoint now) {
-  if (!decision_.has_value()) return;
-  uint32_t actor_vertex = 0;
-  Participant* actor = FirstLiveKnower(&actor_vertex);
-  if (actor == nullptr) return;
-  if (rt->settle_submitted && rt->last_settle_submit >= 0 &&
-      now - rt->last_settle_submit < config_.resubmit_interval) {
-    return;
-  }
-
-  const chain::Blockchain* chain = env()->blockchain(rt->edge.chain_id);
-  const bool redeem = decision_->tag == crypto::CommitmentTag::kRedeem;
-  // Build the call once and re-gossip the SAME transaction on retries;
-  // rebuild only when the cached builder crashed and another knower takes
-  // over with its own funds.
-  if (rt->settle_builder != static_cast<int>(actor_vertex) &&
-      (rt->settle_builder < 0 ||
-       !participant(static_cast<uint32_t>(rt->settle_builder))->IsUp())) {
-    auto tx = actor->WalletFor(rt->edge.chain_id)
-                  ->BuildCall(chain->StateAtHead(), rt->contract_id,
-                              redeem ? contracts::kRedeemFunction
-                                     : contracts::kRefundFunction,
-                              decision_->secret.Encode(),
-                              chain->params().call_fee,
-                              static_cast<uint64_t>(now) ^ rt->edge.from);
-    if (!tx.ok()) {
-      AC3_LOG(kDebug) << "cannot build quorum settle call: "
-                      << tx.status().ToString();
-      return;
-    }
-    rt->settle_tx = *tx;
-    rt->settle_built = true;
-    rt->settle_builder = static_cast<int>(actor_vertex);
-  }
-  if (!rt->settle_built) return;
-  env()->SubmitTransaction(actor->node(), rt->edge.chain_id, rt->settle_tx);
-  rt->settle_submitted = true;
-  rt->last_settle_submit = now;
-  RequestResubmitWake();
-}
-
-bool QuorumCommitEngine::IsComplete() const {
-  if (!decision_.has_value()) return false;
-  for (const EdgeRt& rt : edges_) {
-    if (!rt.deploy_built) continue;  // Never published: nothing locked.
-    // Refund-path contracts that never reached a chain cannot settle; give
-    // up on them (mirrors the AC3TW terminal rule).
-    const chain::Blockchain* chain = env()->blockchain(rt.edge.chain_id);
-    const bool on_chain = chain->FindTx(rt.contract_id).has_value();
-    if (!on_chain && decision_->tag == crypto::CommitmentTag::kRefund) {
-      continue;
-    }
-    if (!rt.settled) return false;
-  }
-  return true;
+Participant* QuorumCommitEngine::SettleActor(const EdgeState& edge) const {
+  (void)edge;
+  return FirstLiveKnower(nullptr);
 }
 
 void QuorumCommitEngine::Step() {
@@ -465,15 +349,7 @@ void QuorumCommitEngine::Step() {
 
   // Prepare phase: parallel deployments, always driven (senders act on
   // their own behalf regardless of the commit round's state).
-  bool was_all_published = AllPublished();
-  for (EdgeRt& rt : edges_) {
-    if (!rt.publish_confirmed) {
-      TryPublish(&rt);
-      if (rt.deploy_built) TrackPublishConfirmation(&rt);
-    }
-  }
-  if (!was_all_published && AllPublished() && !prepare_marked_) {
-    prepare_marked_ = true;
+  if (PublishEdges()) {
     mutable_report()->MarkPhase("contracts_published", now);
   }
 
@@ -485,27 +361,20 @@ void QuorumCommitEngine::Step() {
   } else {
     uint32_t knower = 0;
     (void)FirstLiveKnower(&knower);
-    BroadcastDecision(knower, now);
+    BroadcastDecision(knower);
   }
 
   // Settlement: any live holder of the signed decision settles every edge.
-  if (decision_.has_value()) {
+  if (decision_tag().has_value()) {
     for (EdgeRt& rt : edges_) {
       if (rt.settled) continue;
       const chain::Blockchain* chain = env()->blockchain(rt.edge.chain_id);
-      if (rt.deploy_built && chain->FindTx(rt.contract_id)) {
-        TrySettle(&rt, now);
+      if (rt.deploy.built() && chain->FindTx(rt.contract_id)) {
+        TrySettle(&rt);
         TrackSettlement(&rt);
       }
     }
   }
-}
-
-void QuorumCommitEngine::FillVerdict(SwapReport* report) const {
-  report->committed = decision_.has_value() &&
-                      decision_->tag == crypto::CommitmentTag::kRedeem;
-  report->aborted = decision_.has_value() &&
-                    decision_->tag == crypto::CommitmentTag::kRefund;
 }
 
 }  // namespace ac3::protocols

@@ -59,30 +59,20 @@
 
 namespace ac3::protocols {
 
-/// Knobs of the quorum-commit engine.
-struct QuorumConfig {
-  /// Δ of Section 6.1 — publish/recognize granularity.
-  Duration delta = Seconds(3);
-  /// Confirmations before a contract counts as publicly recognized.
-  uint32_t confirm_depth = 1;
-  /// Re-gossip an unconfirmed transaction / retransmit an unanswered
-  /// protocol message after this long.
-  Duration resubmit_interval = Seconds(2);
-  /// Choose the abort verdict when contracts are still missing this long
-  /// after the swap started.
-  Duration publish_patience = Seconds(30);
+/// Knobs of the quorum-commit engine: the shared ones, the verdict rule's
+/// abort triggers (its patience clock starts with the swap), and the
+/// takeover timeout.
+struct QuorumConfig : VerdictConfig {
   /// Survivors take over (advance the epoch) after observing the current
   /// coordinator down for this long.
   Duration takeover_timeout = Seconds(4);
-  /// When true, the coordinator drives the abort verdict immediately (a
-  /// participant "changes her mind").
-  bool request_abort = false;
-  /// Phase-precise crash schedule for the current coordinator.
-  CoordinatorCrashPlan coordinator_crash;
 };
 
 /// The nonblocking quorum-commit (3PC-style) engine — see the file comment
-/// for the protocol shape and the recovery/termination rule.
+/// for the protocol shape and the recovery/termination rule. Its
+/// coordinator-crash anchors fire on the current coordinator: kAtPrepare
+/// as it fixes the verdict, before any other member learns it; kAtCommit
+/// after a quorum acknowledged, before it signs.
 class QuorumCommitEngine : public SwapEngineBase {
  public:
   /// `participants[i]` plays graph vertex i.
@@ -96,16 +86,18 @@ class QuorumCommitEngine : public SwapEngineBase {
   uint64_t epoch() const { return epoch_; }
   /// The acknowledgement quorum: strict majority, n/2 + 1.
   int quorum() const;
-  /// The signed decision's verdict once one exists.
-  std::optional<crypto::CommitmentTag> decision_tag() const;
 
  protected:
   Status OnStart() override;
   void Step() override;
-  bool IsComplete() const override;
   size_t EdgeCount() const override { return edges_.size(); }
   EdgeState* Edge(size_t i) override { return &edges_[i]; }
-  void FillVerdict(SwapReport* report) const override;
+  /// A CentralizedSC whose decision key is the shared quorum key, so any
+  /// holder of the signed decision can settle the edge.
+  Bytes ContractInit(EdgeState* edge) override;
+  /// The first live member that holds the signed decision settles, whoever
+  /// the edge pays.
+  Participant* SettleActor(const EdgeState& edge) const override;
   /// The five typed exchanges of the commit round: kStateReq answered by
   /// kStateReply (recovery state collection), kPreCommit answered by kAck
   /// (the acknowledgement round), and kDecision (secret dissemination).
@@ -131,22 +123,7 @@ class QuorumCommitEngine : public SwapEngineBase {
     crypto::CommitmentTag tag = crypto::CommitmentTag::kRedeem;
     bool knows_decision = false;   // Holds the signed decision secret.
   };
-  /// A member's STATE-REPLY, as received by the recovering coordinator.
-  struct ReplyInfo {
-    uint64_t epoch = 0;
-    MemberPhase phase = MemberPhase::kWaiting;
-    crypto::CommitmentTag tag = crypto::CommitmentTag::kRedeem;
-    bool knows_decision = false;
-  };
-  struct Decision {
-    crypto::CommitmentTag tag = crypto::CommitmentTag::kRedeem;
-    crypto::Signature secret;  // quorum_key.Sign((ms(D), tag)).
-  };
-  struct EdgeRt : EdgeState {
-    /// Vertex whose wallet funded settle_tx (-1 = not built). Rebuilt when
-    /// the builder crashed and another knower takes over.
-    int settle_builder = -1;
-  };
+  using EdgeRt = EdgeState;
 
   uint32_t VertexCount() const;
   uint32_t CoordinatorOf(uint64_t epoch) const;
@@ -154,7 +131,6 @@ class QuorumCommitEngine : public SwapEngineBase {
   Participant* FirstLiveKnower(uint32_t* vertex_out) const;
   bool DecisionKnownToLiveMember() const;
 
-  void TryPublish(EdgeRt* rt);
   /// Runs the coordinator side of the current epoch (recovery state
   /// collection, verdict choice, pre-commit round, decision broadcast) on
   /// behalf of CoordinatorOf(epoch_) when that vertex is up.
@@ -169,13 +145,10 @@ class QuorumCommitEngine : public SwapEngineBase {
   void SignDecision(uint32_t coordinator, TimePoint now);
 
   /// Paced broadcast primitives (one message stream is active at a time,
-  /// so they share the retransmit pacer).
-  bool PaceBroadcast(TimePoint now);
-  void BroadcastStateReq(uint32_t coordinator, TimePoint now);
-  void BroadcastPreCommit(uint32_t coordinator, TimePoint now);
-  void BroadcastDecision(uint32_t sender, TimePoint now);
-
-  void TrySettle(EdgeRt* rt, TimePoint now);
+  /// so they share the retransmit pacer `last_broadcast_`).
+  void BroadcastStateReq(uint32_t coordinator);
+  void BroadcastPreCommit(uint32_t coordinator);
+  void BroadcastDecision(uint32_t sender);
 
   QuorumConfig config_;
   crypto::Multisignature ms_;
@@ -187,8 +160,9 @@ class QuorumCommitEngine : public SwapEngineBase {
   std::vector<MemberState> members_;
 
   uint64_t epoch_ = 0;
-  /// Recovery-epoch round state (meaningful on the current coordinator).
-  std::map<uint32_t, ReplyInfo> state_replies_;
+  /// Recovery-epoch round state (meaningful on the current coordinator):
+  /// each replying member's recorded state.
+  std::map<uint32_t, MemberState> state_replies_;
   bool recovery_resolved_ = false;  // Termination rule applied for epoch_.
   /// Verdict the recovery termination rule forces (resumed pre-commit).
   std::optional<crypto::CommitmentTag> forced_tag_;
@@ -198,8 +172,6 @@ class QuorumCommitEngine : public SwapEngineBase {
   std::set<uint32_t> acks_;
   bool precommit_marked_ = false;
 
-  std::optional<Decision> decision_;
-  bool prepare_marked_ = false;
   TimePoint last_broadcast_ = -1;
   TimePoint coordinator_down_since_ = -1;
 };

@@ -335,56 +335,42 @@ Result<protocols::SwapReport> RunSwapReport(const SweepGridConfig& config,
     return report;
   };
 
+  // The knobs every engine shares, set once; each engine's config adds
+  // only its own.
+  protocols::VerdictConfig shared;
+  shared.delta = config.delta;
+  shared.confirm_depth = config.confirm_depth;
+  shared.resubmit_interval = config.resubmit_interval;
+  shared.coordinator_crash = CoordinatorPlanFor(config, point);
+  shared.publish_patience = config.publish_patience;
+
   switch (point.protocol) {
     case Protocol::kHerlihy: {
-      protocols::HtlcConfig htlc;
-      htlc.delta = config.delta;
-      htlc.confirm_depth = config.confirm_depth;
-      htlc.resubmit_interval = config.resubmit_interval;
-      htlc.coordinator_crash = CoordinatorPlanFor(config, point);
       protocols::HerlihySwapEngine engine(world.env(), graph,
-                                          world.all_participants(), htlc);
+                                          world.all_participants(), shared);
       return finish(engine.Run(deadline));
     }
     case Protocol::kAc3tw: {
-      protocols::Ac3twConfig cfg;
-      cfg.delta = config.delta;
-      cfg.confirm_depth = config.confirm_depth;
-      cfg.resubmit_interval = config.resubmit_interval;
-      cfg.publish_patience = config.publish_patience;
-      cfg.coordinator_crash = CoordinatorPlanFor(config, point);
       protocols::TrustedWitness trent("Trent", 0x7e27 + point.seed,
                                       world.env(), config.confirm_depth);
       protocols::Ac3twSwapEngine engine(world.env(), graph,
-                                        world.all_participants(), &trent, cfg);
+                                        world.all_participants(), &trent,
+                                        shared);
       return finish(engine.Run(deadline));
     }
     case Protocol::kAc3wn: {
-      protocols::Ac3wnConfig cfg;
-      cfg.delta = config.delta;
-      cfg.confirm_depth = config.confirm_depth;
-      cfg.witness_depth_d = config.witness_depth_d;
-      cfg.resubmit_interval = config.resubmit_interval;
-      cfg.publish_patience = config.publish_patience;
-      cfg.coordinator_crash = CoordinatorPlanFor(config, point);
-      protocols::Ac3wnSwapEngine engine(world.env(), graph,
-                                        world.all_participants(),
-                                        world.witness_chain(), cfg);
+      protocols::Ac3wnSwapEngine engine(
+          world.env(), graph, world.all_participants(), world.witness_chain(),
+          protocols::Ac3wnConfig{shared, config.witness_depth_d});
       return finish(engine.Run(deadline));
     }
     case Protocol::kQuorum: {
-      protocols::QuorumConfig cfg;
-      cfg.delta = config.delta;
-      cfg.confirm_depth = config.confirm_depth;
-      cfg.resubmit_interval = config.resubmit_interval;
-      cfg.publish_patience = config.publish_patience;
       // Takeover fires after two message-latency bounds of coordinator
       // silence — long enough to rule out transient drops, short enough
       // that recovery dominates neither patience nor the deadline.
-      cfg.takeover_timeout = 2 * config.delta;
-      cfg.coordinator_crash = CoordinatorPlanFor(config, point);
-      protocols::QuorumCommitEngine engine(world.env(), graph,
-                                           world.all_participants(), cfg);
+      protocols::QuorumCommitEngine engine(
+          world.env(), graph, world.all_participants(),
+          protocols::QuorumConfig{shared, 2 * config.delta});
       return finish(engine.Run(deadline));
     }
   }

@@ -49,9 +49,8 @@ TEST(Ac3wnSwapTest, TwoPartyHappyPathCommits) {
   EXPECT_FALSE(report->aborted);
   EXPECT_TRUE(report->AllRedeemed());
   EXPECT_FALSE(report->AtomicityViolated());
-  ASSERT_TRUE(engine.decided_state().has_value());
-  EXPECT_EQ(*engine.decided_state(),
-            contracts::WitnessState::kRedeemAuthorized);
+  ASSERT_TRUE(engine.decision_tag().has_value());
+  EXPECT_EQ(*engine.decision_tag(), crypto::CommitmentTag::kRedeem);
 }
 
 TEST(Ac3wnSwapTest, HappyPathMovesAssetsToRecipients) {

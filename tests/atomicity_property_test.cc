@@ -287,9 +287,10 @@ TEST_P(FaultInjectionPropertyTest, NoVerdictFreeLossAndQuorumStaysAtomic) {
     // an atomic verdict with nothing locked. Herlihy is the documented
     // exception (the paper's §4 critique, reproduced rather than
     // asserted away): its commitment is timelock expiry, so a dropped
-    // redeem gossip retried past a leg's timelock genuinely splits the
-    // swap — the last leg's redeem reveals the secret while an upstream
-    // leg refunds (seeds 301/303 hit exactly this race).
+    // redeem gossip (Herlihy submits each settle call once) leaves that
+    // leg to its timelock and genuinely splits the swap — the last leg's
+    // redeem reveals the secret while an upstream leg refunds (seeds
+    // 301/303 hit exactly this race).
     if (cell.protocol != runner::Protocol::kHerlihy) {
       EXPECT_TRUE(report->finished) << cell << "\n" << report->Summary();
       EXPECT_FALSE(report->AtomicityViolated()) << cell;

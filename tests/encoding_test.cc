@@ -29,11 +29,13 @@
 #include "src/graph/ac2t_graph.h"
 #include "src/graph/multisig_graph.h"
 #include "src/protocols/messages.h"
+#include "tests/test_util.h"
 
 namespace ac3 {
 namespace {
 
 using chain::MutableTransaction;
+using testutil::Mutate;
 using chain::OutPoint;
 using chain::Receipt;
 using chain::Transaction;
@@ -188,12 +190,12 @@ TEST(EncodingKnownAnswerTest, KeyAndSignatureEncodeIsEncodeTo) {
 
 // -------------------------------------------------------- mutation loop
 //
-// Each sample encoding is mutated a few thousand times: a bit flipped, a
-// byte dropped, inserted or duplicated, the tail truncated, or four bytes
-// rewritten as a u32 length. Every decode of a mutant must fail or give a
-// value that re-encodes to exactly the mutant, so that no two byte strings
-// decode to one value (a canonical decoder) and no input reads past its
-// buffer (the sanitizer job runs this suite).
+// Each sample encoding is mutated a few thousand times (testutil::Mutate:
+// a bit flipped, a byte dropped, inserted or duplicated, the tail
+// truncated, or four bytes rewritten as a u32 length). Every decode of a
+// mutant must fail or give a value that re-encodes to exactly the mutant,
+// so that no two byte strings decode to one value (a canonical decoder)
+// and no input reads past its buffer (the sanitizer job runs this suite).
 
 /// Decodes `bytes` and re-encodes the value; nullopt when decoding fails.
 using RoundTrip = std::function<std::optional<Bytes>(const Bytes&)>;
@@ -202,49 +204,6 @@ template <typename T>
 std::optional<Bytes> EncodedIfOk(const Result<T>& decoded) {
   if (!decoded.ok()) return std::nullopt;
   return decoded->Encode();
-}
-
-Bytes Mutate(const Bytes& sample, Rng* rng) {
-  Bytes out = sample;
-  const size_t n = out.size();
-  switch (rng->NextBelow(6)) {
-    case 0:  // Flip one bit.
-      if (n == 0) break;
-      out[rng->NextBelow(n)] ^= static_cast<uint8_t>(1u << rng->NextBelow(8));
-      break;
-    case 1:  // Drop a byte.
-      if (n == 0) break;
-      out.erase(out.begin() + static_cast<ptrdiff_t>(rng->NextBelow(n)));
-      break;
-    case 2:  // Insert a byte.
-      out.insert(out.begin() + static_cast<ptrdiff_t>(rng->NextBelow(n + 1)),
-                 static_cast<uint8_t>(rng->NextU64()));
-      break;
-    case 3: {  // Duplicate a byte.
-      if (n == 0) break;
-      const size_t at = rng->NextBelow(n);
-      const uint8_t byte = out[at];
-      out.insert(out.begin() + static_cast<ptrdiff_t>(at), byte);
-      break;
-    }
-    case 4:  // Truncate.
-      out.resize(rng->NextBelow(n + 1));
-      break;
-    case 5: {  // Rewrite four bytes as a u32 length.
-      if (n < 4) break;
-      const size_t at = rng->NextBelow(n - 3);
-      const uint32_t lengths[] = {0,
-                                  1,
-                                  static_cast<uint32_t>(rng->NextBelow(64)),
-                                  static_cast<uint32_t>(n - at),
-                                  static_cast<uint32_t>(n),
-                                  0x7fffffff,
-                                  0xffffffff};
-      StoreLe(out.data() + at, lengths[rng->NextBelow(std::size(lengths))]);
-      break;
-    }
-  }
-  return out;
 }
 
 constexpr int kMutationsPerCodec = 3000;
@@ -391,13 +350,12 @@ TEST(DecodeMutationTest, ProtocolMessage) {
   };
   std::vector<Bytes> samples;
   for (const proto::Message::Payload& payload : payloads) {
-    proto::Message msg;
-    msg.swap_id = crypto::Hash256::OfString("swap");
-    msg.epoch = 3;
-    msg.seq = 14;
-    msg.sender = 1;
-    msg.receiver = 2;
-    msg.payload = payload;
+    const proto::Message msg{.swap_id = crypto::Hash256::OfString("swap"),
+                             .epoch = 3,
+                             .seq = 14,
+                             .sender = 1,
+                             .receiver = 2,
+                             .payload = payload};
     samples.push_back(msg.Encode());
   }
   CheckMutations(samples,

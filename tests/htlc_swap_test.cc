@@ -44,9 +44,9 @@ graph::Ac2tGraph TwoPartyGraph(SwapWorld* world, chain::Amount x = 300,
 TEST(NolanSwapTest, TwoPartyHappyPathCommits) {
   SwapWorld world(NoWitness());
   world.StartMining();
-  HerlihySwapEngine engine = MakeNolanTwoPartySwap(
-      world.env(), TwoPartyGraph(&world), world.participant(0),
-      world.participant(1), FastConfig());
+  HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world),
+                           {world.participant(0), world.participant(1)},
+                           FastConfig());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->protocol, "Nolan-HTLC");
@@ -61,9 +61,9 @@ TEST(NolanSwapTest, AssetsActuallyMove) {
   world.StartMining();
   const chain::Amount x = 300, y = 200;
   const chain::Amount bob_on_0 = world.participant(1)->BalanceOn(0);
-  HerlihySwapEngine engine = MakeNolanTwoPartySwap(
-      world.env(), TwoPartyGraph(&world, x, y), world.participant(0),
-      world.participant(1), FastConfig());
+  HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world, x, y),
+                           {world.participant(0), world.participant(1)},
+                           FastConfig());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->committed);
@@ -82,9 +82,9 @@ TEST(NolanSwapTest, RecipientCrashViolatesAtomicity) {
   const chain::Amount x = 300, y = 200;
   const chain::Amount bob_on_0 = world.participant(1)->BalanceOn(0);
   const chain::Amount bob_on_1 = world.participant(1)->BalanceOn(1);
-  HerlihySwapEngine engine = MakeNolanTwoPartySwap(
-      world.env(), TwoPartyGraph(&world, x, y), world.participant(0),
-      world.participant(1), FastConfig());
+  HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world, x, y),
+                           {world.participant(0), world.participant(1)},
+                           FastConfig());
   ASSERT_TRUE(engine.Start().ok());
   // Run until both contracts are on their chains, then crash Bob before he
   // can observe the secret; he stays down until long after his timelock
@@ -116,9 +116,9 @@ TEST(NolanSwapTest, CounterpartyNeverPublishesLeadsToRefund) {
   SwapWorld world(NoWitness());
   world.StartMining();
   world.participant(1)->behavior().decline_publish = true;
-  HerlihySwapEngine engine = MakeNolanTwoPartySwap(
-      world.env(), TwoPartyGraph(&world), world.participant(0),
-      world.participant(1), FastConfig());
+  HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world),
+                           {world.participant(0), world.participant(1)},
+                           FastConfig());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->finished);
@@ -236,9 +236,9 @@ TEST(HerlihySwapTest, TimelocksDecreaseAlongPublishOrder) {
   // carries the later timelock, giving downstream redeemers room.
   SwapWorld world(NoWitness());
   world.StartMining();
-  HerlihySwapEngine engine = MakeNolanTwoPartySwap(
-      world.env(), TwoPartyGraph(&world), world.participant(0),
-      world.participant(1), FastConfig());
+  HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world),
+                           {world.participant(0), world.participant(1)},
+                           FastConfig());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->committed);

@@ -19,14 +19,12 @@ namespace {
 // One representative message per kind, with non-default field values so a
 // round trip that zeroes anything is caught.
 Message Envelope(Message::Payload payload) {
-  Message msg;
-  msg.swap_id = crypto::Hash256::OfString("messages-test-swap");
-  msg.epoch = 7;
-  msg.seq = 42;
-  msg.sender = 3;
-  msg.receiver = 11;
-  msg.payload = std::move(payload);
-  return msg;
+  return Message{.swap_id = crypto::Hash256::OfString("messages-test-swap"),
+                 .epoch = 7,
+                 .seq = 42,
+                 .sender = 3,
+                 .receiver = 11,
+                 .payload = std::move(payload)};
 }
 
 std::vector<Message> OnePerKind() {
@@ -97,33 +95,33 @@ TEST(MessagesTest, FuzzedPayloadsRoundTrip) {
     Bytes blob(rng.NextBelow(300), 0);
     for (auto& b : blob) b = static_cast<uint8_t>(rng.NextBelow(256));
 
-    Message msg;
-    msg.swap_id = crypto::Hash256::OfString("fuzz-" + std::to_string(iter));
-    msg.epoch = rng.NextU64();
-    msg.seq = rng.NextU64();
-    msg.sender = static_cast<sim::NodeId>(rng.NextBelow(1 << 20));
-    msg.receiver = static_cast<sim::NodeId>(rng.NextBelow(1 << 20));
-    switch (rng.NextBelow(4)) {
-      case 0:
-        msg.payload = PreparePayload{blob};
-        break;
-      case 1:
-        msg.payload = DecisionPayload{
-            static_cast<uint32_t>(rng.NextBelow(64)),
-            static_cast<uint8_t>(rng.NextBelow(3)), blob};
-        break;
-      case 2:
-        msg.payload = StateReplyPayload{
-            static_cast<uint32_t>(rng.NextBelow(64)), rng.NextU64(),
-            static_cast<uint8_t>(rng.NextBelow(4)),
-            static_cast<uint8_t>(rng.NextBelow(3)), rng.NextBool(0.5)};
-        break;
-      default:
-        msg.payload = TxSubmitPayload{
-            static_cast<chain::ChainId>(rng.NextBelow(1 << 16)),
-            static_cast<uint32_t>(rng.NextBelow(1 << 24))};
-        break;
-    }
+    auto random_payload = [&]() -> Message::Payload {
+      switch (rng.NextBelow(4)) {
+        case 0:
+          return PreparePayload{blob};
+        case 1:
+          return DecisionPayload{static_cast<uint32_t>(rng.NextBelow(64)),
+                                 static_cast<uint8_t>(rng.NextBelow(3)), blob};
+        case 2:
+          return StateReplyPayload{
+              static_cast<uint32_t>(rng.NextBelow(64)), rng.NextU64(),
+              static_cast<uint8_t>(rng.NextBelow(4)),
+              static_cast<uint8_t>(rng.NextBelow(3)), rng.NextBool(0.5)};
+        default:
+          return TxSubmitPayload{
+              static_cast<chain::ChainId>(rng.NextBelow(1 << 16)),
+              static_cast<uint32_t>(rng.NextBelow(1 << 24))};
+      }
+    };
+    // A braced initializer evaluates its clauses in order, so the draws
+    // keep their sequence.
+    const Message msg{
+        .swap_id = crypto::Hash256::OfString("fuzz-" + std::to_string(iter)),
+        .epoch = rng.NextU64(),
+        .seq = rng.NextU64(),
+        .sender = static_cast<sim::NodeId>(rng.NextBelow(1 << 20)),
+        .receiver = static_cast<sim::NodeId>(rng.NextBelow(1 << 20)),
+        .payload = random_payload()};
 
     const Bytes wire = msg.Encode();
     EXPECT_EQ(msg.EncodedSize(), wire.size());

@@ -5,6 +5,7 @@
 // O(duration / poll_interval).
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -275,9 +276,9 @@ class ProbeEngine : public protocols::SwapEngineBase {
  public:
   ProbeEngine(core::Environment* env, graph::Ac2tGraph graph,
               std::vector<protocols::Participant*> participants,
-              protocols::WatchConfig watch)
-      : SwapEngineBase(env, std::move(graph), std::move(participants), watch,
-                       "probe") {}
+              const protocols::EngineConfig& config)
+      : SwapEngineBase(env, std::move(graph), std::move(participants), config,
+                       "probe", "probe-contract") {}
 
   using SwapEngineBase::HandleMessage;
   using SwapEngineBase::PaceResend;
@@ -287,14 +288,17 @@ class ProbeEngine : public protocols::SwapEngineBase {
   int steps = 0;
   int messages = 0;
   uint64_t epoch_floor = 0;
+  /// A chain OnStart() watches beside the edge chains, if any.
+  std::optional<chain::ChainId> extra_chain;
 
  protected:
-  Status OnStart() override { return Status::OK(); }
+  Status OnStart() override {
+    return extra_chain.has_value() ? WatchChain(*extra_chain) : Status::OK();
+  }
   void Step() override { ++steps; }
-  bool IsComplete() const override { return false; }
   size_t EdgeCount() const override { return 0; }
   EdgeState* Edge(size_t) override { return nullptr; }
-  void FillVerdict(protocols::SwapReport*) const override {}
+  Bytes ContractInit(EdgeState*) override { return {}; }
   void OnMessage(const proto::Message&) override { ++messages; }
   uint64_t MessageEpochFloor() const override { return epoch_floor; }
 };
@@ -305,10 +309,10 @@ struct ProbeWorld {
         world.participant(0)->pk(), world.participant(1)->pk(),
         world.asset_chain(0), 300, world.asset_chain(1), 200,
         world.env()->sim()->Now());
-    protocols::WatchConfig watch;
-    watch.resubmit_interval = Milliseconds(800);
+    protocols::EngineConfig config;
+    config.resubmit_interval = Milliseconds(800);
     engine = std::make_unique<ProbeEngine>(world.env(), graph,
-                                           world.all_participants(), watch);
+                                           world.all_participants(), config);
   }
 
   static core::ScenarioOptions MakeOptions() {
@@ -318,14 +322,12 @@ struct ProbeWorld {
   }
 
   proto::Message Envelope(uint64_t seq, uint64_t epoch) {
-    proto::Message msg;
-    msg.swap_id = crypto::Hash256::OfString("probe-swap");
-    msg.epoch = epoch;
-    msg.seq = seq;
-    msg.sender = world.participant(0)->node();
-    msg.receiver = world.participant(1)->node();
-    msg.payload = proto::RedeemNotifyPayload{1};
-    return msg;
+    return proto::Message{.swap_id = crypto::Hash256::OfString("probe-swap"),
+                          .epoch = epoch,
+                          .seq = seq,
+                          .sender = world.participant(0)->node(),
+                          .receiver = world.participant(1)->node(),
+                          .payload = proto::RedeemNotifyPayload{1}};
   }
 
   core::ScenarioWorld world;
@@ -358,6 +360,23 @@ TEST(EngineWakeTest, SameInstantWakeRequestsExecuteStepOnce) {
   // After the interval elapses the same exchange paces again.
   EXPECT_TRUE(probe.engine->PaceResend(&exchange_a));
   EXPECT_EQ(exchange_a, sim->Now());
+}
+
+// Start() checks the extra chains an engine watches, not only the edge
+// chains: an unknown one fails Start() with the status WatchChain reports,
+// and the engine never steps.
+TEST(EngineWakeTest, StartRejectsAnUnknownExtraWatchedChain) {
+  ProbeWorld probe;
+  sim::Simulation* sim = probe.world.env()->sim();
+  probe.engine->extra_chain = 99;
+  const Status status = probe.engine->Start();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  sim->RunUntil(sim->Now() + Seconds(5));
+  EXPECT_EQ(probe.engine->steps, 0);
+
+  ProbeWorld known;
+  known.engine->extra_chain = known.world.witness_chain();
+  EXPECT_TRUE(known.engine->Start().ok());
 }
 
 TEST(EngineMessageFenceTest, DuplicateDeliveriesOfOneSendAreFenced) {

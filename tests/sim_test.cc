@@ -14,12 +14,11 @@
 namespace ac3::sim {
 namespace {
 
-/// A minimal typed envelope from `from` to `to` (default payload).
+/// A minimal typed envelope from `from` to `to` (zero swap id, default
+/// payload).
 proto::Message Envelope(NodeId from, NodeId to) {
-  proto::Message msg;
-  msg.sender = from;
-  msg.receiver = to;
-  return msg;
+  return proto::Message{
+      .swap_id = {}, .sender = from, .receiver = to, .payload = {}};
 }
 
 TEST(EventQueueTest, OrdersByTime) {

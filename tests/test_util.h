@@ -4,6 +4,8 @@
 #ifndef AC3_TESTS_TEST_UTIL_H_
 #define AC3_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -12,6 +14,7 @@
 #include "src/chain/blockchain.h"
 #include "src/chain/pow.h"
 #include "src/chain/wallet.h"
+#include "src/common/bytes.h"
 #include "src/common/random.h"
 #include "src/core/scenario.h"
 #include "src/crypto/header_hasher.h"
@@ -177,6 +180,53 @@ inline crypto::Signature ForgeUnderUnitKey(const crypto::PublicKey& pk,
   w.PutBytes(message);
   return crypto::Signature{crypto::Hash256::Of(w.bytes()).Prefix64() % grp.q,
                            s};
+}
+
+/// One seeded mutant of an encoding: a bit flipped, a byte dropped,
+/// inserted or duplicated, the tail truncated, or four bytes rewritten as a
+/// u32 length. The decoder mutation suites and the engine-boundary property
+/// test feed these to decoders and engines.
+inline Bytes Mutate(const Bytes& sample, Rng* rng) {
+  Bytes out = sample;
+  const size_t n = out.size();
+  switch (rng->NextBelow(6)) {
+    case 0:  // Flip one bit.
+      if (n == 0) break;
+      out[rng->NextBelow(n)] ^= static_cast<uint8_t>(1u << rng->NextBelow(8));
+      break;
+    case 1:  // Drop a byte.
+      if (n == 0) break;
+      out.erase(out.begin() + static_cast<ptrdiff_t>(rng->NextBelow(n)));
+      break;
+    case 2:  // Insert a byte.
+      out.insert(out.begin() + static_cast<ptrdiff_t>(rng->NextBelow(n + 1)),
+                 static_cast<uint8_t>(rng->NextU64()));
+      break;
+    case 3: {  // Duplicate a byte.
+      if (n == 0) break;
+      const size_t at = rng->NextBelow(n);
+      const uint8_t byte = out[at];
+      out.insert(out.begin() + static_cast<ptrdiff_t>(at), byte);
+      break;
+    }
+    case 4:  // Truncate.
+      out.resize(rng->NextBelow(n + 1));
+      break;
+    case 5: {  // Rewrite four bytes as a u32 length.
+      if (n < 4) break;
+      const size_t at = rng->NextBelow(n - 3);
+      const uint32_t lengths[] = {0,
+                                  1,
+                                  static_cast<uint32_t>(rng->NextBelow(64)),
+                                  static_cast<uint32_t>(n - at),
+                                  static_cast<uint32_t>(n),
+                                  0x7fffffff,
+                                  0xffffffff};
+      StoreLe(out.data() + at, lengths[rng->NextBelow(std::size(lengths))]);
+      break;
+    }
+  }
+  return out;
 }
 
 /// Protocol-test world: an alias of the library's public scenario facade
