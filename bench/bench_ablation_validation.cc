@@ -83,12 +83,12 @@ TechniqueCosts RunAt(uint64_t chain_length, uint64_t seed) {
 
   // ---- 1. full replication --------------------------------------------
   for (const chain::BlockEntry* entry : validated.arrival_order()) {
-    costs.full_bytes += entry->block.header.Encode().size();
+    costs.full_bytes += Encode(entry->block.header).size();
     for (const chain::Transaction& body_tx : entry->block.txs) {
       costs.full_bytes += body_tx.EncodedSize();
     }
     for (const chain::Receipt& receipt : entry->block.receipts) {
-      costs.full_bytes += receipt.Encode().size();
+      costs.full_bytes += Encode(receipt).size();
     }
   }
   costs.full_query_us = MeasureMicros([&]() {
@@ -101,7 +101,7 @@ TechniqueCosts RunAt(uint64_t chain_length, uint64_t seed) {
                            params.difficulty_bits);
   (void)light.SyncFrom(validated);
   costs.light_bytes =
-      light.header_count() * validated.genesis()->block.header.Encode().size();
+      light.header_count() * Encode(validated.genesis()->block.header).size();
   crypto::MerkleTree tree(location->entry->block.TxLeaves());
   auto proof = *tree.Prove(location->index);
   costs.light_query_us = MeasureMicros([&]() {
@@ -112,7 +112,7 @@ TechniqueCosts RunAt(uint64_t chain_length, uint64_t seed) {
 
   // ---- 3. relay contract (checkpoint + per-query evidence) -------------
   const chain::BlockHeader checkpoint = validated.genesis()->block.header;
-  costs.relay_bytes = checkpoint.Encode().size();
+  costs.relay_bytes = Encode(checkpoint).size();
   auto evidence =
       *contracts::BuildTxEvidence(validated, validated.genesis()->hash, tx_id);
   costs.relay_query_us = MeasureMicros([&]() {

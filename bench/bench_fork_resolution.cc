@@ -56,7 +56,7 @@ bool DecisionSurvives(uint32_t d, uint32_t attack, uint64_t seed) {
   auto ms = graph::SignGraph(graph, {kAlice, kBob});
   contracts::WitnessInit init;
   init.participants = {kAlice.public_key(), kBob.public_key()};
-  init.ms_encoded = ms->Encode();
+  init.ms_encoded = Encode(*ms);
   contracts::EdgeSpec spec;
   spec.chain_id = 0;
   spec.sender = kAlice.public_key();
@@ -70,7 +70,7 @@ bool DecisionSurvives(uint32_t d, uint32_t attack, uint64_t seed) {
   chain::Wallet alice(kAlice, 0);
   chain::Wallet bob(kBob, 0);
   auto scw_deploy = alice.BuildDeploy(witness.StateAtHead(),
-                                      contracts::kWitnessKind, init.Encode(),
+                                      contracts::kWitnessKind, Encode(init),
                                       0, 4, 1);
   if (!scw_deploy.ok()) return false;
   if (mine_on(witness.head()->hash, {*scw_deploy}).IsZero()) return false;
@@ -87,7 +87,7 @@ bool DecisionSurvives(uint32_t d, uint32_t attack, uint64_t seed) {
   sc_init.witness_difficulty_bits = witness_params.difficulty_bits;
   auto sc_deploy = alice.BuildDeploy(witness.StateAtHead(),
                                      contracts::kPermissionlessKind,
-                                     sc_init.Encode(), 100, 4, 2);
+                                     Encode(sc_init), 100, 4, 2);
   if (!sc_deploy.ok()) return false;
   if (mine_on(witness.head()->hash, {*sc_deploy}).IsZero()) return false;
 
@@ -96,7 +96,7 @@ bool DecisionSurvives(uint32_t d, uint32_t attack, uint64_t seed) {
   if (!deploy_ev.ok()) return false;
   auto redeem_call = alice.BuildCall(witness.StateAtHead(), scw_id,
                                      contracts::kAuthorizeRedeemFunction,
-                                     contracts::EncodeEdgeEvidence({*deploy_ev}),
+                                     Encode(contracts::EdgeEvidence{{*deploy_ev}}),
                                      2, 3);
   if (!redeem_call.ok()) return false;
   auto refund_call = bob.BuildCall(witness.StateAtHead(), scw_id,

@@ -74,7 +74,7 @@ int main() {
   init.interesting_tx = tx1->Id();
   init.required_depth = 2;
   auto deploy = alice2.BuildDeploy(validator.chain.StateAtHead(),
-                                   contracts::kRelayKind, init.Encode(), 0, 4,
+                                   contracts::kRelayKind, Encode(init), 0, 4,
                                    1);
   if (!deploy.ok() || !validator.Mine({*deploy})) return 1;
   std::printf("SC deployed on blockchain2, state S1, checkpoint = "
@@ -93,7 +93,7 @@ int main() {
               evidence->headers.size(), evidence->ConfirmationsShown());
   auto call = alice2.BuildCall(validator.chain.StateAtHead(), deploy->Id(),
                                contracts::kSubmitEvidenceFunction,
-                               evidence->Encode(), 2, 2);
+                               Encode(*evidence), 2, 2);
   if (!call.ok() || !validator.Mine({*call})) return 1;
 
   auto contract = validator.chain.ContractAtHead(deploy->Id());
@@ -109,7 +109,7 @@ int main() {
   forged.leaf[0] ^= 0x01;
   auto bad_call = alice2.BuildCall(validator.chain.StateAtHead(), deploy->Id(),
                                    contracts::kSubmitEvidenceFunction,
-                                   forged.Encode(), 2, 3);
+                                   Encode(forged), 2, 3);
   if (bad_call.ok() && validator.Mine({*bad_call})) {
     auto location = validator.chain.FindTx(bad_call->Id());
     if (location.has_value()) {

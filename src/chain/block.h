@@ -33,13 +33,16 @@ struct BlockHeader {
 
   /// Canonical encoding is fixed-width: 4 + 8 + 3*32 + 8 + 4 + 8 bytes,
   /// with the nonce as the final 8 bytes (what HeaderHasher varies).
+  /// Hashing and proof-of-work write it into a stack buffer of this size
+  /// with EncodeInto.
   static constexpr size_t kEncodedSize = 128;
 
-  Bytes Encode() const;
-  /// Same canonical bytes as Encode(), written into a caller buffer — the
-  /// allocation-free path used by hashing and proof-of-work.
-  void EncodeTo(uint8_t (&out)[kEncodedSize]) const;
-  static Result<BlockHeader> Decode(ByteReader* reader);
+  /// Wire order: the fields in declaration order, all fixed-width.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.chain_id, self.height, self.prev_hash, self.tx_root,
+          self.receipt_root, self.time, self.difficulty_bits, self.nonce);
+  }
 
   /// Double SHA-256 of the encoding — the block id and the PoW subject.
   crypto::Hash256 Hash() const;

@@ -27,7 +27,7 @@ bool CheckProofOfWork(const BlockHeader& header) {
 
 uint64_t MineHeader(BlockHeader* header, Rng* rng) {
   uint8_t preimage[BlockHeader::kEncodedSize] = {};
-  header->EncodeTo(preimage);
+  EncodeInto(preimage, *header);
   crypto::HeaderHasher hasher(preimage);
   const uint64_t start = rng->NextU64();
   const uint32_t bits = header->difficulty_bits;

@@ -9,10 +9,10 @@
 //
 // Block validation checks each declared receipt against the one
 // re-execution derives by value (operator==), not by encoding both. The
-// two checks agree: Encode writes all five fields, fixed-width or
-// length-prefixed, so two receipts encode equally exactly when every
-// field is equal (tests/chain_test.cc and tests/encoding_test.cc pin
-// both the equivalence and the bytes).
+// two checks agree: the field list holds all five fields, each
+// fixed-width or length-prefixed, so two receipts encode equally exactly
+// when every field is equal (tests/chain_test.cc and
+// tests/encoding_test.cc pin both the equivalence and the bytes).
 
 #ifndef AC3_CHAIN_RECEIPT_H_
 #define AC3_CHAIN_RECEIPT_H_
@@ -39,11 +39,13 @@ struct Receipt {
   /// Field-wise; equal exactly when the encodings are equal.
   bool operator==(const Receipt&) const = default;
 
-  /// The fields in declaration order: the hashes raw, `success` as one
-  /// byte, `state_digest` and `note` length-prefixed.
-  Bytes Encode() const;
-  /// Canonical: rejects trailing bytes and a flag byte other than 0 or 1.
-  static Result<Receipt> Decode(const Bytes& encoded);
+  /// Wire order: the fields in declaration order, the hashes raw,
+  /// `success` as a bool byte, `state_digest` and `note` length-prefixed.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.tx_id, self.success, self.contract_id, self.state_digest,
+          self.note);
+  }
 
   /// Merkle leaf for the receipt tree.
   crypto::Hash256 LeafHash() const;

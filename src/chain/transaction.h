@@ -34,6 +34,12 @@ struct OutPoint {
   uint32_t index = 0;
 
   auto operator<=>(const OutPoint&) const = default;
+
+  /// Wire order: the id raw, then the index.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.tx_id, self.index);
+  }
 };
 
 /// One output asset: a value owned by an identity (public key).
@@ -42,6 +48,12 @@ struct TxOutput {
   crypto::PublicKey owner;
 
   auto operator<=>(const TxOutput&) const = default;
+
+  /// Wire order: the value, then the owner.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.value, self.owner);
+  }
 };
 
 enum class TxType : uint8_t {
@@ -52,6 +64,11 @@ enum class TxType : uint8_t {
 };
 
 const char* TxTypeName(TxType type);
+
+/// TxType's wire values, for the codec's enum rule.
+constexpr EnumRange<TxType> WireRange(TxType) {
+  return {TxType::kCoinbase, TxType::kCall};
+}
 
 /// The editable form of a transaction (Bitcoin Core's
 /// CMutableTransaction). Builders fill its fields and sign it: wallets,
@@ -82,11 +99,24 @@ struct MutableTransaction {
 
   crypto::Signature signature;
 
-  /// Canonical bytes covered by the signature (everything but the
-  /// signature itself).
+  /// Wire order of the fields the signature covers: all but the
+  /// signature, in declaration order.
+  template <typename Self, typename Codec>
+  static void SignedFields(Self& self, Codec& codec) {
+    codec(self.type, self.chain_id, self.inputs, self.outputs, self.fee,
+          self.signer, self.nonce, self.contract_kind, self.contract_id,
+          self.function, self.payload, self.contract_value);
+  }
+  /// Wire order: the signed fields, then the signature.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    SignedFields(self, codec);
+    codec(self.signature);
+  }
+
+  /// Canonical bytes covered by the signature: the "ac3/tx" domain tag,
+  /// then the signed fields.
   Bytes SigningPayload() const;
-  /// Full canonical encoding, including the signature.
-  Bytes Encode() const;
 
   /// Signs with `key` and records the signer public key.
   void SignWith(const crypto::KeyPair& key);
@@ -118,9 +148,16 @@ class Transaction {
   Transaction(const Transaction&) = default;
   Transaction& operator=(const Transaction&) = default;
 
-  /// Canonical: rejects trailing bytes, so every accepted `encoded` has
-  /// Id() == Hash256::Of(encoded).
+  /// Decodes a MutableTransaction canonically and seals it, so every
+  /// accepted `encoded` has Id() == Hash256::Of(encoded).
   static Result<Transaction> Decode(const Bytes& encoded);
+
+  /// Wire form: the sealed MutableTransaction's fields. Encode only;
+  /// Decode above decodes a MutableTransaction and seals it.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.rep_->tx);
+  }
 
   TxType type() const { return rep_->tx.type; }
   ChainId chain_id() const { return rep_->tx.chain_id; }
@@ -138,12 +175,11 @@ class Transaction {
 
   /// Transaction id: SHA-256 of the full encoding, computed at sealing.
   const crypto::Hash256& Id() const { return rep_->id; }
-  /// Encode().size(), recorded at sealing: the wire size, without
+  /// The encoding's size, recorded at sealing: the wire size, without
   /// encoding again.
   size_t EncodedSize() const { return rep_->encoded_size; }
 
   Bytes SigningPayload() const { return rep_->tx.SigningPayload(); }
-  Bytes Encode() const { return rep_->tx.Encode(); }
   /// Verifies the signature against `signer` on the first call on this
   /// rep and returns the stored verdict after. Coinbases are unsigned.
   /// Safe to call from several threads at once.

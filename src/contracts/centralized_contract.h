@@ -7,7 +7,7 @@
 //   IsRedeemable(srd): SigVerify((ms(D), RD), PK_T, srd)
 //   IsRefundable(srf): SigVerify((ms(D), RF), PK_T, srf)
 //
-// Deploy payload: recipient pubkey, 32-byte ms(D) id, Trent pubkey.
+// Deploy payload: CentralizedInit.
 // Call args: an encoded Schnorr signature (the revealed secret).
 
 #ifndef AC3_CONTRACTS_CENTRALIZED_CONTRACT_H_
@@ -23,12 +23,21 @@ namespace ac3::contracts {
 
 inline constexpr char kCentralizedKind[] = "CentralizedSC";
 
+/// Constructor arguments of a CentralizedSC.
+struct CentralizedInit {
+  crypto::PublicKey recipient;
+  crypto::Hash256 ms_id;  ///< Id of ms(D), the swap's multisigned graph.
+  crypto::PublicKey trent;
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.recipient, self.ms_id, self.trent);
+  }
+};
+
 class CentralizedContract : public AtomicSwapContract {
  public:
-  static Bytes MakeInitPayload(const crypto::PublicKey& recipient,
-                               const crypto::Hash256& ms_id,
-                               const crypto::PublicKey& trent);
-
   static Result<ContractPtr> Create(const Bytes& payload,
                                     const DeployContext& ctx);
 

@@ -4,48 +4,6 @@
 
 namespace ac3::contracts {
 
-Bytes HeaderChainEvidence::Encode() const {
-  ByteWriter w;
-  w.PutU32(static_cast<uint32_t>(headers.size()));
-  for (const chain::BlockHeader& header : headers) {
-    w.PutBytes(header.Encode());
-  }
-  w.PutU32(target_index);
-  w.PutU8(leaf_is_receipt ? 1 : 0);
-  w.PutBytes(leaf);
-  w.PutBytes(proof.Encode());
-  return w.Take();
-}
-
-Result<HeaderChainEvidence> HeaderChainEvidence::Decode(const Bytes& encoded) {
-  ByteReader r(encoded);
-  HeaderChainEvidence ev;
-  AC3_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    AC3_ASSIGN_OR_RETURN(Bytes header_bytes, r.GetBytes());
-    ByteReader hr(header_bytes);
-    AC3_ASSIGN_OR_RETURN(chain::BlockHeader header,
-                         chain::BlockHeader::Decode(&hr));
-    if (!hr.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes after evidence header");
-    }
-    ev.headers.push_back(header);
-  }
-  AC3_ASSIGN_OR_RETURN(ev.target_index, r.GetU32());
-  AC3_ASSIGN_OR_RETURN(uint8_t is_receipt, r.GetU8());
-  if (is_receipt > 1) {
-    return Status::InvalidArgument("evidence leaf kind not 0 or 1");
-  }
-  ev.leaf_is_receipt = is_receipt == 1;
-  AC3_ASSIGN_OR_RETURN(ev.leaf, r.GetBytes());
-  AC3_ASSIGN_OR_RETURN(Bytes proof_bytes, r.GetBytes());
-  AC3_ASSIGN_OR_RETURN(ev.proof, crypto::MerkleProof::Decode(proof_bytes));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after evidence");
-  }
-  return ev;
-}
-
 Status VerifyHeaderChainEvidence(const chain::BlockHeader& checkpoint,
                                  uint32_t required_difficulty_bits,
                                  const HeaderChainEvidence& evidence,

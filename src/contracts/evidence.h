@@ -45,10 +45,14 @@ struct HeaderChainEvidence {
   Bytes leaf;
   crypto::MerkleProof proof;
 
-  Bytes Encode() const;
-  /// Canonical: rejects trailing bytes (after the evidence or inside a
-  /// header) and a leaf-kind byte other than 0 or 1.
-  static Result<HeaderChainEvidence> Decode(const Bytes& encoded);
+  /// Wire order: the counted headers, each length-prefixed, the target
+  /// index, the leaf kind as a bool byte, the leaf, then the
+  /// length-prefixed proof.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(NestedEach(self.headers), self.target_index, self.leaf_is_receipt,
+          self.leaf, Nested(self.proof));
+  }
 
   /// Blocks on top of the target block within this evidence.
   uint32_t ConfirmationsShown() const {

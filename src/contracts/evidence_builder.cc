@@ -29,11 +29,11 @@ Result<HeaderChainEvidence> BuildEvidence(
 
   const chain::Block& block = location->entry->block;
   if (leaf_is_receipt) {
-    evidence.leaf = block.receipts[location->index].Encode();
+    evidence.leaf = Encode(block.receipts[location->index]);
     crypto::MerkleTree tree(block.ReceiptLeaves());
     AC3_ASSIGN_OR_RETURN(evidence.proof, tree.Prove(location->index));
   } else {
-    evidence.leaf = block.txs[location->index].Encode();
+    evidence.leaf = Encode(block.txs[location->index]);
     crypto::MerkleTree tree(block.TxLeaves());
     AC3_ASSIGN_OR_RETURN(evidence.proof, tree.Prove(location->index));
   }

@@ -7,7 +7,7 @@
 //              paper's motivating example, costs a crashed participant
 //              their asset.
 //
-// Deploy payload: recipient pubkey, 32-byte hashlock, i64 timelock (ms).
+// Deploy payload: HtlcInit.
 
 #ifndef AC3_CONTRACTS_HTLC_CONTRACT_H_
 #define AC3_CONTRACTS_HTLC_CONTRACT_H_
@@ -23,13 +23,21 @@ namespace ac3::contracts {
 
 inline constexpr char kHtlcKind[] = "HTLC";
 
+/// Constructor arguments of an HTLC.
+struct HtlcInit {
+  crypto::PublicKey recipient;
+  crypto::Hash256 hashlock;
+  TimePoint timelock = 0;  ///< Refund opens at this block time (ms).
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.recipient, self.hashlock, self.timelock);
+  }
+};
+
 class HtlcContract : public AtomicSwapContract {
  public:
-  /// Builds the deploy payload.
-  static Bytes MakeInitPayload(const crypto::PublicKey& recipient,
-                               const crypto::Hash256& hashlock,
-                               TimePoint timelock);
-
   /// ContractFactory creator.
   static Result<ContractPtr> Create(const Bytes& payload,
                                     const DeployContext& ctx);

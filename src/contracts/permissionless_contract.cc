@@ -4,45 +4,10 @@
 
 namespace ac3::contracts {
 
-Bytes PermissionlessInit::Encode() const {
-  ByteWriter w;
-  recipient.EncodeTo(&w);
-  w.PutU32(witness_chain_id);
-  w.PutRaw(scw_id.bytes(), crypto::Hash256::kSize);
-  w.PutU32(depth);
-  w.PutBytes(witness_checkpoint.Encode());
-  w.PutU32(witness_difficulty_bits);
-  return w.Take();
-}
-
-Result<PermissionlessInit> PermissionlessInit::Decode(const Bytes& payload) {
-  ByteReader r(payload);
-  PermissionlessInit init;
-  AC3_ASSIGN_OR_RETURN(init.recipient, crypto::PublicKey::Decode(&r));
-  AC3_ASSIGN_OR_RETURN(init.witness_chain_id, r.GetU32());
-  AC3_ASSIGN_OR_RETURN(Bytes scw_raw, r.GetRaw(crypto::Hash256::kSize));
-  std::array<uint8_t, crypto::Hash256::kSize> arr{};
-  std::copy(scw_raw.begin(), scw_raw.end(), arr.begin());
-  init.scw_id = crypto::Hash256(arr);
-  AC3_ASSIGN_OR_RETURN(init.depth, r.GetU32());
-  AC3_ASSIGN_OR_RETURN(Bytes checkpoint_bytes, r.GetBytes());
-  ByteReader cr(checkpoint_bytes);
-  AC3_ASSIGN_OR_RETURN(init.witness_checkpoint,
-                       chain::BlockHeader::Decode(&cr));
-  if (!cr.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after witness checkpoint");
-  }
-  AC3_ASSIGN_OR_RETURN(init.witness_difficulty_bits, r.GetU32());
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after permissionless init");
-  }
-  return init;
-}
-
 Result<ContractPtr> PermissionlessContract::Create(const Bytes& payload,
                                                    const DeployContext& ctx) {
   AC3_ASSIGN_OR_RETURN(PermissionlessInit init,
-                       PermissionlessInit::Decode(payload));
+                       Decode<PermissionlessInit>(payload));
   if (!init.recipient.IsValid()) {
     return Status::InvalidArgument("PermissionlessSC recipient invalid");
   }
@@ -66,7 +31,7 @@ Result<ContractPtr> PermissionlessContract::Create(const Bytes& payload,
 
 bool PermissionlessContract::WitnessStateProven(const Bytes& args,
                                                 WitnessState expected) const {
-  auto evidence = HeaderChainEvidence::Decode(args);
+  auto evidence = Decode<HeaderChainEvidence>(args);
   if (!evidence.ok()) return false;
   // Algorithm 4: evidence must show the SCw state update "at depth >= d".
   Status verified = VerifyHeaderChainEvidence(
@@ -74,7 +39,7 @@ bool PermissionlessContract::WitnessStateProven(const Bytes& args,
       init_.depth);
   if (!verified.ok()) return false;
   if (!evidence->leaf_is_receipt) return false;
-  auto receipt = chain::Receipt::Decode(evidence->leaf);
+  auto receipt = Decode<chain::Receipt>(evidence->leaf);
   if (!receipt.ok()) return false;
   return receipt->success && receipt->contract_id == init_.scw_id &&
          receipt->state_digest == WitnessStateDigest(expected);

@@ -38,8 +38,13 @@ struct PermissionlessInit {
   chain::BlockHeader witness_checkpoint;
   uint32_t witness_difficulty_bits = 0;
 
-  Bytes Encode() const;
-  static Result<PermissionlessInit> Decode(const Bytes& payload);
+  /// Wire order: the fields in declaration order, the checkpoint
+  /// length-prefixed.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.recipient, self.witness_chain_id, self.scw_id, self.depth,
+          Nested(self.witness_checkpoint), self.witness_difficulty_bits);
+  }
 };
 
 class PermissionlessContract : public AtomicSwapContract {

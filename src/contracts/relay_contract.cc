@@ -4,39 +4,9 @@
 
 namespace ac3::contracts {
 
-Bytes RelayInit::Encode() const {
-  ByteWriter w;
-  w.PutBytes(checkpoint.Encode());
-  w.PutU32(validated_difficulty_bits);
-  w.PutRaw(interesting_tx.bytes(), crypto::Hash256::kSize);
-  w.PutU32(required_depth);
-  return w.Take();
-}
-
-Result<RelayInit> RelayInit::Decode(const Bytes& payload) {
-  ByteReader r(payload);
-  RelayInit init;
-  AC3_ASSIGN_OR_RETURN(Bytes checkpoint_bytes, r.GetBytes());
-  ByteReader cr(checkpoint_bytes);
-  AC3_ASSIGN_OR_RETURN(init.checkpoint, chain::BlockHeader::Decode(&cr));
-  if (!cr.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after relay checkpoint");
-  }
-  AC3_ASSIGN_OR_RETURN(init.validated_difficulty_bits, r.GetU32());
-  AC3_ASSIGN_OR_RETURN(Bytes tx_raw, r.GetRaw(crypto::Hash256::kSize));
-  std::array<uint8_t, crypto::Hash256::kSize> arr{};
-  std::copy(tx_raw.begin(), tx_raw.end(), arr.begin());
-  init.interesting_tx = crypto::Hash256(arr);
-  AC3_ASSIGN_OR_RETURN(init.required_depth, r.GetU32());
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after relay init");
-  }
-  return init;
-}
-
 Result<ContractPtr> RelayContract::Create(const Bytes& payload,
                                           const DeployContext& ctx) {
-  AC3_ASSIGN_OR_RETURN(RelayInit init, RelayInit::Decode(payload));
+  AC3_ASSIGN_OR_RETURN(RelayInit init, Decode<RelayInit>(payload));
   if (init.interesting_tx.IsZero()) {
     return Status::InvalidArgument("relay needs a transaction of interest");
   }
@@ -60,7 +30,7 @@ Result<CallOutcome> RelayContract::Call(const std::string& function,
   if (state_ != RelayState::kS1) {
     return Status::FailedPrecondition("relay already satisfied (S2)");
   }
-  auto evidence = HeaderChainEvidence::Decode(args);
+  auto evidence = Decode<HeaderChainEvidence>(args);
   if (!evidence.ok()) {
     return Status::FailedPrecondition("malformed evidence");
   }

@@ -40,8 +40,13 @@ struct RelayInit {
   /// Depth the TX1 block must be buried under (the paper's stable depth).
   uint32_t required_depth = 0;
 
-  Bytes Encode() const;
-  static Result<RelayInit> Decode(const Bytes& payload);
+  /// Wire order: the fields in declaration order, the checkpoint
+  /// length-prefixed.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(Nested(self.checkpoint), self.validated_difficulty_bits,
+          self.interesting_tx, self.required_depth);
+  }
 };
 
 class RelayContract : public Contract {

@@ -4,98 +4,9 @@
 
 namespace ac3::contracts {
 
-Bytes EdgeSpec::Encode() const {
-  ByteWriter w;
-  w.PutU32(chain_id);
-  sender.EncodeTo(&w);
-  recipient.EncodeTo(&w);
-  w.PutU64(amount);
-  w.PutU32(min_evidence_depth);
-  w.PutBytes(asset_checkpoint.Encode());
-  w.PutU32(asset_difficulty_bits);
-  return w.Take();
-}
-
-Result<EdgeSpec> EdgeSpec::Decode(ByteReader* reader) {
-  EdgeSpec spec;
-  AC3_ASSIGN_OR_RETURN(spec.chain_id, reader->GetU32());
-  AC3_ASSIGN_OR_RETURN(spec.sender, crypto::PublicKey::Decode(reader));
-  AC3_ASSIGN_OR_RETURN(spec.recipient, crypto::PublicKey::Decode(reader));
-  AC3_ASSIGN_OR_RETURN(spec.amount, reader->GetU64());
-  AC3_ASSIGN_OR_RETURN(spec.min_evidence_depth, reader->GetU32());
-  AC3_ASSIGN_OR_RETURN(Bytes checkpoint_bytes, reader->GetBytes());
-  ByteReader cr(checkpoint_bytes);
-  AC3_ASSIGN_OR_RETURN(spec.asset_checkpoint,
-                       chain::BlockHeader::Decode(&cr));
-  if (!cr.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after edge checkpoint");
-  }
-  AC3_ASSIGN_OR_RETURN(spec.asset_difficulty_bits, reader->GetU32());
-  return spec;
-}
-
-Bytes WitnessInit::Encode() const {
-  ByteWriter w;
-  w.PutU32(static_cast<uint32_t>(participants.size()));
-  for (const crypto::PublicKey& pk : participants) pk.EncodeTo(&w);
-  w.PutBytes(ms_encoded);
-  w.PutU32(static_cast<uint32_t>(edges.size()));
-  for (const EdgeSpec& edge : edges) w.PutBytes(edge.Encode());
-  return w.Take();
-}
-
-Result<WitnessInit> WitnessInit::Decode(const Bytes& payload) {
-  ByteReader r(payload);
-  WitnessInit init;
-  AC3_ASSIGN_OR_RETURN(uint32_t n_participants, r.GetU32());
-  for (uint32_t i = 0; i < n_participants; ++i) {
-    AC3_ASSIGN_OR_RETURN(crypto::PublicKey pk, crypto::PublicKey::Decode(&r));
-    init.participants.push_back(pk);
-  }
-  AC3_ASSIGN_OR_RETURN(init.ms_encoded, r.GetBytes());
-  AC3_ASSIGN_OR_RETURN(uint32_t n_edges, r.GetU32());
-  for (uint32_t i = 0; i < n_edges; ++i) {
-    AC3_ASSIGN_OR_RETURN(Bytes edge_bytes, r.GetBytes());
-    ByteReader er(edge_bytes);
-    AC3_ASSIGN_OR_RETURN(EdgeSpec spec, EdgeSpec::Decode(&er));
-    if (!er.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes after edge spec");
-    }
-    init.edges.push_back(std::move(spec));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after SCw init");
-  }
-  return init;
-}
-
-Bytes EncodeEdgeEvidence(const std::vector<HeaderChainEvidence>& evidence) {
-  ByteWriter w;
-  w.PutU32(static_cast<uint32_t>(evidence.size()));
-  for (const HeaderChainEvidence& ev : evidence) w.PutBytes(ev.Encode());
-  return w.Take();
-}
-
-Result<std::vector<HeaderChainEvidence>> DecodeEdgeEvidence(
-    const Bytes& args) {
-  ByteReader r(args);
-  AC3_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  std::vector<HeaderChainEvidence> out;
-  for (uint32_t i = 0; i < count; ++i) {
-    AC3_ASSIGN_OR_RETURN(Bytes ev_bytes, r.GetBytes());
-    AC3_ASSIGN_OR_RETURN(HeaderChainEvidence ev,
-                         HeaderChainEvidence::Decode(ev_bytes));
-    out.push_back(std::move(ev));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after edge evidence");
-  }
-  return out;
-}
-
 Result<ContractPtr> WitnessContract::Create(const Bytes& payload,
                                             const DeployContext& ctx) {
-  AC3_ASSIGN_OR_RETURN(WitnessInit init, WitnessInit::Decode(payload));
+  AC3_ASSIGN_OR_RETURN(WitnessInit init, Decode<WitnessInit>(payload));
   if (init.participants.empty()) {
     return Status::InvalidArgument("SCw needs participants");
   }
@@ -105,7 +16,7 @@ Result<ContractPtr> WitnessContract::Create(const Bytes& payload,
   // Registration check: ms(D) must carry a valid signature from every
   // participant — the witnesses accept only graphs everyone agreed on.
   AC3_ASSIGN_OR_RETURN(crypto::Multisignature ms,
-                       crypto::Multisignature::Decode(init.ms_encoded));
+                       Decode<crypto::Multisignature>(init.ms_encoded));
   if (!ms.VerifyAll(init.participants)) {
     return Status::VerificationFailed(
         "ms(D) is not signed by all participants");
@@ -163,7 +74,7 @@ Status WitnessContract::VerifyEdge(size_t i,
     return Status::VerificationFailed(tag + "locks the wrong asset value");
   }
   AC3_ASSIGN_OR_RETURN(PermissionlessInit sc_init,
-                       PermissionlessInit::Decode(deploy_tx.payload()));
+                       Decode<PermissionlessInit>(deploy_tx.payload()));
   if (sc_init.recipient != spec.recipient) {
     return Status::VerificationFailed(tag + "wrong recipient");
   }
@@ -209,12 +120,12 @@ Result<CallOutcome> WitnessContract::Call(const std::string& function,
           std::string("AuthorizeRedeem requires P, state is ") +
           WitnessStateName(state_));
     }
-    auto evidence = DecodeEdgeEvidence(args);
+    auto evidence = Decode<EdgeEvidence>(args);
     if (!evidence.ok()) {
       return Status::FailedPrecondition("malformed evidence: " +
                                         evidence.status().ToString());
     }
-    Status verified = VerifyContracts(*evidence);
+    Status verified = VerifyContracts(evidence->per_edge);
     if (!verified.ok()) {
       return Status::FailedPrecondition("VerifyContracts failed: " +
                                         verified.ToString());

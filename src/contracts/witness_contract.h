@@ -52,8 +52,14 @@ struct EdgeSpec {
   chain::BlockHeader asset_checkpoint;
   uint32_t asset_difficulty_bits = 0;
 
-  Bytes Encode() const;
-  static Result<EdgeSpec> Decode(ByteReader* reader);
+  /// Wire order: the fields in declaration order, the checkpoint
+  /// length-prefixed.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.chain_id, self.sender, self.recipient, self.amount,
+          self.min_evidence_depth, Nested(self.asset_checkpoint),
+          self.asset_difficulty_bits);
+  }
 };
 
 /// Constructor arguments of SCw (Algorithm 3 line 5: participants + ms(D)).
@@ -62,14 +68,25 @@ struct WitnessInit {
   Bytes ms_encoded;  ///< Encoded crypto::Multisignature over (D, t).
   std::vector<EdgeSpec> edges;
 
-  Bytes Encode() const;
-  static Result<WitnessInit> Decode(const Bytes& payload);
+  /// Wire order: the counted participants, ms(D) length-prefixed, then the
+  /// counted edges, each length-prefixed.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.participants, self.ms_encoded, NestedEach(self.edges));
+  }
 };
 
-/// Builds the AuthorizeRedeem argument: one piece of deployment evidence
-/// per edge, in edge order.
-Bytes EncodeEdgeEvidence(const std::vector<HeaderChainEvidence>& evidence);
-Result<std::vector<HeaderChainEvidence>> DecodeEdgeEvidence(const Bytes& args);
+/// The AuthorizeRedeem argument: one piece of deployment evidence per
+/// edge, in edge order.
+struct EdgeEvidence {
+  std::vector<HeaderChainEvidence> per_edge;
+
+  /// Wire order: the count, then each piece length-prefixed.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(NestedEach(self.per_edge));
+  }
+};
 
 class WitnessContract : public Contract {
  public:

@@ -21,11 +21,8 @@ const char* CommitmentTagName(CommitmentTag tag) {
 }
 
 Bytes SignatureCommitmentMessage(const Hash256& ms_id, CommitmentTag tag) {
-  ByteWriter w;
-  w.PutString("ac3tw/commitment");
-  w.PutRaw(ms_id.bytes(), Hash256::kSize);
-  w.PutU8(static_cast<uint8_t>(tag));
-  return w.Take();
+  return Encode(std::string_view("ac3tw/commitment"), ms_id,
+                static_cast<uint8_t>(tag));
 }
 
 bool SignatureCommitment::VerifySecret(const Signature& secret) const {

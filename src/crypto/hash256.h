@@ -58,6 +58,12 @@ class Hash256 {
   /// Copies into a Bytes buffer.
   Bytes ToBytes() const;
 
+  /// Wire form: the 32 bytes, raw.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.data_);
+  }
+
   auto operator<=>(const Hash256& other) const = default;
 
  private:

@@ -20,46 +20,6 @@ std::vector<Hash256> NextLevel(const std::vector<Hash256>& prev) {
 
 }  // namespace
 
-void MerkleStep::EncodeTo(ByteWriter* w) const {
-  w->PutRaw(sibling.bytes(), Hash256::kSize);
-  w->PutU8(sibling_on_left ? 1 : 0);
-}
-
-Result<MerkleStep> MerkleStep::Decode(ByteReader* reader) {
-  MerkleStep step;
-  AC3_ASSIGN_OR_RETURN(Bytes raw, reader->GetRaw(Hash256::kSize));
-  std::array<uint8_t, Hash256::kSize> arr{};
-  std::copy(raw.begin(), raw.end(), arr.begin());
-  step.sibling = Hash256(arr);
-  AC3_ASSIGN_OR_RETURN(uint8_t side, reader->GetU8());
-  if (side > 1) return Status::InvalidArgument("merkle step side not 0 or 1");
-  step.sibling_on_left = side == 1;
-  return step;
-}
-
-Bytes MerkleProof::Encode() const {
-  ByteWriter w;
-  w.PutU32(leaf_index);
-  w.PutU32(static_cast<uint32_t>(path.size()));
-  for (const MerkleStep& step : path) step.EncodeTo(&w);
-  return w.Take();
-}
-
-Result<MerkleProof> MerkleProof::Decode(const Bytes& encoded) {
-  ByteReader reader(encoded);
-  MerkleProof proof;
-  AC3_ASSIGN_OR_RETURN(proof.leaf_index, reader.GetU32());
-  AC3_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    AC3_ASSIGN_OR_RETURN(MerkleStep step, MerkleStep::Decode(&reader));
-    proof.path.push_back(step);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after merkle proof");
-  }
-  return proof;
-}
-
 MerkleTree::MerkleTree(std::vector<Hash256> leaves) {
   if (leaves.empty()) {
     root_ = Hash256();

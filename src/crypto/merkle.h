@@ -22,10 +22,11 @@ struct MerkleStep {
   Hash256 sibling;
   bool sibling_on_left = false;
 
-  /// Appends the encoding (sibling, then the side byte) to `w`.
-  void EncodeTo(ByteWriter* w) const;
-  /// Rejects a side byte other than 0 or 1.
-  static Result<MerkleStep> Decode(ByteReader* reader);
+  /// Wire order: the sibling, then the side as a bool byte.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.sibling, self.sibling_on_left);
+  }
 };
 
 /// An inclusion proof for one leaf.
@@ -33,9 +34,11 @@ struct MerkleProof {
   uint32_t leaf_index = 0;
   std::vector<MerkleStep> path;
 
-  Bytes Encode() const;
-  /// Canonical: rejects trailing bytes and non-canonical steps.
-  static Result<MerkleProof> Decode(const Bytes& encoded);
+  /// Wire order: the leaf index, then the counted path.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.leaf_index, self.path);
+  }
 };
 
 /// Merkle tree over a list of leaf digests. An empty leaf list yields the

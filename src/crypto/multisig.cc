@@ -39,34 +39,14 @@ bool Multisignature::HasValidSignature(const PublicKey& signer) const {
   return false;
 }
 
-Hash256 Multisignature::Id() const { return Hash256::Of(Encode()); }
+Hash256 Multisignature::Id() const { return Hash256::Of(Encode(*this)); }
 
-Bytes Multisignature::Encode() const {
-  ByteWriter w;
-  w.PutBytes(message_);
-  w.PutU32(static_cast<uint32_t>(parts_.size()));
+Status Multisignature::CheckParts() const {
+  Multisignature checked(message_);
   for (const MultisigPart& part : parts_) {
-    part.signer.EncodeTo(&w);
-    part.signature.EncodeTo(&w);
+    AC3_RETURN_IF_ERROR(checked.AddPart(part));
   }
-  return w.Take();
-}
-
-Result<Multisignature> Multisignature::Decode(const Bytes& encoded) {
-  ByteReader reader(encoded);
-  AC3_ASSIGN_OR_RETURN(Bytes message, reader.GetBytes());
-  Multisignature ms(std::move(message));
-  AC3_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    MultisigPart part;
-    AC3_ASSIGN_OR_RETURN(part.signer, PublicKey::Decode(&reader));
-    AC3_ASSIGN_OR_RETURN(part.signature, Signature::Decode(&reader));
-    AC3_RETURN_IF_ERROR(ms.AddPart(std::move(part)));
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after multisignature");
-  }
-  return ms;
+  return Status::OK();
 }
 
 }  // namespace ac3::crypto

@@ -23,6 +23,12 @@ namespace ac3::crypto {
 struct MultisigPart {
   PublicKey signer;
   Signature signature;
+
+  /// Wire order: the signer, then the signature.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.signer, self.signature);
+  }
 };
 
 /// A multisignature over one canonical message.
@@ -53,11 +59,18 @@ class Multisignature {
   /// Trent's key/value store (AC3TW) and in the witness contract (AC3WN).
   Hash256 Id() const;
 
-  /// Canonical wire encoding (message + all parts).
-  Bytes Encode() const;
-  static Result<Multisignature> Decode(const Bytes& encoded);
+  /// Wire order: the length-prefixed message, then the counted parts. A
+  /// decoded part must pass AddPart's checks, as one added by its signer.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.message_, self.parts_);
+    codec.Check([&self] { return self.CheckParts(); });
+  }
 
  private:
+  /// AddPart's checks over every part, in order, from an empty set.
+  Status CheckParts() const;
+
   Bytes message_;
   std::vector<MultisigPart> parts_;
 };

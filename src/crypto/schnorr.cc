@@ -10,7 +10,7 @@ namespace ac3::crypto {
 
 namespace {
 
-/// ByteWriter::PutString's bytes for `tag`, at `out`.
+/// The codec's bytes for the string `tag`, at `out`.
 template <size_t N>
 uint8_t* StoreTag(uint8_t* out, const char (&tag)[N]) {
   out = StoreLe(out, static_cast<uint32_t>(N - 1));
@@ -27,7 +27,7 @@ uint64_t HashToU64(std::span<const uint8_t> prefix, const Bytes& message) {
   return Hash256(h.Finish()).Prefix64();
 }
 
-/// e = H(r || y || m) mod q, over PutU64(r), PutU64(y), PutBytes(m).
+/// e = H(r || y || m) mod q, over the encoding of (u64 r, u64 y, bytes m).
 uint64_t ChallengeE(uint64_t r, const PublicKey& pk, const Bytes& message) {
   uint8_t prefix[8 + 8 + 4];
   StoreLe(StoreLe(StoreLe(prefix, r), pk.y()),
@@ -39,40 +39,14 @@ uint64_t ChallengeE(uint64_t r, const PublicKey& pk, const Bytes& message) {
 
 bool PublicKey::IsValid() const { return y_ > 1 && y_ < DefaultGroup().p; }
 
-Bytes PublicKey::Encode() const {
-  ByteWriter w;
-  w.Reserve(kEncodedSize);
-  EncodeTo(&w);
-  return w.Take();
-}
-
-Result<PublicKey> PublicKey::Decode(ByteReader* reader) {
-  AC3_ASSIGN_OR_RETURN(uint64_t y, reader->GetU64());
-  return PublicKey(y);
-}
-
-Hash256 PublicKey::ToAddress() const { return Hash256::Of(Encode()); }
+Hash256 PublicKey::ToAddress() const { return Hash256::Of(Encode(*this)); }
 
 std::string PublicKey::ToHexShort() const { return ToAddress().ShortHex(); }
-
-Bytes Signature::Encode() const {
-  ByteWriter w;
-  w.Reserve(kEncodedSize);
-  EncodeTo(&w);
-  return w.Take();
-}
-
-Result<Signature> Signature::Decode(ByteReader* reader) {
-  Signature sig;
-  AC3_ASSIGN_OR_RETURN(sig.e, reader->GetU64());
-  AC3_ASSIGN_OR_RETURN(sig.s, reader->GetU64());
-  return sig;
-}
 
 KeyPair KeyPair::FromSeed(uint64_t seed) {
   const GroupParams& grp = DefaultGroup();
   // Map the seed through SHA-256 so nearby seeds give unrelated keys:
-  // PutString("ac3wn/keygen"), PutU64(seed).
+  // the encoding of (string "ac3wn/keygen", u64 seed).
   uint8_t input[4 + 12 + 8];
   StoreLe(StoreTag(input, "ac3wn/keygen"), seed);
   const uint64_t x =
@@ -86,7 +60,7 @@ KeyPair KeyPair::Generate(Rng* rng) { return FromSeed(rng->NextU64()); }
 Signature KeyPair::Sign(const Bytes& message) const {
   const GroupParams& grp = DefaultGroup();
   // Deterministic nonce: k = H(x || m), nonzero mod q, over
-  // PutString("ac3wn/nonce"), PutU64(x), PutBytes(m).
+  // the encoding of (string "ac3wn/nonce", u64 x, bytes m).
   uint8_t prefix[4 + 11 + 8 + 4];
   StoreLe(StoreLe(StoreTag(prefix, "ac3wn/nonce"), secret_),
           static_cast<uint32_t>(message.size()));

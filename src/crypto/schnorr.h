@@ -15,12 +15,13 @@
 // subgroup (y^q = 1, checked on every call), and only e, s < q.
 //
 // The three hashes (key derivation, nonce, challenge) hash exactly the
-// bytes ByteWriter would write for their fields: a length-prefixed tag or
-// the fixed-width values, then the u32 length and the message. They take
-// the fixed-width part from a stack buffer and read the message in place
-// through Sha256::Update, so signing and verifying copy no message, and
-// every key and signature equals the one a copied encoding would give
-// (tests/encoding_test.cc pins them).
+// bytes the codec (src/common/bytes.h) would write for their fields: a
+// length-prefixed tag or the fixed-width values, then the u32 length and
+// the message. They are never decoded, so they keep their own writer:
+// the fixed-width part goes into a stack buffer, and the message is read
+// in place through Sha256::Update, so signing and verifying copy no
+// message, and every key and signature equals the one a copied encoding
+// would give (tests/encoding_test.cc pins them).
 //
 // The arithmetic modulo p is Montgomery multiplication (primes.h). g^x,
 // for keys, nonces and Verify's g^s, reads a fixed-base table of g's
@@ -55,13 +56,11 @@ class PublicKey {
   /// alias y mod p, so one secret would sign for several addresses.
   bool IsValid() const;
 
-  static constexpr size_t kEncodedSize = 8;
-
-  /// Canonical encoding (8 bytes LE), the input to addresses and hashes.
-  Bytes Encode() const;
-  /// Appends the canonical encoding to `w`.
-  void EncodeTo(ByteWriter* w) const { w->PutU64(y_); }
-  static Result<PublicKey> Decode(ByteReader* reader);
+  /// Wire form: y, 8 bytes LE; the input to addresses and hashes.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.y_);
+  }
 
   /// Address = SHA-256 of the encoded key. Used in logs and asset ownership.
   Hash256 ToAddress() const;
@@ -78,17 +77,12 @@ struct Signature {
   uint64_t e = 0;
   uint64_t s = 0;
 
-  static constexpr size_t kEncodedSize = 16;
-
   bool IsValid() const { return e != 0 || s != 0; }
-  /// e then s, 8 bytes LE each.
-  Bytes Encode() const;
-  /// Appends the canonical encoding to `w`.
-  void EncodeTo(ByteWriter* w) const {
-    w->PutU64(e);
-    w->PutU64(s);
+  /// Wire form: e then s, 8 bytes LE each.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.e, self.s);
   }
-  static Result<Signature> Decode(ByteReader* reader);
   auto operator<=>(const Signature&) const = default;
 };
 

@@ -38,50 +38,6 @@ Status Ac2tGraph::Validate() const {
   return Status::OK();
 }
 
-Bytes Ac2tGraph::Encode() const {
-  ByteWriter w;
-  w.PutString("ac3/graph");
-  w.PutI64(timestamp_);
-  w.PutU32(static_cast<uint32_t>(participants_.size()));
-  for (const crypto::PublicKey& pk : participants_) pk.EncodeTo(&w);
-  w.PutU32(static_cast<uint32_t>(edges_.size()));
-  for (const Ac2tEdge& e : edges_) {
-    w.PutU32(e.from);
-    w.PutU32(e.to);
-    w.PutU32(e.chain_id);
-    w.PutU64(e.amount);
-  }
-  return w.Take();
-}
-
-Result<Ac2tGraph> Ac2tGraph::Decode(const Bytes& encoded) {
-  ByteReader r(encoded);
-  AC3_ASSIGN_OR_RETURN(std::string magic, r.GetString());
-  if (magic != "ac3/graph") {
-    return Status::InvalidArgument("not a graph encoding");
-  }
-  Ac2tGraph graph;
-  AC3_ASSIGN_OR_RETURN(graph.timestamp_, r.GetI64());
-  AC3_ASSIGN_OR_RETURN(uint32_t n_participants, r.GetU32());
-  for (uint32_t i = 0; i < n_participants; ++i) {
-    AC3_ASSIGN_OR_RETURN(crypto::PublicKey pk, crypto::PublicKey::Decode(&r));
-    graph.participants_.push_back(pk);
-  }
-  AC3_ASSIGN_OR_RETURN(uint32_t n_edges, r.GetU32());
-  for (uint32_t i = 0; i < n_edges; ++i) {
-    Ac2tEdge e;
-    AC3_ASSIGN_OR_RETURN(e.from, r.GetU32());
-    AC3_ASSIGN_OR_RETURN(e.to, r.GetU32());
-    AC3_ASSIGN_OR_RETURN(e.chain_id, r.GetU32());
-    AC3_ASSIGN_OR_RETURN(e.amount, r.GetU64());
-    graph.edges_.push_back(e);
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after graph");
-  }
-  return graph;
-}
-
 std::vector<std::vector<uint32_t>> Ac2tGraph::Adjacency() const {
   std::vector<std::vector<uint32_t>> adj(participants_.size());
   for (const Ac2tEdge& e : edges_) adj[e.from].push_back(e.to);

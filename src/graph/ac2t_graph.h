@@ -33,6 +33,12 @@ struct Ac2tEdge {
   uint32_t to = 0;
   chain::ChainId chain_id = 0;
   chain::Amount amount = 0;
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.from, self.to, self.chain_id, self.amount);
+  }
 };
 
 class Ac2tGraph {
@@ -55,9 +61,19 @@ class Ac2tGraph {
   /// one edge, no self-loops).
   Status Validate() const;
 
-  /// Canonical encoding of (D, t): the message all participants multisign.
-  Bytes Encode() const;
-  static Result<Ac2tGraph> Decode(const Bytes& encoded);
+  /// Wire order of (D, t), the message all participants multisign: the
+  /// "ac3/graph" tag (a decode of anything else fails), t, then the
+  /// counted participants and edges.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    std::string tag = kTag;
+    codec(tag);
+    codec.Check([&tag] {
+      return tag == kTag ? Status::OK()
+                         : Status::InvalidArgument("not a graph encoding");
+    });
+    codec(self.timestamp_, self.participants_, self.edges_);
+  }
 
   // ------------------------------------------------------- shape analysis
 
@@ -87,6 +103,8 @@ class Ac2tGraph {
   std::string Describe() const;
 
  private:
+  static constexpr char kTag[] = "ac3/graph";
+
   std::vector<std::vector<uint32_t>> Adjacency() const;
 
   std::vector<crypto::PublicKey> participants_;

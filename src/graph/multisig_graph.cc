@@ -8,7 +8,7 @@ Result<crypto::Multisignature> SignGraph(
   if (signers.size() != graph.participant_count()) {
     return Status::InvalidArgument("every participant must sign ms(D)");
   }
-  crypto::Multisignature ms(graph.Encode());
+  crypto::Multisignature ms(Encode(graph));
   for (const crypto::KeyPair& key : signers) {
     AC3_RETURN_IF_ERROR(ms.AddSignature(key));
   }
@@ -21,7 +21,7 @@ Result<crypto::Multisignature> SignGraph(
 
 bool VerifyGraphMultisig(const Ac2tGraph& graph,
                          const crypto::Multisignature& ms) {
-  if (ms.message() != graph.Encode()) return false;
+  if (ms.message() != Encode(graph)) return false;
   return ms.VerifyAll(graph.participants());
 }
 

@@ -40,12 +40,12 @@ void Ac3twSwapEngine::TryRegister() {
       .swap_id = ms_id_,
       .sender = registrar->node(),
       .receiver = trent_->node(),
-      .payload = proto::PreparePayload{ms_.Encode()}});
+      .payload = proto::PreparePayload{Encode(ms_)}});
 }
 
 Bytes Ac3twSwapEngine::ContractInit(EdgeState* edge) {
-  return contracts::CentralizedContract::MakeInitPayload(
-      participant(edge->edge.to)->pk(), ms_id_, trent_->pk());
+  return Encode(contracts::CentralizedInit{participant(edge->edge.to)->pk(),
+                                          ms_id_, trent_->pk()});
 }
 
 void Ac3twSwapEngine::RequestDecision(crypto::CommitmentTag tag) {
@@ -122,18 +122,18 @@ void Ac3twSwapEngine::OnMessage(const proto::Message& msg) {
           .receiver = msg.sender,
           .payload = proto::DecisionPayload{
               0, static_cast<uint8_t>(result->tag),
-              result->signature.Encode()}});
+              Encode(result->signature)}});
       return;
     }
     case proto::MessageKind::kDecision: {
       if (decision_tag().has_value()) return;
       const auto& d = std::get<proto::DecisionPayload>(msg.payload);
-      ByteReader reader(d.signature_encoded);
-      Result<crypto::Signature> sig = crypto::Signature::Decode(&reader);
-      if (!sig.ok() || !reader.AtEnd()) return;
+      Result<crypto::Signature> sig =
+          Decode<crypto::Signature>(d.signature_encoded);
+      if (!sig.ok()) return;
       // Trent's signature is the secret every contract settles with.
       const auto tag = static_cast<crypto::CommitmentTag>(d.tag);
-      Decide(tag, sig->Encode());
+      Decide(tag, Encode(*sig));
       mutable_report()->MarkPhase(tag == crypto::CommitmentTag::kRedeem
                                       ? "trent_signed_redeem"
                                       : "trent_signed_refund",

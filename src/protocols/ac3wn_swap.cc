@@ -52,13 +52,13 @@ void Ac3wnSwapEngine::TryDeployWitnessContract() {
   if (!scw_deploy_.built()) {
     contracts::WitnessInit init;
     for (Participant* p : participants()) init.participants.push_back(p->pk());
-    init.ms_encoded = ms_.Encode();
+    init.ms_encoded = Encode(ms_);
     for (const EdgeRt& rt : edges_) init.edges.push_back(rt.spec);
 
     const chain::Blockchain* witness = env()->blockchain(witness_chain_);
     auto tx = registrar->WalletFor(witness_chain_)
                   ->BuildDeploy(witness->StateAtHead(), contracts::kWitnessKind,
-                                init.Encode(), /*locked_value=*/0,
+                                Encode(init), /*locked_value=*/0,
                                 witness->params().deploy_fee,
                                 static_cast<uint64_t>(env()->sim()->Now()));
     if (!tx.ok()) {
@@ -105,7 +105,7 @@ Bytes Ac3wnSwapEngine::ContractInit(EdgeState* edge) {
   rt->init.witness_checkpoint =
       witness->StableBlock(witness->params().stable_depth)->block.header;
   rt->init.witness_difficulty_bits = witness->params().difficulty_bits;
-  return rt->init.Encode();
+  return Encode(rt->init);
 }
 
 void Ac3wnSwapEngine::TryAuthorize(crypto::CommitmentTag tag) {
@@ -141,7 +141,7 @@ void Ac3wnSwapEngine::TryAuthorize(crypto::CommitmentTag tag) {
         }
         evidence.push_back(std::move(*ev));
       }
-      args = contracts::EncodeEdgeEvidence(evidence);
+      args = Encode(contracts::EdgeEvidence{std::move(evidence)});
     }
     const char* function = redeem ? contracts::kAuthorizeRedeemFunction
                                   : contracts::kAuthorizeRefundFunction;
@@ -210,7 +210,7 @@ Result<Bytes> Ac3wnSwapEngine::SettleArgs(const EdgeState& edge) const {
           *witness,
           static_cast<const EdgeRt&>(edge).init.witness_checkpoint.Hash(),
           decision_tx_id_));
-  return evidence.Encode();
+  return Encode(evidence);
 }
 
 void Ac3wnSwapEngine::Step() {

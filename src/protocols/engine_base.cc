@@ -53,6 +53,14 @@ Status SwapEngineBase::Start() {
   if (participants_.size() != graph_.participant_count()) {
     return Status::InvalidArgument("participant list does not match graph");
   }
+  // Vertex v is the party participants_[v] acts for: an engine that pays
+  // participant(edge.to) (Herlihy) never reads the graph's keys itself.
+  for (size_t v = 0; v < participants_.size(); ++v) {
+    if (graph_.participants()[v] != participants_[v]->pk()) {
+      return Status::InvalidArgument("graph vertex " + std::to_string(v) +
+                                     " is not its participant's key");
+    }
+  }
   // A graph may name any chain id; the engines read each edge's chain from
   // OnStart() on, so one this world lacks is turned away here.
   for (const graph::Ac2tEdge& e : graph_.edges()) {

@@ -106,9 +106,9 @@ bool HerlihySwapEngine::MayPublish(uint32_t u) const {
 }
 
 Bytes HerlihySwapEngine::ContractInit(EdgeState* edge) {
-  return contracts::HtlcContract::MakeInitPayload(
-      participant(edge->edge.to)->pk(), hashlock_,
-      static_cast<EdgeRt*>(edge)->timelock);
+  return Encode(contracts::HtlcInit{participant(edge->edge.to)->pk(),
+                                    hashlock_,
+                                    static_cast<EdgeRt*>(edge)->timelock});
 }
 
 void HerlihySwapEngine::SettleByTimelock(EdgeRt* rt) {

@@ -1,8 +1,5 @@
 #include "src/protocols/messages.h"
 
-#include <algorithm>
-#include <array>
-
 namespace ac3::proto {
 
 const char* MessageKindName(MessageKind kind) {
@@ -25,145 +22,6 @@ const char* MessageKindName(MessageKind kind) {
       return "tx_submit";
   }
   return "?";
-}
-
-namespace {
-
-struct PayloadEncoder {
-  ByteWriter* w;
-  void operator()(const PreparePayload& p) const { w->PutBytes(p.ms_encoded); }
-  void operator()(const AckPayload& p) const {
-    w->PutU32(p.vertex);
-    w->PutU8(p.tag);
-    w->PutU8(p.accepted ? 1 : 0);
-  }
-  void operator()(const PreCommitPayload& p) const {
-    w->PutU32(p.vertex);
-    w->PutU8(p.tag);
-  }
-  void operator()(const DecisionPayload& p) const {
-    w->PutU32(p.vertex);
-    w->PutU8(p.tag);
-    w->PutBytes(p.signature_encoded);
-  }
-  void operator()(const StateReqPayload& p) const {
-    w->PutU32(p.vertex);
-    w->PutU32(p.coordinator);
-  }
-  void operator()(const StateReplyPayload& p) const {
-    w->PutU32(p.vertex);
-    w->PutU64(p.recorded_epoch);
-    w->PutU8(p.phase);
-    w->PutU8(p.tag);
-    w->PutU8(p.knows_decision ? 1 : 0);
-  }
-  void operator()(const RedeemNotifyPayload& p) const { w->PutU8(p.tag); }
-  void operator()(const TxSubmitPayload& p) const {
-    w->PutU32(p.chain_id);
-    w->PutU32(p.tx_bytes);
-  }
-};
-
-Result<bool> ReadBool(ByteReader* r) {
-  AC3_ASSIGN_OR_RETURN(uint8_t raw, r->GetU8());
-  if (raw > 1) return Status::InvalidArgument("non-canonical bool byte");
-  return raw == 1;
-}
-
-Result<Message::Payload> DecodePayload(MessageKind kind, ByteReader* r) {
-  switch (kind) {
-    case MessageKind::kPrepare: {
-      PreparePayload p;
-      AC3_ASSIGN_OR_RETURN(p.ms_encoded, r->GetBytes());
-      return Message::Payload{p};
-    }
-    case MessageKind::kAck: {
-      AckPayload p;
-      AC3_ASSIGN_OR_RETURN(p.vertex, r->GetU32());
-      AC3_ASSIGN_OR_RETURN(p.tag, r->GetU8());
-      AC3_ASSIGN_OR_RETURN(p.accepted, ReadBool(r));
-      return Message::Payload{p};
-    }
-    case MessageKind::kPreCommit: {
-      PreCommitPayload p;
-      AC3_ASSIGN_OR_RETURN(p.vertex, r->GetU32());
-      AC3_ASSIGN_OR_RETURN(p.tag, r->GetU8());
-      return Message::Payload{p};
-    }
-    case MessageKind::kDecision: {
-      DecisionPayload p;
-      AC3_ASSIGN_OR_RETURN(p.vertex, r->GetU32());
-      AC3_ASSIGN_OR_RETURN(p.tag, r->GetU8());
-      AC3_ASSIGN_OR_RETURN(p.signature_encoded, r->GetBytes());
-      return Message::Payload{p};
-    }
-    case MessageKind::kStateReq: {
-      StateReqPayload p;
-      AC3_ASSIGN_OR_RETURN(p.vertex, r->GetU32());
-      AC3_ASSIGN_OR_RETURN(p.coordinator, r->GetU32());
-      return Message::Payload{p};
-    }
-    case MessageKind::kStateReply: {
-      StateReplyPayload p;
-      AC3_ASSIGN_OR_RETURN(p.vertex, r->GetU32());
-      AC3_ASSIGN_OR_RETURN(p.recorded_epoch, r->GetU64());
-      AC3_ASSIGN_OR_RETURN(p.phase, r->GetU8());
-      AC3_ASSIGN_OR_RETURN(p.tag, r->GetU8());
-      AC3_ASSIGN_OR_RETURN(p.knows_decision, ReadBool(r));
-      return Message::Payload{p};
-    }
-    case MessageKind::kRedeemNotify: {
-      RedeemNotifyPayload p;
-      AC3_ASSIGN_OR_RETURN(p.tag, r->GetU8());
-      return Message::Payload{p};
-    }
-    case MessageKind::kTxSubmit: {
-      TxSubmitPayload p;
-      AC3_ASSIGN_OR_RETURN(p.chain_id, r->GetU32());
-      AC3_ASSIGN_OR_RETURN(p.tx_bytes, r->GetU32());
-      return Message::Payload{p};
-    }
-  }
-  return Status::InvalidArgument("unknown message kind");
-}
-
-}  // namespace
-
-Bytes Message::Encode() const {
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(kind()));
-  w.PutRaw(swap_id.bytes(), crypto::Hash256::kSize);
-  w.PutU64(epoch);
-  w.PutU64(seq);
-  w.PutU32(sender);
-  w.PutU32(receiver);
-  std::visit(PayloadEncoder{&w}, payload);
-  return w.Take();
-}
-
-Result<Message> Message::Decode(const Bytes& data) {
-  ByteReader r(data);
-  AC3_ASSIGN_OR_RETURN(uint8_t kind_raw, r.GetU8());
-  if (kind_raw < static_cast<uint8_t>(MessageKind::kPrepare) ||
-      kind_raw > static_cast<uint8_t>(MessageKind::kTxSubmit)) {
-    return Status::InvalidArgument("unknown message kind");
-  }
-  Message msg;
-  AC3_ASSIGN_OR_RETURN(Bytes id_raw, r.GetRaw(crypto::Hash256::kSize));
-  std::array<uint8_t, crypto::Hash256::kSize> id_bytes;
-  std::copy(id_raw.begin(), id_raw.end(), id_bytes.begin());
-  msg.swap_id = crypto::Hash256(id_bytes);
-  AC3_ASSIGN_OR_RETURN(msg.epoch, r.GetU64());
-  AC3_ASSIGN_OR_RETURN(msg.seq, r.GetU64());
-  AC3_ASSIGN_OR_RETURN(msg.sender, r.GetU32());
-  AC3_ASSIGN_OR_RETURN(msg.receiver, r.GetU32());
-  AC3_ASSIGN_OR_RETURN(
-      msg.payload,
-      DecodePayload(static_cast<MessageKind>(kind_raw), &r));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after message payload");
-  }
-  return msg;
 }
 
 }  // namespace ac3::proto

@@ -20,12 +20,12 @@
 //                   actual protocol data (verdict tags, signatures, member
 //                   round state) rather than captured closure context.
 //
-// Encode()/Decode() are the deterministic canonical binary form (ByteWriter
-// little-endian conventions, Status-returning truncation rejection);
-// EncodedSize() is the wire size the network's byte counters charge. The
-// in-process simulator still delivers the Message object itself — encoding
-// exists for size accounting and for the round-trip contract the tests pin,
-// exactly as for transactions and blocks.
+// Each payload and the envelope declare one field list, in wire order, for
+// the codec of src/common/bytes.h. EncodedSize() is the wire size the
+// network's byte counters charge, counted from that list. The in-process
+// simulator delivers the Message object itself, so production code never
+// writes the bytes; tests encode and decode them (ac3::Encode,
+// ac3::Decode<Message>) to check that size against the bytes it counts.
 
 #ifndef AC3_PROTOCOLS_MESSAGES_H_
 #define AC3_PROTOCOLS_MESSAGES_H_
@@ -73,7 +73,13 @@ const char* MessageKindName(MessageKind kind);
 
 /// Payload of MessageKind::kPrepare: the multisigned swap proposal.
 struct PreparePayload {
-  Bytes ms_encoded;  ///< crypto::Multisignature::Encode() of ms(D).
+  Bytes ms_encoded;  ///< The encoded crypto::Multisignature ms(D).
+
+  /// Wire order: ms(D), length-prefixed.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.ms_encoded);
+  }
 };
 
 /// Payload of MessageKind::kAck (register ack / pre-commit ack).
@@ -81,25 +87,49 @@ struct AckPayload {
   uint32_t vertex = 0;   ///< Acknowledging graph vertex (0 for AC3TW).
   uint8_t tag = 0;       ///< CommitmentTag being acknowledged (0 = none).
   bool accepted = false; ///< Registration accepted / verdict supported.
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.vertex, self.tag, self.accepted);
+  }
 };
 
 /// Payload of MessageKind::kPreCommit.
 struct PreCommitPayload {
   uint32_t vertex = 0;  ///< Target member's graph vertex.
   uint8_t tag = 0;      ///< CommitmentTag of the round's verdict.
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.vertex, self.tag);
+  }
 };
 
 /// Payload of MessageKind::kDecision: the decision secret itself.
 struct DecisionPayload {
   uint32_t vertex = 0;      ///< Target member's vertex (0 for AC3TW).
   uint8_t tag = 0;          ///< CommitmentTag decided.
-  Bytes signature_encoded;  ///< crypto::Signature::Encode() of the secret.
+  Bytes signature_encoded;  ///< The encoded crypto::Signature secret.
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.vertex, self.tag, self.signature_encoded);
+  }
 };
 
 /// Payload of MessageKind::kStateReq.
 struct StateReqPayload {
   uint32_t vertex = 0;       ///< Member being queried.
   uint32_t coordinator = 0;  ///< Vertex of the recovering coordinator.
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.vertex, self.coordinator);
+  }
 };
 
 /// Payload of MessageKind::kStateReply: the member's recorded round state
@@ -110,11 +140,24 @@ struct StateReplyPayload {
   uint8_t phase = 0;            ///< MemberPhase as its wire value.
   uint8_t tag = 0;              ///< CommitmentTag of the recorded verdict.
   bool knows_decision = false;  ///< Member holds the signed decision.
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.vertex, self.recorded_epoch, self.phase, self.tag,
+          self.knows_decision);
+  }
 };
 
 /// Payload of MessageKind::kRedeemNotify.
 struct RedeemNotifyPayload {
   uint8_t tag = 0;  ///< CommitmentTag the requester wants released.
+
+  /// Wire order: the tag.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.tag);
+  }
 };
 
 /// Payload of MessageKind::kTxSubmit. The simulator hands the Transaction
@@ -123,6 +166,12 @@ struct RedeemNotifyPayload {
 struct TxSubmitPayload {
   chain::ChainId chain_id = 0;  ///< Destination chain.
   uint32_t tx_bytes = 0;        ///< Transaction::EncodedSize().
+
+  /// Wire order: the fields in declaration order.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.chain_id, self.tx_bytes);
+  }
 };
 
 /// A typed protocol message (see the file comment for the field contract).
@@ -146,37 +195,18 @@ struct Message {
     return static_cast<MessageKind>(payload.index() + 1);
   }
 
-  /// Canonical binary encoding (ByteWriter conventions).
-  Bytes Encode() const;
-  /// Inverse of Encode(); rejects truncated buffers, unknown kinds, and
-  /// trailing garbage with InvalidArgument.
-  static Result<Message> Decode(const Bytes& data);
+  /// Wire order: the kind byte (a decode outside the kinds fails), the
+  /// envelope fields in declaration order, then the payload's fields.
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(VariantIndex(self.payload), self.swap_id, self.epoch, self.seq,
+          self.sender, self.receiver, self.payload);
+  }
 
-  /// Encode().size() without materializing the buffer — the wire size the
+  /// The encoding's size, counted without writing it: the wire size the
   /// network's byte counters charge. Kept inline so sim::Network can size
   /// messages without linking the protocols module.
-  size_t EncodedSize() const {
-    // Envelope: kind u8 + swap_id raw32 + epoch u64 + seq u64 +
-    // sender/receiver u32 each.
-    size_t size = 1 + crypto::Hash256::kSize + 8 + 8 + 4 + 4;
-    struct Sizer {
-      size_t operator()(const PreparePayload& p) const {
-        return 4 + p.ms_encoded.size();  // u32 length prefix + bytes.
-      }
-      size_t operator()(const AckPayload&) const { return 4 + 1 + 1; }
-      size_t operator()(const PreCommitPayload&) const { return 4 + 1; }
-      size_t operator()(const DecisionPayload& p) const {
-        return 4 + 1 + 4 + p.signature_encoded.size();
-      }
-      size_t operator()(const StateReqPayload&) const { return 4 + 4; }
-      size_t operator()(const StateReplyPayload&) const {
-        return 4 + 8 + 1 + 1 + 1;
-      }
-      size_t operator()(const RedeemNotifyPayload&) const { return 1; }
-      size_t operator()(const TxSubmitPayload&) const { return 4 + 4; }
-    };
-    return size + std::visit(Sizer{}, payload);
-  }
+  size_t EncodedSize() const { return ac3::EncodedSize(*this); }
 };
 
 }  // namespace ac3::proto

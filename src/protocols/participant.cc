@@ -20,17 +20,19 @@ chain::Wallet* Participant::WalletFor(chain::ChainId id) {
 }
 
 chain::Amount Participant::BalanceOn(chain::ChainId id) const {
-  return env_->blockchain(id)->StateAtHead().BalanceOf(pk());
+  const chain::Blockchain* chain = env_->blockchain(id);
+  return chain == nullptr ? 0 : chain->StateAtHead().BalanceOf(pk());
 }
 
 Result<crypto::Hash256> Participant::SubmitTransfer(
     chain::ChainId id, const crypto::PublicKey& to, chain::Amount amount,
     chain::Amount fee) {
   if (!IsUp()) return Status::Unavailable(name_ + " is crashed");
-  AC3_ASSIGN_OR_RETURN(
-      chain::Transaction tx,
-      WalletFor(id)->BuildTransfer(env_->blockchain(id)->StateAtHead(), to,
-                                   amount, fee, NextNonce()));
+  const chain::Blockchain* chain = env_->blockchain(id);
+  if (chain == nullptr) return Status::InvalidArgument("unknown blockchain");
+  AC3_ASSIGN_OR_RETURN(chain::Transaction tx,
+                       WalletFor(id)->BuildTransfer(chain->StateAtHead(), to,
+                                                    amount, fee, NextNonce()));
   env_->SubmitTransaction(node_, id, tx);
   return tx.Id();
 }
@@ -39,10 +41,12 @@ Result<crypto::Hash256> Participant::SubmitCall(
     chain::ChainId id, const crypto::Hash256& contract_id,
     const std::string& function, const Bytes& args, chain::Amount fee) {
   if (!IsUp()) return Status::Unavailable(name_ + " is crashed");
+  const chain::Blockchain* chain = env_->blockchain(id);
+  if (chain == nullptr) return Status::InvalidArgument("unknown blockchain");
   AC3_ASSIGN_OR_RETURN(
       chain::Transaction tx,
-      WalletFor(id)->BuildCall(env_->blockchain(id)->StateAtHead(),
-                               contract_id, function, args, fee, NextNonce()));
+      WalletFor(id)->BuildCall(chain->StateAtHead(), contract_id, function,
+                               args, fee, NextNonce()));
   env_->SubmitTransaction(node_, id, tx);
   return tx.Id();
 }

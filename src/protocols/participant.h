@@ -41,10 +41,12 @@ class Participant {
   /// Wallet for `id`, created on first use.
   chain::Wallet* WalletFor(chain::ChainId id);
 
-  /// Spendable balance at the canonical head of `id`.
+  /// Spendable balance at the canonical head of `id`; 0 on a chain this
+  /// world lacks.
   chain::Amount BalanceOn(chain::ChainId id) const;
 
-  // ---- build-and-submit helpers (all fail Unavailable when crashed) -----
+  // ---- build-and-submit helpers (all fail Unavailable when crashed and
+  // InvalidArgument on a chain this world lacks) --------------------------
 
   Result<crypto::Hash256> SubmitTransfer(chain::ChainId id,
                                          const crypto::PublicKey& to,

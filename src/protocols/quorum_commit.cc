@@ -54,8 +54,8 @@ Bytes QuorumCommitEngine::ContractInit(EdgeState* edge) {
   // The contract's decision commitment is (ms(D), quorum pk): redeem and
   // refund secrets are quorum-key signatures over (ms(D), RD) / (ms(D),
   // RF).
-  return contracts::CentralizedContract::MakeInitPayload(
-      participant(edge->edge.to)->pk(), ms_id_, quorum_key_->public_key());
+  return Encode(contracts::CentralizedInit{participant(edge->edge.to)->pk(),
+                                          ms_id_, quorum_key_->public_key()});
 }
 
 Participant* QuorumCommitEngine::FirstLiveKnower(uint32_t* vertex_out) const {
@@ -199,9 +199,8 @@ void QuorumCommitEngine::SignDecision(uint32_t coordinator, TimePoint now) {
   if (!decision_tag().has_value()) {
     // The secret is quorum_key.Sign((ms(D), tag)).
     Decide(round_tag_,
-           quorum_key_
-               ->Sign(crypto::SignatureCommitmentMessage(ms_id_, round_tag_))
-               .Encode());
+           Encode(quorum_key_->Sign(
+               crypto::SignatureCommitmentMessage(ms_id_, round_tag_))));
     mutable_report()->MarkPhase(
         round_tag_ == crypto::CommitmentTag::kRedeem
             ? "quorum_commit_decided"

@@ -60,7 +60,7 @@ struct SwapReport {
 
   /// Typed protocol messages the engine sent for this swap (registration,
   /// decision requests/replies, pre-commit rounds — NOT transaction
-  /// gossip, which is charged to the network's per-node counters). The
+  /// gossip, which rides the same typed path but belongs to no swap). The
   /// per-protocol message-overhead study checks these against closed-form
   /// counts at zero loss.
   int64_t messages_sent = 0;

@@ -21,7 +21,7 @@ Status TrustedWitness::HandleRegister(const crypto::Multisignature& ms) {
   }
   // The registered message must be a well-formed graph multisigned by all
   // of its participants — Trent refuses to witness anything else.
-  auto graph = graph::Ac2tGraph::Decode(ms.message());
+  auto graph = Decode<graph::Ac2tGraph>(ms.message());
   if (!graph.ok()) {
     return Status::InvalidArgument("registration does not carry a graph: " +
                                    graph.status().ToString());

@@ -5,7 +5,6 @@
 namespace ac3::sim {
 
 void FailureInjector::ScheduleCrash(const CrashWindow& window) {
-  crash_windows_.push_back(window);
   sim_->At(window.start, [this, node = window.node]() {
     AC3_LOG(kInfo) << "crash node " << network_->label(node);
     network_->Crash(node);

@@ -9,8 +9,6 @@
 #ifndef AC3_SIM_FAILURE_H_
 #define AC3_SIM_FAILURE_H_
 
-#include <vector>
-
 #include "src/common/sim_time.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
@@ -48,14 +46,9 @@ class FailureInjector {
   /// Convenience: crash `node` at `at` for `duration` ms.
   void CrashFor(NodeId node, TimePoint at, Duration duration);
 
-  const std::vector<CrashWindow>& crash_windows() const {
-    return crash_windows_;
-  }
-
  private:
   Simulation* sim_;
   Network* network_;
-  std::vector<CrashWindow> crash_windows_;
   uint32_t next_partition_group_ = 1;
 };
 

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "src/common/logging.h"
-// Include-only dependency: SendMessage needs the envelope's (header-inline)
-// EncodedSize() and the handler's parameter type; no ac3_protocols symbol
-// is referenced, so the module link graph gains no sim -> protocols edge.
+// Include-only dependency: SendMessage copies the envelope, so it needs the
+// complete type; no ac3_protocols symbol is referenced, so the module link
+// graph gains no sim -> protocols edge.
 #include "src/protocols/messages.h"
 
 namespace ac3::sim {
@@ -17,7 +17,6 @@ Network::Network(Simulation* sim, LatencyModel latency)
 
 NodeId Network::AddNode(const std::string& label) {
   nodes_.push_back(NodeState{label, /*up=*/true, /*partition=*/0});
-  traffic_.emplace_back();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -78,10 +77,6 @@ void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
   const NodeId from = msg.sender;
   const NodeId to = msg.receiver;
   assert(from < nodes_.size() && to < nodes_.size());
-  const uint64_t bytes = msg.EncodedSize();
-  traffic_[from].messages_sent += 1;
-  traffic_[from].bytes_sent += bytes;
-
   // Draw order is fixed and every fault draw is gated on its knob, so the
   // all-zero fault model consumes exactly one jitter sample per send — the
   // RNG sequence the golden fingerprints pin.
@@ -91,31 +86,23 @@ void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
   }
   auto shared = std::make_shared<const proto::Message>(msg);
   for (int copy = 0; copy < copies; ++copy) {
-    Duration latency = SampleLatency();
+    const Duration latency = SampleLatency();
     if (faults_.drop_prob > 0 && rng_.NextBool(faults_.drop_prob)) {
-      ++traffic_[to].messages_dropped;
       ++dropped_count_;
       AC3_LOG(kDebug) << "fault-drop " << nodes_[from].label << " -> "
                       << nodes_[to].label;
       continue;
     }
-    if (faults_.max_extra_delay > 0) {
-      latency += static_cast<Duration>(
-          rng_.NextBelow(static_cast<uint64_t>(faults_.max_extra_delay) + 1));
-    }
-    sim_->After(latency, [this, from, to, bytes, shared, handler]() {
+    sim_->After(latency, [this, from, to, shared, handler]() {
       // A node that crashes (or is cut off) mid-flight still loses the copy.
       if (!nodes_[to].up ||
           nodes_[from].partition != nodes_[to].partition) {
-        ++traffic_[to].messages_dropped;
         ++dropped_count_;
         AC3_LOG(kDebug) << "drop " << nodes_[from].label << " -> "
                         << nodes_[to].label;
         return;
       }
       ++delivered_count_;
-      traffic_[to].messages_delivered += 1;
-      traffic_[to].bytes_delivered += bytes;
       handler(*shared);
     });
   }

@@ -49,19 +49,6 @@ struct LatencyModel {
 struct MessageFaults {
   double drop_prob = 0.0;       ///< P(a delivery copy is silently lost).
   double duplicate_prob = 0.0;  ///< P(one extra copy is delivered).
-  Duration max_extra_delay = 0; ///< Uniform extra latency in [0, max].
-};
-
-/// Per-node message/byte counters of SendMessage. Sent is
-/// charged to the sender at send time; delivered and dropped are charged
-/// to the receiver at (non-)delivery — a fault-dropped or crash-dropped
-/// message counts against the node that never saw it.
-struct NodeTraffic {
-  uint64_t messages_sent = 0;       ///< Envelopes handed to the network.
-  uint64_t bytes_sent = 0;          ///< Sum of their EncodedSize().
-  uint64_t messages_delivered = 0;  ///< Copies whose handler ran.
-  uint64_t bytes_delivered = 0;     ///< Sum of delivered EncodedSize().
-  uint64_t messages_dropped = 0;    ///< Copies lost (fault/crash/partition).
 };
 
 class Network {
@@ -100,19 +87,15 @@ class Network {
 
   /// Routes `msg` from msg.sender to msg.receiver and runs `handler(msg)`
   /// at the receiver after the sampled latency, applying the armed
-  /// per-message fault model (drop, duplication, bounded extra delay — see
-  /// MessageFaults). Liveness and partition membership are evaluated at
-  /// *delivery* time: a copy whose receiver is then crashed or partitioned
-  /// away from the sender is silently dropped (`dropped_count` increments).
-  /// Per-node traffic counters are updated on both ends.
+  /// per-message fault model (drop and duplication — see MessageFaults).
+  /// Liveness and partition membership are evaluated at *delivery* time: a
+  /// copy whose receiver is then crashed or partitioned away from the
+  /// sender is silently dropped (`dropped_count` increments).
   void SendMessage(const proto::Message& msg, MessageHandler handler);
 
   /// Arms (or clears, with the default) the per-message fault model.
   void set_message_faults(const MessageFaults& faults) { faults_ = faults; }
   const MessageFaults& message_faults() const { return faults_; }
-
-  /// Traffic counters of `id` (zero until it sends/receives).
-  const NodeTraffic& traffic(NodeId id) const { return traffic_.at(id); }
 
   /// Samples one latency value (exposed for tests).
   Duration SampleLatency();
@@ -147,7 +130,6 @@ class Network {
   Rng rng_;
   MessageFaults faults_;
   std::vector<NodeState> nodes_;
-  std::vector<NodeTraffic> traffic_;  ///< Parallel to nodes_.
   std::vector<std::pair<SubscriptionId, ConnectivityListener>>
       connectivity_listeners_;
   SubscriptionId next_subscription_id_ = 1;

@@ -182,7 +182,7 @@ TEST_F(TrentStoreTest, RegisterOnceOnly) {
 }
 
 TEST_F(TrentStoreTest, RejectsIncompleteMultisignature) {
-  crypto::Multisignature partial(graph_.Encode());
+  crypto::Multisignature partial(Encode(graph_));
   ASSERT_TRUE(partial
                   .AddSignature(crypto::KeyPair::FromSeed(
                       testutil::ParticipantSeed(0)))

@@ -55,14 +55,14 @@ std::vector<const Transaction*> Pointers(const std::vector<Transaction>& txs) {
 }
 
 void ExpectBlocksIdentical(const Block& a, const Block& b) {
-  EXPECT_EQ(a.header.Encode(), b.header.Encode());
+  EXPECT_EQ(Encode(a.header), Encode(b.header));
   ASSERT_EQ(a.txs.size(), b.txs.size());
   for (size_t i = 0; i < a.txs.size(); ++i) {
-    EXPECT_EQ(a.txs[i].Encode(), b.txs[i].Encode()) << "tx " << i;
+    EXPECT_EQ(Encode(a.txs[i]), Encode(b.txs[i])) << "tx " << i;
   }
   ASSERT_EQ(a.receipts.size(), b.receipts.size());
   for (size_t i = 0; i < a.receipts.size(); ++i) {
-    EXPECT_EQ(a.receipts[i].Encode(), b.receipts[i].Encode())
+    EXPECT_EQ(Encode(a.receipts[i]), Encode(b.receipts[i]))
         << "receipt " << i;
   }
 }
@@ -266,8 +266,8 @@ TEST_F(BlockTemplateTest, RacingMinersMatchFreshWithContractCallsAndReverts) {
   Wallet alice = WalletFor(1);
   Wallet dave = WalletFor(3);
   const LedgerState s0 = chain().StateAtHead();
-  const Bytes payload = contracts::HtlcContract::MakeInitPayload(
-      keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000);
+  const Bytes payload = Encode(contracts::HtlcInit{
+      keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000});
   auto deploy_a =
       alice.BuildDeploy(s0, contracts::kHtlcKind, payload, 300, 4, 1);
   auto deploy_b =
@@ -404,8 +404,8 @@ TEST_F(BlockTemplateTest, MissesOnDifferentNowForTimeReadingCall) {
   // after it succeeds. The same candidate at two times must not share a
   // selection.
   Wallet alice = WalletFor(1);
-  const Bytes payload = contracts::HtlcContract::MakeInitPayload(
-      keys_[2].public_key(), crypto::Hash256::Of(Bytes{1}), /*timelock=*/1'000);
+  const Bytes payload = Encode(contracts::HtlcInit{
+      keys_[2].public_key(), crypto::Hash256::Of(Bytes{1}), /*timelock=*/1'000});
   auto deploy = alice.BuildDeploy(chain().StateAtHead(), contracts::kHtlcKind,
                                   payload, 300, 4, 1);
   ASSERT_TRUE(deploy.ok());
@@ -556,8 +556,8 @@ TEST_F(SerialExecTest, CallFollowsSameBlockDeploy) {
   Wallet alice = WalletFor(1);
   Wallet bob = WalletFor(2);
   const LedgerState s0 = chain().StateAtHead();
-  const Bytes payload = contracts::HtlcContract::MakeInitPayload(
-      keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000);
+  const Bytes payload = Encode(contracts::HtlcInit{
+      keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000});
   auto deploy = alice.BuildDeploy(s0, contracts::kHtlcKind, payload, 300, 4, 1);
   ASSERT_TRUE(deploy.ok());
   auto redeem = bob.BuildCall(s0, deploy->Id(), contracts::kRedeemFunction,
@@ -595,7 +595,7 @@ TEST_F(SerialExecTest, AssembledReceiptsMatchFullReExecution) {
   ASSERT_TRUE(receipts.ok());
   ASSERT_EQ(receipts->size(), block.receipts.size());
   for (size_t i = 0; i < receipts->size(); ++i) {
-    EXPECT_EQ((*receipts)[i].Encode(), block.receipts[i].Encode());
+    EXPECT_EQ(Encode((*receipts)[i]), Encode(block.receipts[i]));
   }
   EXPECT_EQ(block.header.receipt_root, block.ComputeReceiptRoot());
   EXPECT_EQ(block.header.tx_root, block.ComputeTxRoot());
@@ -654,8 +654,8 @@ TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
       txs.insert(txs.end(), {head, hop, last});
     }
     if (round == 0) {
-      const Bytes payload = contracts::HtlcContract::MakeInitPayload(
-          keys_[11].public_key(), crypto::Hash256::Of(secret), 10'000);
+      const Bytes payload = Encode(contracts::HtlcInit{
+          keys_[11].public_key(), crypto::Hash256::Of(secret), 10'000});
       auto deploy = WalletFor(10).BuildDeploy(
           chain().StateAt(parent), contracts::kHtlcKind, payload, 300, 4,
           nonce + 100);
@@ -687,7 +687,7 @@ TEST_F(SerialExecTest, StagedBlocksMatchOneTransactionAtATime) {
       const auto receipt =
           testutil::ApplyAndCommit(&replay, block.txs[i], env);
       ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
-      EXPECT_EQ(receipt->Encode(), block.receipts[i].Encode());
+      EXPECT_EQ(Encode(*receipt), Encode(block.receipts[i]));
     }
     // The replay lacks only the coinbase's outputs.
     std::map<OutPoint, TxOutput> expected;

@@ -60,7 +60,7 @@ TEST(TransactionTest, EncodeDecodeRoundTrip) {
   m.SignWith(Bob());
   const Transaction tx(m);
 
-  auto decoded = Transaction::Decode(tx.Encode());
+  auto decoded = Transaction::Decode(Encode(tx));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->Id(), tx.Id());
   EXPECT_EQ(decoded->outputs()[0].value, 25u);
@@ -120,19 +120,19 @@ std::vector<MutableTransaction> OneOfEachType() {
 
 TEST(TransactionTest, SealedIdIsHashOfEncoding) {
   for (const MutableTransaction& m : OneOfEachType()) {
-    EXPECT_EQ(Transaction(m).Id(), crypto::Hash256::Of(m.Encode()))
+    EXPECT_EQ(Transaction(m).Id(), crypto::Hash256::Of(Encode(m)))
         << TxTypeName(m.type);
   }
 }
 
 TEST(TransactionTest, DecodedIdIsHashOfAcceptedBytes) {
   for (const MutableTransaction& m : OneOfEachType()) {
-    const Bytes encoded = m.Encode();
+    const Bytes encoded = Encode(m);
     auto decoded = Transaction::Decode(encoded);
     ASSERT_TRUE(decoded.ok()) << TxTypeName(m.type);
     EXPECT_EQ(decoded->Id(), crypto::Hash256::Of(encoded))
         << TxTypeName(m.type);
-    EXPECT_EQ(decoded->Encode(), encoded) << TxTypeName(m.type);
+    EXPECT_EQ(Encode(*decoded), encoded) << TxTypeName(m.type);
     EXPECT_TRUE(decoded->VerifySignature()) << TxTypeName(m.type);
     if (m.type == TxType::kCoinbase) continue;  // Unsigned.
     // A flipped signature byte still decodes, into a new rep that verifies
@@ -147,7 +147,7 @@ TEST(TransactionTest, DecodedIdIsHashOfAcceptedBytes) {
 
 TEST(TransactionTest, DecodeRejectsTrailingBytes) {
   for (const MutableTransaction& m : OneOfEachType()) {
-    Bytes encoded = m.Encode();
+    Bytes encoded = Encode(m);
     encoded.push_back(0);
     EXPECT_FALSE(Transaction::Decode(encoded).ok()) << TxTypeName(m.type);
   }
@@ -156,10 +156,10 @@ TEST(TransactionTest, DecodeRejectsTrailingBytes) {
 TEST(TransactionTest, EncodedSizeIsTheEncodingsSize) {
   for (const MutableTransaction& m : OneOfEachType()) {
     const Transaction tx(m);
-    EXPECT_EQ(tx.EncodedSize(), tx.Encode().size()) << TxTypeName(m.type);
-    auto decoded = Transaction::Decode(tx.Encode());
+    EXPECT_EQ(tx.EncodedSize(), Encode(tx).size()) << TxTypeName(m.type);
+    auto decoded = Transaction::Decode(Encode(tx));
     ASSERT_TRUE(decoded.ok()) << TxTypeName(m.type);
-    EXPECT_EQ(decoded->EncodedSize(), tx.Encode().size())
+    EXPECT_EQ(decoded->EncodedSize(), Encode(tx).size())
         << TxTypeName(m.type);
   }
 }
@@ -222,24 +222,24 @@ Receipt SampleReceipt() {
 }
 
 TEST(ReceiptTest, EncodeDecodeRoundTrip) {
-  const Bytes encoded = SampleReceipt().Encode();
-  auto decoded = Receipt::Decode(encoded);
+  const Bytes encoded = Encode(SampleReceipt());
+  auto decoded = Decode<Receipt>(encoded);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->Encode(), encoded);
+  EXPECT_EQ(Encode(*decoded), encoded);
   EXPECT_FALSE(decoded->success);
 }
 
 TEST(ReceiptTest, DecodeRejectsTrailingBytes) {
-  Bytes encoded = SampleReceipt().Encode();
+  Bytes encoded = Encode(SampleReceipt());
   encoded.push_back(0);
-  EXPECT_FALSE(Receipt::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<Receipt>(encoded).ok());
 }
 
 TEST(ReceiptTest, EqualityIsEqualEncoding) {
   const Receipt receipt = SampleReceipt();
   const Receipt copy = receipt;
   EXPECT_TRUE(copy == receipt);
-  EXPECT_EQ(copy.Encode(), receipt.Encode());
+  EXPECT_EQ(Encode(copy), Encode(receipt));
   // Changing any one of the five fields breaks both.
   const std::vector<void (*)(Receipt*)> edits = {
       [](Receipt* r) { r->tx_id = crypto::Hash256::OfString("other tx"); },
@@ -252,16 +252,16 @@ TEST(ReceiptTest, EqualityIsEqualEncoding) {
     Receipt edited = receipt;
     edits[i](&edited);
     EXPECT_FALSE(edited == receipt) << "field " << i;
-    EXPECT_NE(edited.Encode(), receipt.Encode()) << "field " << i;
+    EXPECT_NE(Encode(edited), Encode(receipt)) << "field " << i;
   }
 }
 
 TEST(ReceiptTest, DecodeRejectsNonBooleanSuccess) {
-  Bytes encoded = SampleReceipt().Encode();
+  Bytes encoded = Encode(SampleReceipt());
   const size_t success_at = crypto::Hash256::kSize;  // After tx_id.
   ASSERT_EQ(encoded[success_at], 0);
   encoded[success_at] = 2;
-  EXPECT_FALSE(Receipt::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<Receipt>(encoded).ok());
 }
 
 // ------------------------------------------------------------------ blocks
@@ -277,9 +277,7 @@ TEST(BlockTest, HeaderRoundTrip) {
   h.difficulty_bits = 8;
   h.nonce = 42;
 
-  Bytes encoded = h.Encode();
-  ByteReader r(encoded);
-  auto decoded = BlockHeader::Decode(&r);
+  auto decoded = Decode<BlockHeader>(Encode(h));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, h);
   EXPECT_EQ(decoded->Hash(), h.Hash());
@@ -517,8 +515,8 @@ TEST(LedgerTest, WrappingDeployValueRejected) {
   tx.inputs.push_back(OutPoint{tc.chain().genesis_tx().Id(), 0});
   tx.outputs.push_back(TxOutput{150, Alice().public_key()});
   tx.contract_kind = contracts::kHtlcKind;
-  tx.payload = contracts::HtlcContract::MakeInitPayload(
-      Bob().public_key(), crypto::Hash256::OfString("secret"), 60'000);
+  tx.payload = Encode(contracts::HtlcInit{
+      Bob().public_key(), crypto::Hash256::OfString("secret"), 60'000});
   tx.contract_value = kMaxAmount - 49;
   tx.SignWith(Alice());
 
@@ -564,8 +562,8 @@ TEST(LedgerTest, RejectedTransactionsLeaveStateUnchanged) {
   const OutPoint alice300{genesis, 1};
   const OutPoint bob200{genesis, 2};
   const BlockEnv env{0, 1, 100};
-  const Bytes htlc_payload = contracts::HtlcContract::MakeInitPayload(
-      Bob().public_key(), crypto::Hash256::OfString("secret"), 60'000);
+  const Bytes htlc_payload = Encode(contracts::HtlcInit{
+      Bob().public_key(), crypto::Hash256::OfString("secret"), 60'000});
 
   auto make = [](TxType type, std::vector<OutPoint> inputs, Amount out,
                  Amount fee) {
@@ -1142,8 +1140,8 @@ TEST(BlockchainTest, StatesOnDemandMatchRecordsAndGenesisReplays) {
           if (kind == 0) {
             tx = wallets[from].BuildDeploy(
                 base, contracts::kHtlcKind,
-                contracts::HtlcContract::MakeInitPayload(
-                    owners[0], crypto::Hash256::Of(secret), Minutes(60)),
+                Encode(contracts::HtlcInit{
+                    owners[0], crypto::Hash256::Of(secret), Minutes(60)}),
                 50, params.deploy_fee, nonce++);
           } else if (kind == 1 && base.contracts.size() > 0) {
             // Redeems the first HTLC, or reverts once it is redeemed.
@@ -1277,8 +1275,8 @@ TEST(BlockchainTest, FindCallForgetsARedeemReorgedAway) {
   const Bytes secret{3, 1, 4, 1, 5, 9};
   auto deploy = alice.BuildDeploy(
       bc.StateAtHead(), contracts::kHtlcKind,
-      contracts::HtlcContract::MakeInitPayload(
-          Bob().public_key(), crypto::Hash256::Of(secret), Minutes(60)),
+      Encode(contracts::HtlcInit{
+          Bob().public_key(), crypto::Hash256::Of(secret), Minutes(60)}),
       500, params.deploy_fee, /*nonce=*/1);
   ASSERT_TRUE(deploy.ok());
   const crypto::Hash256 contract_id = deploy->Id();
@@ -1409,8 +1407,8 @@ TEST(ChainIndexTest, ForkReorgChurnMatchesParentWalk) {
   const Bytes secret{4, 8, 15, 16, 23, 42};
   auto deploy = alice.BuildDeploy(
       bc.StateAtHead(), contracts::kHtlcKind,
-      contracts::HtlcContract::MakeInitPayload(
-          kBob.public_key(), crypto::Hash256::Of(secret), Minutes(60)),
+      Encode(contracts::HtlcInit{
+          kBob.public_key(), crypto::Hash256::Of(secret), Minutes(60)}),
       500, params.deploy_fee, /*nonce=*/1);
   ASSERT_TRUE(deploy.ok());
   const crypto::Hash256 contract_id = deploy->Id();

@@ -1,9 +1,13 @@
 // Unit tests for src/common: Status/Result, byte codec, RNG, sim time,
 // and the shared WorkerPool fan-out primitive.
 
+#include <array>
 #include <atomic>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,41 +105,91 @@ TEST(BytesTest, HexAcceptsUppercase) {
   EXPECT_EQ(ToHex(*r), "abcd");
 }
 
-TEST(ByteCodecTest, RoundTripAllTypes) {
-  ByteWriter w;
-  w.PutU8(0x12);
-  w.PutU16(0x3456);
-  w.PutU32(0x789abcde);
-  w.PutU64(0x0123456789abcdefULL);
-  w.PutI64(-42);
-  w.PutBytes({1, 2, 3});
-  w.PutString("hello");
+enum class Shade : uint8_t { kLight = 1, kDark = 2 };
 
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.GetU8().value(), 0x12);
-  EXPECT_EQ(r.GetU16().value(), 0x3456);
-  EXPECT_EQ(r.GetU32().value(), 0x789abcdeu);
-  EXPECT_EQ(r.GetU64().value(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.GetI64().value(), -42);
-  EXPECT_EQ(r.GetBytes().value(), Bytes({1, 2, 3}));
-  EXPECT_EQ(r.GetString().value(), "hello");
-  EXPECT_TRUE(r.AtEnd());
+constexpr EnumRange<Shade> WireRange(Shade) {
+  return {Shade::kLight, Shade::kDark};
+}
+
+/// One field of every codec rule.
+struct AllRules {
+  uint8_t u8 = 0x12;
+  uint16_t u16 = 0x3456;
+  uint32_t u32 = 0x789abcde;
+  uint64_t u64 = 0x0123456789abcdefULL;
+  int64_t i64 = -42;
+  bool flag = true;
+  Shade shade = Shade::kDark;
+  Bytes bytes = {1, 2, 3};
+  std::string text = "hello";
+  std::array<uint8_t, 2> raw = {0xaa, 0xbb};
+  std::vector<uint32_t> counted = {4, 5};
+  uint32_t nested = 6;
+  std::vector<Bytes> nested_each = {{7}, {}};
+  std::variant<uint8_t, std::string> choice = std::string("alt");
+
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(self.u8, self.u16, self.u32, self.u64, self.i64, self.flag,
+          self.shade, self.bytes, self.text, self.raw, self.counted,
+          Nested(self.nested), NestedEach(self.nested_each),
+          VariantIndex(self.choice), self.choice);
+  }
+
+  bool operator==(const AllRules&) const = default;
+};
+
+/// One byte behind a length prefix.
+struct Wrapped {
+  uint8_t inner = 0;
+
+  template <typename Self, typename Codec>
+  static void Fields(Self& self, Codec& codec) {
+    codec(Nested(self.inner));
+  }
+};
+
+TEST(ByteCodecTest, RoundTripAllTypes) {
+  const AllRules sample;
+  const Bytes encoded = Encode(sample);
+  EXPECT_EQ(EncodedSize(sample), encoded.size());
+  auto decoded = Decode<AllRules>(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, sample);
+  EXPECT_EQ(Encode(*decoded), encoded);
 }
 
 TEST(ByteCodecTest, UnderrunReturnsOutOfRange) {
-  ByteWriter w;
-  w.PutU8(7);
-  ByteReader r(w.bytes());
-  ASSERT_TRUE(r.GetU8().ok());
-  auto fail = r.GetU32();
-  ASSERT_FALSE(fail.ok());
-  EXPECT_EQ(fail.status().code(), StatusCode::kOutOfRange);
+  const Bytes encoded = Encode(AllRules());
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    auto cut = Decode<AllRules>(std::span(encoded).first(len));
+    ASSERT_FALSE(cut.ok()) << len;
+    EXPECT_EQ(cut.status().code(), StatusCode::kOutOfRange) << len;
+  }
 }
 
 TEST(ByteCodecTest, EncodingIsLittleEndian) {
-  ByteWriter w;
-  w.PutU32(0x01020304);
-  EXPECT_EQ(w.bytes(), Bytes({0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(Encode(uint32_t{0x01020304}), Bytes({0x04, 0x03, 0x02, 0x01}));
+}
+
+TEST(ByteCodecTest, RejectsEveryNonCanonicalByte) {
+  EXPECT_FALSE(Decode<bool>(Bytes{2}).ok());
+  EXPECT_FALSE(Decode<Shade>(Bytes{0}).ok());
+  EXPECT_FALSE(Decode<Shade>(Bytes{3}).ok());
+  EXPECT_TRUE(Decode<Shade>(Bytes{2}).ok());
+  EXPECT_FALSE(Decode<uint8_t>(Bytes{1, 0}).ok());  // Trailing byte.
+  // A nested field must fill its length prefix exactly.
+  EXPECT_TRUE(Decode<Wrapped>(Bytes{1, 0, 0, 0, 9}).ok());
+  EXPECT_FALSE(Decode<Wrapped>(Bytes{2, 0, 0, 0, 9, 0}).ok());
+  // A variant tag outside its alternatives.
+  AllRules rules;
+  Bytes encoded = Encode(rules);
+  const size_t tag_at = encoded.size() - EncodedSize(rules.choice) - 1;
+  ASSERT_EQ(encoded[tag_at], 2);
+  encoded[tag_at] = 3;
+  EXPECT_FALSE(Decode<AllRules>(encoded).ok());
+  encoded[tag_at] = 0;
+  EXPECT_FALSE(Decode<AllRules>(encoded).ok());
 }
 
 TEST(RngTest, Deterministic) {

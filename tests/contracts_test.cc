@@ -48,8 +48,8 @@ struct CallEnv {
 
 Result<ContractPtr> MakeHtlc(const Bytes& secret, TimePoint timelock,
                              chain::Amount value = 500) {
-  Bytes payload = HtlcContract::MakeInitPayload(
-      kBob.public_key(), crypto::Hash256::Of(secret), timelock);
+  Bytes payload = Encode(HtlcInit{
+      kBob.public_key(), crypto::Hash256::Of(secret), timelock});
   return HtlcContract::Create(payload, MakeDeployCtx(value));
 }
 
@@ -159,8 +159,8 @@ TEST(HtlcContractTest, RejectsZeroValueDeploy) {
 }
 
 TEST(HtlcContractTest, CreateRejectsTrailingBytes) {
-  Bytes payload = HtlcContract::MakeInitPayload(
-      kBob.public_key(), crypto::Hash256::Of(Bytes{1}), 1000);
+  Bytes payload = Encode(HtlcInit{
+      kBob.public_key(), crypto::Hash256::Of(Bytes{1}), 1000});
   payload.push_back(0);
   EXPECT_FALSE(HtlcContract::Create(payload, MakeDeployCtx(500)).ok());
 }
@@ -171,8 +171,8 @@ class CentralizedContractTest : public ::testing::Test {
  protected:
   CentralizedContractTest() {
     ms_id_ = crypto::Hash256::Of(Bytes{0xAA});
-    Bytes payload = CentralizedContract::MakeInitPayload(
-        kBob.public_key(), ms_id_, kTrent.public_key());
+    Bytes payload = Encode(CentralizedInit{
+        kBob.public_key(), ms_id_, kTrent.public_key()});
     contract_ = *CentralizedContract::Create(payload, MakeDeployCtx(500));
   }
 
@@ -188,7 +188,7 @@ class CentralizedContractTest : public ::testing::Test {
 TEST_F(CentralizedContractTest, RedeemsWithTrentRedeemSignature) {
   CallEnv env;
   Bytes secret =
-      SignCommitment(crypto::CommitmentTag::kRedeem, kTrent).Encode();
+      Encode(SignCommitment(crypto::CommitmentTag::kRedeem, kTrent));
   auto outcome = contract_->Call(kRedeemFunction, secret, env.ctx);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(env.payouts[0].recipient, kBob.public_key());
@@ -197,7 +197,7 @@ TEST_F(CentralizedContractTest, RedeemsWithTrentRedeemSignature) {
 TEST_F(CentralizedContractTest, RefundsWithTrentRefundSignature) {
   CallEnv env;
   Bytes secret =
-      SignCommitment(crypto::CommitmentTag::kRefund, kTrent).Encode();
+      Encode(SignCommitment(crypto::CommitmentTag::kRefund, kTrent));
   auto outcome = contract_->Call(kRefundFunction, secret, env.ctx);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(env.payouts[0].recipient, kAlice.public_key());
@@ -207,33 +207,31 @@ TEST_F(CentralizedContractTest, TagsAreMutuallyExclusive) {
   // T(ms, RF) cannot redeem and T(ms, RD) cannot refund.
   CallEnv env;
   Bytes refund_sig =
-      SignCommitment(crypto::CommitmentTag::kRefund, kTrent).Encode();
+      Encode(SignCommitment(crypto::CommitmentTag::kRefund, kTrent));
   EXPECT_FALSE(contract_->Call(kRedeemFunction, refund_sig, env.ctx).ok());
   Bytes redeem_sig =
-      SignCommitment(crypto::CommitmentTag::kRedeem, kTrent).Encode();
+      Encode(SignCommitment(crypto::CommitmentTag::kRedeem, kTrent));
   EXPECT_FALSE(contract_->Call(kRefundFunction, redeem_sig, env.ctx).ok());
 }
 
 TEST_F(CentralizedContractTest, RejectsNonTrentSignature) {
   CallEnv env;
   Bytes forged =
-      SignCommitment(crypto::CommitmentTag::kRedeem, kAlice).Encode();
+      Encode(SignCommitment(crypto::CommitmentTag::kRedeem, kAlice));
   EXPECT_FALSE(contract_->Call(kRedeemFunction, forged, env.ctx).ok());
 }
 
 TEST_F(CentralizedContractTest, RejectsSignatureForOtherSwap) {
   CallEnv env;
   crypto::Hash256 other_ms = crypto::Hash256::Of(Bytes{0xBB});
-  Bytes other = kTrent
-                    .Sign(crypto::SignatureCommitmentMessage(
-                        other_ms, crypto::CommitmentTag::kRedeem))
-                    .Encode();
+  Bytes other = Encode(kTrent.Sign(crypto::SignatureCommitmentMessage(
+      other_ms, crypto::CommitmentTag::kRedeem)));
   EXPECT_FALSE(contract_->Call(kRedeemFunction, other, env.ctx).ok());
 }
 
 TEST_F(CentralizedContractTest, CreateRejectsTrailingBytes) {
-  Bytes payload = CentralizedContract::MakeInitPayload(
-      kBob.public_key(), ms_id_, kTrent.public_key());
+  Bytes payload = Encode(CentralizedInit{
+      kBob.public_key(), ms_id_, kTrent.public_key()});
   payload.push_back(0);
   EXPECT_FALSE(CentralizedContract::Create(payload, MakeDeployCtx(500)).ok());
 }
@@ -241,7 +239,7 @@ TEST_F(CentralizedContractTest, CreateRejectsTrailingBytes) {
 TEST_F(CentralizedContractTest, SecretWithTrailingBytesDoesNotRedeem) {
   CallEnv env;
   Bytes secret =
-      SignCommitment(crypto::CommitmentTag::kRedeem, kTrent).Encode();
+      Encode(SignCommitment(crypto::CommitmentTag::kRedeem, kTrent));
   secret.push_back(0);
   EXPECT_FALSE(contract_->Call(kRedeemFunction, secret, env.ctx).ok());
 }
@@ -258,10 +256,8 @@ TEST_F(CentralizedContractTest, RejectsGarbageArgs) {
 /// u32 prefix starts at `prefix_at`: the prefix grows by one and the byte
 /// follows the field's old end, so only the field's own decoder sees it.
 Bytes WithByteInsideField(Bytes encoded, size_t prefix_at) {
-  Bytes prefix(encoded.begin() + static_cast<ptrdiff_t>(prefix_at),
-               encoded.begin() + static_cast<ptrdiff_t>(prefix_at + 4));
-  ByteReader reader(prefix);
-  const uint32_t length = *reader.GetU32();
+  const uint32_t length =
+      *Decode<uint32_t>(std::span(encoded).subspan(prefix_at, 4));
   StoreLe(encoded.data() + prefix_at, length + 1);
   encoded.insert(
       encoded.begin() + static_cast<ptrdiff_t>(prefix_at + 4 + length), 0);
@@ -317,57 +313,56 @@ RelayInit SampleRelayInit() {
 }
 
 TEST(WitnessInitTest, DecodeRejectsTrailingBytes) {
-  Bytes encoded = SampleWitnessInit().Encode();
-  ASSERT_TRUE(WitnessInit::Decode(encoded).ok());
+  Bytes encoded = Encode(SampleWitnessInit());
+  ASSERT_TRUE(Decode<WitnessInit>(encoded).ok());
   encoded.push_back(0);
-  EXPECT_FALSE(WitnessInit::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<WitnessInit>(encoded).ok());
 }
 
 TEST(WitnessInitTest, DecodeRejectsTrailingBytesInsideAnEdge) {
-  const Bytes encoded = SampleWitnessInit().Encode();
+  const Bytes encoded = Encode(SampleWitnessInit());
   // The one edge is the last field.
   const size_t edge_prefix_at =
-      encoded.size() - SampleEdge().Encode().size() - 4;
+      encoded.size() - Encode(SampleEdge()).size() - 4;
   EXPECT_FALSE(
-      WitnessInit::Decode(WithByteInsideField(encoded, edge_prefix_at)).ok());
+      Decode<WitnessInit>(WithByteInsideField(encoded, edge_prefix_at)).ok());
 }
 
 TEST(EdgeSpecTest, DecodeRejectsTrailingBytesInsideTheCheckpoint) {
   // chain_id, sender, recipient, amount, min_evidence_depth, checkpoint.
   const size_t checkpoint_prefix_at = 4 + 8 + 8 + 8 + 4;
-  const Bytes encoded =
-      WithByteInsideField(SampleEdge().Encode(), checkpoint_prefix_at);
-  ByteReader reader(encoded);
-  EXPECT_FALSE(EdgeSpec::Decode(&reader).ok());
+  EXPECT_FALSE(Decode<EdgeSpec>(WithByteInsideField(Encode(SampleEdge()),
+                                                    checkpoint_prefix_at))
+                   .ok());
 }
 
 TEST(PermissionlessInitTest, DecodeRejectsTrailingBytes) {
-  Bytes encoded = SamplePermissionlessInit().Encode();
-  ASSERT_TRUE(PermissionlessInit::Decode(encoded).ok());
+  Bytes encoded = Encode(SamplePermissionlessInit());
+  ASSERT_TRUE(Decode<PermissionlessInit>(encoded).ok());
   encoded.push_back(0);
-  EXPECT_FALSE(PermissionlessInit::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<PermissionlessInit>(encoded).ok());
 }
 
 TEST(PermissionlessInitTest, DecodeRejectsTrailingBytesInsideTheCheckpoint) {
   // recipient, witness_chain_id, scw_id, depth, checkpoint.
   const size_t checkpoint_prefix_at = 8 + 4 + 32 + 4;
-  EXPECT_FALSE(PermissionlessInit::Decode(
-                   WithByteInsideField(SamplePermissionlessInit().Encode(),
+  EXPECT_FALSE(Decode<PermissionlessInit>(
+                   WithByteInsideField(Encode(SamplePermissionlessInit()),
                                        checkpoint_prefix_at))
                    .ok());
 }
 
 TEST(RelayInitTest, DecodeRejectsTrailingBytes) {
-  Bytes encoded = SampleRelayInit().Encode();
-  ASSERT_TRUE(RelayInit::Decode(encoded).ok());
+  Bytes encoded = Encode(SampleRelayInit());
+  ASSERT_TRUE(Decode<RelayInit>(encoded).ok());
   encoded.push_back(0);
-  EXPECT_FALSE(RelayInit::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<RelayInit>(encoded).ok());
 }
 
 TEST(RelayInitTest, DecodeRejectsTrailingBytesInsideTheCheckpoint) {
   // The checkpoint is the first field.
   EXPECT_FALSE(
-      RelayInit::Decode(WithByteInsideField(SampleRelayInit().Encode(), 0))
+      Decode<RelayInit>(WithByteInsideField(Encode(SampleRelayInit()), 0))
           .ok());
 }
 
@@ -375,10 +370,10 @@ TEST(EdgeEvidenceTest, DecodeRejectsTrailingBytes) {
   HeaderChainEvidence evidence;
   evidence.headers = {SampleCheckpoint()};
   evidence.leaf = Bytes{7};
-  Bytes encoded = EncodeEdgeEvidence({evidence});
-  ASSERT_TRUE(DecodeEdgeEvidence(encoded).ok());
+  Bytes encoded = Encode(EdgeEvidence{{evidence}});
+  ASSERT_TRUE(Decode<EdgeEvidence>(encoded).ok());
   encoded.push_back(0);
-  EXPECT_FALSE(DecodeEdgeEvidence(encoded).ok());
+  EXPECT_FALSE(Decode<EdgeEvidence>(encoded).ok());
 }
 
 // ----------------------------------------------------------------- factory
@@ -396,8 +391,8 @@ TEST(ContractFactoryTest, KnowsAllBuiltinKinds) {
 
 TEST(ContractFactoryTest, DeployDispatchesByKind) {
   RegisterBuiltinContracts();
-  Bytes payload = HtlcContract::MakeInitPayload(
-      kBob.public_key(), crypto::Hash256::Of(Bytes{5}), 1000);
+  Bytes payload = Encode(HtlcInit{
+      kBob.public_key(), crypto::Hash256::Of(Bytes{5}), 1000});
   auto contract =
       ContractFactory::Instance().Deploy(kHtlcKind, payload, MakeDeployCtx(9));
   ASSERT_TRUE(contract.ok());
@@ -421,8 +416,8 @@ TEST(ContractOnLedgerTest, DeployLocksValueAndCallPaysOut) {
   chain::Wallet bob(kBob, world.chain().id());
 
   Bytes secret{7, 7, 7};
-  Bytes payload = HtlcContract::MakeInitPayload(
-      kBob.public_key(), crypto::Hash256::Of(secret), /*timelock=*/60'000);
+  Bytes payload = Encode(HtlcInit{
+      kBob.public_key(), crypto::Hash256::Of(secret), /*timelock=*/60'000});
   auto deploy = alice.BuildDeploy(world.chain().StateAtHead(), kHtlcKind,
                                   payload, /*locked_value=*/400,
                                   /*fee=*/4, /*nonce=*/1);
@@ -448,8 +443,8 @@ TEST(ContractOnLedgerTest, DeployWithTrailingPayloadByteFails) {
   testutil::TestChain world(chain::TestChainParams(),
                             testutil::Fund({kAlice.public_key()}, 1000));
   chain::Wallet alice(kAlice, world.chain().id());
-  Bytes payload = HtlcContract::MakeInitPayload(
-      kBob.public_key(), crypto::Hash256::Of(Bytes{1}), 60'000);
+  Bytes payload = Encode(HtlcInit{
+      kBob.public_key(), crypto::Hash256::Of(Bytes{1}), 60'000});
   payload.push_back(0);
   auto deploy = alice.BuildDeploy(world.chain().StateAtHead(), kHtlcKind,
                                   payload, 400, 4, 1);
@@ -471,16 +466,14 @@ TEST(ContractOnLedgerTest, CallWithTrailingArgByteFails) {
   const crypto::Hash256 ms_id = crypto::Hash256::Of(Bytes{0xAA});
   auto deploy = alice.BuildDeploy(
       world.chain().StateAtHead(), kCentralizedKind,
-      CentralizedContract::MakeInitPayload(kBob.public_key(), ms_id,
-                                           kTrent.public_key()),
+      Encode(CentralizedInit{kBob.public_key(), ms_id,
+                                           kTrent.public_key()}),
       400, 4, 1);
   ASSERT_TRUE(deploy.ok());
   ASSERT_TRUE(world.MineBlock({*deploy}).ok());
 
-  Bytes secret = kTrent
-                     .Sign(crypto::SignatureCommitmentMessage(
-                         ms_id, crypto::CommitmentTag::kRedeem))
-                     .Encode();
+  Bytes secret = Encode(kTrent.Sign(crypto::SignatureCommitmentMessage(
+      ms_id, crypto::CommitmentTag::kRedeem)));
   secret.push_back(0);
   auto call = bob.BuildCall(world.chain().StateAtHead(), deploy->Id(),
                             kRedeemFunction, secret, 2, 1);
@@ -499,8 +492,8 @@ TEST(ContractOnLedgerTest, FailedGuardRecordsUnsuccessfulReceipt) {
   chain::Wallet alice(kAlice, world.chain().id());
   chain::Wallet bob(kBob, world.chain().id());
 
-  Bytes payload = HtlcContract::MakeInitPayload(
-      kBob.public_key(), crypto::Hash256::Of(Bytes{1}), 60'000);
+  Bytes payload = Encode(HtlcInit{
+      kBob.public_key(), crypto::Hash256::Of(Bytes{1}), 60'000});
   auto deploy = alice.BuildDeploy(world.chain().StateAtHead(), kHtlcKind,
                                   payload, 400, 4, 1);
   ASSERT_TRUE(deploy.ok());

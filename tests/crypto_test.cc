@@ -458,16 +458,12 @@ TEST(SchnorrTest, RejectsForgeriesUnderKeysCongruentToOne) {
 
 TEST(SchnorrTest, EncodeDecodeRoundTrip) {
   KeyPair key = KeyPair::FromSeed(9);
-  Bytes pk_bytes = key.public_key().Encode();
-  ByteReader r(pk_bytes);
-  auto pk = PublicKey::Decode(&r);
+  auto pk = Decode<PublicKey>(Encode(key.public_key()));
   ASSERT_TRUE(pk.ok());
   EXPECT_EQ(*pk, key.public_key());
 
   Signature sig = key.SignString("encode me");
-  Bytes sig_bytes = sig.Encode();
-  ByteReader r2(sig_bytes);
-  auto sig2 = Signature::Decode(&r2);
+  auto sig2 = Decode<Signature>(Encode(sig));
   ASSERT_TRUE(sig2.ok());
   EXPECT_EQ(*sig2, sig);
 }
@@ -526,7 +522,7 @@ TEST(MultisigTest, IdStableUnderSignerOrder) {
   KeyPair a = KeyPair::FromSeed(16), b = KeyPair::FromSeed(17);
   ASSERT_TRUE(ms.AddSignature(a).ok());
   ASSERT_TRUE(ms.AddSignature(b).ok());
-  auto decoded = Multisignature::Decode(ms.Encode());
+  auto decoded = Decode<Multisignature>(Encode(ms));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->Id(), ms.Id());
   EXPECT_TRUE(decoded->VerifyAll({a.public_key(), b.public_key()}));
@@ -535,9 +531,9 @@ TEST(MultisigTest, IdStableUnderSignerOrder) {
 TEST(MultisigTest, DecodeRejectsTrailingBytes) {
   Multisignature ms(StrBytes("trailing"));
   ASSERT_TRUE(ms.AddSignature(KeyPair::FromSeed(16)).ok());
-  Bytes encoded = ms.Encode();
+  Bytes encoded = Encode(ms);
   encoded.push_back(0);
-  EXPECT_FALSE(Multisignature::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<Multisignature>(encoded).ok());
 }
 
 TEST(MultisigTest, SignatureOrderDoesNotAffectValidity) {
@@ -630,7 +626,7 @@ TEST(MerkleTest, ProofEncodeDecodeRoundTrip) {
   MerkleTree tree(leaves);
   auto proof = tree.Prove(5);
   ASSERT_TRUE(proof.ok());
-  auto decoded = MerkleProof::Decode(proof->Encode());
+  auto decoded = Decode<MerkleProof>(Encode(*proof));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(VerifyMerkleProof(leaves[5], *decoded, tree.root()));
 }
@@ -653,22 +649,22 @@ TEST(MerkleTest, LeafZeroPathFoldsAnyLeafZero) {
 TEST(MerkleTest, DecodeRejectsTrailingBytes) {
   const auto proof = MerkleTree(MakeLeaves(5)).Prove(2);
   ASSERT_TRUE(proof.ok());
-  Bytes encoded = proof->Encode();
-  ASSERT_TRUE(MerkleProof::Decode(encoded).ok());
+  Bytes encoded = Encode(*proof);
+  ASSERT_TRUE(Decode<MerkleProof>(encoded).ok());
   encoded.push_back(0);
-  EXPECT_FALSE(MerkleProof::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<MerkleProof>(encoded).ok());
 }
 
 TEST(MerkleTest, DecodeRejectsNonBooleanSide) {
   const auto proof = MerkleTree(MakeLeaves(5)).Prove(2);
   ASSERT_TRUE(proof.ok());
-  Bytes encoded = proof->Encode();
+  Bytes encoded = Encode(*proof);
   // Layout: u32 leaf index, u32 step count, then per step a 32-byte
   // sibling and one side byte.
   const size_t first_side = 4 + 4 + Hash256::kSize;
   ASSERT_LE(encoded[first_side], 1);
   encoded[first_side] = 2;
-  EXPECT_FALSE(MerkleProof::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<MerkleProof>(encoded).ok());
 }
 
 TEST(MerkleTest, TamperedProofStepFails) {

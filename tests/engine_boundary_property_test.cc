@@ -1,7 +1,8 @@
 // Engine-boundary property: the four engines take a swap graph from
 // outside, so a graph decoded from mutated bytes is handed to each of them.
 // Whatever the mutant, a run must either be turned away with a Status or
-// end with a report; every chain of the world must conserve value; and the
+// end with a report, and all four engines' Start() must agree on which;
+// every chain of the world must conserve value; and the
 // engines that decide one verdict (AC3TW, AC3WN, quorum) must finish
 // atomically. Herlihy's unfinished or non-atomic runs are counted, not
 // failed — the benchmark's own rule (its timelock race is documented in
@@ -29,11 +30,11 @@ using runner::Protocol;
 
 constexpr TimePoint kDeadline = Minutes(10);
 /// Mutants drawn from the seed graph's encoding. At this seed 62 of the
-/// 320 decode: 26 are turned away by every engine's Start() (an endpoint
-/// out of range, an unknown chain, a self transfer, a zero amount), 12 name
-/// a key no participant holds (only Herlihy, which never checks the graph's
-/// keys, runs them), and 24 run on all four engines — 7 commit, 17 cannot
-/// fund a leg and abort. The 248 worlds take about 0.8 s in Release.
+/// 320 decode: 38 are turned away by every engine's Start() (an endpoint
+/// out of range, an unknown chain, a self transfer, a zero amount, or a
+/// vertex key that is not its participant's), and 24 run on all four
+/// engines — 7 commit, 17 cannot fund a leg and abort. The 248 worlds take
+/// about 0.7 s in Release.
 constexpr int kMutants = 320;
 constexpr uint64_t kMutationSeed = 28;
 
@@ -104,12 +105,9 @@ TEST(EngineBoundaryPropertyTest, MutatedGraphsAreRejectedOrSettleSafely) {
   Logger::set_level(LogLevel::kError);
 
   core::ScenarioWorld seed_world(WorldOptions(Protocol::kHerlihy));
-  const Bytes sample =
-      graph::MakeTwoPartySwap(seed_world.participant(0)->pk(),
-                              seed_world.participant(1)->pk(),
-                              seed_world.asset_chain(0), 300,
-                              seed_world.asset_chain(1), 200, 0)
-          .Encode();
+  const Bytes sample = Encode(graph::MakeTwoPartySwap(
+      seed_world.participant(0)->pk(), seed_world.participant(1)->pk(),
+      seed_world.asset_chain(0), 300, seed_world.asset_chain(1), 200, 0));
 
   Rng rng(kMutationSeed);
   int decoded = 0;
@@ -118,9 +116,10 @@ TEST(EngineBoundaryPropertyTest, MutatedGraphsAreRejectedOrSettleSafely) {
   int herlihy_anomalies = 0;
   for (int i = 0; i < kMutants; ++i) {
     const Bytes mutant = testutil::Mutate(sample, &rng);
-    Result<graph::Ac2tGraph> graph = graph::Ac2tGraph::Decode(mutant);
+    Result<graph::Ac2tGraph> graph = Decode<graph::Ac2tGraph>(mutant);
     if (!graph.ok()) continue;
     ++decoded;
+    std::vector<bool> started;
     for (Protocol protocol : {Protocol::kHerlihy, Protocol::kAc3tw,
                               Protocol::kAc3wn, Protocol::kQuorum}) {
       SCOPED_TRACE(testing::Message()
@@ -138,6 +137,7 @@ TEST(EngineBoundaryPropertyTest, MutatedGraphsAreRejectedOrSettleSafely) {
                   genesis[c] + chain->height() * chain->params().block_reward)
             << "chain " << c;
       }
+      started.push_back(report.ok());
       if (!report.ok()) {
         ++rejected;
         continue;
@@ -150,6 +150,8 @@ TEST(EngineBoundaryPropertyTest, MutatedGraphsAreRejectedOrSettleSafely) {
         ADD_FAILURE() << "unfinished or non-atomic\n" << report->Summary();
       }
     }
+    EXPECT_EQ(started, std::vector<bool>(started.size(), started[0]))
+        << "engines disagree on mutant " << i << " " << ToHex(mutant);
   }
   Logger::set_level(saved_level);
 

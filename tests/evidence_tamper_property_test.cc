@@ -109,7 +109,7 @@ TEST_P(EvidenceTamperTest, TamperedEvidenceRejected) {
   }
 
   // Encode/decode round trip does not launder tampering.
-  auto decoded = HeaderChainEvidence::Decode(evidence.Encode());
+  auto decoded = Decode<HeaderChainEvidence>(Encode(evidence));
   if (decoded.ok()) {
     Status reverified = VerifyHeaderChainEvidence(checkpoint, bits, *decoded,
                                                   min_confirmations);

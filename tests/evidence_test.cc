@@ -57,7 +57,7 @@ class EvidenceTest : public ::testing::Test {
 
     WitnessInit init;
     init.participants = {kAlice.public_key(), kBob.public_key()};
-    init.ms_encoded = ms->Encode();
+    init.ms_encoded = Encode(*ms);
     EdgeSpec spec;
     spec.chain_id = 0;
     spec.sender = kAlice.public_key();
@@ -69,7 +69,7 @@ class EvidenceTest : public ::testing::Test {
     init.edges.push_back(spec);
 
     auto deploy = alice_witness_.BuildDeploy(witness_.chain().StateAtHead(),
-                                             kWitnessKind, init.Encode(),
+                                             kWitnessKind, Encode(init),
                                              /*locked_value=*/0, /*fee=*/4,
                                              /*nonce=*/next_nonce_++);
     EXPECT_TRUE(deploy.ok()) << deploy.status();
@@ -91,7 +91,7 @@ class EvidenceTest : public ::testing::Test {
     last_asset_init_ = init;
 
     auto deploy = alice_asset_.BuildDeploy(asset_.chain().StateAtHead(),
-                                           kPermissionlessKind, init.Encode(),
+                                           kPermissionlessKind, Encode(init),
                                            amount, /*fee=*/4,
                                            /*nonce=*/next_nonce_++);
     EXPECT_TRUE(deploy.ok()) << deploy.status();
@@ -127,39 +127,35 @@ HeaderChainEvidence SmallEvidence() {
 }
 
 TEST(EvidenceDecodeTest, RoundTripsCanonicalBytes) {
-  const Bytes encoded = SmallEvidence().Encode();
-  auto decoded = HeaderChainEvidence::Decode(encoded);
+  const Bytes encoded = Encode(SmallEvidence());
+  auto decoded = Decode<HeaderChainEvidence>(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->Encode(), encoded);
+  EXPECT_EQ(Encode(*decoded), encoded);
 }
 
 TEST(EvidenceDecodeTest, RejectsTrailingBytes) {
-  Bytes encoded = SmallEvidence().Encode();
+  Bytes encoded = Encode(SmallEvidence());
   encoded.push_back(0);
-  EXPECT_FALSE(HeaderChainEvidence::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<HeaderChainEvidence>(encoded).ok());
 }
 
 TEST(EvidenceDecodeTest, RejectsTrailingBytesInsideAHeader) {
   const HeaderChainEvidence ev = SmallEvidence();
-  Bytes header = ev.headers[0].Encode();
+  Bytes header = Encode(ev.headers[0]);
   header.push_back(0);
-  ByteWriter w;
-  w.PutU32(1);
-  w.PutBytes(header);
-  w.PutU32(ev.target_index);
-  w.PutU8(0);
-  w.PutBytes(ev.leaf);
-  w.PutBytes(ev.proof.Encode());
-  EXPECT_FALSE(HeaderChainEvidence::Decode(w.Take()).ok());
+  // The evidence's fields, with the one header as a padded byte string.
+  const Bytes encoded = Encode(uint32_t{1}, header, ev.target_index,
+                               ev.leaf_is_receipt, ev.leaf, Encode(ev.proof));
+  EXPECT_FALSE(Decode<HeaderChainEvidence>(encoded).ok());
 }
 
 TEST(EvidenceDecodeTest, RejectsNonBooleanLeafKind) {
-  Bytes encoded = SmallEvidence().Encode();
+  Bytes encoded = Encode(SmallEvidence());
   // u32 header count, one u32-length-prefixed header, u32 target index.
   const size_t kind_at = 4 + (4 + chain::BlockHeader::kEncodedSize) + 4;
   ASSERT_EQ(encoded[kind_at], 0);
   encoded[kind_at] = 2;
-  EXPECT_FALSE(HeaderChainEvidence::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<HeaderChainEvidence>(encoded).ok());
 }
 
 // ------------------------------------------------- raw evidence mechanics
@@ -189,7 +185,7 @@ TEST_F(EvidenceTest, EvidenceRoundTripsThroughEncoding) {
   auto evidence = BuildTxEvidence(
       asset_.chain(), asset_.chain().genesis()->hash, transfer->Id());
   ASSERT_TRUE(evidence.ok());
-  auto decoded = HeaderChainEvidence::Decode(evidence->Encode());
+  auto decoded = Decode<HeaderChainEvidence>(Encode(*evidence));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(VerifyHeaderChainEvidence(
                   asset_.chain().genesis()->block.header,
@@ -294,7 +290,7 @@ TEST_F(EvidenceTest, SwappedLeafRejectedByMerkleProof) {
       BuildTxEvidence(asset_.chain(), asset_.chain().genesis()->hash, t1->Id());
   ASSERT_TRUE(evidence.ok());
   // Claim the proof covers t2 instead of t1.
-  evidence->leaf = t2->Encode();
+  evidence->leaf = Encode(*t2);
   Status status = VerifyHeaderChainEvidence(
       asset_.chain().genesis()->block.header,
       asset_.chain().params().difficulty_bits, *evidence, 0);
@@ -341,7 +337,7 @@ TEST_F(EvidenceTest, RelayContractAcceptsProofOfTx1) {
   init.interesting_tx = tx1->Id();
   init.required_depth = 2;
   auto deploy = alice_witness_.BuildDeploy(witness_.chain().StateAtHead(),
-                                           kRelayKind, init.Encode(), 0, 4,
+                                           kRelayKind, Encode(init), 0, 4,
                                            /*nonce=*/50);
   ASSERT_TRUE(deploy.ok());
   ASSERT_TRUE(witness_.MineBlock({*deploy}).ok());
@@ -355,7 +351,7 @@ TEST_F(EvidenceTest, RelayContractAcceptsProofOfTx1) {
   // Submit the evidence (labels 5-6); the miners flip the relay to S2.
   auto call = alice_witness_.BuildCall(witness_.chain().StateAtHead(),
                                        deploy->Id(), kSubmitEvidenceFunction,
-                                       evidence->Encode(), 2, /*nonce=*/51);
+                                       Encode(*evidence), 2, /*nonce=*/51);
   ASSERT_TRUE(call.ok());
   ASSERT_TRUE(witness_.MineBlock({*call}).ok());
 
@@ -376,7 +372,7 @@ TEST_F(EvidenceTest, RelayContractRejectsShallowEvidence) {
   init.interesting_tx = tx1->Id();
   init.required_depth = 4;
   auto deploy = alice_witness_.BuildDeploy(witness_.chain().StateAtHead(),
-                                           kRelayKind, init.Encode(), 0, 4, 60);
+                                           kRelayKind, Encode(init), 0, 4, 60);
   ASSERT_TRUE(deploy.ok());
   ASSERT_TRUE(witness_.MineBlock({*deploy}).ok());
 
@@ -386,7 +382,7 @@ TEST_F(EvidenceTest, RelayContractRejectsShallowEvidence) {
   ASSERT_TRUE(evidence.ok());
   auto call = alice_witness_.BuildCall(witness_.chain().StateAtHead(),
                                        deploy->Id(), kSubmitEvidenceFunction,
-                                       evidence->Encode(), 2, 61);
+                                       Encode(*evidence), 2, 61);
   ASSERT_TRUE(call.ok());
   ASSERT_TRUE(witness_.MineBlock({*call}).ok());
   const auto* rc = dynamic_cast<const RelayContract*>(
@@ -418,7 +414,7 @@ TEST_F(EvidenceTest, VerifyContractsRejectsWrongSender) {
   init.witness_checkpoint = witness_.chain().genesis()->block.header;
   init.witness_difficulty_bits = witness_.chain().params().difficulty_bits;
   auto deploy = bob_asset_.BuildDeploy(asset_.chain().StateAtHead(),
-                                       kPermissionlessKind, init.Encode(), 400,
+                                       kPermissionlessKind, Encode(init), 400,
                                        4, 70);
   ASSERT_TRUE(deploy.ok());
   ASSERT_TRUE(asset_.MineTxToDepth(*deploy, 1).ok());
@@ -519,7 +515,7 @@ TEST_F(EvidenceTest, PermissionlessRedeemFollowsDepthDiscipline) {
   ASSERT_TRUE(deploy_ev.ok());
   auto call = alice_witness_.BuildCall(
       witness_.chain().StateAtHead(), scw_id, kAuthorizeRedeemFunction,
-      EncodeEdgeEvidence({*deploy_ev}), 2, /*nonce=*/80);
+      Encode(EdgeEvidence{{*deploy_ev}}), 2, /*nonce=*/80);
   ASSERT_TRUE(call.ok());
   ASSERT_TRUE(witness_.MineBlock({*call}).ok());
   ASSERT_EQ(Scw(scw_id)->state(), WitnessState::kRedeemAuthorized);
@@ -541,16 +537,16 @@ TEST_F(EvidenceTest, PermissionlessRedeemFollowsDepthDiscipline) {
   auto shallow = BuildReceiptEvidence(
       witness_.chain(), witness_.chain().genesis()->hash, call->Id());
   ASSERT_TRUE(shallow.ok());
-  EXPECT_FALSE(sc->IsRedeemable(shallow->Encode(), ctx));
+  EXPECT_FALSE(sc->IsRedeemable(Encode(*shallow), ctx));
 
   // Buried under >= d blocks: the redeem goes through.
   ASSERT_TRUE(witness_.MineEmpty(d).ok());
   auto deep = BuildReceiptEvidence(
       witness_.chain(), witness_.chain().genesis()->hash, call->Id());
   ASSERT_TRUE(deep.ok());
-  EXPECT_TRUE(sc->IsRedeemable(deep->Encode(), ctx));
+  EXPECT_TRUE(sc->IsRedeemable(Encode(*deep), ctx));
   // The same (RDauth) receipt can never power a refund.
-  EXPECT_FALSE(sc->IsRefundable(deep->Encode(), ctx));
+  EXPECT_FALSE(sc->IsRefundable(Encode(*deep), ctx));
 }
 
 TEST_F(EvidenceTest, PermissionlessRejectsForeignScwReceipt) {
@@ -582,7 +578,7 @@ TEST_F(EvidenceTest, PermissionlessRejectsForeignScwReceipt) {
   auto foreign = BuildReceiptEvidence(
       witness_.chain(), witness_.chain().genesis()->hash, refund_call->Id());
   ASSERT_TRUE(foreign.ok());
-  EXPECT_FALSE(sc->IsRefundable(foreign->Encode(), ctx));
+  EXPECT_FALSE(sc->IsRefundable(Encode(*foreign), ctx));
 }
 
 }  // namespace

@@ -66,18 +66,18 @@ TEST(Ac2tGraphTest, RejectsZeroAmount) {
 TEST(Ac2tGraphTest, EncodeDecodeRoundTrips) {
   auto keys = Keys(3);
   Ac2tGraph graph = MakeRing(keys, Chains(3), 120, 77);
-  auto decoded = Ac2tGraph::Decode(graph.Encode());
+  auto decoded = Decode<Ac2tGraph>(Encode(graph));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->participants(), graph.participants());
   EXPECT_EQ(decoded->edge_count(), graph.edge_count());
   EXPECT_EQ(decoded->timestamp(), graph.timestamp());
-  EXPECT_EQ(decoded->Encode(), graph.Encode());
+  EXPECT_EQ(Encode(*decoded), Encode(graph));
 }
 
 TEST(Ac2tGraphTest, DecodeRejectsTrailingBytes) {
-  Bytes encoded = MakeRing(Keys(3), Chains(3), 120, 77).Encode();
+  Bytes encoded = Encode(MakeRing(Keys(3), Chains(3), 120, 77));
   encoded.push_back(0);
-  EXPECT_FALSE(Ac2tGraph::Decode(encoded).ok());
+  EXPECT_FALSE(Decode<Ac2tGraph>(encoded).ok());
 }
 
 TEST(Ac2tGraphTest, TimestampDistinguishesIdenticalSwaps) {
@@ -86,7 +86,7 @@ TEST(Ac2tGraphTest, TimestampDistinguishesIdenticalSwaps) {
   auto keys = Keys(2);
   Ac2tGraph g1 = MakeTwoPartySwap(keys[0], keys[1], 0, 100, 1, 50, 1);
   Ac2tGraph g2 = MakeTwoPartySwap(keys[0], keys[1], 0, 100, 1, 50, 2);
-  EXPECT_NE(g1.Encode(), g2.Encode());
+  EXPECT_NE(Encode(g1), Encode(g2));
 }
 
 // ---------------------------------------------------------- shape analysis
@@ -173,7 +173,7 @@ TEST_P(RandomGraphTest, GeneratedGraphsAreValidAndAnalyzable) {
   EXPECT_LE(diam, graph.edge_count());
   EXPECT_EQ(graph.Diameter(), diam);
   // Round trip preserves analysis results.
-  auto decoded = Ac2tGraph::Decode(graph.Encode());
+  auto decoded = Decode<Ac2tGraph>(Encode(graph));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->Diameter(), diam);
   EXPECT_EQ(decoded->IsCyclic(), graph.IsCyclic());
@@ -227,9 +227,9 @@ TEST(MultisigGraphTest, TamperedSignatureDetected) {
   Ac2tGraph graph = MakeTwoPartySwap(Keys(2)[0], Keys(2)[1], 0, 100, 1, 50, 1);
   auto ms = SignGraph(graph, keys);
   ASSERT_TRUE(ms.ok());
-  auto encoded = ms->Encode();
+  auto encoded = Encode(*ms);
   encoded[encoded.size() / 2] ^= 0x01;
-  auto tampered = crypto::Multisignature::Decode(encoded);
+  auto tampered = Decode<crypto::Multisignature>(encoded);
   if (tampered.ok()) {
     EXPECT_FALSE(VerifyGraphMultisig(graph, *tampered));
   }

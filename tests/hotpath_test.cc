@@ -58,13 +58,13 @@ TEST(HeaderHasherTest, MidstateMatchesNaiveDoubleHash) {
     for (int trial = 0; trial < 8; ++trial) {
       chain::BlockHeader header = RandomHeader(&rng);
       uint8_t preimage[chain::BlockHeader::kEncodedSize];
-      header.EncodeTo(preimage);
+      EncodeInto(preimage, header);
       crypto::HeaderHasher hasher(preimage);
       for (int n = 0; n < 16; ++n) {
         const uint64_t nonce = rng.NextU64();
         header.nonce = nonce;
         EXPECT_EQ(hasher.HashWithNonce(nonce),
-                  crypto::Hash256::DoubleOf(header.Encode()))
+                  crypto::Hash256::DoubleOf(Encode(header)))
             << "level " << crypto::Sha256::DispatchName(level) << " trial "
             << trial << " nonce " << nonce;
         EXPECT_EQ(hasher.HashWithNonce(nonce), header.Hash());
@@ -148,7 +148,7 @@ TEST(HeaderHasherTest, ScanLanesMatchHashWithNonceAcrossCarryAndWrap) {
   for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
     ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
     uint8_t preimage[chain::BlockHeader::kEncodedSize];
-    RandomHeader(&rng).EncodeTo(preimage);
+    EncodeInto(preimage, RandomHeader(&rng));
     crypto::HeaderHasher hasher(preimage);
     const uint32_t lanes =
         static_cast<uint32_t>(crypto::Sha256::NonceScanLanes());

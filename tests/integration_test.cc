@@ -58,7 +58,7 @@ class WitnessForkTest : public ::testing::Test {
     ASSERT_TRUE(ms.ok());
     contracts::WitnessInit init;
     init.participants = {kAlice.public_key(), kBob.public_key()};
-    init.ms_encoded = ms->Encode();
+    init.ms_encoded = Encode(*ms);
     contracts::EdgeSpec spec;
     spec.chain_id = 0;
     spec.sender = kAlice.public_key();
@@ -69,7 +69,7 @@ class WitnessForkTest : public ::testing::Test {
     spec.asset_difficulty_bits = asset_.chain().params().difficulty_bits;
     init.edges.push_back(spec);
     auto scw_deploy = alice_witness_.BuildDeploy(
-        witness_.chain().StateAtHead(), contracts::kWitnessKind, init.Encode(),
+        witness_.chain().StateAtHead(), contracts::kWitnessKind, Encode(init),
         0, 4, 1);
     ASSERT_TRUE(scw_deploy.ok());
     ASSERT_TRUE(witness_.MineBlock({*scw_deploy}).ok());
@@ -85,7 +85,7 @@ class WitnessForkTest : public ::testing::Test {
         witness_.chain().params().difficulty_bits;
     auto sc_deploy = alice_asset_.BuildDeploy(
         asset_.chain().StateAtHead(), contracts::kPermissionlessKind,
-        sc_init.Encode(), 400, 4, 2);
+        Encode(sc_init), 400, 4, 2);
     ASSERT_TRUE(sc_deploy.ok());
     ASSERT_TRUE(asset_.MineTxToDepth(*sc_deploy, 1).ok());
     sc_id_ = sc_deploy->Id();
@@ -117,7 +117,7 @@ TEST_F(WitnessForkTest, ConflictingStatesResolveByLongestChain) {
   auto redeem_call = alice_witness_.BuildCall(
       witness_.chain().StateAtHead(), scw_id_,
       contracts::kAuthorizeRedeemFunction,
-      contracts::EncodeEdgeEvidence({*deploy_ev}), 2, 10);
+      Encode(contracts::EdgeEvidence{{*deploy_ev}}), 2, 10);
   ASSERT_TRUE(redeem_call.ok());
   // Bob (also a participant) issues the conflicting request — the two
   // calls must spend different wallets' funds to coexist on two branches.
@@ -175,7 +175,7 @@ TEST_F(WitnessForkTest, DepthDisciplineOutlastsShortForkAttack) {
   auto redeem_call = alice_witness_.BuildCall(
       witness_.chain().StateAtHead(), scw_id_,
       contracts::kAuthorizeRedeemFunction,
-      contracts::EncodeEdgeEvidence({*deploy_ev}), 2, 10);
+      Encode(contracts::EdgeEvidence{{*deploy_ev}}), 2, 10);
   ASSERT_TRUE(redeem_call.ok());
   // Bob (also a participant) issues the conflicting request — the two
   // calls must spend different wallets' funds to coexist on two branches.
@@ -336,6 +336,33 @@ TEST(ConservationTest, WorldValueConservedUpToMiningRewards) {
                   chain->height() * chain->params().block_reward)
         << "chain " << c;
   }
+}
+
+// ------------------------------------------- participants and chain ids
+
+// A chain id the world lacks (the default world has three chains) is
+// turned away by every Participant helper, never dereferenced.
+TEST(ParticipantTest, SubmitTransferRefusesAnUnknownChain) {
+  SwapWorld world;
+  auto submitted = world.participant(0)->SubmitTransfer(
+      /*id=*/7, world.participant(1)->pk(), /*amount=*/10, /*fee=*/1);
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParticipantTest, SubmitCallRefusesAnUnknownChain) {
+  SwapWorld world;
+  auto submitted = world.participant(0)->SubmitCall(
+      /*id=*/7, crypto::Hash256::OfString("contract"), "redeem", Bytes{},
+      /*fee=*/1);
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParticipantTest, BalanceOnAnUnknownChainIsZero) {
+  SwapWorld world;
+  EXPECT_EQ(world.participant(0)->BalanceOn(/*id=*/7), 0u);
+  EXPECT_GT(world.participant(0)->BalanceOn(world.asset_chain(0)), 0u);
 }
 
 // --------------------------------------------------- real-chain presets

@@ -1,6 +1,6 @@
 // Unit tests for src/protocols/messages: the typed protocol-message
 // envelope. Pins the canonical binary round trip for every MessageKind,
-// the EncodedSize() == Encode().size() contract the network's byte
+// the EncodedSize() == Encode(msg).size() contract the network's byte
 // counters rely on, and the decoder's rejection of truncated buffers,
 // unknown kinds, and trailing garbage.
 
@@ -47,7 +47,7 @@ void ExpectSame(const Message& a, const Message& b) {
   EXPECT_EQ(a.seq, b.seq);
   EXPECT_EQ(a.sender, b.sender);
   EXPECT_EQ(a.receiver, b.receiver);
-  EXPECT_EQ(a.Encode(), b.Encode());
+  EXPECT_EQ(Encode(a), Encode(b));
 }
 
 TEST(MessagesTest, KindFollowsPayloadAlternative) {
@@ -60,8 +60,8 @@ TEST(MessagesTest, KindFollowsPayloadAlternative) {
 
 TEST(MessagesTest, EveryKindRoundTrips) {
   for (const Message& msg : OnePerKind()) {
-    const Bytes wire = msg.Encode();
-    auto decoded = Message::Decode(wire);
+    const Bytes wire = Encode(msg);
+    auto decoded = Decode<Message>(wire);
     ASSERT_TRUE(decoded.ok()) << MessageKindName(msg.kind()) << ": "
                               << decoded.status().ToString();
     ExpectSame(msg, *decoded);
@@ -70,7 +70,7 @@ TEST(MessagesTest, EveryKindRoundTrips) {
 
 TEST(MessagesTest, EncodedSizeMatchesEncode) {
   for (const Message& msg : OnePerKind()) {
-    EXPECT_EQ(msg.EncodedSize(), msg.Encode().size())
+    EXPECT_EQ(msg.EncodedSize(), Encode(msg).size())
         << MessageKindName(msg.kind());
   }
 }
@@ -123,9 +123,9 @@ TEST(MessagesTest, FuzzedPayloadsRoundTrip) {
         .receiver = static_cast<sim::NodeId>(rng.NextBelow(1 << 20)),
         .payload = random_payload()};
 
-    const Bytes wire = msg.Encode();
+    const Bytes wire = Encode(msg);
     EXPECT_EQ(msg.EncodedSize(), wire.size());
-    auto decoded = Message::Decode(wire);
+    auto decoded = Decode<Message>(wire);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectSame(msg, *decoded);
   }
@@ -135,10 +135,10 @@ TEST(MessagesTest, FuzzedPayloadsRoundTrip) {
 // never reads past the buffer and never accepts a partial message.
 TEST(MessagesTest, TruncatedBuffersAreRejected) {
   for (const Message& msg : OnePerKind()) {
-    const Bytes wire = msg.Encode();
+    const Bytes wire = Encode(msg);
     for (size_t len = 0; len < wire.size(); ++len) {
       Bytes cut(wire.begin(), wire.begin() + static_cast<long>(len));
-      EXPECT_FALSE(Message::Decode(cut).ok())
+      EXPECT_FALSE(Decode<Message>(cut).ok())
           << MessageKindName(msg.kind()) << " accepted prefix of " << len
           << "/" << wire.size() << " bytes";
     }
@@ -147,28 +147,28 @@ TEST(MessagesTest, TruncatedBuffersAreRejected) {
 
 TEST(MessagesTest, TrailingBytesAreRejected) {
   for (const Message& msg : OnePerKind()) {
-    Bytes wire = msg.Encode();
+    Bytes wire = Encode(msg);
     wire.push_back(0x00);
-    EXPECT_FALSE(Message::Decode(wire).ok())
+    EXPECT_FALSE(Decode<Message>(wire).ok())
         << MessageKindName(msg.kind()) << " accepted trailing garbage";
   }
 }
 
 TEST(MessagesTest, UnknownKindIsRejected) {
-  Bytes wire = OnePerKind().front().Encode();
+  Bytes wire = Encode(OnePerKind().front());
   wire[0] = 0;  // Below the kind range.
-  EXPECT_FALSE(Message::Decode(wire).ok());
+  EXPECT_FALSE(Decode<Message>(wire).ok());
   wire[0] = 9;  // Above the kind range.
-  EXPECT_FALSE(Message::Decode(wire).ok());
+  EXPECT_FALSE(Decode<Message>(wire).ok());
 }
 
 // Booleans ride a single byte that must be exactly 0 or 1 — a sloppy
 // encoder (or bit-flipped wire) is surfaced, not silently truthified.
 TEST(MessagesTest, NonCanonicalBoolIsRejected) {
   const Message msg = Envelope(AckPayload{5, 1, true});
-  Bytes wire = msg.Encode();
+  Bytes wire = Encode(msg);
   wire.back() = 2;  // accepted flag is the final payload byte.
-  EXPECT_FALSE(Message::Decode(wire).ok());
+  EXPECT_FALSE(Decode<Message>(wire).ok());
 }
 
 }  // namespace

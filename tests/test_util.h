@@ -152,7 +152,7 @@ inline ValueImage ValuesOf(const chain::LedgerState& state) {
 /// level.
 inline uint64_t MineHeaderScalar(chain::BlockHeader* header, Rng* rng) {
   uint8_t preimage[chain::BlockHeader::kEncodedSize] = {};
-  header->EncodeTo(preimage);
+  EncodeInto(preimage, *header);
   crypto::HeaderHasher hasher(preimage);
   uint64_t nonce = rng->NextU64();
   uint64_t evaluations = 0;
@@ -174,11 +174,9 @@ inline crypto::Signature ForgeUnderUnitKey(const crypto::PublicKey& pk,
                                            const Bytes& message) {
   const crypto::GroupParams& grp = crypto::DefaultGroup();
   const uint64_t s = 123456789;
-  ByteWriter w;
-  w.PutU64(crypto::PowMod(grp.g, s, grp.p));
-  w.PutU64(pk.y());
-  w.PutBytes(message);
-  return crypto::Signature{crypto::Hash256::Of(w.bytes()).Prefix64() % grp.q,
+  const Bytes challenge =
+      Encode(crypto::PowMod(grp.g, s, grp.p), pk.y(), message);
+  return crypto::Signature{crypto::Hash256::Of(challenge).Prefix64() % grp.q,
                            s};
 }
 

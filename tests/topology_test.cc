@@ -122,10 +122,10 @@ TEST(TopologyTest, TopologyOverWorldIsDeterministicUnderSeed) {
       &world_a, runner::Topology::kRandomFeasible, 6, 100, /*seed=*/77);
   graph::Ac2tGraph b = runner::TopologyOverWorld(
       &world_b, runner::Topology::kRandomFeasible, 6, 100, /*seed=*/77);
-  EXPECT_EQ(a.Encode(), b.Encode());
+  EXPECT_EQ(Encode(a), Encode(b));
   graph::Ac2tGraph c = runner::TopologyOverWorld(
       &world_b, runner::Topology::kRandomFeasible, 6, 100, /*seed=*/78);
-  EXPECT_NE(a.Encode(), c.Encode());
+  EXPECT_NE(Encode(a), Encode(c));
 }
 
 TEST(TopologyTest, FeasibilityTableMatchesGraphAnalysis) {

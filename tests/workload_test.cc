@@ -43,7 +43,7 @@ void ExpectBatchesIdentical(const WorkloadBatch& a, const WorkloadBatch& b) {
   for (size_t i = 0; i < a.txs.size(); ++i) {
     EXPECT_EQ(a.txs[i].arrival, b.txs[i].arrival) << "tx " << i;
     EXPECT_EQ(a.txs[i].chain, b.txs[i].chain) << "tx " << i;
-    EXPECT_EQ(a.txs[i].tx.Encode(), b.txs[i].tx.Encode()) << "tx " << i;
+    EXPECT_EQ(Encode(a.txs[i].tx), Encode(b.txs[i].tx)) << "tx " << i;
   }
   ASSERT_EQ(a.swaps.size(), b.swaps.size());
   for (size_t i = 0; i < a.swaps.size(); ++i) {
