@@ -1,19 +1,24 @@
 // Engineering micro-benchmarks (google-benchmark): the blockchain
 // substrate — proof-of-work mining/verification, a transfer's sign, seal
 // and first verify and a receipt's Merkle leaf, block assembly and full
-// validation, block selection and body validation at open-world UTXO-set
-// sizes, and Section 4.3 evidence construction/verification.
+// validation, block selection, body validation and the ledger commit's
+// tree writes at open-world UTXO-set sizes, and Section 4.3 evidence
+// construction/verification.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/chain/blockchain.h"
 #include "src/chain/pow.h"
 #include "src/chain/wallet.h"
+#include "src/common/persistent_map.h"
 #include "src/contracts/evidence_builder.h"
 #include "src/contracts/htlc_contract.h"
 
@@ -268,10 +273,20 @@ void SetTimePerTx(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
-/// A copy of `state` that shares no tree node with it.
+/// A copy of `state` that shares no tree node with it, built in a fixed
+/// shuffled order: a tree built in key order packs its leaves unlike one
+/// a workload builds from random keys.
 LedgerState Unshared(const LedgerState& state) {
-  LedgerState copy;
+  std::vector<std::pair<OutPoint, TxOutput>> utxos;
   for (const auto& [outpoint, output] : state.utxos) {
+    utxos.emplace_back(outpoint, output);
+  }
+  Rng rng(19);
+  for (size_t i = utxos.size(); i > 1; --i) {
+    std::swap(utxos[i - 1], utxos[rng.NextBelow(i)]);
+  }
+  LedgerState copy;
+  for (const auto& [outpoint, output] : utxos) {
     copy.utxos.Put(outpoint, output);
   }
   for (const auto& [id, contract] : state.contracts) {
@@ -307,6 +322,127 @@ void BM_ValidateBlock(benchmark::State& state) {
 BENCHMARK(BM_ValidateBlock)
     ->Arg(25000)
     ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Writes per BM_LedgerCommit run, in the ratio of the workloads'
+/// one-input, two-output transfers.
+constexpr size_t kCommitPuts = 300;
+constexpr size_t kCommitErases = 150;
+
+/// N random outpoints, in the random key order they were drawn in, and 64
+/// runs of writes to commit into a tree of them: each puts kCommitPuts new
+/// outpoints and erases kCommitErases distinct present ones, sorted by key
+/// as CommitTo writes them.
+struct CommitFixture {
+  /// One write of a run: a put, or an erase of a present key.
+  struct Write {
+    OutPoint key;
+    TxOutput value;
+    bool put = false;
+  };
+
+  explicit CommitFixture(size_t keys) {
+    Rng rng(23);
+    // 32 random id bytes: no outpoint is drawn twice.
+    auto random_outpoint = [&rng] {
+      std::array<uint8_t, crypto::Hash256::kSize> id;
+      for (uint8_t& byte : id) byte = static_cast<uint8_t>(rng.NextU64());
+      return OutPoint{crypto::Hash256(id),
+                      static_cast<uint32_t>(rng.NextBelow(4))};
+    };
+    for (size_t i = 0; i < keys; ++i) {
+      entries.emplace_back(random_outpoint(),
+                           TxOutput{rng.NextBelow(1000), kAlice.public_key()});
+    }
+    for (std::vector<Write>& run : runs) {
+      while (run.size() < kCommitErases) {
+        const auto& entry = entries[rng.NextBelow(entries.size())];
+        const bool drawn = std::any_of(
+            run.begin(), run.end(),
+            [&entry](const Write& write) { return write.key == entry.first; });
+        if (!drawn) run.push_back(Write{entry.first, entry.second, false});
+      }
+      while (run.size() < kCommitPuts + kCommitErases) {
+        run.push_back(
+            Write{random_outpoint(), TxOutput{600, kBob.public_key()}, true});
+      }
+      std::sort(run.begin(), run.end(), [](const Write& a, const Write& b) {
+        return a.key < b.key;
+      });
+    }
+  }
+
+  static const CommitFixture& For(size_t keys) {
+    static std::map<size_t, std::unique_ptr<CommitFixture>> fixtures;
+    std::unique_ptr<CommitFixture>& fixture = fixtures[keys];
+    if (fixture == nullptr) fixture = std::make_unique<CommitFixture>(keys);
+    return *fixture;
+  }
+
+  /// A tree of `entries` that shares no node with any other.
+  PersistentMap<OutPoint, TxOutput> Tree() const {
+    PersistentMap<OutPoint, TxOutput> tree;
+    for (const auto& [key, value] : entries) tree.Put(key, value);
+    return tree;
+  }
+
+  std::vector<std::pair<OutPoint, TxOutput>> entries;
+  std::array<std::vector<Write>, 64> runs;
+};
+
+/// Applies `run` to `utxos`, or with `undo` its inverse.
+void Commit(const std::vector<CommitFixture::Write>& run, bool undo,
+            PersistentMap<OutPoint, TxOutput>* utxos) {
+  for (const CommitFixture::Write& write : run) {
+    if (write.put != undo) {
+      utxos->Put(write.key, write.value);
+    } else {
+      utxos->Erase(write.key);
+    }
+  }
+}
+
+/// The tree writes of LedgerDelta::CommitTo, per write, at two UTXO-set
+/// sizes. shared:0 commits into a tree the handle owns alone, as a block
+/// extending a tip does, so every write lands in place; the run is undone
+/// outside the timing, so each run meets a tree of N keys. shared:1
+/// commits into a copy of a tree that a snapshot still holds, as a block
+/// extending a checkpoint does, so each written path is copied once; the
+/// copy is taken and dropped outside the timing.
+void BM_LedgerCommit(benchmark::State& state) {
+  const CommitFixture& fixture =
+      CommitFixture::For(static_cast<size_t>(state.range(0)));
+  const bool shared = state.range(1) != 0;
+  PersistentMap<OutPoint, TxOutput> tree = fixture.Tree();
+  size_t next = 0;
+  for (auto _ : state) {
+    const std::vector<CommitFixture::Write>& run = fixture.runs[next];
+    next = (next + 1) % fixture.runs.size();
+    if (shared) {
+      state.PauseTiming();
+      PersistentMap<OutPoint, TxOutput> copy = tree;
+      state.ResumeTiming();
+      Commit(run, /*undo=*/false, &copy);
+      benchmark::DoNotOptimize(copy.size());
+      state.PauseTiming();
+      copy = PersistentMap<OutPoint, TxOutput>();
+      state.ResumeTiming();
+    } else {
+      Commit(run, /*undo=*/false, &tree);
+      benchmark::DoNotOptimize(tree.size());
+      state.PauseTiming();
+      Commit(run, /*undo=*/true, &tree);
+      state.ResumeTiming();
+    }
+  }
+  state.counters["time_per_write"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          (kCommitPuts + kCommitErases),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LedgerCommit)
+    ->ArgNames({"keys", "shared"})
+    ->ArgsProduct({{25000, 100000}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SelectBlock(benchmark::State& state) {

@@ -7,12 +7,15 @@
 // and at every 32nd height, and replays stored blocks onto the nearest
 // kept one for any other block (blockchain.h).
 //
-// Both maps are persistent (copy-on-write) trees: copying a LedgerState is
-// O(1), and a mutation updates the nodes this state owns alone in place
-// and path-copies the ones it still shares with a snapshot. That is what
-// keeps per-block engine cost sublinear in chain length (see README
-// "Performance"). Iteration stays in key order, identical to the old
-// std::map representation, so every fold is bit-for-bit reproducible.
+// Both maps are persistent (copy-on-write) B+-trees (common/
+// persistent_map.h: 8-entry leaves, 16-way inner nodes): copying a
+// LedgerState is O(1), and a write updates the nodes this state owns
+// alone in place and copies the ones on its path it still shares with a
+// snapshot. A write walks 5 levels at open-world UTXO-set sizes. That
+// is what keeps per-block engine cost sublinear in chain length (see
+// README "Performance"). Iteration stays in key order, identical to the
+// old std::map representation, so every fold is bit-for-bit reproducible;
+// no code reads a tree's shape.
 //
 // A block's execution never touches a tree directly. It is staged in a
 // LedgerDelta: hash maps of the outputs it created, the base outputs it

@@ -1,15 +1,19 @@
 // NodePool: slab-backed, thread-cached storage for fixed-size nodes.
 //
-// The persistent (copy-on-write) trees behind `LedgerState` allocate and
-// free one tree node per path-copied level — millions of tiny, same-sized
-// allocations over a long simulation. With `std::make_shared` each of those
-// is a malloc of node + control block and a heap free on release, and that
-// allocator traffic is the dominant per-op cost left in the ledger hot path
-// (ROADMAP, PR 2 baselines). NodePool replaces it with slab allocation:
+// The persistent (copy-on-write) B+-trees behind `LedgerState` allocate
+// and free one node per copied level and per split — millions of
+// same-sized allocations over a long simulation, of two types per map (a
+// ledger leaf is ~430 B, an inner node ~680 B). With `std::make_shared`
+// each of those is a malloc of node + control block and a heap free on
+// release, and that allocator traffic was the dominant per-op cost of the
+// ledger hot path (ROADMAP, PR 2 baselines). NodePool replaces it with
+// slab allocation:
 //
-//   * memory is carved from per-type slabs of `kSlabNodes` nodes, so node
-//     allocation is a thread-local free-list pop (no lock, no size-class
-//     lookup) and release is a push;
+//   * memory is carved from per-type slabs of `kSlabBytes` (32 KiB), so
+//     node allocation is a thread-local free-list pop (no lock, no
+//     size-class lookup) and release is a push. A slab is sized in bytes,
+//     not nodes, so a wide node type does not swell the two slabs each
+//     thread may cache;
 //   * freed nodes go to the *freeing* thread's cache — a node may be
 //     allocated on one thread and released on another (a snapshot whose
 //     last copy dies on a thread other than the one that built it);
@@ -60,10 +64,14 @@ namespace ac3 {
 template <typename T>
 class NodePool {
  public:
-  /// Nodes per slab. 1024 nodes of a ledger-map node (~100 B) is a ~100 KiB
-  /// slab: big enough to amortize the mutex-guarded refill, small enough
-  /// that a short test doesn't look memory-hungry.
-  static constexpr size_t kSlabNodes = 1024;
+  /// Bytes per slab: big enough to amortize the mutex-guarded refill
+  /// (75 ledger-map leaves of ~430 B, 48 inner nodes of ~680 B), small
+  /// enough that the two slabs a thread may cache per node type stay small
+  /// however wide the node.
+  static constexpr size_t kSlabBytes = 32 * 1024;
+  /// Nodes per slab: as many as kSlabBytes holds, at least one.
+  static constexpr size_t kSlabNodes =
+      sizeof(T) < kSlabBytes ? kSlabBytes / sizeof(T) : 1;
 
   /// False in sanitizer builds, where every node is a plain heap
   /// allocation so ASAN can see it.

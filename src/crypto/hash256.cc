@@ -44,12 +44,6 @@ bool Hash256::IsZero() const {
   return true;
 }
 
-uint64_t Hash256::Prefix64() const {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[i];
-  return v;
-}
-
 std::string Hash256::ToHex() const { return ::ac3::ToHex(data_.data(), kSize); }
 
 std::string Hash256::ShortHex() const { return ToHex().substr(0, 8); }

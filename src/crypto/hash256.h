@@ -8,6 +8,7 @@
 #define AC3_CRYPTO_HASH256_H_
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <cstring>
@@ -48,7 +49,7 @@ class Hash256 {
 
   /// Interprets the first 8 bytes as a big-endian integer — a cheap,
   /// monotone proxy for "numeric value" used by proof-of-work comparisons.
-  uint64_t Prefix64() const;
+  uint64_t Prefix64() const { return WordAt(0); }
 
   /// Full lowercase hex.
   std::string ToHex() const;
@@ -64,9 +65,36 @@ class Hash256 {
     codec(self.data_);
   }
 
-  auto operator<=>(const Hash256& other) const = default;
+  /// Byte-lexicographic order (memcmp's), compared as four big-endian
+  /// 64-bit words: every tree probe and sort of ids runs it.
+  std::strong_ordering operator<=>(const Hash256& other) const {
+    for (size_t at = 0; at < kSize; at += sizeof(uint64_t)) {
+      const uint64_t a = WordAt(at);
+      const uint64_t b = other.WordAt(at);
+      if (a != b) {
+        return a < b ? std::strong_ordering::less
+                     : std::strong_ordering::greater;
+      }
+    }
+    return std::strong_ordering::equal;
+  }
+  /// Byte-wise equality.
+  bool operator==(const Hash256& other) const {
+    return std::memcmp(data_.data(), other.data_.data(), kSize) == 0;
+  }
 
  private:
+  /// The 8 bytes at `at` as a big-endian integer, so that integer order
+  /// is their byte order.
+  uint64_t WordAt(size_t at) const {
+    uint64_t word = 0;
+    std::memcpy(&word, data_.data() + at, sizeof(word));
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    return word;
+  }
+
   std::array<uint8_t, kSize> data_;
 };
 

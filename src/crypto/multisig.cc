@@ -1,5 +1,7 @@
 #include "src/crypto/multisig.h"
 
+#include <algorithm>
+
 namespace ac3::crypto {
 
 Status Multisignature::AddSignature(const KeyPair& key) {
@@ -25,18 +27,12 @@ Status Multisignature::AddPart(MultisigPart part) {
 bool Multisignature::VerifyAll(
     const std::vector<PublicKey>& required_signers) const {
   for (const PublicKey& signer : required_signers) {
-    if (!HasValidSignature(signer)) return false;
+    const bool present = std::any_of(
+        parts_.begin(), parts_.end(),
+        [&signer](const MultisigPart& part) { return part.signer == signer; });
+    if (!present) return false;
   }
   return true;
-}
-
-bool Multisignature::HasValidSignature(const PublicKey& signer) const {
-  for (const MultisigPart& part : parts_) {
-    if (part.signer == signer) {
-      return Verify(signer, message_, part.signature);
-    }
-  }
-  return false;
 }
 
 Hash256 Multisignature::Id() const { return Hash256::Of(Encode(*this)); }

@@ -7,6 +7,14 @@
 // per-participant signatures over the same message; verification requires a
 // valid signature from every expected participant (a behaviour-preserving
 // flattening of the paper's nested sig(...sig((D,t),p1)...,pn) notation).
+//
+// Invariant: every part a Multisignature holds carries a valid signature
+// by its signer over its message, and no signer appears twice. Its only
+// writers check that once per part: AddSignature and AddPart as a part
+// arrives, and decoding (CheckParts) for every part it reads, so a
+// decoded ms(D) with one bad signature fails to decode. The message is
+// fixed at construction or decode. VerifyAll therefore asks only which
+// signers are present and verifies no signature again.
 
 #ifndef AC3_CRYPTO_MULTISIG_H_
 #define AC3_CRYPTO_MULTISIG_H_
@@ -47,13 +55,11 @@ class Multisignature {
   /// Attaches an externally produced part (e.g. received over the network).
   Status AddPart(MultisigPart part);
 
-  /// True iff every key in `required_signers` contributed a valid signature
-  /// over the message. Extra signatures are ignored; missing or invalid
-  /// ones fail.
+  /// True iff every key in `required_signers` contributed a part. Every
+  /// part already carries a valid signature (see the file comment), so
+  /// this is a membership check. Extra signatures are ignored; a missing
+  /// signer fails.
   bool VerifyAll(const std::vector<PublicKey>& required_signers) const;
-
-  /// True when `signer` has a valid signature attached.
-  bool HasValidSignature(const PublicKey& signer) const;
 
   /// Content id of the multisignature — used as the registration key in
   /// Trent's key/value store (AC3TW) and in the witness contract (AC3WN).

@@ -3,6 +3,8 @@
 // commitment schemes.
 
 #include <array>
+#include <compare>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -218,6 +220,51 @@ TEST(Hash256Test, OrderingIsLexicographic) {
   Hash256 b = Hash256::OfString("b");
   EXPECT_NE(a, b);
   EXPECT_TRUE((a < b) != (b < a));
+}
+
+Hash256 RandomHash(Rng* rng) {
+  std::array<uint8_t, Hash256::kSize> raw;
+  for (uint8_t& byte : raw) byte = static_cast<uint8_t>(rng->NextU64());
+  return Hash256(raw);
+}
+
+/// Checks a <=> b, b <=> a, == and < against the sign of memcmp.
+void ExpectMemcmpOrder(const Hash256& a, const Hash256& b) {
+  const int cmp = std::memcmp(a.bytes(), b.bytes(), Hash256::kSize);
+  const std::strong_ordering want = cmp < 0   ? std::strong_ordering::less
+                                    : cmp > 0 ? std::strong_ordering::greater
+                                              : std::strong_ordering::equal;
+  EXPECT_EQ(a <=> b, want) << a.ToHex() << " vs " << b.ToHex();
+  EXPECT_EQ(b <=> a, 0 <=> (a <=> b)) << a.ToHex() << " vs " << b.ToHex();
+  EXPECT_EQ(a == b, cmp == 0);
+  EXPECT_EQ(a < b, cmp < 0);
+}
+
+// The word compare is memcmp's byte order: on random pairs, on pairs that
+// differ in one byte at either end of a word (0, 7, 8, 31), and on pairs
+// that differ only in one byte's top bit, where a signed byte would order
+// the other way.
+TEST(Hash256Test, OrderMatchesMemcmp) {
+  Rng rng(30030);
+  for (int i = 0; i < 5000; ++i) {
+    ExpectMemcmpOrder(RandomHash(&rng), RandomHash(&rng));
+  }
+  for (const size_t byte : {0u, 7u, 8u, 31u}) {
+    for (int i = 0; i < 200; ++i) {
+      const Hash256 a = RandomHash(&rng);
+      std::array<uint8_t, Hash256::kSize> raw = a.data();
+      raw[byte] = static_cast<uint8_t>(raw[byte] + 1 + rng.NextU64() % 255);
+      ExpectMemcmpOrder(a, Hash256(raw));
+      ExpectMemcmpOrder(a, a);
+    }
+  }
+  for (size_t byte = 0; byte < Hash256::kSize; ++byte) {
+    std::array<uint8_t, Hash256::kSize> raw = RandomHash(&rng).data();
+    raw[byte] &= 0x7f;
+    const Hash256 low(raw);
+    raw[byte] |= 0x80;
+    ExpectMemcmpOrder(low, Hash256(raw));
+  }
 }
 
 TEST(Hash256Test, DoubleHashDiffersFromSingle) {
@@ -534,6 +581,46 @@ TEST(MultisigTest, DecodeRejectsTrailingBytes) {
   Bytes encoded = Encode(ms);
   encoded.push_back(0);
   EXPECT_FALSE(Decode<Multisignature>(encoded).ok());
+}
+
+// Decoding checks every part's signature once (VerifyAll does not check
+// them again), so one flipped byte of one signature fails the decode.
+TEST(MultisigTest, DecodeRejectsAFlippedSignatureByte) {
+  Multisignature ms(StrBytes("graph D at timestamp t"));
+  ASSERT_TRUE(ms.AddSignature(KeyPair::FromSeed(20)).ok());
+  ASSERT_TRUE(ms.AddSignature(KeyPair::FromSeed(21)).ok());
+  const Bytes encoded = Encode(ms);
+  ASSERT_TRUE(Decode<Multisignature>(encoded).ok());
+  // The encoding ends with the last part's signature, e then s, 8 bytes
+  // each: flip the low byte of its s, then of its e.
+  for (const size_t from_end : {8u, 16u}) {
+    Bytes flipped = encoded;
+    flipped[flipped.size() - from_end] ^= 0x01;
+    const auto decoded = Decode<Multisignature>(flipped);
+    ASSERT_FALSE(decoded.ok()) << "byte " << from_end << " from the end";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kVerificationFailed);
+  }
+}
+
+TEST(MultisigTest, VerifyAllIsFalseWhenARequiredSignerIsAbsent) {
+  const KeyPair a = KeyPair::FromSeed(22), b = KeyPair::FromSeed(23),
+                c = KeyPair::FromSeed(24), absent = KeyPair::FromSeed(25);
+  Multisignature ms(StrBytes("m"));
+  for (const KeyPair* key : {&a, &b, &c}) {
+    ASSERT_TRUE(ms.AddSignature(*key).ok());
+  }
+  auto decoded = Decode<Multisignature>(Encode(ms));
+  ASSERT_TRUE(decoded.ok());
+  for (const Multisignature* held : {&ms, &*decoded}) {
+    EXPECT_TRUE(held->VerifyAll({a.public_key(), b.public_key(),
+                                 c.public_key()}));
+    EXPECT_TRUE(held->VerifyAll({c.public_key(), a.public_key()}));
+    EXPECT_FALSE(held->VerifyAll({a.public_key(), absent.public_key()}));
+    EXPECT_FALSE(held->VerifyAll({absent.public_key()}));
+    EXPECT_FALSE(held->VerifyAll(
+        {a.public_key(), b.public_key(), c.public_key(),
+         absent.public_key()}));
+  }
 }
 
 TEST(MultisigTest, SignatureOrderDoesNotAffectValidity) {

@@ -460,8 +460,8 @@ TEST(PersistentMapTest, UniquePathsUpdateInPlace) {
 TEST(PersistentMapTest, InPlaceUpdatesNeverReachASnapshot) {
   // One handle churns through long runs of Put/Erase with snapshots taken
   // at sparse random points, so between snapshots it owns most of its
-  // paths alone and updates them in place — two-child erases through
-  // PopMin included. Dropping a snapshot mid-run makes the nodes it shared
+  // paths alone and updates them in place — splits, borrows and merges
+  // included. Dropping a snapshot mid-run makes the nodes it shared
   // unique to the handle again. Every surviving snapshot must still hold
   // exactly what the handle held when it was taken.
   using Map = PersistentMap<uint64_t, uint64_t>;
@@ -506,6 +506,118 @@ TEST(PersistentMapTest, InPlaceUpdatesNeverReachASnapshot) {
       ++it;
     }
   }
+}
+
+TEST(PersistentMapTest, EveryShapeMatchesStdMap) {
+  // The map fills to 20k keys in ascending, descending and random order,
+  // drains to empty in random order after each fill, then refills. 20k
+  // keys need three inner levels over 8-entry leaves at 16 children, so
+  // these runs split leaves and inner nodes, borrow from either sibling,
+  // merge leaves and inner nodes, and collapse the root to a leaf and to
+  // nothing. Snapshots taken at random points are checked against
+  // std::map copies once the handle has moved on, at the end of each run.
+  using Map = PersistentMap<uint64_t, uint64_t>;
+  using Reference = std::map<uint64_t, uint64_t>;
+  constexpr uint64_t kKeys = 20000;
+  Rng rng(27182818);
+  Map live;
+  Reference reference;
+  std::vector<Map> snapshots;
+  std::vector<Reference> expected;
+
+  // Keys are even, so every odd number is an absent key to probe.
+  auto check = [](const Map& map, const Reference& want) {
+    ASSERT_EQ(map.size(), want.size());
+    ASSERT_EQ(map.empty(), want.empty());
+    auto it = want.begin();
+    for (const auto& [key, value] : map) {
+      ASSERT_NE(it, want.end());
+      ASSERT_EQ(key, it->first);
+      ASSERT_EQ(value, it->second);
+      ++it;
+    }
+    ASSERT_EQ(it, want.end());
+    for (const auto& [key, value] : want) {
+      const uint64_t* found = map.Find(key);
+      ASSERT_NE(found, nullptr) << key;
+      ASSERT_EQ(*found, value);
+      ASSERT_EQ(map.at(key), value);
+      ASSERT_EQ(map.Find(key + 1), nullptr) << key + 1;
+    }
+    EXPECT_THROW(map.at(2 * kKeys + 1), std::out_of_range);
+    // A map built afresh from the same contents is equal; one value more
+    // or one value changed is not.
+    Map rebuilt;
+    for (const auto& [key, value] : want) rebuilt.Put(key, value);
+    ASSERT_TRUE(map == rebuilt);
+    rebuilt.Put(2 * kKeys + 1, 0);
+    ASSERT_FALSE(map == rebuilt);
+    if (!want.empty()) {
+      Map changed = map;
+      changed.Put(want.begin()->first, want.begin()->second + 1);
+      ASSERT_FALSE(map == changed);
+    }
+  };
+  auto step = [&](uint64_t key, bool put) {
+    if (put) {
+      const uint64_t value = rng.NextU64();
+      live.Put(key, value);
+      reference[key] = value;
+    } else {
+      ASSERT_EQ(live.Erase(key), reference.erase(key) > 0) << key;
+    }
+    if (rng.NextU64() % 4000 == 0) {
+      snapshots.push_back(live);
+      expected.push_back(reference);
+    }
+  };
+  auto finish_run = [&](const char* run) {
+    SCOPED_TRACE(run);
+    ASSERT_NO_FATAL_FAILURE(check(live, reference));
+    for (size_t s = 0; s < snapshots.size(); ++s) {
+      SCOPED_TRACE("snapshot " + std::to_string(s));
+      ASSERT_NO_FATAL_FAILURE(check(snapshots[s], expected[s]));
+    }
+    snapshots.clear();
+    expected.clear();
+  };
+  auto shuffled_keys = [&] {
+    std::vector<uint64_t> keys(kKeys);
+    for (uint64_t i = 0; i < kKeys; ++i) keys[i] = 2 * i;
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.NextBelow(i)]);
+    }
+    return keys;
+  };
+  auto drain = [&](const char* run) {
+    for (const uint64_t key : shuffled_keys()) {
+      ASSERT_NO_FATAL_FAILURE(step(key, /*put=*/false));
+      if (rng.NextU64() % 8 == 0) {  // An absent key writes nothing.
+        ASSERT_NO_FATAL_FAILURE(step(2 * (rng.NextU64() % kKeys) + 1, false));
+      }
+    }
+    ASSERT_TRUE(live.empty());
+    finish_run(run);
+  };
+
+  for (uint64_t i = 0; i < kKeys; ++i) step(2 * i, /*put=*/true);
+  finish_run("ascending fill");
+  drain("drain after the ascending fill");
+  for (uint64_t i = kKeys; i-- > 0;) step(2 * i, /*put=*/true);
+  finish_run("descending fill");
+  drain("drain after the descending fill");
+  for (const uint64_t key : shuffled_keys()) {
+    ASSERT_NO_FATAL_FAILURE(step(key, /*put=*/true));
+    if (rng.NextU64() % 8 == 0) {  // Replace a value already present.
+      ASSERT_NO_FATAL_FAILURE(step(key, /*put=*/true));
+    }
+  }
+  finish_run("random fill");
+  drain("drain after the random fill");
+  for (const uint64_t key : shuffled_keys()) {
+    ASSERT_NO_FATAL_FAILURE(step(key, /*put=*/true));
+  }
+  finish_run("refill");
 }
 
 TEST(LedgerStateTest, CopyOnWriteSemantics) {
