@@ -49,6 +49,35 @@ void BM_MineHeader(benchmark::State& state) {
 }
 BENCHMARK(BM_MineHeader)->Arg(4)->Arg(8)->Arg(12);
 
+// One round of the open world's racing miners: state.range(0) fresh
+// headers at 12 bits mined in one MineHeaderBatch, whose search runs on
+// the calling thread's worker pool, hence wall time.
+void BM_MineHeaderBatch(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  Rng rng(11);
+  uint64_t salt = 0;
+  uint64_t evals = 0;
+  std::vector<BlockHeader> headers(width);
+  std::vector<BlockHeader*> pointers;
+  for (BlockHeader& header : headers) pointers.push_back(&header);
+  for (auto _ : state) {
+    for (BlockHeader& header : headers) {
+      header = BlockHeader{};
+      header.height = ++salt;  // Vary the pre-image so each mine is fresh.
+      header.difficulty_bits = 12;
+    }
+    for (const uint64_t e :
+         MineHeaderBatch(std::span<BlockHeader* const>(pointers), &rng)) {
+      evals += e;
+    }
+    benchmark::DoNotOptimize(headers.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["evals_per_s"] = benchmark::Counter(
+      static_cast<double>(evals), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MineHeaderBatch)->Arg(8)->UseRealTime();
+
 void BM_VerifyPow(benchmark::State& state) {
   Rng rng(12);
   BlockHeader header;

@@ -167,9 +167,10 @@ class Blockchain {
   /// The allocation-light overload for the ingestion hot path: candidates
   /// by pointer (Mempool::CandidatePointersAt — rejected candidates are
   /// never copied), and optionally unmined — `mine = false` skips the
-  /// nonce search, leaving header.nonce at zero, so a caller can batch
-  /// the search across many miners' assembled headers (MineHeaderBatch)
-  /// and submit only the contention winner.
+  /// nonce search, leaving header.nonce at zero, so a caller can run one
+  /// search for many miners' assembled headers across the cores
+  /// (MineHeaderBatch) and submit only the contention winner; `mine =
+  /// true` mines with MineHeader on the calling thread.
   Result<Block> AssembleBlock(const crypto::Hash256& parent_hash,
                               std::span<const Transaction* const> candidates,
                               const crypto::PublicKey& miner, TimePoint now,

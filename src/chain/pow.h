@@ -30,23 +30,32 @@ bool CheckProofOfWork(const BlockHeader& header);
 /// ascending order) until the header meets its difficulty; mutates
 /// `header->nonce`. Returns the number of nonces visited up to and
 /// including the winner — a deterministic function of the seed, pinned by
-/// the committed BENCH witnesses.
+/// the committed BENCH witnesses. Runs on the calling thread.
 ///
-/// Each step is one HeaderHasher::ScanNonces call: on the avx512 and avx2
-/// dispatch levels a fused 16- or 8-lane double-SHA-256 of consecutive
-/// nonces, on the scalar and shani levels a single nonce, returning the
-/// nonces whose digest passes a pre-filter on its first 32 bits. The
-/// candidates are confirmed in ascending nonce order with
-/// HashMeetsDifficulty(HashWithNonce(nonce)), so the winning nonce and the
-/// returned count are identical to a one-nonce-at-a-time search on every
-/// dispatch level (testutil::MineHeaderScalar, the tests' oracle) — only
-/// the wall-clock per nonce changes.
+/// The search visits 512-nonce chunks in order. Each step is one
+/// HeaderHasher::ScanNonces call: on the avx512 and avx2 dispatch levels a
+/// fused 16- or 8-lane double-SHA-256 of consecutive nonces, on the scalar
+/// and shani levels a single nonce, returning the nonces whose digest
+/// passes a pre-filter on its first 32 bits. The candidates are confirmed
+/// in ascending nonce order with HashMeetsDifficulty(HashWithNonce(nonce)),
+/// so the winning nonce and the returned count are identical to a
+/// one-nonce-at-a-time search on every dispatch level
+/// (testutil::MineHeaderScalar, the tests' oracle) — only the wall-clock
+/// per nonce changes.
 uint64_t MineHeader(BlockHeader* header, Rng* rng);
 
 /// Mines every header in `headers` — multi-miner contention in one call.
-/// Returns the per-header eval counts, index-aligned with `headers`:
-/// exactly MineHeader(headers[i], rng) in index order, so each header's
-/// start nonce is the i-th draw from `rng`.
+/// Returns the per-header eval counts, index-aligned with `headers`, and
+/// sets the same nonces as MineHeader(headers[i], rng) called in index
+/// order: each header's start nonce is the i-th draw from `rng`.
+///
+/// The search runs across the cores: the headers' chunks go round-robin
+/// to min(threads, headers.size()) searchers on a WorkerPool the calling
+/// thread owns (one per hardware thread, spawned on its first batch of two
+/// or more headers), and each header keeps its lowest winning offset, so
+/// the results do not depend on the width or the schedule. A one-header
+/// batch runs on the caller. A caller that already runs on a pool's
+/// worker, such as a SweepRunner world, should call MineHeader instead.
 std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
                                       Rng* rng);
 

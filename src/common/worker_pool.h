@@ -1,10 +1,14 @@
-// WorkerPool: the fan-out primitive behind the sweep runner.
+// WorkerPool: the fan-out primitive behind the sweep runner and the
+// racing miners' nonce search.
 //
 // runner::SweepRunner runs a grid of independent seeded worlds as rounds
 // of `n` independent tasks: workers claim indices from a shared counter,
-// and the caller blocks until the round fully drains. This class is that
-// round, kept out of the runner so its thread policy lives in one place
-// and is tested on its own (WorkerPoolTest in tests/common_test.cc).
+// and the caller blocks until the round fully drains.
+// chain::MineHeaderBatch runs one round of searchers on a pool its
+// calling thread owns (`thread_local`), each claiming nonce chunks from
+// the batch's own cursor. This class is that round, kept out of both so
+// its thread policy lives in one place and is tested on its own
+// (WorkerPoolTest in tests/common_test.cc).
 //
 // Design points:
 //

@@ -325,6 +325,54 @@ TEST(MineHeaderTest, BatchVisitsSameNoncesAsSequentialMineHeader) {
   }
 }
 
+// The batch's searchers race: headers at mixed difficulties resolve at
+// very different chunk counts (difficulty 0 in its first 512-nonce chunk,
+// 16 bits after 2^16 / 512 = 128 on average), so winners land while other
+// chunks of the same and other headers are in flight. Widths below, at
+// and above the pool's thread count, each batch repeated, must all equal
+// sequential MineHeader.
+TEST(MineHeaderTest, BatchOfMixedDifficultiesMatchesSequential) {
+  constexpr uint32_t kBits[] = {0, 1, 9, 12, 16};
+  DispatchGuard guard;
+  for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
+    ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
+    for (size_t width : {1u, 2u, 4u, 5u, 8u, 9u, 17u}) {
+      Rng header_rng(width * 31 + 5);
+      std::vector<chain::BlockHeader> seq_headers;
+      for (size_t i = 0; i < width; ++i) {
+        chain::BlockHeader header = RandomHeader(&header_rng);
+        header.difficulty_bits = kBits[i % std::size(kBits)];
+        seq_headers.push_back(header);
+      }
+      const std::vector<chain::BlockHeader> fresh = seq_headers;
+      Rng seq_rng(width * 1009);
+      std::vector<uint64_t> seq_evals;
+      for (chain::BlockHeader& header : seq_headers) {
+        seq_evals.push_back(chain::MineHeader(&header, &seq_rng));
+      }
+      for (int repeat = 0; repeat < 20; ++repeat) {
+        std::vector<chain::BlockHeader> batch_headers = fresh;
+        std::vector<chain::BlockHeader*> pointers;
+        for (chain::BlockHeader& header : batch_headers) {
+          pointers.push_back(&header);
+        }
+        Rng batch_rng(width * 1009);
+        const std::vector<uint64_t> batch_evals = chain::MineHeaderBatch(
+            std::span<chain::BlockHeader* const>(pointers), &batch_rng);
+        ASSERT_EQ(batch_evals.size(), width);
+        for (size_t i = 0; i < width; ++i) {
+          const std::string where =
+              std::string("level ") + crypto::Sha256::DispatchName(level) +
+              " width " + std::to_string(width) + " repeat " +
+              std::to_string(repeat) + " header " + std::to_string(i);
+          ASSERT_EQ(batch_headers[i].nonce, seq_headers[i].nonce) << where;
+          ASSERT_EQ(batch_evals[i], seq_evals[i]) << where;
+        }
+      }
+    }
+  }
+}
+
 // The 15254-eval smoke witness (4 headers, 12 bits, Rng seed 99 — see
 // GoldenEvalCountMatchesBenchWitness) reproduced through one batched
 // multi-miner search instead of four sequential calls.
