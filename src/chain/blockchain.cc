@@ -7,6 +7,7 @@
 
 #include "src/chain/pow.h"
 #include "src/common/logging.h"
+#include "src/common/worker_pool.h"
 #include "src/crypto/merkle.h"
 
 namespace ac3::chain {
@@ -67,6 +68,9 @@ uint64_t SkipHeightFor(uint64_t height) {
 bool IsCheckpoint(const BlockEntry& entry) {
   return entry.height() % Blockchain::kStateCheckpointInterval == 0;
 }
+
+/// Candidates per pool task in a selection's signature and branch checks.
+constexpr size_t kCheckChunk = 64;
 
 }  // namespace
 
@@ -160,22 +164,48 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
   if (block.receipts.size() != block.txs.size()) {
     return Status::VerificationFailed("receipt count mismatch");
   }
-  if (header.tx_root != block.ComputeTxRoot()) {
+
+  // The staged re-execution, both roots and the duplicate checks read only
+  // the block, the parent's state and the store, so they run side by side
+  // (the longest, the re-execution, is claimed first); their verdicts are
+  // read in the order a serial check meets them, so a block with several
+  // faults gets the status of the first.
+  Result<std::vector<Receipt>> staged = std::vector<Receipt>();
+  crypto::Hash256 tx_root;
+  crypto::Hash256 receipt_root;
+  bool repeated = false;
+  common::WorkerPool::ForThisThread().ParallelFor(4, [&](size_t part) {
+    switch (part) {
+      case 0:
+        staged = StageBlockBody(delta, block, params_);
+        break;
+      case 1:
+        tx_root = block.ComputeTxRoot();
+        break;
+      case 2:
+        receipt_root = block.ComputeReceiptRoot();
+        break;
+      default:
+        // No transaction may repeat on this branch, the coinbase included:
+        // a repeated coinbase would re-create the earlier one's outputs
+        // over them, unspent or not, and count their value twice
+        // (Bitcoin's BIP30).
+        repeated = std::any_of(
+            block.txs.begin(), block.txs.end(),
+            [&](const Transaction& tx) { return TxOnBranch(parent, tx.Id()); });
+    }
+  });
+  if (header.tx_root != tx_root) {
     return Status::VerificationFailed("tx merkle root mismatch");
   }
-  if (header.receipt_root != block.ComputeReceiptRoot()) {
+  if (header.receipt_root != receipt_root) {
     return Status::VerificationFailed("receipt merkle root mismatch");
   }
-  // No transaction may repeat on this branch, the coinbase included: a
-  // repeated coinbase would re-create the earlier one's outputs over them,
-  // unspent or not, and count their value twice (Bitcoin's BIP30).
-  for (size_t i = 0; i < block.txs.size(); ++i) {
-    if (TxOnBranch(parent, block.txs[i].Id())) {
-      return Status::InvalidArgument("transaction already included on branch");
-    }
+  if (repeated) {
+    return Status::InvalidArgument("transaction already included on branch");
   }
-
-  AC3_ASSIGN_OR_RETURN(*receipts, StageBlockBody(delta, block, params_));
+  if (!staged.ok()) return staged.status();
+  *receipts = std::move(*staged);
 
   // The block's declared receipts must match deterministic re-execution
   // (a successful body yields one receipt per transaction, so the counts
@@ -412,24 +442,49 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
   // Leaf 0 is the coinbase's slot; its value never enters the paths.
   std::vector<crypto::Hash256> tx_leaves(1);
   std::vector<crypto::Hash256> receipt_leaves(1);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (fresh->chosen.size() >= params_.max_block_txs) break;
-    const Transaction& tx = *candidates[i];
-    const crypto::Hash256& tx_id = tx.Id();
-    fresh->examined.push_back(tx_id);
-    if (TxOnBranch(parent, tx_id) || chosen_ids.count(tx_id) > 0) continue;
-    auto receipt = ApplyTransaction(&working, tx, env);
-    if (!receipt.ok()) {
-      AC3_LOG(kDebug) << params_.name << ": skip tx " << tx_id.ShortHex()
-                      << " — " << receipt.status().ToString();
-      continue;
+  // The candidates go in windows of at most the block's remaining
+  // capacity, so the block can fill only at a window's end, where the
+  // serial loop below would stop. Each window's signatures (memoized, so
+  // ApplyTransaction reads the verdict) and branch lookups run first, in
+  // chunks on the pool (a window of one chunk runs on the caller); they
+  // read no state the loop writes.
+  common::WorkerPool& pool = common::WorkerPool::ForThisThread();
+  std::vector<uint8_t> on_branch;
+  for (size_t first = 0; first < candidates.size() &&
+                         fresh->chosen.size() < params_.max_block_txs;) {
+    const size_t end =
+        first + std::min(candidates.size() - first,
+                         params_.max_block_txs - fresh->chosen.size());
+    on_branch.assign(end - first, 0);
+    pool.ParallelFor((end - first + kCheckChunk - 1) / kCheckChunk,
+                     [&](size_t chunk) {
+                       const size_t from = first + chunk * kCheckChunk;
+                       const size_t to = std::min(end, from + kCheckChunk);
+                       for (size_t i = from; i < to; ++i) {
+                         const Transaction& tx = *candidates[i];
+                         tx.VerifySignature();
+                         on_branch[i - first] = TxOnBranch(parent, tx.Id());
+                       }
+                     });
+    for (size_t i = first; i < end; ++i) {
+      const Transaction& tx = *candidates[i];
+      const crypto::Hash256& tx_id = tx.Id();
+      fresh->examined.push_back(tx_id);
+      if (on_branch[i - first] || chosen_ids.count(tx_id) > 0) continue;
+      auto receipt = ApplyTransaction(&working, tx, env);
+      if (!receipt.ok()) {
+        AC3_LOG(kDebug) << params_.name << ": skip tx " << tx_id.ShortHex()
+                        << " — " << receipt.status().ToString();
+        continue;
+      }
+      chosen_ids.insert(tx_id);
+      fresh->chosen.push_back(static_cast<uint32_t>(i));
+      tx_leaves.push_back(tx_id);
+      receipt_leaves.push_back(receipt->LeafHash());
+      fresh->receipts.push_back(std::move(*receipt));
+      fresh->total_fees += tx.fee();
     }
-    chosen_ids.insert(tx_id);
-    fresh->chosen.push_back(static_cast<uint32_t>(i));
-    tx_leaves.push_back(tx_id);
-    receipt_leaves.push_back(receipt->LeafHash());
-    fresh->receipts.push_back(std::move(*receipt));
-    fresh->total_fees += tx.fee();
+    first = end;
   }
   fresh->full = fresh->chosen.size() >= params_.max_block_txs;
   fresh->tx_branch = *crypto::MerkleTree(std::move(tx_leaves)).Prove(0);

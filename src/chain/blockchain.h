@@ -49,6 +49,10 @@ class Blockchain {
   /// Fully validates `block` (PoW, linkage, roots, transaction execution,
   /// receipt equality) and stores it, moving it into its entry. The
   /// canonical head moves only when the new branch has strictly more work.
+  /// The block's staged re-execution, both roots and its duplicate checks
+  /// run side by side on the calling thread's WorkerPool; the returned
+  /// status is still the one a serial check gives (ValidateAgainstParent).
+  /// The commit and the store run on the caller.
   Status SubmitBlock(Block block, TimePoint arrival_time);
 
   const BlockEntry* genesis() const { return genesis_; }
@@ -182,6 +186,16 @@ class Blockchain {
   /// branch-duplicate checks, then serial transaction execution staged in
   /// `delta`, which lies over the parent's state (StageBlockBody), and
   /// declared-receipt equality. Writes no state.
+  ///
+  /// The staged execution, the tx root, the receipt root and the duplicate
+  /// checks read only the block, the parent's state and the store, so they
+  /// run as four tasks on the calling thread's WorkerPool, or one after
+  /// another on the caller inside another round's task; their verdicts are
+  /// read in the order above, so a block with several faults gets the
+  /// status of the first. The price: a block that a root or duplicate
+  /// check rejects has still been executed in full, where the serial order
+  /// rejected it after hashing; only a block with valid proof of work gets
+  /// that far.
   Status ValidateAgainstParent(const Block& block, const BlockEntry& parent,
                                LedgerDelta* delta,
                                std::vector<Receipt>* receipts) const;
@@ -192,7 +206,12 @@ class Blockchain {
 
   /// The template for (`parent`, `now`, `candidates`): the cached one when
   /// its key matches, else a fresh serial FIFO selection, which replaces
-  /// the cached entry.
+  /// the cached entry. A fresh selection takes the candidates in windows
+  /// of at most the block's remaining capacity; each window's signatures
+  /// (memoized on the transaction) and branch lookups are checked first,
+  /// in 64-transaction chunks on the calling thread's WorkerPool, and the
+  /// serial loop then stages the window in order and hashes its leaves;
+  /// both trees are built on the caller after it.
   std::shared_ptr<const BlockTemplate> SelectCandidates(
       const BlockEntry& parent, std::span<const Transaction* const> candidates,
       TimePoint now) const;

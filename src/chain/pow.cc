@@ -130,7 +130,7 @@ std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
       }
     }
   };
-  thread_local common::WorkerPool pool;
+  common::WorkerPool& pool = common::WorkerPool::ForThisThread();
   pool.ParallelFor(std::min(static_cast<size_t>(pool.threads()), n), search);
   std::vector<uint64_t> evals;
   evals.reserve(n);

@@ -50,12 +50,14 @@ uint64_t MineHeader(BlockHeader* header, Rng* rng);
 /// order: each header's start nonce is the i-th draw from `rng`.
 ///
 /// The search runs across the cores: the headers' chunks go round-robin
-/// to min(threads, headers.size()) searchers on a WorkerPool the calling
-/// thread owns (one per hardware thread, spawned on its first batch of two
-/// or more headers), and each header keeps its lowest winning offset, so
-/// the results do not depend on the width or the schedule. A one-header
-/// batch runs on the caller. A caller that already runs on a pool's
-/// worker, such as a SweepRunner world, should call MineHeader instead.
+/// to min(threads, headers.size()) searchers on the calling thread's
+/// common::WorkerPool (WorkerPool::ForThisThread: one thread per core,
+/// spawned on its first parallel round, shared with the block checks), and
+/// each header keeps its lowest winning offset, so the results do not
+/// depend on the width or the schedule. A one-header batch runs on the
+/// caller, and so does a batch started inside a pool round's task, such as
+/// a SweepRunner world: its searchers run one after another on that
+/// thread, with the same nonces and eval counts.
 std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
                                       Rng* rng);
 

@@ -22,9 +22,9 @@
 //     an empty cache refills at most one slab's worth, and a dying
 //     thread's cache is spliced over whole — so no single thread hoards
 //     the free memory, and worker threads that come and go (a
-//     common::WorkerPool gang rebuilt to a wider round, a SweepRunner
-//     destroyed at the end of its sweep) keep reusing the same nodes
-//     instead of stranding them;
+//     SweepRunner destroyed at the end of its sweep, a thread's own
+//     common::WorkerPool joined when the thread exits) keep reusing the
+//     same nodes instead of stranding them;
 //   * slabs are never returned to the OS: the pool is process-lifetime by
 //     design, matching the repo's batch benchmark/test processes.
 //

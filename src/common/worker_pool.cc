@@ -1,20 +1,43 @@
 #include "src/common/worker_pool.h"
 
-#include <barrier>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace ac3::common {
 
-/// The spawned half of the pool: `width` threads parked on a barrier
-/// shared with the caller. A round is two barrier phases — arrive to open
-/// (round state published by the caller is now visible), drain, arrive to
-/// close (worker writes are now visible to the caller). Destruction
-/// releases the workers into their exit check via the same barrier.
+namespace {
+
+/// True while this thread runs a round's task: always on a spawned worker,
+/// and on a caller for the length of its round. A round started while it
+/// is set runs inline.
+thread_local bool in_task = false;
+
+/// Marks the calling thread as running a round's task until destroyed.
+class InTask {
+ public:
+  InTask() : outer_(in_task) { in_task = true; }
+  ~InTask() { in_task = outer_; }
+  InTask(const InTask&) = delete;
+  InTask& operator=(const InTask&) = delete;
+
+  /// True when the thread was already running a task.
+  bool nested() const { return outer_; }
+
+ private:
+  const bool outer_;
+};
+
+}  // namespace
+
+/// The spawned half of the pool: `width` threads that sleep on the
+/// pool's round counter. Each wakes when a round is published, claims
+/// indices of whatever round is open, and sleeps again; the caller never
+/// waits for a worker that claimed nothing, so one that wakes late costs
+/// the round nothing.
 class WorkerPool::Gang {
  public:
-  Gang(WorkerPool* pool, int width) : pool_(pool), barrier_(width + 1) {
+  Gang(WorkerPool* pool, int width) : pool_(pool) {
     threads_.reserve(static_cast<size_t>(width));
     for (int t = 0; t < width; ++t) {
       threads_.emplace_back([this] { Loop(); });
@@ -26,34 +49,38 @@ class WorkerPool::Gang {
 
   ~Gang() {
     stop_ = true;
-    pool_->count_ = 0;  // An empty "round" so Drain() is a no-op.
-    barrier_.arrive_and_wait();
+    pool_->rounds_.fetch_add(1);
+    pool_->rounds_.notify_all();
     for (std::thread& thread : threads_) thread.join();
-  }
-
-  /// Runs the round already staged in the pool's round state; returns
-  /// when every index has fully executed (the caller drains alongside).
-  void RunRound() {
-    barrier_.arrive_and_wait();  // Open the round.
-    pool_->Drain();
-    barrier_.arrive_and_wait();  // Wait for every worker to finish it.
   }
 
  private:
   void Loop() {
-    for (;;) {
-      barrier_.arrive_and_wait();
+    in_task = true;
+    for (uint32_t seen = 0;;) {
+      pool_->rounds_.wait(seen);
+      seen = pool_->rounds_.load();
       if (stop_) return;
       pool_->Drain();
-      barrier_.arrive_and_wait();
     }
   }
 
   WorkerPool* const pool_;
-  std::barrier<> barrier_;
+  std::atomic<bool> stop_{false};
   std::vector<std::thread> threads_;
-  bool stop_ = false;  ///< Written only between rounds (barrier-ordered).
 };
+
+namespace {
+
+/// ticket_'s low half while a round is being set up: no count reaches it,
+/// so no claim succeeds.
+constexpr uint32_t kClosed = ~uint32_t{0};
+
+uint64_t Ticket(uint32_t round, uint32_t index) {
+  return (uint64_t{round} << 32) | index;
+}
+
+}  // namespace
 
 int WorkerPool::ResolveThreads(int threads) {
   if (threads > 0) return threads;
@@ -61,51 +88,64 @@ int WorkerPool::ResolveThreads(int threads) {
   return hardware > 0 ? static_cast<int>(hardware) : 1;
 }
 
-WorkerPool::WorkerPool(int threads) : threads_(ResolveThreads(threads)) {}
-
-WorkerPool::~WorkerPool() = default;
-
-void WorkerPool::Drain() {
-  for (size_t i; !failed_.load(std::memory_order_relaxed) &&
-                 (i = cursor_.fetch_add(1, std::memory_order_relaxed)) <
-                     count_;) {
-    try {
-      (*task_)(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (error_ == nullptr) error_ = std::current_exception();
-      failed_.store(true, std::memory_order_relaxed);
-    }
-  }
+WorkerPool& WorkerPool::ForThisThread() {
+  thread_local WorkerPool pool;
+  return pool;
 }
 
-void WorkerPool::EnsureWidth(int want) {
-  if (want <= gang_width_) return;
-  gang_.reset();  // Join the narrower generation first.
-  gang_ = std::make_unique<Gang>(this, want);
-  gang_width_ = want;
+WorkerPool::WorkerPool(int threads) : threads_(ResolveThreads(threads)) {}
+
+WorkerPool::~WorkerPool() {
+  gang_.reset();  // Join the workers while the round state they read lives.
+}
+
+void WorkerPool::Drain() {
+  for (;;) {
+    // The claim succeeds only while the ticket still names this round and
+    // its index; a round closed or replaced since the load fails the swap.
+    uint64_t ticket = ticket_.load();
+    uint32_t count;
+    do {
+      count = count_.load();
+      if (static_cast<uint32_t>(ticket) >= count) return;
+    } while (!ticket_.compare_exchange_weak(ticket, ticket + 1));
+    if (!failed_) {
+      try {
+        (*task_.load())(static_cast<uint32_t>(ticket));
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu_);
+        if (error_ == nullptr) error_ = std::current_exception();
+        failed_ = true;
+      }
+    }
+    if (done_.fetch_add(1) + 1 == count) done_.notify_all();
+  }
 }
 
 void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  // Never park idle barrier participants: a round of n indices needs at
-  // most n - 1 workers beside the caller.
-  const int want = static_cast<int>(
-      std::min(static_cast<size_t>(threads_ - 1), n - 1));
-  if (want <= 0) {
+  const InTask round;
+  if (threads_ == 1 || n == 1 || round.nested() || n >= kClosed) {
     // Inline serial round — exceptions propagate directly, which is the
     // same caller-visible contract as the parallel rethrow below.
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  EnsureWidth(want);
+  if (gang_ == nullptr) gang_ = std::make_unique<Gang>(this, threads_ - 1);
+  const uint32_t number = rounds_.load() + 1;
+  ticket_ = Ticket(number, kClosed);
+  count_ = static_cast<uint32_t>(n);
   task_ = &fn;
-  count_ = n;
-  cursor_.store(0, std::memory_order_relaxed);
-  failed_.store(false, std::memory_order_relaxed);
+  done_ = 0;
+  failed_ = false;
   error_ = nullptr;
-  gang_->RunRound();
-  task_ = nullptr;
+  ticket_ = Ticket(number, 0);
+  rounds_ = number;
+  rounds_.notify_all();
+  Drain();
+  for (uint32_t done = done_.load(); done != n; done = done_.load()) {
+    done_.wait(done);
+  }
   if (error_ != nullptr) {
     std::rethrow_exception(std::exchange(error_, nullptr));
   }

@@ -217,6 +217,38 @@ class ChainFixture : public ::testing::Test {
     return Transaction(std::move(m));
   }
 
+  /// Mines one block in which every key splits its genesis output into
+  /// `per_key` outputs of 60 to itself, then returns one SpendWhole of
+  /// each split output, keys round-robin: independent transfers enough for
+  /// a block several check chunks wide. `splits`, when given, receives the
+  /// splitting transactions, which are on the branch from then on.
+  std::vector<Transaction> WideSpends(size_t per_key,
+                                      std::vector<Transaction>* splits) {
+    const crypto::Hash256& genesis = chain().genesis_tx().Id();
+    std::vector<Transaction> split;
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      MutableTransaction m;
+      m.type = TxType::kTransfer;
+      m.chain_id = chain().id();
+      m.inputs.push_back(OutPoint{genesis, static_cast<uint32_t>(k)});
+      m.outputs.assign(per_key, TxOutput{60, keys_[k].public_key()});
+      m.fee = 1000 - 60 * per_key;
+      m.nonce = 5000 + k;
+      m.SignWith(keys_[k]);
+      split.emplace_back(std::move(m));
+    }
+    RaceAndSubmit(Pointers(split), /*miners=*/1, /*now=*/100);
+    std::vector<Transaction> spends;
+    for (size_t j = 0; j < per_key * keys_.size(); ++j) {
+      const size_t k = j % keys_.size();
+      spends.push_back(SpendWhole(
+          OutPoint{split[k].Id(), static_cast<uint32_t>(j / keys_.size())},
+          60, k, (k + 1) % keys_.size(), 6000 + j));
+    }
+    if (splits != nullptr) *splits = std::move(split);
+    return spends;
+  }
+
   ChainParams params_;
   std::vector<chain::TxOutput> allocations_;
   std::vector<crypto::KeyPair> keys_;
@@ -446,6 +478,44 @@ TEST_F(BlockTemplateTest, CapacityCapsTheBlock) {
   for (size_t i = 0; i < 16; ++i) txs.push_back(Transfer(i, 100, i));
   const Block block = RaceAndSubmit(Pointers(txs), /*miners=*/2, 100);
   EXPECT_EQ(block.txs.size(), params().max_block_txs + 1);  // +1 coinbase.
+}
+
+// Selection checks signatures and branch lookups in 64-transaction chunks
+// on the pool, a window of at most the remaining capacity at a time. 200
+// candidates in a 160-slot block: the first window's three chunks each
+// hold one reject, and the block fills in the third window, which a
+// second window's in-list duplicate forces.
+TEST_F(BlockTemplateTest, WideSelectionRejectsInEveryChunkAndWindow) {
+  Reset(/*capacity=*/160);
+  std::vector<Transaction> splits;
+  const std::vector<Transaction> spends = WideSpends(/*per_key=*/13, &splits);
+  ASSERT_EQ(spends.size(), 208u);
+  MutableTransaction edit = spends[207].ToMutable();
+  edit.fee += 1;  // Invalidates the signature.
+  const Transaction forged(std::move(edit));
+  const Transaction missing = SpendWhole(
+      OutPoint{crypto::Hash256::Of(Bytes{0xBA}), 0}, 60, 3, 4, 7000);
+  std::vector<const Transaction*> candidates;
+  std::vector<crypto::Hash256> expected;
+  for (size_t j = 0; candidates.size() < 200; ++j) {
+    const size_t at = candidates.size();
+    const Transaction* reject = at == 10    ? &forged
+                                : at == 70  ? &missing
+                                : at == 130 ? &splits[0]  // On the branch.
+                                : at == 161 ? candidates[5]
+                                            : nullptr;
+    if (reject != nullptr) candidates.push_back(reject);
+    candidates.push_back(&spends[j]);
+    if (expected.size() < 160) expected.push_back(spends[j].Id());
+  }
+  ASSERT_EQ(candidates[5], &spends[5]);  // The duplicate is a valid one.
+
+  const Block block = RaceAndSubmit(candidates, /*miners=*/2, /*now=*/200);
+  ASSERT_EQ(block.txs.size(), expected.size() + 1);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(block.txs[i + 1].Id(), expected[i]) << "slot " << i;
+  }
+  EXPECT_EQ(chain().head()->hash, block.header.Hash());
 }
 
 // ------------------------------------------------------------ serial execution
@@ -763,6 +833,59 @@ TEST_F(ValidationOrderTest, ShortReceiptListRejectedBeforeRootsAreHashed) {
   const Status status = chain().SubmitBlock(block, 100);
   EXPECT_EQ(status.code(), StatusCode::kVerificationFailed);
   EXPECT_EQ(status.message(), "receipt count mismatch");
+}
+
+// Validation runs the staged re-execution, both roots and the duplicate
+// checks side by side. A 141-transaction block, wider than two selection
+// chunks, with any two faults must get the status of the one a serial
+// check meets first: tx root, receipt root, on-branch repeat, then a
+// mid-body missing input.
+TEST_F(ValidationOrderTest, WideBlockWithTwoFaultsGetsTheSerialStatus) {
+  Reset(/*capacity=*/160);
+  std::vector<Transaction> splits;
+  const std::vector<Transaction> spends = WideSpends(/*per_key=*/9, &splits);
+  const std::vector<Transaction> body(spends.begin(), spends.begin() + 140);
+  const Block clean =
+      Assemble(chain(), chain().head()->hash, Pointers(body), Miner(0), 200);
+  ASSERT_EQ(clean.txs.size(), 141u);
+  const Transaction missing = SpendWhole(
+      OutPoint{crypto::Hash256::Of(Bytes{0xBA}), 0}, 60, 3, 4, 7000);
+
+  enum Fault { kTxRoot, kReceiptRoot, kRepeat, kMissingInput, kFaults };
+  const char* const kMessages[kFaults] = {
+      "tx merkle root mismatch", "receipt merkle root mismatch",
+      "transaction already included on branch",
+      "input not in UTXO set (double spend?)"};
+  const crypto::Hash256 head = chain().head()->hash;
+  for (int first = 0; first < kFaults; ++first) {
+    for (int second = first + 1; second < kFaults; ++second) {
+      SCOPED_TRACE(std::string(kMessages[first]) + " + " + kMessages[second]);
+      const auto has = [&](int fault) {
+        return first == fault || second == fault;
+      };
+      Block block = clean;
+      if (has(kRepeat)) block.txs[100] = splits[0];
+      if (has(kMissingInput)) block.txs[60] = missing;
+      block.header.tx_root = block.ComputeTxRoot();
+      if (has(kTxRoot)) block.header.tx_root = crypto::Hash256::Of(Bytes{1});
+      if (has(kReceiptRoot)) {
+        block.header.receipt_root = crypto::Hash256::Of(Bytes{2});
+      }
+      Rng rng(static_cast<uint64_t>(first * kFaults + second));
+      chain::MineHeader(&block.header, &rng);
+      const Status status = chain().SubmitBlock(block, 200);
+      EXPECT_EQ(status.message(), kMessages[first]);
+      EXPECT_EQ(status.code(), first <= kReceiptRoot
+                                   ? StatusCode::kVerificationFailed
+                                   : StatusCode::kInvalidArgument);
+      EXPECT_EQ(chain().head()->hash, head);
+    }
+  }
+  Block block = clean;
+  Rng rng(99);
+  chain::MineHeader(&block.header, &rng);
+  const Status accepted = chain().SubmitBlock(block, 200);
+  EXPECT_TRUE(accepted.ok()) << accepted.ToString();
 }
 
 // ------------------------------------------------------ repeated transactions

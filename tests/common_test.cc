@@ -7,6 +7,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -346,6 +347,69 @@ TEST(WorkerPoolTest, StopsClaimingAfterFailure) {
                                 }),
                std::runtime_error);
   EXPECT_LT(executed.load(), 10000);
+}
+
+TEST(WorkerPoolTest, RoundInsideATaskRunsInlineOnThatThread) {
+  // A task that starts a round on the shared pool (as a sweep world that
+  // checks a block does) gets every index in order on its own
+  // thread, on a pooled outer round and an inline one alike; an inner
+  // task's exception surfaces at the outer round's caller.
+  for (int threads : {1, 4}) {
+    common::WorkerPool outer(threads);
+    constexpr size_t kTasks = 8;
+    constexpr size_t kInner = 16;
+    std::vector<std::vector<size_t>> order(kTasks);
+    std::vector<uint8_t> off_thread(kTasks, 0);
+    outer.ParallelFor(kTasks, [&](size_t task) {
+      const std::thread::id self = std::this_thread::get_id();
+      common::WorkerPool::ForThisThread().ParallelFor(kInner, [&](size_t i) {
+        order[task].push_back(i);
+        if (std::this_thread::get_id() != self) off_thread[task] = 1;
+      });
+    });
+    for (size_t task = 0; task < kTasks; ++task) {
+      ASSERT_EQ(order[task].size(), kInner) << "task " << task;
+      for (size_t i = 0; i < kInner; ++i) {
+        EXPECT_EQ(order[task][i], i) << "task " << task;
+      }
+      EXPECT_EQ(off_thread[task], 0) << "task " << task;
+    }
+
+    EXPECT_THROW(
+        outer.ParallelFor(kTasks,
+                          [](size_t task) {
+                            common::WorkerPool::ForThisThread().ParallelFor(
+                                kInner, [task](size_t i) {
+                                  if (task == 5 && i == 9) {
+                                    throw std::runtime_error("inner");
+                                  }
+                                });
+                          }),
+        std::runtime_error)
+        << threads << " threads";
+  }
+}
+
+TEST(WorkerPoolTest, BackToBackRoundsEachRunTheirOwnTask) {
+  // The caller returns once every claimed index has finished, so a worker
+  // may wake after its round closed and meet the next one. Many short
+  // rounds in a row, each with its own task, must each run every index
+  // exactly once with that task.
+  common::WorkerPool pool(4);
+  constexpr size_t kRounds = 2000;
+  constexpr size_t kWidest = 7;
+  std::vector<std::array<std::atomic<int>, kWidest>> hits(kRounds);
+  for (size_t round = 0; round < kRounds; ++round) {
+    pool.ParallelFor(2 + round % (kWidest - 1), [&hits, round](size_t i) {
+      hits[round][i].fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < kWidest; ++i) {
+      EXPECT_EQ(hits[round][i].load(), i < 2 + round % (kWidest - 1) ? 1 : 0)
+          << "round " << round << " index " << i;
+    }
+  }
 }
 
 TEST(LoggingTest, LevelFiltering) {

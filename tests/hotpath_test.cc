@@ -20,6 +20,7 @@
 #include "src/chain/wallet.h"
 #include "src/common/persistent_map.h"
 #include "src/common/random.h"
+#include "src/common/worker_pool.h"
 #include "src/core/environment.h"
 #include "src/crypto/header_hasher.h"
 #include "tests/dispatch_test_util.h"
@@ -369,6 +370,50 @@ TEST(MineHeaderTest, BatchOfMixedDifficultiesMatchesSequential) {
           ASSERT_EQ(batch_evals[i], seq_evals[i]) << where;
         }
       }
+    }
+  }
+}
+
+// A sweep world runs on a pool thread, so its batch runs inline there
+// (WorkerPool's nesting rule): four pool tasks each mine their own batch
+// of mixed difficulties and must get the sequential nonces and evals.
+TEST(MineHeaderTest, BatchInsideAPoolRoundMatchesSequential) {
+  constexpr uint32_t kBits[] = {0, 4, 9, 12};
+  constexpr size_t kTasks = 4;
+  constexpr size_t kWidth = 6;
+  std::vector<std::vector<chain::BlockHeader>> fresh(kTasks);
+  std::vector<std::vector<chain::BlockHeader>> seq(kTasks);
+  std::vector<std::vector<uint64_t>> seq_evals(kTasks);
+  for (size_t task = 0; task < kTasks; ++task) {
+    Rng header_rng(task * 53 + 1);
+    for (size_t i = 0; i < kWidth; ++i) {
+      chain::BlockHeader header = RandomHeader(&header_rng);
+      header.difficulty_bits = kBits[i % std::size(kBits)];
+      fresh[task].push_back(header);
+    }
+    seq[task] = fresh[task];
+    Rng rng(task * 97 + 3);
+    for (chain::BlockHeader& header : seq[task]) {
+      seq_evals[task].push_back(chain::MineHeader(&header, &rng));
+    }
+  }
+  std::vector<std::vector<chain::BlockHeader>> batch = fresh;
+  std::vector<std::vector<uint64_t>> batch_evals(kTasks);
+  common::WorkerPool pool(4);
+  pool.ParallelFor(kTasks, [&](size_t task) {
+    std::vector<chain::BlockHeader*> pointers;
+    for (chain::BlockHeader& header : batch[task]) pointers.push_back(&header);
+    Rng rng(task * 97 + 3);
+    batch_evals[task] = chain::MineHeaderBatch(
+        std::span<chain::BlockHeader* const>(pointers), &rng);
+  });
+  for (size_t task = 0; task < kTasks; ++task) {
+    ASSERT_EQ(batch_evals[task].size(), kWidth) << "task " << task;
+    for (size_t i = 0; i < kWidth; ++i) {
+      EXPECT_EQ(batch[task][i].nonce, seq[task][i].nonce)
+          << "task " << task << " header " << i;
+      EXPECT_EQ(batch_evals[task][i], seq_evals[task][i])
+          << "task " << task << " header " << i;
     }
   }
 }
