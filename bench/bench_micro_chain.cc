@@ -1,9 +1,9 @@
 // Engineering micro-benchmarks (google-benchmark): the blockchain
 // substrate — proof-of-work mining/verification, a transfer's sign, seal
 // and first verify and a receipt's Merkle leaf, block assembly and full
-// validation, block selection, body validation and the ledger commit's
-// tree writes at open-world UTXO-set sizes, and Section 4.3 evidence
-// construction/verification.
+// validation, block selection, body validation, block submission and the
+// ledger commit's tree writes at open-world UTXO-set sizes, and Section
+// 4.3 evidence construction/verification.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -220,10 +221,9 @@ struct WideUtxoFixture {
   }
 
   explicit WideUtxoFixture(size_t outputs)
-      : chain(Params(outputs),
-              std::vector<TxOutput>(outputs / kFanOut,
-                                    TxOutput{kFanOut * 1000 + 1,
-                                             kAlice.public_key()})) {
+      : genesis_outputs(outputs / kFanOut,
+                        TxOutput{kFanOut * 1000 + 1, kAlice.public_key()}),
+        chain(Params(outputs), genesis_outputs) {
     const crypto::Hash256& genesis = chain.genesis_tx().Id();
     std::vector<Transaction> fan;
     for (uint32_t i = 0; i < outputs / kFanOut; ++i) {
@@ -233,9 +233,11 @@ struct WideUtxoFixture {
                            i));
     }
     Rng rng(15);
-    auto setup = chain.AssembleBlock(chain.head()->hash, fan,
-                                     kAlice.public_key(), 100, &rng);
-    if (!setup.ok() || !chain.SubmitBlock(*setup, 100).ok()) return;
+    auto fanned = chain.AssembleBlock(chain.head()->hash, fan,
+                                      kAlice.public_key(), 100, &rng);
+    if (!fanned.ok()) return;
+    setup = *std::move(fanned);
+    if (!chain.SubmitBlock(setup, 100).ok()) return;
     for (int i = 0; i < kWideBlockTxs; ++i) {
       const Transaction& source = fan[i * fan.size() / kWideBlockTxs];
       const OutPoint spent{source.Id(),
@@ -260,10 +262,13 @@ struct WideUtxoFixture {
     // Also verifies every signature once; the memo serves the timed runs.
     LedgerState scratch = chain.StateAtHead();
     applies = ApplyBlockBody(&scratch, block, chain.params()).ok();
+    auto assembled = chain.AssembleBlock(chain.head()->hash, candidates,
+                                         kAlice.public_key(), 200, &rng);
+    if (assembled.ok()) mined = *std::move(assembled);
   }
 
   static const WideUtxoFixture& For(size_t outputs) {
-    // One per size, shared by both benchmarks: the setup signs a
+    // One per size, shared by the benchmarks below: the setup signs a
     // transaction per kFanOut outputs.
     static std::map<size_t, std::unique_ptr<WideUtxoFixture>> fixtures;
     std::unique_ptr<WideUtxoFixture>& fixture = fixtures[outputs];
@@ -286,13 +291,20 @@ struct WideUtxoFixture {
     return Transaction(std::move(tx));
   }
 
+  /// The genesis allocations and the fan-out block: what `chain` was
+  /// built from, so a benchmark can build it again.
+  std::vector<TxOutput> genesis_outputs;
   Blockchain chain;
+  Block setup;
   std::vector<Transaction> txs;
   std::vector<const Transaction*> candidates;
   /// Coinbase and txs on the head, without roots, receipts or PoW: what
   /// ApplyBlockBody reads.
   Block block;
   bool applies = false;
+  /// The txs assembled on the head with roots, receipts and proof of work:
+  /// what SubmitBlock reads.
+  Block mined;
 };
 
 /// Reports the time per transaction over the run.
@@ -352,6 +364,43 @@ BENCHMARK(BM_ValidateBlock)
     ->Arg(25000)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
+
+/// SubmitBlock of the fixture's mined block: the staged re-execution,
+/// both roots and the duplicate checks on the calling thread's
+/// WorkerPool, then the commit and the store on the caller. Each run
+/// rebuilds the chain from the fixture's genesis outputs and setup block
+/// outside the timing, so the block extends a tip whose state the chain
+/// owns alone, and its commit writes in place.
+void BM_SubmitBlock(benchmark::State& state) {
+  const WideUtxoFixture& fixture =
+      WideUtxoFixture::For(static_cast<size_t>(state.range(0)));
+  std::optional<Blockchain> chain;
+  Block block;
+  auto rebuild = [&] {
+    chain.reset();
+    chain.emplace(fixture.chain.params(), fixture.genesis_outputs);
+    block = fixture.mined;
+    return chain->SubmitBlock(fixture.setup, 100).ok();
+  };
+  if (!rebuild() || !chain->SubmitBlock(block, 200).ok()) {
+    state.SkipWithError("the mined block was refused");
+    return;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    rebuild();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(chain->SubmitBlock(std::move(block), 200).ok());
+  }
+  SetTimePerTx(state);
+}
+// Wall time, as BM_SelectBlock: three of the four validation tasks may run
+// on pool threads.
+BENCHMARK(BM_SubmitBlock)
+    ->Arg(25000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 /// Writes per BM_LedgerCommit run, in the ratio of the workloads'
 /// one-input, two-output transfers.

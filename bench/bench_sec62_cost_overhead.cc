@@ -40,8 +40,8 @@ chain::Amount MeasuredAc3wnFee(int n, uint64_t seed) {
   options.seed = seed;
   // Make the witness chain's fees equal the asset chains' fees so the
   // measured total is comparable to the equal-fee analytic model.
-  options.witness_params.deploy_fee = options.asset_params.deploy_fee;
-  options.witness_params.call_fee = options.asset_params.call_fee;
+  options.witness_params.deploy_fee = chain::TestChainParams().deploy_fee;
+  options.witness_params.call_fee = chain::TestChainParams().call_fee;
   core::ScenarioWorld world(options);
   world.StartMining();
   graph::Ac2tGraph ring = runner::RingOverWorld(&world, n);

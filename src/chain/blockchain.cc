@@ -356,6 +356,15 @@ std::optional<Blockchain::TxLocation> Blockchain::FindTx(
   });
 }
 
+bool Blockchain::TxConfirmedAtDepth(const crypto::Hash256& tx_id,
+                                    uint64_t depth) const {
+  // FindTx finds canonical inclusions only, so the block's confirmations
+  // are the heights between it and the head.
+  const std::optional<TxLocation> location = FindTx(tx_id);
+  return location.has_value() &&
+         head_->height() - location->entry->height() >= depth;
+}
+
 std::optional<Blockchain::TxLocation> Blockchain::FindCall(
     const crypto::Hash256& contract_id, const std::string& function,
     bool require_success) const {

@@ -117,6 +117,10 @@ class Blockchain {
   using TxLocation = chain::TxLocation;
   std::optional<TxLocation> FindTx(const crypto::Hash256& tx_id) const;
 
+  /// True when `tx_id` is canonical and buried under at least `depth`
+  /// blocks: FindTx finds it and ConfirmationsOf its block is >= depth.
+  bool TxConfirmedAtDepth(const crypto::Hash256& tx_id, uint64_t depth) const;
+
   /// Newest canonical call of `function` on `contract_id` (optionally only
   /// successful ones). This is how participants observe on-chain events —
   /// e.g. a redeem call revealing the hashlock secret.

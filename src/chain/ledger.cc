@@ -1,7 +1,6 @@
 #include "src/chain/ledger.h"
 
 #include <algorithm>
-#include <mutex>
 #include <string>
 #include <utility>
 
@@ -99,15 +98,6 @@ void LedgerDelta::CommitTo(LedgerState* state) const {
 
 namespace {
 
-/// One-time builtin-contract registration, hoisted out of the per-tx
-/// execution path: the factory map mutation now happens exactly once per
-/// process (first ledger use), never inside concurrently-executing
-/// transactions.
-std::once_flag builtin_contracts_once;
-void EnsureBuiltinContracts() {
-  std::call_once(builtin_contracts_once, contracts::RegisterBuiltinContracts);
-}
-
 /// `*sum += value`, failing instead of wrapping past 2^64 - 1: a wrapped
 /// output total could equal the inputs while paying out more than they
 /// hold (Bitcoin's CVE-2010-5139).
@@ -180,7 +170,6 @@ bool IsRevert(const Status& status) {
 
 Result<Receipt> ApplyTransaction(LedgerDelta* delta, const Transaction& tx,
                                  const BlockEnv& env) {
-  EnsureBuiltinContracts();
   if (tx.chain_id() != env.chain_id) {
     return Status::InvalidArgument("transaction targets another chain");
   }
@@ -216,8 +205,8 @@ Result<Receipt> ApplyTransaction(LedgerDelta* delta, const Transaction& tx,
       ctx.value = tx.contract_value();
       ctx.block_time = env.time;
       ctx.block_height = env.height;
-      auto deployed = contracts::ContractFactory::Instance().Deploy(
-          tx.contract_kind(), tx.payload(), ctx);
+      auto deployed =
+          contracts::Deploy(tx.contract_kind(), tx.payload(), ctx);
       if (!deployed.ok()) {
         // Malformed deployments never make it into a block.
         return deployed.status();

@@ -133,7 +133,6 @@ void MiningNetwork::ProduceBlock() {
     Status submitted = chain_->SubmitBlock(std::move(*block), now);
     if (submitted.ok()) {
       producer_[hash] = miner;
-      ++blocks_mined_;
       AC3_LOG(kDebug) << chain_->params().name << ": miner " << miner
                       << " mined " << hash.ShortHex() << " h=" << height
                       << " txs=" << tx_count;

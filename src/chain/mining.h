@@ -57,8 +57,6 @@ class MiningNetwork {
   /// equivalence oracle for tests and for non-monotone replay queries.
   const BlockEntry* VisibleHeadScan(int miner, TimePoint now) const;
 
-  uint64_t blocks_mined() const { return blocks_mined_; }
-
  private:
   /// Per-miner incremental view over the chain's arrival feed.
   struct MinerView {
@@ -96,7 +94,6 @@ class MiningNetwork {
   mutable std::vector<MinerView> views_;
   sim::EventHandle pending_;
   bool running_ = false;
-  uint64_t blocks_mined_ = 0;
 };
 
 }  // namespace ac3::chain

@@ -46,7 +46,6 @@ struct ChainParams {
 
   // --- economics --------------------------------------------------------
   Amount block_reward = 50;
-  Amount transfer_fee = 1;
   Amount deploy_fee = 4;   ///< Paper §6.2: deploying SCw ≈ $4 at $300/ETH.
   Amount call_fee = 2;
 
@@ -57,8 +56,6 @@ struct ChainParams {
   double real_blocks_per_hour = 6.0;
   /// Hourly 51%-attack rental cost in USD (Ch in §6.3, crypto51.app).
   double attack_cost_per_hour_usd = 300'000.0;
-  /// USD value of one simulated fee unit (for §6.2 dollar figures).
-  double usd_per_fee_unit = 1.0;
 };
 
 /// The top-4 permissionless cryptocurrencies by market cap (Table 1), plus

@@ -238,12 +238,6 @@ class PersistentMap {
     return true;
   }
 
-  /// In-order traversal (key order), cheapest way to fold over the map.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (root_.get() != nullptr) ForEachIn(root_.get(), fn);
-  }
-
   /// Structural equality: same keys mapping to equal values (element-wise,
   /// in key order).
   bool operator==(const PersistentMap& other) const {
@@ -694,21 +688,6 @@ class PersistentMap {
       to->count = static_cast<uint8_t>(to->count + from->count);
     }
     RemoveChild(parent, at);
-  }
-
-  template <typename Fn>
-  static void ForEachIn(const Node* node, Fn& fn) {
-    if (node->leaf) {
-      const Leaf* leaf = static_cast<const Leaf*>(node);
-      for (unsigned i = 0; i < leaf->count; ++i) {
-        fn(leaf->keys[i], leaf->values[i]);
-      }
-      return;
-    }
-    const Inner* inner = static_cast<const Inner*>(node);
-    for (unsigned i = 0; i < inner->count; ++i) {
-      ForEachIn(inner->children[i].get(), fn);
-    }
   }
 
   NodeRef root_;

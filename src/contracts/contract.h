@@ -15,8 +15,6 @@
 #ifndef AC3_CONTRACTS_CONTRACT_H_
 #define AC3_CONTRACTS_CONTRACT_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,8 +69,8 @@ class Contract {
  public:
   virtual ~Contract() = default;
 
-  /// Registry key ("HTLC", "CentralizedSC", "PermissionlessSC",
-  /// "WitnessSC", "RelaySC"...).
+  /// The kind a deploy transaction names ("HTLC", "CentralizedSC",
+  /// "PermissionlessSC", "WitnessSC" or "RelaySC"; see Deploy).
   virtual std::string Kind() const = 0;
 
   /// Canonical digest of the current state, recorded in receipts. Evidence
@@ -95,7 +93,7 @@ class Contract {
   chain::ChainId chain_id() const { return chain_id_; }
   uint64_t deploy_height() const { return deploy_height_; }
 
-  /// Called once by the factory right after construction.
+  /// Called once by the kind's Create right after construction.
   void BindDeployment(const DeployContext& ctx) {
     id_ = ctx.tx_id;
     deployer_ = ctx.sender;
@@ -126,33 +124,13 @@ class Contract {
 
 using ContractPtr = std::shared_ptr<const Contract>;
 
-/// Maps contract kinds to constructors. All concrete contracts register
-/// themselves (see RegisterBuiltinContracts) so deploy transactions can name
-/// their kind as a string, like naming a compiled EVM artifact.
-class ContractFactory {
- public:
-  using Creator =
-      std::function<Result<ContractPtr>(const Bytes& init_payload,
-                                        const DeployContext& ctx)>;
-
-  static ContractFactory& Instance();
-
-  /// Registers (or replaces) the creator for `kind`.
-  void Register(const std::string& kind, Creator creator);
-
-  /// Instantiates a contract of `kind` from a deploy transaction.
-  Result<ContractPtr> Deploy(const std::string& kind, const Bytes& payload,
-                             const DeployContext& ctx) const;
-
-  bool Knows(const std::string& kind) const;
-
- private:
-  std::map<std::string, Creator> creators_;
-};
-
-/// Registers every contract shipped with the library (idempotent). Called
-/// lazily by the ledger; exposed for tests.
-void RegisterBuiltinContracts();
+/// Instantiates a contract of `kind` from a deploy transaction, which
+/// names its kind as a string, like naming a compiled EVM artifact. The
+/// kinds are the five the protocols deploy (HTLC, CentralizedSC,
+/// PermissionlessSC, WitnessSC and RelaySC), in one constant table
+/// (registry.cc); any other kind is NotFound.
+Result<ContractPtr> Deploy(const std::string& kind, const Bytes& payload,
+                           const DeployContext& ctx);
 
 }  // namespace ac3::contracts
 

@@ -38,7 +38,6 @@ struct HtlcInit {
 
 class HtlcContract : public AtomicSwapContract {
  public:
-  /// ContractFactory creator.
   static Result<ContractPtr> Create(const Bytes& payload,
                                     const DeployContext& ctx);
 

@@ -1,4 +1,6 @@
-// Registers every contract kind shipped with the library.
+// The contract kinds a deploy transaction can name (contract.h, Deploy).
+
+#include <string_view>
 
 #include "src/contracts/centralized_contract.h"
 #include "src/contracts/contract.h"
@@ -9,17 +11,29 @@
 
 namespace ac3::contracts {
 
-void RegisterBuiltinContracts() {
-  static const bool registered = []() {
-    ContractFactory& factory = ContractFactory::Instance();
-    factory.Register(kHtlcKind, &HtlcContract::Create);
-    factory.Register(kCentralizedKind, &CentralizedContract::Create);
-    factory.Register(kPermissionlessKind, &PermissionlessContract::Create);
-    factory.Register(kWitnessKind, &WitnessContract::Create);
-    factory.Register(kRelayKind, &RelayContract::Create);
-    return true;
-  }();
-  (void)registered;
+namespace {
+
+struct KindRow {
+  std::string_view kind;
+  Result<ContractPtr> (*create)(const Bytes& payload, const DeployContext& ctx);
+};
+
+constexpr KindRow kKinds[] = {
+    {kHtlcKind, &HtlcContract::Create},
+    {kCentralizedKind, &CentralizedContract::Create},
+    {kPermissionlessKind, &PermissionlessContract::Create},
+    {kWitnessKind, &WitnessContract::Create},
+    {kRelayKind, &RelayContract::Create},
+};
+
+}  // namespace
+
+Result<ContractPtr> Deploy(const std::string& kind, const Bytes& payload,
+                           const DeployContext& ctx) {
+  for (const KindRow& row : kKinds) {
+    if (row.kind == kind) return row.create(payload, ctx);
+  }
+  return Status::NotFound("unknown contract kind: " + kind);
 }
 
 }  // namespace ac3::contracts

@@ -45,7 +45,8 @@ void PruneIncludedOnHeadMove(const chain::Blockchain* chain,
     pool->Prune(std::span<const crypto::Hash256>(included));
   }
   // Disconnected (reorged-out) blocks: anything not re-included on the
-  // winning branch goes back into the pool at its original arrival time.
+  // winning branch goes back into the pool, stamped with the arrival time
+  // of the orphaned block that held it.
   for (const chain::BlockEntry* walk = &old_head; walk != fork;
        walk = walk->parent) {
     for (const chain::Transaction& tx : walk->block.txs) {
@@ -59,8 +60,10 @@ void PruneIncludedOnHeadMove(const chain::Blockchain* chain,
 
 }  // namespace
 
-Environment::Environment(uint64_t seed, sim::LatencyModel latency)
-    : sim_(seed), network_(&sim_, latency), failures_(&sim_, &network_) {}
+Environment::Environment(uint64_t seed)
+    : sim_(seed),
+      network_(&sim_, sim::LatencyModel{Milliseconds(20), Milliseconds(10)}),
+      failures_(&sim_, &network_) {}
 
 chain::ChainId Environment::AddChain(chain::ChainParams params,
                                      std::vector<chain::TxOutput> allocations,

@@ -9,10 +9,12 @@
 // Mempool hygiene is event-driven: every chain's mempool is subscribed to
 // its blockchain's canonical-head movements, so transactions included on
 // the canonical branch are pruned in one batch per head move (extension or
-// reorg) instead of by ad-hoc calls. Transactions reorged *off* the
-// canonical branch are not re-queued — protocol engines re-gossip their
-// own unconfirmed transactions, which is the at-least-once submission
-// model the simulator already assumes.
+// reorg) instead of by ad-hoc calls. On a reorg, the user transactions of
+// the blocks reorged *off* the canonical branch that the winning branch
+// does not hold go back into the pool, stamped with the arrival time of
+// the orphaned block that held them. Protocol engines also re-gossip their
+// own unconfirmed transactions, the at-least-once submission model the
+// simulator assumes.
 
 #ifndef AC3_CORE_ENVIRONMENT_H_
 #define AC3_CORE_ENVIRONMENT_H_
@@ -32,10 +34,8 @@ namespace ac3::core {
 
 class Environment {
  public:
-  explicit Environment(
-      uint64_t seed,
-      sim::LatencyModel latency = sim::LatencyModel{Milliseconds(20),
-                                                    Milliseconds(10)});
+  /// Messages take 20 ms plus a uniform jitter of up to 10 ms.
+  explicit Environment(uint64_t seed);
 
   sim::Simulation* sim() { return &sim_; }
   sim::Network* network() { return &network_; }

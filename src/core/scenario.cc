@@ -31,7 +31,7 @@ ScenarioWorld::ScenarioWorld(ScenarioOptions options)
   mining.miner_count = options.miner_count;
   mining.max_propagation_delay = options.max_propagation_delay;
   for (int c = 0; c < options.asset_chains; ++c) {
-    chain::ChainParams params = options.asset_params;
+    chain::ChainParams params = chain::TestChainParams();
     // Built with append rather than operator+ to sidestep GCC 12's
     // -Wrestrict false positive on rvalue string concatenation at -O3.
     params.name = "Asset";

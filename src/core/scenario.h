@@ -3,9 +3,9 @@
 // funded participants" in one line.
 //
 // A ScenarioWorld owns an Environment plus the Participant objects; chain 0
-// .. N-1 are asset chains and (optionally) one more chain acts as the
-// witness network. Every participant is funded on every chain so any graph
-// over the participants is executable.
+// .. N-1 are asset chains (chain::TestChainParams) and (optionally) one
+// more chain acts as the witness network. Every participant is funded on
+// every chain so any graph over the participants is executable.
 
 #ifndef AC3_CORE_SCENARIO_H_
 #define AC3_CORE_SCENARIO_H_
@@ -29,8 +29,7 @@ struct ScenarioOptions {
   bool witness_chain = true;
   int miner_count = 3;
   Duration max_propagation_delay = Milliseconds(5);
-  /// Base parameters cloned per asset chain (name/id overwritten).
-  chain::ChainParams asset_params = chain::TestChainParams();
+  /// The witness chain's parameters (the environment assigns the id).
   chain::ChainParams witness_params = chain::TestWitnessParams();
 };
 

@@ -48,6 +48,4 @@ std::string Hash256::ToHex() const { return ::ac3::ToHex(data_.data(), kSize); }
 
 std::string Hash256::ShortHex() const { return ToHex().substr(0, 8); }
 
-Bytes Hash256::ToBytes() const { return Bytes(data_.begin(), data_.end()); }
-
 }  // namespace ac3::crypto

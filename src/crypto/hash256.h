@@ -56,9 +56,6 @@ class Hash256 {
   /// First 8 hex chars, for logs.
   std::string ShortHex() const;
 
-  /// Copies into a Bytes buffer.
-  Bytes ToBytes() const;
-
   /// Wire form: the 32 bytes, raw.
   template <typename Self, typename Codec>
   static void Fields(Self& self, Codec& codec) {

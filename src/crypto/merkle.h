@@ -49,7 +49,6 @@ class MerkleTree {
   explicit MerkleTree(std::vector<Hash256> leaves);
 
   const Hash256& root() const { return root_; }
-  size_t leaf_count() const { return levels_.empty() ? 0 : levels_[0].size(); }
 
   /// Builds the inclusion proof for leaf `index`.
   Result<MerkleProof> Prove(size_t index) const;

@@ -39,10 +39,6 @@ uint64_t ChallengeE(uint64_t r, const PublicKey& pk, const Bytes& message) {
 
 bool PublicKey::IsValid() const { return y_ > 1 && y_ < DefaultGroup().p; }
 
-Hash256 PublicKey::ToAddress() const { return Hash256::Of(Encode(*this)); }
-
-std::string PublicKey::ToHexShort() const { return ToAddress().ShortHex(); }
-
 KeyPair KeyPair::FromSeed(uint64_t seed) {
   const GroupParams& grp = DefaultGroup();
   // Map the seed through SHA-256 so nearby seeds give unrelated keys:

@@ -62,10 +62,6 @@ class PublicKey {
     codec(self.y_);
   }
 
-  /// Address = SHA-256 of the encoded key. Used in logs and asset ownership.
-  Hash256 ToAddress() const;
-  std::string ToHexShort() const;
-
   auto operator<=>(const PublicKey&) const = default;
 
  private:

@@ -76,7 +76,7 @@ void Ac3wnSwapEngine::TryDeployWitnessContract() {
 
 void Ac3wnSwapEngine::TrackWitnessDeployment() {
   const chain::Blockchain* witness = env()->blockchain(witness_chain_);
-  if (!TxConfirmedAtDepth(witness, scw_id_, config_.confirm_depth)) return;
+  if (!witness->TxConfirmedAtDepth(scw_id_, config_.confirm_depth)) return;
   scw_confirmed_ = true;
   scw_confirmed_at_ = env()->sim()->Now();
   mutable_report()->MarkPhase("scw_published", scw_confirmed_at_);

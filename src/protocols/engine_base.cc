@@ -316,18 +316,9 @@ void SwapEngineBase::RunStep() {
   if (IsComplete()) done_ = true;
 }
 
-bool SwapEngineBase::TxConfirmedAtDepth(const chain::Blockchain* chain,
-                                        const crypto::Hash256& tx_id,
-                                        uint32_t depth) const {
-  auto location = chain->FindTx(tx_id);
-  if (!location.has_value()) return false;
-  auto confirmations = chain->ConfirmationsOf(location->entry->hash);
-  return confirmations.has_value() && *confirmations >= depth;
-}
-
 void SwapEngineBase::TrackPublishConfirmation(EdgeState* edge) {
   const chain::Blockchain* chain = env_->blockchain(edge->edge.chain_id);
-  if (!TxConfirmedAtDepth(chain, edge->contract_id, config_.confirm_depth)) {
+  if (!chain->TxConfirmedAtDepth(edge->contract_id, config_.confirm_depth)) {
     return;
   }
   edge->publish_confirmed = true;

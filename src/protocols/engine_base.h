@@ -316,10 +316,6 @@ class SwapEngineBase {
 
   // ---- ChainWatcher helpers ---------------------------------------------
 
-  /// True when `tx_id` is canonical on `chain` and buried >= `depth`.
-  bool TxConfirmedAtDepth(const chain::Blockchain* chain,
-                          const crypto::Hash256& tx_id, uint32_t depth) const;
-
   /// Marks the edge publicly recognized once its deploy is canonical at
   /// confirm_depth.
   void TrackPublishConfirmation(EdgeState* edge);

@@ -62,12 +62,7 @@ Status TrustedWitness::VerifyAllContractsDeployed(const Entry& entry) const {
       if (sc->locked_value() != e.amount) continue;
       if (sc->state() != contracts::SwapState::kPublished) continue;
       // "Deployed" means publicly recognized: buried at confirm depth.
-      auto location = chain->FindTx(id);
-      if (!location.has_value()) continue;
-      auto confirmations = chain->ConfirmationsOf(location->entry->hash);
-      if (!confirmations.has_value() || *confirmations < confirm_depth_) {
-        continue;
-      }
+      if (!chain->TxConfirmedAtDepth(id, confirm_depth_)) continue;
       found = true;
       break;
     }

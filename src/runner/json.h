@@ -51,7 +51,6 @@ class Json {
   }
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_number() const {
     return type_ == Type::kInt || type_ == Type::kDouble;
   }

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "src/common/worker_pool.h"
-#include "src/contracts/contract.h"
 #include "src/graph/ac2t_graph.h"
 #include "src/protocols/ac3tw_swap.h"
 #include "src/protocols/ac3wn_swap.h"
@@ -513,23 +512,14 @@ double MeasureDeltaMs(const core::ScenarioOptions& options,
   const chain::Blockchain* chain =
       world.env()->blockchain(world.asset_chain(0));
   Status confirmed = world.env()->sim()->RunUntilCondition(
-      [&]() {
-        auto location = chain->FindTx(*tx_id);
-        if (!location.has_value()) return false;
-        auto depth = chain->ConfirmationsOf(location->entry->hash);
-        return depth.has_value() && *depth >= confirm_depth;
-      },
+      [&]() { return chain->TxConfirmedAtDepth(*tx_id, confirm_depth); },
       Minutes(5));
   if (!confirmed.ok()) return 0.0;
   return static_cast<double>(world.env()->sim()->Now() - start);
 }
 
 SweepRunner::SweepRunner(int threads)
-    : pool_(std::make_unique<common::WorkerPool>(threads)) {
-  // Warm the contract factory on this thread so worker threads only ever
-  // read the registration map.
-  contracts::RegisterBuiltinContracts();
-}
+    : pool_(std::make_unique<common::WorkerPool>(threads)) {}
 
 SweepRunner::~SweepRunner() = default;
 

@@ -44,7 +44,6 @@ class EventQueue {
   /// True when no events remain (cancelled events may still occupy slots
   /// until popped).
   bool Empty() const { return heap_.empty(); }
-  size_t Size() const { return heap_.size(); }
 
   /// Time of the earliest live (non-cancelled) event; kTimeInfinity when
   /// empty. Discards cancelled events from the top as a side effect.

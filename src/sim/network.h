@@ -95,7 +95,6 @@ class Network {
 
   /// Arms (or clears, with the default) the per-message fault model.
   void set_message_faults(const MessageFaults& faults) { faults_ = faults; }
-  const MessageFaults& message_faults() const { return faults_; }
 
   /// Samples one latency value (exposed for tests).
   Duration SampleLatency();

@@ -7,21 +7,57 @@ namespace ac3::sim {
 
 namespace {
 
+/// Zipf exponent of participant popularity: the classic heavy tail.
+constexpr double kZipfS = 1.1;
+static_assert(kZipfS > 0.0 && kZipfS != 1.0,
+              "SampleZipf's inverse CDF needs s > 0 and s != 1");
+/// Rate multiplier of the bursty process's on phases.
+constexpr double kBurstMultiplier = 4.0;
+static_assert(kBurstMultiplier > 0.0);
+
+/// Per-chain fee pressure: chain c's floor is kFeeFloor + c *
+/// kFeeChainStep, and each transaction adds a uniform draw in
+/// [0, kFeeSpread].
+constexpr chain::Amount kFeeFloor = 1;
+constexpr chain::Amount kFeeChainStep = 1;
+constexpr chain::Amount kFeeSpread = 4;
+
+/// Value moved by each swap leg.
+constexpr chain::Amount kSwapAmount = 5;
+/// Faucet grant size; a grant funds kGrantAmount / (kSwapAmount + max
+/// fee) legs before the account needs re-funding.
+constexpr chain::Amount kGrantAmount = 10'000;
+/// Genesis faucet outputs per chain. More lanes shorten the faucet-change
+/// dependency chains threaded through funding bursts.
+constexpr size_t kFaucetLanes = 64;
+static_assert(kFaucetLanes >= 1);
+/// Value of each genesis faucet output.
+constexpr chain::Amount kFaucetLaneValue = 1'000'000'000'000ULL;
+
+/// Base of the key derivation: account k on any chain signs with
+/// KeyPair::FromSeed(kKeySeedBase + 1 + k); the faucet uses kKeySeedBase
+/// itself.
+constexpr uint64_t kKeySeedBase = 0x5eed'0000'0000'0000ULL;
+
 TimePoint ToTimePoint(double ms) {
   return static_cast<TimePoint>(std::llround(ms));
+}
+
+/// Chain slot `chain`'s fee floor.
+chain::Amount FeeFloor(size_t chain) {
+  return kFeeFloor + static_cast<chain::Amount>(chain) * kFeeChainStep;
 }
 
 }  // namespace
 
 WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, uint64_t seed)
     : config_(config),
-      faucet_key_(crypto::KeyPair::FromSeed(config.key_seed_base)),
+      faucet_key_(crypto::KeyPair::FromSeed(kKeySeedBase)),
       arrival_rng_(0),
       entity_rng_(0) {
   assert(config_.chains >= 1);
   assert(config_.accounts >= 1);
   assert(config_.arrivals_per_sec > 0.0);
-  assert(config_.faucet_lanes >= 1);
   // Independent streams: reshaping the arrival process never perturbs
   // which entities a given swap index picks, and vice versa.
   Rng root(seed);
@@ -31,12 +67,10 @@ WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, uint64_t seed)
   // Inverse-CDF constants over ranks [1, N+1] (continuous approximation
   // of the discrete Zipf; see SampleZipf).
   const double n1 = static_cast<double>(config_.accounts) + 1.0;
-  zipf_log_n_ = std::log(n1);
-  zipf_q_ = std::pow(n1, 1.0 - config_.zipf_s);
+  zipf_q_ = std::pow(n1, 1.0 - kZipfS);
   if (config_.process == ArrivalProcess::kBursty) {
     assert(config_.burst_on_mean_ms > 0.0);
     assert(config_.burst_off_mean_ms > 0.0);
-    assert(config_.burst_multiplier > 0.0);
     // The traffic opens in an on phase, so short runs see arrivals.
     burst_on_ = true;
     current_on_start_ms_ = 0.0;
@@ -48,10 +82,9 @@ std::vector<chain::TxOutput> WorkloadGenerator::GenesisAllocations(
     size_t chain) const {
   assert(chain < slots_.size());
   (void)chain;  // Identical per slot; the parameter documents intent.
-  std::vector<chain::TxOutput> allocations(
-      config_.faucet_lanes,
-      chain::TxOutput{config_.faucet_lane_value, faucet_key_.public_key()});
-  return allocations;
+  return std::vector<chain::TxOutput>(
+      kFaucetLanes,
+      chain::TxOutput{kFaucetLaneValue, faucet_key_.public_key()});
 }
 
 void WorkloadGenerator::BindChain(size_t chain, chain::ChainId chain_id,
@@ -77,17 +110,9 @@ uint64_t WorkloadGenerator::SampleZipf(Rng* rng) const {
   const uint64_t n = config_.accounts;
   if (n <= 1) return 0;
   const double u = rng->NextDouble();
-  const double s = config_.zipf_s;
-  double x;  // Continuous rank in [1, N+1).
-  if (s <= 0.0) {
-    x = 1.0 + u * static_cast<double>(n);
-  } else if (std::abs(s - 1.0) < 1e-9) {
-    // s = 1: F(x) = ln(x) / ln(N+1).
-    x = std::exp(u * zipf_log_n_);
-  } else {
-    // F(x) = (x^(1-s) - 1) / ((N+1)^(1-s) - 1).
-    x = std::pow(u * (zipf_q_ - 1.0) + 1.0, 1.0 / (1.0 - s));
-  }
+  // Continuous rank in [1, N+1), inverting
+  // F(x) = (x^(1-s) - 1) / ((N+1)^(1-s) - 1).
+  const double x = std::pow(u * (zipf_q_ - 1.0) + 1.0, 1.0 / (1.0 - kZipfS));
   uint64_t rank = static_cast<uint64_t>(x) - 1;
   if (rank >= n) rank = n - 1;
   return rank;
@@ -102,8 +127,7 @@ double WorkloadGenerator::NextArrival() {
   // Bursty: a Poisson process at multiplier * rate gated to on phases.
   // Discarding a draw that crosses the phase end is exact (the process is
   // memoryless), so phase boundaries never bias inter-arrival spacing.
-  const double on_mean_ms =
-      1.0 / (base_rate_per_ms * config_.burst_multiplier);
+  const double on_mean_ms = 1.0 / (base_rate_per_ms * kBurstMultiplier);
   while (true) {
     if (burst_on_) {
       const double dt = arrival_rng_.NextExponential(on_mean_ms);
@@ -128,10 +152,7 @@ double WorkloadGenerator::NextArrival() {
 }
 
 chain::Amount WorkloadGenerator::DrawFee(size_t chain) {
-  const chain::Amount floor =
-      config_.fee_floor + static_cast<chain::Amount>(chain) *
-                              config_.fee_chain_step;
-  return floor + entity_rng_.NextBelow(config_.fee_spread + 1);
+  return FeeFloor(chain) + entity_rng_.NextBelow(kFeeSpread + 1);
 }
 
 WorkloadGenerator::AccountState* WorkloadGenerator::EnsureFunded(
@@ -144,18 +165,15 @@ WorkloadGenerator::AccountState* WorkloadGenerator::EnsureFunded(
     it = slot->accounts
              .emplace(index,
                       AccountState{crypto::KeyPair::FromSeed(
-                                       config_.key_seed_base + 1 + index),
+                                       kKeySeedBase + 1 + index),
                                    chain::OutPoint{}, 0, 0, false})
              .first;
   }
   AccountState* account = &it->second;
-  // A leg needs swap_amount + fee and at least 1 unit of change (so the
+  // A leg needs kSwapAmount + fee and at least 1 unit of change (so the
   // tracked output never degenerates to zero value).
-  const chain::Amount worst_fee = config_.fee_floor +
-                                  static_cast<chain::Amount>(chain) *
-                                      config_.fee_chain_step +
-                                  config_.fee_spread;
-  const chain::Amount min_balance = config_.swap_amount + worst_fee + 1;
+  const chain::Amount min_balance =
+      kSwapAmount + FeeFloor(chain) + kFeeSpread + 1;
   if (account->funded && account->balance >= min_balance) return account;
 
   // Faucet grant. Lanes rotate so back-to-back grants chain off distinct
@@ -164,16 +182,15 @@ WorkloadGenerator::AccountState* WorkloadGenerator::EnsureFunded(
   slot->next_lane = (slot->next_lane + 1) % slot->faucet_utxos.size();
   const chain::Amount fee = DrawFee(chain);
   const chain::Amount lane_value = slot->faucet_values[lane];
-  assert(lane_value >= config_.grant_amount + fee + 1);
+  assert(lane_value >= kGrantAmount + fee + 1);
 
   chain::MutableTransaction grant;
   grant.type = chain::TxType::kTransfer;
   grant.chain_id = slot->chain_id;
   grant.inputs.push_back(slot->faucet_utxos[lane]);
   grant.outputs.push_back(
-      chain::TxOutput{config_.grant_amount, account->key.public_key()});
-  grant.outputs.push_back(chain::TxOutput{lane_value - config_.grant_amount -
-                                              fee,
+      chain::TxOutput{kGrantAmount, account->key.public_key()});
+  grant.outputs.push_back(chain::TxOutput{lane_value - kGrantAmount - fee,
                                           faucet_key_.public_key()});
   grant.fee = fee;
   grant.nonce = slot->faucet_nonce++;
@@ -181,11 +198,11 @@ WorkloadGenerator::AccountState* WorkloadGenerator::EnsureFunded(
   chain::Transaction sealed(std::move(grant));
   const crypto::Hash256& grant_id = sealed.Id();
   slot->faucet_utxos[lane] = chain::OutPoint{grant_id, 1};
-  slot->faucet_values[lane] = lane_value - config_.grant_amount - fee;
+  slot->faucet_values[lane] = lane_value - kGrantAmount - fee;
   // Any residual balance on a previously tracked output is abandoned as
   // dust — the harness tracks one spendable output per (account, chain).
   account->utxo = chain::OutPoint{grant_id, 0};
-  account->balance = config_.grant_amount;
+  account->balance = kGrantAmount;
   account->funded = true;
   out->txs.push_back(GeneratedTx{arrival, chain, sealed});
   return account;
@@ -255,10 +272,8 @@ WorkloadBatch WorkloadGenerator::NextBatch(TimePoint until) {
       const chain::Amount fee = DrawFee(chain_a);
       AccountState* payer = EnsureFunded(slot, chain_a, u, arrival, &batch);
       const crypto::PublicKey payee =
-          crypto::KeyPair::FromSeed(config_.key_seed_base + 1 + v)
-              .public_key();
-      chain::Transaction leg =
-          BuildLeg(slot, payer, payee, config_.swap_amount, fee);
+          crypto::KeyPair::FromSeed(kKeySeedBase + 1 + v).public_key();
+      chain::Transaction leg = BuildLeg(slot, payer, payee, kSwapAmount, fee);
       record.leg_a_id = leg.Id();
       batch.txs.push_back(GeneratedTx{arrival, chain_a, std::move(leg)});
     }
@@ -268,10 +283,8 @@ WorkloadBatch WorkloadGenerator::NextBatch(TimePoint until) {
       const chain::Amount fee = DrawFee(chain_b);
       AccountState* payer = EnsureFunded(slot, chain_b, v, arrival, &batch);
       const crypto::PublicKey payee =
-          crypto::KeyPair::FromSeed(config_.key_seed_base + 1 + u)
-              .public_key();
-      chain::Transaction leg =
-          BuildLeg(slot, payer, payee, config_.swap_amount, fee);
+          crypto::KeyPair::FromSeed(kKeySeedBase + 1 + u).public_key();
+      chain::Transaction leg = BuildLeg(slot, payer, payee, kSwapAmount, fee);
       record.leg_b_id = leg.Id();
       batch.txs.push_back(GeneratedTx{arrival, chain_b, std::move(leg)});
     }

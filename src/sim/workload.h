@@ -4,19 +4,25 @@
 // The paper's experiments (Section 6) drive chains with synthetic swap
 // traffic; this module is the open-loop ("open world") version of that
 // harness: arrivals come from a stochastic process that does not wait for
-// inclusion — exactly how real users hit a public mempool. Three knobs
+// inclusion — exactly how real users hit a public mempool. Three things
 // shape the traffic:
 //
 //  * Arrival process — Poisson (memoryless, `arrivals_per_sec`) or bursty
 //    (an on/off modulated Poisson process: exponential on/off phase
-//    durations, with the on-phase rate multiplied by `burst_multiplier`).
-//  * Account popularity — swap participants are drawn from a configurable
-//    universe (millions of keys) with Zipf-distributed popularity, so a
-//    few hot accounts dominate while the long tail still materializes.
-//    Wallet state is created lazily on first touch: a universe of 10M
-//    accounts costs memory only for the accounts traffic actually hits.
+//    durations, with the on-phase rate four times `arrivals_per_sec`).
+//  * Account popularity — swap participants are drawn from a universe of
+//    `accounts` keys (millions) with Zipf(1.1) popularity, so a few hot
+//    accounts dominate while the long tail still materializes. Wallet
+//    state is created lazily on first touch: a universe of 10M accounts
+//    costs memory only for the accounts traffic actually hits.
 //  * Fee pressure — per-chain fee floors plus a uniform spread, so
 //    cross-chain legs compete for block space at different price points.
+//
+// A caller sets the chain count, the account universe, the arrival rate
+// and process and the bursty phase lengths (WorkloadConfig). The Zipf
+// exponent, the burst multiplier, the fees, the leg and grant amounts,
+// the faucet lanes and the key derivation are constants of the generator
+// (workload.cc).
 //
 // Every stochastic choice draws from forked common::Rng streams seeded by
 // the constructor, so a (config, seed) pair replays bit-for-bit: same
@@ -48,6 +54,7 @@ enum class ArrivalProcess : uint8_t {
   kBursty = 1,   ///< On/off modulated Poisson (see WorkloadConfig).
 };
 
+/// The traffic shape a caller sets (see the header comment for the rest).
 struct WorkloadConfig {
   /// Number of chains legs are spread over. A swap picks two distinct
   /// chains when >= 2; a single-chain config degrades to plain transfers.
@@ -55,43 +62,16 @@ struct WorkloadConfig {
   /// Account universe size (keys exist implicitly; wallets materialize
   /// lazily on first touch). Millions are cheap — see the header comment.
   uint64_t accounts = 1'000'000;
-  /// Zipf exponent for participant popularity (s = 0 is uniform; s
-  /// around 1 is the classic heavy tail).
-  double zipf_s = 1.1;
 
   /// Mean swap arrivals per simulated second (both processes).
   double arrivals_per_sec = 200.0;
   ArrivalProcess process = ArrivalProcess::kPoisson;
-  /// Bursty process: mean on/off phase durations (simulated ms) and the
-  /// rate multiplier applied during on phases. Off phases emit nothing,
-  /// so the long-run average rate is
-  ///   arrivals_per_sec * burst_multiplier * on / (on + off).
+  /// Bursty process: mean on/off phase durations (simulated ms). On
+  /// phases run at four times `arrivals_per_sec` and off phases emit
+  /// nothing, so the long-run average rate is
+  ///   arrivals_per_sec * 4 * on / (on + off).
   double burst_on_mean_ms = 2'000.0;
   double burst_off_mean_ms = 6'000.0;
-  double burst_multiplier = 4.0;
-
-  /// Per-chain fee pressure: chain c's floor is
-  /// `fee_floor + c * fee_chain_step`, and each transaction adds a
-  /// uniform draw in [0, fee_spread].
-  chain::Amount fee_floor = 1;
-  chain::Amount fee_chain_step = 1;
-  chain::Amount fee_spread = 4;
-
-  /// Value moved by each swap leg.
-  chain::Amount swap_amount = 5;
-  /// Faucet grant size; a grant funds grant_amount / (swap_amount + max
-  /// fee) legs before the account needs re-funding.
-  chain::Amount grant_amount = 10'000;
-  /// Genesis faucet outputs per chain. More lanes shorten the
-  /// faucet-change dependency chains threaded through funding bursts.
-  size_t faucet_lanes = 64;
-  /// Value of each genesis faucet output.
-  chain::Amount faucet_lane_value = 1'000'000'000'000ULL;
-
-  /// Base for deterministic key derivation (account k on any chain signs
-  /// with KeyPair::FromSeed(key_seed_base + 1 + k); the faucet uses
-  /// key_seed_base itself).
-  uint64_t key_seed_base = 0x5eed'0000'0000'0000ULL;
 };
 
 /// One emitted transaction with its arrival timestamp.
@@ -134,8 +114,8 @@ class WorkloadGenerator {
   const WorkloadConfig& config() const { return config_; }
 
   /// Faucet allocations for chain slot `chain` — pass as the Blockchain
-  /// genesis allocations. Identical for every slot (faucet_lanes outputs
-  /// of faucet_lane_value owned by the faucet key).
+  /// genesis allocations. Identical for every slot (the faucet lanes,
+  /// each an output owned by the faucet key).
   std::vector<chain::TxOutput> GenesisAllocations(size_t chain) const;
 
   /// Binds chain slot `chain` to a live chain: records the ChainId
@@ -160,8 +140,8 @@ class WorkloadGenerator {
     return burst_windows_;
   }
 
-  /// Draws one Zipf(s) rank in [0, accounts) — exposed for distribution
-  /// tests; NextBatch uses exactly this.
+  /// Draws one Zipf(1.1) rank in [0, accounts) — exposed for
+  /// distribution tests; NextBatch uses exactly this.
   uint64_t SampleZipf(Rng* rng) const;
 
  private:
@@ -217,9 +197,8 @@ class WorkloadGenerator {
   std::vector<std::pair<TimePoint, TimePoint>> burst_windows_;
   uint64_t swaps_generated_ = 0;
   /// Zipf normalization is implicit in the inverse-CDF approximation; the
-  /// cached powers make SampleZipf O(1).
-  double zipf_q_ = 0.0;  ///< accounts^(1 - s) (s != 1 branch).
-  double zipf_log_n_ = 0.0;
+  /// cached power makes SampleZipf O(1).
+  double zipf_q_ = 0.0;  ///< (accounts + 1)^(1 - s), s = 1.1.
 };
 
 }  // namespace ac3::sim

@@ -1089,7 +1089,6 @@ TEST(BlockchainTest, StatesOnDemandMatchRecordsAndGenesisReplays) {
   // right after the entry was accepted and a replay of its branch from
   // genesis, by value: every output, every contract's fields and the
   // liquid and locked totals.
-  contracts::RegisterBuiltinContracts();
   ChainParams params = FastParams();
   params.difficulty_bits = 4;
   std::vector<crypto::KeyPair> keys;
@@ -1264,7 +1263,6 @@ TEST(BlockchainTest, FindTxFollowsAReorgToTheOtherInclusion) {
 }
 
 TEST(BlockchainTest, FindCallForgetsARedeemReorgedAway) {
-  contracts::RegisterBuiltinContracts();
   const ChainParams params = FastParams();
   TestChain tc(params,
                Fund({Alice().public_key(), Bob().public_key()}, 100000));
@@ -1383,7 +1381,6 @@ void ExpectSameLocation(const std::optional<TxLocation>& got,
 }
 
 TEST(ChainIndexTest, ForkReorgChurnMatchesParentWalk) {
-  contracts::RegisterBuiltinContracts();
   const ChainParams params = ChurnParams();
   Blockchain bc(params, Fund({kAlice.public_key(), kBob.public_key()}, 100000));
 

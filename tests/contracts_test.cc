@@ -1,7 +1,9 @@
 // Contract-layer tests: the Algorithm 1 template's state machine and its
 // three instantiations (HTLC, Algorithm 2 CentralizedSC, Algorithm 4
-// PermissionlessSC), the contract factory, and on-ledger execution
+// PermissionlessSC), the contract-kind table, and on-ledger execution
 // (deploy fees, payouts, failed-guard receipts).
+
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -376,34 +378,43 @@ TEST(EdgeEvidenceTest, DecodeRejectsTrailingBytes) {
   EXPECT_FALSE(Decode<EdgeEvidence>(encoded).ok());
 }
 
-// ----------------------------------------------------------------- factory
+// ------------------------------------------------------------ contract kinds
 
-TEST(ContractFactoryTest, KnowsAllBuiltinKinds) {
-  RegisterBuiltinContracts();
-  ContractFactory& factory = ContractFactory::Instance();
-  EXPECT_TRUE(factory.Knows(kHtlcKind));
-  EXPECT_TRUE(factory.Knows(kCentralizedKind));
-  EXPECT_TRUE(factory.Knows(kPermissionlessKind));
-  EXPECT_TRUE(factory.Knows("WitnessSC"));
-  EXPECT_TRUE(factory.Knows("RelaySC"));
-  EXPECT_FALSE(factory.Knows("NoSuchContract"));
+TEST(ContractDeployTest, EveryBuiltinKindResolves) {
+  // The two sample payloads a deploy would refuse, made deployable: SCw
+  // needs ms(D) signed by every participant, and PermissionlessSC a
+  // checkpoint of the witness chain it names.
+  WitnessInit witness = SampleWitnessInit();
+  crypto::Multisignature ms(Bytes{1, 2, 3});
+  ASSERT_TRUE(ms.AddSignature(kAlice).ok());
+  ASSERT_TRUE(ms.AddSignature(kBob).ok());
+  witness.ms_encoded = Encode(ms);
+  PermissionlessInit permissionless = SamplePermissionlessInit();
+  permissionless.witness_chain_id = permissionless.witness_checkpoint.chain_id;
+  const std::pair<const char*, Bytes> kinds[] = {
+      {kHtlcKind, Encode(HtlcInit{kBob.public_key(),
+                                  crypto::Hash256::Of(Bytes{5}), 1000})},
+      {kCentralizedKind,
+       Encode(CentralizedInit{kBob.public_key(), crypto::Hash256::Of(Bytes{6}),
+                              kTrent.public_key()})},
+      {kPermissionlessKind, Encode(permissionless)},
+      {kWitnessKind, Encode(witness)},
+      {kRelayKind, Encode(SampleRelayInit())},
+  };
+  for (const auto& [kind, payload] : kinds) {
+    auto contract = Deploy(kind, payload, MakeDeployCtx(9));
+    ASSERT_TRUE(contract.ok()) << kind << ": " << contract.status();
+    EXPECT_EQ((*contract)->Kind(), kind);
+  }
 }
 
-TEST(ContractFactoryTest, DeployDispatchesByKind) {
-  RegisterBuiltinContracts();
-  Bytes payload = Encode(HtlcInit{
-      kBob.public_key(), crypto::Hash256::Of(Bytes{5}), 1000});
-  auto contract =
-      ContractFactory::Instance().Deploy(kHtlcKind, payload, MakeDeployCtx(9));
-  ASSERT_TRUE(contract.ok());
-  EXPECT_EQ((*contract)->Kind(), kHtlcKind);
-}
-
-TEST(ContractFactoryTest, UnknownKindFails) {
-  RegisterBuiltinContracts();
-  auto contract = ContractFactory::Instance().Deploy("Bogus", {},
-                                                     MakeDeployCtx(1));
-  EXPECT_FALSE(contract.ok());
+TEST(ContractDeployTest, UnknownKindIsNotFound) {
+  for (const char* kind : {"Bogus", "", "htlc", "HTLC "}) {
+    auto contract = Deploy(kind, {}, MakeDeployCtx(1));
+    ASSERT_FALSE(contract.ok()) << "'" << kind << "'";
+    EXPECT_EQ(contract.status().code(), StatusCode::kNotFound)
+        << "'" << kind << "'";
+  }
 }
 
 // --------------------------------------------------------- ledger behaviour

@@ -1,7 +1,7 @@
 // Golden determinism: the engine's domain outputs are pinned to exact
 // pre-refactor values, so any perf work on the hot paths (visible-head
 // tracking, copy-on-write ledger state, midstate PoW, mempool indexing)
-// is provably behavior-preserving. Three fingerprints are pinned:
+// is provably behavior-preserving. Four fingerprints are pinned:
 //
 //  * a manually-mined chain (assembly + validation + ledger execution):
 //    the head block hash after 60 blocks x 4 funded transfers;
@@ -9,12 +9,16 @@
 //    delays and forks): the head hash and fork count at height 200;
 //  * a full protocol sweep (herlihy / ac3tw / ac3wn worlds run to their
 //    verdicts): a SHA-256 over the serialized outcome + aggregate JSON,
-//    identical on 1 thread and on 4.
+//    identical on 1 thread and on 4;
+//  * the open-world traffic generator: a SHA-256 over (arrival, chain
+//    slot, transaction id) of every transaction one Poisson and one
+//    bursty stream emit in their first 2 s.
 //
 // If an intentional semantic change ever invalidates these, the failure
 // message prints the new value to re-pin — but for a perf PR, a mismatch
 // here means the optimization changed behavior and must be fixed.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "src/core/environment.h"
 #include "src/crypto/hash256.h"
 #include "src/runner/sweep_runner.h"
+#include "src/sim/workload.h"
 
 namespace ac3 {
 namespace {
@@ -52,6 +57,13 @@ constexpr char kSweepFingerprint[] =
 // as the closure oracle.
 constexpr char kFourEngineSweepFingerprint[] =
     "5947e6f83c396242e20b321350f7a7fb5332dda082a5c6dbf9f335e058fb3c9d";
+// Pinned while the generator's fees, amounts, faucet lanes, key seeds, Zipf
+// exponent and burst multiplier were WorkloadConfig fields: as constants
+// they must emit the same stream.
+constexpr char kPoissonWorkloadStream[] =
+    "000708debb9f73a268b5c336e403bc47c65a2438b847103535c365ed63653695";
+constexpr char kBurstyWorkloadStream[] =
+    "ded1cfbeb52d138c3d12aa9dd17cdafff7be6e729889dbfff9ecfbb12de2ad50";
 
 // ---- scenario 1: manual chain build ---------------------------------------
 
@@ -196,6 +208,54 @@ TEST(GoldenDeterminismTest, FourEngineSweepMatchesPinnedGolden) {
 TEST(GoldenDeterminismTest, FourEngineSweepThreadInvariant) {
   EXPECT_EQ(FourEngineFingerprint(/*threads=*/4), kFourEngineSweepFingerprint)
       << "thread count changed domain outputs — determinism bug.";
+}
+
+// ---- scenario 4: the open-world traffic generator ---------------------------
+
+/// SHA-256 over (arrival, chain slot, transaction id) of every transaction
+/// `config`'s generator emits by 2 s, bound to real genesis chains as
+/// the benchmark binds it.
+std::string WorkloadStreamDigest(const sim::WorkloadConfig& config,
+                                 uint64_t seed) {
+  sim::WorkloadGenerator gen(config, seed);
+  std::vector<std::unique_ptr<chain::Blockchain>> chains;
+  for (size_t c = 0; c < config.chains; ++c) {
+    chain::ChainParams params = chain::TestChainParams();
+    params.id = static_cast<chain::ChainId>(c + 1);
+    chains.push_back(std::make_unique<chain::Blockchain>(
+        params, gen.GenesisAllocations(c)));
+    gen.BindChain(c, chains[c]->id(), chains[c]->genesis_tx());
+  }
+  const sim::WorkloadBatch batch = gen.NextBatch(2'000);
+  EXPECT_GT(batch.txs.size(), 500u);
+  Bytes stream;
+  for (const sim::GeneratedTx& gtx : batch.txs) {
+    const uint64_t head[] = {static_cast<uint64_t>(gtx.arrival), gtx.chain};
+    for (const uint64_t field : head) {
+      for (int byte = 0; byte < 8; ++byte) {
+        stream.push_back(static_cast<uint8_t>(field >> (8 * byte)));
+      }
+    }
+    const crypto::Hash256& id = gtx.tx.Id();
+    stream.insert(stream.end(), id.data().begin(), id.data().end());
+  }
+  return crypto::Hash256::Of(stream).ToHex();
+}
+
+TEST(GoldenDeterminismTest, WorkloadStreamsMatchPinned) {
+  sim::WorkloadConfig poisson;
+  EXPECT_EQ(WorkloadStreamDigest(poisson, /*seed=*/340001),
+            kPoissonWorkloadStream)
+      << "Poisson traffic stream drifted; if intentional, re-pin.";
+
+  sim::WorkloadConfig bursty;
+  bursty.process = sim::ArrivalProcess::kBursty;
+  bursty.arrivals_per_sec = 400.0;
+  bursty.burst_on_mean_ms = 500.0;
+  bursty.burst_off_mean_ms = 1'500.0;
+  EXPECT_EQ(WorkloadStreamDigest(bursty, /*seed=*/340002),
+            kBurstyWorkloadStream)
+      << "bursty traffic stream drifted; if intentional, re-pin.";
 }
 
 }  // namespace

@@ -98,7 +98,6 @@ TEST(WorkloadTest, HorizonPartitioningDoesNotChangeTheStream) {
 TEST(WorkloadTest, ZipfRanksAreHeavyTailedAndInRange) {
   WorkloadConfig config;
   config.accounts = 1'000'000;
-  config.zipf_s = 1.2;
   WorkloadGenerator gen(config, 5);
   Rng rng(1234);
   constexpr int kDraws = 20'000;
@@ -110,21 +109,11 @@ TEST(WorkloadTest, ZipfRanksAreHeavyTailedAndInRange) {
     if (rank < 10) ++top10;
     if (rank >= config.accounts / 2) ++deep_tail;
   }
-  // s=1.2 over 1M accounts: the head dominates but the tail still shows.
+  // s=1.1 over 1M accounts: the head dominates (the inverse CDF puts
+  // 0.285 of the draws on the top 10) but the tail still shows (0.024).
   EXPECT_GT(top10, kDraws / 4);
   EXPECT_GT(deep_tail, 0);
   EXPECT_LT(deep_tail, kDraws / 10);
-
-  // s=0 degenerates to uniform: the top-10 share collapses.
-  WorkloadConfig uniform = config;
-  uniform.zipf_s = 0.0;
-  WorkloadGenerator flat(uniform, 5);
-  Rng flat_rng(1234);
-  int flat_top10 = 0;
-  for (int i = 0; i < kDraws; ++i) {
-    if (flat.SampleZipf(&flat_rng) < 10) ++flat_top10;
-  }
-  EXPECT_LT(flat_top10, 20);
 }
 
 TEST(WorkloadTest, PoissonInterArrivalMeanWithinTolerance) {
@@ -146,7 +135,6 @@ TEST(WorkloadTest, BurstyArrivalsStayInsideOnWindowsWithSaneDutyCycle) {
   config.arrivals_per_sec = 150.0;
   config.burst_on_mean_ms = 1'000.0;
   config.burst_off_mean_ms = 3'000.0;
-  config.burst_multiplier = 4.0;
   WorkloadGenerator gen(config, 21);
   BindAll(&gen);
   const TimePoint horizon = 120'000;
@@ -181,8 +169,8 @@ TEST(WorkloadTest, BurstyArrivalsStayInsideOnWindowsWithSaneDutyCycle) {
                       static_cast<double>(windows.back().second);
   EXPECT_GT(duty, 0.10);
   EXPECT_LT(duty, 0.45);
-  // The modulated process still delivers roughly rate * multiplier * duty
-  // arrivals overall.
+  // The modulated process still delivers roughly rate * 4 * duty arrivals
+  // overall.
   EXPECT_GT(batch.swaps.size(), 1000u);
 }
 
