@@ -15,6 +15,9 @@
 #include <string>
 
 #include "bench/study.h"
+#include "src/protocols/ac3tw_swap.h"
+#include "src/protocols/ac3wn_swap.h"
+#include "src/protocols/herlihy_swap.h"
 
 namespace ac3 {
 namespace {
@@ -76,8 +79,7 @@ Outcome RunCase(Proto proto, const FailureCase& failure, uint64_t seed) {
 
   if (proto == Proto::kHtlc) {
     protocols::HerlihySwapEngine engine(world.env(), graph,
-                                        world.all_participants(),
-                                        benchutil::FastHtlcConfig());
+                                        world.all_participants(), {});
     Status started = engine.Start();
     if (!started.ok()) return Outcome{};
     // HTLC's vulnerable window: both contracts published, secret not yet
@@ -88,8 +90,7 @@ Outcome RunCase(Proto proto, const FailureCase& failure, uint64_t seed) {
   }
   if (proto == Proto::kAc3tw) {
     protocols::Ac3twSwapEngine engine(world.env(), graph,
-                                      world.all_participants(), &trent,
-                                      benchutil::FastAc3twConfig());
+                                      world.all_participants(), &trent, {});
     Status started = engine.Start();
     if (!started.ok()) return Outcome{};
     failure.inject(&world, &trent);
@@ -98,8 +99,7 @@ Outcome RunCase(Proto proto, const FailureCase& failure, uint64_t seed) {
   }
   protocols::Ac3wnSwapEngine engine(world.env(), graph,
                                     world.all_participants(),
-                                    world.witness_chain(),
-                                    benchutil::FastAc3wnConfig());
+                                    world.witness_chain(), {});
   Status started = engine.Start();
   if (!started.ok()) return Outcome{};
   failure.inject(&world, &trent);

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench/study.h"
+#include "src/protocols/herlihy_swap.h"
 
 namespace ac3 {
 namespace {
@@ -29,8 +30,7 @@ runner::Json RunTimeline(int diameter) {
   world.StartMining();
   graph::Ac2tGraph ring = runner::RingOverWorld(&world, diameter);
   protocols::HerlihySwapEngine engine(world.env(), ring,
-                                      world.all_participants(),
-                                      benchutil::FastHtlcConfig());
+                                      world.all_participants(), {});
   auto report = engine.Run(kDeadline);
   if (!report.ok()) {
     std::printf("Diam=%d: engine error: %s\n", diameter,

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench/study.h"
+#include "src/protocols/ac3wn_swap.h"
 
 namespace ac3 {
 namespace {
@@ -27,10 +28,8 @@ runner::Json RunTimeline(int diameter) {
   core::ScenarioWorld world(options);
   world.StartMining();
   graph::Ac2tGraph ring = runner::RingOverWorld(&world, diameter);
-  protocols::Ac3wnSwapEngine engine(world.env(), ring,
-                                    world.all_participants(),
-                                    world.witness_chain(),
-                                    benchutil::FastAc3wnConfig());
+  protocols::Ac3wnSwapEngine engine(world.env(), ring, world.all_participants(),
+                                    world.witness_chain(), {});
   auto report = engine.Run(kDeadline);
   if (!report.ok()) {
     std::printf("Diam=%d: engine error: %s\n", diameter,

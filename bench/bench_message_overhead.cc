@@ -50,8 +50,6 @@ StudyRun MessageOverhead(const Options& context) {
                    runner::FailureMode::kDropMessages,
                    runner::FailureMode::kDuplicateMessages};
   grid.seeds = {501, 502, 503};
-  grid.message_drop_prob = 0.10;
-  grid.message_duplicate_prob = 0.25;
   // Lossy cells recover on 800 ms resend heartbeats; 90 s dwarfs every
   // retry chain while keeping the study cheap.
   grid.deadline = Seconds(90);

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench/study.h"
+#include "src/protocols/ac3wn_swap.h"
 #include "src/runner/sweep_runner.h"
 
 namespace ac3 {
@@ -67,7 +68,7 @@ BatchResult RunBatch(int witness_networks, int swaps, uint64_t seed) {
   }
   world.StartMining();
 
-  protocols::Ac3wnConfig config = benchutil::FastAc3wnConfig();
+  protocols::Ac3wnConfig config;
   config.publish_patience = Seconds(120);
 
   BatchResult result;

@@ -11,6 +11,8 @@
 
 #include "bench/study.h"
 #include "src/analysis/cost_model.h"
+#include "src/protocols/ac3wn_swap.h"
+#include "src/protocols/herlihy_swap.h"
 
 namespace ac3 {
 namespace {
@@ -27,8 +29,7 @@ chain::Amount MeasuredHerlihyFee(int n, uint64_t seed) {
   world.StartMining();
   graph::Ac2tGraph ring = runner::RingOverWorld(&world, n);
   protocols::HerlihySwapEngine engine(world.env(), ring,
-                                      world.all_participants(),
-                                      benchutil::FastHtlcConfig());
+                                      world.all_participants(), {});
   auto report = engine.Run(kDeadline);
   return report.ok() && report->committed ? report->total_fees : 0;
 }
@@ -45,10 +46,8 @@ chain::Amount MeasuredAc3wnFee(int n, uint64_t seed) {
   core::ScenarioWorld world(options);
   world.StartMining();
   graph::Ac2tGraph ring = runner::RingOverWorld(&world, n);
-  protocols::Ac3wnSwapEngine engine(world.env(), ring,
-                                    world.all_participants(),
-                                    world.witness_chain(),
-                                    benchutil::FastAc3wnConfig());
+  protocols::Ac3wnSwapEngine engine(world.env(), ring, world.all_participants(),
+                                    world.witness_chain(), {});
   auto report = engine.Run(kDeadline);
   return report.ok() && report->committed ? report->total_fees : 0;
 }

@@ -1,9 +1,9 @@
 // Shared scaffolding for the studies behind ac3_study: the uniform
-// study CLI (bench::Options), "fast profile" engine configurations,
-// fixed-width table printing, and the grid-study helpers the sweep
-// studies share. Measurement, parallel sweeping, and machine-readable
-// output live in src/runner/; the registry and StudyMain in
-// bench/study.{h,cc}.
+// study CLI (bench::Options), fixed-width table printing, and the
+// grid-study helpers the sweep studies share. Studies build engines with
+// their default configs, the swap-world profile (protocols::EngineConfig).
+// Measurement, parallel sweeping, and machine-readable output live in
+// src/runner/; the registry and StudyMain in bench/study.{h,cc}.
 
 #ifndef AC3_BENCH_BENCH_UTIL_H_
 #define AC3_BENCH_BENCH_UTIL_H_
@@ -17,9 +17,6 @@
 
 #include "src/core/scenario.h"
 #include "src/graph/ac2t_graph.h"
-#include "src/protocols/ac3tw_swap.h"
-#include "src/protocols/ac3wn_swap.h"
-#include "src/protocols/herlihy_swap.h"
 #include "src/runner/bench_output.h"
 #include "src/runner/sweep_runner.h"
 
@@ -193,25 +190,6 @@ struct Options : runner::BenchContext {
 }  // namespace ac3::bench
 
 namespace ac3::benchutil {
-
-/// The fast worlds' shared engine knobs; the three configs below add only
-/// their own.
-inline protocols::VerdictConfig FastEngineConfig() {
-  protocols::VerdictConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.resubmit_interval = Milliseconds(800);
-  config.publish_patience = Seconds(20);
-  return config;
-}
-
-inline protocols::Ac3wnConfig FastAc3wnConfig() {
-  return {FastEngineConfig(), /*witness_depth_d=*/2};
-}
-
-inline protocols::Ac3twConfig FastAc3twConfig() { return FastEngineConfig(); }
-
-inline protocols::HtlcConfig FastHtlcConfig() { return FastEngineConfig(); }
 
 /// printf-style row helpers so every harness prints aligned tables.
 inline void PrintRule(int width = 72) {

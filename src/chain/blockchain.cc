@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/chain/pow.h"
-#include "src/common/logging.h"
 #include "src/common/worker_pool.h"
 #include "src/crypto/merkle.h"
 
@@ -145,18 +144,8 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
                                          LedgerDelta* delta,
                                          std::vector<Receipt>* receipts) const {
   const BlockHeader& header = block.header;
-  if (header.chain_id != params_.id) {
-    return Status::InvalidArgument("block for another chain");
-  }
-  if (header.height != parent.block.header.height + 1) {
-    return Status::InvalidArgument("height does not extend parent");
-  }
-  if (header.difficulty_bits != params_.difficulty_bits) {
-    return Status::VerificationFailed("wrong difficulty");
-  }
-  if (!CheckProofOfWork(header)) {
-    return Status::VerificationFailed("proof of work does not meet target");
-  }
+  AC3_RETURN_IF_ERROR(CheckHeaderLink(header, parent.block.header, parent.hash,
+                                      params_.difficulty_bits));
   // The O(1) size checks run before anything hashes or executes the body.
   if (block.txs.size() > params_.max_block_txs + 1) {  // +1 for coinbase.
     return Status::InvalidArgument("block over capacity");
@@ -284,14 +273,9 @@ void Blockchain::CommitValidated(Block block, const crypto::Hash256& hash,
   arrival_order_.push_back(stored);
   states_.emplace(stored, std::move(post_state));
 
-  // Longest-chain rule: adopt strictly heavier branches only, so the
-  // first-seen block wins ties (Section 2.1: "miners accept the first
-  // received mined block").
-  if (stored->total_work > head_->total_work) {
-    if (head_ != parent) {
-      AC3_LOG(kInfo) << params_.name << ": reorg to "
-                     << hash.ShortHex() << " at height " << stored->height();
-    }
+  // Longest-chain rule: the stored block arrived last, so it wins only
+  // with strictly more work and the first-seen block keeps a tie.
+  if (ForkChoicePrefers(*stored, *head_)) {
     const BlockEntry* old_head = head_;
     head_ = stored;
     // Iterate by index: a listener may subscribe another listener (growing
@@ -372,6 +356,18 @@ std::optional<Blockchain::TxLocation> Blockchain::FindCall(
                          [this](const BlockEntry& entry) {
                            return OnBranch(*head_, &entry);
                          });
+}
+
+std::optional<Blockchain::TxLocation> Blockchain::CallConfirmedAtDepth(
+    const crypto::Hash256& contract_id, const std::string& function,
+    uint64_t depth) const {
+  // As in TxConfirmedAtDepth: FindCall finds canonical calls only.
+  std::optional<TxLocation> call =
+      FindCall(contract_id, function, /*require_success=*/true);
+  if (call.has_value() && head_->height() - call->entry->height() < depth) {
+    return std::nullopt;
+  }
+  return call;
 }
 
 Result<contracts::ContractPtr> Blockchain::ContractAtHead(
@@ -481,11 +477,7 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
       fresh->examined.push_back(tx_id);
       if (on_branch[i - first] || chosen_ids.count(tx_id) > 0) continue;
       auto receipt = ApplyTransaction(&working, tx, env);
-      if (!receipt.ok()) {
-        AC3_LOG(kDebug) << params_.name << ": skip tx " << tx_id.ShortHex()
-                        << " — " << receipt.status().ToString();
-        continue;
-      }
+      if (!receipt.ok()) continue;
       chosen_ids.insert(tx_id);
       fresh->chosen.push_back(static_cast<uint32_t>(i));
       tx_leaves.push_back(tx_id);

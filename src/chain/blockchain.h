@@ -46,9 +46,10 @@ class Blockchain {
 
   // ----------------------------------------------------------- block store
 
-  /// Fully validates `block` (PoW, linkage, roots, transaction execution,
-  /// receipt equality) and stores it, moving it into its entry. The
-  /// canonical head moves only when the new branch has strictly more work.
+  /// Fully validates `block` (the header rule, CheckHeaderLink; roots,
+  /// transaction execution, receipt equality) and stores it, moving it
+  /// into its entry. The canonical head moves only when the new branch has
+  /// strictly more work (ForkChoicePrefers).
   /// The block's staged re-execution, both roots and its duplicate checks
   /// run side by side on the calling thread's WorkerPool; the returned
   /// status is still the one a serial check gives (ValidateAgainstParent).
@@ -128,6 +129,14 @@ class Blockchain {
                                      const std::string& function,
                                      bool require_success) const;
 
+  /// The newest canonical successful call of `function` on `contract_id`,
+  /// when it is buried under at least `depth` blocks; nullopt otherwise,
+  /// also when an older such call is deep enough. The settle and verdict
+  /// scans' "call confirmed" test.
+  std::optional<TxLocation> CallConfirmedAtDepth(
+      const crypto::Hash256& contract_id, const std::string& function,
+      uint64_t depth) const;
+
   /// Contract snapshot at the canonical head.
   Result<contracts::ContractPtr> ContractAtHead(
       const crypto::Hash256& id) const;
@@ -185,11 +194,12 @@ class Blockchain {
                               Rng* rng, bool mine = true) const;
 
  private:
-  /// Full validation of `block` against its parent entry: linkage, PoW,
-  /// the O(1) size checks (capacity, one receipt per transaction), roots,
-  /// branch-duplicate checks, then serial transaction execution staged in
-  /// `delta`, which lies over the parent's state (StageBlockBody), and
-  /// declared-receipt equality. Writes no state.
+  /// Full validation of `block` against its parent entry: the header rule
+  /// (CheckHeaderLink, against the entry's stored hash), the O(1) size
+  /// checks (capacity, one receipt per transaction), roots, branch-duplicate
+  /// checks, then serial transaction execution staged in `delta`, which
+  /// lies over the parent's state (StageBlockBody), and declared-receipt
+  /// equality. Writes no state.
   ///
   /// The staged execution, the tx root, the receipt root and the duplicate
   /// checks read only the block, the parent's state and the store, so they

@@ -14,7 +14,9 @@
 // depends on the head, so the canonical-filtering queries take an
 // `on_branch` predicate from the Blockchain. That keeps the facade a pure
 // index — no head pointer, no ancestry logic — and keeps the longest-chain
-// rule in exactly one place.
+// rule in exactly one place: ForkChoicePrefers (pow.h), which the
+// Blockchain's head, the mining network's visible heads and the light
+// client's head all call.
 
 #ifndef AC3_CHAIN_CHAIN_INDEX_H_
 #define AC3_CHAIN_CHAIN_INDEX_H_

@@ -25,27 +25,16 @@ Status LightClient::AcceptHeader(const BlockHeader& header) {
                             header.prev_hash.ShortHex());
   }
   const Entry& parent = parent_it->second;
-  if (header.chain_id != parent.header.chain_id) {
-    return Status::VerificationFailed("header belongs to another chain");
-  }
-  if (header.height != parent.header.height + 1) {
-    return Status::VerificationFailed("non-consecutive header height");
-  }
-  if (header.difficulty_bits != difficulty_bits_) {
-    return Status::VerificationFailed("header declares wrong difficulty");
-  }
-  if (!CheckProofOfWork(header)) {
-    return Status::VerificationFailed("header fails proof of work");
-  }
+  AC3_RETURN_IF_ERROR(CheckHeaderLink(header, parent.header, parent_it->first,
+                                      difficulty_bits_));
 
   Entry entry;
   entry.header = header;
   entry.total_work = parent.total_work + WorkForDifficulty(difficulty_bits_);
   entry.arrival_seq = next_arrival_seq_++;
-  const Entry& head = headers_.at(head_hash_);
-  const bool heavier = entry.total_work > head.total_work;
+  const bool new_head = ForkChoicePrefers(entry, headers_.at(head_hash_));
   headers_.emplace(hash, std::move(entry));
-  if (heavier) head_hash_ = hash;
+  if (new_head) head_hash_ = hash;
   return Status::OK();
 }
 

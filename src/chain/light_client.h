@@ -33,10 +33,11 @@ class LightClient {
   /// consensus demands of every header.
   LightClient(BlockHeader genesis, uint32_t difficulty_bits);
 
-  /// Validates and stores one header: correct chain id, declared difficulty
-  /// matching the consensus requirement, valid PoW, known parent, and
-  /// height = parent height + 1. Duplicates are accepted idempotently.
-  /// Orphans (unknown parent) are rejected — feed headers oldest-first.
+  /// Validates and stores one header: its parent must be known, and the
+  /// header must extend it under the consensus difficulty (CheckHeaderLink).
+  /// The head follows ForkChoicePrefers. Duplicates are accepted
+  /// idempotently. Orphans (unknown parent) are NotFound — feed headers
+  /// oldest-first.
   Status AcceptHeader(const BlockHeader& header);
 
   /// Convenience: accept a batch oldest-first, stopping at the first error.

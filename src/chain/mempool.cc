@@ -27,14 +27,11 @@ Status Mempool::Submit(const Transaction& tx, TimePoint arrival) {
 Mempool::BatchResult Mempool::SubmitBatch(std::span<const Transaction> txs,
                                           TimePoint arrival) {
   BatchResult result;
-  result.statuses.reserve(txs.size());
   if (!entries_.empty() && entries_.back().arrival > arrival) {
     // Out-of-order arrival (tests, replays): the per-entry insert position
     // matters, so delegate to the stable-sort Submit path.
     for (const Transaction& tx : txs) {
-      Status status = Submit(tx, arrival);
-      if (status.ok()) ++result.accepted;
-      result.statuses.push_back(std::move(status));
+      if (Submit(tx, arrival).ok()) ++result.accepted;
     }
     return result;
   }
@@ -43,14 +40,10 @@ Mempool::BatchResult Mempool::SubmitBatch(std::span<const Transaction> txs,
   entries_.reserve(entries_.size() + txs.size());
   ids_.reserve(ids_.size() + txs.size());
   for (const Transaction& tx : txs) {
-    if (!ids_.insert(tx.Id()).second) {  // Covers in-batch duplicates too.
-      result.statuses.push_back(
-          Status::AlreadyExists("transaction already in mempool"));
-      continue;
-    }
+    // Covers in-batch duplicates too.
+    if (!ids_.insert(tx.Id()).second) continue;
     entries_.push_back(Entry{arrival, tx});
     ++result.accepted;
-    result.statuses.push_back(Status::OK());
   }
   return result;
 }

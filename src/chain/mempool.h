@@ -37,17 +37,14 @@ class Mempool {
   /// Outcome of one SubmitBatch call.
   struct BatchResult {
     size_t accepted = 0;  ///< Transactions queued.
-    /// One status per input transaction, in input order — exactly what a
-    /// serial Submit loop over the same sequence would have returned
-    /// (in-batch duplicates reject like cross-batch ones).
-    std::vector<Status> statuses;
   };
 
   /// Queues a batch sharing one arrival time — the open-world ingestion
   /// path (a node draining its network queue once per tick). Semantically
-  /// identical to calling Submit(tx, arrival) on each element in order,
-  /// but the id index and entry vector grow once for the whole batch and
-  /// the duplicate check is a single pass.
+  /// identical to calling Submit(tx, arrival) on each element in order
+  /// (in-batch duplicates reject like cross-batch ones), but the id index
+  /// and entry vector grow once for the whole batch and the duplicate
+  /// check is a single pass.
   BatchResult SubmitBatch(std::span<const Transaction> txs, TimePoint arrival);
 
   /// Transactions visible at `now` for which `already_included` returns

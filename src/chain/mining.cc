@@ -3,6 +3,7 @@
 #include <cassert>
 #include <span>
 
+#include "src/chain/pow.h"
 #include "src/common/logging.h"
 
 namespace ac3::chain {
@@ -59,11 +60,7 @@ const BlockEntry* MiningNetwork::VisibleHeadScan(int miner,
   const BlockEntry* best = chain_->genesis();
   for (const BlockEntry* entry : chain_->arrival_order()) {
     if (entry->arrival_time + GossipDelay(entry->hash, miner) > now) continue;
-    if (entry->total_work > best->total_work ||
-        (entry->total_work == best->total_work &&
-         entry->arrival_seq < best->arrival_seq)) {
-      best = entry;
-    }
+    if (ForkChoicePrefers(*entry, *best)) best = entry;
   }
   return best;
 }
@@ -80,15 +77,11 @@ const BlockEntry* MiningNetwork::VisibleHead(int miner, TimePoint now) const {
   view.last_now = now;
   if (view.best == nullptr) view.best = chain_->genesis();
 
-  // The fold is a max over (total_work, -arrival_seq); visibility is
-  // monotone in `now`, so folding each block exactly once as it becomes
-  // visible reproduces the full scan's answer.
+  // The fold is a max under ForkChoicePrefers; visibility is monotone in
+  // `now`, so folding each block exactly once as it becomes visible
+  // reproduces the full scan's answer.
   auto consider = [&](const BlockEntry* entry) {
-    if (entry->total_work > view.best->total_work ||
-        (entry->total_work == view.best->total_work &&
-         entry->arrival_seq < view.best->arrival_seq)) {
-      view.best = entry;
-    }
+    if (ForkChoicePrefers(*entry, *view.best)) view.best = entry;
   };
 
   const std::vector<const BlockEntry*>& feed = chain_->arrival_order();
@@ -128,14 +121,9 @@ void MiningNetwork::ProduceBlock() {
       miner_keys_[miner].public_key(), now, &rng_);
   if (block.ok()) {
     const crypto::Hash256 hash = block->header.Hash();
-    const uint64_t height = block->header.height;
-    const size_t tx_count = block->txs.size() - 1;
     Status submitted = chain_->SubmitBlock(std::move(*block), now);
     if (submitted.ok()) {
       producer_[hash] = miner;
-      AC3_LOG(kDebug) << chain_->params().name << ": miner " << miner
-                      << " mined " << hash.ShortHex() << " h=" << height
-                      << " txs=" << tx_count;
     } else {
       AC3_LOG(kWarn) << chain_->params().name
                      << ": submit failed: " << submitted.ToString();

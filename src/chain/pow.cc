@@ -103,6 +103,27 @@ bool CheckProofOfWork(const BlockHeader& header) {
   return HashMeetsDifficulty(header.Hash(), header.difficulty_bits);
 }
 
+Status CheckHeaderLink(const BlockHeader& header, const BlockHeader& parent,
+                       const crypto::Hash256& parent_hash,
+                       uint32_t difficulty_bits) {
+  if (header.chain_id != parent.chain_id) {
+    return Status::VerificationFailed("header belongs to another chain");
+  }
+  if (header.prev_hash != parent_hash) {
+    return Status::VerificationFailed("header does not link to its parent");
+  }
+  if (header.height != parent.height + 1) {
+    return Status::VerificationFailed("header height does not extend parent");
+  }
+  if (header.difficulty_bits != difficulty_bits) {
+    return Status::VerificationFailed("header declares the wrong difficulty");
+  }
+  if (!CheckProofOfWork(header)) {
+    return Status::VerificationFailed("header fails proof of work");
+  }
+  return Status::OK();
+}
+
 uint64_t MineHeader(BlockHeader* header, Rng* rng) {
   HeaderSearch search(*header, rng->NextU64());
   for (uint64_t first = 0; !ScanChunk(&search, first); first += kChunkNonces) {

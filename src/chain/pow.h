@@ -1,4 +1,6 @@
-// Proof of work: mining and verification.
+// Proof of work: mining and verification, and the two chain rules that
+// rest on it, each stated once: the header rule (CheckHeaderLink) and the
+// fork choice (ForkChoicePrefers).
 //
 // A header satisfies PoW when its double-SHA-256 hash has at least
 // `difficulty_bits` leading zero bits. Difficulty is fixed per chain (no
@@ -25,6 +27,18 @@ bool HashMeetsDifficulty(const crypto::Hash256& hash, uint32_t difficulty_bits);
 
 /// True when the header's own hash meets its declared difficulty.
 bool CheckProofOfWork(const BlockHeader& header);
+
+/// The header rule, stated once for the full node (Blockchain::SubmitBlock),
+/// the light node (LightClient::AcceptHeader) and relay evidence
+/// (contracts::VerifyHeaderChainEvidence), Section 4.3's three validation
+/// techniques: `header` extends `parent`, whose hash the caller passes in
+/// as `parent_hash`, when it names the parent's chain, links to
+/// `parent_hash`, sits one height above the parent and declares
+/// `difficulty_bits`, and its proof of work holds. The checks run in that
+/// order, proof of work last; every failure is VerificationFailed.
+Status CheckHeaderLink(const BlockHeader& header, const BlockHeader& parent,
+                       const crypto::Hash256& parent_hash,
+                       uint32_t difficulty_bits);
 
 /// Searches nonces (starting from a random offset drawn from `rng`, in
 /// ascending order) until the header meets its difficulty; mutates
@@ -64,6 +78,18 @@ std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
 /// Expected work contributed by one block of the given difficulty
 /// (2^difficulty_bits hash evaluations). Used by the longest-chain rule.
 double WorkForDifficulty(uint32_t difficulty_bits);
+
+/// The fork-choice rule, stated once (Section 2.1: "miners accept the first
+/// received mined block"): `candidate` beats `incumbent` when its branch
+/// carries more cumulative work, or the same work and arrived first. `Tip`
+/// is any entry with `total_work` and `arrival_seq`: a BlockEntry, or the
+/// light client's header entry.
+template <typename Tip>
+bool ForkChoicePrefers(const Tip& candidate, const Tip& incumbent) {
+  return candidate.total_work > incumbent.total_work ||
+         (candidate.total_work == incumbent.total_work &&
+          candidate.arrival_seq < incumbent.arrival_seq);
+}
 
 }  // namespace ac3::chain
 

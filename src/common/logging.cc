@@ -15,10 +15,6 @@ void Logger::set_level(LogLevel level) { g_level = level; }
 
 const char* Logger::LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
     case LogLevel::kWarn:
       return "WARN";
     case LogLevel::kError:

@@ -1,9 +1,9 @@
 // Minimal leveled logger.
 //
 // The simulator is single-threaded by design (discrete events), so the
-// logger is deliberately simple: a global level, ostream sink, and a macro
-// that formats lazily. Protocol engines log at kDebug; experiment harnesses
-// default the level to kWarn so benchmark output stays clean.
+// logger is deliberately simple: a global level (kWarn by default), ostream
+// sink, and a macro that formats lazily. Only warnings are written: a mined
+// block its chain rejects, or a deploy or call a wallet cannot build.
 
 #ifndef AC3_COMMON_LOGGING_H_
 #define AC3_COMMON_LOGGING_H_
@@ -14,11 +14,9 @@
 namespace ac3 {
 
 enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarn = 2,
-  kError = 3,
-  kOff = 4,
+  kWarn = 0,
+  kError = 1,
+  kOff = 2,
 };
 
 /// Global log configuration.

@@ -15,36 +15,16 @@ Status VerifyHeaderChainEvidence(const chain::BlockHeader& checkpoint,
     return Status::VerificationFailed("evidence target out of range");
   }
 
-  // 1. Anchoring at the checkpoint.
-  const chain::BlockHeader& first = evidence.headers[0];
-  if (first.prev_hash != checkpoint.Hash()) {
-    return Status::VerificationFailed(
-        "evidence does not extend the stored stable block");
-  }
-  if (first.height != checkpoint.height + 1) {
-    return Status::VerificationFailed("evidence height gap at checkpoint");
-  }
-
-  // 2–3. Linkage, heights, chain id, and per-header proof of work.
-  for (size_t i = 0; i < evidence.headers.size(); ++i) {
-    const chain::BlockHeader& header = evidence.headers[i];
-    if (header.chain_id != checkpoint.chain_id) {
-      return Status::VerificationFailed("evidence header for wrong chain");
-    }
-    if (header.difficulty_bits != required_difficulty_bits) {
-      return Status::VerificationFailed("evidence header difficulty mismatch");
-    }
-    if (!chain::CheckProofOfWork(header)) {
-      return Status::VerificationFailed("evidence header fails proof of work");
-    }
-    if (i > 0) {
-      if (header.prev_hash != evidence.headers[i - 1].Hash()) {
-        return Status::VerificationFailed("evidence headers do not link");
-      }
-      if (header.height != evidence.headers[i - 1].height + 1) {
-        return Status::VerificationFailed("evidence heights not consecutive");
-      }
-    }
+  // 1–3. Each header extends the one before it, headers[0] the checkpoint:
+  // chain id, linkage, height, difficulty and proof of work.
+  AC3_RETURN_IF_ERROR(chain::CheckHeaderLink(evidence.headers[0], checkpoint,
+                                             checkpoint.Hash(),
+                                             required_difficulty_bits));
+  for (size_t i = 1; i < evidence.headers.size(); ++i) {
+    const chain::BlockHeader& parent = evidence.headers[i - 1];
+    AC3_RETURN_IF_ERROR(chain::CheckHeaderLink(evidence.headers[i], parent,
+                                               parent.Hash(),
+                                               required_difficulty_bits));
   }
 
   // 4. Merkle inclusion against the target header.

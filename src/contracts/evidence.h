@@ -61,9 +61,9 @@ struct HeaderChainEvidence {
 };
 
 /// Verifies `evidence` against the stored `checkpoint`:
-///   1. headers[0] extends the checkpoint (hash + height + chain id),
-///   2. consecutive linkage and monotone heights throughout,
-///   3. every header declares `required_difficulty_bits` and its PoW holds,
+///   1–3. every header extends the one before it, headers[0] the
+///      checkpoint (chain::CheckHeaderLink: chain id, linkage, height,
+///      `required_difficulty_bits`, then proof of work),
 ///   4. the Merkle proof binds `leaf` to the target header's relevant root,
 ///   5. at least `min_confirmations` headers follow the target block.
 /// The caller then parses `leaf` and checks the item's semantics.

@@ -1,6 +1,5 @@
 #include "src/protocols/ac3tw_swap.h"
 
-#include "src/common/logging.h"
 #include "src/contracts/centralized_contract.h"
 
 namespace ac3::protocols {
@@ -112,10 +111,7 @@ void Ac3twSwapEngine::OnMessage(const proto::Message& msg) {
           tag == crypto::CommitmentTag::kRedeem
               ? trent_->HandleRedeemRequest(ms_id_)
               : trent_->HandleRefundRequest(ms_id_);
-      if (!result.ok()) {
-        AC3_LOG(kDebug) << "Trent declines: " << result.status().ToString();
-        return;
-      }
+      if (!result.ok()) return;  // Trent declines.
       SendProtocolMessage(proto::Message{
           .swap_id = ms_id_,
           .sender = trent_->node(),

@@ -135,10 +135,7 @@ void Ac3wnSwapEngine::TryAuthorize(crypto::CommitmentTag tag) {
             env()->blockchain(rt.edge.chain_id);
         auto ev = contracts::BuildTxEvidence(
             *asset_chain, rt.spec.asset_checkpoint.Hash(), rt.contract_id);
-        if (!ev.ok()) {
-          AC3_LOG(kDebug) << "evidence not ready: " << ev.status().ToString();
-          return;
-        }
+        if (!ev.ok()) return;
         evidence.push_back(std::move(*ev));
       }
       args = Encode(contracts::EdgeEvidence{std::move(evidence)});
@@ -176,22 +173,16 @@ void Ac3wnSwapEngine::TrackDecision() {
     crypto::CommitmentTag tag;
   };
   // Both transitions are scanned: under a fork one branch may carry RDauth
-  // and another RFauth (Lemma 5.3); FindCall only sees the canonical branch
-  // and the depth-d requirement below keeps transient winners from being
-  // acted on.
+  // and another RFauth (Lemma 5.3); only canonical calls count, and the
+  // depth-d requirement keeps transient winners from being acted on.
   for (const Candidate& c :
        {Candidate{contracts::kAuthorizeRedeemFunction,
                   crypto::CommitmentTag::kRedeem},
         Candidate{contracts::kAuthorizeRefundFunction,
                   crypto::CommitmentTag::kRefund}}) {
-    auto call = witness->FindCall(scw_id_, c.function,
-                                  /*require_success=*/true);
+    auto call = witness->CallConfirmedAtDepth(scw_id_, c.function,
+                                              config_.witness_depth_d);
     if (!call.has_value()) continue;
-    auto confirmations = witness->ConfirmationsOf(call->entry->hash);
-    if (!confirmations.has_value() ||
-        *confirmations < config_.witness_depth_d) {
-      continue;
-    }
     decision_tx_id_ = call->entry->block.txs[call->index].Id();
     Decide(c.tag);
     mutable_report()->MarkPhase(c.tag == crypto::CommitmentTag::kRedeem

@@ -262,10 +262,7 @@ void SwapEngineBase::TrySettle(EdgeState* edge) {
   Participant* actor = SettleActor(*edge);
   if (actor == nullptr) return;
   Result<Bytes> args = SettleArgs(*edge);
-  if (!args.ok()) {
-    AC3_LOG(kDebug) << "settle call not ready: " << args.status().ToString();
-    return;
-  }
+  if (!args.ok()) return;
   GossipedTx& call = edge->settle;
   if (!call.built() || (call.builder != actor && !call.builder->IsUp())) {
     const chain::Blockchain* chain = env_->blockchain(edge->edge.chain_id);
@@ -277,10 +274,7 @@ void SwapEngineBase::TrySettle(EdgeState* edge) {
                               *args, chain->params().call_fee,
                               static_cast<uint64_t>(env_->sim()->Now()) ^
                                   edge->edge.from);
-    if (!tx.ok()) {
-      AC3_LOG(kDebug) << "cannot build settle call: " << tx.status().ToString();
-      return;
-    }
+    if (!tx.ok()) return;
     call.tx = *tx;
     call.builder = actor;
   }
@@ -329,12 +323,8 @@ void SwapEngineBase::TrackSettlement(EdgeState* edge) {
   const chain::Blockchain* chain = env_->blockchain(edge->edge.chain_id);
   for (const char* function :
        {contracts::kRedeemFunction, contracts::kRefundFunction}) {
-    auto call = chain->FindCall(edge->contract_id, function,
-                                /*require_success=*/true);
-    if (!call.has_value()) continue;
-    auto confirmations = chain->ConfirmationsOf(call->entry->hash);
-    if (!confirmations.has_value() ||
-        *confirmations < config_.confirm_depth) {
+    if (!chain->CallConfirmedAtDepth(edge->contract_id, function,
+                                     config_.confirm_depth)) {
       continue;
     }
     edge->settled = true;

@@ -72,16 +72,19 @@ struct CoordinatorCrashPlan {
 
 /// The knobs every engine's config carries. The base reads confirm_depth,
 /// resubmit_interval and coordinator_crash itself; delta is the time unit
-/// of Herlihy's timelocks.
+/// of Herlihy's timelocks and of the quorum engine's takeover. The
+/// defaults, with VerdictConfig's and the engines' own, are the swap-world
+/// profile every study, benchmark workload and sweep runs
+/// (runner::SweepGridConfig reads them).
 struct EngineConfig {
   /// Δ: "enough time for any participant to publish a smart contract ...
   /// and for this change to be publicly recognized" (Section 6.1).
-  Duration delta = Seconds(3);
+  Duration delta = Seconds(2);
   /// Confirmations before a transaction counts as publicly recognized.
   uint32_t confirm_depth = 1;
   /// Re-gossip an unconfirmed transaction, or re-send an unanswered
   /// protocol message, after this long.
-  Duration resubmit_interval = Seconds(2);
+  Duration resubmit_interval = Milliseconds(800);
   /// Phase-precise crash schedule for the engine's coordinating node; each
   /// engine's class comment says where its two anchors fire.
   CoordinatorCrashPlan coordinator_crash;
@@ -93,7 +96,7 @@ struct VerdictConfig : EngineConfig {
   /// Decide abort when contracts are still missing this long after the
   /// engine's patience clock starts (registration at Trent, SCw
   /// confirmation, or swap start for the quorum engine).
-  Duration publish_patience = Seconds(30);
+  Duration publish_patience = Seconds(20);
   /// A participant "changes her mind": decide abort at once (the paper's
   /// protocol step 6).
   bool request_abort = false;

@@ -64,8 +64,10 @@ namespace ac3::protocols {
 /// takeover timeout.
 struct QuorumConfig : VerdictConfig {
   /// Survivors take over (advance the epoch) after observing the current
-  /// coordinator down for this long.
-  Duration takeover_timeout = Seconds(4);
+  /// coordinator down for this long: by default two message-latency bounds
+  /// (2Δ), long enough to rule out transient drops, short enough that
+  /// recovery dominates neither patience nor the deadline.
+  Duration takeover_timeout = 2 * delta;
 };
 
 /// The nonblocking quorum-commit (3PC-style) engine — see the file comment

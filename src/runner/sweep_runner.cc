@@ -320,10 +320,8 @@ Result<protocols::SwapReport> RunSwapReport(const SweepGridConfig& config,
   core::ScenarioWorld world(WorldOptionsFor(config, point));
   InjectFailure(config, point, &world);
   world.StartMining();
-  graph::Ac2tGraph graph =
-      TopologyOverWorld(&world, point.topology, point.size,
-                        config.edge_amount, point.seed,
-                        config.random_chord_prob);
+  graph::Ac2tGraph graph = TopologyOverWorld(
+      &world, point.topology, point.size, config.edge_amount, point.seed);
   const TimePoint deadline = world.env()->sim()->Now() + config.deadline;
 
   auto finish = [&](Result<protocols::SwapReport> report) {
@@ -334,14 +332,10 @@ Result<protocols::SwapReport> RunSwapReport(const SweepGridConfig& config,
     return report;
   };
 
-  // The knobs every engine shares, set once; each engine's config adds
-  // only its own.
+  // Every engine runs the profile (the config structs' defaults); only the
+  // crash plan varies per point.
   protocols::VerdictConfig shared;
-  shared.delta = config.delta;
-  shared.confirm_depth = config.confirm_depth;
-  shared.resubmit_interval = config.resubmit_interval;
   shared.coordinator_crash = CoordinatorPlanFor(config, point);
-  shared.publish_patience = config.publish_patience;
 
   switch (point.protocol) {
     case Protocol::kHerlihy: {
@@ -360,16 +354,13 @@ Result<protocols::SwapReport> RunSwapReport(const SweepGridConfig& config,
     case Protocol::kAc3wn: {
       protocols::Ac3wnSwapEngine engine(
           world.env(), graph, world.all_participants(), world.witness_chain(),
-          protocols::Ac3wnConfig{shared, config.witness_depth_d});
+          protocols::Ac3wnConfig{shared});
       return finish(engine.Run(deadline));
     }
     case Protocol::kQuorum: {
-      // Takeover fires after two message-latency bounds of coordinator
-      // silence — long enough to rule out transient drops, short enough
-      // that recovery dominates neither patience nor the deadline.
-      protocols::QuorumCommitEngine engine(
-          world.env(), graph, world.all_participants(),
-          protocols::QuorumConfig{shared, 2 * config.delta});
+      protocols::QuorumCommitEngine engine(world.env(), graph,
+                                           world.all_participants(),
+                                           protocols::QuorumConfig{shared});
       return finish(engine.Run(deadline));
     }
   }

@@ -26,6 +26,7 @@
 #include "src/common/worker_pool.h"
 #include "src/core/scenario.h"
 #include "src/graph/ac2t_graph.h"
+#include "src/protocols/ac3wn_swap.h"
 #include "src/protocols/swap_report.h"
 #include "src/runner/json.h"
 
@@ -112,7 +113,13 @@ struct SweepPoint {
   uint64_t seed = 1;  ///< World seed (all randomness derives from it).
 };
 
-/// The cross-product axes plus the shared world/engine parameters.
+/// The cross-product axes plus the world and engine parameters. Seven
+/// members can be set: the five axes, `deadline` and
+/// `coordinator_recovery_deltas`. The rest are the swap-world profile,
+/// constants no study varies: the engine knobs read the engine structs'
+/// defaults (protocols::EngineConfig and the configs deriving from it), so
+/// each number is written once. They stay members so code holding a config
+/// reads them like the settable ones (`config.delta`).
 struct SweepGridConfig {
   std::vector<Protocol> protocols = {Protocol::kHerlihy, Protocol::kAc3wn};
       ///< Protocol axis.
@@ -121,36 +128,41 @@ struct SweepGridConfig {
   std::vector<FailureMode> failures = {FailureMode::kNone};  ///< Failure axis.
   std::vector<uint64_t> seeds = {1};                     ///< Seed axis.
 
-  /// Asset chains in each world: min(size, max_asset_chains).
-  int max_asset_chains = 4;
-  chain::Amount funding = 5000;      ///< Initial funding per participant.
-  chain::Amount edge_amount = 100;   ///< Value swapped along each edge.
-
-  /// Extra-chord probability for Topology::kRandomFeasible.
-  double random_chord_prob = 0.3;
-
-  /// Engine knobs shared by all protocols (the bench "fast" profile).
-  Duration delta = Seconds(2);
-  uint32_t confirm_depth = 1;     ///< Confirmations for "publicly recognized".
-  uint32_t witness_depth_d = 2;   ///< AC3WN evidence depth d.
-  Duration resubmit_interval = Milliseconds(800);  ///< Re-gossip heartbeat.
-  Duration publish_patience = Seconds(20);  ///< Publish-phase patience window.
-  Duration deadline = Minutes(60);          ///< Hard per-world deadline.
-
-  /// Crash/partition onset and length for the failure modes, in Δs.
-  double failure_onset_deltas = 1.0;
-  double failure_length_deltas = 6.0;
+  Duration deadline = Minutes(60);  ///< Hard per-world deadline.
 
   /// Recovery delay (in Δs) for the coordinator-crash failure modes:
   /// < 0 means the coordinator never recovers — the schedule the
   /// commit study uses to expose 2PC-style blocking.
   double coordinator_recovery_deltas = -1.0;
 
+  /// Asset chains in each world: min(size, max_asset_chains).
+  static constexpr int max_asset_chains = 4;
+  static constexpr chain::Amount funding = 5000;  ///< Per participant.
+  static constexpr chain::Amount edge_amount = 100;  ///< Swapped per edge.
+
+  /// Extra-chord probability for Topology::kRandomFeasible.
+  static constexpr double random_chord_prob = 0.3;
+
+  /// The engine knobs every protocol shares, and AC3WN's depth d.
+  static constexpr Duration delta = protocols::EngineConfig{}.delta;
+  static constexpr uint32_t confirm_depth =
+      protocols::EngineConfig{}.confirm_depth;  ///< "Publicly recognized".
+  static constexpr uint32_t witness_depth_d =
+      protocols::Ac3wnConfig{}.witness_depth_d;  ///< AC3WN evidence depth.
+  static constexpr Duration resubmit_interval =
+      protocols::EngineConfig{}.resubmit_interval;  ///< Re-gossip heartbeat.
+  static constexpr Duration publish_patience =
+      protocols::VerdictConfig{}.publish_patience;  ///< Publish patience.
+
+  /// Crash/partition onset and length for the failure modes, in Δs.
+  static constexpr double failure_onset_deltas = 1.0;
+  static constexpr double failure_length_deltas = 6.0;
+
   /// P(any typed message is lost) under FailureMode::kDropMessages.
-  double message_drop_prob = 0.10;
+  static constexpr double message_drop_prob = 0.10;
   /// P(any typed message is delivered twice) under
   /// FailureMode::kDuplicateMessages.
-  double message_duplicate_prob = 0.25;
+  static constexpr double message_duplicate_prob = 0.25;
 };
 
 /// The grid flattened in deterministic order:
@@ -161,15 +173,16 @@ std::vector<SweepPoint> GridPoints(const SweepGridConfig& config);
 /// cycling through the available asset chains. `seed` only matters for
 /// Topology::kRandomFeasible (a private Rng stream, so the world's own
 /// randomness is untouched).
-graph::Ac2tGraph TopologyOverWorld(core::ScenarioWorld* world,
-                                   Topology topology, int size,
-                                   chain::Amount amount, uint64_t seed,
-                                   double chord_prob = 0.3);
+graph::Ac2tGraph TopologyOverWorld(
+    core::ScenarioWorld* world, Topology topology, int size,
+    chain::Amount amount, uint64_t seed,
+    double chord_prob = SweepGridConfig::random_chord_prob);
 
 /// A directed ring over the world's first `n` participants (diameter = n) —
 /// the shape every ring sweep and timeline bench shares.
-graph::Ac2tGraph RingOverWorld(core::ScenarioWorld* world, int n,
-                               chain::Amount amount = 100);
+graph::Ac2tGraph RingOverWorld(
+    core::ScenarioWorld* world, int n,
+    chain::Amount amount = SweepGridConfig::edge_amount);
 
 // ---- per-run results ------------------------------------------------------
 

@@ -1,17 +1,13 @@
 #include "src/sim/failure.h"
 
-#include "src/common/logging.h"
-
 namespace ac3::sim {
 
 void FailureInjector::ScheduleCrash(const CrashWindow& window) {
   sim_->At(window.start, [this, node = window.node]() {
-    AC3_LOG(kInfo) << "crash node " << network_->label(node);
     network_->Crash(node);
   });
   if (window.end != kTimeInfinity) {
     sim_->At(window.end, [this, node = window.node]() {
-      AC3_LOG(kInfo) << "recover node " << network_->label(node);
       network_->Recover(node);
     });
   }
@@ -20,12 +16,10 @@ void FailureInjector::ScheduleCrash(const CrashWindow& window) {
 void FailureInjector::SchedulePartition(const PartitionWindow& window) {
   const uint32_t group = next_partition_group_++;
   sim_->At(window.start, [this, node = window.node, group]() {
-    AC3_LOG(kInfo) << "partition node " << network_->label(node);
     network_->SetPartition(node, group);
   });
   if (window.end != kTimeInfinity) {
     sim_->At(window.end, [this, node = window.node]() {
-      AC3_LOG(kInfo) << "heal node " << network_->label(node);
       network_->SetPartition(node, 0);
     });
   }

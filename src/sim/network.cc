@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/common/logging.h"
 // Include-only dependency: SendMessage copies the envelope, so it needs the
 // complete type; no ac3_protocols symbol is referenced, so the module link
 // graph gains no sim -> protocols edge.
@@ -89,8 +88,6 @@ void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
     const Duration latency = SampleLatency();
     if (faults_.drop_prob > 0 && rng_.NextBool(faults_.drop_prob)) {
       ++dropped_count_;
-      AC3_LOG(kDebug) << "fault-drop " << nodes_[from].label << " -> "
-                      << nodes_[to].label;
       continue;
     }
     sim_->After(latency, [this, from, to, shared, handler]() {
@@ -98,8 +95,6 @@ void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
       if (!nodes_[to].up ||
           nodes_[from].partition != nodes_[to].partition) {
         ++dropped_count_;
-        AC3_LOG(kDebug) << "drop " << nodes_[from].label << " -> "
-                        << nodes_[to].label;
         return;
       }
       ++delivered_count_;

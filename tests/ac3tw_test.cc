@@ -18,11 +18,9 @@ using testutil::SwapWorldOptions;
 
 constexpr TimePoint kDeadline = Minutes(10);
 
-Ac3twConfig FastConfig() {
+/// The swap-world profile with a 12 s publish patience.
+Ac3twConfig ShortPatience() {
   Ac3twConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.resubmit_interval = Milliseconds(800);
   config.publish_patience = Seconds(12);
   return config;
 }
@@ -48,7 +46,7 @@ class Ac3twSwapTest : public ::testing::Test {
 TEST_F(Ac3twSwapTest, TwoPartyHappyPathCommits) {
   world_.StartMining();
   Ac3twSwapEngine engine(world_.env(), TwoPartyGraph(&world_),
-                         world_.all_participants(), &trent_, FastConfig());
+                         world_.all_participants(), &trent_, ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->finished);
@@ -61,7 +59,7 @@ TEST_F(Ac3twSwapTest, DeclineToPublishAborts) {
   world_.StartMining();
   world_.participant(1)->behavior().decline_publish = true;
   Ac3twSwapEngine engine(world_.env(), TwoPartyGraph(&world_),
-                         world_.all_participants(), &trent_, FastConfig());
+                         world_.all_participants(), &trent_, ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->aborted);
@@ -72,7 +70,7 @@ TEST_F(Ac3twSwapTest, DeclineToPublishAborts) {
 
 TEST_F(Ac3twSwapTest, RequestAbortRefundsEverything) {
   world_.StartMining();
-  Ac3twConfig config = FastConfig();
+  Ac3twConfig config = ShortPatience();
   config.request_abort = true;
   Ac3twSwapEngine engine(world_.env(), TwoPartyGraph(&world_),
                          world_.all_participants(), &trent_, config);
@@ -89,7 +87,7 @@ TEST_F(Ac3twSwapTest, CrashedTrentStallsTheSwap) {
   world_.StartMining();
   world_.env()->failures()->CrashFor(trent_.node(), 0, Minutes(30));
   Ac3twSwapEngine engine(world_.env(), TwoPartyGraph(&world_),
-                         world_.all_participants(), &trent_, FastConfig());
+                         world_.all_participants(), &trent_, ShortPatience());
   ASSERT_TRUE(engine.Start().ok());
   world_.env()->sim()->RunUntil(Minutes(2));
   EXPECT_FALSE(engine.Done());
@@ -100,7 +98,7 @@ TEST_F(Ac3twSwapTest, SwapResumesWhenTrentRecovers) {
   world_.StartMining();
   world_.env()->failures()->CrashFor(trent_.node(), 0, Seconds(20));
   Ac3twSwapEngine engine(world_.env(), TwoPartyGraph(&world_),
-                         world_.all_participants(), &trent_, FastConfig());
+                         world_.all_participants(), &trent_, ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->committed);
@@ -112,7 +110,7 @@ TEST_F(Ac3twSwapTest, RecipientCrashStillCommitsAfterRecovery) {
   world_.env()->failures()->CrashFor(world_.participant(1)->node(),
                                      Seconds(5), Seconds(30));
   Ac3twSwapEngine engine(world_.env(), TwoPartyGraph(&world_),
-                         world_.all_participants(), &trent_, FastConfig());
+                         world_.all_participants(), &trent_, ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->committed);
@@ -135,7 +133,7 @@ TEST_F(Ac3twSwapTest, HandlesCyclicGraph) {
   graph::Ac2tGraph graph = graph::MakeFigure7aCyclic(
       pks, world.asset_chains(), 100, world.env()->sim()->Now());
   Ac3twSwapEngine engine(world.env(), graph, world.all_participants(), &trent,
-                         FastConfig());
+                         ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->committed);
@@ -150,7 +148,7 @@ TEST_F(Ac3twSwapTest, RejectsAnEdgeOnAChainTheWorldLacks) {
       world_.asset_chain(0), 300, /*chain_ba=*/7, 200,
       world_.env()->sim()->Now());
   Ac3twSwapEngine engine(world_.env(), graph, world_.all_participants(),
-                         &trent_, FastConfig());
+                         &trent_, ShortPatience());
   EXPECT_EQ(engine.Run(kDeadline).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -253,7 +251,7 @@ TEST(TrentMultiSwapTest, CoordinatesConcurrentSwapsIndependently) {
       world.participant(2)->pk(), world.participant(3)->pk(),
       world.asset_chain(0), 150, world.asset_chain(1), 100, 2);
 
-  Ac3twConfig config = FastConfig();
+  Ac3twConfig config = ShortPatience();
   Ac3twSwapEngine e1(world.env(), g1,
                      {world.participant(0), world.participant(1)}, &trent,
                      config);

@@ -18,12 +18,9 @@ using testutil::SwapWorldOptions;
 
 constexpr TimePoint kDeadline = Minutes(10);
 
-Ac3wnConfig FastConfig() {
+/// The swap-world profile with a 12 s publish patience.
+Ac3wnConfig ShortPatience() {
   Ac3wnConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.witness_depth_d = 2;
-  config.resubmit_interval = Milliseconds(800);
   config.publish_patience = Seconds(12);
   return config;
 }
@@ -41,7 +38,7 @@ TEST(Ac3wnSwapTest, TwoPartyHappyPathCommits) {
   world.StartMining();
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), world.witness_chain(),
-                         FastConfig());
+                         ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->finished);
@@ -61,7 +58,7 @@ TEST(Ac3wnSwapTest, HappyPathMovesAssetsToRecipients) {
   const chain::Amount bob1 = world.participant(1)->BalanceOn(1);
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world, x, y),
                          world.all_participants(), world.witness_chain(),
-                         FastConfig());
+                         ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->committed);
@@ -82,7 +79,7 @@ TEST(Ac3wnSwapTest, DeclineToPublishAborts) {
   world.participant(1)->behavior().decline_publish = true;
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), world.witness_chain(),
-                         FastConfig());
+                         ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->finished);
@@ -97,7 +94,7 @@ TEST(Ac3wnSwapTest, DeclineToPublishAborts) {
 TEST(Ac3wnSwapTest, ParticipantChangesMindAborts) {
   SwapWorld world;
   world.StartMining();
-  Ac3wnConfig config = FastConfig();
+  Ac3wnConfig config = ShortPatience();
   config.request_abort = true;  // Step 6: "changes her mind".
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), world.witness_chain(),
@@ -118,7 +115,7 @@ TEST(Ac3wnSwapTest, RecipientCrashStillCommitsAfterRecovery) {
   world.StartMining();
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), world.witness_chain(),
-                         FastConfig());
+                         ShortPatience());
   // Bob crashes right after his contract lands and stays down well past
   // the decision; he recovers later and must still get his bitcoins.
   world.env()->failures()->CrashFor(world.participant(1)->node(), Seconds(5),
@@ -140,7 +137,7 @@ TEST(Ac3wnSwapTest, SenderCrashBeforePublishingAborts) {
                                     Minutes(30));
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), world.witness_chain(),
-                         FastConfig());
+                         ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->aborted);
@@ -162,7 +159,7 @@ TEST(Ac3wnSwapTest, ExecutesCyclicFigure7aGraph) {
   ASSERT_FALSE(graph.FindSingleLeader().has_value())
       << "figure 7a must not be single-leader feasible";
   Ac3wnSwapEngine engine(world.env(), graph, world.all_participants(),
-                         world.witness_chain(), FastConfig());
+                         world.witness_chain(), ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->committed);
@@ -181,7 +178,7 @@ TEST(Ac3wnSwapTest, ExecutesDisconnectedFigure7bGraph) {
       pks, world.asset_chains(), 100, world.env()->sim()->Now());
   ASSERT_FALSE(graph.IsConnected());
   Ac3wnSwapEngine engine(world.env(), graph, world.all_participants(),
-                         world.witness_chain(), FastConfig());
+                         world.witness_chain(), ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->committed);
@@ -199,7 +196,7 @@ TEST(Ac3wnSwapTest, MultiPartyRingCommits) {
   graph::Ac2tGraph graph = graph::MakeRing(pks, world.asset_chains(), 120,
                                            world.env()->sim()->Now());
   Ac3wnSwapEngine engine(world.env(), graph, world.all_participants(),
-                         world.witness_chain(), FastConfig());
+                         world.witness_chain(), ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->committed);
@@ -216,7 +213,7 @@ TEST(Ac3wnSwapTest, AssetChainCanWitnessItself) {
   world.StartMining();
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), world.asset_chain(0),
-                         FastConfig());
+                         ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->committed);
@@ -227,7 +224,7 @@ TEST(Ac3wnSwapTest, RejectsMismatchedParticipants) {
   SwapWorld world;
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          {world.participant(0)}, world.witness_chain(),
-                         FastConfig());
+                         ShortPatience());
   Status status = engine.Start();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
@@ -243,7 +240,7 @@ TEST(Ac3wnSwapTest, RejectsAnEdgeOnAChainTheWorldLacks) {
       world.asset_chain(0), 300, /*chain_ba=*/7, 200,
       world.env()->sim()->Now());
   Ac3wnSwapEngine engine(world.env(), graph, world.all_participants(),
-                         world.asset_chain(0), FastConfig());
+                         world.asset_chain(0), ShortPatience());
   EXPECT_EQ(engine.Run(kDeadline).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -252,7 +249,7 @@ TEST(Ac3wnSwapTest, RejectsUnknownWitnessChain) {
   SwapWorld world;
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), /*witness_chain=*/99,
-                         FastConfig());
+                         ShortPatience());
   Status status = engine.Start();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
@@ -262,7 +259,7 @@ TEST(Ac3wnSwapTest, ReportRecordsPhaseTimeline) {
   world.StartMining();
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), world.witness_chain(),
-                         FastConfig());
+                         ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->committed);
@@ -291,7 +288,7 @@ TEST(Ac3wnSwapTest, FeesIncludeWitnessOverhead) {
   world.StartMining();
   Ac3wnSwapEngine engine(world.env(), TwoPartyGraph(&world),
                          world.all_participants(), world.witness_chain(),
-                         FastConfig());
+                         ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->committed);

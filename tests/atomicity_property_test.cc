@@ -113,9 +113,6 @@ TEST_P(AtomicityPropertyTest, AllOrNothingHolds) {
   SwapReport report;
   if (scenario.protocol == Protocol::kAc3wn) {
     Ac3wnConfig config;
-    config.confirm_depth = 1;
-    config.witness_depth_d = 2;
-    config.resubmit_interval = Milliseconds(800);
     config.publish_patience = Seconds(12);
     config.request_abort = request_abort;
     Ac3wnSwapEngine engine(world.env(), graph, world.all_participants(),
@@ -125,8 +122,6 @@ TEST_P(AtomicityPropertyTest, AllOrNothingHolds) {
     report = *result;
   } else {
     Ac3twConfig config;
-    config.confirm_depth = 1;
-    config.resubmit_interval = Milliseconds(800);
     config.publish_patience = Seconds(12);
     config.request_abort = request_abort;
     Ac3twSwapEngine engine(world.env(), graph, world.all_participants(),
@@ -188,9 +183,6 @@ TEST_P(CrashOnsetSweepTest, Ac3wnAtomicUnderAnyCrashOnset) {
   world.env()->failures()->CrashFor(world.participant(1)->node(), onset,
                                     Seconds(30));
   Ac3wnConfig config;
-  config.confirm_depth = 1;
-  config.witness_depth_d = 2;
-  config.resubmit_interval = Milliseconds(800);
   config.publish_patience = Seconds(12);
   Ac3wnSwapEngine engine(world.env(), graph, world.all_participants(),
                          world.witness_chain(), config);

@@ -417,7 +417,7 @@ TEST(LoggingTest, LevelFiltering) {
   Logger::set_level(LogLevel::kError);
   EXPECT_EQ(Logger::level(), LogLevel::kError);
   // Should be filtered (no crash, no output assertions needed).
-  AC3_LOG(kDebug) << "hidden";
+  AC3_LOG(kWarn) << "hidden";
   AC3_LOG(kError) << "visible in stderr";
   Logger::set_level(saved);
 }

@@ -38,14 +38,6 @@ constexpr TimePoint kDeadline = Minutes(10);
 constexpr int kMutants = 320;
 constexpr uint64_t kMutationSeed = 28;
 
-protocols::VerdictConfig FastConfig() {
-  protocols::VerdictConfig config;
-  config.delta = Seconds(2);
-  config.resubmit_interval = Milliseconds(800);
-  config.publish_patience = Seconds(20);
-  return config;
-}
-
 /// A fresh world: two asset chains, plus the witness chain for AC3WN.
 core::ScenarioOptions WorldOptions(Protocol protocol) {
   core::ScenarioOptions options;
@@ -61,26 +53,26 @@ Result<protocols::SwapReport> RunEngine(Protocol protocol,
     case Protocol::kHerlihy: {
       protocols::HerlihySwapEngine engine(env, graph,
                                           world->all_participants(),
-                                          FastConfig());
+                                          protocols::HtlcConfig{});
       return engine.Run(kDeadline);
     }
     case Protocol::kAc3tw: {
       protocols::TrustedWitness trent("Trent", 0x7e27, env,
-                                      FastConfig().confirm_depth);
+                                      protocols::EngineConfig{}.confirm_depth);
       protocols::Ac3twSwapEngine engine(env, graph, world->all_participants(),
-                                        &trent, FastConfig());
+                                        &trent, protocols::Ac3twConfig{});
       return engine.Run(kDeadline);
     }
     case Protocol::kAc3wn: {
       protocols::Ac3wnSwapEngine engine(env, graph, world->all_participants(),
                                         world->witness_chain(),
-                                        protocols::Ac3wnConfig{FastConfig()});
+                                        protocols::Ac3wnConfig{});
       return engine.Run(kDeadline);
     }
     case Protocol::kQuorum: {
       protocols::QuorumCommitEngine engine(
           env, graph, world->all_participants(),
-          protocols::QuorumConfig{FastConfig()});
+          protocols::QuorumConfig{});
       return engine.Run(kDeadline);
     }
   }

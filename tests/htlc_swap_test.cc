@@ -19,14 +19,6 @@ using testutil::SwapWorldOptions;
 
 constexpr TimePoint kDeadline = Minutes(10);
 
-HtlcConfig FastConfig() {
-  HtlcConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.resubmit_interval = Milliseconds(800);
-  return config;
-}
-
 SwapWorldOptions NoWitness() {
   SwapWorldOptions options;
   options.witness_chain = false;
@@ -46,7 +38,7 @@ TEST(NolanSwapTest, TwoPartyHappyPathCommits) {
   world.StartMining();
   HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world),
                            {world.participant(0), world.participant(1)},
-                           FastConfig());
+                           HtlcConfig{});
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->protocol, "Nolan-HTLC");
@@ -63,7 +55,7 @@ TEST(NolanSwapTest, AssetsActuallyMove) {
   const chain::Amount bob_on_0 = world.participant(1)->BalanceOn(0);
   HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world, x, y),
                            {world.participant(0), world.participant(1)},
-                           FastConfig());
+                           HtlcConfig{});
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->committed);
@@ -84,7 +76,7 @@ TEST(NolanSwapTest, RecipientCrashViolatesAtomicity) {
   const chain::Amount bob_on_1 = world.participant(1)->BalanceOn(1);
   HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world, x, y),
                            {world.participant(0), world.participant(1)},
-                           FastConfig());
+                           HtlcConfig{});
   ASSERT_TRUE(engine.Start().ok());
   // Run until both contracts are on their chains, then crash Bob before he
   // can observe the secret; he stays down until long after his timelock
@@ -118,7 +110,7 @@ TEST(NolanSwapTest, CounterpartyNeverPublishesLeadsToRefund) {
   world.participant(1)->behavior().decline_publish = true;
   HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world),
                            {world.participant(0), world.participant(1)},
-                           FastConfig());
+                           HtlcConfig{});
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->finished);
@@ -141,7 +133,7 @@ TEST(HerlihySwapTest, ThreePartyRingCommits) {
   graph::Ac2tGraph graph = graph::MakeRing(pks, world.asset_chains(), 100,
                                            world.env()->sim()->Now());
   HerlihySwapEngine engine(world.env(), graph, world.all_participants(),
-                           FastConfig());
+                           HtlcConfig{});
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->protocol, "Herlihy-HTLC");
@@ -165,7 +157,7 @@ TEST(HerlihySwapTest, SequentialPublishingCostsDiameterRounds) {
                                            world.env()->sim()->Now());
   ASSERT_EQ(graph.Diameter(), 5u);
   HerlihySwapEngine engine(world.env(), graph, world.all_participants(),
-                           FastConfig());
+                           HtlcConfig{});
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_TRUE(report->committed);
@@ -196,7 +188,7 @@ TEST(HerlihySwapTest, RejectsCyclicFigure7aGraph) {
   graph::Ac2tGraph graph = graph::MakeFigure7aCyclic(
       pks, world.asset_chains(), 100, world.env()->sim()->Now());
   HerlihySwapEngine engine(world.env(), graph, world.all_participants(),
-                           FastConfig());
+                           HtlcConfig{});
   Status status = engine.Start();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
       << "figure 7a has no single leader; Nolan/Herlihy must refuse it";
@@ -212,7 +204,7 @@ TEST(HerlihySwapTest, RejectsDisconnectedFigure7bGraph) {
   graph::Ac2tGraph graph = graph::MakeFigure7bDisconnected(
       pks, world.asset_chains(), 100, world.env()->sim()->Now());
   HerlihySwapEngine engine(world.env(), graph, world.all_participants(),
-                           FastConfig());
+                           HtlcConfig{});
   Status status = engine.Start();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
@@ -226,7 +218,7 @@ TEST(HerlihySwapTest, RejectsAnEdgeOnAChainTheWorldLacks) {
       world.asset_chain(0), 300, /*chain_ba=*/7, 200,
       world.env()->sim()->Now());
   HerlihySwapEngine engine(world.env(), graph, world.all_participants(),
-                           FastConfig());
+                           HtlcConfig{});
   EXPECT_EQ(engine.Run(kDeadline).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -238,7 +230,7 @@ TEST(HerlihySwapTest, TimelocksDecreaseAlongPublishOrder) {
   world.StartMining();
   HerlihySwapEngine engine(world.env(), TwoPartyGraph(&world),
                            {world.participant(0), world.participant(1)},
-                           FastConfig());
+                           HtlcConfig{});
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->committed);

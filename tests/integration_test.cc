@@ -231,9 +231,6 @@ TEST(MultiWitnessTest, ConcurrentSwapsUseDifferentWitnessNetworks) {
       world.asset_chain(0), 150, world.asset_chain(1), 100, 1);
 
   protocols::Ac3wnConfig config;
-  config.confirm_depth = 1;
-  config.witness_depth_d = 2;
-  config.resubmit_interval = Milliseconds(800);
   config.publish_patience = Seconds(12);
 
   protocols::Ac3wnSwapEngine e1(world.env(), g1,
@@ -276,9 +273,6 @@ TEST(MultiWitnessTest, FailedSwapDoesNotDisturbConcurrentSwap) {
       world.asset_chain(0), 150, world.asset_chain(1), 100, 1);
 
   protocols::Ac3wnConfig config;
-  config.confirm_depth = 1;
-  config.witness_depth_d = 2;
-  config.resubmit_interval = Milliseconds(800);
   config.publish_patience = Seconds(10);
 
   protocols::Ac3wnSwapEngine e1(world.env(), g1,
@@ -316,13 +310,9 @@ TEST(ConservationTest, WorldValueConservedUpToMiningRewards) {
   graph::Ac2tGraph graph = graph::MakeTwoPartySwap(
       world.participant(0)->pk(), world.participant(1)->pk(),
       world.asset_chain(0), 300, world.asset_chain(1), 200, 0);
-  protocols::Ac3wnConfig config;
-  config.confirm_depth = 1;
-  config.witness_depth_d = 2;
-  config.resubmit_interval = Milliseconds(800);
   protocols::Ac3wnSwapEngine engine(world.env(), graph,
                                     world.all_participants(),
-                                    world.witness_chain(), config);
+                                    world.witness_chain(), {});
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->committed);
@@ -389,7 +379,6 @@ TEST(RealPresetsTest, BitcoinEthereumSwapWitnessedByLitecoin) {
   graph::Ac2tGraph graph = graph::MakeTwoPartySwap(
       alice.pk(), bob.pk(), btc, 300, eth, 200, env.sim()->Now());
   protocols::Ac3wnConfig config;
-  config.confirm_depth = 1;
   config.witness_depth_d = 3;
   config.resubmit_interval = Seconds(2);
   config.publish_patience = Seconds(60);

@@ -25,13 +25,10 @@ using testutil::SwapWorldOptions;
 
 constexpr TimePoint kDeadline = Minutes(10);
 
-QuorumConfig FastConfig() {
+/// The swap-world profile with a 12 s publish patience.
+QuorumConfig ShortPatience() {
   QuorumConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.resubmit_interval = Milliseconds(800);
   config.publish_patience = Seconds(12);
-  config.takeover_timeout = Seconds(4);
   return config;
 }
 
@@ -68,7 +65,7 @@ TEST(QuorumCommitTest, RingHappyPathWalksPrepramblePreCommitCommit) {
   SwapWorld world(RingWorldOptions(4));
   world.StartMining();
   QuorumCommitEngine engine(world.env(), RingGraph(&world, 4),
-                            world.all_participants(), FastConfig());
+                            world.all_participants(), ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->finished);
@@ -95,7 +92,7 @@ TEST(QuorumCommitTest, QuorumIsAStrictMajority) {
   for (int n = 2; n <= 5; ++n) {
     SwapWorld world(RingWorldOptions(n));
     QuorumCommitEngine engine(world.env(), RingGraph(&world, n),
-                              world.all_participants(), FastConfig());
+                              world.all_participants(), ShortPatience());
     EXPECT_EQ(engine.quorum(), n / 2 + 1) << "n=" << n;
   }
 }
@@ -105,7 +102,7 @@ TEST(QuorumCommitTest, DeclineToPublishDrivesTheAbortVerdict) {
   world.StartMining();
   world.participant(1)->behavior().decline_publish = true;
   QuorumCommitEngine engine(world.env(), RingGraph(&world, 4),
-                            world.all_participants(), FastConfig());
+                            world.all_participants(), ShortPatience());
   auto report = engine.Run(kDeadline);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->finished);
@@ -119,7 +116,7 @@ TEST(QuorumCommitTest, DeclineToPublishDrivesTheAbortVerdict) {
 TEST(QuorumCommitTest, RequestAbortRefundsEverything) {
   SwapWorld world(RingWorldOptions(4));
   world.StartMining();
-  QuorumConfig config = FastConfig();
+  QuorumConfig config = ShortPatience();
   config.request_abort = true;
   QuorumCommitEngine engine(world.env(), RingGraph(&world, 4),
                             world.all_participants(), config);
@@ -137,7 +134,7 @@ TEST(QuorumCommitTest, RequestAbortRefundsEverything) {
 TEST(QuorumCommitTest, CoordinatorCrashAtPrepareRecoversViaTakeover) {
   SwapWorld world(RingWorldOptions(4));
   world.StartMining();
-  QuorumConfig config = FastConfig();
+  QuorumConfig config = ShortPatience();
   config.coordinator_crash.phase = CoordinatorCrashPhase::kAtPrepare;
   QuorumCommitEngine engine(world.env(), RingGraph(&world, 4),
                             world.all_participants(), config);
@@ -158,7 +155,7 @@ TEST(QuorumCommitTest, CoordinatorCrashAtPrepareRecoversViaTakeover) {
 TEST(QuorumCommitTest, CoordinatorCrashAtCommitResumesPreCommittedVerdict) {
   SwapWorld world(RingWorldOptions(4));
   world.StartMining();
-  QuorumConfig config = FastConfig();
+  QuorumConfig config = ShortPatience();
   config.coordinator_crash.phase = CoordinatorCrashPhase::kAtCommit;
   QuorumCommitEngine engine(world.env(), RingGraph(&world, 4),
                             world.all_participants(), config);
@@ -187,7 +184,7 @@ TEST(QuorumCommitTest, CoordinatorCrashAtCommitResumesPreCommittedVerdict) {
 TEST(QuorumCommitTest, LateRecoveryBeforeTakeoverKeepsEpochZero) {
   SwapWorld world(RingWorldOptions(4));
   world.StartMining();
-  QuorumConfig config = FastConfig();
+  QuorumConfig config = ShortPatience();
   config.coordinator_crash.phase = CoordinatorCrashPhase::kAtPrepare;
   config.coordinator_crash.recover_after = Seconds(1);
   config.takeover_timeout = Seconds(30);  // Recovery wins the race.
@@ -207,7 +204,7 @@ TEST(QuorumCommitTest, LateRecoveryBeforeTakeoverKeepsEpochZero) {
 TEST(QuorumCommitTest, TwoPartyLoneSurvivorBlocksBelowQuorum) {
   SwapWorld world(RingWorldOptions(2));
   world.StartMining();
-  QuorumConfig config = FastConfig();
+  QuorumConfig config = ShortPatience();
   config.coordinator_crash.phase = CoordinatorCrashPhase::kAtPrepare;
   QuorumCommitEngine engine(world.env(), RingGraph(&world, 2),
                             world.all_participants(), config);
@@ -228,7 +225,7 @@ TEST(QuorumCommitTest, RejectsAnEdgeOnAChainTheWorldLacks) {
       world.asset_chain(0), 300, /*chain_ba=*/7, 200,
       world.env()->sim()->Now());
   QuorumCommitEngine engine(world.env(), graph, world.all_participants(),
-                            FastConfig());
+                            ShortPatience());
   EXPECT_EQ(engine.Run(kDeadline).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -337,7 +334,7 @@ TEST(QuorumWorkloadE2E, GeneratedSwapTrafficCompletesWithMidRunCrash) {
         world.asset_chain(static_cast<int>(record.chain_a)), 120,
         world.asset_chain(static_cast<int>(record.chain_b)), 80,
         world.env()->sim()->Now());
-    QuorumConfig config = FastConfig();
+    QuorumConfig config = ShortPatience();
     if (i == 1) {
       config.coordinator_crash.phase = CoordinatorCrashPhase::kAtPrepare;
       config.coordinator_crash.recover_after = Seconds(6);

@@ -15,6 +15,7 @@
 #include "src/core/environment.h"
 #include "src/core/scenario.h"
 #include "src/graph/ac2t_graph.h"
+#include "src/protocols/ac3tw_swap.h"
 #include "src/protocols/engine_base.h"
 #include "src/protocols/messages.h"
 #include "src/runner/sweep_runner.h"
@@ -241,26 +242,28 @@ TEST(ReactiveEngineTest, WaitingWorldExecutesFewerEventsThanPollingAlone) {
   // for AC3WN — measured at the PR 3 seed); the reactive engine's ENTIRE
   // world (mining, gossip, retries, wakes) must cost fewer events than the
   // ~latency/20ms poll events alone would have.
-  runner::SweepGridConfig config;
-  config.protocols = {runner::Protocol::kAc3tw};
-  config.topologies = {runner::Topology::kRing};
-  config.sizes = {2};
-  config.failures = {runner::FailureMode::kCrashParticipant};
-  config.seeds = {11};
-  config.deadline = Minutes(20);
-  config.failure_onset_deltas = 0.05;
-  config.failure_length_deltas = 10.0;
-  std::vector<runner::RunOutcome> outcomes =
-      runner::SweepRunner(1).RunGrid(config);
-  ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
-  ASSERT_TRUE(outcomes[0].finished);
-  ASSERT_GT(outcomes[0].latency_ms, Seconds(15));
+  core::ScenarioOptions options;
+  options.seed = 11;
+  options.witness_chain = false;
+  core::ScenarioWorld world(options);
+  world.env()->failures()->CrashFor(world.participant(1)->node(),
+                                    Milliseconds(100), Seconds(20));
+  world.StartMining();
+  protocols::TrustedWitness trent("Trent", 0x7e27 + options.seed, world.env(),
+                                  protocols::EngineConfig{}.confirm_depth);
+  protocols::Ac3twSwapEngine engine(world.env(),
+                                    runner::RingOverWorld(&world, 2),
+                                    world.all_participants(), &trent, {});
+  const Result<protocols::SwapReport> report = engine.Run(Minutes(20));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->finished);
+  const double latency_ms = static_cast<double>(report->Latency());
+  ASSERT_GT(latency_ms, Seconds(15));
 
-  const double poll_floor = outcomes[0].latency_ms / 20.0;
-  EXPECT_LT(static_cast<double>(outcomes[0].sim_events), poll_floor)
-      << "sim_events=" << outcomes[0].sim_events
-      << " latency_ms=" << outcomes[0].latency_ms;
+  const double poll_floor = latency_ms / 20.0;
+  const uint64_t sim_events = world.env()->sim()->events_executed();
+  EXPECT_LT(static_cast<double>(sim_events), poll_floor)
+      << "sim_events=" << sim_events << " latency_ms=" << latency_ms;
 }
 
 // ---- SwapEngineBase wake coalescing and message fencing -------------------
@@ -309,10 +312,9 @@ struct ProbeWorld {
         world.participant(0)->pk(), world.participant(1)->pk(),
         world.asset_chain(0), 300, world.asset_chain(1), 200,
         world.env()->sim()->Now());
-    protocols::EngineConfig config;
-    config.resubmit_interval = Milliseconds(800);
     engine = std::make_unique<ProbeEngine>(world.env(), graph,
-                                           world.all_participants(), config);
+                                           world.all_participants(),
+                                           protocols::EngineConfig{});
   }
 
   static core::ScenarioOptions MakeOptions() {

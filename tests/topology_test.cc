@@ -154,24 +154,6 @@ TEST(TopologyTest, FeasibilityTableMatchesGraphAnalysis) {
 
 // ---- the Section 5.3 functional gap, end to end ---------------------------
 
-protocols::HtlcConfig FastHtlc() {
-  protocols::HtlcConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.resubmit_interval = Milliseconds(800);
-  return config;
-}
-
-protocols::Ac3wnConfig FastAc3wn() {
-  protocols::Ac3wnConfig config;
-  config.delta = Seconds(2);
-  config.confirm_depth = 1;
-  config.witness_depth_d = 2;
-  config.resubmit_interval = Milliseconds(800);
-  config.publish_patience = Seconds(20);
-  return config;
-}
-
 graph::Ac2tGraph InfeasibleGraph(runner::Topology topology, SwapWorld* world,
                                  int n) {
   return runner::TopologyOverWorld(world, topology, n, 100, /*seed=*/5);
@@ -191,7 +173,7 @@ TEST(FunctionalGapTest, HerlihyRejectsEveryFigure7Family) {
     ASSERT_FALSE(graph.FindSingleLeader().has_value())
         << runner::TopologyName(topology);
     protocols::HerlihySwapEngine engine(world.env(), graph,
-                                        world.all_participants(), FastHtlc());
+                                        world.all_participants(), {});
     Status started = engine.Start();
     EXPECT_EQ(started.code(), StatusCode::kFailedPrecondition)
         << runner::TopologyName(topology) << ": " << started.ToString();
@@ -211,7 +193,7 @@ TEST(FunctionalGapTest, Ac3wnCommitsEveryFigure7Family) {
     graph::Ac2tGraph graph = InfeasibleGraph(topology, &world, 4);
     protocols::Ac3wnSwapEngine engine(world.env(), graph,
                                       world.all_participants(),
-                                      world.witness_chain(), FastAc3wn());
+                                      world.witness_chain(), {});
     auto report = engine.Run(Minutes(10));
     ASSERT_TRUE(report.ok()) << runner::TopologyName(topology);
     EXPECT_TRUE(report->finished) << runner::TopologyName(topology);
