@@ -71,12 +71,14 @@ TechniqueCosts RunAt(uint64_t chain_length, uint64_t seed) {
     (void)validated.SubmitBlock(*block, now);
   };
 
-  // The transaction of interest, mined early, buried under the rest.
+  // The transaction of interest, watched so the chain indexes it, mined
+  // early and buried under the rest.
   auto tx = alice.BuildTransfer(validated.StateAtHead(), kBob.public_key(),
                                 10, 1, 1);
+  const crypto::Hash256 tx_id = tx->Id();
+  validated.Watch(tx_id);
   mine({*tx});
   for (uint64_t i = 1; i < chain_length; ++i) mine({});
-  const crypto::Hash256 tx_id = tx->Id();
   auto location = validated.FindTx(tx_id);
 
   TechniqueCosts costs;

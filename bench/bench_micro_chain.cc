@@ -365,9 +365,9 @@ BENCHMARK(BM_ValidateBlock)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
-/// SubmitBlock of the fixture's mined block: the staged re-execution,
-/// both roots and the duplicate checks on the calling thread's
-/// WorkerPool, then the commit and the store on the caller. Each run
+/// SubmitBlock of the fixture's mined block: the staged re-execution and
+/// both roots on the calling thread's WorkerPool, then the coinbase's
+/// branch lookup, the commit and the store on the caller. Each run
 /// rebuilds the chain from the fixture's genesis outputs and setup block
 /// outside the timing, so the block extends a tip whose state the chain
 /// owns alone, and its commit writes in place.
@@ -394,7 +394,7 @@ void BM_SubmitBlock(benchmark::State& state) {
   }
   SetTimePerTx(state);
 }
-// Wall time, as BM_SelectBlock: three of the four validation tasks may run
+// Wall time, as BM_SelectBlock: two of the three validation tasks may run
 // on pool threads.
 BENCHMARK(BM_SubmitBlock)
     ->Arg(25000)
@@ -542,9 +542,9 @@ void BM_SelectBlock(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(assemble());
   SetTimePerTx(state);
 }
-// Wall time: selection checks the 512 candidates in 64-transaction chunks
-// on the calling thread's WorkerPool, and the main thread's CPU time would
-// leave the pool threads' share out.
+// Wall time: selection checks the 512 candidates' signatures in
+// 64-transaction chunks on the calling thread's WorkerPool, and the main
+// thread's CPU time would leave the pool threads' share out.
 BENCHMARK(BM_SelectBlock)
     ->Arg(25000)
     ->Arg(100000)
@@ -562,6 +562,7 @@ struct EvidenceFixture {
     auto tx = alice.BuildTransfer(chain.StateAtHead(), kBob.public_key(), 10,
                                   1, 1);
     tx_id = tx->Id();
+    chain.Watch(tx_id);  // Indexed once mined, so evidence can locate it.
     TimePoint now = 0;
     auto mine = [&](const std::vector<Transaction>& txs) {
       now += 100;

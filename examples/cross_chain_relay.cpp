@@ -81,6 +81,9 @@ int main() {
               "blockchain1 genesis\n");
 
   // Label 3-4: TX1 takes place and its block becomes stable (depth 2).
+  // blockchain1 indexes the transfers it is asked about: watch TX1 first,
+  // so the evidence builder can locate it.
+  validated.chain.Watch(tx1->Id());
   if (!validated.Mine({*tx1})) return 1;
   if (!validated.Mine({}) || !validated.Mine({})) return 1;
   std::printf("TX1 mined on blockchain1 and buried under 2 blocks\n");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 #include <utility>
 
 #include "src/chain/pow.h"
@@ -68,7 +67,7 @@ bool IsCheckpoint(const BlockEntry& entry) {
   return entry.height() % Blockchain::kStateCheckpointInterval == 0;
 }
 
-/// Candidates per pool task in a selection's signature and branch checks.
+/// Candidates per pool task in a selection's signature checks.
 constexpr size_t kCheckChunk = 64;
 
 }  // namespace
@@ -154,16 +153,15 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
     return Status::VerificationFailed("receipt count mismatch");
   }
 
-  // The staged re-execution, both roots and the duplicate checks read only
-  // the block, the parent's state and the store, so they run side by side
-  // (the longest, the re-execution, is claimed first); their verdicts are
-  // read in the order a serial check meets them, so a block with several
-  // faults gets the status of the first.
+  // The staged re-execution and both roots read only the block and the
+  // parent's state, so they run side by side (the longest, the
+  // re-execution, is claimed first); their verdicts and the coinbase
+  // check's are read in the order a serial check meets them, so a block
+  // with several faults gets the status of the first.
   Result<std::vector<Receipt>> staged = std::vector<Receipt>();
   crypto::Hash256 tx_root;
   crypto::Hash256 receipt_root;
-  bool repeated = false;
-  common::WorkerPool::ForThisThread().ParallelFor(4, [&](size_t part) {
+  common::WorkerPool::ForThisThread().ParallelFor(3, [&](size_t part) {
     switch (part) {
       case 0:
         staged = StageBlockBody(delta, block, params_);
@@ -171,19 +169,18 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
       case 1:
         tx_root = block.ComputeTxRoot();
         break;
-      case 2:
-        receipt_root = block.ComputeReceiptRoot();
-        break;
       default:
-        // No transaction may repeat on this branch, the coinbase included:
-        // a repeated coinbase would re-create the earlier one's outputs
-        // over them, unspent or not, and count their value twice
-        // (Bitcoin's BIP30).
-        repeated = std::any_of(
-            block.txs.begin(), block.txs.end(),
-            [&](const Transaction& tx) { return TxOnBranch(parent, tx.Id()); });
+        receipt_root = block.ComputeReceiptRoot();
     }
   });
+  // No transaction may repeat on a branch. Every kind but the coinbase
+  // must spend an input, which its earlier inclusion spent, so staging
+  // rejects its repeat; a coinbase spends none, and its repeat would
+  // re-create the earlier one's outputs over them, unspent or not, and
+  // count their value twice (Bitcoin's BIP30). So the coinbase is the one
+  // transaction looked up on the branch.
+  const bool repeated =
+      !block.txs.empty() && TxOnBranch(parent, block.txs[0].Id());
   if (header.tx_root != tx_root) {
     return Status::VerificationFailed("tx merkle root mismatch");
   }
@@ -433,52 +430,46 @@ std::shared_ptr<const Blockchain::BlockTemplate> Blockchain::SelectCandidates(
     return cached;
   }
 
-  // Selection pass: FIFO, skip invalid / duplicate transactions. A
-  // rejected ApplyTransaction leaves `working` untouched, so candidates
-  // stage into it directly; it is dropped at the end, and no tree node of
-  // the parent's state is copied.
+  // Selection pass: FIFO, skip invalid transactions. A candidate already
+  // on the branch, or chosen earlier in this list, is one: its inputs are
+  // spent. A rejected ApplyTransaction leaves `working` untouched, so
+  // candidates stage into it directly; it is dropped at the end, and no
+  // tree node of the parent's state is copied.
   auto fresh = std::make_shared<BlockTemplate>();
   fresh->parent_hash = parent.hash;
   fresh->now = now;
   const BlockEnv env{params_.id, parent.block.header.height + 1, now};
   const LedgerState base = StateAt(parent);
   LedgerDelta working(base);
-  std::unordered_set<crypto::Hash256> chosen_ids;
   // Leaf 0 is the coinbase's slot; its value never enters the paths.
   std::vector<crypto::Hash256> tx_leaves(1);
   std::vector<crypto::Hash256> receipt_leaves(1);
   // The candidates go in windows of at most the block's remaining
   // capacity, so the block can fill only at a window's end, where the
   // serial loop below would stop. Each window's signatures (memoized, so
-  // ApplyTransaction reads the verdict) and branch lookups run first, in
-  // chunks on the pool (a window of one chunk runs on the caller); they
-  // read no state the loop writes.
+  // ApplyTransaction reads the verdict) are checked first, in chunks on
+  // the pool (a window of one chunk runs on the caller); they read no
+  // state the loop writes.
   common::WorkerPool& pool = common::WorkerPool::ForThisThread();
-  std::vector<uint8_t> on_branch;
   for (size_t first = 0; first < candidates.size() &&
                          fresh->chosen.size() < params_.max_block_txs;) {
     const size_t end =
         first + std::min(candidates.size() - first,
                          params_.max_block_txs - fresh->chosen.size());
-    on_branch.assign(end - first, 0);
     pool.ParallelFor((end - first + kCheckChunk - 1) / kCheckChunk,
                      [&](size_t chunk) {
                        const size_t from = first + chunk * kCheckChunk;
                        const size_t to = std::min(end, from + kCheckChunk);
                        for (size_t i = from; i < to; ++i) {
-                         const Transaction& tx = *candidates[i];
-                         tx.VerifySignature();
-                         on_branch[i - first] = TxOnBranch(parent, tx.Id());
+                         candidates[i]->VerifySignature();
                        }
                      });
     for (size_t i = first; i < end; ++i) {
       const Transaction& tx = *candidates[i];
       const crypto::Hash256& tx_id = tx.Id();
       fresh->examined.push_back(tx_id);
-      if (on_branch[i - first] || chosen_ids.count(tx_id) > 0) continue;
       auto receipt = ApplyTransaction(&working, tx, env);
       if (!receipt.ok()) continue;
-      chosen_ids.insert(tx_id);
       fresh->chosen.push_back(static_cast<uint32_t>(i));
       tx_leaves.push_back(tx_id);
       receipt_leaves.push_back(receipt->LeafHash());

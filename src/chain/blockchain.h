@@ -50,10 +50,10 @@ class Blockchain {
   /// transaction execution, receipt equality) and stores it, moving it
   /// into its entry. The canonical head moves only when the new branch has
   /// strictly more work (ForkChoicePrefers).
-  /// The block's staged re-execution, both roots and its duplicate checks
-  /// run side by side on the calling thread's WorkerPool; the returned
-  /// status is still the one a serial check gives (ValidateAgainstParent).
-  /// The commit and the store run on the caller.
+  /// The block's staged re-execution and both roots run side by side on
+  /// the calling thread's WorkerPool; the returned status is still the one
+  /// a serial check gives (ValidateAgainstParent). The coinbase's duplicate
+  /// check, the commit and the store run on the caller.
   Status SubmitBlock(Block block, TimePoint arrival_time);
 
   const BlockEntry* genesis() const { return genesis_; }
@@ -90,10 +90,19 @@ class Blockchain {
   const BlockEntry* GetAncestor(const BlockEntry* entry,
                                 uint64_t height) const;
 
-  /// True when `tx_id` is included on the branch from genesis to `tip`
-  /// (inclusive). O(occurrences x log height) via the global tx index —
-  /// the duplicate check of block assembly and validation.
+  /// True when indexed `tx_id` (a coinbase, deploy, call or watched
+  /// transfer; see Watch) is included on the branch from genesis to `tip`
+  /// (inclusive); false for an unwatched transfer. O(occurrences x log
+  /// height) via the chain-global tx index — validation's coinbase
+  /// duplicate check.
   bool TxOnBranch(const BlockEntry& tip, const crypto::Hash256& tx_id) const;
+
+  /// Indexes transfer `tx_id` once it is mined, so FindTx, TxOnBranch and
+  /// TxConfirmedAtDepth can find it: the chain indexes only the coinbases,
+  /// deploys and calls it stores, plus the transfers watched before they
+  /// were stored (ChainIndex::Watch). Watch right after submitting; there
+  /// is no backfill. Call it between blocks, like SubmitBlock.
+  void Watch(const crypto::Hash256& tx_id) { index_.Watch(tx_id); }
 
   // ------------------------------------------------------ canonical queries
 
@@ -113,13 +122,15 @@ class Blockchain {
   Result<std::vector<BlockHeader>> HeadersAfter(
       const crypto::Hash256& ancestor_hash) const;
 
-  /// Where a transaction landed on the canonical chain (chain::TxLocation,
-  /// re-exported under the historical nested name).
+  /// Where an indexed transaction (see TxOnBranch) landed on the canonical
+  /// chain (chain::TxLocation, re-exported under the historical nested
+  /// name); nullopt off the canonical chain and for an unwatched transfer.
   using TxLocation = chain::TxLocation;
   std::optional<TxLocation> FindTx(const crypto::Hash256& tx_id) const;
 
-  /// True when `tx_id` is canonical and buried under at least `depth`
-  /// blocks: FindTx finds it and ConfirmationsOf its block is >= depth.
+  /// True when indexed `tx_id` is canonical and buried under at least
+  /// `depth` blocks: FindTx finds it and ConfirmationsOf its block is >=
+  /// depth. A transfer must be watched (Watch) to be found.
   bool TxConfirmedAtDepth(const crypto::Hash256& tx_id, uint64_t depth) const;
 
   /// Newest canonical call of `function` on `contract_id` (optionally only
@@ -196,20 +207,21 @@ class Blockchain {
  private:
   /// Full validation of `block` against its parent entry: the header rule
   /// (CheckHeaderLink, against the entry's stored hash), the O(1) size
-  /// checks (capacity, one receipt per transaction), roots, branch-duplicate
-  /// checks, then serial transaction execution staged in `delta`, which
-  /// lies over the parent's state (StageBlockBody), and declared-receipt
-  /// equality. Writes no state.
+  /// checks (capacity, one receipt per transaction), roots, the coinbase's
+  /// branch-duplicate check, then serial transaction execution staged in
+  /// `delta`, which lies over the parent's state (StageBlockBody), and
+  /// declared-receipt equality. Writes no state. Any other repeat fails
+  /// execution on its spent inputs.
   ///
-  /// The staged execution, the tx root, the receipt root and the duplicate
-  /// checks read only the block, the parent's state and the store, so they
-  /// run as four tasks on the calling thread's WorkerPool, or one after
-  /// another on the caller inside another round's task; their verdicts are
-  /// read in the order above, so a block with several faults gets the
-  /// status of the first. The price: a block that a root or duplicate
-  /// check rejects has still been executed in full, where the serial order
-  /// rejected it after hashing; only a block with valid proof of work gets
-  /// that far.
+  /// The staged execution, the tx root and the receipt root read only the
+  /// block and the parent's state, so they run as three tasks on the
+  /// calling thread's WorkerPool, or one after another on the caller inside
+  /// another round's task; the coinbase lookup runs on the caller. Their
+  /// verdicts are read in the order above, so a block with several faults
+  /// gets the status of the first. The price: a block that a root or the
+  /// coinbase check rejects has still been executed in full, where the
+  /// serial order rejected it after hashing; only a block with valid proof
+  /// of work gets that far.
   Status ValidateAgainstParent(const Block& block, const BlockEntry& parent,
                                LedgerDelta* delta,
                                std::vector<Receipt>* receipts) const;
@@ -222,10 +234,12 @@ class Blockchain {
   /// its key matches, else a fresh serial FIFO selection, which replaces
   /// the cached entry. A fresh selection takes the candidates in windows
   /// of at most the block's remaining capacity; each window's signatures
-  /// (memoized on the transaction) and branch lookups are checked first,
-  /// in 64-transaction chunks on the calling thread's WorkerPool, and the
-  /// serial loop then stages the window in order and hashes its leaves;
-  /// both trees are built on the caller after it.
+  /// (memoized on the transaction) are checked first, in 64-transaction
+  /// chunks on the calling thread's WorkerPool, and the serial loop then
+  /// stages the window in order and hashes its leaves; both trees are
+  /// built on the caller after it. It looks nothing up on the branch: a
+  /// candidate already on it, or earlier in the list, fails staging on a
+  /// spent input and is skipped without using capacity.
   std::shared_ptr<const BlockTemplate> SelectCandidates(
       const BlockEntry& parent, std::span<const Transaction* const> candidates,
       TimePoint now) const;

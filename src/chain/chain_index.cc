@@ -13,7 +13,13 @@ BlockEntry* ChainIndex::Store(const crypto::Hash256& hash, BlockEntry entry) {
   BlockEntry* stored = &it->second;
   const std::vector<Transaction>& txs = stored->block.txs;
   for (uint32_t i = 0; i < txs.size(); ++i) {
-    tx_occurrences_[txs[i].Id()].push_back(TxLocation{stored, i});
+    const crypto::Hash256& id = txs[i].Id();
+    if (txs[i].type() != TxType::kTransfer) {
+      tx_occurrences_[id].push_back(TxLocation{stored, i});
+    } else if (auto watched = tx_occurrences_.find(id);
+               watched != tx_occurrences_.end()) {
+      watched->second.push_back(TxLocation{stored, i});
+    }
   }
   for (const CallRecord& call : stored->calls) {
     // One occurrence per contract even with several calls in the block.

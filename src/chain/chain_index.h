@@ -9,8 +9,17 @@
 // moves, which the parent links, head pointers and occurrence lists rely
 // on.
 //
+// The occurrence index holds only what someone asks about: every coinbase,
+// deploy and call, and the transfers a caller watched (Watch) before they
+// were mined. Validation needs no more: a repeated transfer, deploy or call
+// fails on its spent inputs, so only the coinbase, which spends none, is
+// looked up on the branch (Blockchain::ValidateAgainstParent). A node
+// indexing every transfer it stores would pay an entry per transaction for
+// lookups nobody makes; Bitcoin Core ships its -txindex off for the same
+// reason.
+//
 // Branch awareness stays out: ChainIndex knows every fork-sibling
-// occurrence of a transaction, but *which* occurrence is canonical
+// occurrence of an indexed transaction, but *which* occurrence is canonical
 // depends on the head, so the canonical-filtering queries take an
 // `on_branch` predicate from the Blockchain. That keeps the facade a pure
 // index — no head pointer, no ancestry logic — and keeps the longest-chain
@@ -50,10 +59,11 @@ struct CallRecord {
 /// Branch-cumulative data is chained, not materialized: each entry keeps
 /// only its own block plus a `parent` link and a skip pointer for
 /// O(log height) ancestor jumps, so storing a block costs O(block size)
-/// instead of O(chain length). "Is this transaction already on the
+/// instead of O(chain length). "Is this indexed transaction on the
 /// branch?" is answered by Blockchain::TxOnBranch through the ChainIndex
-/// occurrence lists. An entry holds no ledger state: the Blockchain keeps
-/// the states of some entries and replays the rest (Blockchain::StateAt).
+/// occurrence lists; the branch's UTXO set answers it for everything
+/// else. An entry holds no ledger state: the Blockchain keeps the states of
+/// some entries and replays the rest (Blockchain::StateAt).
 struct BlockEntry {
   /// The validated block itself.
   Block block;
@@ -102,9 +112,20 @@ class ChainIndex {
   ChainIndex& operator=(const ChainIndex&) = delete;
 
   /// Stores `entry` under `hash` (which must be new) and records its
-  /// block's transactions (by position in `block.txs`) and its contract
-  /// calls in the query indexes. Returns the stable stored entry.
+  /// block's coinbase, deploys, calls and watched transfers (by position in
+  /// `block.txs`) and its contract calls in the query indexes. Returns the
+  /// stable stored entry.
   BlockEntry* Store(const crypto::Hash256& hash, BlockEntry entry);
+
+  /// Records transfer `tx_id` from the next Store on, so OccurrencesOf
+  /// and FindTx find it once it is mined. Watch it before it is mined:
+  /// there is no backfill, and a transfer stored before its watch stays
+  /// unindexed. A mutation like Store: call it between stores, never
+  /// during a pool round whose tasks query the index. Watching an id twice,
+  /// or a coinbase, deploy or call (indexed anyway), changes nothing.
+  void Watch(const crypto::Hash256& tx_id) {
+    tx_occurrences_.try_emplace(tx_id);
+  }
 
   /// The stored entry for `hash`, or nullptr.
   const BlockEntry* FindEntry(const crypto::Hash256& hash) const {
@@ -121,18 +142,18 @@ class ChainIndex {
   size_t EntryCount() const { return entries_.size(); }
 
   /// Every stored occurrence of `tx_id` across all forks, in store order
-  /// (empty span when the transaction is unknown). Valid until the next
-  /// Store.
+  /// (empty span when the transaction is unknown or an unwatched
+  /// transfer). Valid until the next Store.
   std::span<const TxLocation> OccurrencesOf(const crypto::Hash256& tx_id) const {
     auto it = tx_occurrences_.find(tx_id);
     if (it == tx_occurrences_.end()) return {};
     return it->second;
   }
 
-  /// The occurrence of `tx_id` on the branch selected by `on_branch`
-  /// (a predicate over BlockEntry). At most one occurrence lies on any
-  /// branch — duplicates are invalid per branch — so the first hit is THE
-  /// location.
+  /// The occurrence of indexed `tx_id` on the branch selected by
+  /// `on_branch` (a predicate over BlockEntry). At most one occurrence lies
+  /// on any branch — duplicates are invalid per branch — so the first hit
+  /// is THE location.
   template <typename OnBranch>
   std::optional<TxLocation> FindTx(const crypto::Hash256& tx_id,
                                    OnBranch&& on_branch) const {
@@ -177,6 +198,8 @@ class ChainIndex {
 
  private:
   std::unordered_map<crypto::Hash256, BlockEntry> entries_;
+  /// Indexed ids -> occurrences. An empty list is a watched transfer not
+  /// yet stored.
   std::unordered_map<crypto::Hash256, std::vector<TxLocation>> tx_occurrences_;
   std::unordered_map<crypto::Hash256, std::vector<const BlockEntry*>>
       contract_calls_;

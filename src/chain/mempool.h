@@ -27,8 +27,10 @@ namespace ac3::chain {
 
 class Mempool {
  public:
-  /// Branch-membership oracle: true when a transaction id is already
-  /// included on the assembling branch (see Blockchain::TxOnBranch).
+  /// A caller's exclusion predicate: true for a transaction id the
+  /// candidate list should leave out. Production passes none: assembly
+  /// skips a transaction already on its branch by the branch's UTXO set
+  /// (Blockchain::AssembleBlock).
   using TxFilter = std::function<bool(const crypto::Hash256&)>;
 
   /// Queues `tx`; duplicates by id are rejected.

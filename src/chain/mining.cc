@@ -110,10 +110,9 @@ void MiningNetwork::ProduceBlock() {
   const BlockEntry* parent = VisibleHead(miner, now);
 
   // No duplicate filter here: AssembleBlock's selection loop already skips
-  // on-branch transactions (without consuming block capacity), so filtering
-  // in CandidatePointersAt would just walk the tx index a second time per
-  // block. Pointer candidates: rejected entries are never copied out of the
-  // pool (the pool is not mutated between here and assembly).
+  // on-branch transactions, whose inputs are spent, without consuming
+  // block capacity. Pointer candidates: rejected entries are never copied
+  // out of the pool (the pool is not mutated between here and assembly).
   std::vector<const Transaction*> candidates =
       mempool_->CandidatePointersAt(now, Mempool::TxFilter());
   auto block = chain_->AssembleBlock(

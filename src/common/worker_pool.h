@@ -7,9 +7,9 @@
 //     rounds of `n` independent tasks on a pool it owns.
 //   * chain::MineHeaderBatch runs one round of searchers, each claiming
 //     nonce chunks from the batch's own cursor.
-//   * chain::Blockchain checks 64-transaction chunks of a selection's
-//     candidates (signatures, branch duplicates), and runs a validated
-//     block's staged re-execution beside its roots and duplicate checks.
+//   * chain::Blockchain checks the signatures of a selection's candidates
+//     in 64-transaction chunks, and runs a validated block's staged
+//     re-execution beside its two roots.
 //
 // The last two share the calling thread's pool (ForThisThread). This
 // class is the round, kept out of all three so its thread policy lives in

@@ -1,5 +1,6 @@
 #include "src/core/environment.h"
 
+#include <algorithm>
 #include <cassert>
 #include <span>
 #include <vector>
@@ -44,14 +45,21 @@ void PruneIncludedOnHeadMove(const chain::Blockchain* chain,
   if (!included.empty()) {
     pool->Prune(std::span<const crypto::Hash256>(included));
   }
+  if (&old_head == fork) return;
   // Disconnected (reorged-out) blocks: anything not re-included on the
   // winning branch goes back into the pool, stamped with the arrival time
-  // of the orphaned block that held it.
+  // of the orphaned block that held it. The common prefix, genesis to
+  // `fork`, cannot hold one of their transactions too: it is part of their
+  // branch, and no transaction repeats on a branch. So a transaction is on
+  // the winning branch exactly when the new segment, `included`, holds it.
+  std::sort(included.begin(), included.end());
   for (const chain::BlockEntry* walk = &old_head; walk != fork;
        walk = walk->parent) {
     for (const chain::Transaction& tx : walk->block.txs) {
       if (tx.type() == chain::TxType::kCoinbase) continue;
-      if (chain->TxOnBranch(*chain->head(), tx.Id())) continue;
+      if (std::binary_search(included.begin(), included.end(), tx.Id())) {
+        continue;
+      }
       // Duplicate submissions are rejected by id; ignore them.
       (void)pool->Submit(tx, walk->arrival_time);
     }
@@ -76,7 +84,7 @@ chain::ChainId Environment::AddChain(chain::ChainParams params,
   runtime.mempool = std::make_unique<chain::Mempool>();
   runtime.miners = std::make_unique<chain::MiningNetwork>(
       &sim_, runtime.blockchain.get(), runtime.mempool.get(), mining);
-  runtime.gateway = network_.AddNode(params.name + "-gateway");
+  runtime.gateway = network_.AddNode();
   // Batched mempool hygiene: included transactions leave the pool once per
   // canonical head movement, not via per-call-site cleanup. The raw
   // pointers outlive the subscription (the runtime owns both objects).
@@ -118,8 +126,8 @@ void Environment::StopMining() {
   for (ChainRuntime& runtime : chains_) runtime.miners->Stop();
 }
 
-sim::NodeId Environment::AddUserNode(const std::string& label) {
-  return network_.AddNode(label);
+sim::NodeId Environment::AddUserNode() {
+  return network_.AddNode();
 }
 
 void Environment::SubmitTransaction(sim::NodeId from, chain::ChainId id,

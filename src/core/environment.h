@@ -20,7 +20,6 @@
 #define AC3_CORE_ENVIRONMENT_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/chain/blockchain.h"
@@ -59,7 +58,7 @@ class Environment {
   void StopMining();
 
   /// Registers an end-user endpoint on the network.
-  sim::NodeId AddUserNode(const std::string& label);
+  sim::NodeId AddUserNode();
 
   /// Sends `tx` from `from` to the chain's gateway as a typed kTxSubmit
   /// envelope; it reaches the mempool after network latency unless dropped

@@ -7,7 +7,7 @@ Participant::Participant(std::string name, uint64_t key_seed,
     : name_(std::move(name)),
       key_(crypto::KeyPair::FromSeed(key_seed)),
       env_(env),
-      node_(env->AddUserNode(name_)) {}
+      node_(env->AddUserNode()) {}
 
 bool Participant::IsUp() const { return env_->network()->IsUp(node_); }
 

@@ -9,7 +9,7 @@ TrustedWitness::TrustedWitness(std::string name, uint64_t key_seed,
     : name_(std::move(name)),
       key_(crypto::KeyPair::FromSeed(key_seed)),
       env_(env),
-      node_(env->AddUserNode(name_)),
+      node_(env->AddUserNode()),
       confirm_depth_(confirm_depth) {}
 
 bool TrustedWitness::IsUp() const { return env_->network()->IsUp(node_); }

@@ -500,8 +500,8 @@ double MeasureDeltaMs(const core::ScenarioOptions& options,
   auto tx_id = alice->SubmitTransfer(world.asset_chain(0),
                                      world.participant(1)->pk(), 1, 1);
   if (!tx_id.ok()) return 0.0;
-  const chain::Blockchain* chain =
-      world.env()->blockchain(world.asset_chain(0));
+  chain::Blockchain* chain = world.env()->blockchain(world.asset_chain(0));
+  chain->Watch(*tx_id);  // Before the simulation can mine it.
   Status confirmed = world.env()->sim()->RunUntilCondition(
       [&]() { return chain->TxConfirmedAtDepth(*tx_id, confirm_depth); },
       Minutes(5));

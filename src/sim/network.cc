@@ -14,8 +14,8 @@ namespace ac3::sim {
 Network::Network(Simulation* sim, LatencyModel latency)
     : sim_(sim), latency_(latency), rng_(sim->rng()->Fork()) {}
 
-NodeId Network::AddNode(const std::string& label) {
-  nodes_.push_back(NodeState{label, /*up=*/true, /*partition=*/0});
+NodeId Network::AddNode() {
+  nodes_.push_back(NodeState{/*up=*/true, /*partition=*/0});
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 

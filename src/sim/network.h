@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -56,11 +55,10 @@ class Network {
   /// The network draws jitter from its own forked stream of `sim`'s RNG.
   Network(Simulation* sim, LatencyModel latency);
 
-  /// Registers a node; returns its id. `label` is for logs only.
-  NodeId AddNode(const std::string& label);
+  /// Registers a node; returns its id.
+  NodeId AddNode();
 
   size_t node_count() const { return nodes_.size(); }
-  const std::string& label(NodeId id) const { return nodes_.at(id).label; }
 
   // ------------------------------------------------------------ liveness
 
@@ -117,7 +115,6 @@ class Network {
 
  private:
   struct NodeState {
-    std::string label;
     bool up = true;
     uint32_t partition = 0;
   };

@@ -10,8 +10,9 @@
 // catch-up replay, and that staging a block's writes in one delta equals
 // committing them one transaction at a time; the validation-order cases
 // pin which status an over-capacity block or a short receipt list gets,
-// and the repeated-transaction cases that a coinbase may not repeat on
-// its branch.
+// and the repeated-transaction cases that no transaction repeats on its
+// branch: a coinbase by its index lookup, any other kind by its spent
+// inputs, in validation and in selection alike.
 
 #include <map>
 #include <memory>
@@ -200,6 +201,29 @@ class ChainFixture : public ::testing::Test {
     block->header.receipt_root = block->ComputeReceiptRoot();
     Rng rng(block->header.height);
     chain::MineHeader(&block->header, &rng);
+  }
+
+  /// Completes a RawBlock that must fail execution: a placeholder receipt
+  /// per transaction, both roots over them and a proof of work, so only
+  /// staging can reject it.
+  void SealUnexecuted(Block* block) {
+    block->receipts.assign(block->txs.size(), chain::Receipt{});
+    block->header.tx_root = block->ComputeTxRoot();
+    block->header.receipt_root = block->ComputeReceiptRoot();
+    Rng rng(block->header.height);
+    chain::MineHeader(&block->header, &rng);
+  }
+
+  /// Submits `block`, expecting `message` as an invalid argument, and
+  /// checks the rejection left the head and its value totals untouched.
+  void ExpectRejected(const Block& block, const std::string& message) {
+    const crypto::Hash256 head = chain().head()->hash;
+    const Status status = chain().SubmitBlock(block, 500);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), message);
+    EXPECT_EQ(chain().head()->hash, head);
+    const LedgerState state = chain().StateAtHead();
+    EXPECT_EQ(state.LiquidValue(), testutil::LiquidValueScan(state));
   }
 
   /// Key `signer` moves the whole of `outpoint`, worth `value`, to key
@@ -480,11 +504,13 @@ TEST_F(BlockTemplateTest, CapacityCapsTheBlock) {
   EXPECT_EQ(block.txs.size(), params().max_block_txs + 1);  // +1 coinbase.
 }
 
-// Selection checks signatures and branch lookups in 64-transaction chunks
-// on the pool, a window of at most the remaining capacity at a time. 200
-// candidates in a 160-slot block: the first window's three chunks each
-// hold one reject, and the block fills in the third window, which a
-// second window's in-list duplicate forces.
+// Selection checks signatures in 64-transaction chunks on the pool, a
+// window of at most the remaining capacity at a time. 200 candidates in a
+// 160-slot block: the first window's three chunks each hold one reject (a
+// forged signature, a missing input, a transaction already on the branch,
+// whose input is spent), and the block fills in the third window, which a
+// second window's in-list duplicate, whose input the first copy spent,
+// forces.
 TEST_F(BlockTemplateTest, WideSelectionRejectsInEveryChunkAndWindow) {
   Reset(/*capacity=*/160);
   std::vector<Transaction> splits;
@@ -835,11 +861,12 @@ TEST_F(ValidationOrderTest, ShortReceiptListRejectedBeforeRootsAreHashed) {
   EXPECT_EQ(status.message(), "receipt count mismatch");
 }
 
-// Validation runs the staged re-execution, both roots and the duplicate
-// checks side by side. A 141-transaction block, wider than two selection
-// chunks, with any two faults must get the status of the one a serial
-// check meets first: tx root, receipt root, on-branch repeat, then a
-// mid-body missing input.
+// Validation runs the staged re-execution and both roots side by side. A
+// 141-transaction block, wider than two selection chunks, with any two
+// faults must get the status of the one a serial check meets first: tx
+// root, receipt root, then the body in order. A transfer repeated from the
+// branch fails staging on its spent input, as a missing input does, so of
+// those two the one at the lower index wins (the missing input, at 60).
 TEST_F(ValidationOrderTest, WideBlockWithTwoFaultsGetsTheSerialStatus) {
   Reset(/*capacity=*/160);
   std::vector<Transaction> splits;
@@ -854,7 +881,7 @@ TEST_F(ValidationOrderTest, WideBlockWithTwoFaultsGetsTheSerialStatus) {
   enum Fault { kTxRoot, kReceiptRoot, kRepeat, kMissingInput, kFaults };
   const char* const kMessages[kFaults] = {
       "tx merkle root mismatch", "receipt merkle root mismatch",
-      "transaction already included on branch",
+      "input not in UTXO set (double spend?)",
       "input not in UTXO set (double spend?)"};
   const crypto::Hash256 head = chain().head()->hash;
   for (int first = 0; first < kFaults; ++first) {
@@ -922,6 +949,101 @@ TEST_F(RepeatedTxTest, CoinbaseRepeatRejectedOnItsBranchOnly) {
   const LedgerState fork = chain().StateAt(*chain().Get(sibling.header.Hash()));
   EXPECT_NE(fork.utxos.Find(OutPoint{first.txs[0].Id(), 0}), nullptr);
   EXPECT_EQ(fork.LiquidValue(), testutil::LiquidValueScan(fork));
+}
+
+// Every other kind spends an input its first inclusion spent, so a repeat
+// fails staging; no lookup on the branch is needed.
+TEST_F(RepeatedTxTest, TransferRepeatedInALaterBlockRejected) {
+  const Transaction tx = Transfer(1, 25, 1);
+  RaceAndSubmit(std::vector<const Transaction*>{&tx}, /*miners=*/1, 100);
+  Block repeat = RawBlock({Transfer(2, 25, 2), tx}, /*fees=*/2);
+  SealUnexecuted(&repeat);
+  ExpectRejected(repeat, "input not in UTXO set (double spend?)");
+}
+
+TEST_F(RepeatedTxTest, TransferTwiceInOneBlockRejected) {
+  const Transaction tx = Transfer(1, 25, 1);
+  Block twice = RawBlock({tx, Transfer(2, 25, 2), tx}, /*fees=*/3);
+  SealUnexecuted(&twice);
+  ExpectRejected(twice, "input not in UTXO set (double spend?)");
+}
+
+TEST_F(RepeatedTxTest, DeployAndCallRepeatsRejected) {
+  const Bytes secret{2, 7, 1, 8};
+  const LedgerState s0 = chain().StateAtHead();
+  const Bytes payload = Encode(contracts::HtlcInit{
+      keys_[2].public_key(), crypto::Hash256::Of(secret), /*timelock=*/10'000});
+  auto deploy =
+      WalletFor(1).BuildDeploy(s0, contracts::kHtlcKind, payload, 300, 4, 1);
+  ASSERT_TRUE(deploy.ok());
+  auto redeem = WalletFor(2).BuildCall(s0, deploy->Id(),
+                                       contracts::kRedeemFunction, secret, 2, 2);
+  ASSERT_TRUE(redeem.ok());
+  const Block mined = RaceAndSubmit(
+      std::vector<const Transaction*>{&*deploy, &*redeem}, /*miners=*/1, 100);
+  ASSERT_EQ(mined.txs.size(), 3u);
+  ASSERT_TRUE(mined.receipts[2].success);
+
+  Block deploy_again = RawBlock({*deploy}, /*fees=*/4);
+  SealUnexecuted(&deploy_again);
+  ExpectRejected(deploy_again, "input not in UTXO set (double spend?)");
+  Block call_again = RawBlock({*redeem}, /*fees=*/2);
+  SealUnexecuted(&call_again);
+  ExpectRejected(call_again, "input not in UTXO set (double spend?)");
+  EXPECT_EQ(chain().StateAtHead().contracts.size(), 1u);
+}
+
+TEST_F(RepeatedTxTest, TransferOnASiblingBranchAccepted) {
+  const crypto::Hash256 genesis = chain().head()->hash;
+  const Transaction tx = Transfer(1, 25, 1);
+  const Block first =
+      RaceAndSubmit(std::vector<const Transaction*>{&tx}, /*miners=*/1, 100);
+
+  // A sibling of `first` holds the same transfer: on its branch the input
+  // is unspent.
+  Block sibling = RawBlock({tx}, /*fees=*/1);
+  sibling.header.prev_hash = genesis;
+  sibling.header.height = 1;
+  Seal(&sibling);
+  ASSERT_TRUE(chain().SubmitBlock(sibling, 300).ok());
+  EXPECT_EQ(chain().head()->hash, first.header.Hash());  // First seen wins.
+  const LedgerState fork = chain().StateAt(*chain().Get(sibling.header.Hash()));
+  EXPECT_NE(fork.utxos.Find(OutPoint{tx.Id(), 0}), nullptr);
+  EXPECT_EQ(fork.utxos.Find(tx.inputs()[0]), nullptr);
+  EXPECT_EQ(fork.LiquidValue(), testutil::LiquidValueScan(fork));
+}
+
+// A fresh selection on a fork parent reads that parent's branch, not the
+// head's: a candidate the fork already holds is skipped without using
+// capacity, and one only the head's branch holds is chosen.
+TEST_F(RepeatedTxTest, ForkSelectionSkipsItsBranchCandidateWithoutCapacity) {
+  Reset(/*capacity=*/2);
+  const crypto::Hash256 genesis = chain().head()->hash;
+  const Transaction on_head = Transfer(0, 60, 1);
+  const Transaction on_fork = Transfer(2, 60, 2);
+  const Transaction pending = Transfer(4, 60, 3);
+  RaceAndSubmit(std::vector<const Transaction*>{&on_head}, /*miners=*/1, 100);
+  Block fork_1 = Assemble(chain(), genesis,
+                          std::vector<const Transaction*>{&on_fork}, Miner(1),
+                          150);
+  Rng rng(150);
+  chain::MineHeader(&fork_1.header, &rng);
+  ASSERT_TRUE(chain().SubmitBlock(fork_1, 150).ok());
+  const crypto::Hash256 fork = fork_1.header.Hash();
+  ASSERT_NE(chain().head()->hash, fork);
+
+  const std::vector<const Transaction*> candidates{&on_fork, &on_head,
+                                                   &pending};
+  Block block = ExpectMatchesFresh(fork, candidates, Miner(2), 200);
+  ASSERT_EQ(block.txs.size(), 3u);
+  EXPECT_EQ(block.txs[1].Id(), on_head.Id());
+  EXPECT_EQ(block.txs[2].Id(), pending.Id());
+  rng = Rng(200);
+  chain::MineHeader(&block.header, &rng);
+  ASSERT_TRUE(chain().SubmitBlock(block, 200).ok());
+  EXPECT_EQ(chain().head()->hash, block.header.Hash());  // The fork wins.
+  const LedgerState head = chain().StateAtHead();
+  EXPECT_EQ(head.LiquidValue(), testutil::LiquidValueScan(head));
 }
 
 }  // namespace

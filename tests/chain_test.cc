@@ -1213,8 +1213,8 @@ TEST(BlockchainTest, HeldHeadStateIsUnchangedByLaterBlocks) {
 }
 
 TEST(BlockchainTest, FindTxFollowsAReorgToTheOtherInclusion) {
-  // One transfer mined into two sibling blocks at different positions:
-  // FindTx answers with whichever sibling the head extends.
+  // One watched transfer mined into two sibling blocks at different
+  // positions: FindTx answers with whichever sibling the head extends.
   TestChain tc(FastParams(),
                Fund({Alice().public_key(), Bob().public_key()}, 100));
   Blockchain& bc = tc.chain();
@@ -1225,6 +1225,8 @@ TEST(BlockchainTest, FindTxFollowsAReorgToTheOtherInclusion) {
   auto filler =
       bob.BuildTransfer(bc.StateAtHead(), Alice().public_key(), 5, 1, 1);
   ASSERT_TRUE(tx.ok() && filler.ok());
+  bc.Watch(tx->Id());
+  bc.Watch(filler->Id());
 
   const crypto::PublicKey miner = crypto::KeyPair::FromSeed(9999).public_key();
   const BlockEntry* root = bc.head();
@@ -1386,15 +1388,25 @@ TEST(ChainIndexTest, ForkReorgChurnMatchesParentWalk) {
 
   Rng rng(777);
   TimePoint now = 0;
+  // Indexed ids (coinbases, the deploy and call, watched transfers), which
+  // the parent-link walk answers for, and the unwatched transfers, which
+  // must read absent.
   std::vector<crypto::Hash256> tx_ids;
+  std::vector<crypto::Hash256> unwatched;
   auto mine_on = [&](const crypto::Hash256& parent,
-                     const std::vector<Transaction>& txs) {
+                     const std::vector<Transaction>& txs, bool watch) {
+    if (watch) {
+      for (const Transaction& tx : txs) bc.Watch(tx.Id());
+    }
     now += 100;
     auto block =
         bc.AssembleBlock(parent, txs, kMiner.public_key(), now, &rng);
     ASSERT_TRUE(block.ok());
     ASSERT_TRUE(bc.SubmitBlock(*block, now).ok());
-    for (const Transaction& tx : block->txs) tx_ids.push_back(tx.Id());
+    for (const Transaction& tx : block->txs) {
+      const bool indexed = watch || tx.type() != TxType::kTransfer;
+      (indexed ? tx_ids : unwatched).push_back(tx.Id());
+    }
   };
 
   Wallet alice(kAlice, params.id);
@@ -1409,31 +1421,33 @@ TEST(ChainIndexTest, ForkReorgChurnMatchesParentWalk) {
       500, params.deploy_fee, /*nonce=*/1);
   ASSERT_TRUE(deploy.ok());
   const crypto::Hash256 contract_id = deploy->Id();
-  mine_on(bc.head()->hash, {*deploy});
+  mine_on(bc.head()->hash, {*deploy}, /*watch=*/false);
   auto redeem = bob.BuildCall(bc.StateAtHead(), contract_id,
                               contracts::kRedeemFunction, secret, 1,
                               /*nonce=*/1);
   ASSERT_TRUE(redeem.ok());
-  mine_on(bc.head()->hash, {*redeem});
+  mine_on(bc.head()->hash, {*redeem}, /*watch=*/false);
 
-  // Randomized churn: transfers on the head, plus empty fork blocks on
-  // random recent parents (some of which overtake the head — reorgs).
+  // Randomized churn: transfers on the head, every other one watched, plus
+  // empty fork blocks on random recent parents (some of which overtake the
+  // head — reorgs).
   uint64_t nonce = 2;
   for (int round = 0; round < 40; ++round) {
     if (rng.NextU64() % 3 == 0) {
       auto tx = alice.BuildTransfer(bc.StateAtHead(), kBob.public_key(),
                                     1 + rng.NextU64() % 5, 1, nonce++);
       ASSERT_TRUE(tx.ok());
-      mine_on(bc.head()->hash, {*tx});
+      mine_on(bc.head()->hash, {*tx}, /*watch=*/nonce % 2 == 0);
     } else {
       const auto& arrivals = bc.arrival_order();
       const size_t window = std::min<size_t>(arrivals.size(), 6);
       const BlockEntry* parent =
           arrivals[arrivals.size() - 1 - rng.NextU64() % window];
-      mine_on(parent->hash, {});
+      mine_on(parent->hash, {}, /*watch=*/false);
     }
   }
   ASSERT_GT(bc.block_count(), 40u);
+  ASSERT_GT(unwatched.size(), 0u);
 
   // Every query the facade exposes answers like the parent-link walk.
   const BlockEntry* head = bc.head();
@@ -1450,6 +1464,12 @@ TEST(ChainIndexTest, ForkReorgChurnMatchesParentWalk) {
   // The churn must leave transactions on losing forks, or FindTx's
   // branch filter goes unexercised.
   EXPECT_GT(off_branch, 0u);
+  for (const crypto::Hash256& tx_id : unwatched) {
+    EXPECT_FALSE(bc.FindTx(tx_id).has_value());
+    for (const BlockEntry* tip : bc.arrival_order()) {
+      EXPECT_FALSE(bc.TxOnBranch(*tip, tx_id));
+    }
+  }
   for (bool require_success : {false, true}) {
     ExpectSameLocation(
         bc.FindCall(contract_id, contracts::kRedeemFunction, require_success),
@@ -1655,6 +1675,54 @@ TEST(ChainIndexTest, UnknownKeysAnswerEmpty) {
                    .has_value());
   EXPECT_FALSE(
       index.FindCall(Key("contract"), "refund", false, any_branch).has_value());
+}
+
+// Coinbases, deploys and calls are indexed whenever stored; a transfer
+// only from a watch on: one stored before its watch stays unindexed.
+TEST(ChainIndexTest, IndexesTransfersOnlyFromTheirWatchOn) {
+  ChainIndex index;
+  const auto any_branch = [](const BlockEntry&) { return true; };
+  const auto of_type = [](TxType type, const std::string& label) {
+    MutableTransaction m;
+    m.type = type;
+    m.nonce = Key(label).Prefix64();
+    return Transaction(std::move(m));
+  };
+  const Transaction watched = of_type(TxType::kTransfer, "watched");
+  const Transaction late = of_type(TxType::kTransfer, "late");
+  const Transaction unwatched = of_type(TxType::kTransfer, "unwatched");
+  const Transaction deploy = of_type(TxType::kDeploy, "deploy");
+  const Transaction call = of_type(TxType::kCall, "call");
+  index.Watch(watched.Id());
+  index.Watch(watched.Id());  // A second watch changes nothing.
+  EXPECT_TRUE(index.OccurrencesOf(watched.Id()).empty());  // Not yet stored.
+  EXPECT_FALSE(index.FindTx(watched.Id(), any_branch).has_value());
+
+  const BlockEntry* genesis = StoreEntry(&index, "genesis", nullptr);
+  const BlockEntry* a = StoreEntry(
+      &index, "a", genesis,
+      {{watched, 1}, {late, 2}, {unwatched, 3}, {deploy, 4}, {call, 5}});
+  index.Watch(late.Id());
+  const BlockEntry* b = StoreEntry(&index, "b", genesis,
+                                   {{unwatched, 1}, {late, 2}, {watched, 3}});
+
+  const std::span<const TxLocation> watched_at =
+      index.OccurrencesOf(watched.Id());
+  ASSERT_EQ(watched_at.size(), 2u);
+  EXPECT_EQ(watched_at[0].entry, a);
+  EXPECT_EQ(watched_at[1].entry, b);
+  EXPECT_EQ(watched_at[1].index, 3u);
+  // `late` was watched between the stores: only b's copy is indexed.
+  const std::span<const TxLocation> late_at = index.OccurrencesOf(late.Id());
+  ASSERT_EQ(late_at.size(), 1u);
+  EXPECT_EQ(late_at[0].entry, b);
+  EXPECT_TRUE(index.OccurrencesOf(unwatched.Id()).empty());
+  EXPECT_FALSE(index.FindTx(unwatched.Id(), any_branch).has_value());
+  ExpectSameLocation(index.FindTx(deploy.Id(), any_branch), TxLocation{a, 4});
+  ExpectSameLocation(index.FindTx(call.Id(), any_branch), TxLocation{a, 5});
+  // Position 0 holds each entry's own coinbase filler.
+  ExpectSameLocation(index.FindTx(a->block.txs[0].Id(), any_branch),
+                     TxLocation{a, 0});
 }
 
 TEST(ChainIndexTest, FindTxReturnsTheOccurrenceOnTheSelectedBranch) {
@@ -1924,6 +1992,7 @@ TEST(MiningNetworkTest, ProducesBlocksAndIncludesTxs) {
                                  100, 1, 1);
   ASSERT_TRUE(tx.ok());
   ASSERT_TRUE(pool.Submit(*tx, 0).ok());
+  chain.Watch(tx->Id());
 
   miners.Start();
   sim.RunUntil(Seconds(5));

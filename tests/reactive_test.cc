@@ -135,8 +135,8 @@ TEST(HeadSubscriptionTest, LinearCatchUpFiresOncePerBlockInChainOrder) {
 TEST(ConnectivitySubscriptionTest, FiresOnCrashRecoverAndPartition) {
   sim::Simulation sim(1);
   sim::Network network(&sim, sim::LatencyModel{0, 0});
-  const sim::NodeId a = network.AddNode("a");
-  const sim::NodeId b = network.AddNode("b");
+  const sim::NodeId a = network.AddNode();
+  const sim::NodeId b = network.AddNode();
 
   std::vector<sim::NodeId> events;
   auto id = network.SubscribeConnectivity(
@@ -177,6 +177,7 @@ TEST(MempoolAutoPruneTest, IncludedTransactionsLeaveThePoolOnHeadMove) {
                                  keys[1].public_key(), 10, 1, /*nonce=*/1);
   ASSERT_TRUE(tx.ok());
   ASSERT_TRUE(env.mempool(id)->Submit(*tx, 0).ok());
+  env.blockchain(id)->Watch(tx->Id());
   EXPECT_EQ(env.mempool(id)->size(), 1u);
 
   env.StartMining();
@@ -206,6 +207,7 @@ TEST(MempoolAutoPruneTest, ReorgedOutTransactionsReturnToThePool) {
                                  10, 1, /*nonce=*/1);
   ASSERT_TRUE(tx.ok());
   ASSERT_TRUE(env.mempool(id)->Submit(*tx, 0).ok());
+  chain->Watch(tx->Id());
 
   // Block A (genesis + tx) becomes the head: the subscription prunes.
   const crypto::Hash256 genesis = chain->genesis()->hash;
@@ -230,6 +232,58 @@ TEST(MempoolAutoPruneTest, ReorgedOutTransactionsReturnToThePool) {
   EXPECT_FALSE(chain->FindTx(tx->Id()).has_value());
   EXPECT_TRUE(env.mempool(id)->Contains(tx->Id()))
       << "a reorged-out transaction must return to the pool for re-mining";
+}
+
+// A reorg re-queues only what the winning branch lacks: a transaction both
+// branches hold stays out of the pool, and its sibling that only the
+// orphaned block held returns.
+TEST(MempoolAutoPruneTest, ReorgRequeuesOnlyWhatTheWinningBranchLacks) {
+  auto keys = MakeKeys(3);
+  core::Environment env(/*seed=*/5);
+  chain::MiningConfig mining;
+  mining.miner_count = 1;
+  const chain::ChainId id =
+      env.AddChain(chain::TestChainParams(), Fund(Pks(keys), 1000), mining);
+  chain::Blockchain* chain = env.blockchain(id);
+  chain::Mempool* pool = env.mempool(id);
+  Rng rng(98);
+  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(78);
+
+  auto both = chain::Wallet(keys[0], id).BuildTransfer(
+      chain->StateAtHead(), keys[1].public_key(), 10, 1, /*nonce=*/1);
+  auto orphan_only = chain::Wallet(keys[1], id).BuildTransfer(
+      chain->StateAtHead(), keys[2].public_key(), 10, 1, /*nonce=*/2);
+  ASSERT_TRUE(both.ok() && orphan_only.ok());
+  ASSERT_TRUE(pool->Submit(*both, 0).ok());
+  ASSERT_TRUE(pool->Submit(*orphan_only, 0).ok());
+  chain->Watch(both->Id());
+
+  const crypto::Hash256 genesis = chain->genesis()->hash;
+  auto block_a = chain->AssembleBlock(genesis, {*both, *orphan_only},
+                                      miner.public_key(), /*now=*/100, &rng);
+  ASSERT_TRUE(block_a.ok());
+  ASSERT_EQ(block_a->txs.size(), 3u);
+  ASSERT_TRUE(chain->SubmitBlock(*block_a, 100).ok());
+  EXPECT_EQ(pool->size(), 0u);
+
+  // A two-block side branch holding `both` below its tip overtakes A.
+  auto side_1 = chain->AssembleBlock(genesis, {*both}, miner.public_key(),
+                                     101, &rng);
+  ASSERT_TRUE(side_1.ok());
+  ASSERT_TRUE(chain->SubmitBlock(*side_1, 101).ok());
+  auto side_2 = chain->AssembleBlock(side_1->header.Hash(), kNoCandidates,
+                                     miner.public_key(), 102, &rng);
+  ASSERT_TRUE(side_2.ok());
+  ASSERT_TRUE(chain->SubmitBlock(*side_2, 102).ok());
+
+  ASSERT_EQ(chain->head()->hash, side_2->header.Hash());
+  const auto location = chain->FindTx(both->Id());
+  ASSERT_TRUE(location.has_value());
+  EXPECT_EQ(location->entry->hash, side_1->header.Hash());
+  EXPECT_FALSE(pool->Contains(both->Id()))
+      << "a transaction the winning branch holds must stay out of the pool";
+  EXPECT_TRUE(pool->Contains(orphan_only->Id()));
+  EXPECT_EQ(pool->size(), 1u);
 }
 
 // ---- the engine-level payoff: event counts --------------------------------

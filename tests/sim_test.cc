@@ -111,8 +111,8 @@ TEST(SimulationTest, RunUntilConditionTimesOut) {
 TEST(NetworkTest, DeliversWithLatency) {
   Simulation sim(7);
   Network net(&sim, LatencyModel{Milliseconds(50), Milliseconds(0)});
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
+  NodeId a = net.AddNode();
+  NodeId b = net.AddNode();
   TimePoint delivered_at = -1;
   net.SendMessage(Envelope(a, b),
                   [&](const proto::Message&) { delivered_at = sim.Now(); });
@@ -124,8 +124,8 @@ TEST(NetworkTest, DeliversWithLatency) {
 TEST(NetworkTest, CrashedReceiverDropsMessage) {
   Simulation sim(7);
   Network net(&sim, LatencyModel{Milliseconds(10), Milliseconds(0)});
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
+  NodeId a = net.AddNode();
+  NodeId b = net.AddNode();
   net.Crash(b);
   bool delivered = false;
   net.SendMessage(Envelope(a, b),
@@ -138,8 +138,8 @@ TEST(NetworkTest, CrashedReceiverDropsMessage) {
 TEST(NetworkTest, CrashMidFlightDropsMessage) {
   Simulation sim(7);
   Network net(&sim, LatencyModel{Milliseconds(100), Milliseconds(0)});
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
+  NodeId a = net.AddNode();
+  NodeId b = net.AddNode();
   bool delivered = false;
   net.SendMessage(Envelope(a, b),
                   [&](const proto::Message&) { delivered = true; });
@@ -151,8 +151,8 @@ TEST(NetworkTest, CrashMidFlightDropsMessage) {
 TEST(NetworkTest, RecoveryRestoresDelivery) {
   Simulation sim(7);
   Network net(&sim, LatencyModel{Milliseconds(10), Milliseconds(0)});
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
+  NodeId a = net.AddNode();
+  NodeId b = net.AddNode();
   net.Crash(b);
   net.Recover(b);
   bool delivered = false;
@@ -165,8 +165,8 @@ TEST(NetworkTest, RecoveryRestoresDelivery) {
 TEST(NetworkTest, PartitionBlocksCrossGroupTraffic) {
   Simulation sim(7);
   Network net(&sim, LatencyModel{Milliseconds(10), Milliseconds(0)});
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
+  NodeId a = net.AddNode();
+  NodeId b = net.AddNode();
   net.SetPartition(b, 1);
   bool delivered = false;
   net.SendMessage(Envelope(a, b),
@@ -194,7 +194,7 @@ TEST(NetworkTest, JitterWithinBounds) {
 TEST(FailureInjectorTest, CrashWindowCrashesAndRecovers) {
   Simulation sim(11);
   Network net(&sim, LatencyModel{});
-  NodeId n = net.AddNode("victim");
+  NodeId n = net.AddNode();
   FailureInjector injector(&sim, &net);
   injector.CrashFor(n, 100, 200);
 
@@ -209,7 +209,7 @@ TEST(FailureInjectorTest, CrashWindowCrashesAndRecovers) {
 TEST(FailureInjectorTest, PermanentCrashNeverRecovers) {
   Simulation sim(11);
   Network net(&sim, LatencyModel{});
-  NodeId n = net.AddNode("victim");
+  NodeId n = net.AddNode();
   FailureInjector injector(&sim, &net);
   injector.ScheduleCrash(CrashWindow{n, 10, kTimeInfinity});
   sim.RunUntil(10'000);
@@ -219,8 +219,8 @@ TEST(FailureInjectorTest, PermanentCrashNeverRecovers) {
 TEST(FailureInjectorTest, PartitionWindowIsolatesNode) {
   Simulation sim(13);
   Network net(&sim, LatencyModel{Milliseconds(1), Milliseconds(0)});
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
+  NodeId a = net.AddNode();
+  NodeId b = net.AddNode();
   FailureInjector injector(&sim, &net);
   injector.SchedulePartition(PartitionWindow{b, 100, 200});
 

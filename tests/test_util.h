@@ -42,9 +42,11 @@ class TestChain {
   }
 
   /// Mines one block on an arbitrary parent — the raw material of fork
-  /// experiments (two branches from the same parent).
+  /// experiments (two branches from the same parent). Watches every one of
+  /// `txs` first, so FindTx finds the transfers it mines.
   Status MineBlockOn(const crypto::Hash256& parent,
                      const std::vector<chain::Transaction>& txs) {
+    for (const chain::Transaction& tx : txs) chain_.Watch(tx.Id());
     now_ += 100;
     auto block =
         chain_.AssembleBlock(parent, txs, miner_.public_key(), now_, &rng_);

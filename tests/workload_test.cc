@@ -204,6 +204,7 @@ TEST(WorkloadTest, GeneratedTrafficFullyIncludesOnRealChains) {
   std::vector<std::vector<chain::Transaction>> per_chain(config.chains);
   for (const GeneratedTx& gtx : batch.txs) {
     per_chain[gtx.chain].push_back(gtx.tx);
+    chains[gtx.chain]->Watch(gtx.tx.Id());  // So the checks below find it.
   }
   for (size_t c = 0; c < config.chains; ++c) {
     auto result = pools[c].SubmitBatch(
