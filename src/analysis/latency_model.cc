@@ -6,14 +6,6 @@ uint32_t HerlihyLatencyDeltas(uint32_t diameter) { return 2 * diameter; }
 
 uint32_t Ac3wnLatencyDeltas() { return 4; }
 
-Duration HerlihyLatency(uint32_t diameter, Duration delta) {
-  return static_cast<Duration>(HerlihyLatencyDeltas(diameter)) * delta;
-}
-
-Duration Ac3wnLatency(Duration delta) {
-  return static_cast<Duration>(Ac3wnLatencyDeltas()) * delta;
-}
-
 uint32_t CrossoverDiameter() { return 2; }
 
 }  // namespace ac3::analysis

@@ -23,10 +23,6 @@ uint32_t HerlihyLatencyDeltas(uint32_t diameter);
 /// AC3WN latency in Δ units: a constant 4, independent of the graph.
 uint32_t Ac3wnLatencyDeltas();
 
-/// Absolute latencies for a concrete Δ.
-Duration HerlihyLatency(uint32_t diameter, Duration delta);
-Duration Ac3wnLatency(Duration delta);
-
 /// The diameter beyond which AC3WN is strictly faster (Figure 10's
 /// crossover): 2·Diam > 4 ⇔ Diam > 2, so every Diam ≥ 3 favours AC3WN and
 /// Diam = 2 ties.

@@ -31,13 +31,4 @@ const chain::ChainParams& BestWitnessAmongInvolved(
                            });
 }
 
-std::vector<ThroughputRow> Table1Rows() {
-  return {
-      {chain::BitcoinParams().name, chain::BitcoinParams().real_tps},
-      {chain::EthereumParams().name, chain::EthereumParams().real_tps},
-      {chain::LitecoinParams().name, chain::LitecoinParams().real_tps},
-      {chain::BitcoinCashParams().name, chain::BitcoinCashParams().real_tps},
-  };
-}
-
 }  // namespace ac3::analysis

@@ -7,7 +7,6 @@
 #ifndef AC3_ANALYSIS_THROUGHPUT_MODEL_H_
 #define AC3_ANALYSIS_THROUGHPUT_MODEL_H_
 
-#include <string>
 #include <vector>
 
 #include "src/chain/params.h"
@@ -25,17 +24,6 @@ double Ac2tThroughput(const std::vector<chain::ChainParams>& asset_chains,
 /// the witness from the involved set never lowers the composite throughput.
 const chain::ChainParams& BestWitnessAmongInvolved(
     const std::vector<chain::ChainParams>& involved);
-
-/// One row of Table 1.
-struct ThroughputRow {
-  std::string name;
-  double tps = 0.0;
-};
-
-/// Table 1: the top-4 permissionless cryptocurrencies by market cap with
-/// the paper's throughput figures (Bitcoin 7, Ethereum 25, Litecoin 56,
-/// Bitcoin Cash 61).
-std::vector<ThroughputRow> Table1Rows();
 
 }  // namespace ac3::analysis
 

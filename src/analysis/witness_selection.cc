@@ -28,13 +28,6 @@ double AttackCostForDepth(uint32_t depth, double blocks_per_hour,
          blocks_per_hour;
 }
 
-bool DepthDisincentivizesAttack(uint32_t depth, double asset_value_usd,
-                                double blocks_per_hour,
-                                double attack_cost_per_hour_usd) {
-  return AttackCostForDepth(depth, blocks_per_hour,
-                            attack_cost_per_hour_usd) > asset_value_usd;
-}
-
 double ForkCatchUpProbability(double attacker_fraction, uint32_t depth) {
   if (attacker_fraction <= 0.0) return 0.0;
   if (attacker_fraction >= 0.5) return 1.0;

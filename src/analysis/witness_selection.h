@@ -34,12 +34,6 @@ uint32_t MinimumSafeDepth(double asset_value_usd, double blocks_per_hour,
 double AttackCostForDepth(uint32_t depth, double blocks_per_hour,
                           double attack_cost_per_hour_usd);
 
-/// True when `depth` makes the attack strictly unprofitable for an asset
-/// worth `asset_value_usd`.
-bool DepthDisincentivizesAttack(uint32_t depth, double asset_value_usd,
-                                double blocks_per_hour,
-                                double attack_cost_per_hour_usd);
-
 /// Probability that an attacker with mining-power fraction `q` (< 0.5)
 /// eventually overtakes an honest lead of `d` blocks: (q/(1-q))^d.
 double ForkCatchUpProbability(double attacker_fraction, uint32_t depth);

@@ -75,11 +75,10 @@ std::optional<uint64_t> LightClient::ConfirmationsOf(
   return head().height - headers_.at(hash).header.height;
 }
 
-Status LightClient::VerifyAgainstRoot(const crypto::Hash256& block_hash,
-                                      const crypto::Hash256& leaf,
-                                      const crypto::MerkleProof& proof,
-                                      uint64_t min_confirmations,
-                                      bool receipt) const {
+Status LightClient::VerifyInclusion(const crypto::Hash256& block_hash,
+                                    const crypto::Hash256& tx_root_leaf,
+                                    const crypto::MerkleProof& proof,
+                                    uint64_t min_confirmations) const {
   auto confirmations = ConfirmationsOf(block_hash);
   if (!confirmations.has_value()) {
     return Status::NotFound("block is not on the canonical header chain");
@@ -89,28 +88,11 @@ Status LightClient::VerifyAgainstRoot(const crypto::Hash256& block_hash,
         "block not buried deep enough: " + std::to_string(*confirmations) +
         " < " + std::to_string(min_confirmations));
   }
-  const BlockHeader& header = headers_.at(block_hash).header;
-  const crypto::Hash256& root =
-      receipt ? header.receipt_root : header.tx_root;
-  if (!crypto::VerifyMerkleProof(leaf, proof, root)) {
+  if (!crypto::VerifyMerkleProof(tx_root_leaf, proof,
+                                 headers_.at(block_hash).header.tx_root)) {
     return Status::VerificationFailed("Merkle proof does not bind the leaf");
   }
   return Status::OK();
-}
-
-Status LightClient::VerifyInclusion(const crypto::Hash256& block_hash,
-                                    const crypto::Hash256& tx_root_leaf,
-                                    const crypto::MerkleProof& proof,
-                                    uint64_t min_confirmations) const {
-  return VerifyAgainstRoot(block_hash, tx_root_leaf, proof, min_confirmations,
-                           /*receipt=*/false);
-}
-
-Status LightClient::VerifyReceiptInclusion(
-    const crypto::Hash256& block_hash, const crypto::Hash256& receipt_leaf,
-    const crypto::MerkleProof& proof, uint64_t min_confirmations) const {
-  return VerifyAgainstRoot(block_hash, receipt_leaf, proof, min_confirmations,
-                           /*receipt=*/true);
 }
 
 }  // namespace ac3::chain

@@ -69,23 +69,12 @@ class LightClient {
                          const crypto::MerkleProof& proof,
                          uint64_t min_confirmations) const;
 
-  /// Same for receipts (proved against the header's receipt root).
-  Status VerifyReceiptInclusion(const crypto::Hash256& block_hash,
-                                const crypto::Hash256& receipt_leaf,
-                                const crypto::MerkleProof& proof,
-                                uint64_t min_confirmations) const;
-
  private:
   struct Entry {
     BlockHeader header;
     double total_work = 0;
     uint64_t arrival_seq = 0;
   };
-
-  Status VerifyAgainstRoot(const crypto::Hash256& block_hash,
-                           const crypto::Hash256& leaf,
-                           const crypto::MerkleProof& proof,
-                           uint64_t min_confirmations, bool receipt) const;
 
   uint32_t difficulty_bits_;
   std::unordered_map<crypto::Hash256, Entry> headers_;

@@ -35,45 +35,33 @@ void MiningNetwork::Stop() {
 void MiningNetwork::ScheduleNext() {
   const double mean =
       static_cast<double>(chain_->params().block_interval);
-  Duration wait =
-      static_cast<Duration>(rng_.NextExponential(mean)) + 1;
+  const auto drawn = static_cast<Duration>(rng_.NextExponential(mean)) + 1;
+  const auto wait = static_cast<Duration>(sim_->Choose(
+      sim::ChoiceSite::kInterval, static_cast<uint64_t>(drawn)));
+  assert(wait >= 1);
   pending_ = sim_->After(wait, [this]() { ProduceBlock(); });
 }
 
-Duration MiningNetwork::GossipDelay(const crypto::Hash256& block_hash,
-                                    int miner) const {
-  auto producer_it = producer_.find(block_hash);
+TimePoint MiningNetwork::VisibleAt(const BlockEntry& entry, int miner) const {
+  auto producer_it = producer_.find(entry.hash);
   if (producer_it != producer_.end() && producer_it->second == miner) {
-    return 0;  // Producers see their own block instantly.
+    return entry.arrival_time;  // Producers see their own block instantly.
   }
-  if (config_.max_propagation_delay <= 0) return 0;
+  if (config_.max_propagation_delay <= 0) return entry.arrival_time;
   // Deterministic per-(block, miner) delay so replays are reproducible.
-  uint64_t state = block_hash.Prefix64() ^
+  uint64_t state = entry.hash.Prefix64() ^
                    (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(miner + 1));
   uint64_t draw = SplitMix64(&state);
-  return static_cast<Duration>(
-      draw % (static_cast<uint64_t>(config_.max_propagation_delay) + 1));
-}
-
-const BlockEntry* MiningNetwork::VisibleHeadScan(int miner,
-                                                 TimePoint now) const {
-  const BlockEntry* best = chain_->genesis();
-  for (const BlockEntry* entry : chain_->arrival_order()) {
-    if (entry->arrival_time + GossipDelay(entry->hash, miner) > now) continue;
-    if (ForkChoicePrefers(*entry, *best)) best = entry;
-  }
-  return best;
+  return entry.arrival_time +
+         static_cast<Duration>(
+             draw % (static_cast<uint64_t>(config_.max_propagation_delay) + 1));
 }
 
 const BlockEntry* MiningNetwork::VisibleHead(int miner, TimePoint now) const {
-  if (miner < 0 || miner >= config_.miner_count) {
-    // Stay total over miner ids, like the scan (delays are defined for any
-    // id); only configured miners get incremental trackers.
-    return VisibleHeadScan(miner, now);
-  }
+  assert(miner >= 0 && miner < config_.miner_count);
   if (views_.empty()) views_.resize(static_cast<size_t>(config_.miner_count));
   MinerView& view = views_[static_cast<size_t>(miner)];
-  if (now < view.last_now) return VisibleHeadScan(miner, now);
+  assert(now >= view.last_now);
   view.last_now = now;
   if (view.best == nullptr) view.best = chain_->genesis();
 
@@ -87,8 +75,7 @@ const BlockEntry* MiningNetwork::VisibleHead(int miner, TimePoint now) const {
   const std::vector<const BlockEntry*>& feed = chain_->arrival_order();
   for (; view.cursor < feed.size(); ++view.cursor) {
     const BlockEntry* entry = feed[view.cursor];
-    const TimePoint visible_at =
-        entry->arrival_time + GossipDelay(entry->hash, miner);
+    const TimePoint visible_at = VisibleAt(*entry, miner);
     if (visible_at <= now) {
       consider(entry);
     } else {
@@ -105,8 +92,11 @@ const BlockEntry* MiningNetwork::VisibleHead(int miner, TimePoint now) const {
 void MiningNetwork::ProduceBlock() {
   if (!running_) return;
   const TimePoint now = sim_->Now();
-  const int miner = static_cast<int>(
-      rng_.NextBelow(static_cast<uint64_t>(config_.miner_count)));
+  const auto miners = static_cast<uint64_t>(config_.miner_count);
+  const uint64_t chosen =
+      sim_->Choose(sim::ChoiceSite::kMiner, rng_.NextBelow(miners));
+  assert(chosen < miners);
+  const auto miner = static_cast<int>(chosen);
   const BlockEntry* parent = VisibleHead(miner, now);
 
   // No duplicate filter here: AssembleBlock's selection loop already skips
@@ -124,8 +114,8 @@ void MiningNetwork::ProduceBlock() {
     if (submitted.ok()) {
       producer_[hash] = miner;
     } else {
-      AC3_LOG(kWarn) << chain_->params().name
-                     << ": submit failed: " << submitted.ToString();
+      AC3_WARN << chain_->params().name
+               << ": submit failed: " << submitted.ToString();
     }
   }
   ScheduleNext();

@@ -3,12 +3,13 @@
 //
 // Chain-level block arrival is a Poisson process with the chain's mean
 // block interval (the standard PoW model). At each arrival one of the
-// miners wins; it builds on the heaviest block *it can see* — a block
-// becomes visible to miner m only at (publish_time + gossip delay(block,
-// m)). When two blocks land within a gossip window on the same parent, the
-// chain forks naturally, and the longest-chain rule later resolves it —
-// exactly the dynamics the witness network's depth-d discipline defends
-// against (Section 4.2, Lemma 5.3).
+// miners wins; the wait and the winner are the world's schedule choices
+// (sim::ChoiceSite::kInterval and kMiner). The winner builds on the
+// heaviest block *it can see* — a block becomes visible to miner m only at
+// (publish_time + gossip delay(block, m)). When two blocks land within a
+// gossip window on the same parent, the chain forks naturally, and the
+// longest-chain rule later resolves it — exactly the dynamics the witness
+// network's depth-d discipline defends against (Section 4.2, Lemma 5.3).
 
 #ifndef AC3_CHAIN_MINING_H_
 #define AC3_CHAIN_MINING_H_
@@ -43,19 +44,20 @@ class MiningNetwork {
   void Stop();
   bool running() const { return running_; }
 
-  /// Head visible to `miner` at `now`: heaviest entry whose gossip has
-  /// reached the miner. Incremental: each miner keeps a cursor into the
-  /// chain's arrival feed plus a small pending-visibility heap, so a query
-  /// costs O(new blocks x log pending) instead of a full-store scan.
-  /// Queries with a `now` earlier than a previous query for the same miner
-  /// fall back to the exact full scan (visibility is monotone, so the
-  /// incremental best would over-approximate the past).
+  /// Head visible to `miner` at `now`: the heaviest entry that is
+  /// VisibleAt the miner by `now`. Incremental: each miner keeps a cursor
+  /// into the chain's arrival feed plus a small pending-visibility heap, so
+  /// a query costs O(new blocks x log pending) instead of a full-store
+  /// scan. Requires a configured miner (0 <= miner < miner_count) and a
+  /// `now` no earlier than that miner's previous query: visibility is
+  /// monotone, so the incremental best would over-approximate the past.
   const BlockEntry* VisibleHead(int miner, TimePoint now) const;
 
-  /// Reference implementation: full scan over every stored entry. Exact
-  /// same answer as VisibleHead for any (miner, now); kept public as the
-  /// equivalence oracle for tests and for non-monotone replay queries.
-  const BlockEntry* VisibleHeadScan(int miner, TimePoint now) const;
+  /// When `entry` becomes visible to `miner`: its arrival plus a
+  /// deterministic per-(block, miner) gossip delay in [0, max], zero for
+  /// the miner that produced it. The one visibility rule VisibleHead folds
+  /// by.
+  TimePoint VisibleAt(const BlockEntry& entry, int miner) const;
 
  private:
   /// Per-miner incremental view over the chain's arrival feed.
@@ -70,7 +72,7 @@ class MiningNetwork {
     };
     /// Next unseen index into Blockchain::arrival_order().
     size_t cursor = 0;
-    /// Latest query time (the monotonicity watermark).
+    /// Latest query time (VisibleHead's monotonicity precondition).
     TimePoint last_now = 0;
     /// Heaviest visible entry so far (visibility only ever grows).
     const BlockEntry* best = nullptr;
@@ -80,7 +82,6 @@ class MiningNetwork {
 
   void ScheduleNext();
   void ProduceBlock();
-  Duration GossipDelay(const crypto::Hash256& block_hash, int miner) const;
 
   sim::Simulation* sim_;
   Blockchain* chain_;

@@ -49,10 +49,6 @@ class Wallet {
                                 const std::string& function, const Bytes& args,
                                 Amount fee, uint64_t nonce);
 
-  /// Forgets reservations (e.g. after a transaction is known included or
-  /// abandoned).
-  void ClearReservations() { reserved_.clear(); }
-
  private:
   /// Greedy input selection covering `needed`; returns (inputs, total).
   Result<std::pair<std::vector<OutPoint>, Amount>> SelectInputs(

@@ -1,55 +1,31 @@
-// Minimal leveled logger.
+// Minimal warning log.
 //
 // The simulator is single-threaded by design (discrete events), so the
-// logger is deliberately simple: a global level (kWarn by default), ostream
-// sink, and a macro that formats lazily. Only warnings are written: a mined
-// block its chain rejects, or a deploy or call a wallet cannot build.
+// logger is deliberately simple: one level, an ostream sink, and a macro
+// that formats into one line. Only warnings are written: a mined block its
+// chain rejects, or a deploy or call a wallet cannot build.
 
 #ifndef AC3_COMMON_LOGGING_H_
 #define AC3_COMMON_LOGGING_H_
 
 #include <sstream>
-#include <string>
 
-namespace ac3 {
+namespace ac3::internal {
 
-enum class LogLevel : int {
-  kWarn = 0,
-  kError = 1,
-  kOff = 2,
-};
-
-/// Global log configuration.
-class Logger {
- public:
-  static LogLevel level();
-  static void set_level(LogLevel level);
-  /// Emits one formatted line to stderr.
-  static void Write(LogLevel level, const std::string& message);
-  static const char* LevelName(LogLevel level);
-};
-
-namespace internal {
-/// Accumulates one log line and emits it on destruction.
+/// Accumulates one warning line and writes it to stderr on destruction.
 class LogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
+  LogMessage(const char* file, int line);
   ~LogMessage();
   std::ostringstream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
-}  // namespace internal
 
-#define AC3_LOG(severity)                                    \
-  if (::ac3::LogLevel::severity < ::ac3::Logger::level()) {  \
-  } else                                                     \
-    ::ac3::internal::LogMessage(::ac3::LogLevel::severity, __FILE__, \
-                                __LINE__)                    \
-        .stream()
+}  // namespace ac3::internal
 
-}  // namespace ac3
+/// Writes "[WARN] file:line message" to stderr.
+#define AC3_WARN ::ac3::internal::LogMessage(__FILE__, __LINE__).stream()
 
 #endif  // AC3_COMMON_LOGGING_H_

@@ -43,13 +43,6 @@ uint64_t Rng::NextBelow(uint64_t bound) {
   }
 }
 
-uint64_t Rng::NextInRange(uint64_t lo, uint64_t hi) {
-  assert(lo <= hi);
-  const uint64_t span = hi - lo;
-  if (span == UINT64_MAX) return NextU64();
-  return lo + NextBelow(span + 1);
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;

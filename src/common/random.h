@@ -29,9 +29,6 @@ class Rng {
   /// Uniform in [0, bound) using rejection sampling (unbiased). bound > 0.
   uint64_t NextBelow(uint64_t bound);
 
-  /// Uniform in [lo, hi] inclusive. Requires lo <= hi.
-  uint64_t NextInRange(uint64_t lo, uint64_t hi);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 

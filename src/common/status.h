@@ -118,11 +118,6 @@ class Result {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// Returns the contained value or `fallback` when errored.
-  T value_or(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   Status status_;             // OK iff value_ holds a value.
   std::optional<T> value_;

@@ -68,10 +68,6 @@ Signature KeyPair::Sign(const Bytes& message) const {
   return Signature{e, s};
 }
 
-Signature KeyPair::SignString(const std::string& message) const {
-  return Sign(Bytes(message.begin(), message.end()));
-}
-
 bool Verify(const PublicKey& pk, const Bytes& message, const Signature& sig) {
   const GroupParams& grp = DefaultGroup();
   if (!pk.IsValid()) return false;
@@ -84,11 +80,6 @@ bool Verify(const PublicKey& pk, const Bytes& message, const Signature& sig) {
   uint64_t ye = mont.Pow(y, (grp.q - sig.e) % grp.q);
   uint64_t r_prime = mont.FromMont(mont.Mul(PowG(sig.s), ye));
   return ChallengeE(r_prime, pk, message) == sig.e;
-}
-
-bool VerifyString(const PublicKey& pk, const std::string& message,
-                  const Signature& sig) {
-  return Verify(pk, Bytes(message.begin(), message.end()), sig);
 }
 
 }  // namespace ac3::crypto

@@ -35,7 +35,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 
 #include "src/common/bytes.h"
 #include "src/common/random.h"
@@ -95,8 +94,6 @@ class KeyPair {
 
   /// Signs the canonical byte encoding `message`.
   Signature Sign(const Bytes& message) const;
-  /// Convenience: signs a UTF-8 string.
-  Signature SignString(const std::string& message) const;
 
  private:
   KeyPair(uint64_t secret, PublicKey pk)
@@ -110,10 +107,6 @@ class KeyPair {
 /// this is what miners run when validating transactions and what smart
 /// contracts run inside IsRedeemable/IsRefundable (Algorithm 2).
 bool Verify(const PublicKey& pk, const Bytes& message, const Signature& sig);
-
-/// String-message convenience overload.
-bool VerifyString(const PublicKey& pk, const std::string& message,
-                  const Signature& sig);
 
 }  // namespace ac3::crypto
 

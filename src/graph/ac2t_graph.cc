@@ -276,25 +276,4 @@ Ac2tGraph MakeFigure7bDisconnected(
   return Ac2tGraph(participants, edges, timestamp);
 }
 
-Ac2tGraph MakeRandomGraph(const std::vector<crypto::PublicKey>& participants,
-                          const std::vector<chain::ChainId>& chains,
-                          chain::Amount amount, double extra_edge_prob,
-                          Rng* rng, TimePoint timestamp) {
-  // Start from a ring (guaranteed connected), then sprinkle extra edges.
-  Ac2tGraph ring = MakeRing(participants, chains, amount, timestamp);
-  std::vector<Ac2tEdge> edges = ring.edges();
-  const uint32_t n = static_cast<uint32_t>(participants.size());
-  size_t chain_cursor = edges.size();
-  for (uint32_t u = 0; u < n; ++u) {
-    for (uint32_t v = 0; v < n; ++v) {
-      if (u == v || (v == (u + 1) % n)) continue;
-      if (rng->NextBool(extra_edge_prob)) {
-        edges.push_back(
-            Ac2tEdge{u, v, ChainFor(chains, chain_cursor++), amount});
-      }
-    }
-  }
-  return Ac2tGraph(participants, edges, timestamp);
-}
-
 }  // namespace ac3::graph

@@ -175,12 +175,6 @@ Ac2tGraph MakeFigure7bDisconnected(
     const std::vector<chain::ChainId>& chains, chain::Amount amount,
     TimePoint timestamp);
 
-/// A random connected digraph over `n` participants (for property tests).
-Ac2tGraph MakeRandomGraph(const std::vector<crypto::PublicKey>& participants,
-                          const std::vector<chain::ChainId>& chains,
-                          chain::Amount amount, double extra_edge_prob,
-                          Rng* rng, TimePoint timestamp);
-
 }  // namespace ac3::graph
 
 #endif  // AC3_GRAPH_AC2T_GRAPH_H_

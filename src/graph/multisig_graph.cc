@@ -19,10 +19,4 @@ Result<crypto::Multisignature> SignGraph(
   return ms;
 }
 
-bool VerifyGraphMultisig(const Ac2tGraph& graph,
-                         const crypto::Multisignature& ms) {
-  if (ms.message() != Encode(graph)) return false;
-  return ms.VerifyAll(graph.participants());
-}
-
 }  // namespace ac3::graph

@@ -21,11 +21,6 @@ namespace ac3::graph {
 Result<crypto::Multisignature> SignGraph(
     const Ac2tGraph& graph, const std::vector<crypto::KeyPair>& signers);
 
-/// Verifies that `ms` is a complete multisignature of `graph` by all its
-/// participants and that the signed message is the graph's encoding.
-bool VerifyGraphMultisig(const Ac2tGraph& graph,
-                         const crypto::Multisignature& ms);
-
 }  // namespace ac3::graph
 
 #endif  // AC3_GRAPH_MULTISIG_GRAPH_H_

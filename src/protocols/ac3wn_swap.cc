@@ -62,8 +62,8 @@ void Ac3wnSwapEngine::TryDeployWitnessContract() {
                                 witness->params().deploy_fee,
                                 static_cast<uint64_t>(env()->sim()->Now()));
     if (!tx.ok()) {
-      AC3_LOG(kWarn) << registrar->name()
-                     << " cannot deploy SCw: " << tx.status().ToString();
+      AC3_WARN << registrar->name()
+               << " cannot deploy SCw: " << tx.status().ToString();
       return;
     }
     scw_deploy_.tx = *tx;
@@ -149,8 +149,8 @@ void Ac3wnSwapEngine::TryAuthorize(crypto::CommitmentTag tag) {
                               witness->params().call_fee,
                               static_cast<uint64_t>(now) + (redeem ? 0 : 1));
     if (!tx.ok()) {
-      AC3_LOG(kWarn) << "cannot build " << function << ": "
-                     << tx.status().ToString();
+      AC3_WARN << "cannot build " << function << ": "
+               << tx.status().ToString();
       return;
     }
     if (!call->built()) {

@@ -206,8 +206,8 @@ void SwapEngineBase::TryPublish(EdgeState* edge) {
                                 edge->edge.amount, chain->params().deploy_fee,
                                 static_cast<uint64_t>(now) ^ edge->edge.to);
     if (!tx.ok()) {
-      AC3_LOG(kWarn) << sender->name() << " cannot fund " << contract_kind_
-                     << ": " << tx.status().ToString();
+      AC3_WARN << sender->name() << " cannot fund " << contract_kind_
+               << ": " << tx.status().ToString();
       return;
     }
     edge->deploy.tx = *tx;

@@ -36,11 +36,6 @@ void Network::SetPartition(NodeId id, uint32_t group) {
   NotifyConnectivity(id);
 }
 
-void Network::HealPartitions() {
-  for (NodeState& node : nodes_) node.partition = 0;
-  for (NodeId id = 0; id < nodes_.size(); ++id) NotifyConnectivity(id);
-}
-
 Network::SubscriptionId Network::SubscribeConnectivity(
     ConnectivityListener listener) {
   const SubscriptionId id = next_subscription_id_++;
@@ -64,12 +59,19 @@ void Network::NotifyConnectivity(NodeId id) {
 uint32_t Network::partition(NodeId id) const { return nodes_.at(id).partition; }
 
 Duration Network::SampleLatency() {
-  Duration jitter =
-      latency_.jitter > 0
-          ? static_cast<Duration>(rng_.NextBelow(
-                static_cast<uint64_t>(latency_.jitter) + 1))
-          : 0;
-  return latency_.base + jitter;
+  if (latency_.jitter <= 0) return latency_.base;
+  const auto bound = static_cast<uint64_t>(latency_.jitter);
+  const uint64_t jitter =
+      sim_->Choose(ChoiceSite::kJitter, rng_.NextBelow(bound + 1));
+  assert(jitter <= bound);
+  return latency_.base + static_cast<Duration>(jitter);
+}
+
+bool Network::FaultStrikes(ChoiceSite site, double p) {
+  if (p <= 0) return false;
+  const uint64_t strikes = sim_->Choose(site, rng_.NextBool(p) ? 1 : 0);
+  assert(strikes <= 1);
+  return strikes == 1;
 }
 
 void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
@@ -79,14 +81,12 @@ void Network::SendMessage(const proto::Message& msg, MessageHandler handler) {
   // Draw order is fixed and every fault draw is gated on its knob, so the
   // all-zero fault model consumes exactly one jitter sample per send — the
   // RNG sequence the golden fingerprints pin.
-  int copies = 1;
-  if (faults_.duplicate_prob > 0 && rng_.NextBool(faults_.duplicate_prob)) {
-    copies = 2;
-  }
+  const int copies =
+      FaultStrikes(ChoiceSite::kDuplicate, faults_.duplicate_prob) ? 2 : 1;
   auto shared = std::make_shared<const proto::Message>(msg);
   for (int copy = 0; copy < copies; ++copy) {
     const Duration latency = SampleLatency();
-    if (faults_.drop_prob > 0 && rng_.NextBool(faults_.drop_prob)) {
+    if (FaultStrikes(ChoiceSite::kDrop, faults_.drop_prob)) {
       ++dropped_count_;
       continue;
     }

@@ -44,7 +44,9 @@ struct LatencyModel {
 /// Per-message fault injection for SendMessage. All draws come from the
 /// network's own forked run-RNG stream, and every draw is gated on its knob
 /// being active — with the model at its all-zero default a send consumes
-/// exactly one jitter draw, the sequence the golden fingerprints pin.
+/// exactly one jitter draw, the sequence the golden fingerprints pin. Each
+/// draw is a schedule choice (ChoiceSite::kJitter, kDuplicate, kDrop) that
+/// the simulation's Chooser settles.
 struct MessageFaults {
   double drop_prob = 0.0;       ///< P(a delivery copy is silently lost).
   double duplicate_prob = 0.0;  ///< P(one extra copy is delivered).
@@ -74,8 +76,6 @@ class Network {
   /// Puts `id` into partition `group`. Nodes in different groups cannot
   /// exchange messages. Default group is 0 (fully connected).
   void SetPartition(NodeId id, uint32_t group);
-  /// Restores full connectivity.
-  void HealPartitions();
   uint32_t partition(NodeId id) const;
 
   // ------------------------------------------------------------- sending
@@ -93,9 +93,6 @@ class Network {
 
   /// Arms (or clears, with the default) the per-message fault model.
   void set_message_faults(const MessageFaults& faults) { faults_ = faults; }
-
-  /// Samples one latency value (exposed for tests).
-  Duration SampleLatency();
 
   uint64_t delivered_count() const { return delivered_count_; }
   uint64_t dropped_count() const { return dropped_count_; }
@@ -120,6 +117,11 @@ class Network {
   };
 
   void NotifyConnectivity(NodeId id);
+  /// One copy's latency: base plus the chosen jitter.
+  Duration SampleLatency();
+  /// Whether the fault of `site`, armed with probability `p`, strikes. A
+  /// disarmed fault (p == 0) draws nothing and asks nothing.
+  bool FaultStrikes(ChoiceSite site, double p);
 
   Simulation* sim_;
   LatencyModel latency_;

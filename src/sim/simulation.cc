@@ -33,12 +33,6 @@ TimePoint Simulation::RunUntil(TimePoint deadline) {
   return now_;
 }
 
-TimePoint Simulation::RunToCompletion() {
-  while (Step()) {
-  }
-  return now_;
-}
-
 Status Simulation::RunUntilCondition(const std::function<bool()>& predicate,
                                      TimePoint deadline) {
   if (predicate()) return Status::OK();

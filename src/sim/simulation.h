@@ -15,6 +15,7 @@
 #include "src/common/random.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
+#include "src/sim/chooser.h"
 #include "src/sim/event_queue.h"
 
 namespace ac3::sim {
@@ -33,6 +34,19 @@ class Simulation {
   /// Root RNG; subsystems should Fork() their own stream from it.
   Rng* rng() { return &rng_; }
 
+  /// Installs the chooser every schedule choice asks (src/sim/chooser.h);
+  /// nullptr restores the default, which keeps each draw. Not owned: it
+  /// must outlive the run. Install it before the first choice, that is
+  /// before mining starts and before the first send.
+  void set_chooser(Chooser* chooser) {
+    chooser_ = chooser != nullptr ? chooser : &default_chooser_;
+  }
+
+  /// The value `site` uses, given what its own stream `drawn`.
+  uint64_t Choose(ChoiceSite site, uint64_t drawn) {
+    return chooser_->Choose(site, drawn);
+  }
+
   /// Schedules `fn` to run `delay` ms from now (delay >= 0).
   EventHandle After(Duration delay, std::function<void()> fn);
 
@@ -42,10 +56,6 @@ class Simulation {
   /// Runs events until the queue drains or `deadline` is passed. Events at
   /// exactly `deadline` still run. Returns the final virtual time.
   TimePoint RunUntil(TimePoint deadline);
-
-  /// Runs until the queue is empty (use with care: recurring timers never
-  /// drain; prefer RunUntil).
-  TimePoint RunToCompletion();
 
   /// Runs until `predicate()` becomes true (checked after every event) or
   /// `deadline` passes. Returns OK if the predicate fired.
@@ -62,6 +72,8 @@ class Simulation {
   EventQueue queue_;
   TimePoint now_ = kTimeZero;
   Rng rng_;
+  Chooser default_chooser_;
+  Chooser* chooser_ = &default_chooser_;
   uint64_t events_executed_ = 0;
 };
 

@@ -65,7 +65,7 @@ TEST_P(RandomGraphSwapTest, CommitsAnyConnectedGraph) {
   SwapWorld world(options);
   world.StartMining();
 
-  graph::Ac2tGraph graph = graph::MakeRandomGraph(
+  graph::Ac2tGraph graph = testutil::MakeRandomGraph(
       world.participant_keys(), world.asset_chains(), 100,
       /*extra_edge_prob=*/0.35, &shape_rng,
       static_cast<TimePoint>(GetParam()));

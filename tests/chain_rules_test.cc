@@ -179,7 +179,9 @@ TEST(ForkChoiceTest, EqualWorkSiblingsKeepTheFirstArrivalEverywhere) {
   const TimePoint both_seen = 101 + config.max_propagation_delay;
   for (int miner = 0; miner < config.miner_count; ++miner) {
     EXPECT_EQ(miners.VisibleHead(miner, both_seen), winner) << miner;
-    EXPECT_EQ(miners.VisibleHeadScan(miner, both_seen), winner) << miner;
+    EXPECT_EQ(testutil::VisibleHeadScan(miners, chain, miner, both_seen),
+              winner)
+        << miner;
   }
 }
 

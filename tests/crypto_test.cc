@@ -427,9 +427,9 @@ TEST(SchnorrTest, KeysAndSignaturesArePinned) {
         Pin{~0ULL, 701404707402843426ULL, 1201147220, 371947075}}) {
     const KeyPair key = KeyPair::FromSeed(pin.seed);
     EXPECT_EQ(key.public_key().y(), pin.y) << pin.seed;
-    const Signature sig = key.SignString("pinned message");
+    const Signature sig = key.Sign(StrBytes("pinned message"));
     EXPECT_EQ(sig, (Signature{pin.e, pin.s})) << pin.seed;
-    EXPECT_TRUE(VerifyString(key.public_key(), "pinned message", sig));
+    EXPECT_TRUE(Verify(key.public_key(), StrBytes("pinned message"), sig));
   }
 }
 
@@ -509,7 +509,7 @@ TEST(SchnorrTest, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(pk.ok());
   EXPECT_EQ(*pk, key.public_key());
 
-  Signature sig = key.SignString("encode me");
+  Signature sig = key.Sign(StrBytes("encode me"));
   auto sig2 = Decode<Signature>(Encode(sig));
   ASSERT_TRUE(sig2.ok());
   EXPECT_EQ(*sig2, sig);
@@ -557,7 +557,7 @@ TEST(MultisigTest, ForgedPartRejectedOnAdd) {
   KeyPair alice = KeyPair::FromSeed(15);
   MultisigPart part;
   part.signer = alice.public_key();
-  part.signature = alice.SignString("different message");
+  part.signature = alice.Sign(StrBytes("different message"));
   EXPECT_EQ(ms.AddPart(part).code(), StatusCode::kVerificationFailed);
 }
 

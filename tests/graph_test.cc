@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/multisig_graph.h"
+#include "tests/test_util.h"
 
 namespace ac3::graph {
 namespace {
@@ -161,9 +162,9 @@ class RandomGraphTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(RandomGraphTest, GeneratedGraphsAreValidAndAnalyzable) {
   Rng rng(GetParam());
   const int n = 2 + static_cast<int>(rng.NextBelow(6));
-  Ac2tGraph graph =
-      MakeRandomGraph(Keys(n), Chains(n), 100, /*extra_edge_prob=*/0.3, &rng,
-                      /*timestamp=*/static_cast<TimePoint>(GetParam()));
+  Ac2tGraph graph = testutil::MakeRandomGraph(
+      Keys(n), Chains(n), 100, /*extra_edge_prob=*/0.3, &rng,
+      /*timestamp=*/static_cast<TimePoint>(GetParam()));
   ASSERT_TRUE(graph.Validate().ok());
   EXPECT_TRUE(graph.IsConnected());
   // Diameter of a connected digraph with a covering structure is within
@@ -184,12 +185,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphTest,
 
 // ------------------------------------------------------------------ ms(D)
 
+// The checks a verifier of ms(D) makes: the signed message is the graph's
+// encoding (Trent decodes the graph from it), and every participant signed
+// (the witness contract's VerifyAll).
+
 TEST(MultisigGraphTest, SignAndVerifyRoundTrip) {
   auto keys = KeyPairs(3);
   Ac2tGraph graph = MakeRing(Keys(3), Chains(3), 100, 5);
   auto ms = SignGraph(graph, keys);
   ASSERT_TRUE(ms.ok()) << ms.status();
-  EXPECT_TRUE(VerifyGraphMultisig(graph, *ms));
+  EXPECT_EQ(ms->message(), Encode(graph));
+  EXPECT_TRUE(ms->VerifyAll(graph.participants()));
 }
 
 TEST(MultisigGraphTest, SignatureOrderDoesNotMatter) {
@@ -199,7 +205,8 @@ TEST(MultisigGraphTest, SignatureOrderDoesNotMatter) {
   std::vector<crypto::KeyPair> shuffled = {keys[2], keys[0], keys[1]};
   auto ms = SignGraph(graph, shuffled);
   ASSERT_TRUE(ms.ok());
-  EXPECT_TRUE(VerifyGraphMultisig(graph, *ms));
+  EXPECT_EQ(ms->message(), Encode(graph));
+  EXPECT_TRUE(ms->VerifyAll(graph.participants()));
 }
 
 TEST(MultisigGraphTest, MissingSignerFailsVerification) {
@@ -208,7 +215,7 @@ TEST(MultisigGraphTest, MissingSignerFailsVerification) {
   auto partial = SignGraph(graph, {keys[0], keys[1]});
   // Either signing reports the mismatch or verification must fail.
   if (partial.ok()) {
-    EXPECT_FALSE(VerifyGraphMultisig(graph, *partial));
+    EXPECT_FALSE(partial->VerifyAll(graph.participants()));
   }
 }
 
@@ -218,8 +225,8 @@ TEST(MultisigGraphTest, WrongGraphFailsVerification) {
   Ac2tGraph g2 = MakeTwoPartySwap(Keys(2)[0], Keys(2)[1], 0, 100, 1, 50, 2);
   auto ms = SignGraph(g1, keys);
   ASSERT_TRUE(ms.ok());
-  EXPECT_TRUE(VerifyGraphMultisig(g1, *ms));
-  EXPECT_FALSE(VerifyGraphMultisig(g2, *ms));
+  EXPECT_EQ(ms->message(), Encode(g1));
+  EXPECT_NE(ms->message(), Encode(g2));
 }
 
 TEST(MultisigGraphTest, TamperedSignatureDetected) {
@@ -231,7 +238,8 @@ TEST(MultisigGraphTest, TamperedSignatureDetected) {
   encoded[encoded.size() / 2] ^= 0x01;
   auto tampered = Decode<crypto::Multisignature>(encoded);
   if (tampered.ok()) {
-    EXPECT_FALSE(VerifyGraphMultisig(graph, *tampered));
+    EXPECT_FALSE(tampered->message() == Encode(graph) &&
+                 tampered->VerifyAll(graph.participants()));
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "src/protocols/messages.h"
@@ -10,9 +12,13 @@
 #include "src/sim/failure.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
+#include "tests/test_util.h"
 
 namespace ac3::sim {
 namespace {
+
+/// A deadline past every event these tests schedule.
+constexpr TimePoint kLongAfter = Hours(1);
 
 /// A minimal typed envelope from `from` to `to` (zero swap id, default
 /// payload).
@@ -74,7 +80,7 @@ TEST(SimulationTest, NestedScheduling) {
     times.push_back(sim.Now());
     sim.After(15, [&] { times.push_back(sim.Now()); });
   });
-  sim.RunToCompletion();
+  sim.RunUntil(kLongAfter);
   EXPECT_EQ(times, (std::vector<TimePoint>{10, 25}));
 }
 
@@ -116,7 +122,7 @@ TEST(NetworkTest, DeliversWithLatency) {
   TimePoint delivered_at = -1;
   net.SendMessage(Envelope(a, b),
                   [&](const proto::Message&) { delivered_at = sim.Now(); });
-  sim.RunToCompletion();
+  sim.RunUntil(kLongAfter);
   EXPECT_EQ(delivered_at, 50);
   EXPECT_EQ(net.delivered_count(), 1u);
 }
@@ -130,7 +136,7 @@ TEST(NetworkTest, CrashedReceiverDropsMessage) {
   bool delivered = false;
   net.SendMessage(Envelope(a, b),
                   [&](const proto::Message&) { delivered = true; });
-  sim.RunToCompletion();
+  sim.RunUntil(kLongAfter);
   EXPECT_FALSE(delivered);
   EXPECT_EQ(net.dropped_count(), 1u);
 }
@@ -144,7 +150,7 @@ TEST(NetworkTest, CrashMidFlightDropsMessage) {
   net.SendMessage(Envelope(a, b),
                   [&](const proto::Message&) { delivered = true; });
   sim.After(50, [&] { net.Crash(b); });  // Crashes while in flight.
-  sim.RunToCompletion();
+  sim.RunUntil(kLongAfter);
   EXPECT_FALSE(delivered);
 }
 
@@ -158,7 +164,7 @@ TEST(NetworkTest, RecoveryRestoresDelivery) {
   bool delivered = false;
   net.SendMessage(Envelope(a, b),
                   [&](const proto::Message&) { delivered = true; });
-  sim.RunToCompletion();
+  sim.RunUntil(kLongAfter);
   EXPECT_TRUE(delivered);
 }
 
@@ -171,24 +177,42 @@ TEST(NetworkTest, PartitionBlocksCrossGroupTraffic) {
   bool delivered = false;
   net.SendMessage(Envelope(a, b),
                   [&](const proto::Message&) { delivered = true; });
-  sim.RunToCompletion();
+  sim.RunUntil(kLongAfter);
   EXPECT_FALSE(delivered);
 
-  net.HealPartitions();
+  net.SetPartition(b, 0);
   net.SendMessage(Envelope(a, b),
                   [&](const proto::Message&) { delivered = true; });
-  sim.RunToCompletion();
+  sim.RunUntil(2 * kLongAfter);
   EXPECT_TRUE(delivered);
 }
 
 TEST(NetworkTest, JitterWithinBounds) {
   Simulation sim(9);
+  testutil::RecordingChooser recorder;
+  sim.set_chooser(&recorder);
   Network net(&sim, LatencyModel{Milliseconds(20), Milliseconds(30)});
+  NodeId a = net.AddNode();
+  NodeId b = net.AddNode();
+  std::vector<TimePoint> delivered_at;
   for (int i = 0; i < 200; ++i) {
-    Duration latency = net.SampleLatency();
-    EXPECT_GE(latency, 20);
-    EXPECT_LE(latency, 50);
+    net.SendMessage(Envelope(a, b), [&](const proto::Message&) {
+      delivered_at.push_back(sim.Now());
+    });
   }
+  // Each send asks for one jitter choice, in [0, jitter], and its copy
+  // lands base + jitter later.
+  ASSERT_EQ(recorder.choices().size(), 200u);
+  std::vector<TimePoint> expected;
+  for (const testutil::Choice& choice : recorder.choices()) {
+    EXPECT_EQ(choice.site, ChoiceSite::kJitter);
+    EXPECT_LE(choice.value, 30u);
+    expected.push_back(20 + static_cast<TimePoint>(choice.value));
+  }
+  sim.RunUntil(kLongAfter);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(delivered_at, expected);
+  EXPECT_GT(std::set<TimePoint>(expected.begin(), expected.end()).size(), 1u);
 }
 
 TEST(FailureInjectorTest, CrashWindowCrashesAndRecovers) {
@@ -202,7 +226,7 @@ TEST(FailureInjectorTest, CrashWindowCrashesAndRecovers) {
   for (TimePoint t : {50, 150, 250, 350}) {
     sim.At(t, [&, t] { up_samples.push_back(net.IsUp(n)); });
   }
-  sim.RunToCompletion();
+  sim.RunUntil(kLongAfter);
   EXPECT_EQ(up_samples, (std::vector<bool>{true, false, false, true}));
 }
 
@@ -233,7 +257,7 @@ TEST(FailureInjectorTest, PartitionWindowIsolatesNode) {
     net.SendMessage(Envelope(a, b),
                     [&](const proto::Message&) { ++delivered; });
   });
-  sim.RunToCompletion();
+  sim.RunUntil(kLongAfter);
   EXPECT_EQ(delivered, 1);  // Only the post-heal message lands.
 }
 

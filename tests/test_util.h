@@ -1,5 +1,6 @@
 // Shared test scaffolding: a hand-driven chain (no Poisson mining) so tests
-// control exactly which transactions land in which block.
+// control exactly which transactions land in which block, the reference
+// oracles of fast paths, input generators, and the schedule-choice doubles.
 
 #ifndef AC3_TESTS_TEST_UTIL_H_
 #define AC3_TESTS_TEST_UTIL_H_
@@ -7,11 +8,13 @@
 #include <cstddef>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/chain/blockchain.h"
+#include "src/chain/mining.h"
 #include "src/chain/pow.h"
 #include "src/chain/wallet.h"
 #include "src/common/bytes.h"
@@ -19,6 +22,8 @@
 #include "src/core/scenario.h"
 #include "src/crypto/header_hasher.h"
 #include "src/crypto/primes.h"
+#include "src/graph/ac2t_graph.h"
+#include "src/sim/chooser.h"
 
 namespace ac3::testutil {
 
@@ -168,6 +173,89 @@ inline uint64_t MineHeaderScalar(chain::BlockHeader* header, Rng* rng) {
     ++nonce;
   }
 }
+
+/// The full-scan reference for MiningNetwork::VisibleHead: the heaviest of
+/// `chain`'s entries visible to `miner` by `now` under the network's own
+/// VisibleAt rule. Exact for any `now`, the past included.
+inline const chain::BlockEntry* VisibleHeadScan(
+    const chain::MiningNetwork& miners, const chain::Blockchain& chain,
+    int miner, TimePoint now) {
+  const chain::BlockEntry* best = chain.genesis();
+  for (const chain::BlockEntry* entry : chain.arrival_order()) {
+    if (miners.VisibleAt(*entry, miner) > now) continue;
+    if (chain::ForkChoicePrefers(*entry, *best)) best = entry;
+  }
+  return best;
+}
+
+/// A random connected digraph over `participants`: a ring, plus each other
+/// ordered pair with probability `extra_edge_prob`, the chains assigned in
+/// turn.
+inline graph::Ac2tGraph MakeRandomGraph(
+    const std::vector<crypto::PublicKey>& participants,
+    const std::vector<chain::ChainId>& chains, chain::Amount amount,
+    double extra_edge_prob, Rng* rng, TimePoint timestamp) {
+  std::vector<graph::Ac2tEdge> edges =
+      graph::MakeRing(participants, chains, amount, timestamp).edges();
+  const auto n = static_cast<uint32_t>(participants.size());
+  size_t chain_cursor = edges.size();
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint32_t v = 0; v < n; ++v) {
+      if (u == v || (v == (u + 1) % n)) continue;
+      if (rng->NextBool(extra_edge_prob)) {
+        edges.push_back(graph::Ac2tEdge{
+            u, v, chains[chain_cursor++ % chains.size()], amount});
+      }
+    }
+  }
+  return graph::Ac2tGraph(participants, edges, timestamp);
+}
+
+/// One schedule choice: the site that asked and the value it used.
+struct Choice {
+  sim::ChoiceSite site = sim::ChoiceSite::kJitter;
+  uint64_t value = 0;
+
+  bool operator==(const Choice&) const = default;
+};
+
+/// Keeps every draw, as the default chooser does, and records it.
+class RecordingChooser : public sim::Chooser {
+ public:
+  uint64_t Choose(sim::ChoiceSite site, uint64_t drawn) override {
+    choices_.push_back(Choice{site, drawn});
+    return drawn;
+  }
+  const std::vector<Choice>& choices() const { return choices_; }
+
+ private:
+  std::vector<Choice> choices_;
+};
+
+/// Answers each ask with the next entry of `list`, never with the draw.
+/// Throws std::runtime_error when the run asks past the end of the list,
+/// or when the asking site is not the entry's.
+class ListChooser : public sim::Chooser {
+ public:
+  explicit ListChooser(std::vector<Choice> list) : list_(std::move(list)) {}
+
+  uint64_t Choose(sim::ChoiceSite site, uint64_t /*drawn*/) override {
+    if (next_ == list_.size() || list_[next_].site != site) {
+      throw std::runtime_error(
+          "choice " + std::to_string(next_) + " asked by site " +
+          std::to_string(static_cast<int>(site)) +
+          (next_ == list_.size() ? ": the list ran out"
+                                 : ": the list holds another site there"));
+    }
+    return list_[next_++].value;
+  }
+  /// Entries answered so far.
+  size_t consumed() const { return next_; }
+
+ private:
+  std::vector<Choice> list_;
+  size_t next_ = 0;
+};
 
 /// A signature anyone can make for `message` under a key y ≡ 1 (mod p):
 /// y^(q-e) = 1, so r' = g^s whatever e is; pick s and solve for e. Verify

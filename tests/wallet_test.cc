@@ -94,18 +94,6 @@ TEST_F(WalletTest, ReservationsPreventOverlappingSpends) {
   EXPECT_TRUE(world_.chain().FindTx(t2->Id()).has_value());
 }
 
-TEST_F(WalletTest, ReservationsExhaustThenClearRestores) {
-  auto t1 = alice_.BuildTransfer(State(), kBob.public_key(), 700, 5, 1);
-  ASSERT_TRUE(t1.ok());  // Consumes (nearly) everything.
-  auto t2 = alice_.BuildTransfer(State(), kBob.public_key(), 10, 1, 2);
-  EXPECT_FALSE(t2.ok()) << "all funds reserved by the first build";
-  // The caller abandons t1 (e.g. it was never gossiped): clearing the
-  // reservations makes the funds spendable again.
-  alice_.ClearReservations();
-  auto t3 = alice_.BuildTransfer(State(), kBob.public_key(), 10, 1, 3);
-  EXPECT_TRUE(t3.ok());
-}
-
 TEST_F(WalletTest, DeployLocksContractValueSeparately) {
   auto tx = alice_.BuildDeploy(State(), "HTLC", Bytes{1, 2, 3},
                                /*locked_value=*/200, /*fee=*/4, 1);
